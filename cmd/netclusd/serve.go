@@ -334,7 +334,7 @@ func serve(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	bufKB := fs.Int("buffer", 1024, "buffer pool size in KB for disk stores")
 	landmarks := fs.Int("landmarks", netclus.DefaultLandmarks,
-		"lower-bound pruning landmarks per dataset (0 disables)")
+		"lower-bound pruning landmarks per cold dataset (0 disables; hot, snapshot, sharded and live datasets build no bounds)")
 	capacity := fs.Int64("capacity", 0, "admission capacity in cost units (0 = 2x GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission wait-queue depth (0 = 64)")
 	clusterCost := fs.Int64("cluster-cost", 0, "admission cost of a clustering request (0 = 8)")

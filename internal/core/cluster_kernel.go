@@ -8,14 +8,34 @@ import (
 	"netclus/internal/unionfind"
 )
 
-// This file drives DBSCAN and ε-Link through a graph's fused clustering
-// engine (network.ClusterKernel — the compiled CSR snapshot and the sharded
-// set implement it). The kernel supplies the two parallel passes — fused
-// core flags and ε-graph unions — and this layer finishes the labelling
-// with the PR 1 merge contract: order-free union-find merge, components
-// labelled by ascending minimum member, borders adopting the minimum
-// core-neighbour label. The labels are identical to the sequential generic
-// path; only the wall clock (and the CritNs/WallNs stats) differ.
+// This file drives DBSCAN and ε-Link through a graph's native kernels. A
+// network.LabelKernel (the compiled CSR snapshot) labels the whole job itself
+// — dbscanFlat and epsLinkFlat only wrap the call — at every Workers value.
+// A network.ClusterKernel that is not a LabelKernel (the sharded set)
+// supplies two parallel passes — fused core flags and ε-graph unions — and
+// dbscanKernel/epsLinkKernel finish the labelling with the PR 1 merge
+// contract: order-free union-find merge, components labelled by ascending
+// minimum member, borders adopting the minimum core-neighbour label. The
+// labels are identical to the sequential generic path either way; only the
+// wall clock (and the CritNs/WallNs stats) differ.
+
+// dbscanFlat labels via lk's native three-pass DBSCAN (one expansion per
+// point; see internal/csr/dbscan.go). workers only stripes its per-point
+// passes, so 0 and 1 are the same run.
+func dbscanFlat(ctx context.Context, g network.Graph, lk network.LabelKernel, opts DBSCANOptions) (*DBSCANResult, error) {
+	n := g.NumPoints()
+	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
+	clusters, corePoints, st, err := lk.DBSCANLabels(ctx, opts.Eps, opts.MinPts, opts.Workers, res.Labels, res.Core)
+	if err != nil {
+		return nil, err
+	}
+	res.NumClusters = clusters
+	res.CorePoints = corePoints
+	res.Stats.RangeQueries = st.RangeQueries
+	res.Stats.CritNs = st.CritNs
+	res.Stats.WallNs = st.WallNs
+	return res, nil
+}
 
 // dbscanKernel labels via ck's CoreFlags + EpsUnions passes.
 func dbscanKernel(ctx context.Context, g network.Graph, ck network.ClusterKernel, opts DBSCANOptions, workers int) (*DBSCANResult, error) {
@@ -137,10 +157,11 @@ func epsLinkKernel(ctx context.Context, g network.Graph, ck network.ClusterKerne
 }
 
 // epsLinkFlat labels via lk's native sequential Fig. 6 traversal (the
-// compiled snapshot's flat-array port) — the sequential dispatch target.
-// The kernel applies the min_sup filter itself from the per-grow member
-// counts, so there is no suppression epilogue here.
-func epsLinkFlat(ctx context.Context, g network.Graph, lk network.EpsLinkKernel, opts EpsLinkOptions) (*EpsLinkResult, error) {
+// compiled snapshot's flat-array port), whatever opts.Workers says: one
+// traversal per cluster beats any fan-out of per-point range queries. The
+// kernel applies the min_sup filter itself from the per-grow member counts,
+// so there is no suppression epilogue here.
+func epsLinkFlat(ctx context.Context, g network.Graph, lk network.LabelKernel, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	n := g.NumPoints()
 	res := &EpsLinkResult{Labels: make([]int32, n)}
 	t0 := time.Now()

@@ -18,11 +18,17 @@ type DBSCANOptions struct {
 	// ε-neighbourhood (itself included) holds at least MinPts points. The
 	// paper's experiments use MinPts = 3.
 	MinPts int
-	// Workers fans the range queries across this many goroutines (<= 1 runs
-	// the sequential expansion). The parallel mode makes two passes — core
-	// flags, then core-core unions plus border adoption — each worker with
-	// its own graph read view and scratch; labels are identical to the
-	// sequential run.
+	// Workers is a pure concurrency knob: labels, Core and the cluster
+	// numbering never depend on it, and 0 and 1 run the same code on every
+	// backend but the sharded set. On the compiled snapshot every value runs
+	// the flat three-pass labeller and values > 1 stripe its per-point
+	// passes; on the store, the pointer network and delta views <= 1 runs
+	// the sequential expansion and larger values fan the range queries
+	// across that many goroutines in two passes (core flags, then core-core
+	// unions plus border adoption), each worker with its own read view and
+	// scratch. The sharded set alone still tells 0 from 1: it keeps the
+	// sequential expansion for 0 and sends every value >= 1 to its
+	// shard-parallel kernel.
 	Workers int
 	// Prune, when non-nil, runs every ε-range query through the
 	// filter-and-refine path (see network.RangeScratch.SetBounder). Labels
@@ -61,8 +67,7 @@ func DBSCAN(g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 
 // DBSCANCtx is DBSCAN with cancellation: the range queries check ctx
 // periodically and the run returns an error wrapping ctx.Err() when it is
-// done. With opts.Workers > 1 the queries are fanned across that many
-// goroutines.
+// done. opts.Workers never changes the result (see DBSCANOptions.Workers).
 func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: DBSCAN: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
@@ -70,11 +75,17 @@ func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCA
 	if opts.MinPts < 1 {
 		return nil, fmt.Errorf("%w: DBSCAN: MinPts must be >= 1 (got %d)", ErrInvalidOptions, opts.MinPts)
 	}
-	// An explicit Workers request (>= 1) on a graph with a fused clustering
-	// engine runs the kernel path; Workers left zero keeps the sequential
-	// expansion, and graphs without a kernel fall back to the generic
-	// two-pass fan-out. All three produce identical labels.
-	if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
+	// A graph that labels natively (the compiled snapshot) does so at every
+	// Workers value; under an explicit Bounder it runs the generic paths
+	// below over its pruned scratch instead. The sharded set's two-pass
+	// kernel takes Workers >= 1. Everything else — and the sharded set at
+	// Workers 0 — runs the sequential expansion, or the generic two-pass
+	// fan-out when Workers > 1. All of them produce identical labels.
+	if lk, ok := g.(network.LabelKernel); ok {
+		if opts.Prune == nil {
+			return dbscanFlat(ctx, g, lk, opts)
+		}
+	} else if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
 		return dbscanKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
 	}
 	if workers := normWorkers(opts.Workers); workers > 1 {

@@ -18,11 +18,16 @@ type EpsLinkOptions struct {
 	Eps float64
 	// MinSup declares clusters with fewer members outliers (0/1 keeps all).
 	MinSup int
-	// Workers fans the clustering across this many goroutines (<= 1 runs the
-	// sequential Fig. 6 algorithm). The parallel mode issues one ε-range
-	// query per point, each worker with its own graph read view and scratch,
-	// and merges the per-worker union-finds; labels are identical to the
-	// sequential run.
+	// Workers is a pure concurrency knob: labels never depend on it, and 0
+	// and 1 run the same code on every backend but the sharded set. The
+	// compiled snapshot runs its flat Fig. 6 port at every value (one
+	// traversal per cluster leaves nothing worth fanning out). On the store,
+	// the pointer network and delta views <= 1 runs the sequential Fig. 6
+	// algorithm and larger values issue one ε-range query per point across
+	// that many goroutines, each worker with its own read view and scratch,
+	// and merge the per-worker union-finds. The sharded set alone still
+	// tells 0 from 1: it keeps the sequential algorithm for 0 and sends
+	// every value >= 1 to its shard-parallel kernel.
 	Workers int
 }
 
@@ -92,23 +97,23 @@ func EpsLink(g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 
 // EpsLinkCtx is EpsLink with cancellation: the traversal checks ctx
 // periodically and returns an error wrapping ctx.Err() when it is done.
-// With opts.Workers > 1 the run is fanned across that many goroutines.
+// opts.Workers never changes the result (see EpsLinkOptions.Workers).
 func EpsLinkCtx(ctx context.Context, g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: EpsLink: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
 	}
-	// An explicit Workers request (>= 1) on a graph with a fused clustering
-	// engine runs the kernel path; otherwise graphs with a native flat
-	// Fig. 6 port run it sequentially, and everything else runs the generic
-	// traversal below. All paths produce identical labels.
-	if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
+	// A graph that labels natively (the compiled snapshot's flat Fig. 6
+	// port) does so at every Workers value. The sharded set's union kernel
+	// takes Workers >= 1. Everything else — and the sharded set at Workers 0
+	// — runs the generic traversal below, or the per-point fan-out when
+	// Workers > 1. All paths produce identical labels.
+	if lk, ok := g.(network.LabelKernel); ok {
+		return epsLinkFlat(ctx, g, lk, opts)
+	} else if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
 		return epsLinkKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
 	}
 	if workers := normWorkers(opts.Workers); workers > 1 {
 		return epsLinkParallel(ctx, g, opts, workers)
-	}
-	if lk, ok := g.(network.EpsLinkKernel); ok {
-		return epsLinkFlat(ctx, g, lk, opts)
 	}
 	n := g.NumPoints()
 	res := &EpsLinkResult{Labels: make([]int32, n)}

@@ -30,11 +30,12 @@ type Stats struct {
 	GroupsRead   int // point-group fetches
 	RangeQueries int // ε-range queries issued (DBSCAN)
 
-	// CritNs and WallNs model parallel clustering runs through a fused
-	// kernel (network.ClusterKernel): CritNs is the critical path — the
-	// slowest worker stripe plus the serial merge — i.e. what a host with
-	// one core per worker would pay, WallNs the realized wall time on this
-	// host. Both zero for runs that did not go through a kernel.
+	// CritNs and WallNs time clustering runs through a graph's native kernel
+	// (network.LabelKernel, network.ClusterKernel): CritNs is the critical
+	// path — the slowest worker stripe of each striped pass plus everything
+	// serial — i.e. what a host with one core per worker would pay, WallNs
+	// the realized wall time on this host. Both zero for runs that did not
+	// go through a kernel.
 	CritNs int64
 	WallNs int64
 

@@ -11,9 +11,12 @@ import (
 	"netclus/internal/unionfind"
 )
 
-// This file holds the fused clustering engine: the batched core-flag pass
-// and the ε-union sweep that core.DBSCANCtx and core.EpsLinkCtx build their
-// parallel labelling from (the network.ClusterKernel contract). Both passes
+// This file holds the fused clustering passes of the network.ClusterKernel
+// contract: the batched core-flag pass and the ε-union sweep that union-find
+// based labelling is built from. core dispatches to the contract for the
+// sharded set only, which runs the same passes per shard; the snapshot itself
+// is labelled by DBSCANLabels and EpsLinkLabels, and dbscan.go shares
+// clusterRun and the counting expansion below. Both passes
 // sweep the points in contiguous stripes over pooled epoch-stamped
 // scratches — the same SoA shape as NewKNNBatch — so their steady state
 // allocates nothing; the core-flag pass additionally stops each counting
@@ -248,6 +251,14 @@ func (s *Snapshot) EpsUnions(ctx context.Context, eps float64, workers int, prun
 // signal the sharded pass's locality proof reads, always false without a
 // watch mask and meaningless after an early exit.
 func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float64, target int) (int, bool, error) {
+	return sc.rangeCount(ctx, p, eps, target, false)
+}
+
+// rangeCount is RangeCount; with record set it also leaves the counted points
+// in sc.result — the whole neighbourhood after a finished expansion, which is
+// what DBSCANLabels keeps of a non-core point. CoreFlags and the shards'
+// sweeps never read that list, so they don't pay its stores.
+func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float64, target int, record bool) (int, bool, error) {
 	ticks := 0
 	if err := cancelCheck(ctx, &ticks); err != nil {
 		return 0, false, err
@@ -268,10 +279,16 @@ func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float6
 	for i := pi; i >= 0 && pos-off[i] <= eps; i-- {
 		sc.ptEpoch[first+int32(i)] = sc.epoch
 		cnt++
+		if record {
+			sc.result = append(sc.result, network.PointID(first+int32(i)))
+		}
 	}
 	for i := pi + 1; i < len(off) && off[i]-pos <= eps; i++ {
 		sc.ptEpoch[first+int32(i)] = sc.epoch
 		cnt++
+		if record {
+			sc.result = append(sc.result, network.PointID(first+int32(i)))
+		}
 	}
 	if cnt >= target {
 		return cnt, hit, nil
@@ -297,7 +314,7 @@ func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float6
 		}
 		for i, end := sn.rowOff[e.node], sn.rowOff[e.node+1]; i < end; i++ {
 			if gid := sn.adjGroup[i]; gid >= 0 {
-				cnt = sc.countCollect(e.node, gid, e.dist, eps, cnt)
+				cnt = sc.countCollect(e.node, gid, e.dist, eps, cnt, record)
 				if cnt >= target {
 					return cnt, hit, nil
 				}
@@ -313,9 +330,10 @@ func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float6
 }
 
 // countCollect is collect's counting twin: it stamps the qualifying points
-// of group gid and bumps the count once per first sight, skipping the
-// per-point distance bookkeeping the membership test doesn't need.
-func (sc *Scratch) countCollect(u, gid int32, du, eps float64, cnt int) int {
+// of group gid and bumps the count once per first sight (appending the point
+// to sc.result when record is set), skipping the per-point distance
+// bookkeeping the membership test doesn't need.
+func (sc *Scratch) countCollect(u, gid int32, du, eps float64, cnt int, record bool) int {
 	sn := sc.sn
 	pg := &sn.groups[gid]
 	first := int32(pg.First)
@@ -326,6 +344,9 @@ func (sc *Scratch) countCollect(u, gid int32, du, eps float64, cnt int) int {
 			if q := first + int32(i); sc.ptEpoch[q] != sc.epoch {
 				sc.ptEpoch[q] = sc.epoch
 				cnt++
+				if record {
+					sc.result = append(sc.result, network.PointID(q))
+				}
 			}
 		}
 	} else {
@@ -333,6 +354,9 @@ func (sc *Scratch) countCollect(u, gid int32, du, eps float64, cnt int) int {
 			if q := first + int32(i); sc.ptEpoch[q] != sc.epoch {
 				sc.ptEpoch[q] = sc.epoch
 				cnt++
+				if record {
+					sc.result = append(sc.result, network.PointID(q))
+				}
 			}
 		}
 	}

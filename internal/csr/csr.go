@@ -101,12 +101,13 @@ type Snapshot struct {
 	// range expansion (bucket queue, proposal buffers, worker slots).
 	prangePool sync.Pool
 
-	// clusterPool recycles the per-stripe coordination state of the fused
-	// clustering passes (CoreFlags / EpsUnions).
+	// clusterPool recycles the per-stripe coordination state of the striped
+	// clustering passes (CoreFlags / EpsUnions / DBSCANLabels).
 	clusterPool sync.Pool
 
-	// epsPool recycles the flat-array ε-Link traversal state (per-cluster
-	// epoch-stamped NNdist plus the run's clustered flags).
+	// epsPool recycles the label kernel's state: the flat-array Fig. 6
+	// traversal (per-cluster epoch-stamped NNdist, per-point selection state)
+	// and DBSCAN's non-core side lists.
 	epsPool sync.Pool
 }
 

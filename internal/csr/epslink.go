@@ -16,23 +16,40 @@ import (
 // array epoch-stamped per cluster and the whole state pooled. Clusters are
 // grown from ascending seed point IDs, so the labels are identical to the
 // generic run by construction.
+//
+// The traversal runs under a per-point selection state: masked points are
+// invisible, so the same code labels the ε-components of any point subset —
+// every point for ε-Link, the core points for DBSCAN (dbscan.go).
 
-var _ network.EpsLinkKernel = (*Snapshot)(nil)
+var _ network.LabelKernel = (*Snapshot)(nil)
 
 // noiseLabel mirrors core.Noise: the label of suppressed cluster members.
 const noiseLabel int32 = -1
 
-// epsState is the pooled traversal state of one EpsLinkLabels run.
+// Per-point traversal state of a growth pass.
+const (
+	ptFree      uint8 = iota // selected, not yet in a cluster
+	ptClustered              // selected, member of a grown cluster
+	ptMasked                 // unselected: the traversal looks through it
+)
+
+// epsState is the pooled traversal state of one labelling run.
 type epsState struct {
-	nnDist    []float64
-	nnEpoch   []int32
-	epoch     int32
-	heap      *heapx.Heap4[entry]
-	clustered []bool
-	sizes     []int32 // per-cluster member counts, indexed by label
-	cnt       int32   // members of the cluster being grown
+	nnDist  []float64
+	nnEpoch []int32
+	epoch   int32
+	heap    *heapx.Heap4[entry]
+	state   []uint8 // ptFree / ptClustered / ptMasked per point
+	sizes   []int32 // per-cluster member counts, indexed by label
+	cnt     int32   // members of the cluster being grown
+
+	// side holds, per stripe of DBSCAN's flag pass, one record
+	// [p, k, q1..qk] for every non-core point p: the k < MinPts points its
+	// finished expansion saw, from which the border pass picks p's cluster.
+	side [][]network.PointID
 }
 
+// acquireEps draws a pooled state with every point selected and unclustered.
 func (s *Snapshot) acquireEps() *epsState {
 	st, ok := s.epsPool.Get().(*epsState)
 	if !ok {
@@ -47,12 +64,12 @@ func (s *Snapshot) acquireEps() *epsState {
 		st.nnEpoch = st.nnEpoch[:s.NumNodes()]
 	}
 	n := len(s.ptPos)
-	if cap(st.clustered) < n {
-		st.clustered = make([]bool, n)
+	if cap(st.state) < n {
+		st.state = make([]uint8, n)
 	} else {
-		st.clustered = st.clustered[:n]
-		for i := range st.clustered {
-			st.clustered[i] = false
+		st.state = st.state[:n]
+		for i := range st.state {
+			st.state[i] = ptFree
 		}
 	}
 	return st
@@ -84,7 +101,7 @@ func (st *epsState) bump() {
 // post-filter, §4.3.1); cluster sizes are counted as scalars while each
 // cluster grows, so the filter costs one extra pass over labels. Returns
 // the cluster count before and after suppression. Satisfies
-// network.EpsLinkKernel.
+// network.LabelKernel.
 func (s *Snapshot) EpsLinkLabels(ctx context.Context, eps float64, minSup int, labels []int32) (found, kept int, err error) {
 	n := len(s.ptPos)
 	if len(labels) != n {
@@ -95,26 +112,11 @@ func (s *Snapshot) EpsLinkLabels(ctx context.Context, eps float64, minSup int, l
 	}
 	st := s.acquireEps()
 	defer s.epsPool.Put(st)
-	sizes := st.sizes[:0]
-	ticks := 0
-	next := int32(0)
-	for p := 0; p < n; p++ {
-		if st.clustered[p] {
-			continue
-		}
-		if err := cancelCheck(ctx, &ticks); err != nil {
-			return 0, 0, err
-		}
-		st.bump()
-		st.cnt = 0
-		if err := st.grow(ctx, &ticks, s, int32(p), next, eps, labels); err != nil {
-			return 0, 0, err
-		}
-		sizes = append(sizes, st.cnt)
-		next++
+	if err := st.growAll(ctx, s, eps, labels); err != nil {
+		return 0, 0, err
 	}
-	st.sizes = sizes
-	found = int(next)
+	sizes := st.sizes
+	found = len(sizes)
 	kept = found
 	if sup := int32(minSup); sup > 1 {
 		kept = 0
@@ -136,15 +138,45 @@ func (s *Snapshot) EpsLinkLabels(ctx context.Context, eps float64, minSup int, l
 	return found, kept, nil
 }
 
+// growAll grows one cluster from every selected point no earlier cluster
+// reached, in ascending ID order — so clusters are numbered by ascending
+// smallest selected member — and leaves the member counts in st.sizes.
+// Masked points keep whatever labels holds for them.
+func (st *epsState) growAll(ctx context.Context, sn *Snapshot, eps float64, labels []int32) error {
+	sizes := st.sizes[:0]
+	ticks := 0
+	for p := range st.state {
+		if st.state[p] != ptFree {
+			continue
+		}
+		if err := cancelCheck(ctx, &ticks); err != nil {
+			return err
+		}
+		st.bump()
+		st.cnt = 0
+		if err := st.grow(ctx, &ticks, sn, int32(p), int32(len(sizes)), eps, labels); err != nil {
+			return err
+		}
+		sizes = append(sizes, st.cnt)
+	}
+	st.sizes = sizes
+	return nil
+}
+
+// take makes the free point pid a member of the cluster being grown.
+func (st *epsState) take(pid, label int32, labels []int32) {
+	st.state[pid] = ptClustered
+	labels[pid] = label
+	st.cnt++
+}
+
 // grow discovers the whole cluster of seed point m and labels its members
 // (Fig. 6 lines 5-37 on the flat arrays).
 func (st *epsState) grow(ctx context.Context, ticks *int, sn *Snapshot, m, label int32, eps float64, labels []int32) error {
 	pg := &sn.groups[sn.ptGrp[m]]
 	first := int32(pg.First)
 	off := sn.ptPos[first : first+pg.Count]
-	st.clustered[m] = true
-	labels[m] = label
-	st.cnt++
+	st.take(m, label, labels)
 	idx := int(m - first)
 
 	// Lines 5-11: populate the seed edge in both directions, then enqueue
@@ -152,12 +184,16 @@ func (st *epsState) grow(ctx context.Context, ticks *int, sn *Snapshot, m, label
 	last := idx
 	for j := idx - 1; j >= 0; j-- {
 		pid := first + int32(j)
-		if st.clustered[pid] || off[last]-off[j] > eps {
+		if s := st.state[pid]; s != ptFree {
+			if s == ptMasked {
+				continue
+			}
 			break
 		}
-		st.clustered[pid] = true
-		labels[pid] = label
-		st.cnt++
+		if off[last]-off[j] > eps {
+			break
+		}
+		st.take(pid, label, labels)
 		last = j
 	}
 	if d := off[last]; d <= eps {
@@ -166,12 +202,16 @@ func (st *epsState) grow(ctx context.Context, ticks *int, sn *Snapshot, m, label
 	last = idx
 	for j := idx + 1; j < len(off); j++ {
 		pid := first + int32(j)
-		if st.clustered[pid] || off[j]-off[last] > eps {
+		if s := st.state[pid]; s != ptFree {
+			if s == ptMasked {
+				continue
+			}
 			break
 		}
-		st.clustered[pid] = true
-		labels[pid] = label
-		st.cnt++
+		if off[j]-off[last] > eps {
+			break
+		}
+		st.take(pid, label, labels)
 		last = j
 	}
 	if d := pg.Weight - off[last]; d <= eps {
@@ -190,73 +230,90 @@ func (st *epsState) grow(ctx context.Context, ticks *int, sn *Snapshot, m, label
 		st.nnEpoch[b.node] = st.epoch
 		st.nnDist[b.node] = b.dist
 		for i, end := sn.rowOff[b.node], sn.rowOff[b.node+1]; i < end; i++ {
-			st.expandEdge(sn, b, i, label, eps, labels)
+			nz := sn.adjNode[i]
+			if gid := sn.adjGroup[i]; gid >= 0 && st.expandGroup(sn, b, nz, gid, label, eps, labels) {
+				continue
+			}
+			// Lines 32-37 (no selected point on the edge): the cluster can
+			// reach n_z only through the full edge.
+			if d := b.dist + sn.adjW[i]; d <= eps && d < st.nnd(nz) {
+				st.heap.Push(entry{node: nz, dist: d})
+			}
 		}
 	}
 	return nil
 }
 
-// expandEdge traverses adjacency slot i leaving the dequeued node b (Fig. 6
-// lines 16-37): cluster reachable points on the edge, then re-enqueue
-// whichever endpoints got closer to the cluster.
-func (st *epsState) expandEdge(sn *Snapshot, b entry, i int32, label int32, eps float64, labels []int32) {
-	gid := sn.adjGroup[i]
-	nz := sn.adjNode[i]
-	if gid < 0 {
-		// Lines 32-37 (point-free edge): the cluster can reach n_z only
-		// through the full edge.
-		if d := b.dist + sn.adjW[i]; d <= eps && d < st.nnd(nz) {
-			st.heap.Push(entry{node: nz, dist: d})
-		}
-		return
-	}
+// expandGroup traverses the points of group gid on the edge from the
+// dequeued node b to nz (Fig. 6 lines 16-31, 34-37): cluster the reachable
+// selected points, then re-enqueue whichever endpoints got closer to the
+// cluster. It reports false when the group holds no selected point — the
+// edge then counts as point-free.
+func (st *epsState) expandGroup(sn *Snapshot, b entry, nz, gid, label int32, eps float64, labels []int32) bool {
 	pg := &sn.groups[gid]
 	first := int32(pg.First)
 	off := sn.ptPos[first : first+pg.Count]
 	count := len(off)
-	fromN1 := b.node == int32(pg.N1)
 
 	newdB, newdNz := network.Inf, network.Inf
-	if fromN1 {
-		if !st.clustered[first] && off[0]+b.dist <= eps {
+	if b.node == int32(pg.N1) {
+		j := 0
+		for j < count && st.state[first+int32(j)] == ptMasked {
+			j++
+		}
+		if j == count {
+			return false
+		}
+		if pid := first + int32(j); st.state[pid] == ptFree && off[j]+b.dist <= eps {
 			// Lines 18-27: cluster the first point, then chain while gaps
 			// stay within eps.
-			st.clustered[first] = true
-			labels[first] = label
-			st.cnt++
-			newdB = off[0]
-			newdNz = pg.Weight - off[0]
-			prevDL := off[0]
-			for j := 1; j < count; j++ {
+			st.take(pid, label, labels)
+			newdB = off[j]
+			newdNz = pg.Weight - off[j]
+			prevDL := off[j]
+			for j++; j < count; j++ {
 				pid := first + int32(j)
-				if st.clustered[pid] || off[j]-prevDL > eps {
+				if s := st.state[pid]; s != ptFree {
+					if s == ptMasked {
+						continue
+					}
 					break
 				}
-				st.clustered[pid] = true
-				labels[pid] = label
-				st.cnt++
+				if off[j]-prevDL > eps {
+					break
+				}
+				st.take(pid, label, labels)
 				newdNz = pg.Weight - off[j]
 				prevDL = off[j]
 			}
 		}
 	} else {
-		p0 := first + int32(count-1)
-		if dl0 := pg.Weight - off[count-1]; !st.clustered[p0] && dl0+b.dist <= eps {
-			st.clustered[p0] = true
-			labels[p0] = label
-			st.cnt++
+		j := count - 1
+		for j >= 0 && st.state[first+int32(j)] == ptMasked {
+			j--
+		}
+		if j < 0 {
+			return false
+		}
+		pid := first + int32(j)
+		if dl0 := pg.Weight - off[j]; st.state[pid] == ptFree && dl0+b.dist <= eps {
+			st.take(pid, label, labels)
 			newdB = dl0
 			newdNz = pg.Weight - dl0
 			prevDL := dl0
-			for j := count - 2; j >= 0; j-- {
+			for j--; j >= 0; j-- {
 				pid := first + int32(j)
-				dl := pg.Weight - off[j]
-				if st.clustered[pid] || dl-prevDL > eps {
+				if s := st.state[pid]; s != ptFree {
+					if s == ptMasked {
+						continue
+					}
 					break
 				}
-				st.clustered[pid] = true
-				labels[pid] = label
-				st.cnt++
+				dl := pg.Weight - off[j]
+				if dl-prevDL > eps {
+					break
+				}
+				st.take(pid, label, labels)
 				newdNz = pg.Weight - dl
 				prevDL = dl
 			}
@@ -271,4 +328,5 @@ func (st *epsState) expandEdge(sn *Snapshot, b entry, i int32, label int32, eps 
 	if newdNz <= eps && newdNz < st.nnd(nz) {
 		st.heap.Push(entry{node: nz, dist: newdNz})
 	}
+	return true
 }

@@ -1,8 +1,9 @@
-// Tests for the fused clustering engine (network.ClusterKernel over the
-// compiled snapshot): the parallel kernel path must be byte-identical to the
-// sequential generic path on every backend and every worker count, the fused
-// core-flag pass must agree with brute-force neighbourhood counting, and its
-// sequential steady state must not allocate.
+// Tests for clustering on the compiled snapshot at explicit worker counts:
+// the label kernel (see label_kernel_test.go for its differential suite) must
+// be byte-identical to the sequential generic path on every backend and every
+// worker count, the fused core-flag pass of network.ClusterKernel must agree
+// with brute-force neighbourhood counting, and its sequential steady state
+// must not allocate.
 package csr_test
 
 import (
@@ -18,7 +19,7 @@ import (
 )
 
 // TestParallelEngineByteIdentical sweeps DBSCAN and ε-Link over the graph
-// zoo: the kernel path at every worker count must reproduce the sequential
+// zoo: the snapshot at every worker count must reproduce the sequential
 // generic run on the pointer network exactly — labels, core flags, cluster
 // counts — on both the memory-compiled and the store-compiled snapshot.
 func TestParallelEngineByteIdentical(t *testing.T) {
@@ -61,9 +62,9 @@ func TestParallelEngineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelEnginePrunedByteIdentical drives the kernel path through the
-// filter-and-refine fallback: with a landmark bounder installed the fused
-// early exit is unavailable, yet the labels must not move.
+// TestParallelEnginePrunedByteIdentical installs a landmark bounder: the
+// snapshot then leaves its label kernel for the generic sequential run and
+// fan-out over its filter-and-refine scratch, and the labels must not move.
 func TestParallelEnginePrunedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	g, err := testnet.Random(7, 40, 90)
@@ -153,20 +154,35 @@ func TestCoreFlagsZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzParallelDBSCAN derives (network seed, eps, minPts, workers) from the
-// fuzz input and checks the kernel-path DBSCAN on the compiled snapshot
-// against the sequential generic run on the source network.
+// FuzzParallelDBSCAN derives (network, eps, minPts, workers) from the fuzz
+// input and checks DBSCAN on the compiled snapshot against the sequential
+// generic run on the source network. A non-negative seed generates a random
+// network; a negative one picks a hand-built shape of label_kernel_test.go
+// (-1, -2, -3 are the first shape as written, mirrored and twisted, and so
+// on), so mutation starts from the inputs the mask logic can get wrong.
 func FuzzParallelDBSCAN(f *testing.F) {
 	f.Add(int64(1), float64(0.8), uint8(3), uint8(2))
 	f.Add(int64(7), float64(1.5), uint8(1), uint8(4))
 	f.Add(int64(42), float64(0.2), uint8(9), uint8(1))
+	for i := range shapes {
+		for numbering := 0; numbering < 3; numbering++ {
+			// MinPts 5, 4, 5 (minPts%9+1) at Workers 1, 4, 2 (workers%6+1).
+			f.Add(int64(-1-3*i-numbering), float64(1), uint8(4-numbering%2), uint8(3*numbering%5))
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, eps float64, minPts, workers uint8) {
 		if !(eps > 0) || eps > 1e6 {
 			t.Skip()
 		}
-		g, err := testnet.Random(seed%64, 25, 60)
-		if err != nil {
-			t.Skip()
+		var g *network.Network
+		if seed < 0 {
+			k := int((-(seed + 1)) % int64(3*len(shapes)))
+			g = shapes[k/3].build(t, k%3)
+		} else {
+			var err error
+			if g, err = testnet.Random(seed%64, 25, 60); err != nil {
+				t.Skip()
+			}
 		}
 		sn, err := csr.Compile(g)
 		if err != nil {
@@ -185,8 +201,12 @@ func FuzzParallelDBSCAN(f *testing.F) {
 		}
 		if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Core, got.Core) ||
 			want.NumClusters != got.NumClusters {
-			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: kernel DBSCAN diverged",
+			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: snapshot DBSCAN diverged",
 				seed, eps, opts.MinPts, opts.Workers)
+		}
+		if got.Stats.RangeQueries != g.NumPoints() {
+			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: %d expansions for %d points",
+				seed, eps, opts.MinPts, opts.Workers, got.Stats.RangeQueries, g.NumPoints())
 		}
 	})
 }

@@ -36,12 +36,14 @@ func (s *ClusterStats) Add(o ClusterStats) {
 // ClusterKernel is implemented by graphs with a native fused clustering
 // engine: the compiled CSR snapshot sweeps its flat arrays with pooled
 // epoch-stamped scratches, the sharded set runs the same passes shard-local
-// with boundary escalation. The two passes are the substrate DBSCAN and
-// ε-Link labelling is built from; core dispatches to them when the caller
-// asks for parallel clustering (Workers >= 1), and the labels are identical
-// to the sequential generic path by the PR 1 merge contract (order-free
-// unions, components labelled by ascending minimum member, borders adopting
-// the minimum core-neighbour label).
+// with boundary escalation. The two passes are the substrate of union-find
+// based DBSCAN and ε-Link labelling; core dispatches to them for the sharded
+// set, whenever the caller passes Workers >= 1 (a graph that is also a
+// LabelKernel — the snapshot — is labelled through that contract instead, at
+// every Workers value). The labels are identical to the sequential generic
+// path by the PR 1 merge contract (order-free unions, components labelled by
+// ascending minimum member, borders adopting the minimum core-neighbour
+// label).
 type ClusterKernel interface {
 	// CoreFlags writes, for every point p, whether p's ε-neighbourhood
 	// (p itself included) holds at least minPts points into core[p]
@@ -65,21 +67,35 @@ type ClusterKernel interface {
 	EpsUnions(ctx context.Context, eps float64, workers int, prune Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c PointID)) (ClusterStats, error)
 }
 
-// EpsLinkKernel is implemented by graphs with a native sequential ε-Link
-// labeller (the compiled CSR snapshot's flat-array port of the paper's
-// Fig. 6 traversal). EpsLinkLabels fills labels (len == NumPoints()) with a
-// cluster index per point — clusters numbered by ascending smallest member,
-// the order the sequential algorithm discovers them — and applies the
-// min_sup post-filter in the same pass: clusters with fewer than minSup
-// members are relabelled Noise (minSup <= 1 keeps all). It returns the
-// number of clusters found before suppression and the number kept after.
-// Since Fig. 6 grows one cluster at a time, the kernel counts each
-// cluster's members as a scalar during the grow, so fusing the filter costs
-// one pass over labels instead of the generic count-then-suppress-then-count
-// epilogue. Labels must be identical to the generic Fig. 6 run followed by
-// SuppressSmallClusters.
-type EpsLinkKernel interface {
+// LabelKernel is implemented by graphs that label density clusters natively
+// (the compiled CSR snapshot's flat-array port of the paper's Fig. 6
+// traversal). core.EpsLinkCtx and — without a Bounder — core.DBSCANCtx hand
+// such a graph the whole job at every Workers value: 0 and 1 are the same
+// code, larger values only stripe the passes that are independent per point.
+// Both methods must reproduce the generic sequential run byte for byte.
+type LabelKernel interface {
+	// EpsLinkLabels fills labels (len == NumPoints()) with a cluster index
+	// per point — clusters numbered by ascending smallest member, the order
+	// the sequential algorithm discovers them — and applies the min_sup
+	// post-filter in the same pass: clusters with fewer than minSup members
+	// are relabelled Noise (minSup <= 1 keeps all). It returns the number of
+	// clusters found before suppression and the number kept after. Since
+	// Fig. 6 grows one cluster at a time, the kernel counts each cluster's
+	// members as a scalar during the grow, so fusing the filter costs one
+	// pass over labels instead of the generic count-then-suppress-then-count
+	// epilogue.
 	EpsLinkLabels(ctx context.Context, eps float64, minSup int, labels []int32) (found, kept int, err error)
+
+	// DBSCANLabels fills core (len == NumPoints()) with the density flags —
+	// core[p] iff p's ε-neighbourhood, p included, holds at least minPts
+	// points — and labels with DBSCAN's clustering: the ε-components of the
+	// core points, numbered by ascending smallest core member, each non-core
+	// point adopting the smallest label among the core points within eps of
+	// it, Noise (-1) when there is none. It runs exactly one ε-expansion per
+	// point (ClusterStats.RangeQueries == NumPoints()) whatever workers is;
+	// workers > 1 stripes the per-point passes. It returns the number of
+	// clusters and of core points.
+	DBSCANLabels(ctx context.Context, eps float64, minPts, workers int, labels []int32, core []bool) (clusters, corePoints int, st ClusterStats, err error)
 }
 
 // RangeBatcher is implemented by graphs with a batched multi-source ε-range

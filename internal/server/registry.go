@@ -16,8 +16,8 @@ import (
 	"netclus/internal/server/api"
 )
 
-// Dataset is one served graph: a disk store or an in-memory network,
-// optionally with prebuilt lower-bound pruning tables, plus the pooled
+// Dataset is one served graph: a disk store or an in-memory network — cold
+// ones optionally with prebuilt lower-bound pruning tables — plus the pooled
 // per-request query scratch and the counters the serving layer accumulates
 // on top of the engine's own.
 type Dataset struct {
@@ -82,9 +82,10 @@ type scratchBox struct {
 // NewStoreDataset opens the store under dir as a served dataset. landmarks
 // > 0 additionally builds lower-bound pruning tables over it (Euclidean
 // filtering when the embedding allows, landmark tables otherwise). hot
-// additionally compiles the store into a CSR snapshot at registration;
-// point queries then run on the in-memory replica and bypass the page
-// buffer entirely — the store's serving counters stay at zero.
+// instead compiles the store into a CSR snapshot at registration; queries
+// then run on the in-memory replica's kernels and bypass the page buffer
+// entirely — the store's serving counters stay at zero — and no pruning
+// tables are built (see buildBounds).
 func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int, hot bool) (*Dataset, error) {
 	st, err := netclus.OpenStore(dir, opts)
 	if err != nil {
@@ -113,7 +114,8 @@ func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int,
 }
 
 // NewNetworkDataset serves the in-memory network n. landmarks as above; hot
-// compiles n into a CSR snapshot, so queries run on the flat-array kernel.
+// compiles n into a CSR snapshot, so queries run on the flat-array kernels
+// and, as above, no pruning tables are built.
 func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, hot bool) (*Dataset, error) {
 	d := &Dataset{
 		Name: name, Kind: "memory", Source: source,
@@ -136,6 +138,9 @@ func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, h
 // NewSnapshotDataset serves a durable CSR snapshot file directly: the
 // decoded snapshot is the graph and the hot replica at once, so the dataset
 // boots warm with zero store or network-file reads. Kind is "snapshot".
+// landmarks is accepted for call-site uniformity with the other constructors
+// and ignored: a snapshot dataset is hot, and hot datasets build no pruning
+// tables (see buildBounds).
 func NewSnapshotDataset(name, path string, sn *netclus.Snapshot, landmarks int) (*Dataset, error) {
 	d := &Dataset{
 		Name: name, Kind: "snapshot", Source: path,
@@ -203,20 +208,21 @@ func (d *Dataset) Live() *netclus.LiveOverlay { return d.live }
 // hot — the handle the serve command persists with WriteSnapshotFile.
 func (d *Dataset) HotSnapshot() *netclus.Snapshot { return d.hot }
 
+// buildBounds builds the dataset's pruning tables — for cold datasets only.
+// On a compiled snapshot one graph access costs less than one landmark-table
+// lookup, so filter-and-refine loses to the plain kernels at every measured
+// radius (benchmark/README.md "First findings": kNN 7.5 against 0.47 µs,
+// DBSCAN 225 against 20 ms), while on the store it saves page reads and still
+// wins. Hot datasets therefore join sharded and live ones, which build none.
 func (d *Dataset) buildBounds(landmarks int) error {
-	if landmarks <= 0 {
+	if landmarks <= 0 || d.hot != nil {
 		return nil
 	}
-	// Prefer the hot replica as the build source: same tables, no page I/O.
-	src := d.graph
-	if d.hot != nil {
-		src = d.hot
-	}
 	opts := netclus.BoundsOptions{Landmarks: landmarks, EuclideanLB: true}
-	b, err := netclus.BuildBounds(src, opts)
+	b, err := netclus.BuildBounds(d.graph, opts)
 	if errors.Is(err, netclus.ErrBoundsNoCoords) || errors.Is(err, netclus.ErrBoundsNotEuclidean) {
 		opts.EuclideanLB = false
-		b, err = netclus.BuildBounds(src, opts)
+		b, err = netclus.BuildBounds(d.graph, opts)
 	}
 	if err != nil {
 		return fmt.Errorf("dataset %s: building bounds: %w", d.Name, err)

@@ -377,8 +377,9 @@ func EpsLink(g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLink(g, opts)
 }
 
-// EpsLinkCtx is EpsLink with cancellation; opts.Workers fans the range
-// queries across goroutines with labels identical to the sequential run.
+// EpsLinkCtx is EpsLink with cancellation; opts.Workers is a concurrency
+// knob only — labels are identical at every value, and on a compiled
+// snapshot every value runs the same flat Fig. 6 traversal.
 func EpsLinkCtx(ctx context.Context, g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLinkCtx(ctx, g, opts)
 }
@@ -388,8 +389,9 @@ func DBSCAN(g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCAN(g, opts)
 }
 
-// DBSCANCtx is DBSCAN with cancellation; opts.Workers fans the range
-// queries across goroutines with labels identical to the sequential run.
+// DBSCANCtx is DBSCAN with cancellation; opts.Workers is a concurrency knob
+// only — labels are identical at every value, and on a compiled snapshot
+// every value runs the same one-expansion-per-point labeller.
 func DBSCANCtx(ctx context.Context, g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCANCtx(ctx, g, opts)
 }
