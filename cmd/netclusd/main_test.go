@@ -78,6 +78,14 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 	if got := d.String(); got != "ol=data/ol sf=data/sf.store hotsf=data/sf.store,hot rawsf=data/sf.store,hot,nocache" {
 		t.Fatalf("String = %q", got)
 	}
+	// String echoes what was accepted, defaults left unspelled.
+	var l dataFlags
+	if err := l.Set("live=data/ol,live,eps=5"); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.String(); got != "live=data/ol,live,eps=5" || l[0].eps != 5 || l[0].minpts != 0 {
+		t.Fatalf("String = %q for %+v", got, l[0])
+	}
 	if !d[2].hot || d[0].hot || d[1].hot {
 		t.Fatalf("hot flags = %+v", d)
 	}
@@ -117,8 +125,8 @@ func TestBuildRegistryBothKinds(t *testing.T) {
 		if d.Bounds() == nil {
 			t.Errorf("dataset %s has no bounds", d.Name)
 		}
-		if d.NumPoints() != 300 {
-			t.Errorf("dataset %s points = %d", d.Name, d.NumPoints())
+		if d.View().NumPoints() != 300 {
+			t.Errorf("dataset %s points = %d", d.Name, d.View().NumPoints())
 		}
 	}
 	if _, err := buildRegistry([]dataSpec{{name: "x", path: filepath.Join(t.TempDir(), "missing")}},

@@ -32,6 +32,7 @@ import (
 // POST /v1/datasets/{name}/points; eps=F,minpts=K configure its incrementally
 // maintained ε-Link/DBSCAN labelling and compact=N its compaction threshold.
 type dataSpec struct {
+	text       string // the flag value as accepted, for dataFlags.String
 	name, path string
 	hot        bool
 	nocache    bool
@@ -49,28 +50,7 @@ type dataFlags []dataSpec
 func (d *dataFlags) String() string {
 	parts := make([]string, len(*d))
 	for i, s := range *d {
-		parts[i] = s.name + "=" + s.path
-		if s.hot {
-			parts[i] += ",hot"
-		}
-		if s.nocache {
-			parts[i] += ",nocache"
-		}
-		if s.shards > 0 {
-			parts[i] += fmt.Sprintf(",shards=%d", s.shards)
-		}
-		if s.save != "" {
-			parts[i] += ",save=" + s.save
-		}
-		if s.live {
-			parts[i] += ",live"
-			if s.eps > 0 {
-				parts[i] += fmt.Sprintf(",eps=%g,minpts=%d", s.eps, s.minpts)
-			}
-			if s.compact > 0 {
-				parts[i] += fmt.Sprintf(",compact=%d", s.compact)
-			}
-		}
+		parts[i] = s.text
 	}
 	return strings.Join(parts, " ")
 }
@@ -80,7 +60,7 @@ func (d *dataFlags) Set(v string) error {
 	if !ok || name == "" || rest == "" {
 		return fmt.Errorf("want name=path[,hot][,nocache][,shards=K][,save=DIR], got %q", v)
 	}
-	spec := dataSpec{name: name}
+	spec := dataSpec{text: v, name: name}
 	spec.path, rest, _ = strings.Cut(rest, ",")
 	if spec.path == "" {
 		return fmt.Errorf("want name=path[,hot][,nocache][,shards=K][,save=DIR], got %q", v)
@@ -313,7 +293,7 @@ func buildRegistry(specs []dataSpec, bufKB, landmarks int, logger *log.Logger) (
 			return nil, err
 		}
 		logger.Printf("dataset %s: %s %s loaded in %s (bounds %v, hot %v)",
-			spec.name, d.Kind, spec.path, time.Since(start).Round(time.Millisecond), d.Bounds() != nil, d.Hot())
+			spec.name, d.Kind, spec.path, time.Since(start).Round(time.Millisecond), d.Bounds() != nil, d.HotSnapshot() != nil)
 	}
 	return reg, nil
 }

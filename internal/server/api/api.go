@@ -282,7 +282,7 @@ func DecodeClusterValues(q url.Values) (ClusterRequest, error) {
 func DecodeClusterJSON(body io.Reader) (ClusterRequest, error) {
 	req := clusterDefaults()
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return req, fmt.Errorf("bad request body: %v", err)
+		return req, fmt.Errorf("bad request body: %w", err)
 	}
 	return req, req.normalize()
 }
@@ -358,7 +358,7 @@ type MutateRequest struct {
 func DecodeMutate(body io.Reader) (MutateRequest, error) {
 	var req MutateRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return req, fmt.Errorf("bad request body: %v", err)
+		return req, fmt.Errorf("bad request body: %w", err)
 	}
 	if len(req.Ops) == 0 {
 		return req, fmt.Errorf("ops must be non-empty")

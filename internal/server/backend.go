@@ -1,0 +1,228 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"time"
+
+	"netclus"
+	"netclus/internal/server/api"
+)
+
+// backend is what a Dataset serves from: one row of the dataset-kind table in
+// DESIGN.md §8. Everything that differs between kinds lives behind it, so the
+// handlers, the metrics table and Server never ask which kind they hold.
+type backend interface {
+	// pin returns the (graph, epoch) pair one request runs against; read-only
+	// kinds stamp their graph with the dataset epoch passed in.
+	pin(epoch int64) viewAt
+	// scratch takes range-query scratch for one request against view;
+	// recycle hands it back once its prune counters are harvested.
+	scratch(view netclus.Graph) *scratchBox
+	recycle(b *scratchBox)
+	// knn answers one unpruned kNN query on view.
+	knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error)
+	// bounds returns the pruning tables, nil when the kind builds none.
+	bounds() *netclus.Bounds
+	// maintained answers a clustering request from labels the pinned view
+	// already carries (a copy, the caller's to mutate); !ok runs the engine.
+	maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool)
+	// writer returns the overlay mutations go through, or errImmutable.
+	writer() (*netclus.LiveOverlay, error)
+	// attach is called by the Server that adopts the dataset, with the longest
+	// deadline a request can carry and the instrumentation to report to.
+	attach(maxTimeout time.Duration, m *Metrics)
+	// describe fills the kind-specific blocks of the dataset's /v1/datasets
+	// entry, which is also the snapshot /metrics renders its rows from.
+	describe(info *api.DatasetInfo)
+	close() error
+}
+
+var errImmutable = errors.New("is immutable (serve it with the live option to accept writes)")
+
+// viewAt is one request's atomic (graph, epoch) pair.
+type viewAt struct {
+	graph netclus.Graph
+	epoch int64
+	live  *netclus.LiveView // the published view behind graph; liveBackend's own
+}
+
+// scratchBox pairs pooled range-query scratch with the prune counters already
+// harvested from it, so each release folds only the new work into the
+// dataset's aggregate.
+type scratchBox struct {
+	sc        netclus.RangeQuerier
+	harvested netclus.PruneStats
+}
+
+// readOnly is what the kinds share unless they say otherwise: pooled scratch
+// (steady-state queries allocate no traversal state), the engine's direct
+// kNN, no bounds, no maintained labels, no writes, nothing to wire or close.
+type readOnly struct {
+	pool sync.Pool // of *scratchBox
+}
+
+func (r *readOnly) scratch(view netclus.Graph) *scratchBox {
+	if b, ok := r.pool.Get().(*scratchBox); ok {
+		return b
+	}
+	// ScratchFor picks the flat-array kernel scratch for compiled graphs and
+	// the generic scratch otherwise; both serve the RangeQuerier surface.
+	return &scratchBox{sc: netclus.ScratchFor(view)}
+}
+func (r *readOnly) recycle(b *scratchBox) { r.pool.Put(b) }
+func (*readOnly) knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error) {
+	return netclus.KNearestNeighborsCtx(ctx, view, p, k)
+}
+func (*readOnly) bounds() *netclus.Bounds                                    { return nil }
+func (*readOnly) maintained(viewAt, api.ClusterRequest) ([]int32, int, bool) { return nil, 0, false }
+func (*readOnly) writer() (*netclus.LiveOverlay, error)                      { return nil, errImmutable }
+func (*readOnly) attach(time.Duration, *Metrics)                             {}
+func (*readOnly) close() error                                               { return nil }
+
+// servedStore is a disk store held open behind a dataset. base is the counter
+// snapshot taken at registration, so the exported numbers are deltas
+// attributable to serving rather than to dataset load. A nil *servedStore is
+// a dataset without a store.
+type servedStore struct {
+	st   *netclus.Store
+	base netclus.StoreStats
+}
+
+func (s *servedStore) describe(info *api.DatasetInfo) {
+	if s != nil {
+		ss := netclus.SnapshotStore(s.st).Sub(s.base)
+		info.Store = &ss
+	}
+}
+
+func (s *servedStore) close() error {
+	if s == nil {
+		return nil
+	}
+	return s.st.Close()
+}
+
+// coldBackend serves a disk store or a pointer network as loaded, under
+// lower-bound pruning tables when landmarks were asked for.
+type coldBackend struct {
+	readOnly
+	// view is a fresh store reader per request goroutine, or the shared
+	// immutable network.
+	view  func() netclus.Graph
+	store *servedStore
+	lb    *netclus.Bounds
+}
+
+func (c *coldBackend) pin(epoch int64) viewAt         { return viewAt{graph: c.view(), epoch: epoch} }
+func (c *coldBackend) bounds() *netclus.Bounds        { return c.lb }
+func (c *coldBackend) describe(info *api.DatasetInfo) { c.store.describe(info) }
+func (c *coldBackend) close() error                   { return c.store.close() }
+
+// hotBackend serves a compiled CSR snapshot: shared and immutable, so there is
+// no per-request view state. Queries bypass the page buffer of the store it
+// may have been compiled from entirely, and no pruning tables are built (see
+// buildBounds).
+type hotBackend struct {
+	readOnly
+	sn    *netclus.Snapshot
+	store *servedStore
+	knnb  *knnBatcher // nil until a Server adopts the dataset
+}
+
+func (h *hotBackend) pin(epoch int64) viewAt { return viewAt{graph: h.sn, epoch: epoch} }
+func (h *hotBackend) close() error           { return h.store.close() }
+
+// attach gives the dataset its kNN batcher: concurrent admitted requests
+// coalesce into one SoA sweep over the CSR arrays instead of N independent
+// traversals, with answers identical to the direct call. The batch kernel only
+// exists on snapshots, so every other kind keeps the per-request path.
+func (h *hotBackend) attach(maxTimeout time.Duration, m *Metrics) {
+	h.knnb = newKNNBatcher(h.sn, maxTimeout, m)
+}
+
+func (h *hotBackend) knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error) {
+	if h.knnb == nil {
+		return h.readOnly.knn(ctx, view, p, k)
+	}
+	return h.knnb.Submit(ctx, p, k)
+}
+
+func (h *hotBackend) describe(info *api.DatasetInfo) {
+	cs := h.sn.Stats()
+	info.Hot, info.CSR = true, &cs
+	h.store.describe(info)
+}
+
+// shardedBackend serves a scatter-gather set: queries fan out across the
+// per-shard CSR snapshots and stitch exact answers over the cut edges. The
+// executor is the query path, so no pruning tables are built.
+type shardedBackend struct {
+	readOnly
+	set *netclus.ShardedSet
+}
+
+func (s *shardedBackend) pin(epoch int64) viewAt { return viewAt{graph: s.set, epoch: epoch} }
+
+func (s *shardedBackend) describe(info *api.DatasetInfo) {
+	st, ct := s.set.Stats(), s.set.Counters()
+	info.Shards, info.ShardSet, info.ShardServe = st.Shards, &st, &ct
+}
+
+// liveBackend serves the views a mutable delta overlay publishes. Pruning
+// bounds and the kNN batcher are not built: both are compiled against one
+// immutable point numbering, and a live dataset's changes every epoch.
+type liveBackend struct {
+	readOnly
+	ov *netclus.LiveOverlay
+}
+
+// pin takes graph and epoch from one published view (one atomic load): the
+// epoch moves under the request, and a response stamped with epoch E must have
+// been computed on exactly the view published at E.
+func (l *liveBackend) pin(int64) viewAt {
+	cur := l.ov.Current()
+	return viewAt{graph: cur.Graph, epoch: cur.Epoch, live: cur}
+}
+
+// scratch is fresh per request and dropped afterwards: range scratch is sized
+// to the point count of the graph it was created for, and a live view's count
+// moves every epoch — pooled scratch from a larger epoch would be wasteful and
+// from a smaller one unsafe.
+func (l *liveBackend) scratch(view netclus.Graph) *scratchBox {
+	return &scratchBox{sc: netclus.ScratchFor(view)}
+}
+func (l *liveBackend) recycle(*scratchBox) {}
+
+// maintained answers dbscan/epslink requests whose density parameters match
+// the overlay's configuration from the pinned view's incrementally maintained
+// labelling — identical to the full recompute (the overlay's equivalence tests
+// pin that) at a copy's cost. Workers and Prune never change clustering
+// output, so they don't gate the path. Labels are copied because MinSup
+// suppression mutates them; epslink additionally requires MinSup <= 1 because
+// core.EpsLink folds MinSup into its labelling.
+func (l *liveBackend) maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool) {
+	switch {
+	case req.Algo == "dbscan":
+		labels, _, corePoints, ok = va.live.LiveDBSCAN(req.Eps, req.MinPts)
+	case req.Algo == "epslink" && req.MinSup <= 1:
+		labels, _, ok = va.live.LiveEpsLink(req.Eps)
+	}
+	return append([]int32(nil), labels...), corePoints, ok
+}
+
+func (l *liveBackend) writer() (*netclus.LiveOverlay, error) { return l.ov, nil }
+
+func (l *liveBackend) describe(info *api.DatasetInfo) {
+	st := l.ov.Stats()
+	// The static point count is the load-time one; live datasets report the
+	// published view's.
+	info.Live, info.Points, info.Epoch = &st, st.Points, st.Epoch
+}
+
+// close stops the overlay's background goroutines.
+func (l *liveBackend) close() error {
+	l.ov.Close()
+	return nil
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -20,12 +21,6 @@ import (
 // appear in any component.
 func resultKey(dataset string, epoch int64, endpoint, canonical string) string {
 	return dataset + "\x00" + strconv.FormatInt(epoch, 10) + "\x00" + endpoint + "\x00" + canonical
-}
-
-// rangePrefix keys the ε-containment index: every range?dists=1 entry for one
-// (dataset, epoch, point) shares it, whatever its ε.
-func rangePrefix(dataset string, epoch int64, p netclus.PointID) string {
-	return dataset + "\x00" + strconv.FormatInt(epoch, 10) + "\x00range\x00p=" + strconv.Itoa(int(p))
 }
 
 // encodeBody marshals a 200 response exactly the way writeJSON does (Marshal
@@ -49,24 +44,35 @@ func writeBody(w http.ResponseWriter, body []byte, cache string) {
 	_, _ = w.Write(body)
 }
 
-// handleRange serves GET /v1/{dataset}/range?p=&eps=[&dists=1][&prune=0].
-// The ID-only flavour runs the filter-and-refine path when the dataset has
-// bounds; dists=1 needs exact distances, which only the plain expansion
-// produces. Results are cached by canonical key; dists=1 entries additionally
-// store their distance vector, and the ε-containment structure of the range
-// primitive lets that vector answer any smaller-ε query for the same point
-// without touching the engine.
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset) {
-	req, err := api.DecodeRange(r.URL.Query())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	va := d.viewAt()
-	epoch := va.epoch
+// cacheKey is the result-cache identity of one decoded read request.
+type cacheKey struct {
+	// epoch pins the immutable snapshot; endpoint and canonical (the request's
+	// canonical parameter string) name the pure function evaluated over it.
+	epoch               int64
+	endpoint, canonical string
+	// prefix is set for entries that join the ε-containment index
+	// (range?dists=1): they shard by it, so the index and its entries share
+	// one latch; everything else shards by full key. eps is their radius.
+	prefix string
+	eps    float64
+}
+
+// cachedRead is the one read path of /range, /knn and /cluster: exact hit →
+// wider-ε hook → counted miss → singleflight compute → put → tagged write.
+// Results are pure functions of the canonical request and the dataset epoch —
+// datasets are immutable per epoch — so repeats become cache reads and
+// concurrent duplicates collapse to one engine run. wider, when non-nil,
+// tries to derive the response from a cached entry of a wider radius before
+// the engine is asked; compute runs the engine, and its vec is the distance
+// vector to keep for ε-containment reuse (nil for entries that carry none).
+// The two are parameters of their own, apart from the key whose strings end
+// up in the cache, so that a hit costs no closure allocation.
+func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey,
+	wider func(c *ResultCache) (resp any, ok bool),
+	compute func() (resp any, vec []netclus.PointDist, err error)) {
 	c := s.cacheFor(d)
 	if c == nil {
-		resp, _, err := s.computeRange(r.Context(), d, va, req)
+		resp, _, err := compute()
 		if err != nil {
 			s.queryError(w, r, err)
 			return
@@ -74,37 +80,29 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 		writeBody(w, encodeBody(resp), "")
 		return
 	}
-	prefix := rangePrefix(d.Name, epoch, req.Point)
-	// dists-flavour entries shard by containment prefix so the ε index and
-	// its entries share one latch; ID-only entries shard by full key.
-	shardKey := ""
-	if req.Dists {
-		shardKey = prefix
-	}
-	key := resultKey(d.Name, epoch, "range", req.Canonical())
-	if body, ok := c.Get(key, shardKey); ok {
+	key := resultKey(d.Name, k.epoch, k.endpoint, k.canonical)
+	if body, ok := c.Get(key, k.prefix); ok {
 		d.cstats.hits.Add(1)
 		writeBody(w, body, "hit")
 		return
 	}
-	// Semantic reuse: a cached range(q, E) distance vector answers any
-	// range(q, eps <= E) exactly — filter on stored distances, no traversal.
-	if vec, _, ok := c.Wider(prefix, req.Eps); ok {
-		resp := rangeFromVector(d.Name, epoch, req, vec)
-		body := encodeBody(resp)
-		c.Put(&cacheEntry{key: key, prefix: shardKey, eps: req.Eps, body: body})
-		d.cstats.containment.Add(1)
-		writeBody(w, body, "wider")
-		return
+	if wider != nil {
+		if resp, ok := wider(c); ok {
+			body := encodeBody(resp)
+			c.Put(&cacheEntry{key: key, prefix: k.prefix, eps: k.eps, body: body})
+			d.cstats.containment.Add(1)
+			writeBody(w, body, "wider")
+			return
+		}
 	}
 	d.cstats.misses.Add(1)
 	body, shared, err := c.Do(r.Context(), key, func() ([]byte, error) {
-		resp, vec, err := s.computeRange(r.Context(), d, va, req)
+		resp, vec, err := compute()
 		if err != nil {
 			return nil, err
 		}
 		body := encodeBody(resp)
-		c.Put(&cacheEntry{key: key, prefix: shardKey, eps: req.Eps, body: body, results: vec})
+		c.Put(&cacheEntry{key: key, prefix: k.prefix, eps: k.eps, body: body, results: vec})
 		return body, nil
 	})
 	if err != nil {
@@ -119,12 +117,46 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 	writeBody(w, body, tag)
 }
 
+// handleRange serves GET /v1/{dataset}/range?p=&eps=[&dists=1][&prune=0].
+// The ID-only flavour runs the filter-and-refine path when the dataset has
+// bounds; dists=1 needs exact distances, which only the plain expansion
+// produces. dists=1 entries additionally store their distance vector, and the
+// ε-containment structure of the range primitive lets that vector answer any
+// smaller-ε query for the same point without touching the engine.
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset) {
+	req, err := api.DecodeRange(r.URL.Query())
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return
+	}
+	va := d.viewAt()
+	// The ε-containment index key: every range?dists=1 entry for one
+	// (dataset, epoch, point) shares it, whatever its ε.
+	prefix := resultKey(d.Name, va.epoch, "range", "p="+strconv.Itoa(int(req.Point)))
+	k := cacheKey{epoch: va.epoch, endpoint: "range", canonical: req.Canonical(), eps: req.Eps}
+	if req.Dists {
+		k.prefix = prefix
+	}
+	// Semantic reuse: a cached range(q, E) distance vector answers any
+	// range(q, eps <= E) exactly — filter on stored distances, no traversal.
+	wider := func(c *ResultCache) (any, bool) {
+		vec, _, ok := c.Wider(prefix, req.Eps)
+		if !ok {
+			return nil, false
+		}
+		return rangeFromVector(d.Name, va.epoch, req, vec), true
+	}
+	s.cachedRead(w, r, d, k, wider, func() (any, []netclus.PointDist, error) {
+		return s.computeRange(r.Context(), d, va, req)
+	})
+}
+
 // computeRange runs the engine for a range request. For the dists flavour it
 // also returns a caller-owned copy of the distance vector, which the cache
 // stores for ε-containment reuse.
 func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req api.RangeRequest) (api.RangeResponse, []netclus.PointDist, error) {
 	view := va.graph
-	box := d.getScratchFor(view)
+	box := d.backend.scratch(view)
 	defer d.putScratch(box)
 	resp := api.RangeResponse{Dataset: d.Name, Epoch: va.epoch, Point: req.Point, Eps: req.Eps}
 	if req.Dists {
@@ -138,8 +170,8 @@ func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req ap
 	}
 	// The guard matters: a typed-nil *Bounds stored through the interface
 	// would read as a live bounder and send the query down the pruned path.
-	if req.Prune && d.bounds != nil {
-		box.sc.SetBounder(d.bounds)
+	if b := d.Bounds(); req.Prune && b != nil {
+		box.sc.SetBounder(b)
 	}
 	res, err := box.sc.RangeQueryCtx(ctx, view, req.Point, req.Eps)
 	if err != nil {
@@ -172,8 +204,7 @@ func rangeFromVector(dataset string, epoch int64, req api.RangeRequest, vec []ne
 	return resp
 }
 
-// handleKNN serves GET /v1/{dataset}/knn?p=&k=[&prune=0], cached by
-// canonical key with singleflight collapsing.
+// handleKNN serves GET /v1/{dataset}/knn?p=&k=[&prune=0].
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	req, err := api.DecodeKNN(r.URL.Query())
 	if err != nil {
@@ -181,63 +212,28 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 		return
 	}
 	va := d.viewAt()
-	c := s.cacheFor(d)
-	if c == nil {
+	k := cacheKey{epoch: va.epoch, endpoint: "knn", canonical: req.Canonical()}
+	s.cachedRead(w, r, d, k, nil, func() (any, []netclus.PointDist, error) {
 		resp, err := s.computeKNN(r.Context(), d, va, req)
-		if err != nil {
-			s.queryError(w, r, err)
-			return
-		}
-		writeBody(w, encodeBody(resp), "")
-		return
-	}
-	key := resultKey(d.Name, va.epoch, "knn", req.Canonical())
-	if body, ok := c.Get(key, ""); ok {
-		d.cstats.hits.Add(1)
-		writeBody(w, body, "hit")
-		return
-	}
-	d.cstats.misses.Add(1)
-	body, shared, err := c.Do(r.Context(), key, func() ([]byte, error) {
-		resp, err := s.computeKNN(r.Context(), d, va, req)
-		if err != nil {
-			return nil, err
-		}
-		body := encodeBody(resp)
-		c.Put(&cacheEntry{key: key, body: body})
-		return body, nil
+		return resp, nil, err
 	})
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	tag := "miss"
-	if shared {
-		d.cstats.shared.Add(1)
-		tag = "shared"
-	}
-	writeBody(w, body, tag)
 }
 
-// computeKNN runs the engine for a kNN request.
+// computeKNN runs the engine for a kNN request: pruned when the dataset has
+// bounds and the request did not opt out, else by the backend's own route.
 func (s *Server) computeKNN(ctx context.Context, d *Dataset, va viewAt, req api.KNNRequest) (api.KNNResponse, error) {
-	view := va.graph
 	var (
 		res    []netclus.PointDist
 		err    error
 		pruned bool
 	)
-	if d.bounds != nil && req.Prune {
+	if b := d.Bounds(); b != nil && req.Prune {
 		var ps netclus.PruneStats
-		res, err = netclus.KNearestNeighborsPrunedCtx(ctx, view, d.bounds, req.Point, req.K, &ps)
+		res, err = netclus.KNearestNeighborsPrunedCtx(ctx, va.graph, b, req.Point, req.K, &ps)
 		d.addPrune(ps)
 		pruned = true
-	} else if d.knnb != nil {
-		// Hot dataset, unpruned: coalesce with concurrent kNN requests into
-		// one batched SoA sweep. Answers are identical to the direct call.
-		res, err = d.knnb.Submit(ctx, req.Point, req.K)
 	} else {
-		res, err = netclus.KNearestNeighborsCtx(ctx, view, req.Point, req.K)
+		res, err = d.backend.knn(ctx, va.graph, req.Point, req.K)
 	}
 	if err != nil {
 		return api.KNNResponse{}, err
@@ -248,24 +244,37 @@ func (s *Server) computeKNN(ctx context.Context, d *Dataset, va viewAt, req api.
 	}, nil
 }
 
+// maxBodyBytes bounds a POST body. Clustering requests are a dozen scalars
+// and mutation batches a handful of ops, so 1 MiB is far above any honest
+// request and far below what would hurt.
+const maxBodyBytes = 1 << 20
+
+// bodyError answers a request that failed to decode: 413 when its body ran
+// past maxBodyBytes, 400 otherwise.
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, api.CodeBadRequest, err.Error())
+}
+
 // handleCluster serves /v1/{dataset}/cluster for dbscan, epslink and
 // kmedoids. Clustering rides the same *Ctx engine entry points as the CLI,
-// with the request deadline flowing into every traversal. Results are pure
-// functions of the canonical request and the dataset epoch — datasets are
-// immutable per epoch — so repeat clustering requests become cache reads and
-// concurrent duplicates collapse to one engine run.
+// with the request deadline flowing into every traversal.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var (
 		req api.ClusterRequest
 		err error
 	)
 	if r.Method == http.MethodPost {
-		req, err = api.DecodeClusterJSON(r.Body)
+		req, err = api.DecodeClusterJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	} else {
 		req, err = api.DecodeClusterValues(r.URL.Query())
 	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		s.bodyError(w, err)
 		return
 	}
 	// Clamp before canonicalizing so the cache key names the parameters
@@ -274,98 +283,25 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 		req.Workers = s.cfg.MaxClusterWorkers
 	}
 	va := d.viewAt()
-	c := s.cacheFor(d)
-	if c == nil {
+	k := cacheKey{epoch: va.epoch, endpoint: "cluster", canonical: req.Canonical()}
+	s.cachedRead(w, r, d, k, nil, func() (any, []netclus.PointDist, error) {
 		resp, err := s.computeCluster(r.Context(), d, va, req)
-		if err != nil {
-			s.queryError(w, r, err)
-			return
-		}
-		writeBody(w, encodeBody(resp), "")
-		return
-	}
-	key := resultKey(d.Name, va.epoch, "cluster", req.Canonical())
-	if body, ok := c.Get(key, ""); ok {
-		d.cstats.hits.Add(1)
-		writeBody(w, body, "hit")
-		return
-	}
-	d.cstats.misses.Add(1)
-	body, shared, err := c.Do(r.Context(), key, func() ([]byte, error) {
-		resp, err := s.computeCluster(r.Context(), d, va, req)
-		if err != nil {
-			return nil, err
-		}
-		body := encodeBody(resp)
-		c.Put(&cacheEntry{key: key, body: body})
-		return body, nil
+		return resp, nil, err
 	})
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	tag := "miss"
-	if shared {
-		d.cstats.shared.Add(1)
-		tag = "shared"
-	}
-	writeBody(w, body, tag)
 }
 
-// computeCluster runs one clustering job against the dataset. On live
-// datasets with incrementally maintained labellings, matching dbscan/epslink
-// requests are answered from the view's published labels — identical to the
-// full recompute (the overlay's equivalence tests pin that) at a copy's cost.
+// computeCluster runs one clustering job against the pinned view — or takes
+// the labels the backend already maintains for it, in which case Stats stay
+// zero: no traversal ran, which is the point.
 func (s *Server) computeCluster(ctx context.Context, d *Dataset, va viewAt, req api.ClusterRequest) (api.ClusterResponse, error) {
-	if resp, ok := liveCluster(d, va, req); ok {
-		return resp, nil
-	}
-	var bounds netclus.Bounder
-	if d.bounds != nil && req.PruneEnabled() {
-		bounds = d.bounds
-	}
-	view := va.graph
 	resp := api.ClusterResponse{Dataset: d.Name, Epoch: va.epoch, Algo: req.Algo}
-	var labels []int32
-	switch req.Algo {
-	case "dbscan":
-		opts := netclus.DBSCANOptions{Eps: req.Eps, MinPts: req.MinPts, Workers: req.Workers, Prune: bounds}
-		res, err := netclus.DBSCANCtx(ctx, view, opts)
-		if err != nil {
+	labels, corePoints, ok := d.backend.maintained(va, req)
+	if ok {
+		resp.CorePoints = corePoints
+	} else {
+		var err error
+		if labels, err = runCluster(ctx, d, va.graph, req, &resp); err != nil {
 			return resp, err
-		}
-		labels = res.Labels
-		resp.CorePoints = res.CorePoints
-		resp.Stats = statsJSON(res.Stats)
-		d.addPrune(res.Stats.Prune)
-		if bounds != nil {
-			ps := res.Stats.Prune
-			resp.Prune = &ps
-		}
-	case "epslink":
-		opts := netclus.EpsLinkOptions{Eps: req.Eps, MinSup: req.MinSup, Workers: req.Workers}
-		res, err := netclus.EpsLinkCtx(ctx, view, opts)
-		if err != nil {
-			return resp, err
-		}
-		labels = res.Labels
-		resp.Stats = statsJSON(res.Stats)
-	case "kmedoids":
-		opts := netclus.KMedoidsOptions{
-			K: req.K, Restarts: req.Restarts, Workers: req.Workers, Prune: bounds,
-			Rand: rand.New(rand.NewSource(req.Seed)),
-		}
-		res, err := netclus.KMedoidsCtx(ctx, view, opts)
-		if err != nil {
-			return resp, err
-		}
-		labels = res.Labels
-		resp.R = res.R
-		resp.Stats = statsJSON(res.Stats)
-		d.addPrune(res.Stats.Prune)
-		if bounds != nil {
-			ps := res.Stats.Prune
-			resp.Prune = &ps
 		}
 	}
 	if req.MinSup > 1 {
@@ -383,52 +319,50 @@ func (s *Server) computeCluster(ctx context.Context, d *Dataset, va viewAt, req 
 	return resp, nil
 }
 
-// liveCluster tries to answer a clustering request from the incrementally
-// maintained labelling the live view carries. It applies when the algorithm
-// and its density parameters match the overlay's configuration — Workers and
-// Prune never change clustering output, so they don't gate the path. Labels
-// are copied (MinSup suppression mutates); Stats stay zero: no traversal ran,
-// which is the point. The epslink fast path additionally requires MinSup <= 1
-// because core.EpsLink folds MinSup into its labelling.
-func liveCluster(d *Dataset, va viewAt, req api.ClusterRequest) (api.ClusterResponse, bool) {
-	if va.live == nil {
-		return api.ClusterResponse{}, false
+// runCluster runs the engine for req on g, books the traversal and prune work
+// on resp and d, and returns the labels.
+func runCluster(ctx context.Context, d *Dataset, g netclus.Graph, req api.ClusterRequest, resp *api.ClusterResponse) ([]int32, error) {
+	// ε-Link has no pruned form.
+	var bounds netclus.Bounder
+	if b := d.Bounds(); b != nil && req.PruneEnabled() && req.Algo != "epslink" {
+		bounds = b
 	}
-	resp := api.ClusterResponse{Dataset: d.Name, Epoch: va.epoch, Algo: req.Algo}
-	var labels []int32
+	var (
+		labels []int32
+		stats  netclus.ClusterStats
+	)
 	switch req.Algo {
 	case "dbscan":
-		ls, _, corePts, ok := va.live.LiveDBSCAN(req.Eps, req.MinPts)
-		if !ok {
-			return resp, false
+		opts := netclus.DBSCANOptions{Eps: req.Eps, MinPts: req.MinPts, Workers: req.Workers, Prune: bounds}
+		res, err := netclus.DBSCANCtx(ctx, g, opts)
+		if err != nil {
+			return nil, err
 		}
-		labels = append([]int32(nil), ls...)
-		resp.CorePoints = corePts
+		labels, stats, resp.CorePoints = res.Labels, res.Stats, res.CorePoints
 	case "epslink":
-		if req.MinSup > 1 {
-			return resp, false
+		opts := netclus.EpsLinkOptions{Eps: req.Eps, MinSup: req.MinSup, Workers: req.Workers}
+		res, err := netclus.EpsLinkCtx(ctx, g, opts)
+		if err != nil {
+			return nil, err
 		}
-		ls, _, ok := va.live.LiveEpsLink(req.Eps)
-		if !ok {
-			return resp, false
+		labels, stats = res.Labels, res.Stats
+	case "kmedoids":
+		opts := netclus.KMedoidsOptions{
+			K: req.K, Restarts: req.Restarts, Workers: req.Workers, Prune: bounds,
+			Rand: rand.New(rand.NewSource(req.Seed)),
 		}
-		labels = append([]int32(nil), ls...)
-	default:
-		return resp, false
-	}
-	if req.MinSup > 1 {
-		netclus.SuppressSmallClusters(labels, req.MinSup)
-	}
-	resp.Clusters = netclus.CountClusters(labels)
-	for _, l := range labels {
-		if l == netclus.Noise {
-			resp.Noise++
+		res, err := netclus.KMedoidsCtx(ctx, g, opts)
+		if err != nil {
+			return nil, err
 		}
+		labels, stats, resp.R = res.Labels, res.Stats, res.R
 	}
-	if req.Labels {
-		resp.Labels = labels
+	resp.Stats = statsJSON(stats)
+	d.addPrune(stats.Prune)
+	if bounds != nil {
+		resp.Prune = &stats.Prune
 	}
-	return resp, true
+	return labels, nil
 }
 
 func statsJSON(st netclus.ClusterStats) api.ClusterStats {
@@ -449,15 +383,14 @@ func statsJSON(st netclus.ClusterStats) api.ClusterStats {
 // the standard query middleware, so they flow through the uniform error
 // envelope and pay their own admission weight class ("write").
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, d *Dataset) {
-	ov := d.Live()
-	if ov == nil {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Sprintf("dataset %q is immutable (serve it with the live option to accept writes)", d.Name))
+	ov, err := d.backend.writer()
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("dataset %q %v", d.Name, err))
 		return
 	}
-	req, err := api.DecodeMutate(r.Body)
+	req, err := api.DecodeMutate(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		s.bodyError(w, err)
 		return
 	}
 	ops, err := req.LiveOps()
@@ -481,35 +414,10 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	list := s.reg.List()
 	out := make([]api.DatasetInfo, 0, len(list))
 	for _, d := range list {
-		info := api.DatasetInfo{
-			Name: d.Name, Kind: d.Kind, Source: d.Source, Epoch: d.Epoch(),
-			Nodes: d.nodes, Edges: d.edges, Points: d.points,
-			Bounds: d.bounds != nil, Hot: d.Hot(), Queries: d.Queries(),
-			Prune: d.PruneStats(),
-		}
-		if ss, ok := d.StoreStats(); ok {
-			info.Store = &ss
-		}
-		if cs, ok := d.HotStats(); ok {
-			info.CSR = &cs
-		}
+		info := d.info()
 		if s.cacheFor(d) != nil {
 			rc := d.ResultCacheStats()
 			info.ResultCache = &rc
-		}
-		if sh := d.Sharded(); sh != nil {
-			st, ct := sh.Stats(), sh.Counters()
-			info.Shards = st.Shards
-			info.ShardSet = &st
-			info.ShardServe = &ct
-		}
-		if ov := d.Live(); ov != nil {
-			st := ov.Stats()
-			info.Live = &st
-			// The static point count is the load-time one; live datasets
-			// report the published view's.
-			info.Points = st.Points
-			info.Epoch = st.Epoch
 		}
 		out = append(out, info)
 	}

@@ -75,7 +75,7 @@ func postJSON(t *testing.T, h http.Handler, url, body string, wantCode int, out 
 func TestServeLiveWrites(t *testing.T) {
 	s, d := newLiveServer(t, Config{})
 	h := s.Handler()
-	before := d.NumPoints()
+	before := d.View().NumPoints()
 
 	var mr api.MutateResponse
 	postJSON(t, h, "/v1/datasets/live/points",
@@ -100,8 +100,8 @@ func TestServeLiveWrites(t *testing.T) {
 	if mr.Epoch != 3 || mr.Points != before+1 {
 		t.Fatalf("move+delete batch: %+v, want epoch 3, points %d", mr, before+1)
 	}
-	if d.Epoch() != 3 || d.NumPoints() != before+1 {
-		t.Fatalf("dataset sees epoch %d / %d points", d.Epoch(), d.NumPoints())
+	if d.Epoch() != 3 || d.View().NumPoints() != before+1 {
+		t.Fatalf("dataset sees epoch %d / %d points", d.Epoch(), d.View().NumPoints())
 	}
 
 	// /v1/datasets reports the live view's point count and the write stats.

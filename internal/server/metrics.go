@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"netclus"
+	"netclus/internal/server/api"
 )
 
 // Metrics is the process-wide request instrumentation: per-endpoint request
@@ -119,97 +122,238 @@ func (m *Metrics) RequestCount(endpoint string, code int) int64 {
 	return n
 }
 
-// WritePrometheus renders every metric family in the text exposition format:
+// family is one row of the exposition table: a metric family and the function
+// that reads its samples out of a scrape.
+type family struct {
+	name, help, typ string
+	// sparse marks a family whose subsystem or dataset kind may be absent
+	// from the process: it is left out of a scrape it has no samples in, and
+	// its samples are ordered by label text rather than by emission.
+	sparse bool
+	emit   func(sc *scrape, put putFunc)
+}
+
+// putFunc adds one sample. tail is what follows the family name on the
+// sample line: empty, a {label set}, or a histogram suffix plus label set.
+type putFunc func(tail string, v any)
+
+// scrape is the one snapshot a /metrics response renders from: each
+// subsystem's counters read once, and one /v1/datasets entry per dataset.
+type scrape struct {
+	m     *Metrics
+	adm   AdmissionStats
+	cache *ResultCacheStatsSnapshot // nil when the result cache is off
+	ds    []api.DatasetInfo
+	label []string // `dataset="name"`, quoted once per dataset
+}
+
+// WritePrometheus renders the families table in the text exposition format:
 // the request counters and histograms, the admission controller, the result
 // cache, and per dataset the engine's buffer/cache/shard counter deltas plus
 // the aggregated prune counters. Output is deterministically ordered so
 // scrapes diff cleanly.
 func (m *Metrics) WritePrometheus(w io.Writer, adm *Admission, reg *Registry, cache *ResultCache) {
-	m.writeRequests(w)
-	m.writeHistograms(w)
-
-	fmt.Fprintf(w, "# HELP netclusd_inflight_requests Requests currently being handled.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_inflight_requests gauge\n")
-	fmt.Fprintf(w, "netclusd_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP netclusd_panics_total Request handlers recovered from a panic.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_panics_total counter\n")
-	fmt.Fprintf(w, "netclusd_panics_total %d\n", m.panics.Load())
-	fmt.Fprintf(w, "# HELP netclusd_knn_batches_total Batched kNN sweeps executed on hot datasets.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_knn_batches_total counter\n")
-	fmt.Fprintf(w, "netclusd_knn_batches_total %d\n", m.knnBatches.Load())
-	fmt.Fprintf(w, "# HELP netclusd_knn_batched_requests_total kNN requests answered through a batched sweep.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_knn_batched_requests_total counter\n")
-	fmt.Fprintf(w, "netclusd_knn_batched_requests_total %d\n", m.knnBatchedReqs.Load())
-
-	if adm != nil {
-		s := adm.Stats()
-		fmt.Fprintf(w, "# HELP netclusd_admission_capacity Total admission cost units.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_capacity gauge\n")
-		fmt.Fprintf(w, "netclusd_admission_capacity %d\n", s.Capacity)
-		fmt.Fprintf(w, "# HELP netclusd_admission_in_use Admission cost units in use.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_in_use gauge\n")
-		fmt.Fprintf(w, "netclusd_admission_in_use %d\n", s.InUse)
-		fmt.Fprintf(w, "# HELP netclusd_admission_waiting Requests queued for admission.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_waiting gauge\n")
-		fmt.Fprintf(w, "netclusd_admission_waiting %d\n", s.Waiting)
-		fmt.Fprintf(w, "# HELP netclusd_admission_admitted_total Requests admitted.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_admitted_total counter\n")
-		fmt.Fprintf(w, "netclusd_admission_admitted_total %d\n", s.Admitted)
-		fmt.Fprintf(w, "# HELP netclusd_admission_rejected_total Requests shed with 429.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_rejected_total counter\n")
-		fmt.Fprintf(w, "netclusd_admission_rejected_total %d\n", s.Rejected)
-		fmt.Fprintf(w, "# HELP netclusd_admission_timeout_total Requests that gave up waiting for admission.\n")
-		fmt.Fprintf(w, "# TYPE netclusd_admission_timeout_total counter\n")
-		fmt.Fprintf(w, "netclusd_admission_timeout_total %d\n", s.TimedOut)
-	}
+	sc := &scrape{m: m, adm: adm.Stats()}
 	if cache != nil {
-		writeCacheMetrics(w, cache)
+		cs := cache.Stats()
+		sc.cache = &cs
 	}
-	if reg != nil {
-		writeDatasetMetrics(w, reg)
+	for _, d := range reg.List() {
+		sc.ds = append(sc.ds, d.info())
+		sc.label = append(sc.label, fmt.Sprintf("dataset=%q", d.Name))
+	}
+	type sample struct {
+		tail string
+		v    any
+	}
+	var rows []sample
+	put := func(tail string, v any) { rows = append(rows, sample{tail, v}) }
+	for _, f := range families {
+		rows = rows[:0]
+		f.emit(sc, put)
+		if f.sparse {
+			if len(rows) == 0 {
+				continue
+			}
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i].tail < rows[j].tail })
+		}
+		if f.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s%s %v\n", f.name, r.tail, r.v)
+		}
 	}
 }
 
-// writeCacheMetrics exports the result cache: traffic counters (exact hits,
-// ε-containment hits, misses, singleflight shares, evictions) and occupancy
-// gauges against the configured byte budget.
-func writeCacheMetrics(w io.Writer, cache *ResultCache) {
-	s := cache.Stats()
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_hits_total Result-cache exact-key hits.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_hits_total counter\n")
-	fmt.Fprintf(w, "netclusd_result_cache_hits_total %d\n", s.Hits)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_containment_hits_total Range queries answered by filtering a cached wider-radius distance vector.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_containment_hits_total counter\n")
-	fmt.Fprintf(w, "netclusd_result_cache_containment_hits_total %d\n", s.Containment)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_misses_total Result-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_misses_total counter\n")
-	fmt.Fprintf(w, "netclusd_result_cache_misses_total %d\n", s.Misses)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_singleflight_shared_total Requests that shared another request's in-flight computation.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_singleflight_shared_total counter\n")
-	fmt.Fprintf(w, "netclusd_result_cache_singleflight_shared_total %d\n", s.Shared)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_evictions_total Entries evicted to hold the byte budget.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "netclusd_result_cache_evictions_total %d\n", s.Evictions)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_entries Entries currently cached.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_entries gauge\n")
-	fmt.Fprintf(w, "netclusd_result_cache_entries %d\n", s.Entries)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_bytes Bytes currently cached.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_bytes gauge\n")
-	fmt.Fprintf(w, "netclusd_result_cache_bytes %d\n", s.Bytes)
-	fmt.Fprintf(w, "# HELP netclusd_result_cache_capacity_bytes Result-cache byte budget.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_result_cache_capacity_bytes gauge\n")
-	fmt.Fprintf(w, "netclusd_result_cache_capacity_bytes %d\n", s.Capacity)
+// cached is a label-less family of the result cache, absent when it is off.
+func cached(name, typ, help string, v func(c *ResultCacheStatsSnapshot) int64) family {
+	return family{name: name, help: help, typ: typ, sparse: true, emit: func(sc *scrape, put putFunc) {
+		if sc.cache != nil {
+			put("", v(sc.cache))
+		}
+	}}
 }
 
-func (m *Metrics) writeRequests(w io.Writer) {
-	m.mu.Lock()
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
+// gauge is a documented per-dataset family, declared in every scrape; counter
+// is a serving-attributable delta of one of the engine's counter families,
+// declared when some dataset has it. emit runs once per dataset with a put
+// that prefixes the dataset label to further `,name="value"` labels, if any.
+func gauge(name, help string, emit func(d *api.DatasetInfo, put putFunc)) family {
+	return family{name: name, help: help, typ: "gauge", emit: perDataset(emit)}
+}
+
+func counter(name string, emit func(d *api.DatasetInfo, put putFunc)) family {
+	return family{name: name, typ: "counter", sparse: true, emit: perDataset(emit)}
+}
+
+func perDataset(emit func(d *api.DatasetInfo, put putFunc)) func(*scrape, putFunc) {
+	return func(sc *scrape, put putFunc) {
+		for i := range sc.ds {
+			label := sc.label[i]
+			emit(&sc.ds[i], func(extra string, v any) { put("{"+label+extra+"}", v) })
+		}
 	}
-	m.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+}
+
+// each reads samples, and of one sample, out of one block of a dataset's
+// entry; a dataset whose kind lacks the block has none in the family.
+func each[B any](block func(*api.DatasetInfo) *B, emit func(b *B, put putFunc)) func(*api.DatasetInfo, putFunc) {
+	return func(d *api.DatasetInfo, put putFunc) {
+		if b := block(d); b != nil {
+			emit(b, put)
+		}
+	}
+}
+
+func of[B any](block func(*api.DatasetInfo) *B, v func(b *B) any) func(*api.DatasetInfo, putFunc) {
+	return each(block, func(b *B, put putFunc) { put("", v(b)) })
+}
+
+func entry(d *api.DatasetInfo) *api.DatasetInfo             { return d }
+func prune(d *api.DatasetInfo) *netclus.PruneStats          { return &d.Prune }
+func csr(d *api.DatasetInfo) *netclus.CSRStats              { return d.CSR }
+func store(d *api.DatasetInfo) *netclus.StoreStats          { return d.Store }
+func live(d *api.DatasetInfo) *netclus.LiveStats            { return d.Live }
+func shardSet(d *api.DatasetInfo) *netclus.ShardedSetStats  { return d.ShardSet }
+func shards(d *api.DatasetInfo) *netclus.ShardedSetCounters { return d.ShardServe }
+
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func shardLabel(i int) string { return fmt.Sprintf(`,shard="%d"`, i) }
+
+// families is the exposition, in output order: server-wide families, the
+// per-dataset gauges, then the per-dataset counters in name order.
+var families = []family{
+	{name: "netclusd_requests_total", help: "Requests served, by endpoint, dataset and status code.", typ: "counter", emit: emitRequests},
+	{name: "netclusd_request_seconds", help: "Request latency, by endpoint.", typ: "histogram", emit: emitLatencies},
+	{name: "netclusd_inflight_requests", typ: "gauge", help: "Requests currently being handled.", emit: func(sc *scrape, put putFunc) { put("", sc.m.inflight.Load()) }},
+	{name: "netclusd_panics_total", typ: "counter", help: "Request handlers recovered from a panic.", emit: func(sc *scrape, put putFunc) { put("", sc.m.panics.Load()) }},
+	{name: "netclusd_knn_batches_total", typ: "counter", help: "Batched kNN sweeps executed on hot datasets.", emit: func(sc *scrape, put putFunc) { put("", sc.m.knnBatches.Load()) }},
+	{name: "netclusd_knn_batched_requests_total", typ: "counter", help: "kNN requests answered through a batched sweep.", emit: func(sc *scrape, put putFunc) { put("", sc.m.knnBatchedReqs.Load()) }},
+	{name: "netclusd_admission_capacity", typ: "gauge", help: "Total admission cost units.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Capacity) }},
+	{name: "netclusd_admission_in_use", typ: "gauge", help: "Admission cost units in use.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.InUse) }},
+	{name: "netclusd_admission_waiting", typ: "gauge", help: "Requests queued for admission.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Waiting) }},
+	{name: "netclusd_admission_admitted_total", typ: "counter", help: "Requests admitted.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Admitted) }},
+	{name: "netclusd_admission_rejected_total", typ: "counter", help: "Requests shed with 429.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Rejected) }},
+	{name: "netclusd_admission_timeout_total", typ: "counter", help: "Requests that gave up waiting for admission.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.TimedOut) }},
+	cached("netclusd_result_cache_hits_total", "counter", "Result-cache exact-key hits.", func(c *ResultCacheStatsSnapshot) int64 { return c.Hits }),
+	cached("netclusd_result_cache_containment_hits_total", "counter", "Range queries answered by filtering a cached wider-radius distance vector.", func(c *ResultCacheStatsSnapshot) int64 { return c.Containment }),
+	cached("netclusd_result_cache_misses_total", "counter", "Result-cache misses.", func(c *ResultCacheStatsSnapshot) int64 { return c.Misses }),
+	cached("netclusd_result_cache_singleflight_shared_total", "counter", "Requests that shared another request's in-flight computation.", func(c *ResultCacheStatsSnapshot) int64 { return c.Shared }),
+	cached("netclusd_result_cache_evictions_total", "counter", "Entries evicted to hold the byte budget.", func(c *ResultCacheStatsSnapshot) int64 { return c.Evictions }),
+	cached("netclusd_result_cache_entries", "gauge", "Entries currently cached.", func(c *ResultCacheStatsSnapshot) int64 { return c.Entries }),
+	cached("netclusd_result_cache_bytes", "gauge", "Bytes currently cached.", func(c *ResultCacheStatsSnapshot) int64 { return c.Bytes }),
+	cached("netclusd_result_cache_capacity_bytes", "gauge", "Result-cache byte budget.", func(c *ResultCacheStatsSnapshot) int64 { return c.Capacity }),
+
+	gauge("netclusd_dataset_hot", "Dataset serves from a compiled CSR replica.", of(entry, func(d *api.DatasetInfo) any { return bit(d.Hot) })),
+	gauge("netclusd_csr_compile_seconds", "Time spent compiling the hot CSR replica.", of(csr, func(c *netclus.CSRStats) any { return c.CompileTime.Seconds() })),
+	gauge("netclusd_csr_resident_bytes", "Bytes held by the hot CSR replica.", of(csr, func(c *netclus.CSRStats) any { return c.ResidentBytes })),
+	gauge("netclusd_dataset_live", "Dataset accepts writes through a mutable overlay.", of(entry, func(d *api.DatasetInfo) any { return bit(d.Live != nil) })),
+	gauge("netclusd_dataset_epoch", "Current content epoch of the dataset.", of(entry, func(d *api.DatasetInfo) any { return d.Epoch })),
+	gauge("netclusd_delta_pending_ops", "Delta ops awaiting the next compaction, per live dataset.", of(live, func(s *netclus.LiveStats) any { return s.PendingOps })),
+	gauge("netclusd_compact_pause_seconds", "Swap pause of the most recent compaction (replay plus refreeze).", of(live, func(s *netclus.LiveStats) any { return s.LastPauseMS / 1e3 })),
+	gauge("netclusd_dataset_shards", "Shard count of scatter-gather datasets (0 = unsharded).", of(entry, func(d *api.DatasetInfo) any { return d.Shards })),
+	gauge("netclusd_shard_resident_bytes", "Bytes held by one shard's CSR snapshot and cut tables.", each(shardSet, func(s *netclus.ShardedSetStats, put putFunc) {
+		for i, ss := range s.PerShard {
+			put(shardLabel(i), ss.ResidentBytes)
+		}
+	})),
+
+	counter("netclusd_compactions_total", of(live, func(s *netclus.LiveStats) any { return s.Compactions })),
+	counter("netclusd_dataset_queries_total", of(entry, func(d *api.DatasetInfo) any { return d.Queries })),
+	counter("netclusd_prune_candidates_total", of(prune, func(p *netclus.PruneStats) any { return p.Candidates })),
+	counter("netclusd_prune_early_stops_total", of(prune, func(p *netclus.PruneStats) any { return p.EarlyStops })),
+	counter("netclusd_prune_filter_accepted_total", of(prune, func(p *netclus.PruneStats) any { return p.FilterAccepted })),
+	counter("netclusd_prune_filter_rejected_total", of(prune, func(p *netclus.PruneStats) any { return p.FilterRejected })),
+	counter("netclusd_prune_filter_uncertain_total", of(prune, func(p *netclus.PruneStats) any { return p.FilterUncertain })),
+	counter("netclusd_prune_pruned_pushes_total", of(prune, func(p *netclus.PruneStats) any { return p.PrunedPushes })),
+	counter("netclusd_prune_refinements_total", of(prune, func(p *netclus.PruneStats) any { return p.Refinements })),
+	counter("netclusd_prune_zero_traversal_queries_total", of(prune, func(p *netclus.PruneStats) any { return p.ZeroTraversalQueries })),
+	counter("netclusd_shard_busy_ns_total", each(shards, func(c *netclus.ShardedSetCounters, put putFunc) {
+		for i, sc := range c.PerShard {
+			put(shardLabel(i), sc.BusyNs)
+		}
+	})),
+	counter("netclusd_shard_crit_ns_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.CritNs })),
+	counter("netclusd_shard_fanout_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Fanout })),
+	counter("netclusd_shard_local_runs_total", each(shards, func(c *netclus.ShardedSetCounters, put putFunc) {
+		for i, sc := range c.PerShard {
+			put(shardLabel(i), sc.LocalRuns)
+		}
+	})),
+	counter("netclusd_shard_queries_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Queries })),
+	counter("netclusd_shard_rounds_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Rounds })),
+	counter("netclusd_shard_wall_ns_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.WallNs })),
+	counter("netclusd_store_cache_evictions_total", each(store, func(s *netclus.StoreStats, put putFunc) {
+		put(`,cache="adj"`, s.Cache.AdjEvictions)
+		put(`,cache="group"`, s.Cache.GroupEvictions)
+	})),
+	counter("netclusd_store_cache_hits_total", each(store, func(s *netclus.StoreStats, put putFunc) {
+		put(`,cache="adj"`, s.Cache.AdjHits)
+		put(`,cache="group"`, s.Cache.GroupHits)
+		put(`,cache="leaf"`, s.Cache.LeafHits)
+	})),
+	counter("netclusd_store_cache_misses_total", each(store, func(s *netclus.StoreStats, put putFunc) {
+		put(`,cache="adj"`, s.Cache.AdjMisses)
+		put(`,cache="group"`, s.Cache.GroupMisses)
+		put(`,cache="leaf"`, s.Cache.LeafMisses)
+	})),
+	counter("netclusd_store_evictions_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.Evictions })),
+	counter("netclusd_store_logical_reads_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.LogicalReads })),
+	counter("netclusd_store_page_writes_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.PageWrites })),
+	counter("netclusd_store_physical_reads_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.PhysicalReads })),
+	counter("netclusd_store_shard_logical_reads_total", each(store, func(s *netclus.StoreStats, put putFunc) {
+		for i, sh := range s.Shards {
+			put(shardLabel(i), sh.LogicalReads)
+		}
+	})),
+	counter("netclusd_write_batches_total", of(live, func(s *netclus.LiveStats) any { return s.Batches })),
+	counter("netclusd_write_ops_total", of(live, func(s *netclus.LiveStats) any { return s.Ops })),
+	counter("netclusd_write_rejected_total", of(live, func(s *netclus.LiveStats) any { return s.Rejected })),
+}
+
+// emitRequests reads the request counters, ordered by endpoint, dataset and
+// status code.
+func emitRequests(sc *scrape, put putFunc) {
+	type row struct {
+		reqKey
+		c *atomic.Int64
+	}
+	sc.m.mu.Lock()
+	rows := make([]row, 0, len(sc.m.requests))
+	for k, c := range sc.m.requests {
+		rows = append(rows, row{k, c})
+	}
+	sc.m.mu.Unlock()
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		if a.endpoint != b.endpoint {
 			return a.endpoint < b.endpoint
 		}
@@ -218,192 +362,34 @@ func (m *Metrics) writeRequests(w io.Writer) {
 		}
 		return a.code < b.code
 	})
-	fmt.Fprintf(w, "# HELP netclusd_requests_total Requests served, by endpoint, dataset and status code.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_requests_total counter\n")
-	for _, k := range keys {
-		m.mu.Lock()
-		c := m.requests[k]
-		m.mu.Unlock()
-		fmt.Fprintf(w, "netclusd_requests_total{endpoint=%q,dataset=%q,code=\"%d\"} %d\n",
-			k.endpoint, k.dataset, k.code, c.Load())
+	for _, r := range rows {
+		put(fmt.Sprintf("{endpoint=%q,dataset=%q,code=\"%d\"}", r.endpoint, r.dataset, r.code), r.c.Load())
 	}
 }
 
-func (m *Metrics) writeHistograms(w io.Writer) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.hists))
-	for n := range m.hists {
+// emitLatencies reads the per-endpoint latency histograms as cumulative
+// buckets, sum and count.
+func emitLatencies(sc *scrape, put putFunc) {
+	sc.m.mu.Lock()
+	names := make([]string, 0, len(sc.m.hists))
+	for n := range sc.m.hists {
 		names = append(names, n)
 	}
-	m.mu.Unlock()
 	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP netclusd_request_seconds Request latency, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_request_seconds histogram\n")
-	for _, n := range names {
-		m.mu.Lock()
-		h := m.hists[n]
-		m.mu.Unlock()
-		cum := int64(0)
-		for i, bound := range latencyBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "netclusd_request_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", n, bound, cum)
+	hists := make([]*histogram, len(names))
+	for i, n := range names {
+		hists[i] = sc.m.hists[n]
+	}
+	sc.m.mu.Unlock()
+	for i, n := range names {
+		h, cum := hists[i], int64(0)
+		for j, bound := range latencyBounds {
+			cum += h.counts[j].Load()
+			put(fmt.Sprintf("_bucket{endpoint=%q,le=\"%g\"}", n, bound), cum)
 		}
 		cum += h.counts[len(latencyBounds)].Load()
-		fmt.Fprintf(w, "netclusd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", n, cum)
-		fmt.Fprintf(w, "netclusd_request_seconds_sum{endpoint=%q} %g\n", n, float64(h.sumMicros.Load())/1e6)
-		fmt.Fprintf(w, "netclusd_request_seconds_count{endpoint=%q} %d\n", n, h.total.Load())
-	}
-}
-
-// writeDatasetMetrics exports, per dataset, the serving-attributable deltas
-// of the engine's counter families: buffer-pool traffic (aggregate and per
-// latch shard), decoded-record caches, and the aggregated prune counters —
-// the paper's page-access accounting, live.
-func writeDatasetMetrics(w io.Writer, reg *Registry) {
-	type counterRow struct {
-		name, labels string
-		v            int64
-	}
-	var rows []counterRow
-	add := func(name, labels string, v int64) {
-		rows = append(rows, counterRow{name, labels, v})
-	}
-	// Hot-replica gauges first: whether the dataset serves from a compiled
-	// CSR snapshot, what the one-shot compile cost, and what the snapshot
-	// keeps resident.
-	fmt.Fprintf(w, "# HELP netclusd_dataset_hot Dataset serves from a compiled CSR replica.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_dataset_hot gauge\n")
-	for _, d := range reg.List() {
-		hot := 0
-		if d.Hot() {
-			hot = 1
-		}
-		fmt.Fprintf(w, "netclusd_dataset_hot{dataset=%q} %d\n", d.Name, hot)
-	}
-	fmt.Fprintf(w, "# HELP netclusd_csr_compile_seconds Time spent compiling the hot CSR replica.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_csr_compile_seconds gauge\n")
-	for _, d := range reg.List() {
-		if cs, ok := d.HotStats(); ok {
-			fmt.Fprintf(w, "netclusd_csr_compile_seconds{dataset=%q} %g\n", d.Name, cs.CompileTime.Seconds())
-		}
-	}
-	fmt.Fprintf(w, "# HELP netclusd_csr_resident_bytes Bytes held by the hot CSR replica.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_csr_resident_bytes gauge\n")
-	for _, d := range reg.List() {
-		if cs, ok := d.HotStats(); ok {
-			fmt.Fprintf(w, "netclusd_csr_resident_bytes{dataset=%q} %d\n", d.Name, cs.ResidentBytes)
-		}
-	}
-	fmt.Fprintf(w, "# HELP netclusd_dataset_live Dataset accepts writes through a mutable overlay.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_dataset_live gauge\n")
-	for _, d := range reg.List() {
-		live := 0
-		if d.Live() != nil {
-			live = 1
-		}
-		fmt.Fprintf(w, "netclusd_dataset_live{dataset=%q} %d\n", d.Name, live)
-	}
-	fmt.Fprintf(w, "# HELP netclusd_dataset_epoch Current content epoch of the dataset.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_dataset_epoch gauge\n")
-	for _, d := range reg.List() {
-		fmt.Fprintf(w, "netclusd_dataset_epoch{dataset=%q} %d\n", d.Name, d.Epoch())
-	}
-	fmt.Fprintf(w, "# HELP netclusd_delta_pending_ops Delta ops awaiting the next compaction, per live dataset.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_delta_pending_ops gauge\n")
-	for _, d := range reg.List() {
-		if ov := d.Live(); ov != nil {
-			fmt.Fprintf(w, "netclusd_delta_pending_ops{dataset=%q} %d\n", d.Name, ov.Stats().PendingOps)
-		}
-	}
-	fmt.Fprintf(w, "# HELP netclusd_compact_pause_seconds Swap pause of the most recent compaction (replay plus refreeze).\n")
-	fmt.Fprintf(w, "# TYPE netclusd_compact_pause_seconds gauge\n")
-	for _, d := range reg.List() {
-		if ov := d.Live(); ov != nil {
-			fmt.Fprintf(w, "netclusd_compact_pause_seconds{dataset=%q} %g\n", d.Name, ov.Stats().LastPauseMS/1e3)
-		}
-	}
-	fmt.Fprintf(w, "# HELP netclusd_dataset_shards Shard count of scatter-gather datasets (0 = unsharded).\n")
-	fmt.Fprintf(w, "# TYPE netclusd_dataset_shards gauge\n")
-	for _, d := range reg.List() {
-		shards := 0
-		if sh := d.Sharded(); sh != nil {
-			shards = sh.Stats().Shards
-		}
-		fmt.Fprintf(w, "netclusd_dataset_shards{dataset=%q} %d\n", d.Name, shards)
-	}
-	fmt.Fprintf(w, "# HELP netclusd_shard_resident_bytes Bytes held by one shard's CSR snapshot and cut tables.\n")
-	fmt.Fprintf(w, "# TYPE netclusd_shard_resident_bytes gauge\n")
-	for _, d := range reg.List() {
-		if sh := d.Sharded(); sh != nil {
-			for i, ss := range sh.Stats().PerShard {
-				fmt.Fprintf(w, "netclusd_shard_resident_bytes{dataset=%q,shard=\"%d\"} %d\n", d.Name, i, ss.ResidentBytes)
-			}
-		}
-	}
-	for _, d := range reg.List() {
-		ds := fmt.Sprintf("dataset=%q", d.Name)
-		add("netclusd_dataset_queries_total", ds, d.Queries())
-		if ov := d.Live(); ov != nil {
-			st := ov.Stats()
-			add("netclusd_write_batches_total", ds, st.Batches)
-			add("netclusd_write_ops_total", ds, st.Ops)
-			add("netclusd_write_rejected_total", ds, st.Rejected)
-			add("netclusd_compactions_total", ds, st.Compactions)
-		}
-		if sh := d.Sharded(); sh != nil {
-			ct := sh.Counters()
-			add("netclusd_shard_queries_total", ds, ct.Queries)
-			add("netclusd_shard_rounds_total", ds, ct.Rounds)
-			add("netclusd_shard_fanout_total", ds, ct.Fanout)
-			add("netclusd_shard_wall_ns_total", ds, ct.WallNs)
-			add("netclusd_shard_crit_ns_total", ds, ct.CritNs)
-			for i, sc := range ct.PerShard {
-				sl := fmt.Sprintf("%s,shard=\"%d\"", ds, i)
-				add("netclusd_shard_local_runs_total", sl, sc.LocalRuns)
-				add("netclusd_shard_busy_ns_total", sl, sc.BusyNs)
-			}
-		}
-		if ss, ok := d.StoreStats(); ok {
-			add("netclusd_store_logical_reads_total", ds, ss.Buffer.LogicalReads)
-			add("netclusd_store_physical_reads_total", ds, ss.Buffer.PhysicalReads)
-			add("netclusd_store_page_writes_total", ds, ss.Buffer.PageWrites)
-			add("netclusd_store_evictions_total", ds, ss.Buffer.Evictions)
-			add("netclusd_store_cache_hits_total", ds+`,cache="adj"`, ss.Cache.AdjHits)
-			add("netclusd_store_cache_misses_total", ds+`,cache="adj"`, ss.Cache.AdjMisses)
-			add("netclusd_store_cache_evictions_total", ds+`,cache="adj"`, ss.Cache.AdjEvictions)
-			add("netclusd_store_cache_hits_total", ds+`,cache="group"`, ss.Cache.GroupHits)
-			add("netclusd_store_cache_misses_total", ds+`,cache="group"`, ss.Cache.GroupMisses)
-			add("netclusd_store_cache_evictions_total", ds+`,cache="group"`, ss.Cache.GroupEvictions)
-			add("netclusd_store_cache_hits_total", ds+`,cache="leaf"`, ss.Cache.LeafHits)
-			add("netclusd_store_cache_misses_total", ds+`,cache="leaf"`, ss.Cache.LeafMisses)
-			for i, sh := range ss.Shards {
-				add("netclusd_store_shard_logical_reads_total",
-					fmt.Sprintf("%s,shard=\"%d\"", ds, i), sh.LogicalReads)
-			}
-		}
-		ps := d.PruneStats()
-		add("netclusd_prune_candidates_total", ds, int64(ps.Candidates))
-		add("netclusd_prune_filter_accepted_total", ds, int64(ps.FilterAccepted))
-		add("netclusd_prune_filter_rejected_total", ds, int64(ps.FilterRejected))
-		add("netclusd_prune_filter_uncertain_total", ds, int64(ps.FilterUncertain))
-		add("netclusd_prune_zero_traversal_queries_total", ds, int64(ps.ZeroTraversalQueries))
-		add("netclusd_prune_early_stops_total", ds, int64(ps.EarlyStops))
-		add("netclusd_prune_pruned_pushes_total", ds, int64(ps.PrunedPushes))
-		add("netclusd_prune_refinements_total", ds, int64(ps.Refinements))
-	}
-	// Group rows by family so every # TYPE header precedes all its samples.
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].name != rows[j].name {
-			return rows[i].name < rows[j].name
-		}
-		return rows[i].labels < rows[j].labels
-	})
-	last := ""
-	for _, r := range rows {
-		if r.name != last {
-			fmt.Fprintf(w, "# TYPE %s counter\n", r.name)
-			last = r.name
-		}
-		fmt.Fprintf(w, "%s{%s} %d\n", r.name, r.labels, r.v)
+		put(fmt.Sprintf("_bucket{endpoint=%q,le=\"+Inf\"}", n), cum)
+		put(fmt.Sprintf("_sum{endpoint=%q}", n), float64(h.sumMicros.Load())/1e6)
+		put(fmt.Sprintf("_count{endpoint=%q}", n), h.total.Load())
 	}
 }

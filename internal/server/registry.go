@@ -16,14 +16,14 @@ import (
 	"netclus/internal/server/api"
 )
 
-// Dataset is one served graph: a disk store or an in-memory network — cold
-// ones optionally with prebuilt lower-bound pruning tables — plus the pooled
-// per-request query scratch and the counters the serving layer accumulates
-// on top of the engine's own.
+// Dataset is one served graph — the fields every kind shares (identity, epoch,
+// load-time sizes, serving counters) around the one backend that answers for
+// the kind.
 type Dataset struct {
 	// Name is the registry key, the {dataset} segment of the URL space.
 	Name string
-	// Kind is "store" for disk-backed datasets, "memory" otherwise.
+	// Kind is "store" for disk-backed datasets, "memory" for network files,
+	// "snapshot", "sharded" or "live".
 	Kind string
 	// Source describes where the dataset came from (directory or file
 	// prefix), for /v1/datasets.
@@ -33,30 +33,18 @@ type Dataset struct {
 	// not — gives loadtest an A/B pair on a single process.
 	DisableCache bool
 
-	// epoch versions the dataset's contents. Today's datasets are immutable
-	// after load, so it stays at 1; the write path bumps it on every visible
-	// mutation, which invalidates result-cache entries by key mismatch.
+	// epoch versions the dataset's contents. Read-only datasets stay at 1; a
+	// live dataset's overlay bumps it on every visible mutation, which
+	// invalidates result-cache entries by key mismatch.
 	epoch atomic.Int64
 
-	graph   netclus.Graph
-	store   *netclus.Store      // nil for in-memory datasets
-	hot     *netclus.Snapshot   // compiled CSR replica; nil unless requested
-	sharded *netclus.ShardedSet // scatter-gather set; nil for unsharded datasets
-	live    *netclus.LiveOverlay // mutable overlay; nil for immutable datasets
-	bounds  *netclus.Bounds
-	knnb    *knnBatcher // coalesces kNN requests on hot datasets; wired by New
-
-	// base is the store counter snapshot taken at registration, so /metrics
-	// reports deltas attributable to serving rather than to dataset load.
-	base netclus.StoreStats
+	backend backend
 
 	nodes, edges, points int
 
-	scratch sync.Pool // of *scratchBox
-
+	queries atomic.Int64 // served against this dataset
 	mu      sync.Mutex
-	prune   netclus.PruneStats
-	queries int64
+	prune   netclus.PruneStats // aggregated across all served queries
 
 	// cstats is this dataset's share of result-cache traffic, for
 	// /v1/datasets; the cache-wide counters live on ResultCache.
@@ -71,12 +59,14 @@ type cacheCounters struct {
 	shared      atomic.Int64
 }
 
-// scratchBox pairs pooled range-query scratch with the prune counters already
-// harvested from it, so each release folds only the new work into the
-// dataset's aggregate.
-type scratchBox struct {
-	sc        netclus.RangeQuerier
-	harvested netclus.PruneStats
+// newDataset wraps b, which serves g, at epoch 1.
+func newDataset(name, kind, source string, g netclus.Graph, b backend) *Dataset {
+	d := &Dataset{
+		Name: name, Kind: kind, Source: source, backend: b,
+		nodes: g.NumNodes(), edges: g.NumEdges(), points: g.NumPoints(),
+	}
+	d.epoch.Store(1)
+	return d
 }
 
 // NewStoreDataset opens the store under dir as a served dataset. landmarks
@@ -91,25 +81,15 @@ func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int,
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataset{
-		Name: name, Kind: "store", Source: dir,
-		graph: st, store: st,
-		nodes: st.NumNodes(), edges: st.NumEdges(), points: st.NumPoints(),
-	}
-	d.epoch.Store(1)
-	if hot {
-		if d.hot, err = netclus.CompileStore(st); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("dataset %s: compiling hot replica: %w", name, err)
-		}
-	}
-	if err := d.buildBounds(landmarks); err != nil {
+	served := &servedStore{st: st}
+	d, err := newGraphDataset(name, "store", dir, st, func() netclus.Graph { return st.Reader() }, served, landmarks, hot)
+	if err != nil {
 		st.Close()
 		return nil, err
 	}
 	// Counters spent loading + preprocessing (including the hot-replica
 	// compile, which reads every page once) belong to startup, not serving.
-	d.base = netclus.SnapshotStore(st)
+	served.base = netclus.SnapshotStore(st)
 	return d, nil
 }
 
@@ -117,22 +97,24 @@ func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int,
 // compiles n into a CSR snapshot, so queries run on the flat-array kernels
 // and, as above, no pruning tables are built.
 func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, hot bool) (*Dataset, error) {
-	d := &Dataset{
-		Name: name, Kind: "memory", Source: source,
-		graph: n,
-		nodes: n.NumNodes(), edges: n.NumEdges(), points: n.NumPoints(),
-	}
-	d.epoch.Store(1)
+	return newGraphDataset(name, "memory", source, n, func() netclus.Graph { return n }, nil, landmarks, hot)
+}
+
+// newGraphDataset serves g — a disk store or a pointer network, read through
+// view — from a compiled replica when hot, else as loaded under bounds.
+func newGraphDataset(name, kind, source string, g netclus.Graph, view func() netclus.Graph, store *servedStore, landmarks int, hot bool) (*Dataset, error) {
 	if hot {
-		var err error
-		if d.hot, err = netclus.Compile(n); err != nil {
+		sn, err := netclus.Compile(g)
+		if err != nil {
 			return nil, fmt.Errorf("dataset %s: compiling hot replica: %w", name, err)
 		}
+		return newDataset(name, kind, source, g, &hotBackend{sn: sn, store: store}), nil
 	}
-	if err := d.buildBounds(landmarks); err != nil {
+	lb, err := buildBounds(name, g, landmarks)
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return newDataset(name, kind, source, g, &coldBackend{view: view, store: store, lb: lb}), nil
 }
 
 // NewSnapshotDataset serves a durable CSR snapshot file directly: the
@@ -142,45 +124,23 @@ func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, h
 // and ignored: a snapshot dataset is hot, and hot datasets build no pruning
 // tables (see buildBounds).
 func NewSnapshotDataset(name, path string, sn *netclus.Snapshot, landmarks int) (*Dataset, error) {
-	d := &Dataset{
-		Name: name, Kind: "snapshot", Source: path,
-		graph: sn, hot: sn,
-		nodes: sn.NumNodes(), edges: sn.NumEdges(), points: sn.NumPoints(),
-	}
-	d.epoch.Store(1)
-	if err := d.buildBounds(landmarks); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return newDataset(name, "snapshot", path, sn, &hotBackend{sn: sn}), nil
 }
 
-// NewShardedDataset serves the scatter-gather form of a partitioned network:
-// range, kNN and clustering queries fan out across the per-shard CSR
-// snapshots and stitch exact answers over the cut edges, byte-identical to a
-// single-snapshot dataset over the same network. Kind is "sharded". Pruning
-// bounds are not built — the scatter-gather executor is the query path.
+// NewShardedDataset serves the scatter-gather form of a partitioned network,
+// byte-identical to a single-snapshot dataset over the same network. Kind is
+// "sharded".
 func NewShardedDataset(name, source string, set *netclus.ShardedSet) (*Dataset, error) {
-	d := &Dataset{
-		Name: name, Kind: "sharded", Source: source,
-		graph: set, sharded: set,
-		nodes: set.NumNodes(), edges: set.NumEdges(), points: set.NumPoints(),
-	}
-	d.epoch.Store(1)
-	return d, nil
+	return newDataset(name, "sharded", source, set, &shardedBackend{set: set}), nil
 }
 
 // NewLiveDataset serves base (a compiled snapshot or in-memory network)
 // behind a mutable delta overlay: POST /v1/datasets/{name}/points mutates it,
 // reads resolve through the overlay's published views, and every committed
 // batch or compaction swap bumps the dataset epoch exactly once — which is
-// what strands stale result-cache entries. Kind is "live". Pruning bounds and
-// the kNN batcher are not built: both are compiled against one immutable
-// point numbering, and a live dataset's changes every epoch.
+// what strands stale result-cache entries. Kind is "live".
 func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOptions) (*Dataset, error) {
-	d := &Dataset{
-		Name: name, Kind: "live", Source: source,
-	}
-	d.epoch.Store(1)
+	d := newDataset(name, "live", source, base, nil)
 	// The overlay owns the epoch counter: its reconciler bumps d.epoch as the
 	// final step of publishing each view, before the writer is acked, so a
 	// client that saw its write commit can never read a stale cached result.
@@ -190,98 +150,56 @@ func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOp
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: building live overlay: %w", name, err)
 	}
-	d.live = ov
-	d.graph = base
-	d.nodes = base.NumNodes()
-	d.edges = base.NumEdges()
-	d.points = base.NumPoints()
+	d.backend = &liveBackend{ov: ov}
 	return d, nil
 }
 
-// Sharded returns the dataset's scatter-gather set, nil when unsharded.
-func (d *Dataset) Sharded() *netclus.ShardedSet { return d.sharded }
-
-// Live returns the dataset's mutable overlay, nil for immutable datasets.
-func (d *Dataset) Live() *netclus.LiveOverlay { return d.live }
-
-// HotSnapshot returns the compiled CSR replica, nil when the dataset is not
-// hot — the handle the serve command persists with WriteSnapshotFile.
-func (d *Dataset) HotSnapshot() *netclus.Snapshot { return d.hot }
-
-// buildBounds builds the dataset's pruning tables — for cold datasets only.
-// On a compiled snapshot one graph access costs less than one landmark-table
+// buildBounds builds pruning tables over g — for cold datasets only. On a
+// compiled snapshot one graph access costs less than one landmark-table
 // lookup, so filter-and-refine loses to the plain kernels at every measured
 // radius (benchmark/README.md "First findings": kNN 7.5 against 0.47 µs,
 // DBSCAN 225 against 20 ms), while on the store it saves page reads and still
 // wins. Hot datasets therefore join sharded and live ones, which build none.
-func (d *Dataset) buildBounds(landmarks int) error {
-	if landmarks <= 0 || d.hot != nil {
-		return nil
+func buildBounds(name string, g netclus.Graph, landmarks int) (*netclus.Bounds, error) {
+	if landmarks <= 0 {
+		return nil, nil
 	}
 	opts := netclus.BoundsOptions{Landmarks: landmarks, EuclideanLB: true}
-	b, err := netclus.BuildBounds(d.graph, opts)
+	b, err := netclus.BuildBounds(g, opts)
 	if errors.Is(err, netclus.ErrBoundsNoCoords) || errors.Is(err, netclus.ErrBoundsNotEuclidean) {
 		opts.EuclideanLB = false
-		b, err = netclus.BuildBounds(d.graph, opts)
+		b, err = netclus.BuildBounds(g, opts)
 	}
 	if err != nil {
-		return fmt.Errorf("dataset %s: building bounds: %w", d.Name, err)
+		return nil, fmt.Errorf("dataset %s: building bounds: %w", name, err)
 	}
-	d.bounds = b
+	return b, nil
+}
+
+// Live returns the dataset's mutable overlay, nil for immutable datasets.
+func (d *Dataset) Live() *netclus.LiveOverlay {
+	ov, _ := d.backend.writer()
+	return ov
+}
+
+// HotSnapshot returns the compiled CSR replica, nil when the dataset is not
+// hot — the handle the serve command persists with WriteSnapshotFile.
+func (d *Dataset) HotSnapshot() *netclus.Snapshot {
+	if h, ok := d.backend.(*hotBackend); ok {
+		return h.sn
+	}
 	return nil
 }
 
-// viewAt is one request's atomic (graph, epoch) pair, plus the live view it
-// came from when the dataset is mutable. Handlers must resolve both together:
-// on a live dataset the epoch moves under them, and a response stamped with
-// epoch E must have been computed on exactly the view published at E.
-type viewAt struct {
-	graph netclus.Graph
-	epoch int64
-	live  *netclus.LiveView // non-nil only for live datasets
-}
-
-// viewAt pins the graph and epoch a request runs against. For live datasets
-// the published LiveView carries both (one atomic load); immutable datasets
-// never move, so reading them separately is equivalent.
-func (d *Dataset) viewAt() viewAt {
-	if d.live != nil {
-		cur := d.live.Current()
-		return viewAt{graph: cur.Graph, epoch: cur.Epoch, live: cur}
-	}
-	return viewAt{graph: d.View(), epoch: d.Epoch()}
-}
-
-// View returns a graph read view for one request goroutine: the current live
-// view for mutable datasets, the hot CSR replica when one was compiled
-// (shared and immutable, so no per-request state), else a fresh Store reader
-// for disk datasets, else the shared immutable network.
-func (d *Dataset) View() netclus.Graph {
-	if d.live != nil {
-		return d.live.Current().Graph
-	}
-	if d.hot != nil {
-		return d.hot
-	}
-	if d.store != nil {
-		return d.store.Reader()
-	}
-	return d.graph
-}
-
-// Hot reports whether the dataset serves from a compiled CSR replica.
-func (d *Dataset) Hot() bool { return d.hot != nil }
-
-// HotStats returns the compiled replica's stats, false when not hot.
-func (d *Dataset) HotStats() (netclus.CSRStats, bool) {
-	if d.hot == nil {
-		return netclus.CSRStats{}, false
-	}
-	return d.hot.Stats(), true
-}
-
 // Bounds returns the dataset's pruning tables (nil when not built).
-func (d *Dataset) Bounds() *netclus.Bounds { return d.bounds }
+func (d *Dataset) Bounds() *netclus.Bounds { return d.backend.bounds() }
+
+// viewAt pins the graph and epoch a request runs against; handlers must take
+// both from one call.
+func (d *Dataset) viewAt() viewAt { return d.backend.pin(d.Epoch()) }
+
+// View returns a graph read view for one request goroutine.
+func (d *Dataset) View() netclus.Graph { return d.viewAt().graph }
 
 // Epoch returns the dataset's current content version. Query responses carry
 // it, and result-cache keys embed it, so a bump strands every cached answer.
@@ -302,109 +220,50 @@ func (d *Dataset) ResultCacheStats() api.ResultCacheStats {
 	}
 }
 
-// NumPoints returns the dataset's current point count; for live datasets this
-// tracks the published view.
-func (d *Dataset) NumPoints() int {
-	if d.live != nil {
-		return d.live.Current().Points
+// info snapshots the dataset as its /v1/datasets entry, result-cache share
+// aside: the shared fields here, the kind-specific blocks from the backend.
+func (d *Dataset) info() api.DatasetInfo {
+	info := api.DatasetInfo{
+		Name: d.Name, Kind: d.Kind, Source: d.Source, Epoch: d.Epoch(),
+		Nodes: d.nodes, Edges: d.edges, Points: d.points,
+		Bounds: d.Bounds() != nil, Queries: d.queries.Load(),
 	}
-	return d.points
-}
-
-// getScratchFor takes range-query scratch for one request against view.
-// Immutable datasets pool it, so steady-state queries allocate no traversal
-// state. Live datasets allocate fresh scratch per request: range scratch is
-// sized to the point count of the graph it was created for, and a live view's
-// count moves every epoch — pooled scratch from a larger epoch would be
-// wasteful and from a smaller one unsafe.
-func (d *Dataset) getScratchFor(view netclus.Graph) *scratchBox {
-	if d.live != nil {
-		return &scratchBox{sc: netclus.ScratchFor(view)}
-	}
-	if b, ok := d.scratch.Get().(*scratchBox); ok {
-		return b
-	}
-	// ScratchFor picks the flat-array kernel scratch for hot datasets and
-	// the generic scratch otherwise; both serve the RangeQuerier surface.
-	if d.hot != nil {
-		return &scratchBox{sc: netclus.ScratchFor(d.hot)}
-	}
-	return &scratchBox{sc: netclus.ScratchFor(d.graph)}
+	d.mu.Lock()
+	info.Prune = d.prune
+	d.mu.Unlock()
+	d.backend.describe(&info)
+	return info
 }
 
 // putScratch folds the prune work the scratch did since the last harvest into
-// the dataset aggregate, then returns it to the pool (live scratch is
-// per-epoch and just dropped).
+// the dataset aggregate, then hands it back to the backend.
 func (d *Dataset) putScratch(b *scratchBox) {
 	b.sc.SetBounder(nil)
 	now := b.sc.PruneStats()
 	delta := now.Sub(b.harvested)
 	b.harvested = now
-	d.mu.Lock()
-	d.prune.Add(delta)
-	d.mu.Unlock()
-	if d.live != nil {
-		return
-	}
-	d.scratch.Put(b)
+	d.addPrune(delta)
+	d.backend.recycle(b)
 }
 
-// addPrune folds prune counters from non-scratch query paths (pruned kNN,
-// clustering runs) into the dataset aggregate.
+// addPrune folds prune counters from one finished query into the dataset
+// aggregate.
 func (d *Dataset) addPrune(ps netclus.PruneStats) {
 	d.mu.Lock()
 	d.prune.Add(ps)
 	d.mu.Unlock()
 }
 
-// countQuery bumps the dataset's served-query counter.
-func (d *Dataset) countQuery() {
-	d.mu.Lock()
-	d.queries++
-	d.mu.Unlock()
-}
-
-// PruneStats returns the prune work aggregated across all served queries.
-func (d *Dataset) PruneStats() netclus.PruneStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.prune
-}
-
-// Queries returns the number of queries served against this dataset.
-func (d *Dataset) Queries() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.queries
-}
-
-// StoreStats returns the delta of the store's counters since registration,
-// false for in-memory datasets.
-func (d *Dataset) StoreStats() (netclus.StoreStats, bool) {
-	if d.store == nil {
-		return netclus.StoreStats{}, false
-	}
-	return netclus.SnapshotStore(d.store).Sub(d.base), true
-}
-
-// Close stops the live overlay's background goroutines and releases the
-// dataset's disk resources (a no-op for plain in-memory datasets).
-func (d *Dataset) Close() error {
-	if d.live != nil {
-		d.live.Close()
-	}
-	if d.store == nil {
-		return nil
-	}
-	return d.store.Close()
-}
+// Close stops the backend's background work and releases its disk resources
+// (a no-op for plain in-memory datasets).
+func (d *Dataset) Close() error { return d.backend.close() }
 
 // Registry is the set of served datasets, fixed after startup: handlers only
 // read it, so lookups take no lock beyond the map read.
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]*Dataset
-	names  []string
+	sorted []*Dataset // in name order
 }
 
 // NewRegistry returns an empty registry.
@@ -420,7 +279,8 @@ func (r *Registry) Add(d *Dataset) error {
 		return fmt.Errorf("server: duplicate dataset %q", d.Name)
 	}
 	r.byName[d.Name] = d
-	r.names = append(r.names, d.Name)
+	r.sorted = append(r.sorted, d)
+	sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i].Name < r.sorted[j].Name })
 	return nil
 }
 
@@ -436,13 +296,7 @@ func (r *Registry) Get(name string) (*Dataset, bool) {
 func (r *Registry) List() []*Dataset {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := append([]string(nil), r.names...)
-	sort.Strings(names)
-	out := make([]*Dataset, 0, len(names))
-	for _, n := range names {
-		out = append(out, r.byName[n])
-	}
-	return out
+	return append([]*Dataset(nil), r.sorted...)
 }
 
 // Close closes every dataset, keeping the first error. It is the last step
@@ -451,7 +305,7 @@ func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error
-	for _, d := range r.byName {
+	for _, d := range r.sorted {
 		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,13 +13,15 @@ import (
 	"netclus/internal/server/api"
 )
 
-// TestRegistryHotDatasetsBuildNoBounds pins the registry rule: a dataset with
-// a compiled replica — a hot store, a hot network, a snapshot file, whatever
-// landmarks says — builds no pruning tables, so its default kNN runs the CSR
-// kernel through the batcher and its default clustering the snapshot's label
-// kernel, with answers equal to the engine's and to the cold datasets'; cold
-// store and pointer-network datasets still build bounds and answer pruned.
-func TestRegistryHotDatasetsBuildNoBounds(t *testing.T) {
+// TestBackendContract holds every constructor to its row of the dataset-kind
+// table in DESIGN.md §8: which kinds build bounds, accept writes or carry a
+// compiled replica; that a default kNN is pruned exactly where bounds exist
+// and rides the batcher exactly on hot datasets; that a default DBSCAN
+// reports a prune block exactly where bounds exist and labels identically
+// everywhere, at every worker count; that every read-only kind refuses a
+// mutation with the same envelope; and that Server.Shutdown followed by
+// Dataset.Close — the order the benchmark uses — is clean on every kind.
+func TestBackendContract(t *testing.T) {
 	n := testNetwork(t)
 	dir := t.TempDir()
 	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
@@ -29,27 +32,34 @@ func TestRegistryHotDatasetsBuildNoBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(d *Dataset, err error) *Dataset {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	set, err := netclus.PartitionNetwork(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := mustDataset(t)
+	rows := []struct {
+		d                 *Dataset
+		bounds, hot, live bool
+	}{
+		{d: must(NewStoreDataset("cold-disk", dir, opts, 4, false)), bounds: true},
+		{d: must(NewNetworkDataset("cold-mem", "test", n, 4, false)), bounds: true},
+		{d: must(NewStoreDataset("hot-disk", dir, opts, 4, true)), hot: true},
+		{d: must(NewNetworkDataset("hot-mem", "test", n, 4, true)), hot: true},
+		{d: must(NewSnapshotDataset("snap", "test", sn, 4)), hot: true},
+		{d: must(NewShardedDataset("sharded", "test", set))},
+		{d: must(NewLiveDataset("live", "test", sn, netclus.LiveOptions{})), live: true},
 	}
 	reg := NewRegistry()
-	hot := map[string]bool{"hot-disk": true, "hot-mem": true, "snap": true, "cold-disk": false, "cold-mem": false}
-	for _, d := range []*Dataset{
-		must(NewStoreDataset("hot-disk", dir, opts, 4, true)),
-		must(NewNetworkDataset("hot-mem", "test", n, 4, true)),
-		must(NewSnapshotDataset("snap", "test", sn, 4)),
-		must(NewStoreDataset("cold-disk", dir, opts, 4, false)),
-		must(NewNetworkDataset("cold-mem", "test", n, 4, false)),
-	} {
-		if got := d.Bounds() == nil; got != hot[d.Name] {
-			t.Fatalf("%s: Bounds() == nil is %v, want %v", d.Name, got, hot[d.Name])
+	for _, row := range rows {
+		d := row.d
+		if got := d.Bounds() != nil; got != row.bounds {
+			t.Fatalf("%s: Bounds() != nil is %v", d.Name, got)
 		}
-		if d.Hot() != hot[d.Name] {
-			t.Fatalf("%s: Hot() = %v", d.Name, d.Hot())
+		if got := d.Live() != nil; got != row.live {
+			t.Fatalf("%s: Live() != nil is %v", d.Name, got)
+		}
+		if got := d.HotSnapshot() != nil; got != row.hot {
+			t.Fatalf("%s: HotSnapshot() != nil is %v", d.Name, got)
 		}
 		if err := reg.Add(d); err != nil {
 			t.Fatal(err)
@@ -59,11 +69,6 @@ func TestRegistryHotDatasetsBuildNoBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
 	h := s.Handler()
 	ctx := context.Background()
 
@@ -73,18 +78,17 @@ func TestRegistryHotDatasetsBuildNoBounds(t *testing.T) {
 	if cold.Prune == nil || cold.Clusters < 1 {
 		t.Fatalf("cold-mem: default clustering ran unpruned or found nothing: %+v", cold)
 	}
-	for name, isHot := range hot {
-		d, _ := reg.Get(name)
-		if (d.knnb != nil) != isHot {
-			t.Fatalf("%s: kNN batcher wired = %v", name, d.knnb != nil)
-		}
+	var refusal string
+	for _, row := range rows {
+		name := row.d.Name
+		batches, _ := s.Metrics().KNNBatchCounts()
 		for p := 0; p < 20; p++ {
 			var kr api.KNNResponse
 			getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=%d&k=6", name, p), http.StatusOK, &kr)
-			if kr.Pruned == isHot {
+			if kr.Pruned != row.bounds {
 				t.Fatalf("%s: default kNN answered pruned=%v", name, kr.Pruned)
 			}
-			want, err := netclus.KNearestNeighborsCtx(ctx, d.View(), netclus.PointID(p), 6)
+			want, err := netclus.KNearestNeighborsCtx(ctx, row.d.View(), netclus.PointID(p), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,29 +96,68 @@ func TestRegistryHotDatasetsBuildNoBounds(t *testing.T) {
 				t.Fatalf("%s p=%d: kNN differs from the engine\nwant %v\ngot  %v", name, p, want, kr.Results)
 			}
 		}
+		// One sweep per sequential request on hot datasets, none elsewhere;
+		// the batcher books a sweep just after it releases its waiters.
+		sweeps := batches
+		if row.hot {
+			sweeps += 20
+		}
+		waitFor(t, func() bool { after, _ := s.Metrics().KNNBatchCounts(); return after == sweeps })
 		for _, workers := range []int{0, 1, 4} {
 			var cr api.ClusterResponse
 			getJSON(t, h, fmt.Sprintf("/v1/%s%s&workers=%d", name, clusterQ, workers), http.StatusOK, &cr)
-			if (cr.Prune == nil) != isHot {
+			if (cr.Prune != nil) != row.bounds {
 				t.Fatalf("%s workers=%d: prune block present = %v", name, workers, cr.Prune != nil)
 			}
 			if !reflect.DeepEqual(cold.Labels, cr.Labels) || cold.Clusters != cr.Clusters || cold.CorePoints != cr.CorePoints {
 				t.Fatalf("%s workers=%d: clustering differs from the cold dataset's", name, workers)
 			}
-			if isHot && cr.Stats.RangeQueries != n.NumPoints() {
+			if row.hot && cr.Stats.RangeQueries != n.NumPoints() {
 				t.Fatalf("%s workers=%d: %d range queries for %d points", name, workers, cr.Stats.RangeQueries, n.NumPoints())
 			}
+		}
+
+		const batch = `{"ops":[{"op":"insert","near":0,"pos":0.5}]}`
+		if row.live {
+			postJSON(t, h, "/v1/datasets/"+name+"/points", batch, http.StatusOK, nil)
+			continue
+		}
+		var eb api.ErrorBody
+		postJSON(t, h, "/v1/datasets/"+name+"/points", batch, http.StatusBadRequest, &eb)
+		msg := strings.ReplaceAll(eb.Error.Message, name, "X")
+		if refusal == "" {
+			refusal = msg
+		}
+		if eb.Error.Code != api.CodeBadRequest || !strings.Contains(msg, "immutable") || msg != refusal {
+			t.Fatalf("%s: write refused with %+v, other kinds said %q", name, eb, refusal)
 		}
 	}
 
 	var ds api.DatasetsResponse
 	getJSON(t, h, "/v1/datasets", http.StatusOK, &ds)
-	if len(ds.Datasets) != len(hot) {
+	if len(ds.Datasets) != len(rows) {
 		t.Fatalf("%d datasets listed", len(ds.Datasets))
 	}
 	for _, info := range ds.Datasets {
-		if info.Bounds == hot[info.Name] || info.Hot != hot[info.Name] {
-			t.Fatalf("%s: listed with bounds=%v hot=%v", info.Name, info.Bounds, info.Hot)
+		for _, row := range rows {
+			if row.d.Name != info.Name {
+				continue
+			}
+			if info.Bounds != row.bounds || info.Hot != row.hot || (info.CSR != nil) != row.hot ||
+				(info.Live != nil) != row.live || (info.Shards > 0) != (info.Kind == "sharded") {
+				t.Fatalf("%s listed as %+v", info.Name, info)
+			}
+		}
+	}
+
+	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	for _, row := range rows {
+		if err := row.d.Close(); err != nil {
+			t.Fatalf("%s: Close after Shutdown: %v", row.d.Name, err)
 		}
 	}
 }

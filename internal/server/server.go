@@ -129,14 +129,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheBytes > 0 {
 		s.cache = NewResultCache(cfg.ResultCacheBytes)
 	}
-	// Hot datasets get a kNN batcher: concurrent admitted requests coalesce
-	// into one SoA sweep over the CSR arrays instead of N independent
-	// traversals. Cold datasets keep the per-request path — the batch kernel
-	// only exists on snapshots.
 	for _, d := range cfg.Registry.List() {
-		if d.hot != nil {
-			d.knnb = newKNNBatcher(d.hot, cfg.MaxTimeout, s.metrics)
-		}
+		d.backend.attach(cfg.MaxTimeout, s.metrics)
 	}
 	s.mux.HandleFunc("GET /healthz", s.instrumented("healthz", "", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrumented("metrics", "", s.handleMetrics))
@@ -291,7 +285,7 @@ func (s *Server) query(endpoint string, cost int64, h func(http.ResponseWriter, 
 			return
 		}
 		defer s.adm.Release(cost)
-		d.countQuery()
+		d.queries.Add(1)
 		h(w, r.WithContext(ctx), d)
 	})
 }
@@ -311,11 +305,12 @@ func requestTimeout(r *http.Request, def, max time.Duration) (time.Duration, err
 	if err != nil || ms <= 0 {
 		return 0, fmt.Errorf("bad timeout_ms %q", raw)
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > max {
-		d = max
+	// Compare before multiplying: a huge ms would overflow the Duration and
+	// come out negative or tiny instead of clamped.
+	if int64(ms) > int64(max/time.Millisecond) {
+		return max, nil
 	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // writeJSON writes v as the response with the given status code.

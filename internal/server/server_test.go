@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,7 @@ import (
 )
 
 // testNetwork builds a small connected grid with points for serving tests.
-func testNetwork(t *testing.T) *netclus.Network {
+func testNetwork(t testing.TB) *netclus.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	base, err := netclus.GridNetwork(12, 12, 10, 2, 20, rng)
@@ -159,6 +160,11 @@ func TestServeErrors(t *testing.T) {
 		{"/v1/mem/range?p=x&eps=5", http.StatusBadRequest},
 		{"/v1/mem/cluster?algo=wat&eps=5", http.StatusBadRequest},
 		{"/v1/mem/knn?p=0&k=3&timeout_ms=bogus", http.StatusBadRequest},
+		// Huge timeouts clamp to MaxTimeout; multiplied out to a Duration
+		// first, these two wrapped to a negative deadline and to 448µs.
+		{"/v1/mem/knn?p=0&k=3&timeout_ms=9223372036855", http.StatusOK},
+		{"/v1/mem/knn?p=1&k=3&timeout_ms=18446744073710", http.StatusOK},
+		{fmt.Sprintf("/v1/mem/knn?p=2&k=3&timeout_ms=%d", math.MaxInt64), http.StatusOK},
 	}
 	for _, c := range cases {
 		getJSON(t, h, c.url, c.code, nil)
@@ -247,36 +253,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		t.Logf("exposition:\n%s", body)
 	}
 
-	// Every # TYPE header must precede all samples of its family and appear
-	// exactly once.
-	seenType := map[string]bool{}
-	for _, line := range strings.Split(body, "\n") {
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			fam := strings.Fields(rest)[0]
-			if seenType[fam] {
-				t.Errorf("duplicate # TYPE %s", fam)
-			}
-			seenType[fam] = true
-			continue
-		}
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fam := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			fam = line[:i]
-		}
-		base := fam
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if cut, ok := strings.CutSuffix(fam, suf); ok && seenType[cut] {
-				base = cut
-				break
-			}
-		}
-		if !seenType[base] {
-			t.Errorf("sample %q before its # TYPE header", line)
-		}
-	}
+	checkExposition(t, body)
 }
 
 func TestServeAdmissionSheds(t *testing.T) {
@@ -806,6 +783,61 @@ func TestServeCacheOptOut(t *testing.T) {
 	}
 	if dl.ResultCache == nil || dl.ResultCache.Entries != 1 {
 		t.Fatalf("cache totals = %+v", dl.ResultCache)
+	}
+}
+
+// TestServeBodyLimit: both POST endpoints read at most maxBodyBytes. A body
+// of exactly that size is served; one byte more is a 413 in the uniform
+// error envelope, whatever the bytes are.
+func TestServeBodyLimit(t *testing.T) {
+	s, _ := newLiveServer(t, Config{})
+	h := s.Handler()
+	for _, tc := range []struct{ url, open string }{
+		{"/v1/live/cluster", `{"algo":"dbscan","eps":15,"minpts":3`},
+		{"/v1/datasets/live/points", `{"ops":[{"op":"insert","near":0,"pos":0.5}]`},
+	} {
+		// Padding sits inside the JSON value, so the decoder has to read all
+		// of it to reach the closing brace.
+		body := tc.open + strings.Repeat(" ", maxBodyBytes-len(tc.open)-1) + "}"
+		postJSON(t, h, tc.url, body, http.StatusOK, nil)
+		var eb api.ErrorBody
+		postJSON(t, h, tc.url, " "+body, http.StatusRequestEntityTooLarge, &eb)
+		if eb.Error.Code != api.CodeBadRequest || eb.Error.Message == "" {
+			t.Errorf("%s: oversized body answered %+v", tc.url, eb)
+		}
+	}
+}
+
+// BenchmarkServeCacheHit is one result-cache hit per endpoint through
+// Server.Handler(); -benchmem reports the allocations the cached-read path
+// costs on top of the recorder and URL parsing.
+func BenchmarkServeCacheHit(b *testing.B) {
+	reg := NewRegistry()
+	mem, err := NewNetworkDataset("mem", "test", testNetwork(b), 4, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := reg.Add(mem); err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Registry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, url := range []string{
+		"/v1/mem/range?p=3&eps=25&dists=1",
+		"/v1/mem/knn?p=3&k=7",
+		"/v1/mem/cluster?algo=dbscan&eps=15&minpts=3",
+	} {
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		b.Run(strings.SplitN(strings.TrimPrefix(url, "/v1/mem/"), "?", 2)[0], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		})
 	}
 }
 
