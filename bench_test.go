@@ -112,10 +112,10 @@ func BenchmarkTable2Algorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkers measures the parallel query fan-out of DBSCAN and ε-Link
-// against Workers = 1 (the sequential algorithms): on a multi-core host the
-// ns/op of workers=NumCPU beats workers=1; on a single-core host the second
-// worker count still exercises the fan-out machinery.
+// BenchmarkWorkers measures DBSCAN's striped flag pass against Workers = 1
+// (ε-Link runs one Fig. 6 traversal per cluster at every value): on a
+// multi-core host the ns/op of workers=NumCPU beats workers=1; on a
+// single-core host the second worker count still exercises the striping.
 func BenchmarkWorkers(b *testing.B) {
 	scale := benchScale()
 	g, gen, err := netclus.RoadDataset("OL", scale, 10)

@@ -28,8 +28,8 @@ func buildDemoStore(t testing.TB) *netclus.Store {
 }
 
 // TestStoreParallelMatchesSequential runs the Workers > 1 mode of every
-// fan-out algorithm over one shared disk store and checks the labels are
-// identical to the sequential run — the tentpole determinism guarantee,
+// algorithm that takes Workers over one shared disk store and checks the
+// labels are identical to the Workers 0 run — the determinism guarantee,
 // exercised under -race in CI.
 func TestStoreParallelMatchesSequential(t *testing.T) {
 	st := buildDemoStore(t)

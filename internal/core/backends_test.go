@@ -1,0 +1,186 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"netclus/internal/core"
+	"netclus/internal/csr"
+	"netclus/internal/delta"
+	"netclus/internal/lbound"
+	"netclus/internal/matrix"
+	"netclus/internal/network"
+	"netclus/internal/shard"
+	"netclus/internal/storage"
+	"netclus/internal/testnet"
+)
+
+// densityBackend is one graph family of the cross-backend table with the
+// oracle's distance matrix over its content and, where the family has them,
+// pruning bounds.
+type densityBackend struct {
+	name   string
+	g      network.Graph
+	dist   [][]float64
+	bounds network.Bounder
+	filter bool // bounds enumerate candidates: pruned runs must consult them
+}
+
+// densityBackends serves g from every backend: the pointer network itself,
+// the disk store, the compiled snapshot, a set of shards scattered round-robin
+// (every edge a cut edge) and a merged delta view after a mutation batch —
+// whose content, and therefore oracle, differs from g's, and which has no
+// bounds. euclid picks the Euclidean candidate filter (generated graphs);
+// without it Candidates reports unsupported and the pruned runs cover the
+// plain-expansion fallback (the hand-built shapes carry no embedding).
+func densityBackends(t *testing.T, g *network.Network, shards int, euclid bool) []densityBackend {
+	t.Helper()
+	dist, err := matrix.PointDistances(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := lbound.Build(g, lbound.Options{Landmarks: 2, EuclideanLB: euclid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := csr.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sopts := storage.Options{PageSize: 512, BufferBytes: 1 << 16}
+	if err := storage.Build(dir, g, sopts); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.Open(dir, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	assign := make([]int32, g.NumNodes())
+	for n := range assign {
+		assign[n] = int32(n % shards)
+	}
+	set, err := shard.Build(g, assign, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	o, err := delta.New(sn, delta.Options{CompactOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	last := network.PointID(g.NumPoints() - 1)
+	if _, err := o.Apply(context.Background(), []delta.Op{
+		delta.InsertNear(0, 0.5, 1000), delta.MoveSame(last, 0.25), delta.Delete(last / 2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	view := o.Current().Graph
+	if _, flat := view.(network.LabelKernel); flat {
+		t.Fatal("the mutated overlay still serves its base snapshot")
+	}
+	viewDist, err := matrix.PointDistances(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []densityBackend{
+		{"network", g, dist, b, euclid},
+		{"store", st, dist, b, euclid},
+		{"snapshot", sn, dist, b, euclid},
+		{fmt.Sprintf("%d-shards", shards), set, dist, b, euclid},
+		{"delta-view", view, viewDist, nil, false},
+	}
+}
+
+// checkDensityBackend runs DBSCAN and ε-Link on bk at Workers 0, 1 and 4,
+// pruned and unpruned, and demands the internal/matrix labels byte for byte.
+func checkDensityBackend(t *testing.T, bk densityBackend, epss []float64, minPtss []int) {
+	t.Helper()
+	ctx := context.Background()
+	n := bk.g.NumPoints()
+	prunes := []network.Bounder{nil}
+	if bk.bounds != nil {
+		prunes = append(prunes, bk.bounds)
+	}
+	for _, eps := range epss {
+		wantCnt := make([]int, n)
+		for p := range wantCnt {
+			for q := 0; q < n; q++ {
+				if bk.dist[p][q] <= eps {
+					wantCnt[p]++
+				}
+			}
+		}
+		for _, minPts := range minPtss {
+			want := matrix.DBSCAN(bk.dist, eps, minPts)
+			wantCore := make([]bool, n)
+			for p, c := range wantCnt {
+				wantCore[p] = c >= minPts
+			}
+			for _, prune := range prunes {
+				for _, workers := range []int{0, 1, 4} {
+					got, err := core.DBSCANCtx(ctx, bk.g, core.DBSCANOptions{Eps: eps, MinPts: minPts, Workers: workers, Prune: prune})
+					if err != nil {
+						t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %v", bk.name, eps, minPts, workers, prune != nil, err)
+					}
+					if !reflect.DeepEqual(want, got.Labels) || !reflect.DeepEqual(wantCore, got.Core) {
+						t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: DBSCAN diverged from the matrix oracle\nwant %v\ngot  %v",
+							bk.name, eps, minPts, workers, prune != nil, want, got.Labels)
+					}
+					if prune != nil && bk.filter && got.Stats.Prune.Candidates == 0 {
+						t.Fatalf("%s eps=%v minPts=%d workers=%d: pruned DBSCAN never used the bounder", bk.name, eps, minPts, workers)
+					}
+				}
+			}
+		}
+		want := matrix.EpsComponents(bk.dist, eps, 1)
+		for _, workers := range []int{0, 1, 4} {
+			got, err := core.EpsLinkCtx(ctx, bk.g, core.EpsLinkOptions{Eps: eps, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s eps=%v workers=%d: %v", bk.name, eps, workers, err)
+			}
+			if !reflect.DeepEqual(want, got.Labels) {
+				t.Fatalf("%s eps=%v workers=%d: eps-Link diverged from the matrix components\nwant %v\ngot  %v",
+					bk.name, eps, workers, want, got.Labels)
+			}
+		}
+	}
+}
+
+// TestDensityBackendsMatchOracle is the one cross-backend table of the density
+// labellers: every shared hand-built shape in every numbering, plus two
+// generated graphs large enough for Workers 4 to really stripe the flag pass,
+// on every backend × {pruned, unpruned where bounds exist} × Workers
+// {0, 1, 4}, against the brute-force oracle.
+func TestDensityBackendsMatchOracle(t *testing.T) {
+	shapes, err := testnet.ShapeGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range shapes {
+		t.Run(name, func(t *testing.T) {
+			for _, bk := range densityBackends(t, g, 4, false) {
+				checkDensityBackend(t, bk, []float64{0.125, 0.5, 0.875, 1, 1.5, 2, 4}, []int{1, 2, 3, 4, 5})
+			}
+		})
+	}
+	random, err := testnet.Random(7, 40, 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := testnet.RandomClustered(11, 60, 240, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*network.Network{"random": random, "clustered": clustered} {
+		t.Run(name, func(t *testing.T) {
+			for _, bk := range densityBackends(t, g, 4, true) {
+				checkDensityBackend(t, bk, []float64{0.05, 0.15, 0.4, 1.2}, []int{1, 2, 3, 5, 9})
+			}
+		})
+	}
+}

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
 // DBSCANOptions configures the network adaptation of DBSCAN (§4.3): the
@@ -18,17 +18,11 @@ type DBSCANOptions struct {
 	// ε-neighbourhood (itself included) holds at least MinPts points. The
 	// paper's experiments use MinPts = 3.
 	MinPts int
-	// Workers is a pure concurrency knob: labels, Core and the cluster
-	// numbering never depend on it, and 0 and 1 run the same code on every
-	// backend but the sharded set. On the compiled snapshot every value runs
-	// the flat three-pass labeller and values > 1 stripe its per-point
-	// passes; on the store, the pointer network and delta views <= 1 runs
-	// the sequential expansion and larger values fan the range queries
-	// across that many goroutines in two passes (core flags, then core-core
-	// unions plus border adoption), each worker with its own read view and
-	// scratch. The sharded set alone still tells 0 from 1: it keeps the
-	// sequential expansion for 0 and sends every value >= 1 to its
-	// shard-parallel kernel.
+	// Workers is a pure concurrency knob with one meaning on every backend:
+	// labels, Core and the cluster numbering never depend on it, 0 and 1 are
+	// the same run, and a larger value only stripes the flag pass — the one
+	// ε-expansion per point — over that many goroutines, each with its own
+	// read view and scratch.
 	Workers int
 	// Prune, when non-nil, runs every ε-range query through the
 	// filter-and-refine path (see network.RangeScratch.SetBounder). Labels
@@ -55,19 +49,20 @@ type DBSCANResult struct {
 	Stats Stats
 }
 
-// DBSCAN clusters the points with the density-based paradigm: every
-// unvisited point is probed with a network ε-range query; core points start
-// or extend clusters, density-reachable points join them, the rest is noise.
-// With MinPts = 2 its output matches EpsLink (modulo min_sup filtering);
-// with larger MinPts it is more robust to noise but issues many more range
-// queries, which is what Table 2 measures.
+// DBSCAN clusters the points with the density-based paradigm: a point whose
+// network ε-neighbourhood holds at least MinPts points is a core point, the
+// clusters are the ε-connected components of the core points, a non-core
+// point within ε of a core point joins its cluster as a border point, the
+// rest is noise. With MinPts = 2 its output matches EpsLink (modulo min_sup
+// filtering); with larger MinPts it is more robust to noise but issues one
+// range query per point, which is what Table 2 measures.
 func DBSCAN(g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return DBSCANCtx(context.Background(), g, opts)
 }
 
-// DBSCANCtx is DBSCAN with cancellation: the range queries check ctx
-// periodically and the run returns an error wrapping ctx.Err() when it is
-// done. opts.Workers never changes the result (see DBSCANOptions.Workers).
+// DBSCANCtx is DBSCAN with cancellation: every pass checks ctx periodically
+// and the run returns an error wrapping ctx.Err() when it is done.
+// opts.Workers never changes the result (see DBSCANOptions.Workers).
 func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: DBSCAN: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
@@ -75,191 +70,169 @@ func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCA
 	if opts.MinPts < 1 {
 		return nil, fmt.Errorf("%w: DBSCAN: MinPts must be >= 1 (got %d)", ErrInvalidOptions, opts.MinPts)
 	}
-	// A graph that labels natively (the compiled snapshot) does so at every
-	// Workers value; under an explicit Bounder it runs the generic paths
-	// below over its pruned scratch instead. The sharded set's two-pass
-	// kernel takes Workers >= 1. Everything else — and the sharded set at
-	// Workers 0 — runs the sequential expansion, or the generic two-pass
-	// fan-out when Workers > 1. All of them produce identical labels.
-	if lk, ok := g.(network.LabelKernel); ok {
-		if opts.Prune == nil {
-			return dbscanFlat(ctx, g, lk, opts)
-		}
-	} else if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
-		return dbscanKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
-	}
-	if workers := normWorkers(opts.Workers); workers > 1 {
-		return dbscanParallel(ctx, g, opts, workers)
-	}
 	n := g.NumPoints()
 	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
-	const unvisited = int32(-2)
-	labels := res.Labels
-	for i := range labels {
-		labels[i] = unvisited
+	// A graph that labels natively (the compiled snapshot) does so unless an
+	// explicit Bounder asks for the filter-and-refine range path; everything
+	// else runs the generic labeller below. Both produce identical labels.
+	var err error
+	if lk, ok := g.(network.LabelKernel); ok && opts.Prune == nil {
+		err = dbscanFlat(ctx, lk, opts, res)
+	} else {
+		err = dbscanGraph(ctx, g, opts, res)
 	}
-	scratch := network.ScratchFor(g)
-	scratch.SetBounder(opts.Prune)
-	defer func() { res.Stats.Prune.Add(scratch.PruneStats()) }()
-	var queue []network.PointID
-	next := int32(0)
-	for p := 0; p < n; p++ {
-		if labels[p] != unvisited {
-			continue
-		}
-		nb, err := scratch.RangeQueryCtx(ctx, g, network.PointID(p), opts.Eps)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.RangeQueries++
-		if len(nb) < opts.MinPts {
-			labels[p] = Noise
-			continue
-		}
-		res.CorePoints++
-		res.Core[p] = true
-		c := next
-		next++
-		labels[p] = c
-		queue = append(queue[:0], nb...)
-		for len(queue) > 0 {
-			q := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if labels[q] == Noise {
-				labels[q] = c // border point reclaimed from noise
-				continue
-			}
-			if labels[q] != unvisited {
-				continue
-			}
-			labels[q] = c
-			qnb, err := scratch.RangeQueryCtx(ctx, g, q, opts.Eps)
-			if err != nil {
-				return nil, err
-			}
-			res.Stats.RangeQueries++
-			if len(qnb) >= opts.MinPts {
-				res.CorePoints++
-				res.Core[q] = true
-				queue = append(queue, qnb...)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.NumClusters = int(next)
 	return res, nil
 }
 
-// borderEdge records that non-core point border lies in the ε-neighbourhood
-// of core point core — a cluster-adoption candidate.
-type borderEdge struct {
-	border network.PointID
-	core   network.PointID
+// dbscanFlat labels via lk's native three-pass DBSCAN (see
+// internal/csr/dbscan.go, the flat-array port of dbscanGraph).
+func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions, res *DBSCANResult) error {
+	clusters, corePoints, st, err := lk.DBSCANLabels(ctx, opts.Eps, opts.MinPts, opts.Workers, res.Labels, res.Core)
+	res.NumClusters = clusters
+	res.CorePoints = corePoints
+	res.Stats.RangeQueries = st.RangeQueries
+	res.Stats.CritNs = st.CritNs
+	res.Stats.WallNs = st.WallNs
+	return err
 }
 
-// dbscanParallel reproduces the sequential labelling in two parallel passes.
+// dbscanGraph is the generic labeller: three passes, one ε-expansion per
+// point, no union-find.
 //
-// Pass 1 flags core points (one ε-range query per point). Pass 2 re-queries
-// the core points only: core-core neighbour pairs are unioned (the clusters
-// are exactly the components of the core-core ε-graph) and core-border
-// pairs are recorded. Cluster IDs go to components by ascending minimum
-// core point — the order the sequential outer scan discovers them — and a
-// border point joins the smallest cluster ID among its core neighbours,
-// which is the cluster that would have reached it first sequentially
-// (clusters expand to completion one at a time, in ID order).
-func dbscanParallel(ctx context.Context, g network.Graph, opts DBSCANOptions, workers int) (*DBSCANResult, error) {
-	n := g.NumPoints()
-	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
-	core := res.Core
-	statsArr := make([]Stats, workers)
-	// Per-worker scratches of both passes, harvested for prune counters
-	// after the workers finish (each slot is touched by one goroutine).
-	scratches := make([]network.RangeQuerier, 2*workers)
-
-	// Pass 1: core flags. Each worker writes disjoint core[p] slots.
-	err := parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		scratch.SetBounder(opts.Prune)
-		scratches[w] = scratch
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				if len(nb) >= opts.MinPts {
-					core[p] = true
-				}
-			}
-			return nil
+//  1. Flags. One ε-range query per point, stopped as soon as MinPts members
+//     are proven. A query that finishes below MinPts has seen the point's
+//     whole neighbourhood and leaves it in a side list, so a non-core point
+//     is never expanded again.
+//  2. Growth. DBSCAN's clusters are the ε-components of its core points, and
+//     a point's network distance to another does not depend on which other
+//     points exist: Fig. 6 with the non-core points masked labels exactly
+//     those components, one traversal per cluster instead of one range query
+//     per core point. Seeds ascend, so clusters are numbered by ascending
+//     smallest core member.
+//  3. Borders. A non-core point joins the smallest label among the core
+//     points its expansion saw (the cluster a one-at-a-time expansion in
+//     label order reaches it from first), Noise when it saw none.
+//
+// Pass 1 is independent per point and stripes over opts.Workers; passes 2
+// and 3 are a handful of traversals and a scan of the side lists and stay on
+// the caller's goroutine.
+func dbscanGraph(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) error {
+	var side [][]network.PointID
+	var err error
+	if ck, ok := g.(network.ClusterKernel); ok && opts.Prune == nil {
+		// A native flag pass (the sharded set's shard-local sweep) proves
+		// core points without keeping neighbourhoods: the non-core points —
+		// the few — are queried once more for their side records. Its
+		// critical-path model is extended by everything serial after it.
+		cs, err := ck.CoreFlags(ctx, opts.Eps, opts.MinPts, normWorkers(opts.Workers), res.Core)
+		if err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return nil, err
+		defer func(t0 time.Time) {
+			tail := time.Since(t0).Nanoseconds()
+			res.Stats.CritNs = cs.CritNs + tail
+			res.Stats.WallNs = cs.WallNs + tail
+		}(time.Now())
+		res.Stats.RangeQueries = cs.RangeQueries
+		sc := network.ScratchFor(g)
+		var recs []network.PointID
+		for p, c := range res.Core {
+			if c {
+				continue
+			}
+			nb, err := sc.RangeQueryCtx(ctx, g, network.PointID(p), opts.Eps)
+			if err != nil {
+				return err
+			}
+			res.Stats.RangeQueries++
+			recs = sideRecord(recs, p, nb)
+		}
+		side = [][]network.PointID{recs}
+	} else if side, err = flagSweep(ctx, g, opts, res); err != nil {
+		return err
 	}
 
-	// Pass 2: core-core unions and border adoption candidates.
-	ufs := make([]*unionfind.UF, workers)
-	borders := make([][]borderEdge, workers)
-	err = parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		scratch.SetBounder(opts.Prune)
-		scratches[workers+w] = scratch
-		uf := unionfind.New(n)
-		ufs[w] = uf
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				if !core[p] {
-					continue
-				}
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				for _, q := range nb {
-					if core[q] {
-						uf.Union(p, int(q))
-					} else {
-						borders[w] = append(borders[w], borderEdge{border: q, core: network.PointID(p)})
-					}
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	uf := mergeUnionFinds(ufs)
-	next := labelComponents(uf, res.Labels, func(p int) bool { return core[p] })
-	labels := res.Labels
-	for _, bl := range borders {
-		for _, be := range bl {
-			c := labels[uf.Find(int(be.core))]
-			if labels[be.border] == Noise || c < labels[be.border] {
-				labels[be.border] = c
-			}
-		}
-	}
-	for _, flag := range core {
-		if flag {
+	st := newEpsLinkState(ctx, g, opts.Eps, res.Labels, &res.Stats)
+	for p, c := range res.Core {
+		if c {
 			res.CorePoints++
+		} else {
+			st.state[p] = ptMasked
 		}
 	}
-	res.NumClusters = int(next)
-	for _, st := range statsArr {
-		res.Stats.add(st)
+	if res.NumClusters, err = st.growAll(); err != nil {
+		return err
 	}
+
+	ticks := 0
+	for _, recs := range side {
+		for i := 0; i < len(recs); {
+			if err := ctxCheck(ctx, &ticks); err != nil {
+				return err
+			}
+			p, k := recs[i], int(recs[i+1])
+			i += 2
+			best := Noise
+			for _, q := range recs[i : i+k] {
+				if l := res.Labels[q]; res.Core[q] && (best == Noise || l < best) {
+					best = l
+				}
+			}
+			res.Labels[p] = best
+			i += k
+		}
+	}
+	return nil
+}
+
+// sideRecord appends non-core point p's record [p, k, q1..qk] — the k < MinPts
+// points of its finished neighbourhood, from which the border pass picks p's
+// cluster — to recs.
+func sideRecord(recs []network.PointID, p int, nb []network.PointID) []network.PointID {
+	recs = append(recs, network.PointID(p), network.PointID(len(nb)))
+	return append(recs, nb...)
+}
+
+// flagSweep is the generic pass 1: it writes res.Core and returns one side
+// list per worker. Each worker queries through its own read view and scratch,
+// under opts.Prune when set, and touches disjoint indices of res.Core.
+func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) ([][]network.PointID, error) {
+	workers := normWorkers(opts.Workers)
+	side := make([][]network.PointID, workers)
+	scratches := make([]network.RangeQuerier, workers)
+	core := res.Core
+	err := parallelPoints(workers, len(core), func(w int) func(lo, hi int) error {
+		view := g
+		if workers > 1 {
+			view = network.ReadView(g)
+		}
+		sc := network.ScratchFor(view)
+		sc.SetBounder(opts.Prune)
+		scratches[w] = sc
+		return func(lo, hi int) error {
+			for p := lo; p < hi; p++ {
+				nb, err := sc.RangeQueryLimitCtx(ctx, view, network.PointID(p), opts.Eps, opts.MinPts)
+				if err != nil {
+					return err
+				}
+				if core[p] = len(nb) >= opts.MinPts; !core[p] {
+					side[w] = sideRecord(side[w], p, nb)
+				}
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.RangeQueries = len(core)
 	for _, sc := range scratches {
 		if sc != nil {
 			res.Stats.Prune.Add(sc.PruneStats())
 		}
 	}
-	return res, nil
+	return side, nil
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"netclus/internal/heapx"
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
 // EpsLinkOptions configures the ε-Link algorithm (§4.3.1).
@@ -18,16 +18,10 @@ type EpsLinkOptions struct {
 	Eps float64
 	// MinSup declares clusters with fewer members outliers (0/1 keeps all).
 	MinSup int
-	// Workers is a pure concurrency knob: labels never depend on it, and 0
-	// and 1 run the same code on every backend but the sharded set. The
-	// compiled snapshot runs its flat Fig. 6 port at every value (one
-	// traversal per cluster leaves nothing worth fanning out). On the store,
-	// the pointer network and delta views <= 1 runs the sequential Fig. 6
-	// algorithm and larger values issue one ε-range query per point across
-	// that many goroutines, each worker with its own read view and scratch,
-	// and merge the per-worker union-finds. The sharded set alone still
-	// tells 0 from 1: it keeps the sequential algorithm for 0 and sends
-	// every value >= 1 to its shard-parallel kernel.
+	// Workers is accepted for symmetry with DBSCANOptions and changes
+	// nothing: ε-Link is one Fig. 6 traversal per cluster on every backend —
+	// the flat port on the compiled snapshot, the generic one everywhere
+	// else — which leaves nothing worth fanning out.
 	Workers int
 }
 
@@ -50,22 +44,51 @@ type epsEntry struct {
 	dist float64
 }
 
+// Per-point traversal state of a growth pass.
+const (
+	ptFree      uint8 = iota // selected, not yet in a cluster
+	ptClustered              // selected, member of a grown cluster
+	ptMasked                 // unselected: the traversal looks through it
+)
+
 // epsLinkState carries the per-run scratch of Fig. 6: the NNdist array is
 // epoch-stamped so starting a new cluster costs O(1) instead of O(|V|)
 // (the paper keeps one cluster at a time; outliers would otherwise pay a
-// full array reset each).
+// full array reset each). The traversal runs under a per-point selection
+// state: masked points are invisible, so the same code labels the
+// ε-components of any point subset — every point for ε-Link, the core points
+// for DBSCAN (dbscan.go).
 type epsLinkState struct {
-	ctx       context.Context
-	ticks     int
-	g         network.Graph
-	eps       float64
-	labels    []int32
-	clustered []bool
-	nnDist    []float64
-	nnEpoch   []int32
-	epoch     int32
-	h         *heapx.Heap[epsEntry]
-	stats     *Stats
+	ctx     context.Context
+	ticks   int
+	g       network.Graph
+	eps     float64
+	labels  []int32
+	state   []uint8 // ptFree / ptClustered / ptMasked per point
+	nnDist  []float64
+	nnEpoch []int32
+	epoch   int32
+	h       *heapx.Heap[epsEntry]
+	stats   *Stats
+}
+
+// newEpsLinkState readies a run over g with every point selected and
+// unclustered, labels reset to Noise and the traversal work booked in stats.
+func newEpsLinkState(ctx context.Context, g network.Graph, eps float64, labels []int32, stats *Stats) *epsLinkState {
+	for i := range labels {
+		labels[i] = Noise
+	}
+	return &epsLinkState{
+		ctx:     ctx,
+		g:       g,
+		eps:     eps,
+		labels:  labels,
+		state:   make([]uint8, len(labels)),
+		nnDist:  make([]float64, g.NumNodes()),
+		nnEpoch: make([]int32, g.NumNodes()),
+		h:       heapx.New(func(a, b epsEntry) bool { return a.dist < b.dist }),
+		stats:   stats,
+	}
 }
 
 func (s *epsLinkState) nnd(n network.NodeID) float64 {
@@ -85,6 +108,12 @@ func (s *epsLinkState) push(n network.NodeID, d float64) {
 	s.stats.HeapPushes++
 }
 
+// take makes the free point pid a member of the cluster being grown.
+func (s *epsLinkState) take(pid network.PointID, label int32) {
+	s.state[pid] = ptClustered
+	s.labels[pid] = label
+}
+
 // EpsLink runs the density-based ε-Link algorithm (Fig. 6) over every
 // unclustered point: each run grows one cluster by traversing only the part
 // of the network within ε of the cluster's points, linking points whose
@@ -97,64 +126,71 @@ func EpsLink(g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 
 // EpsLinkCtx is EpsLink with cancellation: the traversal checks ctx
 // periodically and returns an error wrapping ctx.Err() when it is done.
-// opts.Workers never changes the result (see EpsLinkOptions.Workers).
 func EpsLinkCtx(ctx context.Context, g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: EpsLink: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
 	}
+	res := &EpsLinkResult{Labels: make([]int32, g.NumPoints())}
 	// A graph that labels natively (the compiled snapshot's flat Fig. 6
-	// port) does so at every Workers value. The sharded set's union kernel
-	// takes Workers >= 1. Everything else — and the sharded set at Workers 0
-	// — runs the generic traversal below, or the per-point fan-out when
-	// Workers > 1. All paths produce identical labels.
+	// port) does so; everything else runs the generic traversal below. Both
+	// produce identical labels.
 	if lk, ok := g.(network.LabelKernel); ok {
-		return epsLinkFlat(ctx, g, lk, opts)
-	} else if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
-		return epsLinkKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
+		if err := epsLinkFlat(ctx, lk, opts, res); err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
-	if workers := normWorkers(opts.Workers); workers > 1 {
-		return epsLinkParallel(ctx, g, opts, workers)
+	st := newEpsLinkState(ctx, g, opts.Eps, res.Labels, &res.Stats)
+	found, err := st.growAll()
+	if err != nil {
+		return nil, err
 	}
-	n := g.NumPoints()
-	res := &EpsLinkResult{Labels: make([]int32, n)}
-	for i := range res.Labels {
-		res.Labels[i] = Noise
-	}
-	st := &epsLinkState{
-		ctx:       ctx,
-		g:         g,
-		eps:       opts.Eps,
-		labels:    res.Labels,
-		clustered: make([]bool, n),
-		nnDist:    make([]float64, g.NumNodes()),
-		nnEpoch:   make([]int32, g.NumNodes()),
-		h:         heapx.New(func(a, b epsEntry) bool { return a.dist < b.dist }),
-		stats:     &res.Stats,
-	}
+	res.ClustersFound = found
+	res.NumClusters = suppressAndCountDense(res.Labels, opts.MinSup, found)
+	return res, nil
+}
+
+// epsLinkFlat labels via lk's native Fig. 6 traversal. The kernel applies the
+// min_sup filter itself from the per-grow member counts, so there is no
+// suppression epilogue here.
+func epsLinkFlat(ctx context.Context, lk network.LabelKernel, opts EpsLinkOptions, res *EpsLinkResult) error {
+	t0 := time.Now()
+	found, kept, err := lk.EpsLinkLabels(ctx, opts.Eps, opts.MinSup, res.Labels)
+	res.ClustersFound = found
+	res.NumClusters = kept
+	ns := time.Since(t0).Nanoseconds()
+	res.Stats.CritNs = ns
+	res.Stats.WallNs = ns
+	return err
+}
+
+// growAll grows one cluster from every selected point no earlier cluster
+// reached, in ascending ID order — so clusters are numbered by ascending
+// smallest selected member — and returns how many it grew. Masked points
+// keep their Noise label.
+func (s *epsLinkState) growAll() (int, error) {
 	next := int32(0)
-	for p := 0; p < n; p++ {
-		if st.clustered[p] {
+	for p := range s.state {
+		if s.state[p] != ptFree {
 			continue
 		}
-		if err := ctxCheck(ctx, &st.ticks); err != nil {
-			return nil, err
+		if err := ctxCheck(s.ctx, &s.ticks); err != nil {
+			return 0, err
 		}
-		if st.epoch == math.MaxInt32 {
-			for i := range st.nnEpoch {
-				st.nnEpoch[i] = 0
+		if s.epoch == math.MaxInt32 {
+			for i := range s.nnEpoch {
+				s.nnEpoch[i] = 0
 			}
-			st.epoch = 0
+			s.epoch = 0
 		}
-		st.epoch++
-		st.h.Clear()
-		if err := st.grow(network.PointID(p), next); err != nil {
-			return nil, err
+		s.epoch++
+		s.h.Clear()
+		if err := s.grow(network.PointID(p), next); err != nil {
+			return 0, err
 		}
 		next++
 	}
-	res.ClustersFound = int(next)
-	res.NumClusters = suppressAndCountDense(res.Labels, opts.MinSup, int(next))
-	return res, nil
+	return int(next), nil
 }
 
 // grow is the ε-Link body (Fig. 6): it discovers the whole cluster of seed
@@ -173,8 +209,7 @@ func (s *epsLinkState) grow(m network.PointID, label int32) error {
 		return err
 	}
 	s.stats.GroupsRead++
-	s.clustered[m] = true
-	s.labels[m] = label
+	s.take(m, label)
 	idx := int(m - pg.First)
 
 	// Lines 5-11: populate the seed edge in both directions, then enqueue
@@ -182,11 +217,16 @@ func (s *epsLinkState) grow(m network.PointID, label int32) error {
 	last := idx
 	for j := idx - 1; j >= 0; j-- {
 		pid := pg.First + network.PointID(j)
-		if s.clustered[pid] || off[last]-off[j] > s.eps {
+		if st := s.state[pid]; st != ptFree {
+			if st == ptMasked {
+				continue
+			}
 			break
 		}
-		s.clustered[pid] = true
-		s.labels[pid] = label
+		if off[last]-off[j] > s.eps {
+			break
+		}
+		s.take(pid, label)
 		last = j
 	}
 	if d := off[last]; d <= s.eps {
@@ -195,11 +235,16 @@ func (s *epsLinkState) grow(m network.PointID, label int32) error {
 	last = idx
 	for j := idx + 1; j < len(off); j++ {
 		pid := pg.First + network.PointID(j)
-		if s.clustered[pid] || off[j]-off[last] > s.eps {
+		if st := s.state[pid]; st != ptFree {
+			if st == ptMasked {
+				continue
+			}
 			break
 		}
-		s.clustered[pid] = true
-		s.labels[pid] = label
+		if off[j]-off[last] > s.eps {
+			break
+		}
+		s.take(pid, label)
 		last = j
 	}
 	if d := pg.Weight - off[last]; d <= s.eps {
@@ -223,33 +268,36 @@ func (s *epsLinkState) grow(m network.PointID, label int32) error {
 		}
 		s.stats.EdgesVisited += len(adj)
 		for _, nb := range adj {
-			if err := s.expandEdge(b, nb, label); err != nil {
-				return err
+			if nb.Group != network.NoGroup {
+				if selected, err := s.expandGroup(b, nb, label); err != nil {
+					return err
+				} else if selected {
+					continue
+				}
+			}
+			// Lines 32-37 (no selected point on the edge): the cluster can
+			// reach n_z only through the full edge.
+			if d := b.dist + nb.Weight; d <= s.eps && d < s.nnd(nb.Node) {
+				s.push(nb.Node, d)
 			}
 		}
 	}
 	return nil
 }
 
-// expandEdge traverses one edge leaving the dequeued node b (lines 16-37),
-// clustering reachable points on it and re-enqueueing whichever endpoints
-// got closer to the cluster.
-func (s *epsLinkState) expandEdge(b epsEntry, nb network.Neighbor, label int32) error {
-	if nb.Group == network.NoGroup {
-		// Lines 32-37 (point-free edge): the cluster can reach n_z only
-		// through the full edge.
-		if d := b.dist + nb.Weight; d <= s.eps && d < s.nnd(nb.Node) {
-			s.push(nb.Node, d)
-		}
-		return nil
-	}
+// expandGroup traverses the points on one edge leaving the dequeued node b
+// (lines 16-31, 34-37): cluster the reachable selected points, then
+// re-enqueue whichever endpoints got closer to the cluster. It reports false
+// when the group holds no selected point — the edge then counts as
+// point-free.
+func (s *epsLinkState) expandGroup(b epsEntry, nb network.Neighbor, label int32) (bool, error) {
 	pg, err := s.g.Group(nb.Group)
 	if err != nil {
-		return err
+		return false, err
 	}
 	off, err := s.g.GroupOffsets(nb.Group)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.stats.GroupsRead++
 
@@ -263,24 +311,38 @@ func (s *epsLinkState) expandEdge(b epsEntry, nb network.Neighbor, label int32) 
 		j := count - 1 - i
 		return pg.First + network.PointID(j), pg.Weight - off[j]
 	}
+	var pid network.PointID
+	var dl float64
+	i := 0
+	for ; i < count; i++ {
+		if pid, dl = at(i); s.state[pid] != ptMasked {
+			break
+		}
+	}
+	if i == count {
+		return false, nil
+	}
 
 	newdB, newdNz := network.Inf, network.Inf
-	pid0, dl0 := at(0)
-	if !s.clustered[pid0] && dl0+b.dist <= s.eps {
+	if s.state[pid] == ptFree && dl+b.dist <= s.eps {
 		// Lines 18-27: cluster the first point, then chain while gaps stay
 		// within eps.
-		s.clustered[pid0] = true
-		s.labels[pid0] = label
-		newdB = dl0
-		newdNz = pg.Weight - dl0
-		prevDL := dl0
-		for i := 1; i < count; i++ {
+		s.take(pid, label)
+		newdB = dl
+		newdNz = pg.Weight - dl
+		prevDL := dl
+		for i++; i < count; i++ {
 			pid, dl := at(i)
-			if s.clustered[pid] || dl-prevDL > s.eps {
+			if st := s.state[pid]; st != ptFree {
+				if st == ptMasked {
+					continue
+				}
 				break
 			}
-			s.clustered[pid] = true
-			s.labels[pid] = label
+			if dl-prevDL > s.eps {
+				break
+			}
+			s.take(pid, label)
 			newdNz = pg.Weight - dl
 			prevDL = dl
 		}
@@ -294,50 +356,5 @@ func (s *epsLinkState) expandEdge(b epsEntry, nb network.Neighbor, label int32) 
 	if newdNz <= s.eps && newdNz < s.nnd(nb.Node) {
 		s.push(nb.Node, newdNz)
 	}
-	return nil
-}
-
-// epsLinkParallel computes the same clustering as the sequential Fig. 6
-// algorithm from its defining relation: the ε-Link clusters are the
-// connected components of the graph that joins p and q when d(p, q) <= eps.
-// Every point issues one ε-range query (fanned across workers, each with
-// its own read view, scratch and union-find shard); the shards are merged
-// and components are labelled by ascending minimum member — exactly the
-// order in which the sequential run discovers clusters, so the Labels
-// slice is identical.
-func epsLinkParallel(ctx context.Context, g network.Graph, opts EpsLinkOptions, workers int) (*EpsLinkResult, error) {
-	n := g.NumPoints()
-	res := &EpsLinkResult{Labels: make([]int32, n)}
-	ufs := make([]*unionfind.UF, workers)
-	statsArr := make([]Stats, workers)
-	err := parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		uf := unionfind.New(n)
-		ufs[w] = uf
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				for _, q := range nb {
-					uf.Union(p, int(q))
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	uf := mergeUnionFinds(ufs)
-	res.ClustersFound = int(labelComponents(uf, res.Labels, nil))
-	for _, st := range statsArr {
-		res.Stats.add(st)
-	}
-	res.NumClusters = suppressAndCountDense(res.Labels, opts.MinSup, res.ClustersFound)
-	return res, nil
+	return true, nil
 }

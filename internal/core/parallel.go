@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
 // ErrInvalidOptions is wrapped by every option-validation failure of the
@@ -62,11 +59,14 @@ func batchSize(n, workers int) int {
 // parallelPoints fans work over the index range [0, n) across workers
 // goroutines. Each goroutine calls handler(w) once to build its batch
 // function — handler typically allocates per-worker state there (a graph
-// read view, a RangeScratch, a union-find shard) — then pulls contiguous
-// batches [lo, hi) from a shared counter until the range is exhausted or
-// any worker fails. The first error stops the remaining batches and is
-// returned.
+// read view, a RangeScratch) — then pulls contiguous batches [lo, hi) from a
+// shared counter until the range is exhausted or any worker fails. The first
+// error stops the remaining batches and is returned. One worker runs the
+// whole range on the caller's goroutine.
 func parallelPoints(workers, n int, handler func(w int) func(lo, hi int) error) error {
+	if workers == 1 {
+		return handler(0)(0, n)
+	}
 	size := batchSize(n, workers)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -101,96 +101,4 @@ func parallelPoints(workers, n int, handler func(w int) func(lo, hi int) error) 
 		}
 	}
 	return nil
-}
-
-// mergeUnionFinds folds the worker union-find shards into the first one and
-// returns it: every element is unioned with its shard representative, so the
-// result's components are the transitive closure of all shards' unions. nil
-// shards (workers that never ran) are skipped.
-func mergeUnionFinds(ufs []*unionfind.UF) *unionfind.UF {
-	var dst *unionfind.UF
-	for _, src := range ufs {
-		if src == nil {
-			continue
-		}
-		if dst == nil {
-			dst = src
-			continue
-		}
-		src.MergeInto(dst)
-	}
-	return dst
-}
-
-// mergeUnionFindsCrit folds the shards pairwise in log2(len) rounds — the
-// merges within a round touch disjoint shard pairs, so they run concurrently
-// (when the host has spare processors) and each round charges only its
-// slowest merge to the returned critical path. Unions commute, so the folded
-// partition is identical to the sequential left fold. wallNs is the realized
-// elapsed time. All shards must be non-nil (the kernel paths build one per
-// worker upfront).
-func mergeUnionFindsCrit(ufs []*unionfind.UF) (uf *unionfind.UF, critNs, wallNs int64) {
-	live := make([]*unionfind.UF, len(ufs))
-	copy(live, ufs)
-	t0 := time.Now()
-	for len(live) > 1 {
-		half := (len(live) + 1) / 2
-		pairs := len(live) - half
-		roundNs := make([]int64, pairs)
-		run := func(i int) {
-			m0 := time.Now()
-			live[half+i].MergeInto(live[i])
-			roundNs[i] = time.Since(m0).Nanoseconds()
-		}
-		if pairs > 1 && runtime.GOMAXPROCS(0) > 1 {
-			var wg sync.WaitGroup
-			for i := 0; i < pairs; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					run(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := 0; i < pairs; i++ {
-				run(i)
-			}
-		}
-		var max int64
-		for _, ns := range roundNs {
-			if ns > max {
-				max = ns
-			}
-		}
-		critNs += max
-		live = live[:half]
-	}
-	return live[0], critNs, time.Since(t0).Nanoseconds()
-}
-
-// labelComponents assigns cluster labels by ascending minimum member: it
-// scans the points in ID order and gives each union-find root the next label
-// on first sight — exactly the order in which the sequential algorithms
-// discover clusters. Points for which include returns false keep Noise.
-// It returns the number of labels assigned.
-func labelComponents(uf *unionfind.UF, labels []int32, include func(p int) bool) int32 {
-	rootLab := make([]int32, len(labels))
-	for i := range rootLab {
-		rootLab[i] = Noise
-	}
-	next := int32(0)
-	for p := range labels {
-		labels[p] = Noise
-		if include != nil && !include(p) {
-			continue
-		}
-		r := uf.Find(p)
-		if rootLab[r] == Noise {
-			rootLab[r] = next
-			next++
-		}
-		labels[p] = rootLab[r]
-	}
-	return next
 }

@@ -28,14 +28,15 @@ type Stats struct {
 	HeapPushes   int // priority-queue insertions
 	EdgesVisited int // adjacency entries examined
 	GroupsRead   int // point-group fetches
-	RangeQueries int // ε-range queries issued (DBSCAN)
+	RangeQueries int // ε-range queries issued (DBSCAN: one per point; see workers_contract_test.go)
 
-	// CritNs and WallNs time clustering runs through a graph's native kernel
-	// (network.LabelKernel, network.ClusterKernel): CritNs is the critical
-	// path — the slowest worker stripe of each striped pass plus everything
-	// serial — i.e. what a host with one core per worker would pay, WallNs
-	// the realized wall time on this host. Both zero for runs that did not
-	// go through a kernel.
+	// CritNs and WallNs time density clustering through a graph's native
+	// kernel — the snapshot's whole labeller (network.LabelKernel) or the
+	// sharded set's flag pass (network.ClusterKernel) plus the serial growth
+	// and border passes after it: CritNs is the critical path — the slowest
+	// worker stripe of each striped pass plus everything serial — i.e. what
+	// a host with one core per worker would pay, WallNs the realized wall
+	// time on this host. Both zero for runs on the generic flag sweep.
 	CritNs int64
 	WallNs int64
 
@@ -98,9 +99,8 @@ func SuppressSmallClusters(labels []int32, minSup int) []int32 {
 
 // suppressAndCountDense is SuppressSmallClusters followed by CountClusters
 // for label slices whose non-noise values are dense in [0, found) — the
-// shape every ε-Link path produces (sequential Fig. 6 numbers clusters
-// 0,1,2,… as it discovers them; the parallel paths label components by
-// ascending minimum member). One counting pass over a slice replaces the
+// shape the generic ε-Link produces (Fig. 6 numbers clusters 0,1,2,… as it
+// discovers them). One counting pass over a slice replaces the
 // generic map bookkeeping, which profiles as the dominant cost of ε-Link
 // runs on small-to-medium datasets.
 func suppressAndCountDense(labels []int32, minSup, found int) int {

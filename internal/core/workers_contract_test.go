@@ -6,80 +6,91 @@ import (
 	"testing"
 
 	"netclus/internal/core"
-	"netclus/internal/csr"
-	"netclus/internal/network"
-	"netclus/internal/storage"
+	"netclus/internal/shard"
 	"netclus/internal/testnet"
 )
 
-// TestLabelKernelWorkersContract pins the Workers contract: Workers is a
-// concurrency knob, and 0 and 1 are the same run — identical labels, core
-// flags, counts and Stats.RangeQueries — on the compiled snapshot, the disk
-// store and the pointer network; 4 workers change nothing but the wall clock.
-// On the snapshot every value expands each point exactly once.
+// TestLabelKernelWorkersContract pins the Workers contract of both labellers —
+// the snapshot's flat kernel and the generic three-pass engine — on every
+// backend: Workers is a concurrency knob, 0 and 1 are the same run, and 4
+// workers change nothing but the wall clock: identical labels, core flags,
+// counts and Stats.RangeQueries.
+//
+// Stats.RangeQueries tells the truth: DBSCAN expands every point exactly once
+// on the pointer network, the store, the snapshot and a delta view, pruned or
+// not; the sharded set's native flag pass adds its boundary escalations and
+// the re-query of the non-core points (exactly NumPoints() + non-core points
+// on a single shard, which has no boundary), and runs the generic sweep — one
+// query per point — under a Bounder. ε-Link issues none. CritNs/WallNs are the
+// native kernels' timing model and stay zero on the generic sweep.
 func TestLabelKernelWorkersContract(t *testing.T) {
 	ctx := context.Background()
 	g, _, err := testnet.RandomClustered(11, 60, 240, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := csr.Compile(g)
+	backends := densityBackends(t, g, 4, true)
+	single, err := shard.Build(g, make([]int32, g.NumNodes()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	sopts := storage.Options{PageSize: 512, BufferBytes: 1 << 16}
-	if err := storage.Build(dir, g, sopts); err != nil {
-		t.Fatal(err)
-	}
-	st, err := storage.Open(dir, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	backends = append(backends, densityBackend{"1-shard", single, backends[0].dist, backends[0].bounds, true})
 
-	for _, bk := range []struct {
-		name string
-		g    network.Graph
-	}{{"snapshot", sn}, {"store", st}, {"network", g}} {
-		for _, minPts := range []int{1, 2, 3, 5} {
-			for _, eps := range []float64{0.05, 0.15, 0.4} {
-				opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}
-				ref, err := core.DBSCANCtx(ctx, g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var w0 *core.DBSCANResult
-				for _, workers := range []int{0, 1, 4} {
-					opts.Workers = workers
-					got, err := core.DBSCANCtx(ctx, bk.g, opts)
-					if err != nil {
-						t.Fatalf("%s eps=%v minPts=%d workers=%d: %v", bk.name, eps, minPts, workers, err)
+	for _, bk := range backends {
+		n := bk.g.NumPoints()
+		_, sharded := bk.g.(*shard.Set)
+		prunes := []bool{false}
+		if bk.bounds != nil {
+			prunes = append(prunes, true)
+		}
+		for _, pruned := range prunes {
+			// Native timing: the snapshot's flat kernel and the sharded
+			// set's flag pass, both only without a Bounder.
+			timed := !pruned && (sharded || bk.name == "snapshot")
+			for _, minPts := range []int{1, 2, 3, 5} {
+				for _, eps := range []float64{0.05, 0.15, 0.4} {
+					opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}
+					if pruned {
+						opts.Prune = bk.bounds
 					}
-					if !reflect.DeepEqual(ref.Labels, got.Labels) || !reflect.DeepEqual(ref.Core, got.Core) ||
-						ref.NumClusters != got.NumClusters || ref.CorePoints != got.CorePoints {
-						t.Fatalf("%s eps=%v minPts=%d workers=%d: DBSCAN diverged from the sequential network run", bk.name, eps, minPts, workers)
-					}
-					switch {
-					case workers == 0:
-						w0 = got
-					case workers == 1 && got.Stats.RangeQueries != w0.Stats.RangeQueries:
-						t.Fatalf("%s eps=%v minPts=%d: Workers 1 ran %d range queries, Workers 0 %d",
-							bk.name, eps, minPts, got.Stats.RangeQueries, w0.Stats.RangeQueries)
-					}
-					if bk.name == "snapshot" && got.Stats.RangeQueries != g.NumPoints() {
-						t.Fatalf("snapshot eps=%v minPts=%d workers=%d: %d expansions for %d points",
-							eps, minPts, workers, got.Stats.RangeQueries, g.NumPoints())
+					var w0 *core.DBSCANResult
+					for _, workers := range []int{0, 1, 4} {
+						opts.Workers = workers
+						got, err := core.DBSCANCtx(ctx, bk.g, opts)
+						if err != nil {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %v", bk.name, eps, minPts, workers, pruned, err)
+						}
+						if workers == 0 {
+							w0 = got
+						} else if !reflect.DeepEqual(w0.Labels, got.Labels) || !reflect.DeepEqual(w0.Core, got.Core) ||
+							w0.NumClusters != got.NumClusters || w0.CorePoints != got.CorePoints ||
+							w0.Stats.RangeQueries != got.Stats.RangeQueries {
+							t.Fatalf("%s eps=%v minPts=%d pruned=%v: Workers %d is not the Workers 0 run (%d vs %d range queries)",
+								bk.name, eps, minPts, pruned, workers, got.Stats.RangeQueries, w0.Stats.RangeQueries)
+						}
+						q, nonCore := got.Stats.RangeQueries, n-got.CorePoints
+						switch {
+						case !sharded || pruned:
+							if q != n {
+								t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d expansions for %d points", bk.name, eps, minPts, workers, pruned, q, n)
+							}
+						case bk.name == "1-shard":
+							if q != n+nonCore {
+								t.Fatalf("%s eps=%v minPts=%d workers=%d: %d expansions, want %d points + %d non-core", bk.name, eps, minPts, workers, q, n, nonCore)
+							}
+						case q < n+nonCore || q > 2*n+nonCore:
+							t.Fatalf("%s eps=%v minPts=%d workers=%d: %d expansions for %d points, %d non-core", bk.name, eps, minPts, workers, q, n, nonCore)
+						}
+						if st := got.Stats; timed != (st.CritNs > 0) || timed != (st.WallNs > 0) {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: CritNs=%d WallNs=%d, native timing expected: %v",
+								bk.name, eps, minPts, workers, pruned, st.CritNs, st.WallNs, timed)
+						}
 					}
 				}
 			}
 		}
 		for _, eps := range []float64{0.05, 0.15, 0.4} {
 			opts := core.EpsLinkOptions{Eps: eps, MinSup: 3}
-			ref, err := core.EpsLinkCtx(ctx, g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var w0 *core.EpsLinkResult
 			for _, workers := range []int{0, 1, 4} {
 				opts.Workers = workers
@@ -87,15 +98,13 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s eps=%v workers=%d: %v", bk.name, eps, workers, err)
 				}
-				if !reflect.DeepEqual(ref.Labels, got.Labels) || ref.NumClusters != got.NumClusters || ref.ClustersFound != got.ClustersFound {
-					t.Fatalf("%s eps=%v workers=%d: eps-Link diverged from the sequential network run", bk.name, eps, workers)
-				}
-				switch {
-				case workers == 0:
+				if workers == 0 {
 					w0 = got
-				case workers == 1 && got.Stats.RangeQueries != w0.Stats.RangeQueries:
-					t.Fatalf("%s eps=%v: Workers 1 ran %d range queries, Workers 0 %d",
-						bk.name, eps, got.Stats.RangeQueries, w0.Stats.RangeQueries)
+				} else if !reflect.DeepEqual(w0.Labels, got.Labels) || w0.NumClusters != got.NumClusters || w0.ClustersFound != got.ClustersFound {
+					t.Fatalf("%s eps=%v: Workers %d is not the Workers 0 run", bk.name, eps, workers)
+				}
+				if got.Stats.RangeQueries != 0 {
+					t.Fatalf("%s eps=%v workers=%d: eps-Link booked %d range queries", bk.name, eps, workers, got.Stats.RangeQueries)
 				}
 			}
 		}

@@ -11,18 +11,14 @@ import (
 	"netclus/internal/unionfind"
 )
 
-// This file holds the fused clustering passes of the network.ClusterKernel
-// contract: the batched core-flag pass and the ε-union sweep that union-find
-// based labelling is built from. core dispatches to the contract for the
-// sharded set only, which runs the same passes per shard; the snapshot itself
-// is labelled by DBSCANLabels and EpsLinkLabels, and dbscan.go shares
-// clusterRun and the counting expansion below. Both passes
-// sweep the points in contiguous stripes over pooled epoch-stamped
+// This file holds the striped-sweep machinery of the snapshot's labeller:
+// clusterRun and the early-exiting counting expansion (rangeCount) that
+// dbscan.go's flag pass and the sharded set's per-shard sweeps run. The
+// sweeps cover the points in contiguous stripes over pooled epoch-stamped
 // scratches — the same SoA shape as NewKNNBatch — so their steady state
-// allocates nothing; the core-flag pass additionally stops each counting
-// expansion as soon as MinPts members are proven.
-
-var _ network.ClusterKernel = (*Snapshot)(nil)
+// allocates nothing. CoreFlags and EpsUnions are the two passes of the
+// retired union-find engine; no dispatch reaches them any more (the snapshot
+// is labelled by DBSCANLabels and EpsLinkLabels).
 
 // clusterState is the pooled coordination state of one fused pass:
 // per-stripe wall times, query counts, prune deltas and errors.
@@ -124,7 +120,8 @@ func (s *Snapshot) clusterRun(ctx context.Context, n, workers int, stripe func(w
 // CoreFlags is the fused core-flag pass: one counting ε-expansion per point,
 // early-exited at minPts, fanned across workers stripes. With a non-nil
 // prune every expansion runs the filter-and-refine path instead (identical
-// flags, counters in the stats). Satisfies network.ClusterKernel.
+// flags, counters in the stats). Held for benchmark/layers.go's
+// csr.coreflags_* probe and the tests; no product caller.
 func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune network.Bounder, core []bool) (network.ClusterStats, error) {
 	n := len(s.ptPos)
 	if len(core) != n {
@@ -183,8 +180,8 @@ func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers i
 // per-worker union-find shards: each unordered selected pair within eps is
 // unioned exactly once (at its larger endpoint's sweep — both endpoints see
 // the symmetric distance, so halving the union volume loses nothing), and
-// every (unselected, selected) incidence is reported through border.
-// Satisfies network.ClusterKernel.
+// every (unselected, selected) incidence is reported through border. Held
+// for benchmark/layers.go's csr.epsunions_* probe; no product caller.
 func (s *Snapshot) EpsUnions(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c network.PointID)) (network.ClusterStats, error) {
 	n := len(s.ptPos)
 	if sel != nil && len(sel) != n {

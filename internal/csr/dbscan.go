@@ -8,25 +8,13 @@ import (
 	"netclus/internal/network"
 )
 
-// This file is the snapshot's DBSCAN: three passes, at most one expansion
-// per point, no union-find, no merge, no relabel.
-//
-//  1. Flags. One early-exiting counting expansion per point (rangeCount).
-//     An expansion that finishes below minPts has seen the point's whole
-//     neighbourhood — fewer than minPts IDs — and leaves it in the stripe's
-//     side list, so a non-core point is never expanded again.
-//  2. Growth. DBSCAN's clusters are the ε-components of its core points, and
-//     a point's network distance to another does not depend on which other
-//     points exist: Fig. 6 with the non-core points masked labels exactly
-//     those components, one traversal per cluster instead of one range query
-//     per core point. Seeds ascend, so clusters are numbered by ascending
-//     smallest core member — the order the sequential outer scan opens them.
-//  3. Borders. The sequential run grows its clusters to completion one at a
-//     time in label order, so a non-core point ends up in the first cluster
-//     that reaches it: the smallest label among its core neighbours.
-//
-// Passes 1 and 3 are independent per point and stripe over workers; pass 2
-// is a handful of graph traversals and stays on the caller's goroutine.
+// This file is the snapshot's DBSCAN: the flat-array port of core's generic
+// three-pass labeller (internal/core/dbscan.go carries the argument) — flags
+// by one early-exiting counting expansion per point (rangeCount), the
+// core-masked Fig. 6 growth of epslink.go, border adoption from the per-stripe
+// side lists. Passes 1 and 3 are independent per point and stripe over
+// workers; pass 2 is a handful of graph traversals and stays on the caller's
+// goroutine.
 
 // DBSCANLabels labels the snapshot's points with DBSCAN(eps, minPts); see
 // network.LabelKernel for the contract. At workers <= 1 its steady state

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the flat-array port of the paper's Fig. 6 ε-Link traversal
-// (core.EpsLinkCtx's sequential path): the same algorithm, line for line,
+// (core.EpsLinkCtx's generic path): the same algorithm, line for line,
 // but reading the snapshot's rowOff/adjNode/adjW/adjGroup and ptPos arrays
 // directly instead of going through the Graph interface, with the NNdist
 // array epoch-stamped per cluster and the whole state pooled. Clusters are

@@ -1,5 +1,5 @@
 // Differential tests for the snapshot's label kernel (network.LabelKernel):
-// the three-pass DBSCAN must reproduce the sequential generic run on the
+// the three-pass DBSCAN must reproduce the generic labeller's run on the
 // pointer network and the internal/matrix brute force byte for byte, at every
 // Workers value, on hand-built shapes that aim at the selection-mask logic of
 // the core-restricted Fig. 6 growth — and it must expand every point exactly
@@ -17,145 +17,25 @@ import (
 	"netclus/internal/testnet"
 )
 
-// shape is a hand-built network. Every number is a multiple of 1/8, so all
-// distance arithmetic is exact and a point at exactly eps is within eps in
-// every implementation.
-type shape struct {
-	name  string
-	nodes int
-	edges []shapeEdge
-}
-
-// shapeEdge is the edge (u, v) of weight w carrying one point at each of the
-// distances pts from u.
-type shapeEdge struct {
-	u, v int
-	w    float64
-	pts  []float64
-}
-
-// The node numberings a shape is built in. Point IDs follow the edge keys, so
-// a renumbering moves the seeds, and it decides which end of an edge is N1:
-// mirrored (i -> nodes-1-i) seeds every cluster from the other side, twisted
-// (0 stays, the rest reversed) keeps the seeds where they are but makes the
-// growth enter the later groups from N2 instead of N1.
-const (
-	asWritten = iota
-	mirrored
-	twisted
-)
-
-// build materialises the shape in the given node numbering.
-func (s shape) build(t testing.TB, numbering int) *network.Network {
-	t.Helper()
-	id := func(i int) network.NodeID {
-		switch {
-		case numbering == mirrored:
-			i = s.nodes - 1 - i
-		case numbering == twisted && i > 0:
-			i = s.nodes - i
-		}
-		return network.NodeID(i)
-	}
-	b := network.NewBuilder()
-	b.AddNodes(s.nodes)
-	tag := int32(0)
-	for _, e := range s.edges {
-		u, v := id(e.u), id(e.v)
-		b.AddEdge(u, v, e.w)
-		for _, d := range e.pts {
-			pos := d
-			if u > v {
-				pos = e.w - d
-			}
-			b.AddPoint(u, v, pos, tag)
-			tag++
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("shape %s: %v", s.name, err)
-	}
-	return g
-}
-
-// shapes are meant for eps = 1 (the ladder below brackets it) and MinPts 4
-// or 5; "c" marks points that are core there, "x" the ones that are not.
-var shapes = []shape{
-	{
-		// c1 (2.0) and c2 (3.0) are exactly eps apart with the non-core x
-		// (2.5) between them on one edge; each has three more neighbours x
-		// cannot see. Seeding from c1 must step over x to reach c2.
-		name: "noncore-between-cores-seed-edge", nodes: 2,
-		edges: []shapeEdge{{0, 1, 5, []float64{1, 1.125, 1.25, 2, 2.5, 3, 3.75, 3.875, 4}}},
-	},
-	{
-		// The same trio c1 (0.5) x (1.0) c2 (1.5) on edge (1,2), but the
-		// cluster is seeded on edge (0,1) and enters through node 1: the
-		// chain from the first selected point must skip x.
-		name: "noncore-between-cores-chain", nodes: 3,
-		edges: []shapeEdge{
-			{0, 1, 1, []float64{0.5, 0.625, 0.75}},
-			{1, 2, 5, []float64{0.5, 1, 1.5, 2.25, 2.375, 2.5}},
-		},
-	},
-	{
-		// c1 (0.25 before node 1) and c2 (0.25 past node 2) are exactly eps
-		// apart through edge (1,2), whose only point x is not core: the
-		// growth has to cross that edge as if it were point-free.
-		name: "coreless-group-on-the-path", nodes: 4,
-		edges: []shapeEdge{
-			{0, 1, 4, []float64{2.75, 2.875, 3, 3.75}},
-			{1, 2, 0.5, []float64{0.25}},
-			{2, 3, 4, []float64{0.25, 1, 1.125, 1.25}},
-		},
-	},
-	{
-		// Two clusters 2 apart with one border point exactly eps from the
-		// nearest core of each: the smaller label wins, whichever end the
-		// numbering starts from.
-		name: "border-of-two-clusters", nodes: 2,
-		edges: []shapeEdge{{0, 1, 10, []float64{1, 1.25, 1.5, 1.75, 2.75, 3.75, 4, 4.25, 4.5}}},
-	},
-	{
-		// Points 3 apart: noise at every eps of the ladder once MinPts > 1.
-		name: "all-noise", nodes: 3,
-		edges: []shapeEdge{
-			{0, 1, 9, []float64{0, 3, 6}},
-			{1, 2, 9, []float64{0.5, 3.5, 6.5}},
-		},
-	},
-	{
-		// Nine points within 1 of each other around a junction.
-		name: "all-core", nodes: 4,
-		edges: []shapeEdge{
-			{0, 1, 2, []float64{1.5, 1.625, 1.75}},
-			{1, 2, 2, []float64{0.125, 0.25, 0.375}},
-			{1, 3, 2, []float64{0.125, 0.25, 0.5}},
-		},
-	},
-	{
-		// Two components no path connects, dense and sparse points on each,
-		// plus a point-free component.
-		name: "disconnected", nodes: 7,
-		edges: []shapeEdge{
-			{0, 1, 3, []float64{0.5, 0.75, 1, 1.25, 2.75}},
-			{1, 2, 1, nil},
-			{3, 4, 3, []float64{0.25, 0.5, 0.75, 2.5, 2.75, 3}},
-			{5, 6, 1, nil},
-		},
-	},
-}
-
-// shapeGraphs returns every shape in every numbering.
+// shapeGraphs returns every shared hand-built shape (testnet.Shapes) in every
+// numbering.
 func shapeGraphs(t testing.TB) map[string]*network.Network {
-	out := make(map[string]*network.Network)
-	for _, s := range shapes {
-		out[s.name] = s.build(t, asWritten)
-		out[s.name+"/mirrored"] = s.build(t, mirrored)
-		out[s.name+"/twisted"] = s.build(t, twisted)
+	t.Helper()
+	out, err := testnet.ShapeGraphs()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
+}
+
+// buildShape materialises one shape in one numbering.
+func buildShape(t testing.TB, s testnet.Shape, numbering int) *network.Network {
+	t.Helper()
+	g, err := s.Build(numbering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // checkLabelKernelDBSCAN runs DBSCAN(eps, minPts) on the pointer network g
@@ -255,9 +135,9 @@ func TestLabelKernelDBSCANZoo(t *testing.T) {
 func TestLabelKernelShapesAreWhatTheyClaim(t *testing.T) {
 	run := func(name string, minPts int) *core.DBSCANResult {
 		t.Helper()
-		for _, s := range shapes {
-			if s.name == name {
-				res, err := core.DBSCAN(compile(t, s.build(t, asWritten)), core.DBSCANOptions{Eps: 1, MinPts: minPts})
+		for _, s := range testnet.Shapes {
+			if s.Name == name {
+				res, err := core.DBSCAN(compile(t, buildShape(t, s, testnet.AsWritten)), core.DBSCANOptions{Eps: 1, MinPts: minPts})
 				if err != nil {
 					t.Fatal(err)
 				}

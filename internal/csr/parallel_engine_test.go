@@ -1,9 +1,8 @@
 // Tests for clustering on the compiled snapshot at explicit worker counts:
 // the label kernel (see label_kernel_test.go for its differential suite) must
-// be byte-identical to the sequential generic path on every backend and every
-// worker count, the fused core-flag pass of network.ClusterKernel must agree
-// with brute-force neighbourhood counting, and its sequential steady state
-// must not allocate.
+// be byte-identical to the generic labeller on the pointer network on every
+// worker count, Snapshot.CoreFlags must agree with brute-force neighbourhood
+// counting, and its sequential steady state must not allocate.
 package csr_test
 
 import (
@@ -14,6 +13,7 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/csr"
 	"netclus/internal/lbound"
+	"netclus/internal/matrix"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
@@ -63,8 +63,8 @@ func TestParallelEngineByteIdentical(t *testing.T) {
 }
 
 // TestParallelEnginePrunedByteIdentical installs a landmark bounder: the
-// snapshot then leaves its label kernel for the generic sequential run and
-// fan-out over its filter-and-refine scratch, and the labels must not move.
+// snapshot then leaves its label kernel for the generic labeller over its
+// filter-and-refine scratch, and the labels must not move.
 func TestParallelEnginePrunedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	g, err := testnet.Random(7, 40, 90)
@@ -155,16 +155,17 @@ func TestCoreFlagsZeroAlloc(t *testing.T) {
 }
 
 // FuzzParallelDBSCAN derives (network, eps, minPts, workers) from the fuzz
-// input and checks DBSCAN on the compiled snapshot against the sequential
-// generic run on the source network. A non-negative seed generates a random
-// network; a negative one picks a hand-built shape of label_kernel_test.go
-// (-1, -2, -3 are the first shape as written, mirrored and twisted, and so
-// on), so mutation starts from the inputs the mask logic can get wrong.
+// input and checks DBSCAN on the compiled snapshot against the brute-force
+// oracle and against the other family, the generic labeller on the source
+// network. A non-negative seed generates a random network; a negative one
+// picks a shared hand-built shape (testnet.Shapes; -1, -2, -3 are the first
+// shape as written, mirrored and twisted, and so on), so mutation starts from
+// the inputs the mask logic can get wrong.
 func FuzzParallelDBSCAN(f *testing.F) {
 	f.Add(int64(1), float64(0.8), uint8(3), uint8(2))
 	f.Add(int64(7), float64(1.5), uint8(1), uint8(4))
 	f.Add(int64(42), float64(0.2), uint8(9), uint8(1))
-	for i := range shapes {
+	for i := range testnet.Shapes {
 		for numbering := 0; numbering < 3; numbering++ {
 			// MinPts 5, 4, 5 (minPts%9+1) at Workers 1, 4, 2 (workers%6+1).
 			f.Add(int64(-1-3*i-numbering), float64(1), uint8(4-numbering%2), uint8(3*numbering%5))
@@ -176,8 +177,8 @@ func FuzzParallelDBSCAN(f *testing.F) {
 		}
 		var g *network.Network
 		if seed < 0 {
-			k := int((-(seed + 1)) % int64(3*len(shapes)))
-			g = shapes[k/3].build(t, k%3)
+			k := int((-(seed + 1)) % int64(3*len(testnet.Shapes)))
+			g = buildShape(t, testnet.Shapes[k/3], k%3)
 		} else {
 			var err error
 			if g, err = testnet.Random(seed%64, 25, 60); err != nil {
@@ -189,19 +190,26 @@ func FuzzParallelDBSCAN(f *testing.F) {
 			t.Fatalf("Compile: %v", err)
 		}
 		ctx := context.Background()
-		opts := core.DBSCANOptions{Eps: eps, MinPts: int(minPts)%9 + 1}
-		want, err := core.DBSCANCtx(ctx, g, opts)
+		opts := core.DBSCANOptions{Eps: eps, MinPts: int(minPts)%9 + 1, Workers: int(workers)%6 + 1}
+		dist, err := matrix.PointDistances(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Workers = int(workers)%6 + 1
+		want := matrix.DBSCAN(dist, eps, opts.MinPts)
 		got, err := core.DBSCANCtx(ctx, sn, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Core, got.Core) ||
-			want.NumClusters != got.NumClusters {
-			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: snapshot DBSCAN diverged",
+		other, err := core.DBSCANCtx(ctx, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got.Labels) || got.NumClusters != core.CountClusters(want) {
+			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: snapshot DBSCAN diverged from the matrix oracle",
+				seed, eps, opts.MinPts, opts.Workers)
+		}
+		if !reflect.DeepEqual(other.Labels, got.Labels) || !reflect.DeepEqual(other.Core, got.Core) {
+			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: the flat kernel and the generic labeller disagree",
 				seed, eps, opts.MinPts, opts.Workers)
 		}
 		if got.Stats.RangeQueries != g.NumPoints() {

@@ -108,13 +108,26 @@ func (sc *Scratch) PruneStats() network.PruneStats {
 // is reused by the next query on this scratch.
 func (sc *Scratch) RangeQueryCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64) ([]network.PointID, error) {
 	if sc.bounder != nil {
+		return sc.RangeQueryLimitCtx(ctx, g, p, eps, math.MaxInt)
+	}
+	if err := sc.run(ctx, p, eps); err != nil {
+		return nil, err
+	}
+	return sc.result, nil
+}
+
+// RangeQueryLimitCtx is RangeQueryCtx with the early exit of the
+// network.RangeQuerier contract: the filter-and-refine path under a bounder,
+// the recording counting expansion of the fused core-flag pass otherwise.
+func (sc *Scratch) RangeQueryLimitCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64, limit int) ([]network.PointID, error) {
+	if sc.bounder != nil {
 		if sc.pruned == nil {
 			sc.pruned = network.NewRangeScratch(sc.sn)
 		}
 		sc.pruned.SetBounder(sc.bounder)
-		return sc.pruned.RangeQueryCtx(ctx, sc.sn, p, eps)
+		return sc.pruned.RangeQueryLimitCtx(ctx, sc.sn, p, eps, limit)
 	}
-	if err := sc.run(ctx, p, eps); err != nil {
+	if _, _, err := sc.rangeCount(ctx, p, eps, limit, true); err != nil {
 		return nil, err
 	}
 	return sc.result, nil

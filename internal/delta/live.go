@@ -390,7 +390,7 @@ func dropEdge(adj [][]int32, from, to int32) {
 
 // derive turns slot-space components into canonical labellings, reproducing
 // the batch algorithms bit for bit: labels assigned on first sight in
-// ascending canonical ID order (labelComponents' rule), DBSCAN border points
+// ascending canonical ID order (the labellers' seeds ascend), DBSCAN border points
 // taking the minimum label over their core ε-neighbors, everything else
 // Noise.
 func (l *live) derive(idToSlot []int32) *liveSnap {

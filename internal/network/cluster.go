@@ -1,13 +1,9 @@
 package network
 
-import (
-	"context"
+import "context"
 
-	"netclus/internal/unionfind"
-)
-
-// ClusterStats reports the work and the timing model of one fused clustering
-// pass (a ClusterKernel call).
+// ClusterStats reports the work and the timing model of one native clustering
+// pass (a ClusterKernel or LabelKernel call).
 type ClusterStats struct {
 	// RangeQueries counts the ε-expansions the pass ran (one per swept
 	// point, in the units core.Stats.RangeQueries uses).
@@ -33,38 +29,20 @@ func (s *ClusterStats) Add(o ClusterStats) {
 	s.Prune.Add(o.Prune)
 }
 
-// ClusterKernel is implemented by graphs with a native fused clustering
-// engine: the compiled CSR snapshot sweeps its flat arrays with pooled
-// epoch-stamped scratches, the sharded set runs the same passes shard-local
-// with boundary escalation. The two passes are the substrate of union-find
-// based DBSCAN and ε-Link labelling; core dispatches to them for the sharded
-// set, whenever the caller passes Workers >= 1 (a graph that is also a
-// LabelKernel — the snapshot — is labelled through that contract instead, at
-// every Workers value). The labels are identical to the sequential generic
-// path by the PR 1 merge contract (order-free unions, components labelled by
-// ascending minimum member, borders adopting the minimum core-neighbour
-// label).
+// ClusterKernel is implemented by graphs with a native DBSCAN flag pass: the
+// sharded set counts every point's neighbourhood shard-locally under its
+// boundary watch mask and escalates only what touches a boundary. Without a
+// Bounder, core.DBSCANCtx takes pass 1 of its three-pass labeller (flags →
+// core-masked Fig. 6 growth → border adoption) from such a graph instead of
+// its own striped sweep, then re-queries the non-core points for the border
+// pass. A graph that is a LabelKernel — the snapshot — labels the whole run
+// itself and is never asked.
 type ClusterKernel interface {
 	// CoreFlags writes, for every point p, whether p's ε-neighbourhood
 	// (p itself included) holds at least minPts points into core[p]
 	// (len(core) == NumPoints()). The sweep may stop counting a
-	// neighbourhood early once minPts members are proven. With a non-nil
-	// prune every expansion runs the filter-and-refine path and the stats
-	// carry its counters.
-	CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune Bounder, core []bool) (ClusterStats, error)
-
-	// EpsUnions computes the ε-graph connectivity of the selected points:
-	// after the call, the transitive closure of the unions recorded across
-	// the per-worker shards ufs[0..workers-1] (each pre-sized to NumPoints())
-	// connects selected points p and q exactly when a chain of selected
-	// points with consecutive network distances <= eps links them. sel == nil
-	// selects every point (the ε-Link relation); otherwise only points with
-	// sel[p] are swept and unioned (DBSCAN's core-core graph). For every
-	// unselected point b within eps of a swept point c, border(w, b, c) is
-	// called from worker stripe w — concurrently across stripes, sequentially
-	// within one — so the caller can collect adoption candidates into
-	// per-worker lists without locking. border may be nil when sel is nil.
-	EpsUnions(ctx context.Context, eps float64, workers int, prune Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c PointID)) (ClusterStats, error)
+	// neighbourhood early once minPts members are proven.
+	CoreFlags(ctx context.Context, eps float64, minPts, workers int, core []bool) (ClusterStats, error)
 }
 
 // LabelKernel is implemented by graphs that label density clusters natively
@@ -72,7 +50,7 @@ type ClusterKernel interface {
 // traversal). core.EpsLinkCtx and — without a Bounder — core.DBSCANCtx hand
 // such a graph the whole job at every Workers value: 0 and 1 are the same
 // code, larger values only stripe the passes that are independent per point.
-// Both methods must reproduce the generic sequential run byte for byte.
+// Both methods must reproduce core's generic labeller byte for byte.
 type LabelKernel interface {
 	// EpsLinkLabels fills labels (len == NumPoints()) with a cluster index
 	// per point — clusters numbered by ascending smallest member, the order

@@ -135,8 +135,18 @@ func (s *RangeScratch) RangeQuery(g Graph, p PointID, eps float64) ([]PointID, e
 // RangeQueryCtx is RangeQuery with cancellation: the expansion checks ctx
 // periodically and returns an error wrapping ctx.Err() when it is done.
 func (s *RangeScratch) RangeQueryCtx(ctx context.Context, g Graph, p PointID, eps float64) ([]PointID, error) {
+	return s.RangeQueryLimitCtx(ctx, g, p, eps, math.MaxInt)
+}
+
+// RangeQueryLimitCtx is RangeQueryCtx for callers that only ask whether the
+// ε-neighbourhood of p holds at least limit points (DBSCAN's core test): the
+// search stops as soon as limit members are proven. It returns either the
+// whole neighbourhood — fewer than limit points — or at least limit of its
+// members. Results only ever grow, so stopping early never admits a point
+// beyond eps.
+func (s *RangeScratch) RangeQueryLimitCtx(ctx context.Context, g Graph, p PointID, eps float64, limit int) ([]PointID, error) {
 	if s.bounder != nil {
-		handled, err := s.runPruned(ctx, g, p, eps)
+		handled, err := s.runPruned(ctx, g, p, eps, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +156,7 @@ func (s *RangeScratch) RangeQueryCtx(ctx context.Context, g Graph, p PointID, ep
 		// The bounder cannot enumerate candidates (no validated planar
 		// embedding); fall back to the plain expansion.
 	}
-	if err := s.run(ctx, g, p, eps); err != nil {
+	if err := s.run(ctx, g, p, eps, limit); err != nil {
 		return nil, err
 	}
 	return s.result, nil
@@ -166,7 +176,7 @@ func (s *RangeScratch) RangeQueryDist(g Graph, p PointID, eps float64) ([]PointD
 
 // RangeQueryDistCtx is RangeQueryDist with cancellation.
 func (s *RangeScratch) RangeQueryDistCtx(ctx context.Context, g Graph, p PointID, eps float64) ([]PointDist, error) {
-	if err := s.run(ctx, g, p, eps); err != nil {
+	if err := s.run(ctx, g, p, eps, math.MaxInt); err != nil {
 		return nil, err
 	}
 	s.resultD = s.resultD[:0]
@@ -196,8 +206,9 @@ func SortPointDists(pds []PointDist) {
 	})
 }
 
-// run performs the bounded expansion shared by both query flavours.
-func (s *RangeScratch) run(ctx context.Context, g Graph, p PointID, eps float64) error {
+// run performs the bounded expansion shared by both query flavours, stopping
+// early once limit points are in the result.
+func (s *RangeScratch) run(ctx context.Context, g Graph, p PointID, eps float64, limit int) error {
 	ticks := 0
 	if err := cancelCheck(ctx, &ticks); err != nil {
 		return err // poll once per query even when the expansion stays empty
@@ -211,6 +222,9 @@ func (s *RangeScratch) run(ctx context.Context, g Graph, p PointID, eps float64)
 	// Same-edge points reachable directly along the edge.
 	if err := s.scanOwnEdge(g, pi, eps); err != nil {
 		return err
+	}
+	if len(s.result) >= limit {
+		return nil
 	}
 
 	// Bounded multi-source Dijkstra from p's edge exits.
@@ -236,6 +250,9 @@ func (s *RangeScratch) run(ctx context.Context, g Graph, p PointID, eps float64)
 			if nb.Group != NoGroup {
 				if err := s.collectFrom(g, e.node, nb, e.dist, eps); err != nil {
 					return err
+				}
+				if len(s.result) >= limit {
+					return nil
 				}
 			}
 			if nd := e.dist + nb.Weight; nd <= eps && nd < s.dist(nb.Node) {
@@ -286,10 +303,10 @@ func (s *RangeScratch) targetLB(v NodeID) float64 {
 // cannot reach any pending candidate within eps and (b) stops as soon as
 // every pending candidate is resolved. It produces exactly the result SET of
 // run() — accepted points carry their upper bound, not their exact distance,
-// which is why RangeQueryDist never uses this path. Returns handled=false
-// (scratch reusable, nothing recorded) when the bounder cannot enumerate
-// candidates.
-func (s *RangeScratch) runPruned(ctx context.Context, g Graph, p PointID, eps float64) (bool, error) {
+// which is why RangeQueryDist never uses this path. Both phases stop once
+// limit points are in the result. Returns handled=false (scratch reusable,
+// nothing recorded) when the bounder cannot enumerate candidates.
+func (s *RangeScratch) runPruned(ctx context.Context, g Graph, p PointID, eps float64, limit int) (bool, error) {
 	ticks := 0
 	if err := cancelCheck(ctx, &ticks); err != nil {
 		return true, err
@@ -307,7 +324,7 @@ func (s *RangeScratch) runPruned(ctx context.Context, g Graph, p PointID, eps fl
 		if ub <= eps {
 			s.prune.FilterAccepted++
 			s.addPoint(q, ub)
-			return true
+			return len(s.result) < limit
 		}
 		if lb > eps {
 			s.prune.FilterRejected++
@@ -328,7 +345,7 @@ func (s *RangeScratch) runPruned(ctx context.Context, g Graph, p PointID, eps fl
 	// same-edge candidate can only qualify through an endpoint route, which
 	// the expansion below resolves. A query whose candidates all resolved
 	// from the tables therefore touches the graph zero times.
-	if s.pending == 0 {
+	if s.pending == 0 || len(s.result) >= limit {
 		s.prune.ZeroTraversalQueries++
 		return true, nil
 	}
@@ -380,6 +397,9 @@ func (s *RangeScratch) runPruned(ctx context.Context, g Graph, p PointID, eps fl
 		}
 		if s.pending == 0 {
 			s.prune.EarlyStops++
+			break
+		}
+		if len(s.result) >= limit {
 			break
 		}
 	}

@@ -14,6 +14,12 @@ type RangeQuerier interface {
 	// RangeQueryCtx returns the IDs of every point within eps of p (p
 	// included). The slice is reused by the next query on the scratch.
 	RangeQueryCtx(ctx context.Context, g Graph, p PointID, eps float64) ([]PointID, error)
+	// RangeQueryLimitCtx is RangeQueryCtx that may stop as soon as limit
+	// points are proven within eps of p: it returns either the whole
+	// neighbourhood (fewer than limit points) or at least limit of its
+	// members. A querier without an early exit returns the whole
+	// neighbourhood.
+	RangeQueryLimitCtx(ctx context.Context, g Graph, p PointID, eps float64, limit int) ([]PointID, error)
 	// RangeQueryDistCtx returns every point within eps of p with its exact
 	// network distance, in ascending (Dist, Point) order. The slice is
 	// reused by the next query on the scratch.

@@ -305,7 +305,8 @@ func TestServeDeadline(t *testing.T) {
 	// The deadline must flow into the engine and come back as 504. The
 	// standard fixture's 400-point clustering job can finish inside a 1ms
 	// budget on a fast host, so this test serves a dedicated larger network
-	// whose unpruned whole-network DBSCAN reliably outlives the deadline.
+	// whose unpruned whole-network DBSCAN reliably outlives the deadline:
+	// minpts above the point count, so no expansion can stop early.
 	rng := rand.New(rand.NewSource(7))
 	base, err := netclus.GridNetwork(50, 50, 10, 2, 80, rng)
 	if err != nil {
@@ -334,7 +335,7 @@ func TestServeDeadline(t *testing.T) {
 	})
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet,
-		"/v1/big/cluster?algo=dbscan&eps=1e9&minpts=3&prune=0&timeout_ms=1", nil)
+		"/v1/big/cluster?algo=dbscan&eps=1e9&minpts=6000&prune=0&timeout_ms=1", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusGatewayTimeout {

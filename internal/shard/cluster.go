@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
-// This file implements the fused clustering engine (network.ClusterKernel)
-// over a sharded set. Each pass runs shard-local first: a shard sweeps the
+// This file implements the native DBSCAN flag pass (network.ClusterKernel)
+// over a sharded set. The pass runs shard-local first: a shard sweeps the
 // points it owns with its own compiled kernel under the boundary watch
 // mask, and a point whose ε-expansion completes without settling a boundary
 // node is proven exact — any ≤ε path leaving the shard would have settled
@@ -21,10 +20,11 @@ import (
 // the points of cut groups, which no shard owns — escalate to the
 // scatter-gather executor for an exact global query, serially from the
 // coordinator. Shards are statically partitioned across the requested
-// workers (worker w owns shards w, w+workers, …), so per-worker union-find
-// shards and border lists need no locking, and the critical-path model
-// charges each worker its own shard sweeps plus the shared serial tail —
-// the same convention as the executor's per-round CritNs.
+// workers (worker w owns shards w, w+workers, …), and the critical-path
+// model charges each worker its own shard sweeps plus the shared serial
+// tail — the same convention as the executor's per-round CritNs. The growth
+// and border passes of DBSCAN, and all of ε-Link, run core's generic
+// labeller over the set as a plain network.Graph.
 
 var _ network.ClusterKernel = (*Set)(nil)
 
@@ -97,105 +97,18 @@ func (set *Set) clusterShards(ctx context.Context, workers int, pass func(w, s i
 	return out, escs, nil
 }
 
-// clusterPrunedSweep is the filter-and-refine fallback of both passes: with
-// a Bounder installed there is no shard-local early exit to fuse, so the
-// selected points are swept in contiguous stripes, each worker running
-// pruned global queries on its own pooled executor. visit is called with
-// the worker index and the exact global result set of each swept point —
-// concurrently across stripes, sequentially within one.
-func (set *Set) clusterPrunedSweep(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, visit func(w int, p network.PointID, res []network.PointID)) (network.ClusterStats, error) {
-	n := len(set.ptPos)
-	var out network.ClusterStats
-	if n == 0 {
-		return out, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	ns := make([]int64, workers)
-	qs := make([]int64, workers)
-	prs := make([]network.PruneStats, workers)
-	errs := make([]error, workers)
-	t0 := time.Now()
-	runStripe := func(w int) {
-		q := set.acquireQuerier()
-		defer set.releaseQuerier(q)
-		q.SetBounder(prune)
-		defer q.SetBounder(nil)
-		pb := q.PruneStats()
-		st := time.Now()
-		queries := 0
-		lo, hi := w*n/workers, (w+1)*n/workers
-		for p := lo; p < hi; p++ {
-			if sel != nil && !sel[p] {
-				continue
-			}
-			res, err := q.RangeQueryCtx(ctx, set, network.PointID(p), eps)
-			if err != nil {
-				errs[w] = err
-				break
-			}
-			queries++
-			visit(w, network.PointID(p), res)
-		}
-		ns[w] = time.Since(st).Nanoseconds()
-		qs[w] = int64(queries)
-		prs[w] = q.PruneStats().Sub(pb)
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for w := 0; w < workers; w++ {
-			runStripe(w)
-			if errs[w] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runStripe(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	for w := 0; w < workers; w++ {
-		if ns[w] > out.CritNs {
-			out.CritNs = ns[w]
-		}
-		out.RangeQueries += int(qs[w])
-		out.Prune.Add(prs[w])
-	}
-	out.WallNs = time.Since(t0).Nanoseconds()
-	for w := 0; w < workers; w++ {
-		if err := errs[w]; err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 // CoreFlags writes, for every point, whether its ε-neighbourhood holds at
 // least minPts points. Shard-local counting expansions early-exit at
 // minPts; a completed local count that never touched the boundary is exact,
 // everything else re-runs through the global executor. Satisfies
 // network.ClusterKernel.
-func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune network.Bounder, core []bool) (network.ClusterStats, error) {
+func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, workers int, core []bool) (network.ClusterStats, error) {
 	n := len(set.ptPos)
 	if len(core) != n {
 		return network.ClusterStats{}, fmt.Errorf("%w: CoreFlags needs len(core) == %d, got %d", network.ErrInvalidOptions, n, len(core))
 	}
 	if !(eps > 0) || minPts < 1 {
 		return network.ClusterStats{}, fmt.Errorf("%w: CoreFlags needs eps > 0 and minPts >= 1 (got %v, %d)", network.ErrInvalidOptions, eps, minPts)
-	}
-	if prune != nil {
-		return set.clusterPrunedSweep(ctx, eps, workers, prune, nil, func(w int, p network.PointID, res []network.PointID) {
-			core[p] = len(res) >= minPts
-		})
 	}
 	st, escs, err := set.clusterShards(ctx, workers, func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
 		sc := q.scratch(s)
@@ -241,116 +154,6 @@ func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, workers int,
 	for _, el := range escs {
 		for _, gp := range el {
 			if err := flag(gp); err != nil {
-				return st, err
-			}
-		}
-	}
-	tail := time.Since(t0).Nanoseconds()
-	st.CritNs += tail
-	st.WallNs += tail
-	return st, nil
-}
-
-// EpsUnions records the ε-graph connectivity of the selected points into
-// the per-worker union-find shards. Shard-local sweeps whose expansion
-// never touched the boundary union their exact neighbourhoods in place;
-// boundary-touching points and cut-group points re-sweep through the global
-// executor from the coordinator, into shard 0's union-find (unions commute,
-// so placement is free). Satisfies network.ClusterKernel.
-func (set *Set) EpsUnions(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c network.PointID)) (network.ClusterStats, error) {
-	n := len(set.ptPos)
-	if sel != nil && len(sel) != n {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs len(sel) == %d, got %d", network.ErrInvalidOptions, n, len(sel))
-	}
-	if !(eps > 0) {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs eps > 0 (got %v)", network.ErrInvalidOptions, eps)
-	}
-	if len(ufs) == 0 {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs at least one union-find shard", network.ErrInvalidOptions)
-	}
-	if workers > len(ufs) {
-		workers = len(ufs)
-	}
-	if prune != nil {
-		return set.clusterPrunedSweep(ctx, eps, workers, prune, sel, func(w int, p network.PointID, res []network.PointID) {
-			for _, gq := range res {
-				if sel == nil || sel[gq] {
-					if gq < p {
-						ufs[w].Union(int(p), int(gq))
-					}
-				} else {
-					border(w, gq, p)
-				}
-			}
-		})
-	}
-	st, escs, err := set.clusterShards(ctx, workers, func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
-		sc := q.scratch(s)
-		uf := ufs[w]
-		cnt := 0
-		for _, g32 := range set.pointGlobal[s] {
-			gp := network.PointID(g32)
-			if sel != nil && !sel[gp] {
-				continue
-			}
-			if err := sc.SeededRange(ctx, network.PointID(set.pointLocal[g32]), nil, eps, false); err != nil {
-				return cnt, err
-			}
-			cnt++
-			if len(sc.Settled()) > 0 {
-				// The expansion settled a boundary node within ε: the global
-				// neighbourhood may extend past this shard. Escalate.
-				*esc = append(*esc, gp)
-				continue
-			}
-			for _, lq := range sc.RangeResults() {
-				gq := network.PointID(set.pointGlobal[s][lq])
-				if sel == nil || sel[gq] {
-					if gq < gp {
-						uf.Union(int(gp), int(gq))
-					}
-				} else {
-					border(w, gq, gp)
-				}
-			}
-		}
-		return cnt, nil
-	})
-	if err != nil {
-		return st, err
-	}
-	t0 := time.Now()
-	q := set.acquireQuerier()
-	defer set.releaseQuerier(q)
-	uf0 := ufs[0]
-	sweep := func(gp network.PointID) error {
-		if sel != nil && !sel[gp] {
-			return nil
-		}
-		res, err := q.RangeQueryCtx(ctx, set, gp, eps)
-		if err != nil {
-			return err
-		}
-		st.RangeQueries++
-		for _, gq := range res {
-			if sel == nil || sel[gq] {
-				if gq < gp {
-					uf0.Union(int(gp), int(gq))
-				}
-			} else {
-				border(0, gq, gp)
-			}
-		}
-		return nil
-	}
-	for _, gp := range set.cutPts {
-		if err := sweep(gp); err != nil {
-			return st, err
-		}
-	}
-	for _, el := range escs {
-		for _, gp := range el {
-			if err := sweep(gp); err != nil {
 				return st, err
 			}
 		}

@@ -9,24 +9,37 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/csr"
 	"netclus/internal/lbound"
+	"netclus/internal/matrix"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
 
-// TestShardParallelClusterEquivalence drives the fused shard passes hard:
+// TestShardParallelClusterEquivalence drives the native flag pass hard:
 // DBSCAN and ε-Link on partitioned and adversarially scattered sets, worker
-// counts past the shard count, against the sequential generic run on the
-// pointer network. The shard-local locality proof (no boundary settle ⇒
+// counts past the shard count, against the other labeller family — the flat
+// kernel of one snapshot of the whole network — and, for DBSCAN, the
+// brute-force oracle. The shard-local locality proof (no boundary settle ⇒
 // exact neighbourhood) and the serial escalation tail must be invisible in
 // the labels.
 func TestShardParallelClusterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	g := testNetwork(t, 21, 80, 260)
-	wantDB, err := core.DBSCANCtx(ctx, g, core.DBSCANOptions{Eps: 0.5, MinPts: 3})
+	sn, err := csr.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEL, err := core.EpsLinkCtx(ctx, g, core.EpsLinkOptions{Eps: 0.5, MinSup: 2})
+	wantDB, err := core.DBSCANCtx(ctx, sn, core.DBSCANOptions{Eps: 0.5, MinPts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := matrix.PointDistances(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if brute := matrix.DBSCAN(dist, 0.5, 3); !reflect.DeepEqual(brute, wantDB.Labels) {
+		t.Fatal("flat DBSCAN diverged from the matrix oracle")
+	}
+	wantEL, err := core.EpsLinkCtx(ctx, sn, core.EpsLinkOptions{Eps: 0.5, MinSup: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,31 +49,32 @@ func TestShardParallelClusterEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 6} {
+			for _, workers := range []int{0, 1, 2, 6} {
 				db, err := core.DBSCANCtx(ctx, set, core.DBSCANOptions{Eps: 0.5, MinPts: 3, Workers: workers})
 				if err != nil {
 					t.Fatalf("k=%d assign=%d workers=%d: DBSCAN: %v", k, ai, workers, err)
 				}
 				if !reflect.DeepEqual(wantDB.Labels, db.Labels) || !reflect.DeepEqual(wantDB.Core, db.Core) ||
 					wantDB.NumClusters != db.NumClusters {
-					t.Fatalf("k=%d assign=%d workers=%d: shard DBSCAN diverged from sequential network run", k, ai, workers)
+					t.Fatalf("k=%d assign=%d workers=%d: shard DBSCAN diverged from the flat kernel", k, ai, workers)
 				}
 				el, err := core.EpsLinkCtx(ctx, set, core.EpsLinkOptions{Eps: 0.5, MinSup: 2, Workers: workers})
 				if err != nil {
 					t.Fatalf("k=%d assign=%d workers=%d: EpsLink: %v", k, ai, workers, err)
 				}
 				if !reflect.DeepEqual(wantEL.Labels, el.Labels) || wantEL.NumClusters != el.NumClusters {
-					t.Fatalf("k=%d assign=%d workers=%d: shard EpsLink diverged from sequential network run", k, ai, workers)
+					t.Fatalf("k=%d assign=%d workers=%d: shard EpsLink diverged from the flat kernel", k, ai, workers)
 				}
 			}
 		}
 	}
 }
 
-// TestShardParallelPrunedEquivalence drives the shard kernel through the
-// filter-and-refine fallback: a landmark bounder built over the compiled
-// snapshot prunes by the same global point IDs the set serves, so the labels
-// must not move and the bounder must actually be consulted.
+// TestShardParallelPrunedEquivalence runs DBSCAN on the set under a Bounder —
+// the generic flag sweep over the executor's filter-and-refine scratch instead
+// of the native pass: a landmark bounder built over the compiled snapshot
+// prunes by the same global point IDs the set serves, so the labels must equal
+// the flat kernel's unpruned ones and the bounder must actually be consulted.
 func TestShardParallelPrunedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	// testnet graphs keep edge weights above the straight-line endpoint
@@ -79,7 +93,7 @@ func TestShardParallelPrunedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.DBSCANCtx(ctx, g, core.DBSCANOptions{Eps: 0.5, MinPts: 3})
+	want, err := core.DBSCANCtx(ctx, sn, core.DBSCANOptions{Eps: 0.5, MinPts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +142,7 @@ func TestShardCoreFlagEscalation(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				got := make([]bool, n)
-				if _, err := set.CoreFlags(ctx, eps, minPts, workers, nil, got); err != nil {
+				if _, err := set.CoreFlags(ctx, eps, minPts, workers, got); err != nil {
 					t.Fatalf("eps=%v minPts=%d workers=%d: %v", eps, minPts, workers, err)
 				}
 				if !reflect.DeepEqual(want, got) {

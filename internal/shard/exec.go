@@ -152,12 +152,19 @@ func (q *Querier) PruneStats() network.PruneStats {
 // RangeQueryCtx returns the IDs of every point within eps of p (p included).
 // The slice is reused by the next query on this executor.
 func (q *Querier) RangeQueryCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64) ([]network.PointID, error) {
+	return q.RangeQueryLimitCtx(ctx, g, p, eps, math.MaxInt)
+}
+
+// RangeQueryLimitCtx is RangeQueryCtx with the early exit of the
+// network.RangeQuerier contract on the filter-and-refine path; the
+// scatter-gather rounds have none and return the whole neighbourhood.
+func (q *Querier) RangeQueryLimitCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64, limit int) ([]network.PointID, error) {
 	if q.bounder != nil {
 		if q.pruned == nil {
 			q.pruned = network.NewRangeScratch(q.set)
 		}
 		q.pruned.SetBounder(q.bounder)
-		return q.pruned.RangeQueryCtx(ctx, q.set, p, eps)
+		return q.pruned.RangeQueryLimitCtx(ctx, q.set, p, eps, limit)
 	}
 	if err := q.runRange(ctx, p, eps); err != nil {
 		return nil, err

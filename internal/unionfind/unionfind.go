@@ -77,7 +77,8 @@ func (u *UF) Grow() int {
 // MergeInto folds u's partition into dst: after the call, any two elements
 // joined in u are joined in dst too. Only the parent edges are replayed —
 // one union per non-root element — so merging a shard whose sets are mostly
-// singletons costs little more than a scan.
+// singletons costs little more than a scan. Held for benchmark/layers.go's
+// unionfind.merge_ms probe; no product caller.
 func (u *UF) MergeInto(dst *UF) {
 	for i, p := range u.parent {
 		if int32(i) != p {

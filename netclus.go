@@ -377,9 +377,9 @@ func EpsLink(g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLink(g, opts)
 }
 
-// EpsLinkCtx is EpsLink with cancellation; opts.Workers is a concurrency
-// knob only — labels are identical at every value, and on a compiled
-// snapshot every value runs the same flat Fig. 6 traversal.
+// EpsLinkCtx is EpsLink with cancellation; opts.Workers changes nothing —
+// every backend runs one Fig. 6 traversal per cluster (the flat port on a
+// compiled snapshot, the generic one elsewhere) at every value.
 func EpsLinkCtx(ctx context.Context, g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLinkCtx(ctx, g, opts)
 }
@@ -390,8 +390,9 @@ func DBSCAN(g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 }
 
 // DBSCANCtx is DBSCAN with cancellation; opts.Workers is a concurrency knob
-// only — labels are identical at every value, and on a compiled snapshot
-// every value runs the same one-expansion-per-point labeller.
+// only — labels are identical at every value, 0 and 1 are the same run, and
+// on every backend a larger value only stripes the flag pass of the same
+// one-expansion-per-point labeller.
 func DBSCANCtx(ctx context.Context, g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCANCtx(ctx, g, opts)
 }
