@@ -341,14 +341,11 @@ type KMedoidsOptions struct {
 	// Fig. 11b). Must contain exactly K distinct points.
 	InitialMedoids []network.PointID
 	// Workers caps the number of goroutines running restarts concurrently
-	// (<= 1 runs them serially unless Parallel is set). Results are
-	// identical to the serial run: each restart draws its own seed from
-	// Rand up front, and every worker queries through its own graph read
-	// view, so both the in-memory Network and the disk Store are safe.
+	// (<= 1 runs them serially). Results are identical to the serial run:
+	// each restart draws its own seed from Rand up front, and every worker
+	// queries through its own graph read view, so both the in-memory Network
+	// and the disk Store are safe.
 	Workers int
-	// Parallel is the legacy switch for Workers: when set and Workers is
-	// unset, every restart gets its own goroutine.
-	Parallel bool
 	// Rand is the randomness source; nil falls back to a fixed-seed
 	// generator so runs are reproducible by default.
 	Rand *rand.Rand
@@ -421,14 +418,14 @@ func (r *KMedoidsResult) AvgSwapIterTime() time.Duration {
 // until MaxBadSwaps consecutive replacements fail to improve R, repeated for
 // the configured number of restarts; the best local optimum is returned.
 // Every restart runs on its own seed drawn from opts.Rand up front, so the
-// serial and Parallel modes produce identical results.
+// serial and multi-worker runs produce identical results.
 func KMedoids(g network.Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	return KMedoidsCtx(context.Background(), g, opts)
 }
 
 // KMedoidsCtx is KMedoids with cancellation: the expansions check ctx
 // periodically and the run returns an error wrapping ctx.Err() when it is
-// done. With opts.Workers > 1 (or opts.Parallel) the restarts are fanned
+// done. With opts.Workers > 1 the restarts are fanned
 // across goroutines, each querying through its own graph read view.
 func KMedoidsCtx(ctx context.Context, g network.Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	if err := opts.defaults(g); err != nil {
@@ -454,9 +451,6 @@ func KMedoidsCtx(ctx context.Context, g network.Graph, opts KMedoidsOptions) (*K
 		results[restart], errs[restart] = kmedoidsOnce(ctx, view, opts, init, rng, accs[restart])
 	}
 	workers := normWorkers(opts.Workers)
-	if opts.Parallel && workers < 2 {
-		workers = opts.Restarts
-	}
 	if workers > opts.Restarts {
 		workers = opts.Restarts
 	}

@@ -287,7 +287,7 @@ func TestKMedoidsParallelEqualsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel, err := core.KMedoids(g, core.KMedoidsOptions{
-		K: 3, Restarts: 6, Parallel: true, Rand: rand.New(rand.NewSource(12)),
+		K: 3, Restarts: 6, Workers: 6, Rand: rand.New(rand.NewSource(12)),
 	})
 	if err != nil {
 		t.Fatal(err)

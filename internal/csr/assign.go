@@ -62,12 +62,14 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 	return byGroup
 }
 
-// AssignNearest is the kernel of the Equation 1 point-assignment scan: one
-// sequential pass over the flat point buckets that labels every point with
-// its nearest medoid slot given the node assignment in med/dist, returning
-// the evaluation function R and the number of groups scanned. It satisfies
-// network.MedoidAssigner, so core.AssignPoints dispatches here for
-// snapshots.
+// AssignNearest is the kernel of the Equation 1 point-assignment scan over a
+// §4.1 point-group layout (groups in ascending first-point order, ptPos the
+// flat offset table they index): one sequential pass that labels every point
+// with its nearest medoid slot given the node assignment in med/dist,
+// returning the evaluation function R and the number of groups scanned. sub,
+// when non-nil, receives each group's R subtotal. The snapshot and the
+// sharded set, which keeps the same two tables over its global ID space, both
+// answer network.MedoidAssigner with it.
 //
 // The arithmetic and comparison order replicate the generic scan expression
 // for expression — endpoint N1, endpoint N2, then same-edge medoids in
@@ -75,23 +77,32 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 // The speedup over the generic path: no per-call map[GroupID][]int32 build
 // (the k same-edge medoids are merge-joined from one small sorted slice),
 // no ScanGroups closure dispatch, and the group headers and offsets come
-// straight from the snapshot's arrays. k-medoids runs this once per
-// attempted swap, so on large point sets it is a sizable share of the
-// per-swap cost.
-func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (float64, int) {
+// straight from the flat arrays. k-medoids runs this once per attempted
+// swap, so on large point sets it is a sizable share of the per-swap cost.
+func AssignNearest(groups []network.PointGroup, ptPos []float64, medoids []network.PointInfo, med []int32, dist []float64, labels []int32, sub []float64) (float64, int) {
 	var stack [32]groupMedoid
 	byGroup := sortMedoidsByGroup(medoids, stack[:0])
 
 	var r float64
 	gi := 0
-	for g := range s.groups {
+	for g := range groups {
 		lo := gi
 		for gi < len(byGroup) && byGroup[gi].gid == int32(g) {
 			gi++
 		}
-		r += s.scanGroup(int32(g), medoids, byGroup[lo:gi], med, dist, labels)
+		sg := scanGroup(&groups[g], ptPos, medoids, byGroup[lo:gi], med, dist, labels)
+		if sub != nil {
+			sub[g] = sg
+		}
+		r += sg
 	}
-	return r, len(s.groups)
+	return r, len(groups)
+}
+
+// AssignNearest satisfies network.MedoidAssigner, so core.AssignPoints
+// dispatches here for snapshots.
+func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (float64, int) {
+	return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, nil)
 }
 
 // AssignNearestDelta is the network.DeltaAssigner kernel: the Equation 1
@@ -107,23 +118,14 @@ func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist 
 func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, dist []float64,
 	prevMed []int32, prevDist []float64, extraGroups []network.GroupID,
 	labels []int32, sub []float64) (float64, int) {
+	if prevMed == nil {
+		return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, sub)
+	}
 	var stack [32]groupMedoid
 	byGroup := sortMedoidsByGroup(medoids, stack[:0])
 
 	var r float64
 	gi := 0
-	if prevMed == nil {
-		for g := range s.groups {
-			lo := gi
-			for gi < len(byGroup) && byGroup[gi].gid == int32(g) {
-				gi++
-			}
-			sg := s.scanGroup(int32(g), medoids, byGroup[lo:gi], med, dist, labels)
-			sub[g] = sg
-			r += sg
-		}
-		return r, len(s.groups)
-	}
 
 	// Stamp the nodes whose assignment moved; a group is dirty when either
 	// endpoint is stamped. The epoch trick makes the per-swap reset O(1).
@@ -159,7 +161,7 @@ func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, 
 			}
 		}
 		if dirty {
-			sub[g] = s.scanGroup(g32, medoids, byGroup[lo:gi], med, dist, labels)
+			sub[g] = scanGroup(pg, s.ptPos, medoids, byGroup[lo:gi], med, dist, labels)
 			rescanned++
 		}
 		r += sub[g]
@@ -171,12 +173,11 @@ func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, 
 // scanGroup runs the Equation 1 minimization over one point group, writing
 // the group's labels and returning its R subtotal. same lists the medoids on
 // this group's edge as (gid, slot) pairs in ascending slot order.
-func (s *Snapshot) scanGroup(g int32, medoids []network.PointInfo, same []groupMedoid, med []int32, dist []float64, labels []int32) float64 {
-	pg := &s.groups[g]
+func scanGroup(pg *network.PointGroup, ptPos []float64, medoids []network.PointInfo, same []groupMedoid, med []int32, dist []float64, labels []int32) float64 {
 	d1, m1 := dist[pg.N1], med[pg.N1]
 	d2, m2 := dist[pg.N2], med[pg.N2]
 	first := int32(pg.First)
-	off := s.ptPos[first : first+pg.Count]
+	off := ptPos[first : first+pg.Count]
 	lbl := labels[first : first+pg.Count]
 	var sg float64
 	if len(same) == 0 {

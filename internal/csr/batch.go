@@ -107,7 +107,7 @@ type KNNBatch struct {
 	sn *Snapshot
 
 	pts []network.PointID
-	ks  []int32
+	ks  []int
 
 	off  []int64             // query i's result slot is res[off[i] : off[i]+ks[i]]
 	cnt  []int32             // results actually found per query
@@ -130,7 +130,7 @@ func (b *KNNBatch) Reset() {
 // Add queues one (point, k) query and returns its index for Results/Err.
 func (b *KNNBatch) Add(p network.PointID, k int) int {
 	b.pts = append(b.pts, p)
-	b.ks = append(b.ks, int32(k))
+	b.ks = append(b.ks, min(k, len(b.sn.ptPos))) // Run sizes result slots by k; no more points exist
 	return len(b.pts) - 1
 }
 
@@ -244,7 +244,7 @@ func (b *KNNBatch) Run(ctx context.Context, workers int) error {
 // one answers query qi into its slot. Validation errors are recorded
 // per-query; only cancellation propagates.
 func (b *KNNBatch) one(ctx context.Context, sc *Scratch, qi int) error {
-	k := int(b.ks[qi])
+	k := b.ks[qi]
 	if k < 1 {
 		b.errs[qi] = fmt.Errorf("%w: k-NN needs k >= 1, got %d", network.ErrInvalidOptions, k)
 		return nil

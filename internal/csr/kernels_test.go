@@ -8,6 +8,7 @@ package csr_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -193,6 +194,9 @@ func TestKNNBatchMatchesSequential(t *testing.T) {
 				q{network.PointID(g.NumPoints() + 7), 3}, // out of range
 				q{0, 0},                                  // invalid k
 				q{1, g.NumPoints() + 5},                  // k beyond point count
+				q{2, math.MaxInt32},                      // sized by k, this is 32 GiB of slots
+				q{3, 1<<32 + 5},                          // narrowed to int32, this is k=5
+				q{4, math.MaxInt},
 			)
 			for _, query := range qs {
 				b.Add(query.p, query.k)
@@ -202,6 +206,12 @@ func TestKNNBatchMatchesSequential(t *testing.T) {
 			}
 			for i, query := range qs {
 				want, wantErr := sn.KNNCtx(ctx, query.p, query.k)
+				if query.k > g.NumPoints() && wantErr == nil {
+					atN, err := sn.KNNCtx(ctx, query.p, g.NumPoints())
+					if err != nil || !reflect.DeepEqual(want, atN) {
+						t.Fatalf("p=%d k=%d: %d results, k=N gives %d (%v)", query.p, query.k, len(want), len(atN), err)
+					}
+				}
 				got, gotErr := b.Results(i), b.Err(i)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("workers=%d query %d (p=%d k=%d): err %v vs batch err %v",

@@ -20,6 +20,7 @@ func (s *Snapshot) KNNCtx(ctx context.Context, p network.PointID, k int) ([]netw
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k-NN needs k >= 1, got %d", network.ErrInvalidOptions, k)
 	}
+	k = min(k, len(s.ptPos)) // result storage is sized by k; no more points exist
 	sc := s.acquire()
 	defer s.release(sc)
 	out := make([]network.PointDist, k)

@@ -420,15 +420,6 @@ func (o *Overlay) Stats() Stats {
 	return s
 }
 
-// LiveParams returns the maintained clustering parameters, false when live
-// clustering is off.
-func (o *Overlay) LiveParams() (eps float64, minPts int, ok bool) {
-	if o.opts.Live == nil {
-		return 0, 0, false
-	}
-	return o.opts.Live.Eps, o.opts.Live.MinPts, true
-}
-
 // Apply queues one mutation batch and waits for it to commit. The batch is
 // atomic: either every op applies and the new view (one epoch newer) contains
 // them all, or none do and the error names the first bad op. A ctx error

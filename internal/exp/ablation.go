@@ -171,7 +171,7 @@ type PruneRow struct {
 // deliberately never enable pruning — the paper's 2004 algorithms and their
 // page-access accounting assume plain expansions, and the figures must stay
 // faithful to them; the bounds are a production-path optimisation measured
-// here and in BENCH_prune.json only.
+// here and by the benchmark's `lbound.*` probes only.
 func PruneAblation(cfg Config) ([]PruneRow, error) {
 	cfg = cfg.withDefaults()
 	g, gen, err := datagen.RoadDataset("OL", cfg.Scale, cfg.K)

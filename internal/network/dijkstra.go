@@ -243,105 +243,6 @@ func PointInfoDistanceCtx(ctx context.Context, g Graph, pi, qi PointInfo) (float
 	return best, nil
 }
 
-// astarEntry is a goal-directed frontier element ordered by f = dist + h.
-type astarEntry struct {
-	node NodeID
-	dist float64
-	f    float64
-}
-
-func lessAstarEntry(a, b astarEntry) bool { return a.f < b.f }
-
-// PointInfoDistanceBoundedCtx computes d(p, q), guaranteed exact whenever
-// the true distance is at most cutoff; larger results only certify
-// d(p, q) > cutoff. The search is a goal-directed best-first (A*) expansion
-// from p's exit seeds using b's admissible node lower bound toward q's
-// entry endpoints as heuristic; with a nil Bounder it degrades to the plain
-// early-terminating Dijkstra of PointInfoDistanceCtx capped at cutoff.
-//
-// The pruned kNN uses it to refine filter candidates: cutoff is the running
-// k-th best distance, so refinements of losing candidates terminate as soon
-// as the frontier proves they lose.
-func PointInfoDistanceBoundedCtx(ctx context.Context, g Graph, b Bounder, pi, qi PointInfo, cutoff float64) (float64, error) {
-	ticks := 0
-	if err := cancelCheck(ctx, &ticks); err != nil {
-		return 0, err
-	}
-	best := DirectPointDist(pi, qi)
-	h := func(v NodeID) float64 {
-		if b == nil {
-			return 0
-		}
-		h1 := b.NodeLower(v, qi.N1) + qi.Pos
-		if h2 := b.NodeLower(v, qi.N2) + (qi.Weight - qi.Pos); h2 < h1 {
-			return h2
-		}
-		return h1
-	}
-	// The heuristic is consistent (each landmark/Euclidean term is, and a
-	// min of consistent heuristics stays consistent), so every node is
-	// settled at its true distance the first time it is popped.
-	dist := make(map[NodeID]float64)
-	pq := heapx.New(lessAstarEntry)
-	bound := func() float64 {
-		if best < cutoff {
-			return best
-		}
-		return cutoff
-	}
-	for _, s := range PointSeeds(pi) {
-		if f := s.Dist + h(s.Node); f <= bound() {
-			pq.Push(astarEntry{node: s.Node, dist: s.Dist, f: f})
-		}
-	}
-	settled1, settled2 := false, false
-	for !pq.Empty() {
-		e := pq.Pop()
-		if d, ok := dist[e.node]; ok && e.dist >= d {
-			continue
-		}
-		if err := cancelCheck(ctx, &ticks); err != nil {
-			return 0, err
-		}
-		if e.f > bound() {
-			break // every remaining completion costs at least e.f
-		}
-		dist[e.node] = e.dist
-		switch e.node {
-		case qi.N1:
-			settled1 = true
-			if d := e.dist + qi.Pos; d < best {
-				best = d
-			}
-		case qi.N2:
-			settled2 = true
-			// Parenthesized to sum in the same association order as the
-			// expansion-based operators' offers (entry cost first): pruned
-			// and unpruned results must match to the bit.
-			if d := e.dist + (qi.Weight - qi.Pos); d < best {
-				best = d
-			}
-		}
-		if settled1 && settled2 {
-			break
-		}
-		adj, err := g.Neighbors(e.node)
-		if err != nil {
-			return 0, err
-		}
-		for _, nb := range adj {
-			nd := e.dist + nb.Weight
-			if d, ok := dist[nb.Node]; ok && nd >= d {
-				continue
-			}
-			if f := nd + h(nb.Node); f <= bound() {
-				pq.Push(astarEntry{node: nb.Node, dist: nd, f: f})
-			}
-		}
-	}
-	return best, nil
-}
-
 func newDistSlice(n int) []float64 {
 	dist := make([]float64, n)
 	for i := range dist {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -16,7 +17,8 @@ import (
 // TestBackendContract holds every constructor to its row of the dataset-kind
 // table in DESIGN.md §8: which kinds build bounds, accept writes or carry a
 // compiled replica; that a default kNN is pruned exactly where bounds exist
-// and rides the batcher exactly on hot datasets; that a default DBSCAN
+// and rides the batcher exactly on hot datasets; that a k beyond any point
+// count answers like k = N on every kind; that a default DBSCAN
 // reports a prune block exactly where bounds exist and labels identically
 // everywhere, at every worker count; that every read-only kind refuses a
 // mutation with the same envelope; and that Server.Shutdown followed by
@@ -96,11 +98,27 @@ func TestBackendContract(t *testing.T) {
 				t.Fatalf("%s p=%d: kNN differs from the engine\nwant %v\ngot  %v", name, p, want, kr.Results)
 			}
 		}
+		// A hostile k answers like k = N: every reachable point, and a
+		// server that is still up (sized by k, a hot dataset's result
+		// storage was an unrecoverable out-of-memory abort).
+		var atN api.KNNResponse
+		getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=1&k=%d", name, n.NumPoints()), http.StatusOK, &atN)
+		if len(atN.Results) == 0 || len(atN.Results) > n.NumPoints()-1 {
+			t.Fatalf("%s: k=N answered %d results", name, len(atN.Results))
+		}
+		hostile := []int64{math.MaxInt32, 1<<32 + 5, math.MaxInt64}
+		for _, k := range hostile {
+			var kr api.KNNResponse
+			getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=1&k=%d", name, k), http.StatusOK, &kr)
+			if !reflect.DeepEqual(atN.Results, kr.Results) {
+				t.Fatalf("%s: k=%d answered %d results, k=N %d", name, k, len(kr.Results), len(atN.Results))
+			}
+		}
 		// One sweep per sequential request on hot datasets, none elsewhere;
 		// the batcher books a sweep just after it releases its waiters.
 		sweeps := batches
 		if row.hot {
-			sweeps += 20
+			sweeps += 20 + 1 + int64(len(hostile))
 		}
 		waitFor(t, func() bool { after, _ := s.Metrics().KNNBatchCounts(); return after == sweeps })
 		for _, workers := range []int{0, 1, 4} {

@@ -74,9 +74,6 @@ type Querier struct {
 	totalRunNs int64
 	critRunNs  int64
 
-	// batchGroups buckets a KNNBatchCtx call's probe indices by home shard.
-	batchGroups [][]int32
-
 	// Filter-and-refine delegation, same contract as the csr scratch.
 	bounder network.Bounder
 	pruned  *network.RangeScratch
@@ -119,6 +116,7 @@ func (set *Set) KNNCtx(ctx context.Context, p network.PointID, k int) ([]network
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k-NN needs k >= 1, got %d", network.ErrInvalidOptions, k)
 	}
+	k = min(k, len(set.ptPos))
 	q := set.acquireQuerier()
 	defer set.releaseQuerier(q)
 	if err := q.runKNN(ctx, p, k); err != nil {
@@ -537,15 +535,8 @@ func (q *Querier) runKNN(ctx context.Context, p network.PointID, k int) error {
 		q.proposeKNN(int32(pg.N1), pos)
 		q.proposeKNN(int32(pg.N2), pg.Weight-pos)
 	}
-	return q.knnRounds(ctx, home, p, k)
-}
-
-// knnRounds runs a kNN query's scatter rounds to the fixpoint, starting
-// from the current pending seeds and candidate set. home < 0 means no shard
-// owes an unconditional first run — the cut-group entry path, and the
-// batched path replaying an escalated probe from its carried home state.
-func (q *Querier) knnRounds(ctx context.Context, home int32, p network.PointID, k int) error {
-	set := q.set
+	// Scatter rounds to the fixpoint. A cut-group query (home < 0) starts from
+	// the seeds proposed above; no shard owes it an unconditional first run.
 	for {
 		q.runList = q.runList[:0]
 		for s := 0; s < set.k; s++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"netclus/internal/csr"
 	"netclus/internal/network"
 )
 
@@ -153,98 +154,11 @@ func (set *Set) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, m
 	return counts, nil
 }
 
-// groupMedoid pairs a medoid slot with the group it lies on, the same
-// structure the csr assignment kernel sorts by.
-type groupMedoid struct {
-	gid  int32
-	slot int32
-}
-
-// sortMedoidsByGroup insertion-sorts the medoid slots by group ID (slots
-// ascending at ties), replicating the kernel's helper so the same-edge scan
-// order — and therefore every tie-break — matches it exactly.
-func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupMedoid {
-	byGroup := buf
-	for slot := range medoids {
-		gm := groupMedoid{gid: int32(medoids[slot].Group), slot: int32(slot)}
-		byGroup = append(byGroup, gm)
-		for j := len(byGroup) - 1; j > 0 && byGroup[j-1].gid > gm.gid; j-- {
-			byGroup[j] = byGroup[j-1]
-			byGroup[j-1] = gm
-		}
-	}
-	return byGroup
-}
-
 // AssignNearest labels every point with its nearest medoid slot given the
-// node assignment, satisfying network.MedoidAssigner. It is the csr
-// assignment scan ported onto the Set's global tables — same merge-join,
-// same per-point minimization and comparison order — so labels and R are
-// bit-identical to the single-snapshot kernel over the global med/dist
-// arrays the distributed expansion produced.
+// node assignment, satisfying network.MedoidAssigner: the csr assignment scan
+// run over the Set's global tables, so labels and R are bit-identical to the
+// single-snapshot kernel over the global med/dist arrays the distributed
+// expansion produced.
 func (set *Set) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (r float64, groupsRead int) {
-	var stack [32]groupMedoid
-	byGroup := sortMedoidsByGroup(medoids, stack[:0])
-	gi := 0
-	for g := range set.groups {
-		lo := gi
-		for gi < len(byGroup) && byGroup[gi].gid == int32(g) {
-			gi++
-		}
-		r += set.scanGroup(int32(g), medoids, byGroup[lo:gi], med, dist, labels)
-	}
-	return r, len(set.groups)
-}
-
-// scanGroup is the per-group minimization of Equation 1, expression for
-// expression the csr kernel's.
-func (set *Set) scanGroup(g int32, medoids []network.PointInfo, same []groupMedoid, med []int32, dist []float64, labels []int32) float64 {
-	pg := &set.groups[g]
-	d1, m1 := dist[pg.N1], med[pg.N1]
-	d2, m2 := dist[pg.N2], med[pg.N2]
-	first := int32(pg.First)
-	off := set.ptPos[first : first+pg.Count]
-	lbl := labels[first : first+pg.Count]
-	var sg float64
-	if len(same) == 0 {
-		w := pg.Weight
-		for i, o := range off {
-			best, bestM := network.Inf, int32(-1)
-			if d := d1 + o; d < best {
-				best, bestM = d, m1
-			}
-			if d := d2 + (w - o); d < best {
-				best, bestM = d, m2
-			}
-			lbl[i] = bestM
-			if bestM >= 0 {
-				sg += best
-			}
-		}
-		return sg
-	}
-	for i, o := range off {
-		best, bestM := network.Inf, int32(-1)
-		if d := d1 + o; d < best {
-			best, bestM = d, m1
-		}
-		if d := d2 + (pg.Weight - o); d < best {
-			best, bestM = d, m2
-		}
-		for _, sm := range same {
-			m := medoids[sm.slot]
-			dl := o - m.Pos
-			if dl < 0 {
-				dl = -dl
-			}
-			if dl < best {
-				best, bestM = dl, sm.slot
-			}
-		}
-		lbl[i] = bestM
-		if bestM >= 0 {
-			sg += best
-		}
-	}
-	return sg
+	return csr.AssignNearest(set.groups, set.ptPos, medoids, med, dist, labels, nil)
 }

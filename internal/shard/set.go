@@ -471,30 +471,6 @@ func (set *Set) Counters() Counters {
 	return c
 }
 
-// NumShards returns K.
-func (set *Set) NumShards() int { return set.k }
-
-// Shard returns the compiled snapshot of shard s.
-func (set *Set) Shard(s int) *csr.Snapshot { return set.shards[s] }
-
-// CutEdges returns the cut-edge table (shared; do not mutate).
-func (set *Set) CutEdges() []CutEdge { return set.cutEdges }
-
-// NodeShard returns the shard assignment of global node n.
-func (set *Set) NodeShard(n network.NodeID) int { return int(set.nodeShard[n]) }
-
-// SetWorkers caps how many shard kernels one query round may run
-// concurrently (clamped to [1, K]). The default is min(K, GOMAXPROCS).
-func (set *Set) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > set.k {
-		w = set.k
-	}
-	set.workers = w
-}
-
 // --- network.Graph over the global ID space ---
 
 // NumNodes returns |V|.

@@ -504,9 +504,6 @@ func (s *Store) Stats() pagebuf.Stats { return s.sh.pool.Stats() }
 // latch-balance inspection (netclusd exports them on /metrics).
 func (s *Store) ShardStats() []pagebuf.Stats { return s.sh.pool.ShardStats() }
 
-// PoolShards returns the buffer pool's latch shard count.
-func (s *Store) PoolShards() int { return s.sh.pool.Shards() }
-
 // CacheStats returns the decoded-record cache counters (adjacency cache,
 // group cache, leaf hints), aggregated over every view of the store. All
 // zeros when the caches are disabled.

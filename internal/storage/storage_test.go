@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"netclus/internal/core"
@@ -185,6 +186,21 @@ func TestClusteringOverStoreMatchesMemory(t *testing.T) {
 	}
 	if ari := mustARI(t, db1.Labels, db2.Labels); ari != 1 {
 		t.Fatalf("DBSCAN over store diverged: ARI %v", ari)
+	}
+	// k-medoids, incremental and recompute: same start, same swaps, so the
+	// labels are equal slot for slot, not only up to renumbering.
+	for _, recompute := range []bool{false, true} {
+		km1, err := core.KMedoids(n, core.KMedoidsOptions{K: 4, Recompute: recompute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		km2, err := core.KMedoids(s, core.KMedoidsOptions{K: 4, Recompute: recompute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(km1.Labels, km2.Labels) || km1.R != km2.R {
+			t.Fatalf("k-medoids (recompute=%v) over store diverged: R %v vs %v", recompute, km1.R, km2.R)
+		}
 	}
 	if st := s.Stats(); st.LogicalReads == 0 {
 		t.Fatal("store reported no I/O despite three full clusterings")
