@@ -86,6 +86,20 @@ func TestPipelineStoreAndAllAlgorithms(t *testing.T) {
 			t.Fatalf("cluster %v: %v", args, err)
 		}
 	}
+	// A store written before the format word existed (bytes 24-27 of
+	// meta.bin zero) is refused with the storage layer's message, verbatim.
+	meta, err := os.ReadFile(filepath.Join(storeDir, "meta.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(meta[24:28])
+	if err := os.WriteFile(filepath.Join(storeDir, "meta.bin"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cluster([]string{"-store", storeDir, "-algo", "eps-link", "-eps", "0.5"})
+	if err == nil || !strings.Contains(err.Error(), "rebuild it with `netclus store`") {
+		t.Fatalf("cluster on a format-1 store: %v", err)
+	}
 }
 
 func TestClusterValidation(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,27 @@ func TestBuildRegistryBothKinds(t *testing.T) {
 	if _, err := buildRegistry([]dataSpec{{name: "x", path: filepath.Join(t.TempDir(), "missing")}},
 		256, 0, logger); err == nil {
 		t.Fatal("missing dataset path did not error")
+	}
+	// A format-1 store (bytes 24-27 of meta.bin zero) is never served: every
+	// serving form refuses it with the storage layer's rebuild message.
+	meta, err := os.ReadFile(filepath.Join(dir, "meta.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(meta[24:28])
+	if err := os.WriteFile(filepath.Join(dir, "meta.bin"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []dataSpec{
+		{name: "old", path: dir},
+		{name: "old", path: dir, hot: true},
+		{name: "old", path: dir, shards: 2},
+		{name: "old", path: dir, live: true},
+	} {
+		_, err := buildRegistry([]dataSpec{spec}, 256, 0, logger)
+		if err == nil || !strings.Contains(err.Error(), "rebuild it with `netclus store`") {
+			t.Fatalf("%+v on a format-1 store: %v", spec, err)
+		}
 	}
 }
 

@@ -213,26 +213,35 @@ func childIndex(p []byte, k uint64) int {
 	return lo
 }
 
+// readNode reads page no into buf and accepts it only as a node of type typ
+// whose key count fits a page, so no lookup indexes past the page on the word
+// of a damaged file.
+func (t *Tree) readNode(no int64, buf []byte, typ byte) error {
+	if err := t.readPage(no, buf); err != nil {
+		return err
+	}
+	limit := t.leafCap
+	if typ == typeInternal {
+		limit = t.intCap
+	}
+	if nodeType(buf) != typ || nodeKeys(buf) > limit {
+		return fmt.Errorf("bptree: %s: page %d (offset %d) has type %d and %d keys, want type %d and at most %d keys",
+			t.f.Name(), no, no*int64(t.pageSize), nodeType(buf), nodeKeys(buf), typ, limit)
+	}
+	return nil
+}
+
 // findLeaf descends to the leaf that would hold k, returning its page number
 // into buf.
 func (t *Tree) findLeaf(k uint64, buf []byte) (int64, error) {
 	page := t.root
 	for level := t.height; level > 1; level-- {
-		if err := t.readPage(page, buf); err != nil {
+		if err := t.readNode(page, buf, typeInternal); err != nil {
 			return 0, err
-		}
-		if nodeType(buf) != typeInternal {
-			return 0, fmt.Errorf("bptree: page %d: expected internal node at level %d", page, level)
 		}
 		page = intChild(buf, childIndex(buf, k))
 	}
-	if err := t.readPage(page, buf); err != nil {
-		return 0, err
-	}
-	if nodeType(buf) != typeLeaf {
-		return 0, fmt.Errorf("bptree: page %d: expected leaf", page)
-	}
-	return page, nil
+	return page, t.readNode(page, buf, typeLeaf)
 }
 
 // Search returns the value for k.
@@ -285,7 +294,7 @@ func (t *Tree) floorSlow(k uint64, buf []byte) (uint64, uint64, bool, error) {
 	}
 	haveKey, haveVal, have := uint64(0), uint64(0), false
 	for page >= 0 {
-		if err := t.readPage(page, buf); err != nil {
+		if err := t.readNode(page, buf, typeLeaf); err != nil {
 			return 0, 0, false, err
 		}
 		n := nodeKeys(buf)
@@ -303,7 +312,7 @@ func (t *Tree) floorSlow(k uint64, buf []byte) (uint64, uint64, bool, error) {
 func (t *Tree) leftmostLeaf(buf []byte) (int64, error) {
 	page := t.root
 	for level := t.height; level > 1; level-- {
-		if err := t.readPage(page, buf); err != nil {
+		if err := t.readNode(page, buf, typeInternal); err != nil {
 			return 0, err
 		}
 		page = intChild(buf, 0)
@@ -336,7 +345,7 @@ func (t *Tree) Scan(from uint64, fn func(k, v uint64) (bool, error)) error {
 			return nil
 		}
 		page = next
-		if err := t.readPage(page, buf); err != nil {
+		if err := t.readNode(page, buf, typeLeaf); err != nil {
 			return err
 		}
 		i = 0

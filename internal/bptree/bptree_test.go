@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"netclus/internal/pagebuf"
@@ -317,6 +318,53 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Create(f, smallPage); err == nil {
 		t.Fatal("want error creating over non-empty file")
+	}
+}
+
+// TestOversizedKeyCountIsAnError: a node whose key count exceeds what a page
+// holds (one flipped word in the file) is refused by every lookup with an
+// error naming the file and page, instead of indexing past the page buffer.
+func TestOversizedKeyCountIsAnError(t *testing.T) {
+	for _, level := range []string{"root", "leaf"} {
+		t.Run(level, func(t *testing.T) {
+			tr := newTestTree(t, smallPage)
+			keys := make([]uint64, 500)
+			for i := range keys {
+				keys[i] = uint64(2 * i)
+			}
+			if err := tr.BulkLoad(keys, keys); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Height() < 3 {
+				t.Fatalf("height %d, want a multi-level tree", tr.Height())
+			}
+			page := tr.root
+			if level == "leaf" {
+				buf := make([]byte, smallPage)
+				var err error
+				if page, err = tr.findLeaf(400, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.f.WriteAt([]byte{0xFF, 0xFF}, page*smallPage+1); err != nil {
+				t.Fatal(err)
+			}
+			var h LeafHint
+			_, _, errSearch := tr.Search(400)
+			_, _, _, errFloor := tr.Floor(401)
+			_, _, errSearchHint := tr.SearchHint(400, &h)
+			_, _, _, errFloorHint := tr.FloorHint(401, &h)
+			errScan := tr.Scan(0, func(k, v uint64) (bool, error) { return true, nil })
+			for name, err := range map[string]error{
+				"Search": errSearch, "Floor": errFloor, "SearchHint": errSearchHint, "FloorHint": errFloorHint, "Scan": errScan,
+			} {
+				if err == nil {
+					t.Errorf("%s: want an error", name)
+				} else if !strings.Contains(err.Error(), "t.idx") || !strings.Contains(err.Error(), "65535 keys") {
+					t.Errorf("%s: error names neither file nor value: %v", name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,7 +10,8 @@
 // them into one snapshot, so the paper's page-access accounting is unchanged.
 // A shard latch is held only for map/LRU bookkeeping and the page memcpy;
 // disk reads of faulted pages happen under it too, mirroring a partitioned
-// buffer manager.
+// buffer manager. A shard allocates page buffers only until it is full: from
+// then on a fault evicts first and reads into the frame it just freed.
 package pagebuf
 
 import (
@@ -269,6 +270,9 @@ func (p *Pool) Open(path string) (*File, error) {
 	return f, nil
 }
 
+// Name returns the path the file was opened with, for error messages.
+func (f *File) Name() string { return f.os.Name() }
+
 // Size returns the logical byte size of the file.
 func (f *File) Size() int64 { return f.size.Load() }
 
@@ -283,38 +287,52 @@ func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 		return el.Value.(*frame), nil
 	}
 	sh.stats.physicalReads.Add(1)
-	fr := &frame{key: key, data: make([]byte, p.pageSize), f: f}
-	if pageNo < f.pages.Load() {
-		if _, err := f.os.ReadAt(fr.data, pageNo*int64(p.pageSize)); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("pagebuf: read page %d: %w", pageNo, err)
-		}
-	}
+	// A full shard evicts first and faults into the frame it just freed;
+	// only a shard still below capacity allocates.
+	var fr *frame
 	if sh.lru.Len() >= sh.capacity {
-		if err := sh.evict(); err != nil {
+		var err error
+		if fr, err = sh.evict(); err != nil {
 			return nil, err
 		}
 	}
+	if fr == nil {
+		fr = &frame{data: make([]byte, p.pageSize)}
+	}
+	fr.key, fr.f = key, f
+	n := 0
+	if pageNo < f.pages.Load() {
+		var err error
+		if n, err = f.os.ReadAt(fr.data, pageNo*int64(p.pageSize)); err != nil && err != io.EOF {
+			return nil, fmt.Errorf("pagebuf: %s: read page %d: %w", f.Name(), pageNo, err)
+		}
+	}
+	// Whatever the read left uncovered (a partial last page, a page never
+	// written) must not show the frame's previous page.
+	clear(fr.data[n:])
 	sh.frames[key] = sh.lru.PushFront(fr)
 	return fr, nil
 }
 
-// evict writes back and drops the least recently used frame of this shard.
+// evict writes back and drops the least recently used frame of this shard,
+// handing it (clean) to the caller for reuse; nil when the shard is empty.
 // The shard latch must be held.
-func (sh *shard) evict() error {
+func (sh *shard) evict() (*frame, error) {
 	el := sh.lru.Back()
 	if el == nil {
-		return nil
+		return nil, nil
 	}
 	fr := el.Value.(*frame)
 	if fr.dirty {
 		if err := fr.f.writeBack(sh, fr); err != nil {
-			return err
+			return nil, err
 		}
+		fr.dirty = false
 	}
 	sh.lru.Remove(el)
 	delete(sh.frames, fr.key)
 	sh.stats.evictions.Add(1)
-	return nil
+	return fr, nil
 }
 
 // writeBack flushes one frame to disk. The latch of the frame's shard must be
@@ -342,7 +360,7 @@ func (f *File) ReadAt(buf []byte, off int64) error {
 		return ErrClosed
 	}
 	if size := f.Size(); off < 0 || off+int64(len(buf)) > size {
-		return fmt.Errorf("pagebuf: read [%d,%d) beyond file size %d", off, off+int64(len(buf)), size)
+		return fmt.Errorf("pagebuf: %s: read [%d,%d) beyond file size %d", f.Name(), off, off+int64(len(buf)), size)
 	}
 	ps := int64(f.pool.pageSize)
 	for len(buf) > 0 {

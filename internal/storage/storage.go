@@ -4,7 +4,9 @@
 //
 // Layout of a store directory:
 //
-//	meta.bin  - fixed-size header: magic, page size, |V|, |E|, N, #groups
+//	meta.bin  - fixed-size header: magic, page size, |V|, |E|, N, #groups,
+//	            format (2; the word is 0 in format-1 stores, whose pts.idx
+//	            held record offsets — Open refuses them, rebuild instead)
 //	adj.dat   - one record per node, packed in BFS (connectivity) order:
 //	            [deg u32] then deg x [adjNode u32, group i32, weight f64]
 //	adj.idx   - B+-tree: node ID -> byte offset of its adjacency record
@@ -12,8 +14,9 @@
 //	            [n1 u32, n2 u32, count u32, first u32, weight f64]
 //	            then count x [offset f64, tag i32]
 //	grp.idx   - B+-tree: group ID -> byte offset of its record
-//	pts.idx   - sparse B+-tree: first point ID of a group -> same offset
-//	            (resolves an arbitrary point ID by floor search, §4.1)
+//	pts.idx   - sparse B+-tree: first point ID of a group -> group ID
+//	            (resolves an arbitrary point ID by floor search, §4.1; the
+//	            group's record is then found the way Group finds it)
 //
 // The BFS packing order plays the role of CCAM's connectivity clustering:
 // adjacent nodes land on nearby pages, so traversals fault fewer pages than
@@ -39,6 +42,7 @@ import (
 const (
 	metaMagic   = 0x4E43_5354 // "NCST"
 	metaSize    = 4 * 8
+	metaFormat  = 2 // meta word 6; format 1 (word 0) mapped pts.idx to record offsets
 	adjHeader   = 4
 	adjEntry    = 16
 	groupHeader = 4*4 + 8
@@ -244,7 +248,7 @@ func Build(dir string, n *network.Network, opts Options) error {
 	if err != nil {
 		return err
 	}
-	if err := ptsIdx.BulkLoad(firstKeys, grpVals); err != nil {
+	if err := ptsIdx.BulkLoad(firstKeys, grpKeys); err != nil {
 		return err
 	}
 
@@ -261,6 +265,7 @@ func Build(dir string, n *network.Network, opts Options) error {
 	binary.LittleEndian.PutUint32(meta[12:], uint32(n.NumEdges()))
 	binary.LittleEndian.PutUint32(meta[16:], uint32(n.NumPoints()))
 	binary.LittleEndian.PutUint32(meta[20:], uint32(n.NumGroups()))
+	binary.LittleEndian.PutUint32(meta[24:], metaFormat)
 	return metaF.WriteAt(meta, 0)
 }
 
@@ -416,6 +421,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if ps := int(binary.LittleEndian.Uint32(meta[4:])); ps != opts.PageSize {
 		return fail(fmt.Errorf("storage: store built with page size %d, opened with %d", ps, opts.PageSize))
+	}
+	if v := binary.LittleEndian.Uint32(meta[24:]); v != metaFormat {
+		// Format 1 predates the word (it reads 0) and kept record offsets in pts.idx.
+		return fail(fmt.Errorf("storage: %s is a format-%d store and this build reads only format %d: rebuild it with `netclus store` or BuildStore",
+			dir, max(v, 1), metaFormat))
 	}
 	sh.nodes = int(binary.LittleEndian.Uint32(meta[8:]))
 	sh.edges = int(binary.LittleEndian.Uint32(meta[12:]))
@@ -606,6 +616,9 @@ func (s *Store) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 		return nil, s.closedErr(err)
 	}
 	deg := int(binary.LittleEndian.Uint32(s.scratch4[:]))
+	if left := s.sh.adjF.Size() - int64(off) - adjHeader; int64(deg) > left/adjEntry {
+		return nil, fmt.Errorf("storage: adj.dat: node %d at offset %d has degree %d, only %d bytes follow", id, off, deg, left)
+	}
 	need := adjEntry * deg
 	if cap(s.adjPayload) < need {
 		s.adjPayload = make([]byte, need)
@@ -739,6 +752,9 @@ func (s *Store) GroupOffsets(g network.GroupID) ([]float64, error) {
 // readPoints decodes count point entries following the header at off into
 // dst (offsets) and tags (may be nil).
 func (s *Store) readPoints(off int64, count int, dst []float64, tags []int32) ([]float64, error) {
+	if left := s.sh.ptsF.Size() - off - groupHeader; count < 0 || int64(count) > left/pointEntry {
+		return nil, fmt.Errorf("storage: pts.dat: group at offset %d has count %d, only %d bytes follow", off, count, left)
+	}
 	need := pointEntry * count
 	if cap(s.ptsPayload) < need {
 		s.ptsPayload = make([]byte, need)
@@ -761,7 +777,9 @@ func (s *Store) readPoints(off int64, count int, dst []float64, tags []int32) ([
 	return dst, nil
 }
 
-// PointInfo resolves point p by floor search on the sparse point index.
+// PointInfo resolves point p: a floor search on the sparse point index names
+// its group, whose record is found the way Group finds it (warming the entry
+// the GroupOffsets of a range query reads next), then one point entry.
 func (s *Store) PointInfo(p network.PointID) (network.PointInfo, error) {
 	if err := s.checkOpen(); err != nil {
 		return network.PointInfo{}, err
@@ -769,66 +787,35 @@ func (s *Store) PointInfo(p network.PointID) (network.PointInfo, error) {
 	if p < 0 || int(p) >= s.sh.points {
 		return network.PointInfo{}, fmt.Errorf("%w: %d", network.ErrPointRange, p)
 	}
-	first, off, ok, err := s.idxFloor(s.sh.ptsIdx, &s.ptsHint, uint64(p))
+	first, gid, ok, err := s.idxFloor(s.sh.ptsIdx, &s.ptsHint, uint64(p))
 	if err != nil {
 		return network.PointInfo{}, s.closedErr(err)
 	}
-	if !ok {
-		return network.PointInfo{}, fmt.Errorf("storage: no group at or below point %d", p)
+	if !ok || gid >= uint64(s.sh.groups) {
+		return network.PointInfo{}, fmt.Errorf("storage: pts.idx: no group at or below point %d (floor key %d, group %d of %d)", p, first, gid, s.sh.groups)
 	}
-	pg, err := s.readGroupHeader(int64(off))
+	rec, err := s.groupRecord(network.GroupID(gid))
 	if err != nil {
 		return network.PointInfo{}, err
 	}
+	pg := rec.pg
 	idx := int(p) - int(first)
-	if idx < 0 || idx >= int(pg.Count) {
-		return network.PointInfo{}, fmt.Errorf("storage: point %d outside its group [%d,%d)", p, first, int(first)+int(pg.Count))
+	if uint64(pg.First) != first || idx < 0 || idx >= int(pg.Count) {
+		return network.PointInfo{}, fmt.Errorf("storage: pts.dat: point %d resolves to group %d at offset %d holding [%d,%d), pts.idx says it starts at %d",
+			p, gid, rec.off, pg.First, int(pg.First)+int(pg.Count), first)
 	}
 	var entry [pointEntry]byte
-	if err := s.sh.ptsF.ReadAt(entry[:], int64(off)+groupHeader+int64(pointEntry*idx)); err != nil {
+	if err := s.sh.ptsF.ReadAt(entry[:], rec.off+groupHeader+int64(pointEntry*idx)); err != nil {
 		return network.PointInfo{}, s.closedErr(err)
 	}
-	// Group IDs are dense in pts.dat order, but the record does not carry
-	// its own ID; recover it from the group index by the record offset.
-	// The adjacency entries carry the group ID directly, so this lookup
-	// only happens on PointInfo calls. A linear probe via grp.idx would be
-	// O(G); instead exploit that groups are ordered by First: the group ID
-	// equals the rank of `first` in pts.idx, tracked in the tree itself.
-	gid, err := s.groupIDByFirst(first)
-	if err != nil {
-		return network.PointInfo{}, err
-	}
 	return network.PointInfo{
-		Group:  gid,
+		Group:  network.GroupID(gid),
 		N1:     pg.N1,
 		N2:     pg.N2,
 		Pos:    bitsFloat(binary.LittleEndian.Uint64(entry[0:])),
 		Weight: pg.Weight,
 		Tag:    int32(binary.LittleEndian.Uint32(entry[8:])),
 	}, nil
-}
-
-// groupIDByFirst finds the dense group ID whose first point is `first` by
-// binary search over grp.idx (group IDs are dense and their records'
-// First fields ascend with the ID).
-func (s *Store) groupIDByFirst(first uint64) (network.GroupID, error) {
-	lo, hi := 0, s.sh.groups-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		pg, err := s.Group(network.GroupID(mid))
-		if err != nil {
-			return 0, err
-		}
-		switch {
-		case uint64(pg.First) == first:
-			return network.GroupID(mid), nil
-		case uint64(pg.First) < first:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	return network.GroupID(lo), nil
 }
 
 // Tag returns the tag of point p (0 when out of range), mirroring
@@ -859,7 +846,7 @@ func (s *Store) ScanGroups(fn func(g network.GroupID, pg network.PointGroup, off
 			return err
 		}
 		if pg.Count < 1 {
-			return fmt.Errorf("storage: group %d has count %d", g, pg.Count)
+			return fmt.Errorf("storage: pts.dat: group %d at offset %d has count %d", g, off, pg.Count)
 		}
 		var err2 error
 		s.scanBuf, err2 = s.readPoints(off, int(pg.Count), s.scanBuf, nil)

@@ -1,16 +1,21 @@
 package storage_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"netclus/internal/bptree"
 	"netclus/internal/core"
 	"netclus/internal/evalx"
 	"netclus/internal/network"
+	"netclus/internal/pagebuf"
 	"netclus/internal/storage"
 	"netclus/internal/testnet"
 )
@@ -258,6 +263,118 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := storage.Open(dir2, storage.Options{PageSize: 1024}); err == nil {
 		t.Fatal("want error for page size mismatch")
 	}
+	// A format-1 store (no format word: bytes 24-27 of meta.bin are zero) kept
+	// record offsets in pts.idx; it is refused, not misread.
+	poke(0, 24)(t, filepath.Join(dir2, "meta.bin"))
+	_, err = storage.Open(dir2, storage.Options{PageSize: 512})
+	if err == nil {
+		t.Fatal("want error for a format-1 store")
+	}
+	for _, want := range []string{"format-1", "format 2", "rebuild", "netclus store", "BuildStore"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("format error lacks %q: %v", want, err)
+		}
+	}
+}
+
+// poke returns a damage that overwrites the little-endian word at off.
+func poke(word uint32, off int64) func(*testing.T, string) {
+	return func(t *testing.T, path string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, word), off); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// indexHeight opens one index file of a store on its own and returns the
+// tree's height.
+func indexHeight(t *testing.T, dir, name string, pageSize int) int {
+	t.Helper()
+	pool, err := pagebuf.NewPool(4*pageSize, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := pool.Open(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tree, err := bptree.Open(f, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree.Height()
+}
+
+// TestPointInfoWorkBound pins what resolving a point costs, in counted work
+// rather than time, and that it resolves to what the network says on every
+// layout. Uncached: one descent of pts.idx, one of grp.idx, the group header
+// and the point entry (each may straddle a page) — not a descent and a header
+// per step of a binary search over the groups. Cached: one group-cache probe.
+func TestPointInfoWorkBound(t *testing.T) {
+	n, err := testnet.Random(21, 900, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.NumGroups() < 1000 {
+		t.Fatalf("only %d groups, the bound needs a deep index", n.NumGroups())
+	}
+	const pageSize = 256 // 15 keys a leaf: both indexes are several levels deep
+	for _, layout := range []storage.Layout{storage.LayoutBFS, storage.LayoutNodeID, storage.LayoutRandom} {
+		t.Run(string(layout), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := storage.Options{PageSize: pageSize, BufferBytes: 64 * pageSize, Layout: layout}
+			if err := storage.Build(dir, n, opts); err != nil {
+				t.Fatal(err)
+			}
+			bound := int64(indexHeight(t, dir, "pts.idx", pageSize) + indexHeight(t, dir, "grp.idx", pageSize) + 4)
+
+			opts.DisableRecordCaches = true
+			uncached, err := storage.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer uncached.Close()
+			opts.DisableRecordCaches = false
+			cached, err := storage.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cached.Close()
+
+			for p := 0; p < n.NumPoints(); p++ {
+				want, err := n.PointInfo(network.PointID(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads := uncached.Stats().LogicalReads
+				got, err := uncached.PointInfo(network.PointID(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reads = uncached.Stats().LogicalReads - reads; reads > bound {
+					t.Fatalf("point %d: %d logical page reads uncached, bound %d", p, reads, bound)
+				}
+				before := cached.CacheStats()
+				got2, err := cached.PointInfo(network.PointID(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := cached.CacheStats().Sub(before); d.GroupHits+d.GroupMisses > 2 {
+					t.Fatalf("point %d: %d group-cache look-ups, want at most 2", p, d.GroupHits+d.GroupMisses)
+				}
+				if got != want || got2 != want {
+					t.Fatalf("point %d: uncached %+v, cached %+v, network %+v", p, got, got2, want)
+				}
+			}
+		})
+	}
 }
 
 func TestStoreRangeErrors(t *testing.T) {
@@ -340,6 +457,11 @@ func TestStorePointFreeNetwork(t *testing.T) {
 	}
 }
 
+// TestTruncatedPointsFileSurfaces damages one file of a freshly built store
+// per row — a truncation, or one flipped length word — and sweeps every query
+// over it. Each damage must surface as an error: no panic, and no allocation
+// sized by the damaged word (a degree of 0xFFFFFFF0 used to ask the runtime
+// for 68 GB, which no recover() survives).
 func TestTruncatedPointsFileSurfaces(t *testing.T) {
 	// Enough points that pts.dat spans several pages, so halving the file
 	// destroys real records rather than page padding.
@@ -347,25 +469,99 @@ func TestTruncatedPointsFileSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := storage.Build(dir, n, storage.Options{}); err != nil {
-		t.Fatal(err)
+	halve := func(t *testing.T, path string) {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()/2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Truncate pts.dat to half its records.
-	path := filepath.Join(dir, "pts.dat")
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	// Key count 0xFFFF in every node page of an index (page 0 is its meta).
+	keyCounts := func(t *testing.T, path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := pagebuf.DefaultPageSize; at < len(b); at += pagebuf.DefaultPageSize {
+			b[at+1], b[at+2] = 0xFF, 0xFF
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Truncate(path, fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	s, err := storage.Open(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.ScanGroups(func(network.GroupID, network.PointGroup, []float64) error { return nil }); err == nil {
-		t.Fatal("want error scanning truncated points file")
+	for _, row := range []struct {
+		name, file string
+		damage     func(*testing.T, string)
+		fail       []string // the calls that must return an error naming file
+	}{
+		{"truncated pts.dat", "pts.dat", halve, []string{"GroupOffsets", "PointInfo", "ScanGroups"}},
+		{"truncated adj.dat", "adj.dat", halve, []string{"Neighbors"}},
+		{"degree", "adj.dat", poke(0xFFFFFFF0, 0), []string{"Neighbors"}},
+		{"group count", "pts.dat", poke(0x7FFFFFF0, 8), []string{"GroupOffsets", "ScanGroups"}},
+		{"negative group count", "pts.dat", poke(0xFFFFFFF0, 8), []string{"GroupOffsets", "PointInfo", "ScanGroups"}},
+		{"First disagrees with pts.idx", "pts.dat", poke(1, 12), []string{"PointInfo"}},
+		{"adj.idx key count", "adj.idx", keyCounts, []string{"Neighbors"}},
+		{"grp.idx key count", "grp.idx", keyCounts, []string{"GroupOffsets", "PointInfo"}},
+		{"pts.idx key count", "pts.idx", keyCounts, []string{"PointInfo"}},
+	} {
+		for _, uncached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s uncached=%v", row.name, uncached), func(t *testing.T) {
+				dir := t.TempDir()
+				if err := storage.Build(dir, n, storage.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				row.damage(t, filepath.Join(dir, row.file))
+				s, err := storage.Open(dir, storage.Options{DisableRecordCaches: uncached})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				// First error of each call, kept apart: an earlier call that
+				// fails must not stand in for a later one that should.
+				first := map[string]error{}
+				note := func(call string, err error) {
+					if err != nil && first[call] == nil {
+						first[call] = err
+					}
+				}
+				for u := 0; u < s.NumNodes(); u++ {
+					_, err := s.Neighbors(network.NodeID(u))
+					note("Neighbors", err)
+				}
+				for g := 0; g < s.NumGroups(); g++ {
+					_, err := s.GroupOffsets(network.GroupID(g))
+					note("GroupOffsets", err)
+				}
+				for p := 0; p < s.NumPoints(); p++ {
+					_, err := s.PointInfo(network.PointID(p))
+					note("PointInfo", err)
+				}
+				note("ScanGroups", s.ScanGroups(func(network.GroupID, network.PointGroup, []float64) error { return nil }))
+				runtime.ReadMemStats(&after)
+				for _, call := range row.fail {
+					if err := first[call]; err == nil {
+						t.Errorf("%s returned no error on the damaged store", call)
+					} else if !strings.Contains(err.Error(), row.file) {
+						t.Errorf("%s error does not name %s: %v", call, row.file, err)
+					}
+				}
+				for call, err := range first {
+					if !slices.Contains(row.fail, call) {
+						t.Errorf("%s is not expected to fail on this damage: %v", call, err)
+					}
+				}
+				// The whole store is under 100 KB; frames, decoded records and
+				// an error string per failed call stay within a few MB even
+				// under -race. A length taken on trust asks for gigabytes.
+				if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+					t.Fatalf("sweep over the damaged store allocated %d bytes", got)
+				}
+			})
+		}
 	}
 }
