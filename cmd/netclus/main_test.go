@@ -117,6 +117,7 @@ func TestClusterValidation(t *testing.T) {
 		{"-in", prefix, "-algo", "dbscan"},   // missing eps
 		{"-in", prefix, "-algo", "nonsense", "-eps", "1"},
 		{"-in", filepath.Join(dir, "missing"), "-algo", "eps-link", "-eps", "1"},
+		{"-in", prefix, "-algo", "single-link", "-delta", "NaN"}, // flag parses NaN; the library refuses it
 	}
 	for _, args := range cases {
 		if err := cluster(args); err == nil {

@@ -3,7 +3,9 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netclus/internal/core"
@@ -181,6 +183,119 @@ func TestDensityBackendsMatchOracle(t *testing.T) {
 			for _, bk := range densityBackends(t, g, 4, true) {
 				checkDensityBackend(t, bk, []float64{0.05, 0.15, 0.4, 1.2}, []int{1, 2, 3, 5, 9})
 			}
+		})
+	}
+}
+
+// checkSingleLinkBackends runs Single-Link on every backend at δ = 0, δ > 0
+// and StopAtClusters = 3 and demands the brute-force dendrogram: heights
+// within 1e-9 of matrix.SingleLink (above δ, where the heuristic promises
+// them), the partitions at several cuts, one cluster per network component at
+// the end — and merge sequences bit-identical between backends serving the
+// same content (the delta view is paired with its own compilation).
+func checkSingleLinkBackends(t *testing.T, bks []densityBackend, delta float64) {
+	t.Helper()
+	view := bks[len(bks)-1]
+	compiled, err := csr.Compile(view.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bks = append(bks, densityBackend{name: "compiled-view", g: compiled, dist: view.dist})
+	ref := map[*float64][3][]core.MergeStep{}
+	for _, bk := range bks {
+		n := bk.g.NumPoints()
+		want := matrix.SingleLink(bk.dist)
+		comps := n - len(want)
+		var runs [3][]core.MergeStep
+		for i, opts := range []core.SingleLinkOptions{{}, {Delta: delta}, {StopAtClusters: 3}} {
+			what := fmt.Sprintf("%s %+v", bk.name, opts)
+			res, err := core.SingleLinkCtx(context.Background(), bk.g, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			runs[i] = res.Dendrogram.Merges
+			if res.Stats.GroupsRead != bk.g.NumGroups() || res.Stats.NodesSettled == 0 || res.Stats.EdgesVisited == 0 || res.Stats.HeapPushes == 0 {
+				t.Fatalf("%s: stats %+v on %d groups", what, res.Stats, bk.g.NumGroups())
+			}
+			if wantFinal := max(comps, opts.StopAtClusters); res.FinalClusters != wantFinal || len(runs[i]) != n-wantFinal {
+				t.Fatalf("%s: %d merges to %d clusters, want %d to %d", what, len(runs[i]), res.FinalClusters, n-wantFinal, wantFinal)
+			}
+			if opts.StopAtClusters > 0 {
+				if !reflect.DeepEqual(runs[i], runs[0][:len(runs[i])]) {
+					t.Fatalf("%s: not a prefix of the full run\nfull %v\ngot  %v", what, runs[0], runs[i])
+				}
+				continue
+			}
+			pre := res.Dendrogram.PreMerges
+			if (pre > 0) != hasGapWithin(t, bk.g, opts.Delta) {
+				t.Fatalf("%s: %d pre-merges", what, pre)
+			}
+			for j, m := range runs[i] {
+				switch {
+				case j < pre && m.Dist > opts.Delta:
+					t.Fatalf("%s: pre-merge %d at %v", what, j, m.Dist)
+				case j > pre && m.Dist < runs[i][j-1].Dist:
+					t.Fatalf("%s: merge %d at %v after one at %v", what, j, m.Dist, runs[i][j-1].Dist)
+				}
+				if w := want[j].Dist; w > opts.Delta && math.Abs(m.Dist-w) > 1e-9 {
+					t.Fatalf("%s: merge %d at %v, brute force %v", what, j, m.Dist, w)
+				}
+			}
+			for _, frac := range []float64{0.25, 0.5, 0.75, 0.9} {
+				if cut := want[int(frac*float64(len(want)-1))].Dist + 1e-12; cut >= opts.Delta {
+					samePartition(t, cutBrute(want, n, cut), res.Dendrogram.LabelsAtDistance(cut), fmt.Sprintf("%s cut at %v", what, cut))
+				}
+			}
+		}
+		if first, ok := ref[&bk.dist[0][0]]; !ok {
+			ref[&bk.dist[0][0]] = runs
+		} else if !reflect.DeepEqual(first, runs) {
+			t.Fatalf("%s: merges differ from the first backend serving this content\nfirst %v\ngot   %v", bk.name, first, runs)
+		}
+	}
+}
+
+// hasGapWithin reports whether two consecutive points of one group are at
+// most delta apart — whether the δ heuristic has anything to pre-merge.
+func hasGapWithin(t *testing.T, g network.Graph, delta float64) bool {
+	t.Helper()
+	found := false
+	err := g.ScanGroups(func(_ network.GroupID, _ network.PointGroup, offsets []float64) error {
+		for i := 1; i < len(offsets); i++ {
+			found = found || offsets[i]-offsets[i-1] <= delta
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// TestSingleLinkMatchesBruteForce is the cross-backend table of Single-Link:
+// the density shapes (one of them disconnected) and the tie shapes in every
+// numbering, plus twelve generated graphs, on every backend.
+func TestSingleLinkMatchesBruteForce(t *testing.T) {
+	shapes, err := testnet.ShapeGraphs(testnet.TieShapes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range shapes {
+		t.Run(name, func(t *testing.T) {
+			bks := densityBackends(t, g, 4, false)
+			if strings.HasPrefix(name, "disconnected") && len(matrix.SingleLink(bks[0].dist)) > g.NumPoints()-2 {
+				t.Fatal("the disconnected shape is connected")
+			}
+			checkSingleLinkBackends(t, bks, 0.25)
+		})
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			g, err := testnet.Random(seed, 32, 45)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSingleLinkBackends(t, densityBackends(t, g, 4, true), 0.1)
 		})
 	}
 }

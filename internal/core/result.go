@@ -5,9 +5,10 @@
 //     expansion (Fig. 4) and incremental medoid replacement (Fig. 5);
 //   - EpsLink: the ε-Link density-based algorithm (Fig. 6), together with a
 //     network adaptation of DBSCAN used as the paper's density baseline;
-//   - SingleLink: hierarchical single-link clustering via interleaved
-//     network-Voronoi expansion and cluster merging (Fig. 8), with the δ
-//     scalability heuristic and §5.3 interesting-level detection.
+//   - SingleLink: hierarchical single-link clustering as Kruskal's algorithm
+//     over the candidate pairs of one network-Voronoi expansion (Fig. 8's
+//     candidate set without its interleaving), with the δ scalability
+//     heuristic and §5.3 interesting-level detection.
 //
 // All algorithms operate through the network.Graph interface, so they run
 // unchanged over the in-memory network and the disk-based store, and they
@@ -23,6 +24,13 @@ const Noise int32 = -1
 // Stats counts the work an algorithm performed, independent of wall time.
 // Benchmarks report them next to durations so the paper's cost arguments
 // (which algorithm traverses how much of the graph) can be checked directly.
+//
+// Single-Link reports its four steps (singlelink.go) as: GroupsRead ==
+// NumGroups() exactly (the one scan; no group is fetched again),
+// NodesSettled and EdgesVisited from the Voronoi expansion — plus, on a graph
+// with an expansion kernel, the adjacency entries of the candidate sweep that
+// follows it — and HeapPushes = seeds + frontier pushes + candidate pairs
+// handed to the sort.
 type Stats struct {
 	NodesSettled int // priority-queue dequeues that were accepted
 	HeapPushes   int // priority-queue insertions

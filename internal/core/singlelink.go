@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"netclus/internal/heapx"
 	"netclus/internal/network"
@@ -13,7 +15,7 @@ import (
 type SingleLinkOptions struct {
 	// Delta is the scalability heuristic (§4.4.2): points on the same edge
 	// at gap <= Delta are merged immediately during the initialization
-	// scan, shrinking the pair heap by orders of magnitude at the price of
+	// scan, shrinking the candidate list by orders of magnitude at the price of
 	// the first (analytically uninteresting) dendrogram levels. 0 disables.
 	Delta float64
 	// StopAtClusters stops the agglomeration when this many clusters
@@ -34,83 +36,66 @@ type SingleLinkResult struct {
 	Stats Stats
 }
 
-// pairEntry is an entry of heap P: a candidate merge of the clusters
-// currently containing points a and b, connected by a path of length dist.
+// pairEntry is a candidate merge of the clusters currently containing points
+// a and b, connected by a path of length dist.
 type pairEntry struct {
 	a, b network.PointID
 	dist float64
 }
 
-// slEntry is an entry of heap Q: node is reachable from cluster-seed point
-// owner at network distance dist.
-type slEntry struct {
-	node  network.NodeID
-	dist  float64
-	owner network.PointID
-}
-
 // SingleLink computes the single-link dendrogram of the points under the
-// network distance with a single traversal of the graph, following the
-// paper's two-phase Fig. 8 design:
+// network distance in four steps that do not interleave:
 //
-// Initialization scans the point groups sequentially; every point becomes a
-// singleton cluster, consecutive same-edge points become candidate pairs in
-// heap P (or merge immediately under the δ heuristic), and each populated
-// edge seeds heap Q with its endpoints' distances to their nearest on-edge
-// cluster.
+//  1. One sequential scan of the point groups: every point is a singleton
+//     cluster, consecutive same-edge points become candidate pairs (or merge
+//     immediately under the δ heuristic), and each populated edge seeds the
+//     expansion with its endpoints' distances to their nearest on-edge point.
+//  2. One multi-source expansion from those seeds — the network Voronoi
+//     diagram of the points: every node gets its nearest point (owner) and
+//     the distance to it, and every point-free edge between nodes of
+//     different owners contributes the candidate
+//     (owner_u, owner_v, d_u + W + d_v).
+//  3. Every seed whose node went to another owner contributes
+//     (owner, the seed's point, d_node + d_L).
+//  4. One sort of the candidates and Kruskal's algorithm over them.
 //
-// Expansion then interleaves a network-Voronoi construction with merging:
-// popping Q in ascending distance settles each node with its nearest cluster
-// (owner) exactly once; every edge between settled nodes of different owners
-// contributes a candidate pair (owner_u, owner_v, d_u + W + d_v), and every
-// populated edge met during expansion contributes (owner_u, nearest on-edge
-// cluster, d_u + d_L). A pair is merged from P as soon as its distance is at
-// most the smallest frontier distance in Q, because every pair discovered
-// later costs at least that much — so merges happen in exactly ascending
-// order (Kruskal over the network-Voronoi candidate pairs, which by
-// Mehlhorn's shortest-path-forest argument carries the exact single-link
-// dendrogram; cross-validated against the brute-force matrix implementation
-// in the tests).
-//
-// The paper's pseudocode paces merges with 2*Q.top instead and re-derives
-// the same candidates through its hash table T; the variant here generates
-// each candidate when its node settles, which keeps the pacing bound simple
-// and exact also for edges that carry points (DESIGN.md, decision 4).
+// By Mehlhorn's shortest-path-forest argument the minimum spanning tree of
+// the candidate pairs carries the exact single-link dendrogram
+// (cross-validated against the brute-force matrix implementation on every
+// backend in the tests). Fig. 8 builds the same candidate set but interleaves
+// the expansion with the merging through a pair heap P paced by the frontier;
+// ascending merge order needs only the sort, so that heap and the pacing are
+// gone, and a disk backend still reads each adjacency list once, in ascending
+// distance order (DESIGN.md, decision 4).
 func SingleLink(g network.Graph, opts SingleLinkOptions) (*SingleLinkResult, error) {
 	return SingleLinkCtx(context.Background(), g, opts)
 }
 
-// SingleLinkCtx is SingleLink with cancellation: the expansion checks ctx
-// periodically and returns an error wrapping ctx.Err() when it is done.
+// SingleLinkCtx is SingleLink with cancellation: the expansion, the
+// candidate sweep and the merge loop check ctx periodically and return an
+// error wrapping ctx.Err() when it is done.
 func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions) (*SingleLinkResult, error) {
-	if opts.Delta < 0 {
+	if !(opts.Delta >= 0) {
 		return nil, fmt.Errorf("%w: SingleLink: Delta must be >= 0 (got %v)", ErrInvalidOptions, opts.Delta)
 	}
 	n := g.NumPoints()
-	res := &SingleLinkResult{Dendrogram: &Dendrogram{NumPoints: n}}
-	uf := unionfind.New(n)
-	stop := opts.StopAtClusters
-	if stop < 1 {
-		stop = 1
-	}
+	d := &Dendrogram{NumPoints: n}
+	res := &SingleLinkResult{Dendrogram: d}
 	if n == 0 {
 		return res, nil
 	}
-
-	P := heapx.New(func(a, b pairEntry) bool { return a.dist < b.dist })
-	Q := heapx.New(func(a, b slEntry) bool { return a.dist < b.dist })
-
-	merge := func(a, b network.PointID, dist float64) bool {
-		root, merged := uf.Union(int(a), int(b))
-		if merged {
-			res.Dendrogram.Merges = append(res.Dendrogram.Merges, MergeStep{
-				A: a, B: b, Dist: dist, Size: int32(uf.Size(root)),
-			})
+	stop := max(opts.StopAtClusters, 1)
+	uf := unionfind.New(n)
+	d.Merges = make([]MergeStep, 0, n-1)
+	merge := func(a, b network.PointID, dist float64) {
+		if root, merged := uf.Union(int(a), int(b)); merged {
+			d.Merges = append(d.Merges, MergeStep{A: a, B: b, Dist: dist, Size: int32(uf.Size(root))})
 		}
-		return merged
 	}
 
-	// Phase 1 (lines 1-22): a single sequential scan of the point groups.
+	// Step 1 (Fig. 8 lines 1-22): a single sequential scan of the point groups.
+	var cands []pairEntry
+	seeds := make([]network.MedoidSeed, 0, 2*g.NumGroups())
 	err := g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
 		res.Stats.GroupsRead++
 		for i := 1; i < len(offsets); i++ {
@@ -119,109 +104,142 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 			if gap <= opts.Delta {
 				merge(a, b, gap)
 			} else {
-				P.Push(pairEntry{a: a, b: b, dist: gap})
-				res.Stats.HeapPushes++
+				cands = append(cands, pairEntry{a: a, b: b, dist: gap})
 			}
 		}
 		last := len(offsets) - 1
-		Q.Push(slEntry{node: pg.N1, dist: offsets[0], owner: pg.First})
-		Q.Push(slEntry{node: pg.N2, dist: pg.Weight - offsets[last], owner: pg.First + network.PointID(last)})
-		res.Stats.HeapPushes += 2
+		seeds = append(seeds,
+			network.MedoidSeed{Node: pg.N1, Med: int32(pg.First), Dist: offsets[0]},
+			network.MedoidSeed{Node: pg.N2, Med: int32(pg.First) + int32(last), Dist: pg.Weight - offsets[last]})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Dendrogram.PreMerges = len(res.Dendrogram.Merges)
+	d.PreMerges = len(d.Merges)
 
-	pushPair := func(a, b network.PointID, dist float64) {
-		if uf.Find(int(a)) == uf.Find(int(b)) {
-			return // already one cluster; the pair can never merge anything
-		}
-		P.Push(pairEntry{a: a, b: b, dist: dist})
-		res.Stats.HeapPushes++
+	// Step 2: the network Voronoi diagram of the points and its candidates.
+	st := NewMedoidState(g.NumNodes())
+	res.Stats.HeapPushes += len(seeds)
+	if ne, ok := g.(network.NearestExpander); ok {
+		cands, err = voronoiKernel(ctx, g, ne, seeds, st, cands, &res.Stats)
+	} else {
+		cands, err = voronoiGeneric(ctx, g, seeds, st, cands, &res.Stats)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// Step 3: a populated edge joins its end node's owner to the nearest
+	// point on the edge; no group is read again for it.
+	for _, s := range seeds {
+		if o := st.Med[s.Node]; o != s.Med {
+			cands = append(cands, pairEntry{a: network.PointID(o), b: network.PointID(s.Med), dist: st.Dist[s.Node] + s.Dist})
+		}
+	}
+	res.Stats.HeapPushes += len(cands)
 
-	owner := make([]network.PointID, g.NumNodes())
-	nnDist := make([]float64, g.NumNodes())
-	settled := make([]bool, g.NumNodes())
-
-	// Phase 2 (lines 23-44): interleaved expansion and merging.
+	// Step 4: ascending merge order from one sort, then Kruskal.
+	slices.SortFunc(cands, func(x, y pairEntry) int {
+		if x.dist != y.dist { // no NaN here; cmp.Compare's checks cost a third of the sort
+			if x.dist < y.dist {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Or(int(x.a-y.a), int(x.b-y.b))
+	})
 	ticks := 0
-	for uf.Sets() > stop {
-		if err := ctxCheck(ctx, &ticks); err != nil {
-			return nil, err
-		}
-		theta := network.Inf
-		if !Q.Empty() {
-			theta = Q.Peek().dist
-		}
-		for !P.Empty() && P.Peek().dist <= theta && uf.Sets() > stop {
-			p := P.Pop()
-			merge(p.a, p.b, p.dist)
-		}
-		if Q.Empty() {
-			break // network exhausted; remaining clusters are disconnected
-		}
+	for _, c := range cands {
 		if uf.Sets() <= stop {
 			break
 		}
-		e := Q.Pop()
-		if settled[e.node] {
-			continue
-		}
-		settled[e.node] = true
-		owner[e.node] = e.owner
-		nnDist[e.node] = e.dist
-		res.Stats.NodesSettled++
-
-		adj, err := g.Neighbors(e.node)
-		if err != nil {
+		if err := ctxCheck(ctx, &ticks); err != nil {
 			return nil, err
 		}
-		res.Stats.EdgesVisited += len(adj)
-		for _, nb := range adj {
-			if nb.Group != network.NoGroup {
-				// Populated edge: the candidate joins this node's owner to
-				// the cluster of the nearest point on the edge. Expansion
-				// never proceeds through a populated edge — the edge's own
-				// points dominate any path crossing it.
-				pg, err := g.Group(nb.Group)
-				if err != nil {
-					return nil, err
-				}
-				off, err := g.GroupOffsets(nb.Group)
-				if err != nil {
-					return nil, err
-				}
-				res.Stats.GroupsRead++
-				var pid network.PointID
-				var dl float64
-				if e.node == pg.N1 {
-					pid, dl = pg.First, off[0]
-				} else {
-					last := len(off) - 1
-					pid, dl = pg.First+network.PointID(last), pg.Weight-off[last]
-				}
-				pushPair(e.owner, pid, e.dist+dl)
-				continue
-			}
-			if settled[nb.Node] {
-				if owner[nb.Node] != e.owner {
-					pushPair(e.owner, owner[nb.Node], e.dist+nb.Weight+nnDist[nb.Node])
-				}
-				continue
-			}
-			Q.Push(slEntry{node: nb.Node, dist: e.dist + nb.Weight, owner: e.owner})
-			res.Stats.HeapPushes++
-		}
-	}
-
-	// Drain the remaining pairs in ascending order.
-	for !P.Empty() && uf.Sets() > stop {
-		p := P.Pop()
-		merge(p.a, p.b, p.dist)
+		merge(c.a, c.b, c.dist)
 	}
 	res.FinalClusters = uf.Sets()
 	return res, nil
+}
+
+// borderPair is the candidate a point-free edge (u, v) of weight w between
+// nodes of different owners contributes. The sum starts from the farther end
+// — the one a distance-ordered expansion settles later — so that it is the
+// same float on every backend, whichever end the backend met first.
+func borderPair(st *MedoidState, u, v network.NodeID, w float64) pairEntry {
+	if st.Dist[u] < st.Dist[v] || (st.Dist[u] == st.Dist[v] && u < v) {
+		u, v = v, u
+	}
+	return pairEntry{a: network.PointID(st.Med[u]), b: network.PointID(st.Med[v]), dist: st.Dist[u] + w + st.Dist[v]}
+}
+
+// voronoiKernel builds the diagram with the graph's own expansion kernel
+// and collects the border candidates in one flat sweep over the adjacency.
+func voronoiKernel(ctx context.Context, g network.Graph, ne network.NearestExpander, seeds []network.MedoidSeed, st *MedoidState, cands []pairEntry, stats *Stats) ([]pairEntry, error) {
+	c, err := ne.ExpandNearest(ctx, seeds, st.Med, st.Dist)
+	stats.NodesSettled += c.Settled
+	stats.HeapPushes += c.Pushes
+	stats.EdgesVisited += c.Edges
+	if err != nil {
+		return nil, err
+	}
+	ticks := 0
+	for u := network.NodeID(0); int(u) < g.NumNodes(); u++ {
+		if err := ctxCheck(ctx, &ticks); err != nil {
+			return nil, err
+		}
+		adj, err := g.Neighbors(u)
+		if err != nil {
+			return nil, err
+		}
+		stats.EdgesVisited += len(adj)
+		for _, nb := range adj {
+			if nb.Node > u && nb.Group == network.NoGroup && st.Med[nb.Node] != st.Med[u] {
+				cands = append(cands, borderPair(st, u, nb.Node, nb.Weight))
+			}
+		}
+	}
+	return cands, nil
+}
+
+// voronoiGeneric is the Fig. 8 expansion for graphs without a kernel: a
+// (dist, owner, node)-ordered heap settles every node exactly once — the
+// same assignment the kernel converges to — so a disk backend reads each
+// adjacency list once, in ascending distance order, and a border candidate
+// is emitted when the later of its two ends settles.
+func voronoiGeneric(ctx context.Context, g network.Graph, seeds []network.MedoidSeed, st *MedoidState, cands []pairEntry, stats *Stats) ([]pairEntry, error) {
+	h := heapx.New(lessMedEntry)
+	for _, s := range seeds {
+		h.Push(medEntry{node: s.Node, med: s.Med, dist: s.Dist})
+	}
+	ticks := 0
+	for !h.Empty() {
+		b := h.Pop()
+		if st.Med[b.node] >= 0 {
+			continue
+		}
+		if err := ctxCheck(ctx, &ticks); err != nil {
+			return nil, err
+		}
+		st.Med[b.node], st.Dist[b.node] = b.med, b.dist
+		stats.NodesSettled++
+		adj, err := g.Neighbors(b.node)
+		if err != nil {
+			return nil, err
+		}
+		stats.EdgesVisited += len(adj)
+		for _, nb := range adj {
+			if o := st.Med[nb.Node]; o < 0 {
+				// Dist of an unsettled node is the best push so far.
+				if nd := b.dist + nb.Weight; nd <= st.Dist[nb.Node] {
+					st.Dist[nb.Node] = nd
+					h.Push(medEntry{node: nb.Node, med: b.med, dist: nd})
+					stats.HeapPushes++
+				}
+			} else if o != b.med && nb.Group == network.NoGroup {
+				cands = append(cands, borderPair(st, b.node, nb.Node, nb.Weight))
+			}
+		}
+	}
+	return cands, nil
 }

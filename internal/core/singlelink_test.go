@@ -1,55 +1,19 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 
 	"netclus/internal/core"
 	"netclus/internal/evalx"
 	"netclus/internal/matrix"
+	"netclus/internal/network"
+	"netclus/internal/storage"
 	"netclus/internal/testnet"
 )
-
-func TestSingleLinkMatchesBruteForce(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			g, err := testnet.Random(seed, 32, 45)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := matrix.PointDistances(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := matrix.SingleLink(dist)
-			res, err := core.SingleLink(g, core.SingleLinkOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := res.Dendrogram.MergeDistances()
-			if len(got) != len(want) {
-				t.Fatalf("%d merges, brute force has %d", len(got), len(want))
-			}
-			sort.Float64s(got) // defensive; should already ascend
-			for i := range got {
-				if math.Abs(got[i]-want[i].Dist) > 1e-9 {
-					t.Fatalf("merge %d at distance %v, brute force %v", i, got[i], want[i].Dist)
-				}
-			}
-			// The partitions at several cut heights must agree too (equal
-			// heights alone would not prove the merges join the same sets).
-			for _, frac := range []float64{0.25, 0.5, 0.75, 0.9} {
-				cut := want[int(frac*float64(len(want)-1))].Dist + 1e-12
-				bruteUF := cutBrute(want, g.NumPoints(), cut)
-				samePartition(t, bruteUF, res.Dendrogram.LabelsAtDistance(cut),
-					fmt.Sprintf("cut at %v", cut))
-			}
-		})
-	}
-}
 
 // cutBrute labels points by applying brute-force merges up to distance cut.
 func cutBrute(merges []matrix.Merge, n int, cut float64) []int32 {
@@ -84,29 +48,6 @@ func cutBrute(merges []matrix.Merge, n int, cut float64) []int32 {
 		labels[i] = l
 	}
 	return labels
-}
-
-func TestSingleLinkAscendingMerges(t *testing.T) {
-	g, err := testnet.Random(5, 40, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.SingleLink(g, core.SingleLinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Dendrogram.MergeDistances()
-	for i := 1; i < len(d); i++ {
-		if d[i] < d[i-1] {
-			t.Fatalf("merge %d at %v after merge at %v: not ascending", i, d[i], d[i-1])
-		}
-	}
-	if res.FinalClusters != 1 {
-		t.Fatalf("connected network ended with %d clusters, want 1", res.FinalClusters)
-	}
-	if len(d) != g.NumPoints()-1 {
-		t.Fatalf("%d merges for %d points, want %d", len(d), g.NumPoints(), g.NumPoints()-1)
-	}
 }
 
 func TestSingleLinkDeltaHeuristicPreservesUpperDendrogram(t *testing.T) {
@@ -233,5 +174,135 @@ func TestSingleLinkEmptyAndTiny(t *testing.T) {
 	}
 	if len(res.Dendrogram.Merges) != 0 || res.FinalClusters != 1 {
 		t.Fatalf("single point: %+v", res)
+	}
+	// Delta: NaN is refused (every gap comparison would be false and the run
+	// would silently ignore δ); -0 is 0 and +Inf pre-merges every group.
+	g2, err := testnet.Random(4, 12, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.SingleLink(g2, core.SingleLinkOptions{Delta: math.NaN()}); !errors.Is(err, core.ErrInvalidOptions) {
+		t.Fatalf("Delta NaN: got %v, want an ErrInvalidOptions chain", err)
+	}
+	for _, delta := range []float64{math.Copysign(0, -1), math.Inf(1)} {
+		res, err := core.SingleLink(g2, core.SingleLinkOptions{Delta: delta})
+		if err != nil {
+			t.Fatalf("Delta %v: %v", delta, err)
+		}
+		wantPre := 0
+		if delta > 0 {
+			wantPre = g2.NumPoints() - g2.NumGroups()
+		}
+		if res.Dendrogram.PreMerges != wantPre || res.FinalClusters != 1 {
+			t.Fatalf("Delta %v: %d pre-merges, %d final clusters, want %d and 1", delta, res.Dendrogram.PreMerges, res.FinalClusters, wantPre)
+		}
+	}
+}
+
+// cancelAt is a graph that cancels a context from inside its at-th Neighbors
+// call. With kernel set the graph keeps its expansion kernel, so Single-Link
+// takes the kernel path and the calls counted are those of its candidate
+// sweep.
+type cancelAt struct {
+	network.Graph
+	at, calls int
+	cancel    context.CancelFunc
+}
+
+func (c *cancelAt) Neighbors(n network.NodeID) ([]network.Neighbor, error) {
+	if c.calls++; c.calls == c.at {
+		c.cancel()
+	}
+	return c.Graph.Neighbors(n)
+}
+
+type cancelAtKernel struct {
+	*cancelAt
+	network.NearestExpander
+}
+
+// TestSingleLinkCancelled cancels Single-Link before it starts, in the middle
+// of its adjacency reads (the expansion, or the sweep after the kernel) and at
+// the last of them (so that only the merge loop is left to notice) on every
+// backend: each run must end in the wrapped ctx.Err() with no result.
+func TestSingleLinkCancelled(t *testing.T) {
+	g, err := testnet.Random(31, 1200, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range densityBackends(t, g, 4, true) {
+		for _, at := range []int{0, 40, bk.g.NumNodes()} {
+			ctx, cancel := context.WithCancel(context.Background())
+			c := &cancelAt{Graph: bk.g, at: at, cancel: cancel}
+			var wrapped network.Graph = c
+			if ne, ok := bk.g.(network.NearestExpander); ok {
+				wrapped = cancelAtKernel{c, ne}
+			}
+			if at == 0 {
+				cancel()
+			}
+			res, err := core.SingleLinkCtx(ctx, wrapped, core.SingleLinkOptions{})
+			cancel()
+			if c.calls < at {
+				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, c.calls, at)
+			}
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%s cancelled at read %d: got a result: %v, error %v; want no result and a context.Canceled chain", bk.name, at, res != nil, err)
+			}
+		}
+	}
+}
+
+// TestSingleLinkWorkBound pins what a full Single-Link reads from the disk
+// store, in counted work rather than time: the group scan once and every
+// adjacency list at most once — no group look-up after the scan, no second
+// visit of a node. With the record caches off a logical page read is a pure
+// function of the call, so the bound is the measured cost of one ScanGroups
+// plus one Neighbors per node.
+func TestSingleLinkWorkBound(t *testing.T) {
+	n, err := testnet.Random(21, 900, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := storage.Options{PageSize: 256, BufferBytes: 64 * 256, DisableRecordCaches: true}
+	if err := storage.Build(dir, n, opts); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reads := func(fn func() error) int64 {
+		t.Helper()
+		before := st.Stats().LogicalReads
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return st.Stats().LogicalReads - before
+	}
+	bound := reads(func() error {
+		return st.ScanGroups(func(network.GroupID, network.PointGroup, []float64) error { return nil })
+	}) + reads(func() error {
+		for u := 0; u < st.NumNodes(); u++ {
+			if _, err := st.Neighbors(network.NodeID(u)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, delta := range []float64{0, 0.05} {
+		var res *core.SingleLinkResult
+		got := reads(func() (err error) {
+			res, err = core.SingleLink(st, core.SingleLinkOptions{Delta: delta})
+			return err
+		})
+		if got > bound {
+			t.Fatalf("delta %v: %d logical page reads, one group scan and one adjacency read per node cost %d", delta, got, bound)
+		}
+		if s := res.Stats; s.GroupsRead != st.NumGroups() || s.NodesSettled > st.NumNodes() || s.EdgesVisited > 2*st.NumEdges() {
+			t.Fatalf("delta %v: stats %+v on %d groups, %d nodes, %d edges", delta, s, st.NumGroups(), st.NumNodes(), st.NumEdges())
+		}
 	}
 }

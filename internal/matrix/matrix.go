@@ -129,7 +129,8 @@ type Merge struct {
 // SingleLink computes the exact single-link dendrogram from a distance
 // matrix: Prim's algorithm yields the minimum spanning tree of the complete
 // distance graph, and the MST edges in ascending order are exactly the
-// single-link merges.
+// single-link merges. Over a disconnected metric space (infinite distances)
+// the result is the minimum spanning forest: one tree per component.
 func SingleLink(dist [][]float64) []Merge {
 	n := len(dist)
 	if n == 0 {
@@ -151,15 +152,14 @@ func SingleLink(dist [][]float64) []Merge {
 	for t := 1; t < n; t++ {
 		pick, pd := -1, network.Inf
 		for j := 0; j < n; j++ {
-			if !inTree[j] && best[j] < pd {
+			if !inTree[j] && (pick < 0 || best[j] < pd) {
 				pick, pd = j, best[j]
 			}
 		}
-		if pick < 0 {
-			break // disconnected metric space
-		}
 		inTree[pick] = true
-		edges = append(edges, Merge{A: from[pick], B: pick, Dist: pd})
+		if pd < network.Inf { // else nothing reaches pick: it roots the next component's tree
+			edges = append(edges, Merge{A: from[pick], B: pick, Dist: pd})
+		}
 		for j := 0; j < n; j++ {
 			if !inTree[j] && dist[pick][j] < best[j] {
 				best[j] = dist[pick][j]

@@ -136,11 +136,51 @@ var Shapes = []Shape{
 	},
 }
 
-// ShapeGraphs returns every shape in every numbering, keyed "name",
-// "name/mirrored" and "name/twisted".
-func ShapeGraphs() (map[string]*network.Network, error) {
+// TieShapes force exact distance ties on Single-Link's Voronoi
+// expansion and on its candidate sort (every number a multiple of 1/8, as in
+// Shapes).
+var TieShapes = []Shape{
+	{
+		// Points at offset 0 and at W: seeds at distance 0, two points on one
+		// node (a merge at height 0), groups whose end seed is a whole edge
+		// away.
+		Name: "points-at-edge-ends", Nodes: 4,
+		Edges: []ShapeEdge{
+			{0, 1, 2, []float64{0, 2}},
+			{1, 2, 2, []float64{0, 1, 2}},
+			{2, 3, 1, nil},
+			{3, 0, 1, []float64{0.5}},
+		},
+	},
+	{
+		// Three groups reach node 1 at the same d_L = 0.5, and node 4 is
+		// equidistant from two of them through point-free edges.
+		Name: "equal-dl-at-shared-node", Nodes: 5,
+		Edges: []ShapeEdge{
+			{0, 1, 2, []float64{1.5}},
+			{1, 2, 2, []float64{0.5}},
+			{1, 3, 2, []float64{0.5, 1}},
+			{2, 4, 1, nil},
+			{3, 4, 1, nil},
+			{0, 4, 1, nil},
+		},
+	},
+	{
+		// A 3x3 grid of unit edges with points at edge midpoints: every
+		// border candidate ties with several others.
+		Name: "unit-weights", Nodes: 9,
+		Edges: []ShapeEdge{
+			{0, 1, 1, []float64{0.5}}, {1, 2, 1, nil}, {3, 4, 1, nil}, {4, 5, 1, []float64{0.25, 0.75}}, {6, 7, 1, nil}, {7, 8, 1, []float64{0.5}},
+			{0, 3, 1, nil}, {3, 6, 1, []float64{0.5}}, {1, 4, 1, nil}, {4, 7, 1, nil}, {2, 5, 1, []float64{0.5}}, {5, 8, 1, nil},
+		},
+	},
+}
+
+// ShapeGraphs returns every shape of Shapes and of more in every numbering,
+// keyed "name", "name/mirrored" and "name/twisted".
+func ShapeGraphs(more ...Shape) (map[string]*network.Network, error) {
 	out := make(map[string]*network.Network)
-	for _, s := range Shapes {
+	for _, s := range append(Shapes[:len(Shapes):len(Shapes)], more...) {
 		for numbering, suffix := range []string{"", "/mirrored", "/twisted"} {
 			g, err := s.Build(numbering)
 			if err != nil {
