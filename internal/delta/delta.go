@@ -295,7 +295,7 @@ type statCells struct {
 	pauseNs     atomic.Int64
 	maxPauseNs  atomic.Int64
 	compileNs   atomic.Int64
-	liveRQ      atomic.Int64
+	live        liveCounters
 	liveNs      atomic.Int64
 }
 
@@ -317,9 +317,15 @@ type Stats struct {
 	LiveClustering bool    `json:"live_clustering,omitempty"`
 	LiveRangeQs    int64   `json:"live_range_queries,omitempty"`
 	// LiveMaintainNS is the cumulative time spent maintaining the labelling
-	// (ε-graph repair, re-floods, label derivation) — the incremental
+	// (ε-graph repair, split checks, label derivation) — the incremental
 	// re-cluster cost, as opposed to the write-apply machinery around it.
 	LiveMaintainNS int64 `json:"live_maintain_ns,omitempty"`
+	// LiveRepairVisits counts the slots the repair walked — touched
+	// neighbourhoods, split checks, floods — and LiveFloods the components it
+	// had to re-flood because a batch really split one. A slow write shows up
+	// as a jump in both; writes that split nothing leave LiveFloods alone.
+	LiveFloods       int64 `json:"live_floods,omitempty"`
+	LiveRepairVisits int64 `json:"live_repair_visits,omitempty"`
 }
 
 // New wraps base in a mutable overlay. The base must satisfy the §4.1
@@ -353,7 +359,7 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 		Points: base.NumPoints(), idToSlot: o.baseSlots,
 	}
 	if o.opts.Live != nil {
-		o.live = newLive(o.opts.Live.Eps, o.opts.Live.MinPts, &o.stats.liveRQ)
+		o.live = newLive(o.opts.Live.Eps, o.opts.Live.MinPts, &o.stats.live)
 		snap, err := o.live.bootstrap(base, o.baseSlots)
 		if err != nil {
 			return nil, fmt.Errorf("delta: bootstrapping live clustering: %w", err)
@@ -414,7 +420,9 @@ func (o *Overlay) Stats() Stats {
 	}
 	if o.live != nil {
 		s.LiveClustering = true
-		s.LiveRangeQs = o.stats.liveRQ.Load()
+		s.LiveRangeQs = o.stats.live.rangeQueries.Load()
+		s.LiveFloods = o.stats.live.floods.Load()
+		s.LiveRepairVisits = o.stats.live.repairVisits.Load()
 		s.LiveMaintainNS = o.stats.liveNs.Load()
 	}
 	return s

@@ -10,6 +10,8 @@ package delta_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -185,8 +187,10 @@ func randomOps(rng *rand.Rand, m *model, n int) []delta.Op {
 		case k < 4: // insert
 			key := keys[rng.Intn(len(keys))]
 			e := m.edges[key]
-			if rng.Intn(3) == 0 && livePts > 0 {
-				ops = append(ops, delta.InsertNear(network.PointID(rng.Intn(livePts)), rng.Float64(), int32(rng.Intn(5))))
+			// The donor is a pre-batch ID: livePts counts this batch's own
+			// inserts too, which no ID names yet.
+			if rng.Intn(3) == 0 && len(m.pts) > 0 {
+				ops = append(ops, delta.InsertNear(network.PointID(rng.Intn(len(m.pts))), rng.Float64(), int32(rng.Intn(5))))
 			} else {
 				ops = append(ops, delta.Insert(e.u, e.v, rng.Float64()*e.w, int32(rng.Intn(5))))
 			}
@@ -351,36 +355,45 @@ func checkKernelsEqual(t *testing.T, want, got network.Graph, eps float64, minPt
 // the same view.
 func checkLiveEqual(t *testing.T, cur *delta.Current, eps float64, minPts int) {
 	t.Helper()
+	if err := liveDiff(cur, eps, minPts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveDiff is checkLiveEqual's comparison: nil when the maintained labellings,
+// cluster counts and core-point count equal a full recompute on the same view.
+func liveDiff(cur *delta.Current, eps float64, minPts int) error {
 	ctx := context.Background()
 	labels, clusters, corePts, ok := cur.LiveDBSCAN(eps, minPts)
 	if !ok {
-		t.Fatal("LiveDBSCAN unavailable")
+		return errors.New("LiveDBSCAN unavailable")
 	}
 	want, err := core.DBSCANCtx(ctx, cur.Graph, core.DBSCANOptions{Eps: eps, MinPts: minPts})
 	if err != nil {
-		t.Fatalf("dbscan recompute: %v", err)
+		return fmt.Errorf("dbscan recompute: %v", err)
 	}
 	if !reflect.DeepEqual(append([]int32{}, labels...), want.Labels) {
-		t.Fatalf("live dbscan labels diverge:\nlive %v\nfull %v", labels, want.Labels)
+		return fmt.Errorf("live dbscan labels diverge:\nlive %v\nfull %v", labels, want.Labels)
 	}
 	if corePts != want.CorePoints || int(clusters) != core.CountClusters(want.Labels) {
-		t.Fatalf("live dbscan meta: %d cores / %d clusters, want %d / %d",
+		return fmt.Errorf("live dbscan meta: %d cores / %d clusters, want %d / %d",
 			corePts, clusters, want.CorePoints, core.CountClusters(want.Labels))
 	}
 	elabels, eclusters, ok := cur.LiveEpsLink(eps)
 	if !ok {
-		t.Fatal("LiveEpsLink unavailable")
+		return errors.New("LiveEpsLink unavailable")
 	}
 	wantE, err := core.EpsLinkCtx(ctx, cur.Graph, core.EpsLinkOptions{Eps: eps})
 	if err != nil {
-		t.Fatalf("epslink recompute: %v", err)
+		return fmt.Errorf("epslink recompute: %v", err)
 	}
 	if !reflect.DeepEqual(append([]int32{}, elabels...), wantE.Labels) {
-		t.Fatalf("live epslink labels diverge:\nlive %v\nfull %v", elabels, wantE.Labels)
+		return fmt.Errorf("live epslink labels diverge:\nlive %v\nfull %v", elabels, wantE.Labels)
 	}
 	if int(eclusters) != wantE.ClustersFound {
-		t.Fatalf("live epslink clusters %d, want %d", eclusters, wantE.ClustersFound)
+		return fmt.Errorf("live epslink clusters %d, want %d", eclusters, wantE.ClustersFound)
 	}
+	return nil
 }
 
 // bases returns the backend zoo: the in-memory network, its compiled

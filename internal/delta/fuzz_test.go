@@ -2,7 +2,10 @@ package delta_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"netclus/internal/delta"
 	"netclus/internal/network"
@@ -42,6 +45,13 @@ func FuzzOverlayOps(f *testing.F) {
 			}
 		}
 		ctx := context.Background()
+		// Labels that diverge on a view with a pair an ulp off ε are not a
+		// finding (pairAtEps); every other divergence is.
+		checkLabels := func(cur *delta.Current) {
+			if err := liveDiff(cur, 2.0, 2); err != nil && !pairAtEps(t, cur.Graph, 2.0) {
+				t.Fatal(err)
+			}
+		}
 		var batch []delta.Op
 		flush := func() {
 			if len(batch) == 0 {
@@ -49,11 +59,18 @@ func FuzzOverlayOps(f *testing.F) {
 			}
 			ops := batch
 			batch = nil
+			swaps := o.Stats().Compactions
 			pre := o.Current()
 			if _, err := o.Apply(ctx, ops); err != nil {
-				// Rejected wholesale: the view must not have moved.
+				// Rejected wholesale: the view must not have moved. A size-
+				// triggered compaction that was compiling meanwhile may have
+				// swapped its base in; its counter follows the swap at once, so
+				// an epoch step no compaction accounts for is the batch's.
 				cur := o.Current()
-				if cur.Epoch != pre.Epoch || cur.Points != pre.Points {
+				for end := time.Now().Add(time.Second); cur.Epoch-pre.Epoch > o.Stats().Compactions-swaps && time.Now().Before(end); {
+					runtime.Gosched()
+				}
+				if cur.Epoch-pre.Epoch > o.Stats().Compactions-swaps || cur.Points != pre.Points {
 					t.Fatalf("rejected batch mutated view: %+v -> %+v (%v)", pre, cur, err)
 				}
 				return
@@ -64,7 +81,7 @@ func FuzzOverlayOps(f *testing.F) {
 				t.Fatalf("view has %d points, model %d", cur.Points, len(m.pts))
 			}
 			checkGraphEqual(t, m.rebuild(t, g.NumNodes()), cur.Graph)
-			checkLiveEqual(t, cur, 2.0, 2)
+			checkLabels(cur)
 		}
 		// Decode three bytes per op; top bits of the first pick the kind.
 		for i := 0; i+2 < len(data); i += 3 {
@@ -106,8 +123,32 @@ func FuzzOverlayOps(f *testing.F) {
 			t.Fatalf("CompactNow: %v", err)
 		}
 		checkGraphEqual(t, m.rebuild(t, g.NumNodes()), o.Current().Graph)
-		checkLiveEqual(t, o.Current(), 2.0, 2)
+		checkLabels(o.Current())
 	})
+}
+
+// pairAtEps reports whether some pair on g lies within a few ulps of eps. On
+// such a pair the labellers have no common answer: d(p,q) and d(q,p) are
+// summed along the path in opposite orders, and the growth sweep tests
+// `off + dist <= eps` where the range query — which the maintainer builds its
+// edges from — tests `off <= eps - dist` (DESIGN §"Exactness"), so the pair is
+// an edge to one and not to the other (ROADMAP, aim 3).
+func pairAtEps(t *testing.T, g network.Graph, eps float64) bool {
+	t.Helper()
+	tol := 8 * (math.Nextafter(eps, math.Inf(1)) - eps)
+	sc := network.ScratchFor(g)
+	for p := 0; p < g.NumPoints(); p++ {
+		res, err := sc.RangeQueryDistCtx(context.Background(), g, network.PointID(p), eps+tol)
+		if err != nil {
+			t.Fatalf("range(%d): %v", p, err)
+		}
+		for _, r := range res {
+			if math.Abs(r.Dist-eps) <= tol {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // countInserts/countRemovals approximate the live point count mid-batch so

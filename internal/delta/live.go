@@ -2,9 +2,12 @@ package delta
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"netclus/internal/network"
+	"netclus/internal/unionfind"
 )
 
 // noise mirrors core.Noise: the label of unclustered points.
@@ -15,37 +18,49 @@ const noise = int32(-1)
 // points depends only on the network and their own placements, so a mutation
 // batch changes the ε-neighbor graph only at the mutated points. The
 // maintainer keeps that graph in stable slot space (slots survive canonical
-// renumbering and compaction), repairs it with one range query per inserted
-// point and zero for deletes, and re-floods components only from touched
-// slots — the union-find splice for merges and the bounded re-expansion for
-// splits collapse into one BFS over the dirty region. Labels then derive in
-// one canonical-order pass, reproducing the batch algorithms exactly.
+// renumbering and compaction) and repairs it with one range query per
+// inserted point and zero for deletes. Two graphs ride on it — the ε-graph
+// over alive slots (ε-Link's components) and the core graph over core slots
+// (DBSCAN's) — and a batch changes each only by the vertices that leave it
+// and the vertices that join it, edges among the rest untouched. Joins are
+// unions over component IDs; leaves are checked locally for a split (see
+// repairSplits). Labels then derive in one canonical-order pass, reproducing
+// the batch algorithms exactly.
 type live struct {
 	eps    float64
 	minPts int
-	rq     *atomic.Int64 // overlay's live range-query counter
+	ct     *liveCounters // the overlay's live-maintenance counters
 
 	// slot-indexed state
 	alive  []bool
 	core   []bool    // alive && |N_eps|+1 >= minPts
 	adj    [][]int32 // ε-neighbors (excluding self), unordered
-	compEL []int64   // ε-graph component, all alive slots
-	compDB []int64   // core-core ε-graph component, core slots
-	visEL  []int64
-	visDB  []int64
-	slotLb []int32 // per-derive core label scratch
+	compEL []int32   // ε-graph component, all alive slots
+	compDB []int32   // core graph component, core slots
+	// mark is the one stamp array behind every per-batch set: touched slots,
+	// leavers, blob boundaries, BFS fronts. Each use draws values nobody drew
+	// before from stamp, so a stale mark never reads as a live one and
+	// nothing is cleared between uses.
+	mark  []int32
+	stamp int32
 
-	visStamp int64
-	nextComp int64
+	// Component IDs are dense: derive renumbers every component to its
+	// emitted label and resets the forests to that many singletons, a batch's
+	// joiners and floods Grow them, and derive resolves the batch's unions.
+	ufEL, ufDB unionfind.UF
 
-	touched []int32 // dirty-slot worklist, deduped by touchGen
-	tstamp  []int64
-	tgen    int64
-	queue   []int32
+	// per-batch worklists, kept for their storage
+	touched  []int32           // slots whose degree may have changed
+	dead     []int32           // deleted slots: the ε-graph's leavers
+	leftDB   []int32           // deleted cores and core→non-core flips
+	joinDB   []int32           // non-core→core flips, inserts included
+	newIDs   []network.PointID // canonical ID of the batch's i-th insert
+	queue    []int32
+	boundary []int32
+	visits   int // slots the current batch's repair walked
+	floods   int // components it had to re-flood
 
-	// comp→label remap tables of derive. Array-indexed, not maps: derive
-	// renumbers every component to its emitted label, so live comp IDs stay
-	// dense — bounded by the cluster count plus this batch's flood count.
+	// comp→label tables of derive, indexed by the dense component IDs.
 	remapEL []int32
 	remapDB []int32
 
@@ -54,6 +69,13 @@ type live struct {
 	// O(points) allocation per batch.
 	sc    *network.RangeScratch
 	scPts int
+}
+
+// liveCounters are the maintainer's share of the overlay's Stats.
+type liveCounters struct {
+	rangeQueries atomic.Int64
+	floods       atomic.Int64
+	repairVisits atomic.Int64
 }
 
 // scratch returns the cached repair scratch, regrown when the view outgrew
@@ -102,8 +124,8 @@ func (c *Current) LiveEpsLink(eps float64) (labels []int32, clusters int32, ok b
 	return ls.elLabels, ls.elClusters, true
 }
 
-func newLive(eps float64, minPts int, rq *atomic.Int64) *live {
-	return &live{eps: eps, minPts: minPts, rq: rq}
+func newLive(eps float64, minPts int, ct *liveCounters) *live {
+	return &live{eps: eps, minPts: minPts, ct: ct}
 }
 
 func (l *live) ensureCap(slot int32) {
@@ -113,11 +135,32 @@ func (l *live) ensureCap(slot int32) {
 		l.adj = append(l.adj, nil)
 		l.compEL = append(l.compEL, 0)
 		l.compDB = append(l.compDB, 0)
-		l.visEL = append(l.visEL, 0)
-		l.visDB = append(l.visDB, 0)
-		l.slotLb = append(l.slotLb, 0)
-		l.tstamp = append(l.tstamp, 0)
+		l.mark = append(l.mark, 0)
 	}
+}
+
+// nextStamps reserves k consecutive mark values and returns the first.
+func (l *live) nextStamps(k int32) int32 {
+	first := l.stamp + 1
+	l.stamp += k
+	return first
+}
+
+// side is one of the two maintained graphs as the repair sees it: in holds
+// the final membership (alive for the ε-graph, core for the core graph) and
+// comp the component ID of every member. IDs in [base, fresh) went to this
+// batch's joiners; IDs from fresh up go to the components it re-floods.
+type side struct {
+	in          []bool
+	comp        []int32
+	uf          *unionfind.UF
+	base, fresh int32
+}
+
+// survivor reports whether member t was in the graph before the batch too.
+func (sd side) survivor(t int32) bool {
+	c := sd.comp[t]
+	return c < sd.base || c >= sd.fresh
 }
 
 // bootstrap builds the ε-graph from scratch with one range query per point
@@ -125,21 +168,18 @@ func (l *live) ensureCap(slot int32) {
 // maintained state.
 func (l *live) bootstrap(g network.Graph, idToSlot []int32) (*liveSnap, error) {
 	n := len(idToSlot)
-	l.alive, l.core, l.adj = nil, nil, nil
-	l.compEL, l.compDB, l.visEL, l.visDB = nil, nil, nil, nil
-	l.slotLb, l.tstamp = nil, nil
-	maxSlot := int32(-1)
+	slots := 0
 	for _, s := range idToSlot {
-		if s > maxSlot {
-			maxSlot = s
-		}
+		slots = max(slots, int(s)+1)
 	}
-	l.ensureCap(maxSlot)
+	l.alive, l.core, l.adj = make([]bool, slots), make([]bool, slots), make([][]int32, slots)
+	l.compEL, l.compDB, l.mark = make([]int32, slots), make([]int32, slots), make([]int32, slots)
+	l.stamp = 0
 	sc := network.ScratchFor(g)
 	ctx := context.Background()
 	for p := 0; p < n; p++ {
 		res, err := sc.RangeQueryCtx(ctx, g, network.PointID(p), l.eps)
-		l.rq.Add(1)
+		l.ct.rangeQueries.Add(1)
 		if err != nil {
 			return nil, err
 		}
@@ -153,111 +193,124 @@ func (l *live) bootstrap(g network.Graph, idToSlot []int32) (*liveSnap, error) {
 			}
 		}
 	}
-	for s := range l.alive {
-		if l.alive[s] {
-			l.core[s] = len(l.adj[s])+1 >= l.minPts
-		}
-	}
-	// Flood every component fresh.
-	l.visStamp++
 	for _, s := range idToSlot {
-		if l.visEL[s] != l.visStamp {
-			l.floodEL(s)
-		}
+		l.core[s] = len(l.adj[s])+1 >= l.minPts
+		l.compEL[s], l.compDB[s] = -1, -1
 	}
-	l.visStamp++
+	// Flood every component fresh: with empty forests no slot is a survivor
+	// and an ID below fresh = 0 means "not flooded yet", as in repairSplits.
+	l.ufEL.Reset(0)
+	l.ufDB.Reset(0)
+	el := side{in: l.alive, comp: l.compEL, uf: &l.ufEL}
+	db := side{in: l.core, comp: l.compDB, uf: &l.ufDB}
 	for _, s := range idToSlot {
-		if l.core[s] && l.visDB[s] != l.visStamp {
-			l.floodDB(s)
+		if el.comp[s] < 0 {
+			l.flood(el, s)
+		}
+		if db.in[s] && db.comp[s] < 0 {
+			l.flood(db, s)
 		}
 	}
 	return l.derive(idToSlot), nil
 }
 
-// apply repairs the ε-graph for one resolved batch — the new view g is
+// apply repairs both graphs for one resolved batch — the new view g is
 // already published content — and returns the fresh labelling. On an
 // unexpected engine error it self-heals with a full bootstrap.
+//
+// A batch's inserts must hold the highest slots of idToSlot, consecutive and
+// in op order; applyOps allocates them that way.
 func (l *live) apply(g network.Graph, idToSlot []int32, resolved []resolvedOp) (*liveSnap, error) {
-	l.tgen++
+	if l.stamp > math.MaxInt32/2 {
+		// Stamp wrap-around, checked between batches only: the sets of one
+		// batch must outlive each other. A batch draws a few stamps per leaver
+		// and per flood, far fewer than the half range left.
+		clear(l.mark)
+		l.stamp = 0
+	}
+	l.visits, l.floods = 0, 0
+	elBase, dbBase := int32(l.ufEL.Len()), int32(l.ufDB.Len())
+
+	isTouched := l.nextStamps(1)
 	l.touched = l.touched[:0]
 	touch := func(s int32) {
-		if l.tstamp[s] != l.tgen {
-			l.tstamp[s] = l.tgen
+		if l.mark[s] != isTouched {
+			l.mark[s] = isTouched
 			l.touched = append(l.touched, s)
 		}
 	}
 
 	// Deletes first: they only shed edges, and a later insert's range query
 	// runs against the final view, which already excludes deleted points.
+	// The edges themselves stay until the end of the batch — alive and core
+	// keep the traversals off a dead slot — because the split check needs the
+	// old neighbourhood of every leaver, seen from both ends.
+	l.dead, l.leftDB, l.joinDB = l.dead[:0], l.leftDB[:0], l.joinDB[:0]
+	first, inserts := int32(0), 0
 	for _, rop := range resolved {
-		if rop.kind != rDelete {
+		if rop.kind == rInsert {
+			if inserts == 0 {
+				first = rop.slot
+			}
+			inserts++
 			continue
 		}
 		s := rop.slot
+		l.alive[s] = false
+		l.dead = append(l.dead, s)
+		if l.core[s] {
+			l.core[s] = false
+			l.leftDB = append(l.leftDB, s)
+		}
 		for _, t := range l.adj[s] {
-			dropEdge(l.adj, t, s)
 			touch(t)
 		}
-		l.adj[s] = nil
-		l.alive[s] = false
-		l.core[s] = false
 	}
 
-	// Inserts: one range query each on the new view. Edges to inserts not
-	// yet processed are skipped — the later insert's own query adds them.
-	var inserts []int32
-	pending := make(map[int32]bool)
-	for _, rop := range resolved {
-		if rop.kind == rInsert {
-			l.ensureCap(rop.slot)
-			inserts = append(inserts, rop.slot)
-			pending[rop.slot] = true
-		}
-	}
-	if len(inserts) > 0 {
-		idOf := make(map[int32]int32, len(inserts))
+	// Inserts: one range query each on the new view. An insert joins the
+	// ε-graph under an ID of its own, and every ε-edge it brings is a union.
+	if inserts > 0 {
+		l.ensureCap(first + int32(inserts) - 1)
+		l.newIDs = slices.Grow(l.newIDs[:0], inserts)[:inserts]
 		found := 0
 		for p, s := range idToSlot {
-			if pending[s] {
-				idOf[s] = int32(p)
-				if found++; found == len(inserts) {
+			if s >= first {
+				l.newIDs[s-first] = network.PointID(p)
+				if found++; found == inserts {
 					break
 				}
 			}
+		}
+		for s := first; s < first+int32(inserts); s++ {
+			l.alive[s] = true
+			l.compEL[s] = int32(l.ufEL.Grow())
+		}
+		// link adds insert s's ε-edges. The edge between two inserts is added
+		// by the later one only, whichever is queried first: t > s can only be
+		// a later insert, and its own result holds s.
+		link := func(s int32, res []network.PointID) {
+			l.ct.rangeQueries.Add(1)
+			for _, q := range res {
+				t := idToSlot[q]
+				if t >= s {
+					continue
+				}
+				l.adj[s] = append(l.adj[s], t)
+				l.adj[t] = append(l.adj[t], s)
+				l.ufEL.Union(int(l.compEL[s]), int(l.compEL[t]))
+				touch(t)
+			}
+			touch(s)
 		}
 		ctx := context.Background()
 		if rb, ok := g.(network.RangeBatcher); ok {
 			// Snapshot-backed view (freshly compacted, no overlay): one
 			// batched multi-source expansion over the kernel's pooled SoA
-			// scratches replaces the per-insert generic queries. The batch
-			// may visit in any order, so the sequential pending-skip rule is
-			// replayed positionally: the edge between two inserts is added
-			// only by the later-indexed one, exactly the pair the loop below
-			// would have kept. derive canonicalizes labels by ascending
-			// canonical ID, so adjacency and touch order stay invisible.
-			order := make(map[int32]int, len(inserts))
-			pts := make([]network.PointID, len(inserts))
-			for i, s := range inserts {
-				order[s] = i
-				pts[i] = network.PointID(idOf[s])
-				l.alive[s] = true
-			}
-			err := rb.RangeEach(ctx, pts, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
-				s := inserts[i]
-				l.rq.Add(1)
-				for _, q := range res {
-					t := idToSlot[q]
-					if t == s {
-						continue
-					}
-					if j, ins := order[t]; ins && j > i {
-						continue // the later insert's own visit adds this edge
-					}
-					l.adj[s] = append(l.adj[s], t)
-					l.adj[t] = append(l.adj[t], s)
-					touch(t)
-				}
-				touch(s)
+			// scratches replaces the per-insert generic queries. derive
+			// canonicalizes labels by ascending canonical ID, so adjacency and
+			// visit order stay invisible.
+			err := rb.RangeEach(ctx, l.newIDs, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
+				link(first+int32(i), res)
 				return nil
 			})
 			if err != nil {
@@ -265,102 +318,189 @@ func (l *live) apply(g network.Graph, idToSlot []int32, resolved []resolvedOp) (
 			}
 		} else {
 			sc := l.scratch(g)
-			for _, s := range inserts {
-				delete(pending, s)
-				l.alive[s] = true
-				res, err := sc.RangeQueryCtx(ctx, g, network.PointID(idOf[s]), l.eps)
-				l.rq.Add(1)
+			for i, p := range l.newIDs {
+				res, err := sc.RangeQueryCtx(ctx, g, p, l.eps)
 				if err != nil {
 					return l.bootstrap(g, idToSlot)
 				}
-				for _, q := range res {
-					t := idToSlot[q]
-					if t == s || pending[t] {
-						continue
-					}
-					l.adj[s] = append(l.adj[s], t)
-					l.adj[t] = append(l.adj[t], s)
-					touch(t)
-				}
-				touch(s)
+				link(first+int32(i), res)
 			}
 		}
 	}
 
 	// Core flips: a degree change at x can move x across the minPts line,
-	// which adds or removes all of x's core-core edges — so x's neighbors
-	// join the dirty region too. Appending extends the loop; appended slots
-	// had no degree change, so the cascade stops after one hop.
-	for i := 0; i < len(l.touched); i++ {
-		x := l.touched[i]
+	// which takes x out of the core graph or brings it in with all its
+	// core-core edges. An insert starts non-core, so it joins like any other.
+	for _, x := range l.touched {
 		if !l.alive[x] {
 			continue
 		}
-		nc := len(l.adj[x])+1 >= l.minPts
-		if nc != l.core[x] {
-			l.core[x] = nc
+		deg := len(l.adj[x])
+		if len(l.dead) > 0 { // some rows still hold dead slots: count the rest
+			deg = 0
 			for _, t := range l.adj[x] {
-				touch(t)
+				if l.alive[t] {
+					deg++
+				}
+			}
+		}
+		if nc := deg+1 >= l.minPts; nc != l.core[x] {
+			l.core[x] = nc
+			if nc {
+				l.compDB[x] = int32(l.ufDB.Grow())
+				l.joinDB = append(l.joinDB, x)
+			} else {
+				l.leftDB = append(l.leftDB, x)
 			}
 		}
 	}
+	for _, x := range l.joinDB {
+		for _, t := range l.adj[x] {
+			if l.core[t] {
+				l.ufDB.Union(int(l.compDB[x]), int(l.compDB[t]))
+			}
+		}
+	}
+	l.visits += len(l.touched)
 
-	// Re-flood components from the dirty region. Every component whose
-	// membership changed contains a touched slot (each split piece holds a
-	// neighbor of a removed vertex; each merge holds the inserted point), so
-	// untouched slots keep valid component IDs — fresh IDs are monotonic and
-	// never collide with retained ones.
-	l.visStamp++
-	for _, s := range l.touched {
-		if l.alive[s] && l.visEL[s] != l.visStamp {
-			l.floodEL(s)
+	l.repairSplits(side{in: l.alive, comp: l.compEL, uf: &l.ufEL, base: elBase, fresh: int32(l.ufEL.Len())}, l.dead)
+	l.repairSplits(side{in: l.core, comp: l.compDB, uf: &l.ufDB, base: dbBase, fresh: int32(l.ufDB.Len())}, l.leftDB)
+
+	for _, s := range l.dead {
+		for _, t := range l.adj[s] {
+			if l.alive[t] {
+				dropEdge(l.adj, t, s)
+			}
 		}
+		l.adj[s] = nil
 	}
-	l.visStamp++
-	for _, s := range l.touched {
-		if l.alive[s] && l.core[s] && l.visDB[s] != l.visStamp {
-			l.floodDB(s)
-		}
-	}
+	l.ct.floods.Add(int64(l.floods))
+	l.ct.repairVisits.Add(int64(l.visits))
 	return l.derive(idToSlot), nil
 }
 
-func (l *live) floodEL(s int32) {
-	comp := l.nextComp
-	l.nextComp++
-	l.queue = append(l.queue[:0], s)
-	l.visEL[s] = l.visStamp
-	l.compEL[s] = comp
-	for len(l.queue) > 0 {
-		u := l.queue[len(l.queue)-1]
-		l.queue = l.queue[:len(l.queue)-1]
-		for _, t := range l.adj[u] {
-			if l.visEL[t] != l.visStamp {
-				l.visEL[t] = l.visStamp
-				l.compEL[t] = comp
-				l.queue = append(l.queue, t)
+// repairSplits gives every component that lost vertices this batch the IDs
+// its pieces need. leavers are the vertices that left sd's graph; their adj
+// rows still hold their old neighbourhoods. They are grouped into blobs —
+// leavers adjacent in the old graph share one — and each blob's boundary,
+// the survivors that were adjacent to one of its leavers, is tested for
+// connectivity in the final graph, joiners and their edges included. If one
+// BFS from the first boundary vertex reaches all the others, nothing is
+// done. If it exhausts first, every final component holding a boundary
+// vertex is re-flooded under a fresh ID.
+//
+// Why that is exact. Edges between survivors are the same before and after,
+// so any old path between two survivors of an old component C survives
+// except for its runs of consecutive leavers; a run lies inside one blob,
+// and the survivors right before and after it are on that blob's boundary.
+// (Checking leavers one by one would miss a–x₁–x₂–b: neither x has both a
+// and b as neighbours.)
+//   - If every blob in C passes, each run can be replaced by a final-graph
+//     path, so C's survivors are still connected and rightly keep C's ID.
+//     Whatever else now shares their component got there along a joiner's
+//     edge, which apply already turned into a union with C's ID.
+//   - If a blob in C fails, every survivor of C ends up flooded: walk an old
+//     path from it to the failed blob; the survivors on it stay in one final
+//     component across passing blobs, and the last one is on the failed
+//     blob's boundary, so that component is flooded. C's ID then has no
+//     holder left and whatever it was unioned with is harmless.
+//   - A flooded set is one whole final component under an ID nobody else
+//     has, which is correct whatever happened to it.
+//
+// So for unflooded vertices "same root" means "same final component", and
+// flooded components are exact by construction.
+func (l *live) repairSplits(sd side, leavers []int32) {
+	if len(leavers) == 0 {
+		return
+	}
+	// left marks a leaver no blob has claimed yet, left+1 one that was.
+	left := l.nextStamps(2)
+	for _, s := range leavers {
+		l.mark[s] = left
+	}
+	for _, s := range leavers {
+		if l.mark[s] != left {
+			continue
+		}
+		// want marks a boundary vertex the BFS still has to reach, want+1
+		// every vertex it reached.
+		want := l.nextStamps(2)
+		bd := l.boundary[:0]
+		q := append(l.queue[:0], s)
+		l.mark[s] = left + 1
+		for len(q) > 0 {
+			u := q[len(q)-1]
+			q = q[:len(q)-1]
+			l.visits++
+			for _, t := range l.adj[u] {
+				switch m := l.mark[t]; {
+				case m == left:
+					l.mark[t] = left + 1
+					q = append(q, t)
+				case m == left+1 || m == want:
+				case sd.in[t] && sd.survivor(t):
+					l.mark[t] = want
+					bd = append(bd, t)
+				}
+			}
+		}
+		l.queue, l.boundary = q, bd
+		if len(bd) < 2 || l.connected(sd, bd, want) {
+			continue
+		}
+		for _, b := range bd {
+			if sd.comp[b] < sd.fresh {
+				l.flood(sd, b)
+				l.floods++
 			}
 		}
 	}
 }
 
-func (l *live) floodDB(s int32) {
-	comp := l.nextComp
-	l.nextComp++
-	l.queue = append(l.queue[:0], s)
-	l.visDB[s] = l.visStamp
-	l.compDB[s] = comp
-	for len(l.queue) > 0 {
-		u := l.queue[len(l.queue)-1]
-		l.queue = l.queue[:len(l.queue)-1]
+// connected reports whether every vertex of bd, all marked want, is
+// reachable from the first in sd's final graph. FIFO, because the boundary
+// of a blob lies within 2ε of itself: a breadth-first front meets the others
+// after a few rings where a depth-first one could tour the whole cluster.
+func (l *live) connected(sd side, bd []int32, want int32) bool {
+	seen, missing := want+1, len(bd)-1
+	q := append(l.queue[:0], bd[0])
+	l.mark[bd[0]] = seen
+	for head := 0; head < len(q) && missing > 0; head++ {
+		l.visits++
+		for _, t := range l.adj[q[head]] {
+			m := l.mark[t]
+			if m == seen || !sd.in[t] {
+				continue
+			}
+			if m == want {
+				missing--
+			}
+			l.mark[t] = seen
+			q = append(q, t)
+		}
+	}
+	l.queue = q
+	return missing == 0
+}
+
+// flood gives the whole final component of s a fresh ID. Only bootstrap and
+// a failed split check get here.
+func (l *live) flood(sd side, s int32) {
+	id, seen := int32(sd.uf.Grow()), l.nextStamps(1)
+	q := append(l.queue[:0], s)
+	l.mark[s], sd.comp[s] = seen, id
+	for len(q) > 0 {
+		u := q[len(q)-1]
+		q = q[:len(q)-1]
+		l.visits++
 		for _, t := range l.adj[u] {
-			if l.core[t] && l.visDB[t] != l.visStamp {
-				l.visDB[t] = l.visStamp
-				l.compDB[t] = comp
-				l.queue = append(l.queue, t)
+			if sd.in[t] && l.mark[t] != seen {
+				l.mark[t], sd.comp[t] = seen, id
+				q = append(q, t)
 			}
 		}
 	}
+	l.queue = q
 }
 
 // resetRemap sizes m to n and fills it with the "unassigned" sentinel.
@@ -388,75 +528,73 @@ func dropEdge(adj [][]int32, from, to int32) {
 	}
 }
 
+// resolve gives component c, which remap does not know yet, its label: the
+// one its root already has, or the next unused one. remap is indexed by
+// component ID and keeps the answer under c too, so find runs once per ID,
+// not once per point.
+func resolve(uf *unionfind.UF, remap []int32, c int32, next *int32) int32 {
+	r := uf.Find(int(c))
+	lab := remap[r]
+	if lab < 0 {
+		lab = *next
+		*next++
+		remap[r] = lab
+	}
+	remap[c] = lab
+	return lab
+}
+
 // derive turns slot-space components into canonical labellings, reproducing
 // the batch algorithms bit for bit: labels assigned on first sight in
 // ascending canonical ID order (the labellers' seeds ascend), DBSCAN border points
 // taking the minimum label over their core ε-neighbors, everything else
-// Noise.
+// Noise. It is the one O(points) pass of a batch.
 func (l *live) derive(idToSlot []int32) *liveSnap {
 	n := len(idToSlot)
 	el := make([]int32, n)
 	db := make([]int32, n)
-	// Every live comp ID is below nextComp: untouched slots carry last
-	// derive's renumbered (dense) IDs, and this batch's floods allocated
-	// monotonically from there. So the remap tables stay small and the
-	// per-point cost is an array index, not a map lookup — the difference
-	// between O(points) with map constants and a tight linear pass.
-	ne := int(l.nextComp)
-	l.remapEL = resetRemap(l.remapEL, ne)
-	l.remapDB = resetRemap(l.remapDB, ne)
+	l.remapEL = resetRemap(l.remapEL, l.ufEL.Len())
+	l.remapDB = resetRemap(l.remapDB, l.ufDB.Len())
 	var elNext, dbNext int32
 	corePoints := 0
 	// Components renumber to their emitted labels inline (each slot appears
 	// once, so the write-back never races a later read): distinct components
-	// got distinct labels, uniqueness is preserved, and the next batch's
-	// floods allocate from the reset nextComp without colliding.
-	for p := 0; p < n; p++ {
-		s := idToSlot[p]
+	// got distinct labels, so the IDs stay unique and dense, and the forests
+	// restart as that many singletons.
+	for p, s := range idToSlot {
 		c := l.compEL[s]
 		lab := l.remapEL[c]
 		if lab < 0 {
-			lab = elNext
-			l.remapEL[c] = elNext
-			elNext++
+			lab = resolve(&l.ufEL, l.remapEL, c, &elNext)
 		}
-		el[p] = lab
-		l.compEL[s] = int64(lab)
-		if l.core[s] {
-			corePoints++
-			c := l.compDB[s]
-			lab := l.remapDB[c]
-			if lab < 0 {
-				lab = dbNext
-				l.remapDB[c] = dbNext
-				dbNext++
-			}
-			db[p] = lab
-			l.slotLb[s] = lab
-			l.compDB[s] = int64(lab)
-		} else {
+		el[p], l.compEL[s] = lab, lab
+		if !l.core[s] {
 			db[p] = noise
+			continue
 		}
+		corePoints++
+		c = l.compDB[s]
+		if lab = l.remapDB[c]; lab < 0 {
+			lab = resolve(&l.ufDB, l.remapDB, c, &dbNext)
+		}
+		db[p], l.compDB[s] = lab, lab
 	}
-	for p := 0; p < n; p++ {
-		s := idToSlot[p]
+	for p, s := range idToSlot {
 		if l.core[s] {
 			continue
 		}
 		best := noise
 		for _, t := range l.adj[s] {
 			if l.core[t] {
-				if lt := l.slotLb[t]; best == noise || lt < best {
+				if lt := l.compDB[t]; best == noise || lt < best {
 					best = lt
 				}
 			}
 		}
 		db[p] = best
 	}
-	l.nextComp = int64(elNext)
-	if int64(dbNext) > l.nextComp {
-		l.nextComp = int64(dbNext)
-	}
+	l.ufEL.Reset(int(elNext))
+	l.ufDB.Reset(int(dbNext))
 	return &liveSnap{
 		eps: l.eps, minPts: l.minPts,
 		elLabels: el, elClusters: elNext,

@@ -49,35 +49,38 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 	v.ptTag = make([]int32, 0, nPts)
 	v.ptGrp = make([]int32, 0, nPts)
 	v.idToSlot = make([]int32, 0, nPts)
-	keyOf := make([]uint64, 0, len(o.baseGroups))
+	// viewOf[i] is the view group base group i became, NoGroup once it
+	// emptied out; gained maps the previously point-free edges that now carry
+	// a group. Together they renumber the base adjacency when the
+	// populated-edge set moved.
+	viewOf := make([]network.GroupID, len(o.baseGroups))
+	var gained map[uint64]network.GroupID
 
 	sameKeys := true
-	emit := func(key uint64, n1, n2 network.NodeID, w float64, n int, at func(int) (float64, int32, int32)) {
+	emitList := func(el *edgeList) {
 		gid := int32(len(v.groups))
 		v.groups = append(v.groups, network.PointGroup{
-			N1: n1, N2: n2, Weight: w,
-			First: network.PointID(len(v.ptPos)), Count: int32(n),
+			N1: el.n1, N2: el.n2, Weight: el.weight,
+			First: network.PointID(len(v.ptPos)), Count: int32(len(el.pts)),
 		})
-		keyOf = append(keyOf, key)
-		for i := 0; i < n; i++ {
-			pos, tag, slot := at(i)
-			v.ptPos = append(v.ptPos, pos)
-			v.ptTag = append(v.ptTag, tag)
+		for _, e := range el.pts {
+			v.ptPos = append(v.ptPos, e.pos)
+			v.ptTag = append(v.ptTag, e.tag)
 			v.ptGrp = append(v.ptGrp, gid)
-			v.idToSlot = append(v.idToSlot, slot)
+			v.idToSlot = append(v.idToSlot, e.slot)
 		}
 	}
-	// Base groups dominate every freeze, so they bypass the per-point
-	// closure: four bulk appends from the base's own flat arrays.
+	// Base groups dominate every freeze, so they go in bulk: four appends from
+	// the base's own flat arrays.
 	emitBase := func(i int) {
 		pg := o.baseGroups[i]
 		offs, _ := o.base.GroupOffsets(network.GroupID(i))
 		gid := int32(len(v.groups))
+		viewOf[i] = network.GroupID(gid)
 		v.groups = append(v.groups, network.PointGroup{
 			N1: pg.N1, N2: pg.N2, Weight: pg.Weight,
 			First: network.PointID(len(v.ptPos)), Count: pg.Count,
 		})
-		keyOf = append(keyOf, o.baseKeys[i])
 		lo, hi := int(pg.First), int(pg.First)+int(pg.Count)
 		v.ptPos = append(v.ptPos, offs...)
 		v.ptTag = append(v.ptTag, o.baseTags[lo:hi]...)
@@ -86,13 +89,6 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 			v.ptGrp = append(v.ptGrp, gid)
 		}
 	}
-	emitList := func(key uint64, el *edgeList) {
-		emit(key, el.n1, el.n2, el.weight, len(el.pts), func(k int) (float64, int32, int32) {
-			e := el.pts[k]
-			return e.pos, e.tag, e.slot
-		})
-	}
-
 	i, j := 0, 0
 	for i < len(o.baseGroups) || j < len(keys) {
 		switch {
@@ -103,8 +99,10 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 			el := o.adopted[keys[j]]
 			if len(el.pts) == 0 {
 				sameKeys = false // base group emptied out
+				viewOf[i] = network.NoGroup
 			} else {
-				emitList(keys[j], el)
+				viewOf[i] = network.GroupID(len(v.groups))
+				emitList(el)
 			}
 			i++
 			j++
@@ -112,13 +110,17 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 			el := o.adopted[keys[j]]
 			if len(el.pts) > 0 {
 				sameKeys = false // a previously point-free edge gained points
-				emitList(keys[j], el)
+				if gained == nil {
+					gained = make(map[uint64]network.GroupID)
+				}
+				gained[keys[j]] = network.GroupID(len(v.groups))
+				emitList(el)
 			}
 			j++
 		}
 	}
 	if !sameKeys {
-		v.translateAdjacency(keyOf)
+		v.translateAdjacency(viewOf, gained)
 	}
 	return v, v.idToSlot
 }
@@ -137,23 +139,22 @@ func (o *Overlay) countPoints() int {
 }
 
 // translateAdjacency copies the base adjacency with Group fields renumbered
-// to the view's group IDs. Only needed when the set of populated edges
-// changed; otherwise base numbering is already correct and Neighbors
+// to the view's group IDs: viewOf by base group ID, gained by edge key for
+// the edges the base has no group for. Only needed when the set of populated
+// edges changed; otherwise base numbering is already correct and Neighbors
 // delegates.
-func (v *View) translateAdjacency(keyOf []uint64) {
-	gidOf := make(map[uint64]network.GroupID, len(keyOf))
-	for gid, key := range keyOf {
-		gidOf[key] = network.GroupID(gid)
-	}
+func (v *View) translateAdjacency(viewOf []network.GroupID, gained map[uint64]network.GroupID) {
+	v.adj = make([]network.Neighbor, 0, 2*v.numEdges)
 	v.adjOff = make([]int32, v.numNodes+1)
 	for n := 0; n < v.numNodes; n++ {
 		nbs, _ := v.base.Neighbors(network.NodeID(n))
 		for _, nb := range nbs {
-			g := network.NoGroup
-			if id, ok := gidOf[network.EdgeKey(network.NodeID(n), nb.Node)]; ok {
-				g = id
+			if nb.Group != network.NoGroup {
+				nb.Group = viewOf[nb.Group]
+			} else if id, ok := gained[network.EdgeKey(network.NodeID(n), nb.Node)]; ok {
+				nb.Group = id
 			}
-			v.adj = append(v.adj, network.Neighbor{Node: nb.Node, Weight: nb.Weight, Group: g})
+			v.adj = append(v.adj, nb)
 		}
 		v.adjOff[n+1] = int32(len(v.adj))
 	}

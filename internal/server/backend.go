@@ -186,14 +186,38 @@ func (l *liveBackend) pin(int64) viewAt {
 	return viewAt{graph: cur.Graph, epoch: cur.Epoch, live: cur}
 }
 
-// scratch is fresh per request and dropped afterwards: range scratch is sized
-// to the point count of the graph it was created for, and a live view's count
-// moves every epoch — pooled scratch from a larger epoch would be wasteful and
-// from a smaller one unsafe.
-func (l *liveBackend) scratch(view netclus.Graph) *scratchBox {
-	return &scratchBox{sc: netclus.ScratchFor(view)}
+// liveScratch is the scratch a liveBackend box holds, with what decides
+// whether it may serve another view: the one snapshot a kernel scratch was
+// compiled against (nil for generic scratch), and the point count generic
+// scratch holds.
+type liveScratch struct {
+	netclus.RangeQuerier
+	snap   *netclus.Snapshot
+	points int
 }
-func (l *liveBackend) recycle(*scratchBox) {}
+
+// scratch pools like the read-only kinds do, with the two things a moving view
+// adds. A merged view runs on generic scratch, which is indexed by the view's
+// IDs and epoch-stamped, never scanned in full, so oversize is inert: it is
+// allocated with head-room (as the overlay's own repair scratch is) and serves
+// every later view until the point count outgrows it. A freshly compacted
+// view is the snapshot itself and runs on its kernel scratch, which is
+// compiled against that one snapshot and ignores the graph it is handed: it
+// is reused only on the snapshot it was made for. A box that fits neither is
+// dropped for the collector.
+func (l *liveBackend) scratch(view netclus.Graph) *scratchBox {
+	sn, _ := view.(*netclus.Snapshot)
+	if b, ok := l.pool.Get().(*scratchBox); ok {
+		if ls := b.sc.(*liveScratch); ls.snap == sn && (sn != nil || ls.points >= view.NumPoints()) {
+			return b
+		}
+	}
+	if sn != nil {
+		return &scratchBox{sc: &liveScratch{RangeQuerier: netclus.ScratchFor(sn), snap: sn}}
+	}
+	points := view.NumPoints() + view.NumPoints()/8 + 64
+	return &scratchBox{sc: &liveScratch{RangeQuerier: netclus.NewRangeScratchSize(view.NumNodes(), points), points: points}}
+}
 
 // maintained answers dbscan/epslink requests whose density parameters match
 // the overlay's configuration from the pinned view's incrementally maintained

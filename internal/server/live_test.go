@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,5 +290,121 @@ func TestServeMutateErrors(t *testing.T) {
 		`{"ops":[{"op":"delete","point":1}]}`, http.StatusBadRequest, &eb)
 	if eb.Error.Code != api.CodeBadRequest || !strings.Contains(eb.Error.Message, "immutable") {
 		t.Fatalf("immutable dataset write: %+v", eb)
+	}
+}
+
+// TestLiveScratchPool (run under -race in CI) reads through the live
+// backend's scratch pool while a writer grows the point count past the
+// head-room pooled generic scratch was allocated with and CompactNow swaps the
+// published view between a merged view and the compiled snapshot. Every reply
+// must equal a direct call, on fresh scratch, on the view the request pinned;
+// a pooled kernel scratch must only ever come back for the snapshot it was
+// compiled against, and pooled generic scratch must cover the view it is
+// handed.
+func TestLiveScratchPool(t *testing.T) {
+	s, d := newLiveServer(t, Config{})
+	ov := d.Live()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(99))
+	grow := func() {
+		n := ov.Current().Points
+		ops := make([]netclus.LiveOp, 16)
+		for i := range ops {
+			ops[i] = netclus.LiveInsertNear(netclus.PointID(rng.Intn(n)), rng.Float64(), 0)
+		}
+		if _, err := ov.Apply(ctx, ops); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+
+	// First the one refusal that decides safety, without the scheduler's say:
+	// a box pooled for a merged view must not come back for a view that has
+	// outgrown it. (Under -race the pool may drop the box instead, and the
+	// fresh one passes trivially.)
+	grow()
+	box := d.backend.scratch(ov.Current().Graph)
+	small := box.sc.(*liveScratch).points
+	d.putScratch(box)
+	for ov.Current().Points <= small {
+		grow()
+	}
+	if big := d.backend.scratch(ov.Current().Graph).sc.(*liveScratch); big.points < ov.Current().Points {
+		t.Fatalf("scratch for %d points handed to a view of %d", big.points, ov.Current().Points)
+	}
+
+	var (
+		wg              sync.WaitGroup
+		stop            atomic.Bool
+		generic, kernel atomic.Int64 // reads that ran on a merged view, on a snapshot
+	)
+	halt := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer halt()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				va := d.viewAt()
+				sn, _ := va.graph.(*netclus.Snapshot)
+				box := d.backend.scratch(va.graph)
+				if ls := box.sc.(*liveScratch); ls.snap != sn || (sn == nil && ls.points < va.graph.NumPoints()) {
+					t.Errorf("epoch %d: pool handed a %T view of %d points scratch made for snapshot %p, %d points",
+						va.epoch, va.graph, va.graph.NumPoints(), ls.snap, ls.points)
+					return
+				}
+				d.putScratch(box)
+				req := api.RangeRequest{Point: netclus.PointID(rng.Intn(va.graph.NumPoints())), Eps: liveEps, Dists: true}
+				got, _, err := s.computeRange(ctx, d, va, req)
+				if err != nil {
+					t.Errorf("epoch %d: range: %v", va.epoch, err)
+					return
+				}
+				want, err := netclus.ScratchFor(va.graph).RangeQueryDistCtx(ctx, va.graph, req.Point, req.Eps)
+				if err != nil || !reflect.DeepEqual(got.Results, api.PointDists(want)) {
+					t.Errorf("epoch %d: range(%d) through the pool differs from a direct call on the pinned view (%v)", va.epoch, req.Point, err)
+					return
+				}
+				if sn != nil {
+					kernel.Add(1)
+				} else {
+					generic.Add(1)
+				}
+			}
+		}(int64(r) + 1)
+	}
+
+	// sawNext holds the writer until one more read of the kind c counts is
+	// through, so the readers meet every view the writer publishes.
+	sawNext := func(c *atomic.Int64) {
+		for seen, deadline := c.Load(), time.Now().Add(10*time.Second); c.Load() == seen; {
+			if time.Now().After(deadline) || t.Failed() {
+				t.Fatalf("readers stopped (failed=%v)", t.Failed())
+			}
+			runtime.Gosched()
+		}
+	}
+	// One stretch of merged views only, so that boxes pooled at its start are
+	// still around when the view has outgrown them; then swaps.
+	for start := ov.Current().Points; ov.Current().Points <= start+start/8+64+100; {
+		grow()
+		sawNext(&generic)
+	}
+	for cycle := 0; cycle < 4; cycle++ {
+		if err := ov.CompactNow(); err != nil {
+			t.Fatalf("CompactNow: %v", err)
+		}
+		// Nothing is pending, so the published view is the snapshot itself
+		// until the next batch.
+		sawNext(&kernel)
+		grow()
+		sawNext(&generic)
+	}
+	halt()
+	if generic.Load() == 0 || kernel.Load() == 0 {
+		t.Fatalf("reads saw %d merged views and %d snapshots; the test needs both", generic.Load(), kernel.Load())
 	}
 }

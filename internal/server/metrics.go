@@ -288,6 +288,8 @@ var families = []family{
 
 	counter("netclusd_compactions_total", of(live, func(s *netclus.LiveStats) any { return s.Compactions })),
 	counter("netclusd_dataset_queries_total", of(entry, func(d *api.DatasetInfo) any { return d.Queries })),
+	counter("netclusd_live_floods_total", of(live, func(s *netclus.LiveStats) any { return s.LiveFloods })),
+	counter("netclusd_live_repair_visits_total", of(live, func(s *netclus.LiveStats) any { return s.LiveRepairVisits })),
 	counter("netclusd_prune_candidates_total", of(prune, func(p *netclus.PruneStats) any { return p.Candidates })),
 	counter("netclusd_prune_early_stops_total", of(prune, func(p *netclus.PruneStats) any { return p.EarlyStops })),
 	counter("netclusd_prune_filter_accepted_total", of(prune, func(p *netclus.PruneStats) any { return p.FilterAccepted })),

@@ -12,12 +12,23 @@ type UF struct {
 
 // New returns a forest of n singleton sets.
 func New(n int) *UF {
-	u := &UF{parent: make([]int32, n), size: make([]int32, n), sets: n}
+	u := &UF{}
+	u.Reset(n)
+	return u
+}
+
+// Reset turns u into a forest of n singleton sets, reusing its storage. The
+// live-cluster maintainer keeps one forest over its dense component IDs and
+// resets it after every batch.
+func (u *UF) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent, u.size = make([]int32, n), make([]int32, n)
+	}
+	u.parent, u.size, u.sets = u.parent[:n], u.size[:n], n
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 		u.size[i] = 1
 	}
-	return u
 }
 
 // Len returns the number of elements in the forest.

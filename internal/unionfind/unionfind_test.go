@@ -108,3 +108,26 @@ func TestLabelMergeSingletonCheap(t *testing.T) {
 		t.Fatal("merging an empty shard corrupted existing components")
 	}
 }
+
+// TestResetReusesStorage pins Reset's contract: whatever the forest held, it
+// comes back as n singletons, grown or shrunk, and Grow continues from n.
+func TestResetReusesStorage(t *testing.T) {
+	u := New(8)
+	u.Union(1, 2)
+	u.Union(2, 7)
+	for _, n := range []int{5, 12, 0, 3} {
+		u.Reset(n)
+		if u.Len() != n || u.Sets() != n {
+			t.Fatalf("Reset(%d): %d elements in %d sets", n, u.Len(), u.Sets())
+		}
+		for i := 0; i < n; i++ {
+			if u.Find(i) != i || u.Size(i) != 1 {
+				t.Fatalf("Reset(%d): element %d is not a singleton", n, i)
+			}
+		}
+		if got := u.Grow(); got != n {
+			t.Fatalf("Reset(%d): Grow returned %d", n, got)
+		}
+		u.Union(0, n)
+	}
+}

@@ -157,6 +157,13 @@ type RangeScratch = network.RangeScratch
 // NewRangeScratch allocates range-query scratch for g.
 func NewRangeScratch(g Graph) *RangeScratch { return network.NewRangeScratch(g) }
 
+// NewRangeScratchSize allocates range-query scratch for any graph of up to
+// the given node and point counts; capacity beyond the queried graph's is
+// inert. For callers whose graph grows between queries, like a live view.
+func NewRangeScratchSize(nodes, points int) *RangeScratch {
+	return network.NewRangeScratchSize(nodes, points)
+}
+
 // RangeQuerier is the backend-neutral ε-range query surface: the generic
 // RangeScratch and the compiled Snapshot's kernel scratch both satisfy it.
 type RangeQuerier = network.RangeQuerier
