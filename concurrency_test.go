@@ -192,7 +192,7 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := netclus.PointDistance(st, -1, 0); !errors.Is(err, netclus.ErrPointNotFound) {
 		t.Fatalf("bad point: got %v, want ErrPointNotFound chain", err)
 	}
-	if _, err := netclus.NodeDistances(st, netclus.NodeID(1 << 30)); !errors.Is(err, netclus.ErrNodeNotFound) {
+	if _, err := netclus.NodeDistances(st, netclus.NodeID(1<<30)); !errors.Is(err, netclus.ErrNodeNotFound) {
 		t.Fatalf("bad node: got %v, want ErrNodeNotFound chain", err)
 	}
 	if _, err := netclus.EpsLink(st, netclus.EpsLinkOptions{}); !errors.Is(err, netclus.ErrInvalidOptions) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -296,6 +297,114 @@ func TestSingleLinkMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkSingleLinkBackends(t, densityBackends(t, g, 4, true), 0.1)
+		})
+	}
+}
+
+// kmedoidsOutcome is everything of a k-medoids run that every backend, pruned
+// or not, incremental or recomputing, must reproduce for the same Rand.
+type kmedoidsOutcome struct {
+	Medoids             []network.PointID
+	Labels              []int32
+	RBits               uint64
+	Iterations          int
+	Attempted, Accepted int
+}
+
+// checkKMedoidsBackends runs k-medoids on every backend × {unpruned, pruned}
+// × {incremental, Recompute} and demands one outcome per content — medoids,
+// labels, R bit for bit, the swap counts — whose R and labels are the
+// brute-force assignment of the final medoid set. The delta view is joined by
+// its own compilation, and both prune with landmark bounds built over that
+// (a view carries no embedding).
+func checkKMedoidsBackends(t *testing.T, bks []densityBackend, ks []int) {
+	t.Helper()
+	view := &bks[len(bks)-1]
+	compiled, err := csr.Compile(view.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.bounds, err = lbound.Build(compiled, lbound.Options{Landmarks: 2}); err != nil {
+		t.Fatal(err)
+	}
+	bks = append(bks, densityBackend{name: "compiled-view", g: compiled, dist: view.dist, bounds: view.bounds})
+	for _, k := range ks {
+		ref := map[*float64]kmedoidsOutcome{}
+		for _, bk := range bks {
+			for _, prune := range []network.Bounder{nil, bk.bounds} {
+				for _, recompute := range []bool{false, true} {
+					what := fmt.Sprintf("%s K=%d pruned=%v recompute=%v", bk.name, k, prune != nil, recompute)
+					res, err := core.KMedoidsCtx(context.Background(), bk.g, core.KMedoidsOptions{
+						K: k, Recompute: recompute, Prune: prune, Rand: rand.New(rand.NewSource(int64(17 * k))),
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if bk.filter && prune != nil && !res.Stats.Prune.Fired() {
+						t.Fatalf("%s: the medoid pruner never fired: %+v", what, res.Stats.Prune)
+					}
+					got := kmedoidsOutcome{res.Medoids, res.Labels, math.Float64bits(res.R), res.Iterations, res.AttemptedSwaps, res.AcceptedSwaps}
+					if first, ok := ref[&bk.dist[0][0]]; ok {
+						if !reflect.DeepEqual(first, got) {
+							t.Fatalf("%s: differs from the first run on this content\nfirst %+v\ngot   %+v", what, first, got)
+						}
+						continue
+					}
+					ref[&bk.dist[0][0]] = got
+					// The first run on a content is checked against the oracle.
+					var wantR float64
+					for p, row := range bk.dist {
+						best := network.Inf
+						for _, m := range res.Medoids {
+							best = math.Min(best, row[m])
+						}
+						switch l := res.Labels[p]; {
+						case math.IsInf(best, 1) != (l == core.Noise):
+							t.Fatalf("%s: point %d labelled %d at oracle distance %v", what, p, l, best)
+						case l != core.Noise && math.Abs(row[res.Medoids[l]]-best) > 1e-9:
+							t.Fatalf("%s: point %d assigned to medoid %d at %v, the nearest is at %v", what, p, l, row[res.Medoids[l]], best)
+						case l != core.Noise:
+							wantR += best
+						}
+					}
+					if math.Abs(res.R-wantR) > 1e-9 {
+						t.Fatalf("%s: R = %v, the matrix gives %v for medoids %v", what, res.R, wantR, res.Medoids)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKMedoidsBackendsAgree is the cross-backend table of k-medoids: the
+// density and tie shapes in every numbering (exact ties between medoids at
+// nodes and along edges, one shape disconnected, landmark-only bounds) and two
+// generated graphs with Euclidean bounds, on six backends × {unpruned,
+// pruned} × {incremental, Recompute}. It is the home of what
+// TestKMedoidsPrunedEquivalence (plain ≡ pruned on the pointer network, with
+// and without an embedding, pruner fired) and the k-medoids tail of csr's
+// TestClusteringPrunedByteIdentical used to assert.
+func TestKMedoidsBackendsAgree(t *testing.T) {
+	shapes, err := testnet.ShapeGraphs(testnet.TieShapes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range shapes {
+		t.Run(name, func(t *testing.T) {
+			checkKMedoidsBackends(t, densityBackends(t, g, 4, false), []int{1, 2, 3})
+		})
+	}
+	random, err := testnet.Random(7, 40, 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := testnet.RandomClustered(11, 60, 240, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*network.Network{"random": random, "clustered": clustered} {
+		t.Run(name, func(t *testing.T) {
+			checkKMedoidsBackends(t, densityBackends(t, g, 4, true), []int{4, 9})
 		})
 	}
 }

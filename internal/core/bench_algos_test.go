@@ -90,8 +90,6 @@ func BenchmarkIncMedoidUpdate(b *testing.B) {
 	if err := core.MedoidDistFind(g, infos, st, &stats); err != nil {
 		b.Fatal(err)
 	}
-	backup := core.NewMedoidState(g.NumNodes())
-	backup.CopyFrom(st)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		slot := i % k
@@ -101,11 +99,12 @@ func BenchmarkIncMedoidUpdate(b *testing.B) {
 		}
 		old := infos[slot]
 		infos[slot] = ci
+		st.Begin()
 		if err := core.IncMedoidUpdate(g, infos, slot, st, &stats); err != nil {
 			b.Fatal(err)
 		}
 		infos[slot] = old
-		st.CopyFrom(backup)
+		st.Rollback()
 	}
 }
 

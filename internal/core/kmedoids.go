@@ -17,9 +17,16 @@ import (
 // (in the current medoid set) and the network distance to it — the output of
 // the Fig. 4 concurrent expansion, updated in place by the Fig. 5 incremental
 // replacement. Unreachable/unassigned nodes have Med -1 and Dist +Inf.
+//
+// Between Begin and Rollback/Commit the state records every entry it
+// overwrites, so that a rejected medoid swap is undone at the cost of what it
+// changed (network.MedoidLog) instead of a copy of both arrays.
 type MedoidState struct {
 	Med  []int32
 	Dist []float64
+
+	log       network.MedoidLog
+	recording bool
 
 	// affected and seeds are scratch for the incremental update, kept on
 	// the state so the once-per-attempted-swap call rate allocates nothing
@@ -37,16 +44,34 @@ func NewMedoidState(n int) *MedoidState {
 
 // Reset unassigns every node.
 func (s *MedoidState) Reset() {
-	for i := range s.Med {
-		s.Med[i] = -1
-		s.Dist[i] = network.Inf
+	for n := range s.Med {
+		if s.Med[n] != -1 || s.Dist[n] != network.Inf {
+			s.set(network.NodeID(n), -1, network.Inf)
+		}
 	}
 }
 
-// CopyFrom overwrites s with o (same length required).
-func (s *MedoidState) CopyFrom(o *MedoidState) {
-	copy(s.Med, o.Med)
-	copy(s.Dist, o.Dist)
+// set overwrites node n's entry, logging the old one while recording.
+func (s *MedoidState) set(n network.NodeID, med int32, dist float64) {
+	if s.recording {
+		s.log = append(s.log, network.MedoidChange{Node: n, Med: s.Med[n], Dist: s.Dist[n]})
+	}
+	s.Med[n], s.Dist[n] = med, dist
+}
+
+// Begin starts recording overwrites: the state Rollback returns to is the
+// one held now.
+func (s *MedoidState) Begin() {
+	s.log, s.recording = s.log[:0], true
+}
+
+// Commit keeps everything written since Begin and stops recording.
+func (s *MedoidState) Commit() { s.recording = false }
+
+// Rollback restores the state held at Begin and stops recording.
+func (s *MedoidState) Rollback() {
+	s.log.Undo(s.Med, s.Dist)
+	s.recording = false
 }
 
 // medEntry is a queue entry B of Figs. 4-5: node, medoid index, distance.
@@ -115,12 +140,19 @@ func incMedoidUpdateCtx(ctx context.Context, g network.Graph, medoids []network.
 
 	// Unassign the replaced medoid's cluster.
 	affected := st.affected[:0]
-	for n := range st.Med {
-		if st.Med[n] == int32(replacedIdx) {
+	for n, m := range st.Med {
+		if m == int32(replacedIdx) {
 			affected = append(affected, network.NodeID(n))
-			st.Med[n] = -1
-			st.Dist[n] = network.Inf
 		}
+	}
+	if st.recording {
+		// Room for what the swap is expected to write: each unassigned node
+		// once when it is cleared and once when it is settled again, and about
+		// as many captured from the neighbouring clusters.
+		st.log = st.log.Reserve(3 * len(affected))
+	}
+	for _, n := range affected {
+		st.set(n, -1, network.Inf)
 	}
 	// Seed from neighbours that still belong to some surviving medoid.
 	for _, ni := range affected {
@@ -156,7 +188,11 @@ func incMedoidUpdateCtx(ctx context.Context, g network.Graph, medoids []network.
 // bit-identical — otherwise the generic heap loop runs.
 func runExpansion(ctx context.Context, g network.Graph, seeds []network.MedoidSeed, st *MedoidState, stats *Stats, mp *medoidPruner) error {
 	if ne, ok := g.(network.NearestExpander); ok && mp == nil {
-		c, err := ne.ExpandNearest(ctx, seeds, st.Med, st.Dist)
+		var log *network.MedoidLog
+		if st.recording {
+			log = &st.log
+		}
+		c, err := ne.ExpandNearestLogged(ctx, seeds, st.Med, st.Dist, log)
 		stats.NodesSettled += c.Settled
 		stats.HeapPushes += c.Pushes
 		stats.EdgesVisited += c.Edges
@@ -235,8 +271,7 @@ func concurrentExpansion(ctx context.Context, g network.Graph, h *heapx.Heap[med
 		if err := ctxCheck(ctx, &ticks); err != nil {
 			return err
 		}
-		st.Med[b.node] = b.med
-		st.Dist[b.node] = b.dist
+		st.set(b.node, b.med, b.dist)
 		stats.NodesSettled++
 		adj, err := g.Neighbors(b.node)
 		if err != nil {
@@ -508,128 +543,167 @@ type restartResult struct {
 	r       float64
 }
 
-func kmedoidsOnce(ctx context.Context, g network.Graph, opts KMedoidsOptions, init []network.PointID, rng *rand.Rand, res *KMedoidsResult) (*restartResult, error) {
-	medoidIDs := append([]network.PointID(nil), init...)
-	infos := make([]network.PointInfo, len(medoidIDs))
-	inSet := make(map[network.PointID]bool, len(medoidIDs))
-	for i, id := range medoidIDs {
+// medoidSearch is the state of one restart's randomized swap search (§4.2):
+// the current medoid set with the node assignment, point labels and R it
+// induces. attempt mutates all of it in place and puts back exactly what it
+// changed when the swap does not improve R.
+type medoidSearch struct {
+	g         network.Graph
+	recompute bool
+	stats     *Stats
+
+	ids   []network.PointID
+	infos []network.PointInfo
+	inSet map[network.PointID]bool
+
+	st     *MedoidState
+	labels []int32
+	r      float64
+
+	// One pruner per restart: the shared Bounds is read-only, the memo is
+	// this goroutine's own.
+	mp *medoidPruner
+
+	// Graphs with a delta-assignment kernel (the compiled CSR snapshot)
+	// rescan only the groups a swap perturbed, in place: sub holds the
+	// per-group R subtotals and undo what the last attempt overwrote. The R
+	// association is the same either way (per group, then across groups in
+	// order), so the trajectory is identical to the full-scan path, which
+	// labels into trial and swaps it with labels on a commit.
+	da    network.DeltaAssigner
+	sub   []float64
+	undo  network.AssignUndo
+	trial []int32
+}
+
+// newMedoidSearch runs the initial Fig. 4 expansion and point assignment for
+// the medoid set init.
+func newMedoidSearch(ctx context.Context, g network.Graph, opts KMedoidsOptions, init []network.PointID, stats *Stats) (*medoidSearch, error) {
+	s := &medoidSearch{
+		g: g, recompute: opts.Recompute, stats: stats,
+		ids:    append([]network.PointID(nil), init...),
+		infos:  make([]network.PointInfo, len(init)),
+		inSet:  make(map[network.PointID]bool, len(init)),
+		st:     NewMedoidState(g.NumNodes()),
+		labels: make([]int32, g.NumPoints()),
+	}
+	for i, id := range s.ids {
 		pi, err := g.PointInfo(id)
 		if err != nil {
 			return nil, err
 		}
-		infos[i] = pi
-		inSet[id] = true
+		s.infos[i] = pi
+		s.inSet[id] = true
 	}
-	if len(inSet) != len(medoidIDs) {
+	if len(s.inSet) != len(s.ids) {
 		return nil, fmt.Errorf("%w: KMedoids: InitialMedoids must be distinct", ErrInvalidOptions)
 	}
-
-	st := NewMedoidState(g.NumNodes())
-	labels := make([]int32, g.NumPoints())
-	// One pruner per restart: the shared Bounds is read-only, the memo is
-	// this goroutine's own.
-	var mp *medoidPruner
 	if opts.Prune != nil {
-		mp = newMedoidPruner(opts.Prune, g.NumNodes())
+		s.mp = newMedoidPruner(opts.Prune, g.NumNodes())
+		s.mp.retarget(s.infos)
 	}
-	// Graphs with a delta-assignment kernel (the compiled CSR snapshot)
-	// rescan only the groups a swap perturbed; sub and trialSub hold the
-	// per-group R subtotals of the accepted and the trial assignment. The
-	// R association is the same either way (per group, then across groups
-	// in order), so the trajectory is identical to the full-scan path.
-	da, _ := g.(network.DeltaAssigner)
-	var sub, trialSub []float64
-	if da != nil {
-		sub = make([]float64, g.NumGroups())
-		trialSub = make([]float64, g.NumGroups())
-	}
-	start := time.Now()
-	if mp != nil {
-		mp.retarget(infos)
-	}
-	if err := medoidDistFindCtx(ctx, g, infos, st, &res.Stats, mp); err != nil {
+	if err := medoidDistFindCtx(ctx, g, s.infos, s.st, stats, s.mp); err != nil {
 		return nil, err
 	}
-	var r float64
 	var err error
-	if da != nil {
+	if s.da, _ = g.(network.DeltaAssigner); s.da != nil {
+		s.sub = make([]float64, g.NumGroups())
 		var groups int
-		r, groups = da.AssignNearestDelta(infos, st.Med, st.Dist, nil, nil, nil, labels, sub)
-		res.Stats.GroupsRead += groups
-	} else if r, err = AssignPoints(g, infos, st, labels, &res.Stats); err != nil {
+		s.r, groups = s.da.AssignNearestDelta(s.infos, s.st.Med, s.st.Dist, nil, nil, s.labels, s.sub, nil)
+		stats.GroupsRead += groups
+	} else {
+		s.trial = make([]int32, g.NumPoints())
+		s.r, err = AssignPoints(g, s.infos, s.st, s.labels, stats)
+	}
+	return s, err
+}
+
+// attempt replaces medoid slot mi by the point cand, re-evaluates R and keeps
+// the replacement when R fell; otherwise the search is back in the state it
+// was called in.
+func (s *medoidSearch) attempt(ctx context.Context, mi int, cand network.PointID) (accepted bool, err error) {
+	candInfo, err := s.g.PointInfo(cand)
+	if err != nil {
+		return false, err
+	}
+	oldInfo, oldID := s.infos[mi], s.ids[mi]
+	s.infos[mi], s.ids[mi] = candInfo, cand
+	if s.mp != nil {
+		s.mp.retarget(s.infos)
+	}
+	s.st.Begin()
+	if s.recompute {
+		err = medoidDistFindCtx(ctx, s.g, s.infos, s.st, s.stats, s.mp)
+	} else {
+		err = incMedoidUpdateCtx(ctx, s.g, s.infos, mi, s.st, s.stats, s.mp)
+	}
+	if err != nil {
+		return false, err
+	}
+	var r2 float64
+	if s.da != nil {
+		// Dirty groups: those with an endpoint the expansion moved, plus the
+		// two edges that exchanged the medoid.
+		s.undo.Reset()
+		extra := [2]network.GroupID{oldInfo.Group, candInfo.Group}
+		var rescanned int
+		r2, rescanned = s.da.AssignNearestDelta(s.infos, s.st.Med, s.st.Dist,
+			s.st.log, extra[:], s.labels, s.sub, &s.undo)
+		s.stats.GroupsRead += rescanned
+	} else if r2, err = AssignPoints(s.g, s.infos, s.st, s.trial, s.stats); err != nil {
+		return false, err
+	}
+	if r2 < s.r {
+		s.st.Commit()
+		s.r = r2
+		if s.da == nil {
+			s.labels, s.trial = s.trial, s.labels
+		}
+		delete(s.inSet, oldID)
+		s.inSet[cand] = true
+		return true, nil
+	}
+	s.infos[mi], s.ids[mi] = oldInfo, oldID
+	s.st.Rollback()
+	if s.da != nil {
+		s.undo.Restore(s.labels, s.sub)
+	}
+	return false, nil
+}
+
+func kmedoidsOnce(ctx context.Context, g network.Graph, opts KMedoidsOptions, init []network.PointID, rng *rand.Rand, res *KMedoidsResult) (*restartResult, error) {
+	start := time.Now()
+	s, err := newMedoidSearch(ctx, g, opts, init, &res.Stats)
+	if err != nil {
 		return nil, err
 	}
 	res.FirstIterTime += time.Since(start)
 	res.Iterations++
 
-	backup := NewMedoidState(g.NumNodes())
-	trial := make([]int32, g.NumPoints())
-	var extra [2]network.GroupID
 	bad := 0
 	for bad < opts.MaxBadSwaps {
 		mi := rng.Intn(opts.K)
-		cand := randomNonMedoid(g.NumPoints(), inSet, rng)
+		cand := randomNonMedoid(g.NumPoints(), s.inSet, rng)
 		if cand < 0 {
 			break // every point is a medoid: nothing to swap
 		}
-		candInfo, err := g.PointInfo(cand)
-		if err != nil {
-			return nil, err
-		}
-
-		backup.CopyFrom(st)
 		start := time.Now()
-		oldInfo, oldID := infos[mi], medoidIDs[mi]
-		infos[mi], medoidIDs[mi] = candInfo, cand
-		if mp != nil {
-			mp.retarget(infos)
-		}
-		if opts.Recompute {
-			if err := medoidDistFindCtx(ctx, g, infos, st, &res.Stats, mp); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := incMedoidUpdateCtx(ctx, g, infos, mi, st, &res.Stats, mp); err != nil {
-				return nil, err
-			}
-		}
-		var r2 float64
-		if da != nil {
-			// Trial state starts as a copy of the accepted assignment; the
-			// kernel patches the groups whose endpoints moved between
-			// backup and st, plus the two edges that exchanged the medoid.
-			copy(trial, labels)
-			copy(trialSub, sub)
-			extra[0], extra[1] = oldInfo.Group, candInfo.Group
-			var rescanned int
-			r2, rescanned = da.AssignNearestDelta(infos, st.Med, st.Dist,
-				backup.Med, backup.Dist, extra[:], trial, trialSub)
-			res.Stats.GroupsRead += rescanned
-		} else if r2, err = AssignPoints(g, infos, st, trial, &res.Stats); err != nil {
+		accepted, err := s.attempt(ctx, mi, cand)
+		if err != nil {
 			return nil, err
 		}
 		res.SwapIterTime += time.Since(start)
 		res.SwapIters++
 		res.AttemptedSwaps++
-
-		if r2 < r {
-			// Commit the replacement.
-			r = r2
-			labels, trial = trial, labels
-			sub, trialSub = trialSub, sub
-			delete(inSet, oldID)
-			inSet[cand] = true
+		if accepted {
 			res.AcceptedSwaps++
 			res.Iterations++
 			bad = 0
 		} else {
-			// Roll back.
-			infos[mi], medoidIDs[mi] = oldInfo, oldID
-			st.CopyFrom(backup)
 			bad++
 		}
 	}
-	return &restartResult{labels: labels, medoids: medoidIDs, r: r}, nil
+	return &restartResult{labels: s.labels, medoids: s.ids, r: s.r}, nil
 }
 
 // samplePoints draws k distinct point IDs uniformly from [0, n).

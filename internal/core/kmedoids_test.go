@@ -1,12 +1,21 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"time"
 
 	"netclus/internal/core"
+	"netclus/internal/csr"
+	"netclus/internal/datagen"
 	"netclus/internal/matrix"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
@@ -419,6 +428,298 @@ func TestSamplePointsViaOptionsPaths(t *testing.T) {
 				t.Fatalf("k=%d: duplicate medoid", k)
 			}
 			seen[m] = true
+		}
+	}
+}
+
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKMedoidsRollback drives the swap search one attempt at a time on every
+// backend — unpruned, pruned and recomputing — and checks both outcomes of an
+// attempt against something that does not share its bookkeeping: a rejected
+// swap leaves the node assignment, the labels, the group subtotals and R bit
+// for bit as they were (the change log and the undo buffer restore exactly
+// what was overwritten), and an accepted one leaves what a from-scratch
+// expansion and full assignment scan of the new medoid set produce. Every
+// fourth attempt moves a medoid along its own edge, every other fourth
+// replaces a medoid whose cluster holds an end node of another medoid's edge
+// (seed source (c) of IncMedoidUpdate).
+func TestKMedoidsRollback(t *testing.T) {
+	ctx := context.Background()
+	g, _, err := testnet.RandomClustered(5, 150, 400, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	for _, bk := range densityBackends(t, g, 4, true) {
+		type variant struct {
+			opts     core.KMedoidsOptions
+			attempts int
+		}
+		variants := []variant{{core.KMedoidsOptions{K: k}, 200}, {core.KMedoidsOptions{K: k, Recompute: true}, 40}}
+		if bk.bounds != nil {
+			variants = append(variants, variant{core.KMedoidsOptions{K: k, Prune: bk.bounds}, 40})
+		}
+		for _, v := range variants {
+			what := fmt.Sprintf("%s recompute=%v pruned=%v", bk.name, v.opts.Recompute, v.opts.Prune != nil)
+			rng := rand.New(rand.NewSource(23))
+			n := bk.g.NumPoints()
+			var init []network.PointID
+			for _, p := range rng.Perm(n)[:k] {
+				init = append(init, network.PointID(p))
+			}
+			s, err := core.NewMedoidSearch(ctx, bk.g, v.opts, init)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			st, _, _, _ := s.State()
+			isMedoid := func(p network.PointID) bool {
+				ids, _ := s.Medoids()
+				return slices.Contains(ids, p)
+			}
+			var sameEdge, seedC, rejected, accepted int
+			for i := 0; i < v.attempts; i++ {
+				ids, infos := s.Medoids()
+				mi, cand := rng.Intn(k), network.PointID(-1)
+				switch i % 4 {
+				case 1: // onto the replaced medoid's own edge
+					for _, d := range []network.PointID{1, -1} {
+						p := ids[mi] + d
+						if p < 0 || int(p) >= n || isMedoid(p) {
+							continue
+						}
+						if pi, err := bk.g.PointInfo(p); err != nil {
+							t.Fatal(err)
+						} else if pi.Group == infos[mi].Group {
+							cand = p
+							sameEdge++
+							break
+						}
+					}
+				case 3: // a surviving medoid's end node belongs to the replaced cluster
+					for j, m := range infos {
+						if o := st.Med[m.N1]; o != int32(j) {
+							mi = int(o)
+							seedC++
+							break
+						}
+						if o := st.Med[m.N2]; o != int32(j) {
+							mi = int(o)
+							seedC++
+							break
+						}
+					}
+				}
+				for cand < 0 || isMedoid(cand) {
+					cand = network.PointID(rng.Intn(n))
+				}
+				_, labels, sub, r := s.State()
+				wantMed := append([]int32(nil), st.Med...)
+				wantDist := append([]float64(nil), st.Dist...)
+				wantLabels := append([]int32(nil), labels...)
+				wantSub := append([]float64(nil), sub...)
+				wantIDs := append([]network.PointID(nil), ids...)
+
+				ok, err := s.Attempt(ctx, mi, cand)
+				if err != nil {
+					t.Fatalf("%s attempt %d: %v", what, i, err)
+				}
+				_, labels, sub, r2 := s.State()
+				ids, infos = s.Medoids()
+				if !ok {
+					rejected++
+					if !reflect.DeepEqual(st.Med, wantMed) || !sameBits(st.Dist, wantDist) ||
+						!reflect.DeepEqual(labels, wantLabels) || !sameBits(sub, wantSub) ||
+						math.Float64bits(r2) != math.Float64bits(r) || !reflect.DeepEqual(ids, wantIDs) {
+						t.Fatalf("%s attempt %d (slot %d <- point %d): the rejected swap left a trace", what, i, mi, cand)
+					}
+					continue
+				}
+				accepted++
+				if !(r2 < r) || ids[mi] != cand {
+					t.Fatalf("%s attempt %d: accepted with R %v -> %v, slot holds %d", what, i, r, r2, ids[mi])
+				}
+				fresh := core.NewMedoidState(bk.g.NumNodes())
+				var stats core.Stats
+				if err := core.MedoidDistFind(bk.g, infos, fresh, &stats); err != nil {
+					t.Fatal(err)
+				}
+				freshLabels := make([]int32, n)
+				freshR, err := core.AssignPoints(bk.g, infos, fresh, freshLabels, &stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A pruned expansion is held to labels and R only: it can leave
+				// a node unassigned whose upper bound rounds one ulp below its
+				// distance (ROADMAP, pruner defect), which the unpruned fresh
+				// expansion settles.
+				if !reflect.DeepEqual(labels, freshLabels) || math.Float64bits(r2) != math.Float64bits(freshR) ||
+					v.opts.Prune == nil && (!reflect.DeepEqual(st.Med, fresh.Med) || !sameBits(st.Dist, fresh.Dist)) {
+					t.Fatalf("%s attempt %d (slot %d <- point %d): the accepted swap differs from a fresh evaluation (R %v vs %v)",
+						what, i, mi, cand, r2, freshR)
+				}
+			}
+			if sameEdge == 0 || seedC == 0 || rejected == 0 || accepted == 0 {
+				t.Fatalf("%s: %d same-edge and %d seed-(c) swaps, %d rejected, %d accepted: a case was never exercised",
+					what, sameEdge, seedC, rejected, accepted)
+			}
+		}
+	}
+}
+
+// TestKMedoidsSwapWorkBound pins what a swap costs on a compiled road
+// stand-in, in counted work: the expansion settles a node about once (≤ 1.25
+// settles per distinct node written over the run and ≤ 1.5 in any one
+// attempt; 1.98 over the run before the frontier was filed at an eighth of
+// the mean edge weight), and once the change log and
+// the undo buffer have reached their working size an attempt allocates
+// nothing — no whole-array copy comes back unnoticed.
+func TestKMedoidsSwapWorkBound(t *testing.T) {
+	// A collection empties the snapshot's scratch pools and a move to another
+	// P misses them; refilling would be counted against the attempt that
+	// happens to follow.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	g, _, err := datagen.RoadDataset("SF", 0.05, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := csr.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	rng := rand.New(rand.NewSource(3))
+	var init []network.PointID
+	for _, p := range rng.Perm(sn.NumPoints())[:k] {
+		init = append(init, network.PointID(p))
+	}
+	s, err := core.NewMedoidSearch(ctx, sn, core.KMedoidsOptions{K: k}, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, _, _ := s.State()
+	seen := make([]int, sn.NumNodes())
+	var steady uint64
+	var allSettled, allDistinct int
+	for i := 1; i <= 60; i++ {
+		cand := network.PointID(rng.Intn(sn.NumPoints()))
+		if ids, _ := s.Medoids(); slices.Contains(ids, cand) {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		settled := s.Stats().NodesSettled
+		if _, err := s.Attempt(ctx, rng.Intn(k), cand); err != nil {
+			t.Fatal(err)
+		}
+		settled = s.Stats().NodesSettled - settled
+		runtime.ReadMemStats(&after)
+		if i > 30 {
+			steady += after.TotalAlloc - before.TotalAlloc
+		}
+		distinct := 0
+		for _, e := range st.Changes() {
+			if seen[e.Node] != i {
+				seen[e.Node] = i
+				distinct++
+			}
+		}
+		if 2*settled > 3*distinct {
+			t.Fatalf("attempt %d: %d settles for %d distinct nodes written", i, settled, distinct)
+		}
+		allSettled, allDistinct = allSettled+settled, allDistinct+distinct
+	}
+	if 4*allSettled > 5*allDistinct {
+		t.Fatalf("%d settles for %d distinct nodes written", allSettled, allDistinct)
+	}
+	// The three arrays every attempt used to copy: 12 B a node (backup of the
+	// assignment), 4 B a point (trial labels), 8 B a group (trial subtotals).
+	copies := uint64(12*sn.NumNodes() + 4*sn.NumPoints() + 8*sn.NumGroups())
+	if raceEnabled {
+		return
+	}
+	if steady > copies/8 {
+		t.Fatalf("attempts 31-60 allocated %d bytes; one set of whole-array copies is %d", steady, copies)
+	}
+	// A whole call: the assignment, labels and subtotals once (= copies), the
+	// log and undo buffers, pooled kernel scratch. Measured 3.5 x copies here
+	// (3.9 x with the backup, trial and trialSub arrays).
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.KMedoidsCtx(ctx, sn, core.KMedoidsOptions{K: k}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; 10*got > 37*copies {
+		t.Fatalf("one KMedoidsCtx call allocated %d bytes, %.2f x the %d of its result arrays", got, float64(got)/float64(copies), copies)
+	}
+}
+
+// TestKMedoidsCancelled cancels k-medoids before it starts, inside the first
+// expansions and a few swaps in, on every backend at Workers 1 and 4: each
+// run ends in the wrapped ctx.Err() with no result and every worker returned,
+// and the backend — its pooled bucket queue and expansion state included —
+// then serves the uncancelled result again.
+func TestKMedoidsCancelled(t *testing.T) {
+	g, err := testnet.Random(31, 1200, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range densityBackends(t, g, 4, true) {
+		for _, workers := range []int{1, 4} {
+			run := func(ctx context.Context, g network.Graph) (*core.KMedoidsResult, error) {
+				return core.KMedoidsCtx(ctx, g, core.KMedoidsOptions{
+					K: 4, Restarts: 4, Workers: workers, Rand: rand.New(rand.NewSource(8)),
+				})
+			}
+			want, err := run(context.Background(), bk.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range []int{0, 40, bk.g.NumNodes() + 40} {
+				goroutines := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				wrapped, c := cancelWrap(bk.g, at, cancel)
+				if at == 0 {
+					cancel()
+				}
+				res, err := run(ctx, wrapped)
+				cancel()
+				if n := c.calls.Load(); n < int64(at) {
+					t.Fatalf("%s workers=%d: only %d adjacency reads, the cancel at %d never fired", bk.name, workers, n, at)
+				}
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("%s workers=%d cancelled at read %d: got a result: %v, error %v; want no result and a context.Canceled chain",
+						bk.name, workers, at, res != nil, err)
+				}
+				for wait := 0; runtime.NumGoroutine() > goroutines; wait++ {
+					if wait == 200 {
+						t.Fatalf("%s workers=%d cancelled at read %d: %d goroutines, %d before the run", bk.name, workers, at, runtime.NumGoroutine(), goroutines)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				again, err := run(context.Background(), bk.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Medoids, again.Medoids) || !reflect.DeepEqual(want.Labels, again.Labels) ||
+					math.Float64bits(want.R) != math.Float64bits(again.R) || want.AttemptedSwaps != again.AttemptedSwaps {
+					t.Fatalf("%s workers=%d: the run after a cancel at read %d differs from the one before", bk.name, workers, at)
+				}
+			}
 		}
 	}
 }

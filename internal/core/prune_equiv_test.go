@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"netclus/internal/core"
@@ -95,57 +94,6 @@ func TestDBSCANPrunedEquivalence(t *testing.T) {
 				if inst.name == "euclidean" && !pruned.Stats.Prune.Fired() {
 					t.Fatalf("%s: prune counters never fired: %+v", msg, pruned.Stats.Prune)
 				}
-			}
-		}
-	}
-}
-
-func TestKMedoidsPrunedEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		g, _, err := testnet.RandomClustered(seed+10, 60, 150, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		instances := []struct {
-			name string
-			g    *network.Network
-			opts lbound.Options
-		}{
-			{"euclidean", g, lbound.Options{Landmarks: 4, EuclideanLB: true}},
-			{"coordless", stripPointCoords(t, g), lbound.Options{Landmarks: 4}},
-		}
-		for _, inst := range instances {
-			b, err := lbound.Build(inst.g, inst.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := core.KMedoids(inst.g, core.KMedoidsOptions{
-				K: 4, Rand: rand.New(rand.NewSource(seed)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pruned, err := core.KMedoids(inst.g, core.KMedoidsOptions{
-				K: 4, Rand: rand.New(rand.NewSource(seed)), Prune: b,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg := fmt.Sprintf("seed %d %s", seed, inst.name)
-			sameLabels(t, plain.Labels, pruned.Labels, msg)
-			if plain.R != pruned.R {
-				t.Fatalf("%s: R = %v, want %v", msg, pruned.R, plain.R)
-			}
-			if len(plain.Medoids) != len(pruned.Medoids) {
-				t.Fatalf("%s: %d medoids, want %d", msg, len(pruned.Medoids), len(plain.Medoids))
-			}
-			for i := range plain.Medoids {
-				if plain.Medoids[i] != pruned.Medoids[i] {
-					t.Fatalf("%s: medoid %d = %d, want %d", msg, i, pruned.Medoids[i], plain.Medoids[i])
-				}
-			}
-			if !pruned.Stats.Prune.Fired() {
-				t.Fatalf("%s: medoid prune counters never fired: %+v", msg, pruned.Stats.Prune)
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func borderPair(st *MedoidState, u, v network.NodeID, w float64) pairEntry {
 // voronoiKernel builds the diagram with the graph's own expansion kernel
 // and collects the border candidates in one flat sweep over the adjacency.
 func voronoiKernel(ctx context.Context, g network.Graph, ne network.NearestExpander, seeds []network.MedoidSeed, st *MedoidState, cands []pairEntry, stats *Stats) ([]pairEntry, error) {
-	c, err := ne.ExpandNearest(ctx, seeds, st.Med, st.Dist)
+	c, err := ne.ExpandNearestLogged(ctx, seeds, st.Med, st.Dist, nil)
 	stats.NodesSettled += c.Settled
 	stats.HeapPushes += c.Pushes
 	stats.EdgesVisited += c.Edges

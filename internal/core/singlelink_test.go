@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"netclus/internal/core"
@@ -200,25 +201,51 @@ func TestSingleLinkEmptyAndTiny(t *testing.T) {
 }
 
 // cancelAt is a graph that cancels a context from inside its at-th Neighbors
-// call. With kernel set the graph keeps its expansion kernel, so Single-Link
-// takes the kernel path and the calls counted are those of its candidate
-// sweep.
+// call, counted across the read views a multi-worker run takes of it. With
+// kernel set the graph keeps its expansion kernel, so Single-Link takes the
+// kernel path and the calls counted are those of its candidate sweep
+// (k-medoids: of the seed loop of its incremental update).
 type cancelAt struct {
 	network.Graph
-	at, calls int
-	cancel    context.CancelFunc
+	at     int64
+	calls  *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func newCancelAt(g network.Graph, at int, cancel context.CancelFunc) *cancelAt {
+	return &cancelAt{Graph: g, at: int64(at), calls: new(atomic.Int64), cancel: cancel}
 }
 
 func (c *cancelAt) Neighbors(n network.NodeID) ([]network.Neighbor, error) {
-	if c.calls++; c.calls == c.at {
+	if c.calls.Add(1) == c.at {
 		c.cancel()
 	}
 	return c.Graph.Neighbors(n)
 }
 
+func (c *cancelAt) ReadView() network.Graph {
+	v := *c
+	v.Graph = network.ReadView(c.Graph)
+	return &v
+}
+
+// cancelAtKernel's kernels are safe for concurrent use, so it is its own read
+// view (the promoted one would drop the kernel).
 type cancelAtKernel struct {
 	*cancelAt
 	network.NearestExpander
+}
+
+func (c cancelAtKernel) ReadView() network.Graph { return c }
+
+// cancelWrap wraps g so that its at-th adjacency read cancels, keeping g's
+// expansion kernel when it has one.
+func cancelWrap(g network.Graph, at int, cancel context.CancelFunc) (network.Graph, *cancelAt) {
+	c := newCancelAt(g, at, cancel)
+	if ne, ok := g.(network.NearestExpander); ok {
+		return cancelAtKernel{c, ne}, c
+	}
+	return c, c
 }
 
 // TestSingleLinkCancelled cancels Single-Link before it starts, in the middle
@@ -233,18 +260,14 @@ func TestSingleLinkCancelled(t *testing.T) {
 	for _, bk := range densityBackends(t, g, 4, true) {
 		for _, at := range []int{0, 40, bk.g.NumNodes()} {
 			ctx, cancel := context.WithCancel(context.Background())
-			c := &cancelAt{Graph: bk.g, at: at, cancel: cancel}
-			var wrapped network.Graph = c
-			if ne, ok := bk.g.(network.NearestExpander); ok {
-				wrapped = cancelAtKernel{c, ne}
-			}
+			wrapped, c := cancelWrap(bk.g, at, cancel)
 			if at == 0 {
 				cancel()
 			}
 			res, err := core.SingleLinkCtx(ctx, wrapped, core.SingleLinkOptions{})
 			cancel()
-			if c.calls < at {
-				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, c.calls, at)
+			if n := c.calls.Load(); n < int64(at) {
+				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, n, at)
 			}
 			if !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("%s cancelled at read %d: got a result: %v, error %v; want no result and a context.Canceled chain", bk.name, at, res != nil, err)

@@ -7,8 +7,8 @@ import (
 )
 
 // assignScratch is the pooled per-node dirty stamp of AssignNearestDelta:
-// stamp[n] == epoch marks node n's assignment as changed since the previous
-// scan. Epoch stamping makes the reset O(1) per call.
+// stamp[n] == epoch marks node n's assignment as changed by the swap being
+// scanned. Epoch stamping makes the reset O(1) per call.
 type assignScratch struct {
 	stamp []int32
 	epoch int32
@@ -106,34 +106,37 @@ func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist 
 }
 
 // AssignNearestDelta is the network.DeltaAssigner kernel: the Equation 1
-// scan restricted to the groups a medoid swap touched. A group's labels and
-// R subtotal depend only on the (med, dist) of its two endpoints and the
-// medoids on its own edge, so groups whose endpoints compare equal between
-// (prevMed, prevDist) and (med, dist) — and that are not one of the
-// extraGroups edges that lost or gained the swapped medoid — keep their
-// stored labels and sub entry. R is re-summed over all group subtotals in
-// ascending group order, the same association as the full scans, so the
-// value is bit-identical to rescanning everything. prevMed == nil runs the
-// full scan and seeds sub.
+// scan restricted to the groups a medoid swap touched, written in place. A
+// group's labels and R subtotal depend only on the (med, dist) of its two
+// endpoints and the medoids on its own edge, so groups whose endpoints hold
+// what they held before the swap — and that are not one of the extraGroups
+// edges that lost or gained the swapped medoid — keep their labels and sub
+// entry; a rescanned group's are saved to undo first. R is re-summed over
+// all group subtotals in ascending group order, the same association as the
+// full scans, so the value is bit-identical to rescanning everything.
+// undo == nil runs the full scan and seeds sub.
 func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, dist []float64,
-	prevMed []int32, prevDist []float64, extraGroups []network.GroupID,
-	labels []int32, sub []float64) (float64, int) {
-	if prevMed == nil {
+	changed network.MedoidLog, extraGroups []network.GroupID,
+	labels []int32, sub []float64, undo *network.AssignUndo) (float64, int) {
+	if undo == nil {
 		return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, sub)
 	}
 	var stack [32]groupMedoid
 	byGroup := sortMedoidsByGroup(medoids, stack[:0])
 
-	var r float64
-	gi := 0
-
 	// Stamp the nodes whose assignment moved; a group is dirty when either
-	// endpoint is stamped. The epoch trick makes the per-swap reset O(1).
+	// endpoint is stamped. The log is read backwards so that the entry which
+	// decides a node is its earliest — the value it held before the swap: a
+	// node the expansion took away and gave back unchanged stays clean. The
+	// epoch trick makes the per-swap reset O(1).
 	as := s.acquireAssign()
 	epoch, stamp := as.epoch, as.stamp
-	for n, m := range med {
-		if m != prevMed[n] || dist[n] != prevDist[n] {
-			stamp[n] = epoch
+	for i := len(changed) - 1; i >= 0; i-- {
+		e := &changed[i]
+		if med[e.Node] != e.Med || dist[e.Node] != e.Dist {
+			stamp[e.Node] = epoch
+		} else {
+			stamp[e.Node] = 0
 		}
 	}
 
@@ -143,7 +146,8 @@ func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, 
 		exs = append(exs, int32(eg))
 	}
 
-	rescanned := 0
+	var r float64
+	gi, rescanned := 0, 0
 	for g := range s.groups {
 		g32 := int32(g)
 		lo := gi
@@ -161,6 +165,7 @@ func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, 
 			}
 		}
 		if dirty {
+			undo.Save(network.GroupID(g), pg.First, labels[pg.First:pg.First+network.PointID(pg.Count)], sub[g])
 			sub[g] = scanGroup(pg, s.ptPos, medoids, byGroup[lo:gi], med, dist, labels)
 			rescanned++
 		}

@@ -76,11 +76,12 @@ type Snapshot struct {
 	// snapshot exactly as on the source.
 	coords []network.Coord
 
-	// invDelta is 1/Δ for the Δ-stepping bucket queue of ExpandNearest and
-	// the frontier-parallel range kernel, with Δ the mean edge weight: a
-	// frontier entry at distance d files under bucket floor(d·invDelta).
-	// Zero when the graph has no edges (the kernels then run single-bucket,
-	// which is plain label-correcting and still correct).
+	// invDelta is 1/(mean edge weight), the unit of the Δ-stepping bucket
+	// queues: the frontier-parallel range kernel files an entry at distance d
+	// under bucket floor(d·invDelta), ExpandNearest under
+	// floor(d·invDelta·expandFine). Always derived from adjW, at Compile and
+	// at load alike. Zero when the graph has no edges (the kernels then run
+	// single-bucket, which is plain label-correcting and still correct).
 	invDelta float64
 
 	stats Stats
@@ -208,17 +209,7 @@ func Compile(g network.Graph) (*Snapshot, error) {
 		}
 	}
 
-	// Δ-stepping bucket width: the mean edge weight balances bucket count
-	// against within-bucket re-processing on road-like weight distributions.
-	if len(s.adjW) > 0 {
-		var sum float64
-		for _, w := range s.adjW {
-			sum += w
-		}
-		if mean := sum / float64(len(s.adjW)); mean > 0 {
-			s.invDelta = 1 / mean
-		}
-	}
+	s.invDelta = invMeanWeight(s.adjW)
 
 	s.stats = Stats{
 		Nodes: nodes, Edges: s.numEdges, Points: points, Groups: len(s.groups),
@@ -227,6 +218,25 @@ func Compile(g network.Graph) (*Snapshot, error) {
 	}
 	s.stats.CompileTime = time.Since(start)
 	return s, nil
+}
+
+// invMeanWeight is the reciprocal of the mean edge weight, the unit the
+// Δ-stepping bucket widths are derived from; 0 when there are no edges or the
+// reciprocal is not a positive finite number. The mean balances bucket count
+// against within-bucket re-processing on road-like weight distributions.
+func invMeanWeight(adjW []float64) float64 {
+	if len(adjW) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, w := range adjW {
+		sum += w
+	}
+	inv := 1 / (sum / float64(len(adjW)))
+	if !(inv > 0) || math.IsInf(inv, 1) {
+		return 0
+	}
+	return inv
 }
 
 // Stats returns the snapshot's shape and footprint.

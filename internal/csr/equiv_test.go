@@ -409,8 +409,9 @@ func TestClusteringByteIdentical(t *testing.T) {
 }
 
 // TestClusteringPrunedByteIdentical checks that the filter-and-refine path
-// over a snapshot (DBSCAN's Prune bounder, k-medoids' expansion pruner)
-// still reproduces the unpruned labels.
+// over a snapshot (DBSCAN's Prune bounder) still reproduces the unpruned
+// labels. The k-medoids expansion pruner's leg lives in core's
+// TestKMedoidsBackendsAgree.
 func TestClusteringPrunedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	g, err := testnet.Random(7, 40, 90)
@@ -436,17 +437,5 @@ func TestClusteringPrunedByteIdentical(t *testing.T) {
 	}
 	if pruned.Stats.Prune.Candidates == 0 {
 		t.Fatal("pruned DBSCAN never used the bounder")
-	}
-
-	kplain, err := core.KMedoidsCtx(ctx, g, core.KMedoidsOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kpruned, err := core.KMedoidsCtx(ctx, sn, core.KMedoidsOptions{K: 4, Prune: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(kplain.Labels, kpruned.Labels) || kplain.R != kpruned.R {
-		t.Fatal("pruned k-medoids on snapshot diverged from plain run on network")
 	}
 }

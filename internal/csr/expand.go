@@ -14,39 +14,62 @@ type medEntry struct {
 	dist float64
 }
 
-// ExpandNearest is the kernel of the k-medoids Concurrent_Expansion
+// expandFine is how many buckets of the expansion's frontier one mean edge
+// weight spans. At 1 (plain Δ = mean) a node is settled about twice over on
+// the road stand-ins, because an entry shares its bucket with the entries it
+// spawns; at 8 re-settles fall to ~1.1 per node, and beyond 16 the empty
+// buckets the cursor steps over cost more than the re-settles they save
+// (DESIGN.md §10 has the sweep). The result does not depend on it.
+const expandFine = 8
+
+// ExpandNearest is ExpandNearestLogged without a change log: the entry point
+// of callers that never roll the expansion back (Single-Link's Voronoi step
+// through the interface, the benchmark's probe directly).
+func (s *Snapshot) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64) (network.ExpandCounts, error) {
+	return s.ExpandNearestLogged(ctx, seeds, med, dist, nil)
+}
+
+// ExpandNearestLogged is the kernel of the k-medoids Concurrent_Expansion
 // (Figs. 4-5): a multi-source expansion over the flat adjacency that tags
-// every node in med/dist with its nearest medoid. It satisfies
+// every node in med/dist with its nearest medoid, appending the value of
+// every entry it overwrites to log when log is non-nil. It satisfies
 // network.NearestExpander, so core's k-medoids dispatches here when pruning
 // is off.
 //
 // The frontier is a Δ-stepping bucket queue (Δ = the snapshot's mean edge
-// weight), not a comparison heap: an entry at distance d files under bucket
-// floor(d/Δ) in O(1), buckets drain in ascending order, and entries within
-// one bucket are processed in arbitrary order with re-processing when a
-// same-bucket relaxation improves a node. That is allowed because the
-// expansion is label-correcting under the explicit lexicographic
-// (dist, med) acceptance test: a node takes an entry when it lowers the
-// distance, or matches it with a lower medoid slot index. Positive edge
-// weights make the key strictly increase along every path, so whatever the
-// processing order the arrays converge to the unique (dist, med, node)
-// lexicographic fixpoint — each node at its shortest seed distance, owned
-// by the lowest-index medoid achieving it — which is the same assignment
-// the generic binary-heap expansion settles on (network.NearestExpander,
-// DESIGN.md §10). Equivalence is property-tested, not inherited from heap
-// structure; the speedup comes from O(1) bucket pushes replacing O(log n)
-// heap ops on top of the flat-array row scans.
-func (s *Snapshot) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64) (network.ExpandCounts, error) {
+// weight / expandFine), not a comparison heap: an entry at distance d files
+// under bucket floor(d/Δ) in O(1), buckets drain in ascending order, and
+// entries within one bucket are processed in arbitrary order with
+// re-processing when a same-bucket relaxation improves a node. That is
+// allowed because the expansion is label-correcting under the explicit
+// lexicographic (dist, med) acceptance test: a node takes an entry when it
+// lowers the distance, or matches it with a lower medoid slot index.
+// Positive edge weights make the key strictly increase along every path, so
+// whatever the processing order the arrays converge to the unique
+// (dist, med, node) lexicographic fixpoint — each node at its shortest seed
+// distance, owned by the lowest-index medoid achieving it — which is the
+// same assignment the generic binary-heap expansion settles on
+// (network.NearestExpander, DESIGN.md §10). Equivalence is property-tested,
+// not inherited from heap structure; the speedup comes from O(1) bucket
+// pushes replacing O(log n) heap ops on top of the flat-array row scans.
+func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64, log *network.MedoidLog) (network.ExpandCounts, error) {
 	var c network.ExpandCounts
 	q, ok := s.expandPool.Get().(*heapx.Buckets[medEntry])
 	if !ok {
 		q = heapx.NewBuckets[medEntry]()
 	}
+	var changes network.MedoidLog
+	if log != nil {
+		changes = *log
+	}
 	defer func() {
+		if log != nil {
+			*log = changes
+		}
 		q.Reset()
 		s.expandPool.Put(q)
 	}()
-	inv := s.invDelta
+	inv := s.invDelta * expandFine
 	for _, sd := range seeds {
 		q.Push(int(sd.Dist*inv), medEntry{node: int32(sd.Node), med: sd.Med, dist: sd.Dist})
 	}
@@ -67,6 +90,9 @@ func (s *Snapshot) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed
 				if err := cancelCheck(ctx, &ticks); err != nil {
 					q.Recycle(batch)
 					return c, err
+				}
+				if log != nil {
+					changes = append(changes, network.MedoidChange{Node: network.NodeID(b.node), Med: med[b.node], Dist: dist[b.node]})
 				}
 				med[b.node] = b.med
 				dist[b.node] = b.dist

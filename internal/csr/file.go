@@ -162,16 +162,19 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	points := binary.LittleEndian.Uint64(f.Meta[16:])
 	groups := binary.LittleEndian.Uint64(f.Meta[24:])
 	flags := binary.LittleEndian.Uint64(f.Meta[32:])
+	// Bytes 40–47 carry the writer's 1/Δ. The format keeps the word, but no
+	// bucket index is ever computed from it: the widths are derived from the
+	// loaded weights below, as Compile derives them.
 	invDelta := math.Float64frombits(binary.LittleEndian.Uint64(f.Meta[40:]))
 	if nodes > math.MaxInt32 || points > math.MaxInt32 || groups > points || edges > math.MaxInt32/2 {
 		return nil, fmt.Errorf("%w: implausible cardinalities (%d nodes, %d edges, %d points, %d groups)",
 			ErrSnapshotCorrupt, nodes, edges, points, groups)
 	}
-	if math.IsNaN(invDelta) || invDelta < 0 {
+	if math.IsNaN(invDelta) || math.IsInf(invDelta, 0) || invDelta < 0 {
 		return nil, fmt.Errorf("%w: invalid bucket width 1/Δ = %v", ErrSnapshotCorrupt, invDelta)
 	}
 
-	s := &Snapshot{numEdges: int(edges), invDelta: invDelta}
+	s := &Snapshot{numEdges: int(edges)}
 	half := int(2 * edges)
 	if s.rowOff, err = snapInt32s(f, secRowOff, int(nodes)+1); err != nil {
 		return nil, err
@@ -227,7 +230,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 
-	// Derived state: the AoS adjacency mirror and the stats.
+	// Derived state: the bucket width unit, the AoS adjacency mirror and the
+	// stats.
+	s.invDelta = invMeanWeight(s.adjW)
 	s.adjRef = make([]network.Neighbor, half)
 	for i := range s.adjRef {
 		s.adjRef[i] = network.Neighbor{

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"netclus/internal/network"
+	"netclus/internal/snapfile"
 )
 
 // fileTestGraph builds a small random network with coords and points.
@@ -145,6 +147,91 @@ func TestSnapshotFileWriteOpen(t *testing.T) {
 	}
 	if got.Stats().Points != sn.Stats().Points {
 		t.Fatal("point count differs after OpenSnapshot")
+	}
+}
+
+// TestSnapshotFileIgnoresStoredBucketWidth patches the 1/Δ word of a written
+// file (meta bytes 40–47, re-checksummed) and opens it: whatever finite value
+// it holds — the one every earlier build wrote and trusted, 0, or a width no
+// weight distribution produces — the loaded snapshot derives its bucket
+// widths from its weights and does exactly the work of a fresh Compile; a
+// word no writer can have produced is refused.
+func TestSnapshotFileIgnoresStoredBucketWidth(t *testing.T) {
+	ctx := context.Background()
+	g := fileTestGraph(t, 4)
+	sn, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	withWord := func(word float64) []byte {
+		t.Helper()
+		f, err := snapfile.Read(buf.Bytes(), snapMagic, snapVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := append([]byte(nil), f.Meta...)
+		binary.LittleEndian.PutUint64(meta[40:], math.Float64bits(word))
+		var sections []snapfile.Section
+		for id := uint32(secRowOff); id <= secCoords; id++ {
+			if data, ok := f.Section(id); ok {
+				sections = append(sections, snapfile.Section{ID: id, Data: data})
+			}
+		}
+		var out bytes.Buffer
+		if _, err := snapfile.Write(&out, snapMagic, snapVersion, meta, sections); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	var seeds []network.MedoidSeed
+	for m, p := range []network.PointID{3, 40, 77} {
+		pi, err := sn.PointInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds,
+			network.MedoidSeed{Node: pi.N1, Med: int32(m), Dist: pi.Pos},
+			network.MedoidSeed{Node: pi.N2, Med: int32(m), Dist: pi.Weight - pi.Pos})
+	}
+	expand := func(s *Snapshot) (network.ExpandCounts, []int32, []float64) {
+		t.Helper()
+		med, dist := make([]int32, s.NumNodes()), make([]float64, s.NumNodes())
+		for i := range med {
+			med[i], dist[i] = -1, network.Inf
+		}
+		c, err := s.ExpandNearest(ctx, seeds, med, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, med, dist
+	}
+	want, wantMed, wantDist := expand(sn)
+	if want.Settled < sn.NumNodes() {
+		t.Fatalf("the fresh compile settled %d of %d nodes", want.Settled, sn.NumNodes())
+	}
+	// sn.invDelta is the word this build and every earlier one writes: a file
+	// from the parent build is byte-identical to the first case.
+	for _, word := range []float64{sn.invDelta, 0, 1e300, 5e-324} {
+		got, err := decodeSnapshot(withWord(word))
+		if err != nil {
+			t.Fatalf("word %v: %v", word, err)
+		}
+		if got.invDelta != sn.invDelta {
+			t.Fatalf("word %v: loaded 1/Δ %v, Compile derives %v", word, got.invDelta, sn.invDelta)
+		}
+		c, med, dist := expand(got)
+		if c != want || !reflect.DeepEqual(med, wantMed) || !reflect.DeepEqual(dist, wantDist) {
+			t.Fatalf("word %v: expansion work %+v, a fresh Compile does %+v", word, c, want)
+		}
+	}
+	for _, word := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := decodeSnapshot(withWord(word)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("word %v: got %v, want ErrSnapshotCorrupt", word, err)
+		}
 	}
 }
 

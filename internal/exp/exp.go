@@ -230,7 +230,6 @@ func Fig12IncrementalSpeedup(cfg Config, ks []int) ([]Fig12Row, error) {
 		if err := core.MedoidDistFind(g, infos, st, &stats); err != nil {
 			return nil, err
 		}
-		backup := core.NewMedoidState(g.NumNodes())
 		const swaps = 8
 		var incTotal, recTotal time.Duration
 		for s := 0; s < swaps; s++ {
@@ -243,22 +242,25 @@ func Fig12IncrementalSpeedup(cfg Config, ks []int) ([]Fig12Row, error) {
 			old := infos[slot]
 			infos[slot] = ci
 
-			backup.CopyFrom(st)
+			// Both variants run as the swap loop runs them — recording what
+			// they overwrite — and are rolled back, so the committed state
+			// stays consistent with the old set.
+			st.Begin()
 			t0 := time.Now()
 			if err := core.IncMedoidUpdate(g, infos, slot, st, &stats); err != nil {
 				return nil, err
 			}
 			incTotal += time.Since(t0)
-			st.CopyFrom(backup)
+			st.Rollback()
 
+			st.Begin()
 			t0 = time.Now()
 			if err := core.MedoidDistFind(g, infos, st, &stats); err != nil {
 				return nil, err
 			}
 			recTotal += time.Since(t0)
-			// Keep the committed state consistent with the new set.
+			st.Rollback()
 			infos[slot] = old
-			st.CopyFrom(backup)
 		}
 		row := Fig12Row{
 			K:           k,

@@ -577,11 +577,11 @@ func (b *Bounds) TargetBounds(targets []network.PointInfo) network.TargetBounder
 // targetBounds bounds distances from nodes to the nearest of a fixed target
 // point set.
 type targetBounds struct {
-	b        *Bounds
-	nTargets int
-	lo, hi   []float64 // per-landmark min/max over finite target distances
-	nFin     []int     // per-landmark count of targets the landmark reaches
-	bbox     bool
+	b                      *Bounds
+	nTargets               int
+	lo, hi                 []float64 // per-landmark min/max over finite target distances
+	nFin                   []int     // per-landmark count of targets the landmark reaches
+	bbox                   bool
 	minX, maxX, minY, maxY float64
 }
 

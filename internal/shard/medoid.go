@@ -10,8 +10,9 @@ import (
 )
 
 // expandState is the pooled per-call state of the distributed nearest-medoid
-// expansion: per-shard label arrays, pending relay seeds, and the boundary
-// snapshots change detection compares against.
+// expansion: per-shard label arrays, pending relay seeds, the boundary
+// snapshots change detection compares against, and one round's per-shard
+// outcomes.
 type expandState struct {
 	lmed    [][]int32
 	ldist   [][]float64
@@ -19,6 +20,8 @@ type expandState struct {
 	prevM   [][]int32 // boundary labels before a round, indexed by bList slot
 	prevD   [][]float64
 	runList []int32
+	counts  []network.ExpandCounts // per runList entry
+	errs    []error
 }
 
 func newExpandState(set *Set) *expandState {
@@ -28,6 +31,10 @@ func newExpandState(set *Set) *expandState {
 		pend:  make([][]network.MedoidSeed, set.k),
 		prevM: make([][]int32, set.k),
 		prevD: make([][]float64, set.k),
+
+		runList: make([]int32, 0, set.k),
+		counts:  make([]network.ExpandCounts, set.k),
+		errs:    make([]error, set.k),
 	}
 	for s := 0; s < set.k; s++ {
 		st.lmed[s] = make([]int32, len(set.nodeGlobal[s]))
@@ -38,16 +45,18 @@ func newExpandState(set *Set) *expandState {
 	return st
 }
 
-// ExpandNearest runs the multi-source nearest-medoid expansion across the
-// shards, satisfying network.NearestExpander over global node IDs. Each
+// ExpandNearestLogged runs the multi-source nearest-medoid expansion across
+// the shards, satisfying network.NearestExpander over global node IDs. Each
 // round, shards with pending seeds run their own Δ-stepping kernel; boundary
 // nodes whose (dist, medoid) label lexicographically improved relay across
 // the cut edges as seeds for the neighbouring shard, until no relay remains.
 // The (dist, sourceRank, nodeID) fixpoint of the contract is unique and
 // schedule-independent, so the merged labels equal the single-snapshot
 // kernel's exactly. Labels retained from entry act as thresholds only and
-// are never relayed, matching the kernel's accepted-entries-only pushes.
-func (set *Set) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64) (network.ExpandCounts, error) {
+// are never relayed, matching the kernel's accepted-entries-only pushes. The
+// shards expand their own label arrays unlogged; a non-nil log receives the
+// global entries that differ when they are gathered back, once each.
+func (set *Set) ExpandNearestLogged(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64, log *network.MedoidLog) (network.ExpandCounts, error) {
 	var counts network.ExpandCounts
 	st := set.expandPool.Get().(*expandState)
 	defer set.expandPool.Put(st)
@@ -86,8 +95,7 @@ func (set *Set) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, m
 				st.prevD[s][idx] = st.ldist[s][ln]
 			}
 		}
-		roundCounts := make([]network.ExpandCounts, len(st.runList))
-		roundErrs := make([]error, len(st.runList))
+		roundCounts, roundErrs := st.counts[:len(st.runList)], st.errs[:len(st.runList)]
 		if set.workers > 1 && len(st.runList) > 1 {
 			sem := make(chan struct{}, set.workers)
 			var wg sync.WaitGroup
@@ -148,8 +156,14 @@ func (set *Set) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed, m
 
 	for n, s := range set.nodeShard {
 		ln := set.nodeLocal[n]
-		med[n] = st.lmed[s][ln]
-		dist[n] = st.ldist[s][ln]
+		m, d := st.lmed[s][ln], st.ldist[s][ln]
+		if m == med[n] && d == dist[n] {
+			continue
+		}
+		if log != nil {
+			*log = append(*log, network.MedoidChange{Node: network.NodeID(n), Med: med[n], Dist: dist[n]})
+		}
+		med[n], dist[n] = m, d
 	}
 	return counts, nil
 }

@@ -373,7 +373,7 @@ func TestShardExpandAssignEquivalence(t *testing.T) {
 				if _, err := sn.ExpandNearest(ctx, seeds, wantMed, wantDist); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := set.ExpandNearest(ctx, seeds, gotMed, gotDist); err != nil {
+				if _, err := set.ExpandNearestLogged(ctx, seeds, gotMed, gotDist, nil); err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(wantMed, gotMed) || !reflect.DeepEqual(wantDist, gotDist) {
