@@ -378,7 +378,7 @@ func checkKMedoidsBackends(t *testing.T, bks []densityBackend, ks []int) {
 
 // TestKMedoidsBackendsAgree is the cross-backend table of k-medoids: the
 // density and tie shapes in every numbering (exact ties between medoids at
-// nodes and along edges, one shape disconnected, landmark-only bounds) and two
+// nodes and along edges, one shape disconnected, landmark-only bounds) and three
 // generated graphs with Euclidean bounds, on six backends × {unpruned,
 // pruned} × {incremental, Recompute}. It is the home of what
 // TestKMedoidsPrunedEquivalence (plain ≡ pruned on the pointer network, with
@@ -407,4 +407,14 @@ func TestKMedoidsBackendsAgree(t *testing.T) {
 			checkKMedoidsBackends(t, densityBackends(t, g, 4, true), []int{4, 9})
 		})
 	}
+	// On this graph a landmark upper bound rounds one ulp below a node's true
+	// distance: before the medoid pruner's relative slack, the pruned run at
+	// K = 8 left that node unassigned and moved two labels and R.
+	ulpTie, err := testnet.Random(7, 60, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ulp-tie", func(t *testing.T) {
+		checkKMedoidsBackends(t, densityBackends(t, ulpTie, 4, true), []int{3, 8})
+	})
 }

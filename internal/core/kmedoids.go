@@ -212,18 +212,21 @@ func runExpansion(ctx context.Context, g network.Graph, seeds []network.MedoidSe
 // every push carries exactly the target node's final distance, which is
 // never above the upper bound, so pruned expansions settle every node at the
 // same distance as unpruned ones (see DESIGN.md, Lower-bound pruning).
-// Upper bounds are memoized per node with an epoch stamp; retarget
-// invalidates the memo when the medoid set changes.
+// Bound and path sum round differently, so upper widens the bound by
+// slack = 1 + n·2⁻⁵², the worst-case relative rounding of a sum of at most
+// n = |V| terms. Upper bounds are memoized per node with an epoch stamp;
+// retarget invalidates the memo when the medoid set changes.
 type medoidPruner struct {
 	b     network.Bounder
 	tb    network.TargetBounder
+	slack float64
 	memo  []float64
 	stamp []int32
 	epoch int32
 }
 
 func newMedoidPruner(b network.Bounder, numNodes int) *medoidPruner {
-	return &medoidPruner{b: b, memo: make([]float64, numNodes), stamp: make([]int32, numNodes)}
+	return &medoidPruner{b: b, slack: 1 + float64(numNodes)*0x1p-52, memo: make([]float64, numNodes), stamp: make([]int32, numNodes)}
 }
 
 // retarget rebinds the pruner to the current medoid set.
@@ -242,7 +245,7 @@ func (mp *medoidPruner) upper(v network.NodeID) float64 {
 	if mp.stamp[v] == mp.epoch {
 		return mp.memo[v]
 	}
-	u := mp.tb.Upper(v)
+	u := mp.tb.Upper(v) * mp.slack
 	mp.stamp[v] = mp.epoch
 	mp.memo[v] = u
 	return u

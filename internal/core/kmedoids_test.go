@@ -560,12 +560,8 @@ func TestKMedoidsRollback(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A pruned expansion is held to labels and R only: it can leave
-				// a node unassigned whose upper bound rounds one ulp below its
-				// distance (ROADMAP, pruner defect), which the unpruned fresh
-				// expansion settles.
 				if !reflect.DeepEqual(labels, freshLabels) || math.Float64bits(r2) != math.Float64bits(freshR) ||
-					v.opts.Prune == nil && (!reflect.DeepEqual(st.Med, fresh.Med) || !sameBits(st.Dist, fresh.Dist)) {
+					!reflect.DeepEqual(st.Med, fresh.Med) || !sameBits(st.Dist, fresh.Dist) {
 					t.Fatalf("%s attempt %d (slot %d <- point %d): the accepted swap differs from a fresh evaluation (R %v vs %v)",
 						what, i, mi, cand, r2, freshR)
 				}

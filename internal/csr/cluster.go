@@ -309,15 +309,15 @@ func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float6
 		if sc.watch != nil && sc.watch[e.node] {
 			hit = true
 		}
-		for i, end := sn.rowOff[e.node], sn.rowOff[e.node+1]; i < end; i++ {
-			if gid := sn.adjGroup[i]; gid >= 0 {
-				cnt = sc.countCollect(e.node, gid, e.dist, eps, cnt, record)
+		for _, nb := range sn.adj[sn.rowOff[e.node]:sn.rowOff[e.node+1]] {
+			if nb.Group >= 0 {
+				cnt = sc.countCollect(e.node, int32(nb.Group), e.dist, eps, cnt, record)
 				if cnt >= target {
 					return cnt, hit, nil
 				}
 			}
-			if nd := e.dist + sn.adjW[i]; nd <= eps {
-				if v := sn.adjNode[i]; nd < sc.dist(v) {
+			if nd := e.dist + nb.Weight; nd <= eps {
+				if v := int32(nb.Node); nd < sc.dist(v) {
 					sc.heap.Push(entry{node: v, dist: nd})
 				}
 			}

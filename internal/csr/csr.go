@@ -4,15 +4,17 @@
 // kernels over it.
 //
 // The snapshot stores the graph in compressed-sparse-row form with int32
-// node indices and structure-of-arrays adjacency (target node, edge weight
-// and point-group reference in three parallel slices), the points of every
-// edge bucketed in one position-sorted flat array, and the optional planar
-// embedding carried over so the lower-bound Bounder contract of package
-// lbound works unchanged. A snapshot also implements network.Graph — plus
-// the kernel dispatch contracts network.ScratchProvider, network.KNNQuerier
-// and network.NearestExpander — so every existing operator runs on it
-// without modification and the clustering algorithms pick the kernels up
-// automatically, with results identical to the generic paths.
+// node indices and a single adjacency array of the paper's §4.1 records
+// (target node, point-group reference, edge weight: one 16-byte
+// network.Neighbor per half-edge) that the kernels scan and Neighbors
+// sub-slices, the points of every edge bucketed in one position-sorted flat
+// array, and the optional planar embedding carried over so the lower-bound
+// Bounder contract of package lbound works unchanged. A snapshot also
+// implements network.Graph — plus the kernel dispatch contracts
+// network.ScratchProvider, network.KNNQuerier and network.NearestExpander —
+// so every existing operator runs on it without modification and the
+// clustering algorithms pick the kernels up automatically, with results
+// identical to the generic paths.
 //
 // Compile is one-shot and read-only on the source graph; it accepts the
 // in-memory Network and the disk Store alike (a store is decompiled into
@@ -25,6 +27,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"netclus/internal/network"
 )
@@ -50,18 +53,12 @@ type Stats struct {
 type Snapshot struct {
 	numEdges int
 
-	// Adjacency, CSR structure-of-arrays: the out-entries of node n live at
-	// indices [rowOff[n], rowOff[n+1]). adjGroup holds the point group on
-	// the connecting edge, -1 (network.NoGroup) when empty.
-	rowOff   []int32
-	adjNode  []int32
-	adjW     []float64
-	adjGroup []int32
-
-	// adjRef is the same adjacency in array-of-structs form, sharing rowOff,
-	// so Neighbors can hand out sub-slices through the network.Graph
-	// interface without per-call assembly.
-	adjRef []network.Neighbor
+	// Adjacency in CSR form: the out-entries of node n are
+	// adj[rowOff[n]:rowOff[n+1]], one 16-byte record per half-edge (target
+	// node, point group on the edge or network.NoGroup, edge weight). The
+	// kernels scan these rows and Neighbors hands them out as sub-slices.
+	rowOff []int32
+	adj    []network.Neighbor
 
 	// Point groups and the flat per-edge point buckets: group g's point
 	// offsets (ascending, measured from N1) are
@@ -79,9 +76,10 @@ type Snapshot struct {
 	// invDelta is 1/(mean edge weight), the unit of the Δ-stepping bucket
 	// queues: the frontier-parallel range kernel files an entry at distance d
 	// under bucket floor(d·invDelta), ExpandNearest under
-	// floor(d·invDelta·expandFine). Always derived from adjW, at Compile and
-	// at load alike. Zero when the graph has no edges (the kernels then run
-	// single-bucket, which is plain label-correcting and still correct).
+	// floor(d·invDelta·expandFine). Always derived from adj's weights, at
+	// Compile and at load alike. Zero when the graph has no edges (the kernels
+	// then run single-bucket, which is plain label-correcting and still
+	// correct).
 	invDelta float64
 
 	stats Stats
@@ -142,23 +140,14 @@ func Compile(g network.Graph) (*Snapshot, error) {
 	// Adjacency: one pass over the nodes, preserving each row's order (the
 	// builder and the store both keep rows sorted by target node, which the
 	// kernels and the generic operators rely on for determinism).
-	half := 2 * s.numEdges
-	s.adjNode = make([]int32, 0, half)
-	s.adjW = make([]float64, 0, half)
-	s.adjGroup = make([]int32, 0, half)
-	s.adjRef = make([]network.Neighbor, 0, half)
+	s.adj = make([]network.Neighbor, 0, 2*s.numEdges)
 	for n := 0; n < nodes; n++ {
 		adj, err := g.Neighbors(network.NodeID(n))
 		if err != nil {
 			return nil, fmt.Errorf("csr: compiling adjacency of node %d: %w", n, err)
 		}
-		for _, nb := range adj {
-			s.adjNode = append(s.adjNode, int32(nb.Node))
-			s.adjW = append(s.adjW, nb.Weight)
-			s.adjGroup = append(s.adjGroup, int32(nb.Group))
-		}
-		s.adjRef = append(s.adjRef, adj...)
-		s.rowOff[n+1] = int32(len(s.adjNode))
+		s.adj = append(s.adj, adj...)
+		s.rowOff[n+1] = int32(len(s.adj))
 	}
 
 	// Point groups and buckets: one sequential scan. The §4.1 invariant
@@ -209,7 +198,7 @@ func Compile(g network.Graph) (*Snapshot, error) {
 		}
 	}
 
-	s.invDelta = invMeanWeight(s.adjW)
+	s.invDelta = invMeanWeight(s.adj)
 
 	s.stats = Stats{
 		Nodes: nodes, Edges: s.numEdges, Points: points, Groups: len(s.groups),
@@ -224,15 +213,15 @@ func Compile(g network.Graph) (*Snapshot, error) {
 // Δ-stepping bucket widths are derived from; 0 when there are no edges or the
 // reciprocal is not a positive finite number. The mean balances bucket count
 // against within-bucket re-processing on road-like weight distributions.
-func invMeanWeight(adjW []float64) float64 {
-	if len(adjW) == 0 {
+func invMeanWeight(adj []network.Neighbor) float64 {
+	if len(adj) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, w := range adjW {
-		sum += w
+	for _, nb := range adj {
+		sum += nb.Weight
 	}
-	inv := 1 / (sum / float64(len(adjW)))
+	inv := 1 / (sum / float64(len(adj)))
 	if !(inv > 0) || math.IsInf(inv, 1) {
 		return 0
 	}
@@ -248,10 +237,10 @@ func (s *Snapshot) residentBytes() int64 {
 		f64 = 8
 	)
 	var b int64
-	b += int64(len(s.rowOff)+len(s.adjNode)+len(s.adjGroup)+len(s.ptGrp)+len(s.ptTag)) * i32
-	b += int64(len(s.adjW)+len(s.ptPos)) * f64
-	b += int64(len(s.adjRef)) * 24 // Neighbor: int32 + pad, float64, int32 + pad
-	b += int64(len(s.groups)) * 24 // PointGroup: 2*int32, float64, int32+int32
-	b += int64(len(s.coords)) * 16 // Coord: 2*float64
+	b += int64(len(s.rowOff)+len(s.ptGrp)+len(s.ptTag)) * i32
+	b += int64(len(s.ptPos)) * f64
+	b += int64(len(s.adj)) * int64(unsafe.Sizeof(network.Neighbor{}))
+	b += int64(len(s.groups)) * int64(unsafe.Sizeof(network.PointGroup{}))
+	b += int64(len(s.coords)) * int64(unsafe.Sizeof(network.Coord{}))
 	return b
 }

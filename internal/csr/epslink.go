@@ -11,8 +11,8 @@ import (
 
 // This file is the flat-array port of the paper's Fig. 6 ε-Link traversal
 // (core.EpsLinkCtx's generic path): the same algorithm, line for line,
-// but reading the snapshot's rowOff/adjNode/adjW/adjGroup and ptPos arrays
-// directly instead of going through the Graph interface, with the NNdist
+// but reading the snapshot's adjacency rows (rowOff into adj) and its ptPos
+// array directly instead of going through the Graph interface, with the NNdist
 // array epoch-stamped per cluster and the whole state pooled. Clusters are
 // grown from ascending seed point IDs, so the labels are identical to the
 // generic run by construction.
@@ -229,14 +229,14 @@ func (st *epsState) grow(ctx context.Context, ticks *int, sn *Snapshot, m, label
 		}
 		st.nnEpoch[b.node] = st.epoch
 		st.nnDist[b.node] = b.dist
-		for i, end := sn.rowOff[b.node], sn.rowOff[b.node+1]; i < end; i++ {
-			nz := sn.adjNode[i]
-			if gid := sn.adjGroup[i]; gid >= 0 && st.expandGroup(sn, b, nz, gid, label, eps, labels) {
+		for _, nb := range sn.adj[sn.rowOff[b.node]:sn.rowOff[b.node+1]] {
+			nz := int32(nb.Node)
+			if nb.Group >= 0 && st.expandGroup(sn, b, nz, int32(nb.Group), label, eps, labels) {
 				continue
 			}
 			// Lines 32-37 (no selected point on the edge): the cluster can
 			// reach n_z only through the full edge.
-			if d := b.dist + sn.adjW[i]; d <= eps && d < st.nnd(nz) {
+			if d := b.dist + nb.Weight; d <= eps && d < st.nnd(nz) {
 				st.heap.Push(entry{node: nz, dist: d})
 			}
 		}

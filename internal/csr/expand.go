@@ -97,11 +97,11 @@ func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.Medo
 				med[b.node] = b.med
 				dist[b.node] = b.dist
 				c.Settled++
-				row, end := s.rowOff[b.node], s.rowOff[b.node+1]
-				c.Edges += int(end - row)
-				for i := row; i < end; i++ {
-					nd := b.dist + s.adjW[i]
-					v := s.adjNode[i]
+				row := s.adj[s.rowOff[b.node]:s.rowOff[b.node+1]]
+				c.Edges += len(row)
+				for _, nb := range row {
+					nd := b.dist + nb.Weight
+					v := int32(nb.Node)
 					if nd > dist[v] || (nd == dist[v] && b.med >= med[v]) {
 						continue
 					}

@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,12 +13,11 @@ import (
 	"netclus/internal/snapfile"
 )
 
-// The durable snapshot format: a snapfile container whose sections hold the
-// kernel arrays verbatim (little-endian), so OpenSnapshot hands the int32
-// and float64 slices to the kernels as zero-copy views of the file bytes.
-// The AoS adjacency mirror (adjRef) and the stats are derived at load; the
-// groups and coords arrays use packed fixed-width records so the format does
-// not depend on Go struct layout.
+// The durable snapshot format: a snapfile container of little-endian
+// sections. Row offsets and point arrays are zero-copy views of the file
+// bytes at load; the adjacency columns (sections 2–4) are decoded into the
+// one []network.Neighbor array, and groups and coords are packed fixed-width
+// records, so the format does not depend on Go struct layout.
 const (
 	snapMagic   = "NCSRSNP\x01"
 	snapVersion = uint32(1)
@@ -72,11 +72,17 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		binary.LittleEndian.PutUint32(e[16:], uint32(pg.First))
 		binary.LittleEndian.PutUint32(e[20:], uint32(pg.Count))
 	}
+	adjNode, adjW, adjGroup := make([]byte, len(s.adj)*4), make([]byte, len(s.adj)*8), make([]byte, len(s.adj)*4)
+	for i, nb := range s.adj {
+		binary.LittleEndian.PutUint32(adjNode[i*4:], uint32(nb.Node))
+		binary.LittleEndian.PutUint64(adjW[i*8:], math.Float64bits(nb.Weight))
+		binary.LittleEndian.PutUint32(adjGroup[i*4:], uint32(nb.Group))
+	}
 	sections := []snapfile.Section{
 		{ID: secRowOff, Data: snapfile.Int32Bytes(s.rowOff)},
-		{ID: secAdjNode, Data: snapfile.Int32Bytes(s.adjNode)},
-		{ID: secAdjW, Data: snapfile.Float64Bytes(s.adjW)},
-		{ID: secAdjGroup, Data: snapfile.Int32Bytes(s.adjGroup)},
+		{ID: secAdjNode, Data: adjNode},
+		{ID: secAdjW, Data: adjW},
+		{ID: secAdjGroup, Data: adjGroup},
 		{ID: secGroups, Data: groups},
 		{ID: secPtPos, Data: snapfile.Float64Bytes(s.ptPos)},
 		{ID: secPtGrp, Data: snapfile.Int32Bytes(s.ptGrp)},
@@ -113,10 +119,11 @@ func WriteSnapshotFile(s *Snapshot, path string) error {
 }
 
 // OpenSnapshot loads a snapshot file written by WriteTo. All checksums are
-// verified and the structure validated before any array is trusted; the
-// kernel arrays are zero-copy views of the file bytes, so a load performs no
-// store reads and no recompilation — a warm start. Failure modes are the
-// typed ErrSnapshot* errors (wrapped), never a panic.
+// verified and the structure validated before any array is trusted; the row
+// offsets and point arrays are zero-copy views of the file bytes and the
+// adjacency is one decode pass, so a load performs no store reads and no
+// recompilation — a warm start. Failure modes are the typed ErrSnapshot*
+// errors (wrapped), never a panic.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -179,14 +186,15 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if s.rowOff, err = snapInt32s(f, secRowOff, int(nodes)+1); err != nil {
 		return nil, err
 	}
-	if s.adjNode, err = snapInt32s(f, secAdjNode, half); err != nil {
+	adjNode, errN := snapInt32s(f, secAdjNode, half)
+	adjW, errW := snapFloat64s(f, secAdjW, half)
+	adjGroup, errG := snapInt32s(f, secAdjGroup, half)
+	if err := cmp.Or(errN, errW, errG); err != nil {
 		return nil, err
 	}
-	if s.adjW, err = snapFloat64s(f, secAdjW, half); err != nil {
-		return nil, err
-	}
-	if s.adjGroup, err = snapInt32s(f, secAdjGroup, half); err != nil {
-		return nil, err
+	s.adj = make([]network.Neighbor, half)
+	for i := range s.adj {
+		s.adj[i] = network.Neighbor{Node: network.NodeID(adjNode[i]), Group: network.GroupID(adjGroup[i]), Weight: adjW[i]}
 	}
 	if s.ptPos, err = snapFloat64s(f, secPtPos, int(points)); err != nil {
 		return nil, err
@@ -230,17 +238,8 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 
-	// Derived state: the bucket width unit, the AoS adjacency mirror and the
-	// stats.
-	s.invDelta = invMeanWeight(s.adjW)
-	s.adjRef = make([]network.Neighbor, half)
-	for i := range s.adjRef {
-		s.adjRef[i] = network.Neighbor{
-			Node:   network.NodeID(s.adjNode[i]),
-			Weight: s.adjW[i],
-			Group:  network.GroupID(s.adjGroup[i]),
-		}
-	}
+	// Derived state: the bucket width unit and the stats.
+	s.invDelta = invMeanWeight(s.adj)
 	s.stats = Stats{
 		Nodes: int(nodes), Edges: s.numEdges, Points: int(points), Groups: int(groups),
 		HasCoords:     s.coords != nil,
@@ -290,17 +289,17 @@ func (s *Snapshot) validate() error {
 			return bad("row offsets decrease at node %d", n)
 		}
 	}
-	if int(s.rowOff[nodes]) != len(s.adjNode) {
-		return bad("row offsets end at %d, adjacency holds %d entries", s.rowOff[nodes], len(s.adjNode))
+	if int(s.rowOff[nodes]) != len(s.adj) {
+		return bad("row offsets end at %d, adjacency holds %d entries", s.rowOff[nodes], len(s.adj))
 	}
-	for i, v := range s.adjNode {
-		if v < 0 || v >= nodes {
-			return bad("adjacency entry %d targets node %d of %d", i, v, nodes)
+	for i, nb := range s.adj {
+		if nb.Node < 0 || int32(nb.Node) >= nodes {
+			return bad("adjacency entry %d targets node %d of %d", i, nb.Node, nodes)
 		}
-		if w := s.adjW[i]; !(w > 0) || math.IsInf(w, 1) {
+		if w := nb.Weight; !(w > 0) || math.IsInf(w, 1) {
 			return bad("adjacency entry %d has non-positive weight %v", i, w)
 		}
-		if g := s.adjGroup[i]; g < -1 || int(g) >= len(s.groups) {
+		if g := nb.Group; g < -1 || int(g) >= len(s.groups) {
 			return bad("adjacency entry %d references group %d of %d", i, g, len(s.groups))
 		}
 	}

@@ -3,8 +3,10 @@ package csr
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 
 	"netclus/internal/network"
 	"netclus/internal/snapfile"
+	"netclus/internal/testnet"
 )
 
 // fileTestGraph builds a small random network with coords and points.
@@ -81,9 +84,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 
 	// The arrays must round-trip bit for bit.
-	if !reflect.DeepEqual(got.rowOff, sn.rowOff) || !reflect.DeepEqual(got.adjNode, sn.adjNode) ||
-		!reflect.DeepEqual(got.adjW, sn.adjW) || !reflect.DeepEqual(got.adjGroup, sn.adjGroup) ||
-		!reflect.DeepEqual(got.adjRef, sn.adjRef) || !reflect.DeepEqual(got.groups, sn.groups) ||
+	if !reflect.DeepEqual(got.rowOff, sn.rowOff) || !reflect.DeepEqual(got.adj, sn.adj) ||
+		!reflect.DeepEqual(got.groups, sn.groups) ||
 		!reflect.DeepEqual(got.ptPos, sn.ptPos) || !reflect.DeepEqual(got.ptGrp, sn.ptGrp) ||
 		!reflect.DeepEqual(got.ptTag, sn.ptTag) || !reflect.DeepEqual(got.coords, sn.coords) {
 		t.Fatal("arrays differ after round trip")
@@ -122,6 +124,30 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(wantK, haveK) {
 			t.Fatalf("knn(%d) differs after round trip", p)
 		}
+	}
+}
+
+// TestSnapshotFileBytesPinned pins the exact bytes WriteTo emits for the
+// paper's Figure 1 network (coords, empty and multi-point edges). The digest
+// was computed at commit 3744db7, when the snapshot still held its adjacency
+// as three column arrays plus an array-of-structs mirror; the single
+// []network.Neighbor layout must keep writing the same file.
+func TestSnapshotFileBytesPinned(t *testing.T) {
+	g, err := testnet.Paper1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "51bdf21c181d20c4af70d504ab8c862fcf2939bfc9b7791fe578417d390ee0e2"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("snapshot file sha256 = %s, want %s: the .ncs format changed", got, want)
 	}
 }
 
@@ -302,7 +328,7 @@ func TestSnapshotFileRobustness(t *testing.T) {
 			if err2 != nil {
 				t.Fatal(err2)
 			}
-			if !reflect.DeepEqual(got.rowOff, want.rowOff) || !reflect.DeepEqual(got.adjW, want.adjW) ||
+			if !reflect.DeepEqual(got.rowOff, want.rowOff) || !reflect.DeepEqual(got.adj, want.adj) ||
 				!reflect.DeepEqual(got.ptPos, want.ptPos) || !reflect.DeepEqual(got.groups, want.groups) {
 				t.Fatalf("flip at %d silently misread the snapshot", at)
 			}

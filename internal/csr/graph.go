@@ -35,7 +35,7 @@ func (s *Snapshot) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 	if id < 0 || int(id) >= s.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", network.ErrNodeRange, id)
 	}
-	return s.adjRef[s.rowOff[id]:s.rowOff[id+1]], nil
+	return s.adj[s.rowOff[id]:s.rowOff[id+1]], nil
 }
 
 // Group returns the descriptor of group g.

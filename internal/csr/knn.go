@@ -103,9 +103,9 @@ func (sc *Scratch) knnInto(ctx context.Context, p network.PointID, k int, dst []
 		}
 		sc.nodeEpoch[e.node] = sc.epoch
 		sc.nodeDist[e.node] = e.dist
-		for i, end := s.rowOff[e.node], s.rowOff[e.node+1]; i < end; i++ {
-			if gid := s.adjGroup[i]; gid >= 0 {
-				npg := &s.groups[gid]
+		for _, nb := range s.adj[s.rowOff[e.node]:s.rowOff[e.node+1]] {
+			if nb.Group >= 0 {
+				npg := &s.groups[nb.Group]
 				nfirst := int32(npg.First)
 				noff := s.ptPos[nfirst : nfirst+npg.Count]
 				if e.node == int32(npg.N1) {
@@ -126,8 +126,8 @@ func (sc *Scratch) knnInto(ctx context.Context, p network.PointID, k int, dst []
 					}
 				}
 			}
-			if nd := e.dist + s.adjW[i]; nd <= o.bound() {
-				if v := s.adjNode[i]; nd < sc.dist(v) {
+			if nd := e.dist + nb.Weight; nd <= o.bound() {
+				if v := int32(nb.Node); nd < sc.dist(v) {
 					sc.heap.Push(entry{node: v, dist: nd})
 				}
 			}

@@ -195,12 +195,12 @@ func (s *Snapshot) rangeParallel(ctx context.Context, p network.PointID, eps flo
 				pushBufs[w] = buf
 				return err
 			}
-			for i, end := s.rowOff[e.node], s.rowOff[e.node+1]; i < end; i++ {
-				if gid := s.adjGroup[i]; gid >= 0 {
-					sc.collect(e.node, gid, e.dist, eps)
+			for _, nb := range s.adj[s.rowOff[e.node]:s.rowOff[e.node+1]] {
+				if nb.Group >= 0 {
+					sc.collect(e.node, int32(nb.Group), e.dist, eps)
 				}
-				if nd := e.dist + s.adjW[i]; nd <= eps {
-					if v := s.adjNode[i]; nd < masterDist(master, v) {
+				if nd := e.dist + nb.Weight; nd <= eps {
+					if v := int32(nb.Node); nd < masterDist(master, v) {
 						buf = append(buf, prEntry{node: v, dist: nd})
 					}
 				}

@@ -234,12 +234,12 @@ func (sc *Scratch) run(ctx context.Context, p network.PointID, eps float64) erro
 		}
 		sc.nodeEpoch[e.node] = sc.epoch
 		sc.nodeDist[e.node] = e.dist
-		for i, end := sn.rowOff[e.node], sn.rowOff[e.node+1]; i < end; i++ {
-			if gid := sn.adjGroup[i]; gid >= 0 {
-				sc.collect(e.node, gid, e.dist, eps)
+		for _, nb := range sn.adj[sn.rowOff[e.node]:sn.rowOff[e.node+1]] {
+			if nb.Group >= 0 {
+				sc.collect(e.node, int32(nb.Group), e.dist, eps)
 			}
-			if nd := e.dist + sn.adjW[i]; nd <= eps {
-				if v := sn.adjNode[i]; nd < sc.dist(v) {
+			if nd := e.dist + nb.Weight; nd <= eps {
+				if v := int32(nb.Node); nd < sc.dist(v) {
 					sc.heap.Push(entry{node: v, dist: nd})
 				}
 			}

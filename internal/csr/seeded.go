@@ -106,12 +106,12 @@ func (sc *Scratch) SeededRange(ctx context.Context, p network.PointID, seeds []n
 		if sc.watch != nil && sc.watch[e.node] {
 			sc.watched = append(sc.watched, e.node)
 		}
-		for i, end := sn.rowOff[e.node], sn.rowOff[e.node+1]; i < end; i++ {
-			if gid := sn.adjGroup[i]; gid >= 0 {
-				sc.collect(e.node, gid, e.dist, eps)
+		for _, nb := range sn.adj[sn.rowOff[e.node]:sn.rowOff[e.node+1]] {
+			if nb.Group >= 0 {
+				sc.collect(e.node, int32(nb.Group), e.dist, eps)
 			}
-			if nd := e.dist + sn.adjW[i]; nd <= eps {
-				if v := sn.adjNode[i]; nd < sc.dist(v) {
+			if nd := e.dist + nb.Weight; nd <= eps {
+				if v := int32(nb.Node); nd < sc.dist(v) {
 					sc.heap.Push(entry{node: v, dist: nd})
 				}
 			}
@@ -201,9 +201,9 @@ func (sc *Scratch) SeededKNN(ctx context.Context, p network.PointID, seeds []net
 		if sc.watch != nil && sc.watch[e.node] {
 			sc.watched = append(sc.watched, e.node)
 		}
-		for i, end := s.rowOff[e.node], s.rowOff[e.node+1]; i < end; i++ {
-			if gid := s.adjGroup[i]; gid >= 0 {
-				npg := &s.groups[gid]
+		for _, nb := range s.adj[s.rowOff[e.node]:s.rowOff[e.node+1]] {
+			if nb.Group >= 0 {
+				npg := &s.groups[nb.Group]
 				nfirst := int32(npg.First)
 				noff := s.ptPos[nfirst : nfirst+npg.Count]
 				if e.node == int32(npg.N1) {
@@ -224,8 +224,8 @@ func (sc *Scratch) SeededKNN(ctx context.Context, p network.PointID, seeds []net
 					}
 				}
 			}
-			if nd := e.dist + s.adjW[i]; nd <= sc.seedBound(o) {
-				if v := s.adjNode[i]; nd < sc.dist(v) {
+			if nd := e.dist + nb.Weight; nd <= sc.seedBound(o) {
+				if v := int32(nb.Node); nd < sc.dist(v) {
 					sc.heap.Push(entry{node: v, dist: nd})
 				}
 			}

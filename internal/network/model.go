@@ -36,10 +36,12 @@ var Inf = math.Inf(1)
 // weight of the connecting edge, and the point group on that edge (NoGroup if
 // empty). This mirrors the paper's adjacency-list record, which stores the
 // adjacent node ID, the edge weight and a reference to the edge's point group.
+// The int32 fields come first so the record packs into 16 bytes, no padding
+// (TestNeighborSize): it is every adjacency array's element, csr's included.
 type Neighbor struct {
 	Node   NodeID
-	Weight float64
 	Group  GroupID
+	Weight float64
 }
 
 // PointGroup describes the points on one edge (N1, N2) with N1 < N2.

@@ -4,10 +4,20 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
+
+// TestNeighborSize pins the adjacency record at 16 bytes: the compiled
+// snapshot stores one Neighbor per half-edge, so a field order that brings
+// back the int32 padding would grow it by half without failing anything else.
+func TestNeighborSize(t *testing.T) {
+	if got := unsafe.Sizeof(network.Neighbor{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Neighbor{}) = %d, want 16", got)
+	}
+}
 
 func TestBuilderValidation(t *testing.T) {
 	cases := []struct {

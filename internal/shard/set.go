@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"netclus/internal/csr"
 	"netclus/internal/network"
@@ -443,11 +444,15 @@ func (set *Set) assemble() error {
 			ResidentBytes: ss.ResidentBytes,
 		}
 		st.BoundaryNodes += len(set.bList[s])
-		st.ResidentBytes += ss.ResidentBytes
+		// The shard's snapshot, its local→global ID lists and boundary mask.
+		st.ResidentBytes += ss.ResidentBytes + int64(len(set.boundary[s])) +
+			4*int64(len(set.nodeGlobal[s])+len(set.groupGlobal[s])+len(set.pointGlobal[s])+len(set.bList[s]))
 	}
-	st.ResidentBytes += int64(len(set.adjRef))*24 + int64(len(set.rowOff)+len(set.cutAdj)+len(set.cutOff))*4
-	st.ResidentBytes += int64(len(set.groups))*24 + int64(len(set.ptPos))*8 + int64(len(set.ptGrp)+len(set.ptTag))*4
-	st.ResidentBytes += int64(len(set.coords)) * 16
+	// Global tables; a point costs 24 B (ptPos, ptGrp, ptTag, pointShard/Local).
+	groups := len(set.groups)
+	st.ResidentBytes += int64(len(set.adjRef))*int64(unsafe.Sizeof(network.Neighbor{})) + int64(len(set.cutEdges))*int64(unsafe.Sizeof(CutEdge{}))
+	st.ResidentBytes += int64(groups)*int64(unsafe.Sizeof(network.PointGroup{})) + int64(len(set.coords))*int64(unsafe.Sizeof(network.Coord{}))
+	st.ResidentBytes += 4*int64(len(set.rowOff)+len(set.cutOff)+len(set.cutAdj)+len(set.cutPts)+2*nodes+2*groups) + 24*int64(len(set.ptPos))
 	set.stats = st
 	return nil
 }
