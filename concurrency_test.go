@@ -198,6 +198,9 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := netclus.EpsLink(st, netclus.EpsLinkOptions{}); !errors.Is(err, netclus.ErrInvalidOptions) {
 		t.Fatalf("bad options: got %v, want ErrInvalidOptions chain", err)
 	}
+	if _, err := netclus.KMedoids(st, netclus.KMedoidsOptions{K: 3, Restarts: -1}); !errors.Is(err, netclus.ErrInvalidOptions) {
+		t.Fatalf("negative restarts: got %v, want ErrInvalidOptions chain", err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

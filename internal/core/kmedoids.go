@@ -28,11 +28,13 @@ type MedoidState struct {
 	log       network.MedoidLog
 	recording bool
 
-	// affected and seeds are scratch for the incremental update, kept on
-	// the state so the once-per-attempted-swap call rate allocates nothing
-	// in steady state. Never retained past a call.
+	// affected, seeds and frontier are scratch for the incremental update
+	// and the generic expansion, kept on the state so the
+	// once-per-attempted-swap call rate allocates nothing in steady state.
+	// Never retained past a call.
 	affected []network.NodeID
 	seeds    []network.MedoidSeed
+	frontier *heapx.Heap[medEntry]
 }
 
 // NewMedoidState returns a state for a graph with n nodes, all unassigned.
@@ -57,6 +59,12 @@ func (s *MedoidState) set(n network.NodeID, med int32, dist float64) {
 		s.log = append(s.log, network.MedoidChange{Node: n, Med: s.Med[n], Dist: s.Dist[n]})
 	}
 	s.Med[n], s.Dist[n] = med, dist
+}
+
+// improves reports whether (dist, med) lexicographically beats node n's
+// current (Dist, Med): the one acceptance test of every expansion write.
+func (s *MedoidState) improves(n network.NodeID, dist float64, med int32) bool {
+	return dist < s.Dist[n] || (dist == s.Dist[n] && med < s.Med[n])
 }
 
 // Begin starts recording overwrites: the state Rollback returns to is the
@@ -149,7 +157,7 @@ func incMedoidUpdateCtx(ctx context.Context, g network.Graph, medoids []network.
 		// Room for what the swap is expected to write: each unassigned node
 		// once when it is cleared and once when it is settled again, and about
 		// as many captured from the neighbouring clusters.
-		st.log = st.log.Reserve(3 * len(affected))
+		st.log = grown(st.log, 3*len(affected))
 	}
 	for _, n := range affected {
 		st.set(n, -1, network.Inf)
@@ -198,11 +206,7 @@ func runExpansion(ctx context.Context, g network.Graph, seeds []network.MedoidSe
 		stats.EdgesVisited += c.Edges
 		return err
 	}
-	h := heapx.New(lessMedEntry)
-	for _, s := range seeds {
-		h.Push(medEntry{node: s.Node, med: s.Med, dist: s.Dist})
-	}
-	return concurrentExpansion(ctx, g, h, st, stats, mp)
+	return expand(ctx, g, seeds, st, stats, mp, nil)
 }
 
 // medoidPruner suppresses expansion frontier pushes that can never win: a
@@ -251,30 +255,49 @@ func (mp *medoidPruner) upper(v network.NodeID) float64 {
 	return u
 }
 
-// concurrentExpansion is the shared Concurrent_Expansion of Figs. 4-5. The
-// acceptance test — does (B.dist, B.med) lexicographically improve the
-// node's (Dist, Med)? — subsumes both variants: with a reset state it is
-// Fig. 4's "not assigned" check, and on a partially retained state it is
-// Fig. 5's "can this node get closer" check. The med half of the key only
-// matters at exact distance ties, where it awards the node to the lowest
-// medoid slot; because positive edge weights make the key strictly increase
-// along every path, the loop settles each node at the unique lexicographic
-// fixpoint whatever the pop order (DESIGN.md §10). A non-nil mp prunes
-// pushes whose distance exceeds the target node's upper bound to the
-// nearest medoid without changing any settled distance or label: the
-// winning push of a node carries exactly its final distance, which is never
-// above the upper bound.
-func concurrentExpansion(ctx context.Context, g network.Graph, h *heapx.Heap[medEntry], st *MedoidState, stats *Stats, mp *medoidPruner) error {
+// expand is the one generic multi-source expansion: Concurrent_Expansion of
+// Figs. 4-5 for k-medoids and the network Voronoi diagram of Single-Link's
+// Fig. 8 step. Every write — a seed or a push — is tentative and happens
+// only when (dist, med) lexicographically improves the node's (Dist, Med);
+// with a reset state that is Fig. 4's "not assigned" check, on a partially
+// retained one Fig. 5's "can this node get closer". A pop is accepted only
+// while it still equals its node's entry, and because positive edge weights
+// make the (dist, med, node) key strictly increase along every path, that
+// first matching pop is final: each node is settled, and its adjacency read,
+// at most once, at the unique lexicographic fixpoint every schedule reaches
+// (DESIGN.md §10). The med half of the key only matters at exact distance
+// ties, where it awards the node to the lowest medoid slot (point ID for
+// Single-Link).
+//
+// A non-nil mp prunes pushes whose distance exceeds the target node's upper
+// bound to the nearest medoid without changing any settled distance or
+// label: the winning push of a node carries exactly its final distance,
+// which is never above the upper bound. A non-nil onMeet is called with
+// every adjacency entry of a settling node u whose other end was settled
+// before u — its (Dist, Med, node) key is below u's — so on a reset state
+// each edge between two settled nodes is met exactly once, from its later
+// end.
+func expand(ctx context.Context, g network.Graph, seeds []network.MedoidSeed, st *MedoidState, stats *Stats, mp *medoidPruner, onMeet func(u network.NodeID, nb network.Neighbor)) error {
+	if st.frontier == nil {
+		st.frontier = heapx.New(lessMedEntry)
+	}
+	h := st.frontier
+	h.Clear()
+	for _, s := range seeds {
+		if st.improves(s.Node, s.Dist, s.Med) {
+			st.set(s.Node, s.Med, s.Dist)
+			h.Push(medEntry{node: s.Node, med: s.Med, dist: s.Dist})
+		}
+	}
 	ticks := 0
 	for !h.Empty() {
 		b := h.Pop()
-		if b.dist > st.Dist[b.node] || (b.dist == st.Dist[b.node] && b.med >= st.Med[b.node]) {
-			continue
+		if b.dist != st.Dist[b.node] || b.med != st.Med[b.node] {
+			continue // superseded by a better write
 		}
 		if err := ctxCheck(ctx, &ticks); err != nil {
 			return err
 		}
-		st.set(b.node, b.med, b.dist)
 		stats.NodesSettled++
 		adj, err := g.Neighbors(b.node)
 		if err != nil {
@@ -282,15 +305,19 @@ func concurrentExpansion(ctx context.Context, g network.Graph, h *heapx.Heap[med
 		}
 		stats.EdgesVisited += len(adj)
 		for _, nb := range adj {
-			nd := b.dist + nb.Weight
-			if nd > st.Dist[nb.Node] || (nd == st.Dist[nb.Node] && b.med >= st.Med[nb.Node]) {
+			v, nd := nb.Node, b.dist+nb.Weight
+			if !st.improves(v, nd, b.med) {
+				if onMeet != nil && lessMedEntry(medEntry{node: v, med: st.Med[v], dist: st.Dist[v]}, b) {
+					onMeet(b.node, nb)
+				}
 				continue
 			}
-			if mp != nil && nd > mp.upper(nb.Node) {
+			if mp != nil && nd > mp.upper(v) {
 				stats.Prune.PrunedPushes++
 				continue
 			}
-			h.Push(medEntry{node: nb.Node, med: b.med, dist: nd})
+			st.set(v, b.med, nd)
+			h.Push(medEntry{node: v, med: b.med, dist: nd})
 			stats.HeapPushes++
 		}
 	}
@@ -303,60 +330,68 @@ func concurrentExpansion(ctx context.Context, g network.Graph, h *heapx.Heap[med
 // fills labels (length NumPoints; Noise for points unreachable from every
 // medoid) and returns the evaluation function R = Σ d(p, m_p). The scan is a
 // single sequential pass over the point groups; R accumulates per group
-// first and then across groups in ascending order, the association the
-// DeltaAssigner kernel contract pins so a partially-rescanned assignment
-// reproduces the full-scan value bit for bit.
+// first and then across groups in ascending order, the association the swap
+// search's partial rescans keep so they reproduce the full-scan value bit
+// for bit.
 func AssignPoints(g network.Graph, medoids []network.PointInfo, st *MedoidState, labels []int32, stats *Stats) (r float64, err error) {
 	if len(labels) != g.NumPoints() {
 		return 0, fmt.Errorf("core: labels slice has %d entries for %d points", len(labels), g.NumPoints())
 	}
 	// Graphs with a native assignment scan (the compiled CSR snapshot) run
-	// it directly: same arithmetic over flat arrays, no per-swap map build.
+	// it directly: same arithmetic over flat arrays.
 	if ma, ok := g.(network.MedoidAssigner); ok {
 		r, groups := ma.AssignNearest(medoids, st.Med, st.Dist, labels)
 		stats.GroupsRead += groups
 		return r, nil
 	}
-	// Medoids that share an edge with candidate points, keyed by group.
-	onEdge := make(map[network.GroupID][]int32)
-	for i, m := range medoids {
-		onEdge[m.Group] = append(onEdge[m.Group], int32(i))
-	}
 	err = g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
 		stats.GroupsRead++
-		d1 := st.Dist[pg.N1]
-		d2 := st.Dist[pg.N2]
-		m1 := st.Med[pg.N1]
-		m2 := st.Med[pg.N2]
-		same := onEdge[gid]
-		var sg float64
-		for i, off := range offsets {
-			best, bestM := network.Inf, int32(-1)
-			if d := d1 + off; d < best {
-				best, bestM = d, m1
-			}
-			if d := d2 + (pg.Weight - off); d < best {
-				best, bestM = d, m2
-			}
-			for _, mi := range same {
-				m := medoids[mi]
-				dl := off - m.Pos
-				if dl < 0 {
-					dl = -dl
-				}
-				if dl < best {
-					best, bestM = dl, mi
-				}
-			}
-			labels[pg.First+network.PointID(i)] = bestM
-			if bestM >= 0 {
-				sg += best
-			}
-		}
-		r += sg
+		r += assignGroup(gid, &pg, offsets, medoids, st, labels)
 		return nil
 	})
 	return r, err
+}
+
+// assignGroup is Equation 1 over the points of group gid: each takes the
+// best of its two endpoint routes under the node assignment in st and the
+// direct routes to the medoids on its own edge, in ascending slot order. It
+// writes the group's labels and returns the group's R subtotal, summed in
+// point order.
+func assignGroup(gid network.GroupID, pg *network.PointGroup, offsets []float64, medoids []network.PointInfo, st *MedoidState, labels []int32) float64 {
+	var buf [4]int32
+	same := buf[:0]
+	for i := range medoids {
+		if medoids[i].Group == gid {
+			same = append(same, int32(i))
+		}
+	}
+	d1, m1 := st.Dist[pg.N1], st.Med[pg.N1]
+	d2, m2 := st.Dist[pg.N2], st.Med[pg.N2]
+	lbl := labels[pg.First : int(pg.First)+len(offsets)]
+	var sg float64
+	for i, off := range offsets {
+		best, bestM := network.Inf, int32(-1)
+		if d := d1 + off; d < best {
+			best, bestM = d, m1
+		}
+		if d := d2 + (pg.Weight - off); d < best {
+			best, bestM = d, m2
+		}
+		for _, mi := range same {
+			dl := off - medoids[mi].Pos
+			if dl < 0 {
+				dl = -dl
+			}
+			if dl < best {
+				best, bestM = dl, mi
+			}
+		}
+		lbl[i] = bestM
+		if bestM >= 0 {
+			sg += best
+		}
+	}
+	return sg
 }
 
 // KMedoidsOptions configures the partitioning algorithm of §4.2.
@@ -403,6 +438,9 @@ func (o *KMedoidsOptions) defaults(g network.Graph) error {
 	}
 	if o.MaxBadSwaps == 0 {
 		o.MaxBadSwaps = 15
+	}
+	if o.Restarts < 0 {
+		return fmt.Errorf("%w: KMedoids: Restarts must be >= 0 (got %d)", ErrInvalidOptions, o.Restarts)
 	}
 	if o.Restarts == 0 {
 		o.Restarts = 1
@@ -513,6 +551,9 @@ func KMedoidsCtx(ctx context.Context, g network.Graph, opts KMedoidsOptions) (*K
 	} else {
 		for restart := 0; restart < opts.Restarts; restart++ {
 			runOne(restart, g)
+			if errs[restart] != nil {
+				break // returned below before any restart that did not run
+			}
 		}
 	}
 
@@ -567,16 +608,18 @@ type medoidSearch struct {
 	// this goroutine's own.
 	mp *medoidPruner
 
-	// Graphs with a delta-assignment kernel (the compiled CSR snapshot)
-	// rescan only the groups a swap perturbed, in place: sub holds the
-	// per-group R subtotals and undo what the last attempt overwrote. The R
-	// association is the same either way (per group, then across groups in
-	// order), so the trajectory is identical to the full-scan path, which
-	// labels into trial and swaps it with labels on a commit.
-	da    network.DeltaAssigner
-	sub   []float64
-	undo  network.AssignUndo
-	trial []int32
+	// The assignment is kept per point group so that an attempt rescans only
+	// the groups it perturbed, in place, on every backend: groups holds each
+	// group's header (from the initial scan), sub its R subtotal and undo
+	// what the last attempt overwrote; dirty[n] == epoch marks node n as
+	// moved by the attempt being reassigned, so the reset is one increment.
+	// R is re-summed over sub in ascending group order — AssignPoints'
+	// association — so it is the full-scan value bit for bit.
+	groups []network.PointGroup
+	sub    []float64
+	undo   assignUndo
+	dirty  []uint32
+	epoch  uint32
 }
 
 // newMedoidSearch runs the initial Fig. 4 expansion and point assignment for
@@ -608,17 +651,57 @@ func newMedoidSearch(ctx context.Context, g network.Graph, opts KMedoidsOptions,
 	if err := medoidDistFindCtx(ctx, g, s.infos, s.st, stats, s.mp); err != nil {
 		return nil, err
 	}
-	var err error
-	if s.da, _ = g.(network.DeltaAssigner); s.da != nil {
-		s.sub = make([]float64, g.NumGroups())
-		var groups int
-		s.r, groups = s.da.AssignNearestDelta(s.infos, s.st.Med, s.st.Dist, nil, nil, s.labels, s.sub, nil)
-		stats.GroupsRead += groups
-	} else {
-		s.trial = make([]int32, g.NumPoints())
-		s.r, err = AssignPoints(g, s.infos, s.st, s.labels, stats)
-	}
+	s.groups = make([]network.PointGroup, 0, g.NumGroups())
+	s.sub = make([]float64, 0, g.NumGroups())
+	s.dirty = make([]uint32, g.NumNodes())
+	err := g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
+		stats.GroupsRead++
+		sg := assignGroup(gid, &pg, offsets, s.infos, s.st, s.labels)
+		s.groups, s.sub = append(s.groups, pg), append(s.sub, sg)
+		s.r += sg
+		return nil
+	})
 	return s, err
+}
+
+// reassign re-runs Equation 1 over the groups the last expansion perturbed
+// and returns the new R. A group's labels depend only on the (Med, Dist) of
+// its two end nodes and the medoids on its own edge, so it is dirty when an
+// end node's entry differs from its earliest one in the change log — the
+// log is read backwards for that, so a node taken away and given back
+// unchanged stays clean — or when it is one of the two edges in swapped,
+// which lost and gained a medoid. Only dirty groups' offsets are read; what
+// their rescan overwrites goes to undo first.
+func (s *medoidSearch) reassign(swapped [2]network.GroupID) (float64, error) {
+	if s.epoch++; s.epoch == 0 { // wrapped: no stamp may still match
+		clear(s.dirty)
+		s.epoch = 1
+	}
+	st, log, epoch := s.st, s.st.log, s.epoch
+	for i := len(log) - 1; i >= 0; i-- {
+		e := &log[i]
+		if st.Med[e.Node] != e.Med || st.Dist[e.Node] != e.Dist {
+			s.dirty[e.Node] = epoch
+		} else {
+			s.dirty[e.Node] = 0
+		}
+	}
+	s.undo.reset()
+	var r float64
+	for i := range s.groups {
+		pg, gid := &s.groups[i], network.GroupID(i)
+		if s.dirty[pg.N1] == epoch || s.dirty[pg.N2] == epoch || gid == swapped[0] || gid == swapped[1] {
+			offsets, err := s.g.GroupOffsets(gid)
+			if err != nil {
+				return 0, err
+			}
+			s.stats.GroupsRead++
+			s.undo.save(gid, s.sub[i], s.labels[pg.First:int(pg.First)+len(offsets)])
+			s.sub[i] = assignGroup(gid, pg, offsets, s.infos, st, s.labels)
+		}
+		r += s.sub[i]
+	}
+	return r, nil
 }
 
 // attempt replaces medoid slot mi by the point cand, re-evaluates R and keeps
@@ -643,35 +726,65 @@ func (s *medoidSearch) attempt(ctx context.Context, mi int, cand network.PointID
 	if err != nil {
 		return false, err
 	}
-	var r2 float64
-	if s.da != nil {
-		// Dirty groups: those with an endpoint the expansion moved, plus the
-		// two edges that exchanged the medoid.
-		s.undo.Reset()
-		extra := [2]network.GroupID{oldInfo.Group, candInfo.Group}
-		var rescanned int
-		r2, rescanned = s.da.AssignNearestDelta(s.infos, s.st.Med, s.st.Dist,
-			s.st.log, extra[:], s.labels, s.sub, &s.undo)
-		s.stats.GroupsRead += rescanned
-	} else if r2, err = AssignPoints(s.g, s.infos, s.st, s.trial, s.stats); err != nil {
+	r2, err := s.reassign([2]network.GroupID{oldInfo.Group, candInfo.Group})
+	if err != nil {
 		return false, err
 	}
 	if r2 < s.r {
 		s.st.Commit()
 		s.r = r2
-		if s.da == nil {
-			s.labels, s.trial = s.trial, s.labels
-		}
 		delete(s.inSet, oldID)
 		s.inSet[cand] = true
 		return true, nil
 	}
 	s.infos[mi], s.ids[mi] = oldInfo, oldID
 	s.st.Rollback()
-	if s.da != nil {
-		s.undo.Restore(s.labels, s.sub)
-	}
+	s.undo.restore(s.groups, s.labels, s.sub)
 	return false, nil
+}
+
+// assignUndo holds what one reassign overwrote: the R subtotal and the
+// labels of every group it rescanned, in scan order. restore puts them back,
+// so a rejected swap costs the groups it touched and not a copy of the whole
+// assignment.
+type assignUndo struct {
+	gids   []network.GroupID
+	subs   []float64
+	labels []int32
+}
+
+func (u *assignUndo) reset() { u.gids, u.subs, u.labels = u.gids[:0], u.subs[:0], u.labels[:0] }
+
+// save records group gid's subtotal and labels before a rescan overwrites
+// them.
+func (u *assignUndo) save(gid network.GroupID, sub float64, labels []int32) {
+	u.gids, u.subs = append(u.gids, gid), append(u.subs, sub)
+	u.labels = append(grown(u.labels, len(labels)), labels...)
+}
+
+// restore writes every saved group back into labels and sub; groups holds
+// the headers that place a group's labels.
+func (u *assignUndo) restore(groups []network.PointGroup, labels []int32, sub []float64) {
+	off := 0
+	for i, gid := range u.gids {
+		pg := &groups[gid]
+		off += copy(labels[pg.First:int(pg.First)+int(pg.Count)], u.labels[off:])
+		sub[gid] = u.subs[i]
+	}
+}
+
+// grown returns s with room for n more elements, at least doubling its
+// capacity when it has to reallocate. The swap-attempt buffers (the change
+// log, assignUndo) settle at their working size within a few swaps that way;
+// left to append, which grows a large slice by a quarter, one search abandons
+// several times the final buffer on the way there.
+func grown[T any](s []T, n int) []T {
+	if need := len(s) + n; need > cap(s) {
+		g := make([]T, len(s), max(need, 2*cap(s)))
+		copy(g, s)
+		return g
+	}
+	return s
 }
 
 func kmedoidsOnce(ctx context.Context, g network.Graph, opts KMedoidsOptions, init []network.PointID, rng *rand.Rand, res *KMedoidsResult) (*restartResult, error) {

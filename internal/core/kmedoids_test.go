@@ -16,8 +16,11 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/csr"
 	"netclus/internal/datagen"
+	"netclus/internal/delta"
 	"netclus/internal/matrix"
 	"netclus/internal/network"
+	"netclus/internal/shard"
+	"netclus/internal/storage"
 	"netclus/internal/testnet"
 )
 
@@ -336,6 +339,41 @@ func TestKMedoidsValidation(t *testing.T) {
 	}
 	if _, err := core.KMedoids(g, core.KMedoidsOptions{K: 2, InitialMedoids: []network.PointID{1, 1}}); err == nil {
 		t.Fatal("duplicate initial medoids: want error")
+	}
+}
+
+// pointInfoCounter counts PointInfo calls: a restart resolves its K initial
+// medoids before anything else.
+type pointInfoCounter struct {
+	network.Graph
+	calls int
+}
+
+func (c *pointInfoCounter) PointInfo(p network.PointID) (network.PointInfo, error) {
+	c.calls++
+	return c.Graph.PointInfo(p)
+}
+
+// TestKMedoidsRestartsBounded: a negative Restarts is invalid options (it
+// sized four slices and panicked), and a serial run stops at its first failed
+// restart instead of starting every other one after the context is done.
+func TestKMedoidsRestartsBounded(t *testing.T) {
+	g, err := testnet.Random(1, 40, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.KMedoids(g, core.KMedoidsOptions{K: 3, Restarts: -1}); !errors.Is(err, core.ErrInvalidOptions) {
+		t.Fatalf("Restarts -1: got %v, want ErrInvalidOptions", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := &pointInfoCounter{Graph: g}
+	res, err := core.KMedoidsCtx(ctx, c, core.KMedoidsOptions{K: 3, Restarts: 1000})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled run: result %v, error %v", res != nil, err)
+	}
+	if c.calls != 3 {
+		t.Fatalf("a cancelled run resolved %d medoids; one restart resolves 3", c.calls)
 	}
 }
 
@@ -661,6 +699,135 @@ func TestKMedoidsSwapWorkBound(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; 10*got > 37*copies {
 		t.Fatalf("one KMedoidsCtx call allocated %d bytes, %.2f x the %d of its result arrays", got, float64(got)/float64(copies), copies)
+	}
+}
+
+// TestKMedoidsDeltaAssign drives the swap search one attempt at a time on a
+// road stand-in served by the store, a delta view, the pointer network, a
+// 4-shard set and the snapshot, and holds the rescan-what-moved assignment
+// every backend runs to a fresh full scan: after every attempt, accepted or
+// rolled back, the labels and R equal what AssignPoints computes from the
+// search's medoids and node assignment bit for bit (on the snapshot and the
+// set that is the csr kernel, an independent implementation); no attempt
+// rescans every group; and a rejected attempt repeated on the store or the
+// view — the change log and the undo buffer then at the size it needs —
+// allocates nothing.
+func TestKMedoidsDeltaAssign(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	g, _, err := datagen.RoadDataset("SF", 0.05, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := csr.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the whole stand-in in the page buffer and the record caches,
+	// and every record read once: what is measured is the search, not the
+	// store faulting pages in.
+	dir := t.TempDir()
+	sopts := storage.Options{BufferBytes: 8 << 20, AdjCacheEntries: 2 * g.NumNodes(), GroupCacheEntries: 2 * g.NumGroups()}
+	if err := storage.Build(dir, g, sopts); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.Open(dir, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for n := 0; n < st.NumNodes(); n++ {
+		if _, err := st.Neighbors(network.NodeID(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < st.NumPoints(); p++ {
+		pi, err := st.PointInfo(network.PointID(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.GroupOffsets(pi.Group); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, err := shard.Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := delta.New(sn, delta.Options{CompactOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if _, err := o.Apply(ctx, []delta.Op{delta.InsertNear(0, 0.5, 1), delta.Delete(network.PointID(g.NumPoints() - 1))}); err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	for _, bk := range []struct {
+		name    string
+		g       network.Graph
+		noAlloc bool
+	}{{"store", st, true}, {"delta-view", o.Current().Graph, true}, {"network", g, false}, {"4-shards", set, false}, {"snapshot", sn, false}} {
+		rng := rand.New(rand.NewSource(3))
+		var init []network.PointID
+		for _, p := range rng.Perm(bk.g.NumPoints())[:k] {
+			init = append(init, network.PointID(p))
+		}
+		s, err := core.NewMedoidSearch(ctx, bk.g, core.KMedoidsOptions{K: k}, init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := make([]int32, bk.g.NumPoints())
+		var accepted, rejected int
+		for i := 1; i <= 40; i++ {
+			ids, _ := s.Medoids()
+			mi, cand := rng.Intn(k), network.PointID(rng.Intn(bk.g.NumPoints()))
+			if i%2 == 0 {
+				cand = ids[mi] + 1 // mostly a step along the medoid's own edge
+			}
+			if int(cand) == bk.g.NumPoints() || slices.Contains(ids, cand) {
+				continue
+			}
+			groups := s.Stats().GroupsRead
+			ok, err := s.Attempt(ctx, mi, cand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if groups = s.Stats().GroupsRead - groups; groups >= bk.g.NumGroups() {
+				t.Fatalf("%s attempt %d: rescanned %d of %d groups", bk.name, i, groups, bk.g.NumGroups())
+			}
+			if ok {
+				accepted++
+			} else {
+				rejected++
+			}
+			if !ok && bk.noAlloc && !raceEnabled {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				again, err := s.Attempt(ctx, mi, cand)
+				runtime.ReadMemStats(&after)
+				if err != nil || again {
+					t.Fatalf("%s attempt %d: repeating a rejected attempt accepted it (%v)", bk.name, i, err)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+					t.Fatalf("%s attempt %d: repeating a rejected attempt allocated %d bytes", bk.name, i, got)
+				}
+			}
+			nodes, labels, _, r := s.State()
+			_, infos := s.Medoids()
+			var stats core.Stats
+			wantR, err := core.AssignPoints(bk.g, infos, nodes, fresh, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(labels, fresh) || math.Float64bits(r) != math.Float64bits(wantR) {
+				t.Fatalf("%s attempt %d (accepted %v): R %v, a full scan gives %v (labels equal: %v)", bk.name, i, ok, r, wantR, reflect.DeepEqual(labels, fresh))
+			}
+		}
+		if accepted == 0 || rejected == 0 {
+			t.Fatalf("%s: %d accepted, %d rejected: an outcome was never exercised", bk.name, accepted, rejected)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"netclus/internal/heapx"
 	"netclus/internal/network"
 	"netclus/internal/unionfind"
 )
@@ -124,7 +123,14 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	if ne, ok := g.(network.NearestExpander); ok {
 		cands, err = voronoiKernel(ctx, g, ne, seeds, st, cands, &res.Stats)
 	} else {
-		cands, err = voronoiGeneric(ctx, g, seeds, st, cands, &res.Stats)
+		// The generic expansion settles every node once, in ascending
+		// distance order, so a disk backend reads each adjacency list once; a
+		// border candidate is met from the later of its two ends.
+		err = expand(ctx, g, seeds, st, &res.Stats, nil, func(u network.NodeID, nb network.Neighbor) {
+			if nb.Group == network.NoGroup && st.Med[nb.Node] != st.Med[u] {
+				cands = append(cands, borderPair(st, u, nb.Node, nb.Weight))
+			}
+		})
 	}
 	if err != nil {
 		return nil, err
@@ -196,48 +202,6 @@ func voronoiKernel(ctx context.Context, g network.Graph, ne network.NearestExpan
 		for _, nb := range adj {
 			if nb.Node > u && nb.Group == network.NoGroup && st.Med[nb.Node] != st.Med[u] {
 				cands = append(cands, borderPair(st, u, nb.Node, nb.Weight))
-			}
-		}
-	}
-	return cands, nil
-}
-
-// voronoiGeneric is the Fig. 8 expansion for graphs without a kernel: a
-// (dist, owner, node)-ordered heap settles every node exactly once — the
-// same assignment the kernel converges to — so a disk backend reads each
-// adjacency list once, in ascending distance order, and a border candidate
-// is emitted when the later of its two ends settles.
-func voronoiGeneric(ctx context.Context, g network.Graph, seeds []network.MedoidSeed, st *MedoidState, cands []pairEntry, stats *Stats) ([]pairEntry, error) {
-	h := heapx.New(lessMedEntry)
-	for _, s := range seeds {
-		h.Push(medEntry{node: s.Node, med: s.Med, dist: s.Dist})
-	}
-	ticks := 0
-	for !h.Empty() {
-		b := h.Pop()
-		if st.Med[b.node] >= 0 {
-			continue
-		}
-		if err := ctxCheck(ctx, &ticks); err != nil {
-			return nil, err
-		}
-		st.Med[b.node], st.Dist[b.node] = b.med, b.dist
-		stats.NodesSettled++
-		adj, err := g.Neighbors(b.node)
-		if err != nil {
-			return nil, err
-		}
-		stats.EdgesVisited += len(adj)
-		for _, nb := range adj {
-			if o := st.Med[nb.Node]; o < 0 {
-				// Dist of an unsettled node is the best push so far.
-				if nd := b.dist + nb.Weight; nd <= st.Dist[nb.Node] {
-					st.Dist[nb.Node] = nd
-					h.Push(medEntry{node: nb.Node, med: b.med, dist: nd})
-					stats.HeapPushes++
-				}
-			} else if o != b.med && nb.Group == network.NoGroup {
-				cands = append(cands, borderPair(st, b.node, nb.Node, nb.Weight))
 			}
 		}
 	}

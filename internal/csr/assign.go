@@ -1,35 +1,6 @@
 package csr
 
-import (
-	"math"
-
-	"netclus/internal/network"
-)
-
-// assignScratch is the pooled per-node dirty stamp of AssignNearestDelta:
-// stamp[n] == epoch marks node n's assignment as changed by the swap being
-// scanned. Epoch stamping makes the reset O(1) per call.
-type assignScratch struct {
-	stamp []int32
-	epoch int32
-}
-
-func (s *Snapshot) acquireAssign() *assignScratch {
-	as, ok := s.assignPool.Get().(*assignScratch)
-	if !ok {
-		as = &assignScratch{stamp: make([]int32, len(s.rowOff)-1)}
-	}
-	if as.epoch == math.MaxInt32 {
-		for i := range as.stamp {
-			as.stamp[i] = 0
-		}
-		as.epoch = 0
-	}
-	as.epoch++
-	return as
-}
-
-func (s *Snapshot) releaseAssign(as *assignScratch) { s.assignPool.Put(as) }
+import "netclus/internal/network"
 
 // groupMedoid pairs a medoid's point group with its slot index in the
 // current medoid set; the assignment scans consume a slice of them sorted
@@ -42,8 +13,7 @@ type groupMedoid struct {
 // sortMedoidsByGroup builds the (group, slot) list into buf, sorted by group
 // with slots ascending within a group — the generic path's slot-index
 // iteration order at ties. k is small (tens); an insertion sort on a
-// caller-provided stack buffer beats sort.Slice's reflection setup at the
-// once-per-swap call rate.
+// caller-provided stack buffer beats sort.Slice's reflection setup.
 func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupMedoid {
 	byGroup := buf
 	if len(medoids) > cap(byGroup) {
@@ -74,11 +44,10 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 // The arithmetic and comparison order replicate the generic scan expression
 // for expression — endpoint N1, endpoint N2, then same-edge medoids in
 // ascending slot order — so labels and the R accumulation are bit-identical.
-// The speedup over the generic path: no per-call map[GroupID][]int32 build
-// (the k same-edge medoids are merge-joined from one small sorted slice),
-// no ScanGroups closure dispatch, and the group headers and offsets come
-// straight from the flat arrays. k-medoids runs this once per attempted
-// swap, so on large point sets it is a sizable share of the per-swap cost.
+// The speedup over the generic path: the k same-edge medoids are
+// merge-joined from one small sorted slice instead of tested per group, no
+// ScanGroups closure dispatch, and the group headers and offsets come
+// straight from the flat arrays.
 func AssignNearest(groups []network.PointGroup, ptPos []float64, medoids []network.PointInfo, med []int32, dist []float64, labels []int32, sub []float64) (float64, int) {
 	var stack [32]groupMedoid
 	byGroup := sortMedoidsByGroup(medoids, stack[:0])
@@ -103,76 +72,6 @@ func AssignNearest(groups []network.PointGroup, ptPos []float64, medoids []netwo
 // dispatches here for snapshots.
 func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (float64, int) {
 	return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, nil)
-}
-
-// AssignNearestDelta is the network.DeltaAssigner kernel: the Equation 1
-// scan restricted to the groups a medoid swap touched, written in place. A
-// group's labels and R subtotal depend only on the (med, dist) of its two
-// endpoints and the medoids on its own edge, so groups whose endpoints hold
-// what they held before the swap — and that are not one of the extraGroups
-// edges that lost or gained the swapped medoid — keep their labels and sub
-// entry; a rescanned group's are saved to undo first. R is re-summed over
-// all group subtotals in ascending group order, the same association as the
-// full scans, so the value is bit-identical to rescanning everything.
-// undo == nil runs the full scan and seeds sub.
-func (s *Snapshot) AssignNearestDelta(medoids []network.PointInfo, med []int32, dist []float64,
-	changed network.MedoidLog, extraGroups []network.GroupID,
-	labels []int32, sub []float64, undo *network.AssignUndo) (float64, int) {
-	if undo == nil {
-		return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, sub)
-	}
-	var stack [32]groupMedoid
-	byGroup := sortMedoidsByGroup(medoids, stack[:0])
-
-	// Stamp the nodes whose assignment moved; a group is dirty when either
-	// endpoint is stamped. The log is read backwards so that the entry which
-	// decides a node is its earliest — the value it held before the swap: a
-	// node the expansion took away and gave back unchanged stays clean. The
-	// epoch trick makes the per-swap reset O(1).
-	as := s.acquireAssign()
-	epoch, stamp := as.epoch, as.stamp
-	for i := len(changed) - 1; i >= 0; i-- {
-		e := &changed[i]
-		if med[e.Node] != e.Med || dist[e.Node] != e.Dist {
-			stamp[e.Node] = epoch
-		} else {
-			stamp[e.Node] = 0
-		}
-	}
-
-	var ex [4]int32
-	exs := ex[:0]
-	for _, eg := range extraGroups {
-		exs = append(exs, int32(eg))
-	}
-
-	var r float64
-	gi, rescanned := 0, 0
-	for g := range s.groups {
-		g32 := int32(g)
-		lo := gi
-		for gi < len(byGroup) && byGroup[gi].gid == g32 {
-			gi++
-		}
-		pg := &s.groups[g]
-		dirty := stamp[pg.N1] == epoch || stamp[pg.N2] == epoch
-		if !dirty {
-			for _, eg := range exs {
-				if eg == g32 {
-					dirty = true
-					break
-				}
-			}
-		}
-		if dirty {
-			undo.Save(network.GroupID(g), pg.First, labels[pg.First:pg.First+network.PointID(pg.Count)], sub[g])
-			sub[g] = scanGroup(pg, s.ptPos, medoids, byGroup[lo:gi], med, dist, labels)
-			rescanned++
-		}
-		r += sub[g]
-	}
-	s.releaseAssign(as)
-	return r, rescanned
 }
 
 // scanGroup runs the Equation 1 minimization over one point group, writing

@@ -93,9 +93,6 @@ type Snapshot struct {
 	// grown bucket arrays instead of regrowing from empty every call.
 	expandPool sync.Pool
 
-	// assignPool recycles the per-node dirty stamps of AssignNearestDelta.
-	assignPool sync.Pool
-
 	// prangePool recycles the coordination state of the frontier-parallel
 	// range expansion (bucket queue, proposal buffers, worker slots).
 	prangePool sync.Pool

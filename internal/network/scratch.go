@@ -95,23 +95,6 @@ type MedoidChange struct {
 // attempt.
 type MedoidLog []MedoidChange
 
-// Reserve returns the log with room for n more entries.
-func (l MedoidLog) Reserve(n int) MedoidLog { return grown(l, n) }
-
-// grown returns s with room for n more elements, at least doubling its
-// capacity when it has to reallocate. The swap-attempt buffers (MedoidLog,
-// AssignUndo) settle at their working size within a few swaps that way; left
-// to append, which grows a large slice by a quarter, one search abandons
-// several times the final buffer on the way there.
-func grown[T any](s []T, n int) []T {
-	if need := len(s) + n; need > cap(s) {
-		g := make([]T, len(s), max(need, 2*cap(s)))
-		copy(g, s)
-		return g
-	}
-	return s
-}
-
 // Undo restores med/dist to what they held when the log was empty.
 func (l MedoidLog) Undo(med []int32, dist []float64) {
 	for i := len(l) - 1; i >= 0; i-- {
@@ -150,67 +133,4 @@ type NearestExpander interface {
 // expression for expression, so labels and R are bit-identical.
 type MedoidAssigner interface {
 	AssignNearest(medoids []PointInfo, med []int32, dist []float64, labels []int32) (r float64, groupsRead int)
-}
-
-// AssignUndo holds what one DeltaAssigner call overwrote: the previous
-// subtotal and labels of every group it rescanned. Restore puts them back, so
-// a rejected swap costs the groups it touched and not a copy of the whole
-// assignment.
-type AssignUndo struct {
-	groups []undoGroup
-	labels []int32
-}
-
-type undoGroup struct {
-	gid   GroupID
-	first PointID
-	count int32
-	sub   float64
-}
-
-// Reset empties the buffer, keeping its arrays.
-func (u *AssignUndo) Reset() { u.groups, u.labels = u.groups[:0], u.labels[:0] }
-
-// Save records group gid's subtotal and the labels of its points (the first
-// of which is point first) before a rescan overwrites them.
-func (u *AssignUndo) Save(gid GroupID, first PointID, labels []int32, sub float64) {
-	u.groups = append(u.groups, undoGroup{gid: gid, first: first, count: int32(len(labels)), sub: sub})
-	u.labels = append(grown(u.labels, len(labels)), labels...)
-}
-
-// Restore writes every saved group back into labels and sub.
-func (u *AssignUndo) Restore(labels []int32, sub []float64) {
-	off := 0
-	for _, ug := range u.groups {
-		n := int(ug.count)
-		copy(labels[ug.first:], u.labels[off:off+n])
-		sub[ug.gid] = ug.sub
-		off += n
-	}
-}
-
-// DeltaAssigner is implemented by Graphs whose assignment scan can be
-// restricted to the part of the network a medoid swap actually touched. A
-// group's per-point minimization reads only the (med, dist) entries of its
-// two endpoint nodes and the set of medoids on its own edge, so a group
-// whose endpoints carry the same (med, dist) as before the swap — and that
-// is in neither extraGroups entry (the edges that lost and gained the
-// swapped medoid) — would rescan to exactly the labels and subtotal it
-// already has.
-//
-// AssignNearestDelta therefore leaves labels and sub (the per-group partial
-// sums of R, in point order within the group) of clean groups alone and
-// rescans only the dirty ones, in place, after saving what it overwrites to
-// undo. Which nodes moved it reads from changed, the log of the expansion
-// that produced med/dist: a node is dirty when its earliest logged value
-// differs from its current one. R is returned as the sum of all group
-// subtotals in ascending group order — the association core.AssignPoints
-// uses — so the value is bit-identical to a full rescan whether a group was
-// recomputed or carried over. undo == nil marks every group dirty and saves
-// nothing (the initial full assignment, which seeds sub).
-type DeltaAssigner interface {
-	MedoidAssigner
-	AssignNearestDelta(medoids []PointInfo, med []int32, dist []float64,
-		changed MedoidLog, extraGroups []GroupID,
-		labels []int32, sub []float64, undo *AssignUndo) (r float64, groupsRescanned int)
 }

@@ -220,9 +220,18 @@ func clusterDefaults() ClusterRequest {
 	return ClusterRequest{Algo: "dbscan", MinPts: 3, K: 8, Restarts: 1, Seed: 1}
 }
 
+// maxRestarts bounds k-medoids restarts. Each restart is a full local search
+// and the run sizes per-restart arrays up front, so a request's count is
+// capped far above any useful value and far below what would hurt.
+const maxRestarts = 256
+
 // normalize folds aliases and clamps nonsense so that equivalent requests
-// share one canonical form. Unknown algorithms are an error.
+// share one canonical form. Unknown algorithms and a restart count outside
+// [1, maxRestarts] are errors.
 func (r *ClusterRequest) normalize() error {
+	if r.Restarts < 1 || r.Restarts > maxRestarts {
+		return fmt.Errorf("restarts must be in [1, %d] (got %d)", maxRestarts, r.Restarts)
+	}
 	switch r.Algo {
 	case "dbscan", "epslink", "kmedoids":
 	case "eps-link":

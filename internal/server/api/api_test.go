@@ -129,6 +129,26 @@ func TestClusterCanonicalization(t *testing.T) {
 	}
 }
 
+// TestClusterRestartsBounded: restarts outside [1, maxRestarts] is refused on
+// both decode paths (the engine sized four arrays by it and panicked on a
+// negative count), and the bounds themselves decode.
+func TestClusterRestartsBounded(t *testing.T) {
+	for _, n := range []int{-1, 0, maxRestarts + 1, 1<<31 - 1} {
+		if _, err := DecodeClusterValues(mustQuery(t, fmt.Sprintf("algo=kmedoids&restarts=%d", n))); err == nil {
+			t.Errorf("GET restarts=%d decoded", n)
+		}
+		if _, err := DecodeClusterJSON(strings.NewReader(fmt.Sprintf(`{"algo":"kmedoids","restarts":%d}`, n))); err == nil {
+			t.Errorf("POST restarts=%d decoded", n)
+		}
+	}
+	for _, n := range []int{1, maxRestarts} {
+		req, err := DecodeClusterValues(mustQuery(t, fmt.Sprintf("algo=kmedoids&restarts=%d", n)))
+		if err != nil || req.Restarts != n {
+			t.Errorf("restarts=%d: %+v, %v", n, req, err)
+		}
+	}
+}
+
 // TestValuesRoundTrip: Decode(req.Values()) reproduces req exactly, so the
 // loadtest client and the server agree on every request by construction.
 func TestValuesRoundTrip(t *testing.T) {

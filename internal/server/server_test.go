@@ -159,6 +159,10 @@ func TestServeErrors(t *testing.T) {
 		{"/v1/mem/range?p=0&eps=0", http.StatusBadRequest}, // bad eps
 		{"/v1/mem/range?p=x&eps=5", http.StatusBadRequest},
 		{"/v1/mem/cluster?algo=wat&eps=5", http.StatusBadRequest},
+		// A negative restart count panicked the engine; the largest int32
+		// sized four arrays by it.
+		{"/v1/mem/cluster?algo=kmedoids&k=3&restarts=-1", http.StatusBadRequest},
+		{"/v1/mem/cluster?algo=kmedoids&k=3&restarts=2147483647", http.StatusBadRequest},
 		{"/v1/mem/knn?p=0&k=3&timeout_ms=bogus", http.StatusBadRequest},
 		// Huge timeouts clamp to MaxTimeout; multiplied out to a Duration
 		// first, these two wrapped to a negative deadline and to 448µs.
@@ -168,6 +172,11 @@ func TestServeErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		getJSON(t, h, c.url, c.code, nil)
+	}
+	var eb api.ErrorBody
+	getJSON(t, h, "/v1/mem/cluster?algo=kmedoids&k=3&restarts=257", http.StatusBadRequest, &eb)
+	if eb.Error.Code != api.CodeBadRequest || !strings.Contains(eb.Error.Message, "restarts") {
+		t.Fatalf("restarts=257: envelope %+v", eb)
 	}
 	if n := s.Metrics().RequestCount("", http.StatusNotFound); n != 2 {
 		t.Fatalf("404 count = %d, want 2", n)
