@@ -293,7 +293,7 @@ func buildRegistry(specs []dataSpec, bufKB, landmarks int, logger *log.Logger) (
 			return nil, err
 		}
 		logger.Printf("dataset %s: %s %s loaded in %s (bounds %v, hot %v)",
-			spec.name, d.Kind, spec.path, time.Since(start).Round(time.Millisecond), d.Bounds() != nil, d.HotSnapshot() != nil)
+			spec.name, d.Kind, spec.path, time.Since(start).Round(time.Millisecond), d.HasBounds(), d.HotSnapshot() != nil)
 	}
 	return reg, nil
 }
@@ -314,7 +314,7 @@ func serve(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	bufKB := fs.Int("buffer", 1024, "buffer pool size in KB for disk stores")
 	landmarks := fs.Int("landmarks", netclus.DefaultLandmarks,
-		"lower-bound pruning landmarks per cold dataset (0 disables; hot, snapshot, sharded and live datasets build no bounds)")
+		"lower-bound pruning landmarks per cold dataset, built on its first pruned request (0 disables; hot, snapshot, sharded and live datasets build no bounds)")
 	capacity := fs.Int64("capacity", 0, "admission capacity in cost units (0 = 2x GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission wait-queue depth (0 = 64)")
 	clusterCost := fs.Int64("cluster-cost", 0, "admission cost of a clustering request (0 = 8)")

@@ -16,6 +16,7 @@
 package lbound
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -99,10 +100,21 @@ var _ network.Bounder = (*Bounds)(nil)
 
 // Build precomputes bounds for g.
 func Build(g network.Graph, opts Options) (*Bounds, error) {
+	return BuildCtx(context.Background(), g, opts)
+}
+
+// BuildCtx is Build with cancellation: every traversal checks ctx as the
+// query operators do, and so do the passes between them, so a cancelled
+// build stops within a few hundred graph reads with an error wrapping
+// ctx.Err().
+func BuildCtx(ctx context.Context, g network.Graph, opts Options) (*Bounds, error) {
 	start := time.Now()
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, ErrEmptyNetwork
+	}
+	if err := buildCancelled(ctx); err != nil {
+		return nil, err
 	}
 	b := &Bounds{numNodes: n}
 
@@ -117,7 +129,7 @@ func Build(g network.Graph, opts Options) (*Bounds, error) {
 			c := cg.Coord(network.NodeID(v))
 			b.nx[v], b.ny[v] = c.X, c.Y
 		}
-		if err := validateEuclidean(g, b.nx, b.ny); err != nil {
+		if err := validateEuclidean(ctx, g, b.nx, b.ny); err != nil {
 			return nil, err
 		}
 		grid, err := buildPointGrid(g, b.nx, b.ny)
@@ -130,7 +142,7 @@ func Build(g network.Graph, opts Options) (*Bounds, error) {
 
 	var err error
 	if len(opts.LandmarkNodes) > 0 {
-		err = b.buildExplicit(g, opts.LandmarkNodes, opts.Workers)
+		err = b.buildExplicit(ctx, g, opts.LandmarkNodes, opts.Workers)
 	} else {
 		k := opts.Landmarks
 		if k <= 0 {
@@ -139,12 +151,12 @@ func Build(g network.Graph, opts Options) (*Bounds, error) {
 		if k > n {
 			k = n
 		}
-		err = b.buildFarthest(g, k)
+		err = b.buildFarthest(ctx, g, k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := b.buildPointTables(g); err != nil {
+	if err := b.buildPointTables(ctx, g); err != nil {
 		return nil, err
 	}
 	b.buildTime = time.Since(start)
@@ -158,7 +170,7 @@ func Build(g network.Graph, opts Options) (*Bounds, error) {
 // store, a per-candidate PointInfo call is exactly the record read the filter
 // exists to avoid. The flat per-point tables are what makes the candidate
 // filter O(landmarks) per candidate with no graph lookups on the hot path.
-func (b *Bounds) buildPointTables(g network.Graph) error {
+func (b *Bounds) buildPointTables(ctx context.Context, g network.Graph) error {
 	np := g.NumPoints()
 	b.pGrp = make([]network.GroupID, np)
 	b.pPos = make([]float64, np)
@@ -171,6 +183,11 @@ func (b *Bounds) buildPointTables(g network.Graph) error {
 		b.ptTables[li] = make([]float64, np)
 	}
 	return g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, off []float64) error {
+		if gid&cancelMask == 0 {
+			if err := buildCancelled(ctx); err != nil {
+				return err
+			}
+		}
 		b.gN1[gid] = pg.N1
 		b.gN2[gid] = pg.N2
 		b.gW[gid] = pg.Weight
@@ -215,10 +232,27 @@ func (b *Bounds) pointInfoOf(q network.PointID) network.PointInfo {
 	}
 }
 
+// cancelMask spaces the cancellation checks of the build's linear passes:
+// one per 256 nodes or groups, the traversal operators' rate.
+const cancelMask = 255
+
+// buildCancelled reports ctx's error, wrapped, once ctx is done.
+func buildCancelled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("lbound: build cancelled: %w", err)
+	}
+	return nil
+}
+
 // validateEuclidean checks that every edge weight is at least the
 // straight-line distance of its endpoints.
-func validateEuclidean(g network.Graph, nx, ny []float64) error {
+func validateEuclidean(ctx context.Context, g network.Graph, nx, ny []float64) error {
 	for u := 0; u < g.NumNodes(); u++ {
+		if u&cancelMask == 0 {
+			if err := buildCancelled(ctx); err != nil {
+				return err
+			}
+		}
 		adj, err := g.Neighbors(network.NodeID(u))
 		if err != nil {
 			return err
@@ -240,11 +274,11 @@ func validateEuclidean(g network.Graph, nx, ny []float64) error {
 // buildFarthest selects k landmarks with the farthest-point heuristic. Every
 // selection Dijkstra doubles as the selected landmark's distance table, so
 // the pass costs exactly k+1 single-source traversals.
-func (b *Bounds) buildFarthest(g network.Graph, k int) error {
+func (b *Bounds) buildFarthest(ctx context.Context, g network.Graph, k int) error {
 	// Bootstrap: the first landmark is the node farthest from node 0
 	// (unreachable nodes count as infinitely far, so disconnected
 	// components get a landmark before anything else).
-	d0, err := network.NodeDistances(g, 0)
+	d0, err := network.NodeDistancesCtx(ctx, g, 0)
 	if err != nil {
 		return err
 	}
@@ -254,7 +288,7 @@ func (b *Bounds) buildFarthest(g network.Graph, k int) error {
 		minD[i] = network.Inf
 	}
 	for len(b.tables) < k {
-		tab, err := network.NodeDistances(g, next)
+		tab, err := network.NodeDistancesCtx(ctx, g, next)
 		if err != nil {
 			return err
 		}
@@ -293,7 +327,7 @@ func argmaxDist(d []float64) network.NodeID {
 
 // buildExplicit computes the tables of a pinned landmark set, parallel
 // across landmarks.
-func (b *Bounds) buildExplicit(g network.Graph, marks []network.NodeID, workers int) error {
+func (b *Bounds) buildExplicit(ctx context.Context, g network.Graph, marks []network.NodeID, workers int) error {
 	for _, m := range marks {
 		if m < 0 || int(m) >= b.numNodes {
 			return fmt.Errorf("%w: landmark %d", network.ErrNodeRange, m)
@@ -319,7 +353,7 @@ func (b *Bounds) buildExplicit(g network.Graph, marks []network.NodeID, workers 
 			defer wg.Done()
 			view := network.ReadView(g)
 			for i := range work {
-				tab, err := network.NodeDistances(view, b.landmarks[i])
+				tab, err := network.NodeDistancesCtx(ctx, view, b.landmarks[i])
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					continue

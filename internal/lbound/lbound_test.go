@@ -1,6 +1,7 @@
 package lbound_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sort"
@@ -56,6 +57,51 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if bd.Euclidean() {
 		t.Fatal("Euclidean() true without EuclideanLB")
+	}
+}
+
+// cancelGraph cancels its build's context at its at-th Neighbors call and
+// counts every call.
+type cancelGraph struct {
+	network.Graph
+	at, calls int
+	cancel    context.CancelFunc
+}
+
+func (g *cancelGraph) Neighbors(v network.NodeID) ([]network.Neighbor, error) {
+	if g.calls++; g.calls == g.at {
+		g.cancel()
+	}
+	return g.Graph.Neighbors(v)
+}
+
+// TestBuildCtxCancel: a cancelled build stops within one traversal-check
+// interval (256 settled nodes) of the cancellation and reports ctx's error,
+// on both the farthest-point and the pinned-landmark path; a build whose
+// context is already done reads nothing.
+func TestBuildCtxCancel(t *testing.T) {
+	base, err := testnet.Random(3, 900, 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.NumNodes()
+	for _, opts := range []lbound.Options{
+		{Landmarks: 8},
+		{LandmarkNodes: []network.NodeID{0, 100, 200, 300}, Workers: 1},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := &cancelGraph{Graph: base, at: n + n/2, cancel: cancel}
+		if _, err := lbound.BuildCtx(ctx, g, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: cancelled build returned %v", opts, err)
+		}
+		if over := g.calls - g.at; over > 256 {
+			t.Fatalf("%+v: %d reads after the cancellation", opts, over)
+		}
+		cancel()
+		done := &cancelGraph{Graph: base, cancel: func() {}}
+		if _, err := lbound.BuildCtx(ctx, done, opts); !errors.Is(err, context.Canceled) || done.calls != 0 {
+			t.Fatalf("%+v: build under a done context: %v after %d reads", opts, err, done.calls)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/url"
 	"strconv"
 
@@ -125,8 +126,8 @@ func DecodeRange(q url.Values) (RangeRequest, error) {
 	if req.Eps, err = floatValue(q, "eps", 0); err != nil {
 		return req, err
 	}
-	if req.Eps <= 0 {
-		return req, fmt.Errorf("eps must be > 0")
+	if !validEps(req.Eps) {
+		return req, fmt.Errorf("eps must be finite and > 0 (got %v)", req.Eps)
 	}
 	req.Dists = boolValue(q, "dists", false)
 	req.Prune = boolValue(q, "prune", true)
@@ -225,9 +226,14 @@ func clusterDefaults() ClusterRequest {
 // capped far above any useful value and far below what would hurt.
 const maxRestarts = 256
 
+// validEps reports whether eps is a usable radius: finite and > 0. NaN fails
+// every comparison, so a plain eps <= 0 check lets it through to the engine.
+func validEps(eps float64) bool { return eps > 0 && !math.IsInf(eps, 1) }
+
 // normalize folds aliases and clamps nonsense so that equivalent requests
-// share one canonical form. Unknown algorithms and a restart count outside
-// [1, maxRestarts] are errors.
+// share one canonical form. Unknown algorithms, a restart count outside
+// [1, maxRestarts], minpts < 1 and an eps that is not finite — or, for the
+// density algorithms, not > 0 — are errors.
 func (r *ClusterRequest) normalize() error {
 	if r.Restarts < 1 || r.Restarts > maxRestarts {
 		return fmt.Errorf("restarts must be in [1, %d] (got %d)", maxRestarts, r.Restarts)
@@ -240,6 +246,13 @@ func (r *ClusterRequest) normalize() error {
 		r.Algo = "kmedoids"
 	default:
 		return fmt.Errorf("unknown algo %q (want dbscan, epslink or kmedoids)", r.Algo)
+	}
+	// k-medoids ignores eps, so its default 0 stays legal there.
+	if !validEps(r.Eps) && (r.Algo != "kmedoids" || r.Eps != 0) {
+		return fmt.Errorf("eps must be finite and > 0 (got %v)", r.Eps)
+	}
+	if r.MinPts < 1 {
+		return fmt.Errorf("minpts must be >= 1 (got %d)", r.MinPts)
 	}
 	if r.Workers < 0 {
 		r.Workers = 0

@@ -54,7 +54,8 @@ func TestRangeCanonicalization(t *testing.T) {
 }
 
 func TestRangeDecodeErrors(t *testing.T) {
-	for _, raw := range []string{"p=3", "p=3&eps=0", "p=3&eps=-1", "p=x&eps=5", "p=3&eps=wat"} {
+	for _, raw := range []string{"p=3", "p=3&eps=0", "p=3&eps=-1", "p=x&eps=5", "p=3&eps=wat",
+		"p=3&eps=NaN", "p=3&eps=nan", "p=3&eps=Inf", "p=3&eps=%2BInf", "p=3&eps=-Inf", "p=3&eps=1e999"} {
 		if _, err := DecodeRange(mustQuery(t, raw)); err == nil {
 			t.Errorf("DecodeRange(%q) succeeded", raw)
 		}
@@ -145,6 +146,36 @@ func TestClusterRestartsBounded(t *testing.T) {
 		req, err := DecodeClusterValues(mustQuery(t, fmt.Sprintf("algo=kmedoids&restarts=%d", n)))
 		if err != nil || req.Restarts != n {
 			t.Errorf("restarts=%d: %+v, %v", n, req, err)
+		}
+	}
+}
+
+// TestClusterDensityParamsChecked: an eps that is not finite (on every
+// algorithm) or not > 0 (on the density algorithms), and a minpts below 1, are
+// refused on both decode paths instead of reaching the engine and the cache
+// key; k-medoids, which ignores eps, still decodes at its default 0.
+func TestClusterDensityParamsChecked(t *testing.T) {
+	for _, raw := range []string{
+		"algo=dbscan&eps=NaN", "algo=dbscan&eps=Inf", "algo=dbscan&eps=-Inf", "algo=dbscan&eps=1e999",
+		"algo=epslink&eps=NaN", "algo=epslink&eps=0", "algo=dbscan&eps=-2",
+		"algo=kmedoids&eps=NaN", "algo=kmedoids&eps=Inf", "algo=kmedoids&eps=-1",
+		"algo=dbscan&eps=5&minpts=-5", "algo=dbscan&eps=5&minpts=0", "algo=kmedoids&minpts=-1",
+	} {
+		if req, err := DecodeClusterValues(mustQuery(t, raw)); err == nil {
+			t.Errorf("GET %s decoded as %q", raw, req.Canonical())
+		}
+	}
+	for _, body := range []string{
+		`{"algo":"dbscan","eps":5,"minpts":-5}`, `{"algo":"dbscan","eps":0}`, `{"algo":"epslink","eps":-3}`,
+		`{"algo":"dbscan","eps":1e999}`, `{"algo":"dbscan","eps":"NaN"}`, `{"algo":"kmedoids","minpts":0}`,
+	} {
+		if req, err := DecodeClusterJSON(strings.NewReader(body)); err == nil {
+			t.Errorf("POST %s decoded as %q", body, req.Canonical())
+		}
+	}
+	for _, raw := range []string{"algo=kmedoids&k=4", "algo=kmedoids&k=4&eps=0", "algo=dbscan&eps=5&minpts=1"} {
+		if _, err := DecodeClusterValues(mustQuery(t, raw)); err != nil {
+			t.Errorf("GET %s: %v", raw, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -23,8 +24,9 @@ type backend interface {
 	recycle(b *scratchBox)
 	// knn answers one unpruned kNN query on view.
 	knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error)
-	// bounds returns the pruning tables, nil when the kind builds none.
-	bounds() *netclus.Bounds
+	// bounds returns the pruning tables, building them on first use and
+	// waiting for them under ctx; nil, nil when the kind builds none.
+	bounds(ctx context.Context) (*netclus.Bounds, error)
 	// maintained answers a clustering request from labels the pinned view
 	// already carries (a copy, the caller's to mutate); !ok runs the engine.
 	maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool)
@@ -75,26 +77,46 @@ func (r *readOnly) recycle(b *scratchBox) { r.pool.Put(b) }
 func (*readOnly) knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error) {
 	return netclus.KNearestNeighborsCtx(ctx, view, p, k)
 }
-func (*readOnly) bounds() *netclus.Bounds                                    { return nil }
+func (*readOnly) bounds(context.Context) (*netclus.Bounds, error)            { return nil, nil }
 func (*readOnly) maintained(viewAt, api.ClusterRequest) ([]int32, int, bool) { return nil, 0, false }
 func (*readOnly) writer() (*netclus.LiveOverlay, error)                      { return nil, errImmutable }
 func (*readOnly) attach(time.Duration, *Metrics)                             {}
 func (*readOnly) close() error                                               { return nil }
 
 // servedStore is a disk store held open behind a dataset. base is the counter
-// snapshot taken at registration, so the exported numbers are deltas
-// attributable to serving rather than to dataset load. A nil *servedStore is
-// a dataset without a store.
+// snapshot taken at registration, plus whatever the store counted while the
+// pruning-bounds build ran, so the exported numbers are deltas attributable to
+// serving rather than to dataset load. The store's counters are shared by all
+// its views, so a serving request that reads the store while the build runs
+// is booked to startup with it. A nil *servedStore is a dataset without a
+// store.
 type servedStore struct {
 	st   *netclus.Store
+	mu   sync.Mutex
 	base netclus.StoreStats
 }
 
 func (s *servedStore) describe(info *api.DatasetInfo) {
 	if s != nil {
+		s.mu.Lock()
 		ss := netclus.SnapshotStore(s.st).Sub(s.base)
+		s.mu.Unlock()
 		info.Store = &ss
 	}
+}
+
+// loadWork runs f and books the store counters spent meanwhile to the startup
+// base (base += after - before), so they never show as serving.
+func (s *servedStore) loadWork(f func()) {
+	if s == nil {
+		f()
+		return
+	}
+	before := netclus.SnapshotStore(s.st)
+	f()
+	s.mu.Lock()
+	s.base = netclus.SnapshotStore(s.st).Sub(before.Sub(s.base))
+	s.mu.Unlock()
 }
 
 func (s *servedStore) close() error {
@@ -105,20 +127,103 @@ func (s *servedStore) close() error {
 }
 
 // coldBackend serves a disk store or a pointer network as loaded, under
-// lower-bound pruning tables when landmarks were asked for.
+// lower-bound pruning tables when landmarks were asked for. The tables are
+// built once, by the first request that runs pruned (or a Dataset.Bounds
+// call), not at registration: a cold dataset is ready as soon as its store is
+// open, and one that is never asked to prune never pays for the build. The
+// price is that the first pruned requests wait for the whole build.
 type coldBackend struct {
 	readOnly
 	// view is a fresh store reader per request goroutine, or the shared
 	// immutable network.
-	view  func() netclus.Graph
-	store *servedStore
-	lb    *netclus.Bounds
+	view      func() netclus.Graph
+	store     *servedStore
+	name      string
+	landmarks int
+
+	// life is cancelled by close, which stops a build in flight.
+	life   context.Context
+	cancel context.CancelFunc
+	mu     sync.Mutex
+	build  *boundsBuild // nil until the first pruned request
+}
+
+func newColdBackend(name string, view func() netclus.Graph, store *servedStore, landmarks int) *coldBackend {
+	c := &coldBackend{view: view, store: store, name: name, landmarks: landmarks}
+	c.life, c.cancel = context.WithCancel(context.Background())
+	return c
+}
+
+// boundsBuild is the one build of a cold dataset's pruning tables: lb and err
+// are written once, before done is closed, and read only after.
+type boundsBuild struct {
+	done chan struct{}
+	lb   *netclus.Bounds
+	err  error
 }
 
 func (c *coldBackend) pin(epoch int64) viewAt         { return viewAt{graph: c.view(), epoch: epoch} }
-func (c *coldBackend) bounds() *netclus.Bounds        { return c.lb }
 func (c *coldBackend) describe(info *api.DatasetInfo) { c.store.describe(info) }
-func (c *coldBackend) close() error                   { return c.store.close() }
+
+// bounds starts the build if no request has yet, then waits for it under ctx.
+// A waiter whose deadline passes gets ctx's error — the same one a slow kernel
+// returns — while the build runs on for the next request; a failed build's
+// error is kept and returned to every later pruned request.
+func (c *coldBackend) bounds(ctx context.Context) (*netclus.Bounds, error) {
+	if c.landmarks <= 0 {
+		return nil, nil
+	}
+	b := c.startBuild()
+	select {
+	case <-b.done:
+		return b.lb, b.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (c *coldBackend) startBuild() *boundsBuild {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.build != nil {
+		return c.build
+	}
+	b := &boundsBuild{done: make(chan struct{})}
+	c.build = b
+	if c.life.Err() != nil {
+		b.err = c.closedErr()
+		close(b.done)
+		return b
+	}
+	go func() {
+		defer close(b.done)
+		c.store.loadWork(func() { b.lb, b.err = buildBounds(c.life, c.name, c.view(), c.landmarks) })
+		if b.err != nil && c.life.Err() != nil {
+			b.err = c.closedErr()
+		}
+	}()
+	return b
+}
+
+// closedErr is the build error once the dataset is closed: the 503 every
+// other request on a closed store gets.
+func (c *coldBackend) closedErr() error {
+	return fmt.Errorf("dataset %s: building bounds: %w", c.name, netclus.ErrStoreClosed)
+}
+
+// close cancels a build in flight and waits for it to stop before closing the
+// store, so the build never reads a closed store and close never waits out a
+// whole build; a build asked for afterwards fails at once.
+func (c *coldBackend) close() error {
+	c.cancel()
+	c.mu.Lock()
+	b := c.build
+	c.mu.Unlock()
+	if b != nil {
+		<-b.done
+	}
+	return c.store.close()
+}
 
 // hotBackend serves a compiled CSR snapshot: shared and immutable, so there is
 // no per-request view state. Queries bypass the page buffer of the store it

@@ -34,7 +34,11 @@ func mustDataset(t testing.TB) func(*Dataset, error) *Dataset {
 // newGoldenServer serves the test network as one dataset of every kind —
 // cold store, cold memory, hot (a compiled store, so it carries the csr and
 // the store block), sharded and live — with every machine-dependent default
-// (admission capacity, page-buffer latch shards) pinned.
+// (admission capacity, page-buffer latch shards) pinned. The cold datasets'
+// bounds are built before the script runs: their reads are booked to startup,
+// so the store counters pin serving traffic over the record cache the build
+// leaves warm, whichever request of the script happens to prune first (the
+// lazy build itself is TestColdBoundsLazy's).
 func newGoldenServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	n := testNetwork(t)
@@ -62,6 +66,9 @@ func newGoldenServer(t *testing.T) (*Server, string) {
 			Live: &netclus.LiveClusterOptions{Eps: liveEps, MinPts: liveMinPts},
 		})),
 	} {
+		if d.HasBounds() && d.Bounds() == nil {
+			t.Fatalf("%s: bounds build failed", d.Name)
+		}
 		if err := reg.Add(d); err != nil {
 			t.Fatal(err)
 		}

@@ -168,10 +168,16 @@ func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req ap
 		resp.Results = api.PointDists(res)
 		return resp, append([]netclus.PointDist(nil), res...), nil
 	}
-	// The guard matters: a typed-nil *Bounds stored through the interface
-	// would read as a live bounder and send the query down the pruned path.
-	if b := d.Bounds(); req.Prune && b != nil {
-		box.sc.SetBounder(b)
+	if req.Prune {
+		b, err := d.backend.bounds(ctx)
+		if err != nil {
+			return resp, nil, err
+		}
+		// The guard matters: a typed-nil *Bounds stored through the interface
+		// would read as a live bounder and send the query down the pruned path.
+		if b != nil {
+			box.sc.SetBounder(b)
+		}
 	}
 	res, err := box.sc.RangeQueryCtx(ctx, view, req.Point, req.Eps)
 	if err != nil {
@@ -224,10 +230,16 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 func (s *Server) computeKNN(ctx context.Context, d *Dataset, va viewAt, req api.KNNRequest) (api.KNNResponse, error) {
 	var (
 		res    []netclus.PointDist
+		b      *netclus.Bounds
 		err    error
 		pruned bool
 	)
-	if b := d.Bounds(); b != nil && req.Prune {
+	if req.Prune {
+		if b, err = d.backend.bounds(ctx); err != nil {
+			return api.KNNResponse{}, err
+		}
+	}
+	if b != nil {
 		var ps netclus.PruneStats
 		res, err = netclus.KNearestNeighborsPrunedCtx(ctx, va.graph, b, req.Point, req.K, &ps)
 		d.addPrune(ps)
@@ -324,8 +336,14 @@ func (s *Server) computeCluster(ctx context.Context, d *Dataset, va viewAt, req 
 func runCluster(ctx context.Context, d *Dataset, g netclus.Graph, req api.ClusterRequest, resp *api.ClusterResponse) ([]int32, error) {
 	// ε-Link has no pruned form.
 	var bounds netclus.Bounder
-	if b := d.Bounds(); b != nil && req.PruneEnabled() && req.Algo != "epslink" {
-		bounds = b
+	if req.PruneEnabled() && req.Algo != "epslink" {
+		b, err := d.backend.bounds(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b != nil {
+			bounds = b
+		}
 	}
 	var (
 		labels []int32

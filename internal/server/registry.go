@@ -6,6 +6,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -70,8 +71,10 @@ func newDataset(name, kind, source string, g netclus.Graph, b backend) *Dataset 
 }
 
 // NewStoreDataset opens the store under dir as a served dataset. landmarks
-// > 0 additionally builds lower-bound pruning tables over it (Euclidean
-// filtering when the embedding allows, landmark tables otherwise). hot
+// > 0 additionally prunes its queries with lower-bound tables (Euclidean
+// filtering when the embedding allows, landmark tables otherwise), built on
+// the first pruned request rather than here, so registration reads nothing
+// beyond what opening the store does. hot
 // instead compiles the store into a CSR snapshot at registration; queries
 // then run on the in-memory replica's kernels and bypass the page buffer
 // entirely — the store's serving counters stay at zero — and no pruning
@@ -93,7 +96,8 @@ func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int,
 	return d, nil
 }
 
-// NewNetworkDataset serves the in-memory network n. landmarks as above; hot
+// NewNetworkDataset serves the in-memory network n. landmarks as above (the
+// tables are built on the first pruned request); hot
 // compiles n into a CSR snapshot, so queries run on the flat-array kernels
 // and, as above, no pruning tables are built.
 func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, hot bool) (*Dataset, error) {
@@ -101,7 +105,8 @@ func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, h
 }
 
 // newGraphDataset serves g — a disk store or a pointer network, read through
-// view — from a compiled replica when hot, else as loaded under bounds.
+// view — from a compiled replica when hot, else as loaded, under bounds built
+// from view on the first pruned request.
 func newGraphDataset(name, kind, source string, g netclus.Graph, view func() netclus.Graph, store *servedStore, landmarks int, hot bool) (*Dataset, error) {
 	if hot {
 		sn, err := netclus.Compile(g)
@@ -110,11 +115,7 @@ func newGraphDataset(name, kind, source string, g netclus.Graph, view func() net
 		}
 		return newDataset(name, kind, source, g, &hotBackend{sn: sn, store: store}), nil
 	}
-	lb, err := buildBounds(name, g, landmarks)
-	if err != nil {
-		return nil, err
-	}
-	return newDataset(name, kind, source, g, &coldBackend{view: view, store: store, lb: lb}), nil
+	return newDataset(name, kind, source, g, newColdBackend(name, view, store, landmarks)), nil
 }
 
 // NewSnapshotDataset serves a durable CSR snapshot file directly: the
@@ -154,21 +155,19 @@ func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOp
 	return d, nil
 }
 
-// buildBounds builds pruning tables over g — for cold datasets only. On a
+// buildBounds builds pruning tables over g — for cold datasets only, on the
+// first request that runs pruned (see coldBackend.bounds). On a
 // compiled snapshot one graph access costs less than one landmark-table
 // lookup, so filter-and-refine loses to the plain kernels at every measured
 // radius (benchmark/README.md "First findings": kNN 7.5 against 0.47 µs,
 // DBSCAN 225 against 20 ms), while on the store it saves page reads and still
 // wins. Hot datasets therefore join sharded and live ones, which build none.
-func buildBounds(name string, g netclus.Graph, landmarks int) (*netclus.Bounds, error) {
-	if landmarks <= 0 {
-		return nil, nil
-	}
+func buildBounds(ctx context.Context, name string, g netclus.Graph, landmarks int) (*netclus.Bounds, error) {
 	opts := netclus.BoundsOptions{Landmarks: landmarks, EuclideanLB: true}
-	b, err := netclus.BuildBounds(g, opts)
+	b, err := netclus.BuildBoundsCtx(ctx, g, opts)
 	if errors.Is(err, netclus.ErrBoundsNoCoords) || errors.Is(err, netclus.ErrBoundsNotEuclidean) {
 		opts.EuclideanLB = false
-		b, err = netclus.BuildBounds(g, opts)
+		b, err = netclus.BuildBoundsCtx(ctx, g, opts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: building bounds: %w", name, err)
@@ -191,8 +190,20 @@ func (d *Dataset) HotSnapshot() *netclus.Snapshot {
 	return nil
 }
 
-// Bounds returns the dataset's pruning tables (nil when not built).
-func (d *Dataset) Bounds() *netclus.Bounds { return d.backend.bounds() }
+// Bounds returns the dataset's pruning tables, building them first if no
+// request has yet; nil when the dataset builds none or the build failed.
+func (d *Dataset) Bounds() *netclus.Bounds {
+	b, _ := d.backend.bounds(context.Background())
+	return b
+}
+
+// HasBounds reports whether the dataset prunes — a cold dataset with
+// landmarks — whether or not its tables are built yet. It never starts the
+// build.
+func (d *Dataset) HasBounds() bool {
+	c, ok := d.backend.(*coldBackend)
+	return ok && c.landmarks > 0
+}
 
 // viewAt pins the graph and epoch a request runs against; handlers must take
 // both from one call.
@@ -226,7 +237,7 @@ func (d *Dataset) info() api.DatasetInfo {
 	info := api.DatasetInfo{
 		Name: d.Name, Kind: d.Kind, Source: d.Source, Epoch: d.Epoch(),
 		Nodes: d.nodes, Edges: d.edges, Points: d.points,
-		Bounds: d.Bounds() != nil, Queries: d.queries.Load(),
+		Bounds: d.HasBounds(), Queries: d.queries.Load(),
 	}
 	d.mu.Lock()
 	info.Prune = d.prune

@@ -183,6 +183,38 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeRefusesNonFiniteDensityParams: a NaN or infinite eps and a
+// minpts below 1 are refused with a 400 envelope on /range and on both
+// flavours of /cluster, before the engine or the result cache see them.
+func TestServeRefusesNonFiniteDensityParams(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	refused := func(method, url, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		var eb api.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest || eb.Error.Code != api.CodeBadRequest {
+			t.Fatalf("%s %s %s: %d %s", method, url, body, rec.Code, rec.Body)
+		}
+	}
+	for _, ds := range []string{"mem", "disk"} {
+		for _, eps := range []string{"NaN", "Inf", "-Inf", "%2BInf"} {
+			refused(http.MethodGet, "/v1/"+ds+"/range?p=1&eps="+eps, "")
+			refused(http.MethodGet, "/v1/"+ds+"/range?p=1&dists=1&eps="+eps, "")
+			refused(http.MethodGet, "/v1/"+ds+"/cluster?algo=dbscan&eps="+eps, "")
+			refused(http.MethodGet, "/v1/"+ds+"/cluster?algo=kmedoids&k=3&eps="+eps, "")
+		}
+		refused(http.MethodGet, "/v1/"+ds+"/cluster?algo=dbscan&eps=15&minpts=-5", "")
+		refused(http.MethodPost, "/v1/"+ds+"/cluster", `{"algo":"dbscan","eps":15,"minpts":-5}`)
+		refused(http.MethodPost, "/v1/"+ds+"/cluster", `{"algo":"epslink","eps":0}`)
+	}
+	if cs := s.cache.Stats(); cs.Misses != 0 || cs.Entries != 0 {
+		t.Fatalf("refused requests reached the result cache: %+v", cs)
+	}
+	getJSON(t, h, "/healthz", http.StatusOK, nil)
+}
+
 func TestServeDatasetsAndHealth(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()

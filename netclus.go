@@ -266,6 +266,13 @@ func BuildBounds(g Graph, opts BoundsOptions) (*Bounds, error) {
 	return lbound.Build(g, opts)
 }
 
+// BuildBoundsCtx is BuildBounds with cancellation: once ctx is done the build
+// stops within a few hundred graph reads and returns an error wrapping
+// ctx.Err().
+func BuildBoundsCtx(ctx context.Context, g Graph, opts BoundsOptions) (*Bounds, error) {
+	return lbound.BuildCtx(ctx, g, opts)
+}
+
 // KNearestNeighborsPruned is KNearestNeighbors over the filter-and-refine
 // path: identical results, with Euclidean candidate streaming, lower-bound
 // rejection and goal-directed refinement. stats may be nil.
