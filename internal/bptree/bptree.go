@@ -93,8 +93,10 @@ func Open(f *pagebuf.File, pageSize int) (*Tree, error) {
 	t.root = int64(binary.LittleEndian.Uint64(meta[8:]))
 	t.height = int(binary.LittleEndian.Uint32(meta[4:]))
 	t.count = int64(binary.LittleEndian.Uint64(meta[16:]))
-	if t.root < 1 || t.height < 1 {
-		return nil, fmt.Errorf("bptree: corrupt meta (root %d, height %d)", t.root, t.height)
+	// A tree of height h spans at least h pages besides the meta page, so a
+	// larger height is a damaged word, not a descent to follow.
+	if pages := t.allocPage(); t.root < 1 || t.height < 1 || int64(t.height) >= pages {
+		return nil, fmt.Errorf("bptree: corrupt meta (root %d, height %d) in %s of %d pages", t.root, t.height, f.Name(), pages)
 	}
 	return t, nil
 }
@@ -138,6 +140,22 @@ func (t *Tree) writePage(no int64, buf []byte) error {
 
 func (t *Tree) allocPage() int64 {
 	return (t.f.Size() + int64(t.pageSize) - 1) / int64(t.pageSize)
+}
+
+// nextLeaf follows the chain from the leaf in buf, reading the next leaf into
+// buf, or returns -1 at the chain's end. walked counts the leaves this walk
+// has read; a chain longer than the file has pages (allocPage is the page
+// count) is a cycle in a damaged file, refused rather than followed forever.
+func (t *Tree) nextLeaf(buf []byte, walked *int64) (int64, error) {
+	next := leafNext(buf, t.pageSize)
+	if next < 0 {
+		return -1, nil
+	}
+	if *walked++; *walked >= t.allocPage() {
+		return 0, fmt.Errorf("bptree: %s: leaf chain reaches page %d after %d leaves, more than the file's %d pages (a cycle)",
+			t.f.Name(), next, *walked, t.allocPage())
+	}
+	return next, t.readNode(next, buf, typeLeaf)
 }
 
 // Node byte layout helpers. A leaf holds nkeys (key,value) pairs followed by
@@ -292,11 +310,11 @@ func (t *Tree) floorSlow(k uint64, buf []byte) (uint64, uint64, bool, error) {
 	if err != nil {
 		return 0, 0, false, err
 	}
+	if err := t.readNode(page, buf, typeLeaf); err != nil {
+		return 0, 0, false, err
+	}
 	haveKey, haveVal, have := uint64(0), uint64(0), false
-	for page >= 0 {
-		if err := t.readNode(page, buf, typeLeaf); err != nil {
-			return 0, 0, false, err
-		}
+	for walked := int64(0); page >= 0; {
 		n := nodeKeys(buf)
 		if n > 0 && leafKey(buf, 0) > k {
 			break
@@ -304,7 +322,9 @@ func (t *Tree) floorSlow(k uint64, buf []byte) (uint64, uint64, bool, error) {
 		for i := 0; i < n && leafKey(buf, i) <= k; i++ {
 			haveKey, haveVal, have = leafKey(buf, i), leafVal(buf, i), true
 		}
-		page = leafNext(buf, t.pageSize)
+		if page, err = t.nextLeaf(buf, &walked); err != nil {
+			return 0, 0, false, err
+		}
 	}
 	return haveKey, haveVal, have, nil
 }
@@ -325,12 +345,11 @@ func (t *Tree) leftmostLeaf(buf []byte) (int64, error) {
 func (t *Tree) Scan(from uint64, fn func(k, v uint64) (bool, error)) error {
 	buf := t.getBuf()
 	defer t.putBuf(buf)
-	page, err := t.findLeaf(from, buf)
-	if err != nil {
+	if _, err := t.findLeaf(from, buf); err != nil {
 		return err
 	}
 	i := searchLeafSlot(buf, from)
-	for {
+	for walked := int64(0); ; {
 		for ; i < nodeKeys(buf); i++ {
 			cont, err := fn(leafKey(buf, i), leafVal(buf, i))
 			if err != nil {
@@ -340,12 +359,8 @@ func (t *Tree) Scan(from uint64, fn func(k, v uint64) (bool, error)) error {
 				return nil
 			}
 		}
-		next := leafNext(buf, t.pageSize)
-		if next < 0 {
-			return nil
-		}
-		page = next
-		if err := t.readNode(page, buf, typeLeaf); err != nil {
+		next, err := t.nextLeaf(buf, &walked)
+		if next < 0 || err != nil {
 			return err
 		}
 		i = 0

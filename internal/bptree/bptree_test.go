@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"netclus/internal/pagebuf"
 )
@@ -396,5 +397,83 @@ func TestDescendingAndAscendingInsertOrders(t *testing.T) {
 		if count != 5000 {
 			t.Fatalf("%s: scan saw %d keys", name, count)
 		}
+	}
+}
+
+// TestLeafChainCycleIsAnError: a leaf whose next pointer leads back into the
+// chain (one damaged word) must make Floor, FloorHint and Scan fail naming
+// the file, not walk the cycle forever. The second leaf's first key is bumped
+// so a floor just above its old value sorts before its leaf and takes the
+// left-to-right walk from the leftmost leaf, which points at itself.
+func TestLeafChainCycleIsAnError(t *testing.T) {
+	const pageSize = 256
+	tr := newTestTree(t, pageSize)
+	keys := make([]uint64, 100)
+	for i := range keys {
+		keys[i] = uint64(10 * i)
+	}
+	if err := tr.BulkLoad(keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, pageSize)
+	left, err := tr.leftmostLeaf(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.readNode(left, buf, typeLeaf); err != nil {
+		t.Fatal(err)
+	}
+	second := leafNext(buf, pageSize)
+	putLeafNext(buf, left)
+	if err := tr.writePage(left, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.readNode(second, buf, typeLeaf); err != nil {
+		t.Fatal(err)
+	}
+	first := leafKey(buf, 0)
+	putLeafKV(buf, 0, first+5, leafVal(buf, 0))
+	if err := tr.writePage(second, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan map[string]error, 1)
+	go func() {
+		var h LeafHint
+		_, _, _, errFloor := tr.Floor(first + 1)
+		_, _, _, errFloorHint := tr.FloorHint(first+1, &h)
+		errScan := tr.Scan(0, func(k, v uint64) (bool, error) { return true, nil })
+		done <- map[string]error{"Floor": errFloor, "FloorHint": errFloorHint, "Scan": errScan}
+	}()
+	select {
+	case errs := <-done:
+		for name, err := range errs {
+			if err == nil {
+				t.Errorf("%s: want an error on a cyclic leaf chain", name)
+			} else if !strings.Contains(err.Error(), "t.idx") || !strings.Contains(err.Error(), "cycle") {
+				t.Errorf("%s: error names neither file nor cycle: %v", name, err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lookup on a cyclic leaf chain did not return")
+	}
+}
+
+// TestOpenRefusesImpossibleHeight: a meta page claiming more levels than the
+// file has pages is refused at Open, so no descent follows the damaged word.
+func TestOpenRefusesImpossibleHeight(t *testing.T) {
+	tr := newTestTree(t, smallPage)
+	if err := tr.BulkLoad([]uint64{1, 2, 3}, []uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(tr.f, smallPage); err != nil {
+		t.Fatalf("intact tree: %v", err)
+	}
+	tr.height = 1 << 30
+	if err := tr.writeMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(tr.f, smallPage); err == nil || !strings.Contains(err.Error(), "height 1073741824") {
+		t.Fatalf("height 2^30 in a %d-byte file: got %v", tr.f.Size(), err)
 	}
 }

@@ -3,22 +3,23 @@
 // buffer pool with hit/miss accounting. The paper's experiments use a 1 MB
 // buffer over 4 KB pages; those are the defaults.
 //
-// The pool is sharded: the frame table and LRU list are split by page-key
+// The pool is sharded: the frame table and LRU ring are split by page-key
 // hash into independently latched shards, so concurrent readers working on
 // different pages rarely contend on the same latch. Each shard owns an equal
 // slice of the frame budget and its own traffic counters; Stats aggregates
 // them into one snapshot, so the paper's page-access accounting is unchanged.
-// A shard latch is held only for map/LRU bookkeeping and the page memcpy;
-// disk reads of faulted pages happen under it too, mirroring a partitioned
-// buffer manager. A shard allocates page buffers only until it is full: from
-// then on a fault evicts first and reads into the frame it just freed.
+// A shard latch is held only for table/ring bookkeeping and the page memcpy
+// (or a View callback); disk reads of faulted pages happen under it too,
+// mirroring a partitioned buffer manager. A shard allocates page buffers only
+// until it is full: from then on a fault evicts first and reads into the frame
+// it just freed, so it allocates nothing at all.
 package pagebuf
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -34,6 +35,14 @@ const DefaultBufferBytes = 1 << 20
 // maxShards bounds the automatic shard count; more shards than this stop
 // paying off because each holds too few frames.
 const maxShards = 64
+
+// A frame is keyed by one uint64: the file id above pageBits bits of page
+// number. Files and pages beyond these limits are refused, never aliased.
+const (
+	pageBits = 40
+	maxPages = 1 << pageBits
+	maxFiles = 1 << (64 - pageBits)
+)
 
 // ErrClosed is returned by operations on a closed File.
 var ErrClosed = errors.New("pagebuf: file closed")
@@ -103,12 +112,12 @@ func (c *counters) reset() {
 	c.evictions.Store(0)
 }
 
-// shard is one latch domain of the pool: a frame table and LRU list over a
+// shard is one latch domain of the pool: a frame table and LRU ring over a
 // fixed slice of the frame budget, plus its own traffic counters.
 type shard struct {
-	mu       sync.Mutex // guards frames, lru and frame contents
-	frames   map[frameKey]*list.Element
-	lru      *list.List // front = most recently used
+	mu       sync.Mutex // guards frames, the ring and frame contents
+	frames   map[uint64]*frame
+	ring     frame // sentinel: ring.next is the most recently used frame, ring.prev the least
 	capacity int
 	stats    counters
 }
@@ -122,19 +131,28 @@ type Pool struct {
 	capacity int
 	shardCnt uint32
 	shards   []shard
-	nextFile atomic.Int32
+	nextFile atomic.Int64
 }
 
-type frameKey struct {
-	file int32
-	page int64
-}
-
+// frame is one page buffer, linked into its shard's LRU ring.
 type frame struct {
-	key   frameKey
-	data  []byte
-	dirty bool
-	f     *File
+	prev, next *frame
+	page       int64
+	data       []byte
+	dirty      bool
+	f          *File
+}
+
+// unlink takes fr out of its ring.
+func (fr *frame) unlink() {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+}
+
+// pushFront links fr in as the shard's most recently used frame.
+func (sh *shard) pushFront(fr *frame) {
+	fr.prev, fr.next = &sh.ring, sh.ring.next
+	sh.ring.next.prev = fr
+	sh.ring.next = fr
 }
 
 // NewPool returns a pool of bufferBytes/pageSize frames with an automatic
@@ -184,8 +202,8 @@ func NewPoolShards(bufferBytes, pageSize, shards int) (*Pool, error) {
 		if i < extra {
 			sh.capacity++
 		}
-		sh.frames = make(map[frameKey]*list.Element)
-		sh.lru = list.New()
+		sh.frames = make(map[uint64]*frame, sh.capacity)
+		sh.ring.prev, sh.ring.next = &sh.ring, &sh.ring
 	}
 	return p, nil
 }
@@ -198,11 +216,11 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// shardOf hashes a frame key onto its shard (Fibonacci mix of file and page).
-func (p *Pool) shardOf(key frameKey) *shard {
-	h := uint64(key.page)*0x9E3779B97F4A7C15 + uint64(uint32(key.file))*0xBF58476D1CE4E5B9
+// shardOf hashes a page of f onto its shard (Fibonacci mix of file and page).
+func (f *File) shardOf(pageNo int64) *shard {
+	h := uint64(pageNo)*0x9E3779B97F4A7C15 + f.id*0xBF58476D1CE4E5B9
 	h ^= h >> 32
-	return &p.shards[uint32(h)&(p.shardCnt-1)]
+	return &f.pool.shards[uint32(h)&(f.pool.shardCnt-1)]
 }
 
 // PageSize returns the pool's page size.
@@ -245,7 +263,7 @@ func (p *Pool) ResetStats() {
 // ReadAt/WriteAt calls lock one shard at a time.
 type File struct {
 	pool   *Pool
-	id     int32
+	id     uint64 // < maxFiles
 	os     *os.File
 	pages  atomic.Int64 // allocated pages (max written page + 1)
 	size   atomic.Int64 // logical byte size
@@ -263,9 +281,13 @@ func (p *Pool) Open(path string) (*File, error) {
 		osf.Close()
 		return nil, err
 	}
-	f := &File{pool: p, os: osf}
+	id := p.nextFile.Add(1) - 1
+	if id >= maxFiles {
+		osf.Close()
+		return nil, fmt.Errorf("pagebuf: %s: the pool has opened %d files, its limit", path, maxFiles)
+	}
+	f := &File{pool: p, id: uint64(id), os: osf}
 	f.size.Store(st.Size())
-	f.id = p.nextFile.Add(1) - 1
 	f.pages.Store((st.Size() + int64(p.pageSize) - 1) / int64(p.pageSize))
 	return f, nil
 }
@@ -276,21 +298,26 @@ func (f *File) Name() string { return f.os.Name() }
 // Size returns the logical byte size of the file.
 func (f *File) Size() int64 { return f.size.Load() }
 
-// page returns the frame for pageNo, faulting it in if needed. The shard
-// latch must be held; the returned frame is only valid while it stays held.
+// key is the frame-table key of one page of f.
+func (f *File) key(pageNo int64) uint64 { return f.id<<pageBits | uint64(pageNo) }
+
+// page returns the frame for pageNo (< maxPages), faulting it in if needed.
+// The shard latch must be held; the returned frame is only valid while it
+// stays held.
 func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 	p := f.pool
 	sh.stats.logicalReads.Add(1)
-	key := frameKey{file: f.id, page: pageNo}
-	if el, ok := sh.frames[key]; ok {
-		sh.lru.MoveToFront(el)
-		return el.Value.(*frame), nil
+	key := f.key(pageNo)
+	if fr, ok := sh.frames[key]; ok {
+		fr.unlink()
+		sh.pushFront(fr)
+		return fr, nil
 	}
 	sh.stats.physicalReads.Add(1)
 	// A full shard evicts first and faults into the frame it just freed;
 	// only a shard still below capacity allocates.
 	var fr *frame
-	if sh.lru.Len() >= sh.capacity {
+	if len(sh.frames) >= sh.capacity {
 		var err error
 		if fr, err = sh.evict(); err != nil {
 			return nil, err
@@ -299,7 +326,7 @@ func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 	if fr == nil {
 		fr = &frame{data: make([]byte, p.pageSize)}
 	}
-	fr.key, fr.f = key, f
+	fr.page, fr.f = pageNo, f
 	n := 0
 	if pageNo < f.pages.Load() {
 		var err error
@@ -310,7 +337,8 @@ func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 	// Whatever the read left uncovered (a partial last page, a page never
 	// written) must not show the frame's previous page.
 	clear(fr.data[n:])
-	sh.frames[key] = sh.lru.PushFront(fr)
+	sh.frames[key] = fr
+	sh.pushFront(fr)
 	return fr, nil
 }
 
@@ -318,33 +346,37 @@ func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 // handing it (clean) to the caller for reuse; nil when the shard is empty.
 // The shard latch must be held.
 func (sh *shard) evict() (*frame, error) {
-	el := sh.lru.Back()
-	if el == nil {
+	fr := sh.ring.prev
+	if fr == &sh.ring {
 		return nil, nil
 	}
-	fr := el.Value.(*frame)
 	if fr.dirty {
 		if err := fr.f.writeBack(sh, fr); err != nil {
 			return nil, err
 		}
 		fr.dirty = false
 	}
-	sh.lru.Remove(el)
-	delete(sh.frames, fr.key)
+	sh.drop(fr)
 	sh.stats.evictions.Add(1)
 	return fr, nil
+}
+
+// drop removes fr from the shard's table and ring. The latch must be held.
+func (sh *shard) drop(fr *frame) {
+	fr.unlink()
+	delete(sh.frames, fr.f.key(fr.page))
 }
 
 // writeBack flushes one frame to disk. The latch of the frame's shard must be
 // held.
 func (f *File) writeBack(sh *shard, fr *frame) error {
 	p := f.pool
-	if _, err := f.os.WriteAt(fr.data, fr.key.page*int64(p.pageSize)); err != nil {
-		return fmt.Errorf("pagebuf: write page %d: %w", fr.key.page, err)
+	if _, err := f.os.WriteAt(fr.data, fr.page*int64(p.pageSize)); err != nil {
+		return fmt.Errorf("pagebuf: write page %d: %w", fr.page, err)
 	}
 	for {
 		pages := f.pages.Load()
-		if fr.key.page < pages || f.pages.CompareAndSwap(pages, fr.key.page+1) {
+		if fr.page < pages || f.pages.CompareAndSwap(pages, fr.page+1) {
 			break
 		}
 	}
@@ -359,30 +391,66 @@ func (f *File) ReadAt(buf []byte, off int64) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
-	if size := f.Size(); off < 0 || off+int64(len(buf)) > size {
+	if size := f.Size(); off < 0 || off > size || int64(len(buf)) > size-off {
 		return fmt.Errorf("pagebuf: %s: read [%d,%d) beyond file size %d", f.Name(), off, off+int64(len(buf)), size)
 	}
+	return f.copyPages(buf, off, false)
+}
+
+// copyPages copies between buf and [off, off+len(buf)) page by page, under
+// each page's shard latch: into the frames (dirtying them) when write is
+// set, out of them otherwise. A span reaching page 2^pageBits is refused.
+// (A flag, not a callback: buf passed to a func value would escape, moving
+// every caller's stack buffer to the heap.)
+func (f *File) copyPages(buf []byte, off int64, write bool) error {
 	ps := int64(f.pool.pageSize)
+	if len(buf) > 0 && (off+int64(len(buf))-1)/ps >= maxPages {
+		return fmt.Errorf("pagebuf: %s: [%d,%d) reaches past page 2^%d", f.Name(), off, off+int64(len(buf)), pageBits)
+	}
 	for len(buf) > 0 {
-		pageNo := off / ps
-		in := off % ps
-		n := ps - in
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		sh := f.pool.shardOf(frameKey{file: f.id, page: pageNo})
+		pageNo, in := off/ps, off%ps
+		n := min(ps-in, int64(len(buf)))
+		sh := f.shardOf(pageNo)
 		sh.mu.Lock()
 		fr, err := f.page(sh, pageNo)
+		if err == nil {
+			if write {
+				copy(fr.data[in:in+n], buf[:n])
+				fr.dirty = true
+			} else {
+				copy(buf[:n], fr.data[in:in+n])
+			}
+		}
+		sh.mu.Unlock()
 		if err != nil {
-			sh.mu.Unlock()
 			return err
 		}
-		copy(buf[:n], fr.data[in:in+n])
-		sh.mu.Unlock()
-		buf = buf[n:]
-		off += n
+		buf, off = buf[n:], off+n
 	}
 	return nil
+}
+
+// View runs fn on page pageNo's bytes, up to the file's logical end, while
+// the page's shard latch is held, and counts one logical read. It is ReadAt
+// for a span inside one page without the copy: fn must not keep the slice
+// past its return, modify it, or call back into the pool (the latch is not
+// reentrant). A page at or past the logical end is an error.
+func (f *File) View(pageNo int64, fn func(page []byte) error) error {
+	if f.closed.Load() {
+		return ErrClosed
+	}
+	ps, size := int64(f.pool.pageSize), f.Size()
+	if pageNo < 0 || pageNo >= maxPages || size <= 0 || pageNo > (size-1)/ps {
+		return fmt.Errorf("pagebuf: %s: page %d beyond file size %d", f.Name(), pageNo, size)
+	}
+	sh := f.shardOf(pageNo)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fr, err := f.page(sh, pageNo)
+	if err != nil {
+		return err
+	}
+	return fn(fr.data[:min(ps, size-pageNo*ps)])
 }
 
 // WriteAt writes buf at byte offset off through the pool, extending the file
@@ -391,30 +459,12 @@ func (f *File) WriteAt(buf []byte, off int64) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
-	if off < 0 {
-		return fmt.Errorf("pagebuf: negative offset %d", off)
+	if off < 0 || off > math.MaxInt64-int64(len(buf)) {
+		return fmt.Errorf("pagebuf: %s: write of %d bytes at offset %d", f.Name(), len(buf), off)
 	}
-	ps := int64(f.pool.pageSize)
 	end := off + int64(len(buf))
-	for len(buf) > 0 {
-		pageNo := off / ps
-		in := off % ps
-		n := ps - in
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		sh := f.pool.shardOf(frameKey{file: f.id, page: pageNo})
-		sh.mu.Lock()
-		fr, err := f.page(sh, pageNo)
-		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		copy(fr.data[in:in+n], buf[:n])
-		fr.dirty = true
-		sh.mu.Unlock()
-		buf = buf[n:]
-		off += n
+	if err := f.copyPages(buf, off, true); err != nil {
+		return err
 	}
 	for {
 		size := f.size.Load()
@@ -445,9 +495,8 @@ func (f *File) flush() error {
 	for i := range f.pool.shards {
 		sh := &f.pool.shards[i]
 		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			fr := el.Value.(*frame)
-			if fr.key.file == f.id && fr.dirty {
+		for fr := sh.ring.next; fr != &sh.ring; fr = fr.next {
+			if fr.f == f && fr.dirty {
 				if err := f.writeBack(sh, fr); err != nil {
 					sh.mu.Unlock()
 					return err
@@ -473,14 +522,12 @@ func (f *File) Close() error {
 	for i := range f.pool.shards {
 		sh := &f.pool.shards[i]
 		sh.mu.Lock()
-		var next *list.Element
-		for el := sh.lru.Front(); el != nil; el = next {
-			next = el.Next()
-			fr := el.Value.(*frame)
-			if fr.key.file == f.id {
-				sh.lru.Remove(el)
-				delete(sh.frames, fr.key)
+		for fr := sh.ring.next; fr != &sh.ring; {
+			next := fr.next
+			if fr.f == f {
+				sh.drop(fr)
 			}
+			fr = next
 		}
 		sh.mu.Unlock()
 	}

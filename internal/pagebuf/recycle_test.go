@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
@@ -22,9 +21,18 @@ func onDisk(t *testing.T, p *Pool, dir, name string, content []byte) *File {
 	return f
 }
 
+// ringLen counts the frames linked into sh's LRU ring.
+func ringLen(sh *shard) int {
+	n := 0
+	for fr := sh.ring.next; fr != &sh.ring; fr = fr.next {
+		n++
+	}
+	return n
+}
+
 // TestFullPoolFaultsWithoutAllocating: once every frame is in use a fault
-// reads into the frame it evicts, so a page-sized buffer is never allocated
-// again (what remains is the LRU list element, a few dozen bytes).
+// reads into the frame it evicts and a hit only relinks its frame, so
+// neither allocates anything.
 func TestFullPoolFaultsWithoutAllocating(t *testing.T) {
 	const pageSize, frames, pages = 4096, 4, 32
 	p, err := NewPoolShards(frames*pageSize, pageSize, 1)
@@ -54,20 +62,30 @@ func TestFullPoolFaultsWithoutAllocating(t *testing.T) {
 	}
 	const n = 400
 	faults := p.Stats().PhysicalReads
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		fault()
+	if allocs := testing.AllocsPerRun(n, fault); allocs != 0 {
+		t.Fatalf("%v allocations per fault on a full pool", allocs)
 	}
-	runtime.ReadMemStats(&after)
-	if got := p.Stats().PhysicalReads - faults; got != n {
-		t.Fatalf("%d faults in %d reads: the workload does not fault every time", got, n)
+	// AllocsPerRun makes one warm-up call on top of the n it averages.
+	if got := p.Stats().PhysicalReads - faults; got != n+1 {
+		t.Fatalf("%d faults in %d reads: the workload does not fault every time", got, n+1)
 	}
-	if perFault := (after.TotalAlloc - before.TotalAlloc) / n; perFault >= pageSize/8 {
-		t.Fatalf("%d bytes allocated per fault on a full pool, page size %d", perFault, pageSize)
+	hits := p.Stats()
+	hit := func() {
+		// Read the page just faulted in, into a stack buffer of the caller's
+		// that must not be moved to the heap.
+		var b [8]byte
+		if err := f.ReadAt(b[:], int64(next+pages-1)%pages*pageSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(p.shards[0].frames) != frames || p.shards[0].lru.Len() != frames {
-		t.Fatalf("%d table entries, %d LRU entries, want %d", len(p.shards[0].frames), p.shards[0].lru.Len(), frames)
+	if allocs := testing.AllocsPerRun(n, hit); allocs != 0 {
+		t.Fatalf("%v allocations per hit on a full pool", allocs)
+	}
+	if d := p.Stats().Sub(hits); d.LogicalReads != n+1 || d.PhysicalReads != 0 {
+		t.Fatalf("hits read %+v, want %d logical and no physical reads", d, n+1)
+	}
+	if len(p.shards[0].frames) != frames || ringLen(&p.shards[0]) != frames {
+		t.Fatalf("%d table entries, %d ring entries, want %d", len(p.shards[0].frames), ringLen(&p.shards[0]), frames)
 	}
 }
 
@@ -177,13 +195,13 @@ func TestFailedFaultLeavesNoFrame(t *testing.T) {
 	}
 	sh := &p.shards[0]
 	sh.mu.Lock()
-	for key := range sh.frames {
-		if key.file == broken.id {
-			t.Errorf("failed fault left page %d in the frame table", key.page)
+	for _, fr := range sh.frames {
+		if fr.f == broken {
+			t.Errorf("failed fault left page %d in the frame table", fr.page)
 		}
 	}
-	if len(sh.frames) != sh.lru.Len() || sh.lru.Len() > frames {
-		t.Errorf("%d table entries, %d LRU entries, capacity %d", len(sh.frames), sh.lru.Len(), frames)
+	if len(sh.frames) != ringLen(sh) || ringLen(sh) > frames {
+		t.Errorf("%d table entries, %d ring entries, capacity %d", len(sh.frames), ringLen(sh), frames)
 	}
 	sh.mu.Unlock()
 	for pg := int64(0); pg < 4; pg++ {

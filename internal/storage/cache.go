@@ -1,23 +1,21 @@
 package storage
 
 import (
-	"runtime"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 )
 
-// Default decoded-record cache bounds (entries, not bytes). At the paper's
-// average degrees an adjacency entry is ~100 bytes and a group entry a few
-// hundred, so the defaults add roughly half the paper's 1 MB page budget as
-// decode-avoidance memory; set the *CacheEntries options to trade space for
-// traversal speed, or DisableRecordCaches for the paper's original path.
+// Default decoded-record cache bounds (entries, not bytes). Each cache is
+// direct-mapped over a power-of-two slot count, the bound rounded down, so a
+// bound is never exceeded. At the paper's average degrees an adjacency entry
+// is ~100 bytes and a group entry a few hundred, so the defaults add roughly
+// half the paper's 1 MB page budget as decode-avoidance memory; set the
+// *CacheEntries options to trade space for traversal speed, or
+// DisableRecordCaches for the paper's original path.
 const (
 	DefaultAdjCacheEntries   = 4096
 	DefaultGroupCacheEntries = 1024
 )
-
-// maxCacheShards bounds the automatic shard count of a record cache.
-const maxCacheShards = 16
 
 // CacheStats counts decoded-record cache traffic: the adjacency cache
 // (node -> neighbours), the group cache (group -> header + offsets) and the
@@ -67,117 +65,48 @@ type cacheCounters struct {
 	hits, misses, evictions atomic.Int64
 }
 
-// recCache is a sharded, bounded map from a dense uint32 record ID to its
-// decoded value. Entries are immutable once inserted (readers share them), so
-// a lookup is one shard latch around a map read. Eviction is FIFO per shard:
-// the paper's traversals touch records with strong locality, so recency
-// tracking buys little over insertion order at these sizes.
+// recCache is a bounded, direct-mapped map from a dense uint32 record ID to
+// its decoded value: ID k lives in slot k & mask or nowhere, so a lookup is
+// one atomic load and no latch. Entries are immutable once published (readers
+// share them); a put swaps in a fresh entry, displacing whatever held the
+// slot. IDs are dense, so a run of consecutive IDs fills distinct slots.
 type recCache[V any] struct {
-	shards []recShard[V]
-	mask   uint32
-	cnt    cacheCounters
+	slots []atomic.Pointer[recEntry[V]]
+	mask  uint32
+	cnt   cacheCounters
 }
 
-type recShard[V any] struct {
-	mu   sync.Mutex
-	m    map[uint32]V
-	fifo []uint32 // insertion ring; len == cap(m budget)
-	head int
-	cap  int
-	_    [32]byte // keep neighbouring shard latches off one cache line
+type recEntry[V any] struct {
+	key uint32
+	val V
 }
 
-// newRecCache returns a cache bounded to entries values across
-// power-of-two shards (0 shards = automatic).
-func newRecCache[V any](entries, shards int) *recCache[V] {
+// newRecCache returns a cache of at most entries values: the slot count is
+// entries rounded down to a power of two. It returns nil for entries < 1.
+func newRecCache[V any](entries int) *recCache[V] {
 	if entries < 1 {
 		return nil
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > maxCacheShards {
-		shards = maxCacheShards
-	}
-	p := 1
-	for p < shards {
-		p *= 2
-	}
-	shards = p
-	for shards > 1 && entries/shards < 1 {
-		shards /= 2
-	}
-	c := &recCache[V]{shards: make([]recShard[V], shards), mask: uint32(shards - 1)}
-	base, extra := entries/shards, entries%shards
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.cap = base
-		if i < extra {
-			sh.cap++
-		}
-		sh.m = make(map[uint32]V, sh.cap)
-		sh.fifo = make([]uint32, 0, sh.cap)
-	}
-	return c
-}
-
-// shardOf mixes the dense ID so consecutive IDs spread across shards.
-func (c *recCache[V]) shardOf(k uint32) *recShard[V] {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return &c.shards[uint32(h>>32)&c.mask]
+	n := 1 << (bits.Len(uint(entries)) - 1)
+	return &recCache[V]{slots: make([]atomic.Pointer[recEntry[V]], n), mask: uint32(n - 1)}
 }
 
 // get returns the cached value for k.
 func (c *recCache[V]) get(k uint32) (V, bool) {
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	v, ok := sh.m[k]
-	sh.mu.Unlock()
-	if ok {
+	if e := c.slots[k&c.mask].Load(); e != nil && e.key == k {
 		c.cnt.hits.Add(1)
-	} else {
-		c.cnt.misses.Add(1)
+		return e.val, true
 	}
-	return v, ok
+	c.cnt.misses.Add(1)
+	var zero V
+	return zero, false
 }
 
-// put inserts or replaces the value for k, evicting the oldest entry of the
-// shard when it is full. Values must never be mutated after put: readers on
-// other goroutines share them.
+// put publishes v as k's value, counting an eviction when it displaces
+// another key. Values must never be mutated after put: readers on other
+// goroutines share them.
 func (c *recCache[V]) put(k uint32, v V) {
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	if _, exists := sh.m[k]; exists {
-		sh.m[k] = v
-		sh.mu.Unlock()
-		return
+	if old := c.slots[k&c.mask].Swap(&recEntry[V]{key: k, val: v}); old != nil && old.key != k {
+		c.cnt.evictions.Add(1)
 	}
-	if len(sh.fifo) < sh.cap {
-		sh.m[k] = v
-		sh.fifo = append(sh.fifo, k)
-		sh.mu.Unlock()
-		return
-	}
-	old := sh.fifo[sh.head]
-	delete(sh.m, old)
-	sh.fifo[sh.head] = k
-	sh.head++
-	if sh.head == len(sh.fifo) {
-		sh.head = 0
-	}
-	sh.m[k] = v
-	sh.mu.Unlock()
-	c.cnt.evictions.Add(1)
-}
-
-// len returns the number of cached entries (for tests).
-func (c *recCache[V]) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
 }

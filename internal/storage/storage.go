@@ -79,12 +79,13 @@ type Options struct {
 	// per CPU). Only meaningful for Open.
 	PoolShards int
 	// AdjCacheEntries bounds the decoded adjacency cache in entries
-	// (0 = DefaultAdjCacheEntries, negative = disabled). Only meaningful
-	// for Open.
+	// (0 = DefaultAdjCacheEntries, negative = disabled). The cache is
+	// direct-mapped over the bound rounded down to a power of two. Only
+	// meaningful for Open.
 	AdjCacheEntries int
 	// GroupCacheEntries bounds the decoded group cache in entries
-	// (0 = DefaultGroupCacheEntries, negative = disabled). Only meaningful
-	// for Open.
+	// (0 = DefaultGroupCacheEntries, negative = disabled), rounded down to a
+	// power of two like AdjCacheEntries. Only meaningful for Open.
 	GroupCacheEntries int
 	// DisableRecordCaches turns off both decoded-record caches and the
 	// B+-tree leaf hints, restoring the paper's original access path where
@@ -304,8 +305,8 @@ var ErrClosed = errors.New("storage: store closed")
 
 // storeShared is the state common to every read view of one opened store:
 // the buffer pool, files, indexes, counts and the decoded-record caches. It
-// is safe for concurrent use (the pool and caches are shard-latched, the
-// B+-tree lookups draw per-call scratch).
+// is safe for concurrent use (the pool is shard-latched, the caches are
+// lock-free, the B+-tree lookups draw per-call scratch).
 type storeShared struct {
 	pool   *pagebuf.Pool
 	adjF   *pagebuf.File
@@ -351,10 +352,11 @@ type Store struct {
 	sh *storeShared
 
 	hdr [groupHeader]byte
-	// Raw-byte scratch is split per file: Neighbors fills adjPayload while
-	// readPoints fills ptsPayload, so an interleaved GroupOffsets between a
-	// Neighbors call and the use of its result cannot clobber the bytes
-	// being decoded (see TestInterleavedScratch).
+	// Raw-byte scratch is split per file: Neighbors fills adjPayload (for a
+	// record that straddles a page) while readPoints fills ptsPayload, so an
+	// interleaved GroupOffsets between a Neighbors call and the use of its
+	// result cannot clobber the bytes being decoded (see
+	// TestInterleavedScratch).
 	adjPayload []byte
 	ptsPayload []byte
 	nbrBuf     []network.Neighbor
@@ -390,8 +392,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		if grpEntries == 0 {
 			grpEntries = DefaultGroupCacheEntries
 		}
-		sh.adjCache = newRecCache[[]network.Neighbor](adjEntries, 0)
-		sh.grpCache = newRecCache[groupRec](grpEntries, 0)
+		sh.adjCache = newRecCache[[]network.Neighbor](adjEntries)
+		sh.grpCache = newRecCache[groupRec](grpEntries)
 		sh.hints = true
 	}
 	s := &Store{sh: sh}
@@ -612,11 +614,50 @@ func (s *Store) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: node %d missing from adj.idx", id)
 	}
-	if err := s.sh.adjF.ReadAt(s.scratch4[:], int64(off)); err != nil {
+	// One view of the record's page decodes a record that lies inside it in
+	// place. Anything else — a record straddling a page boundary, a degree
+	// word claiming more rows than the page holds, or a damaged offset past
+	// 2^63 — takes the copying path, which refuses an offset outside the file
+	// and bounds the degree by the file before sizing anything by it.
+	at, ps := int64(off), int64(s.sh.pool.PageSize())
+	var nbrs []network.Neighbor
+	inFrame := false
+	if at >= 0 {
+		in := at % ps
+		err = s.sh.adjF.View(at/ps, func(page []byte) error {
+			if int64(len(page))-in >= adjHeader {
+				deg := int(binary.LittleEndian.Uint32(page[in:]))
+				if rows := page[in+adjHeader:]; len(rows) >= adjEntry*deg {
+					nbrs, inFrame = s.decodeAdj(rows, deg), true
+				}
+			}
+			return nil
+		})
+	}
+	if err == nil && !inFrame {
+		nbrs, err = s.readAdjCopy(id, at)
+	}
+	if err != nil {
 		return nil, s.closedErr(err)
 	}
+	if cache != nil {
+		// Cached slices are shared by every view and never modified, so the
+		// cache keeps its own copy, allocated here rather than under the
+		// page's latch.
+		nbrs = append(make([]network.Neighbor, 0, len(nbrs)), nbrs...)
+		cache.put(uint32(id), nbrs)
+	}
+	return nbrs, nil
+}
+
+// readAdjCopy reads the adjacency record at off through two copies, its
+// header and then its rows, refusing a degree the file cannot hold.
+func (s *Store) readAdjCopy(id network.NodeID, off int64) ([]network.Neighbor, error) {
+	if err := s.sh.adjF.ReadAt(s.scratch4[:], off); err != nil {
+		return nil, err
+	}
 	deg := int(binary.LittleEndian.Uint32(s.scratch4[:]))
-	if left := s.sh.adjF.Size() - int64(off) - adjHeader; int64(deg) > left/adjEntry {
+	if left := s.sh.adjF.Size() - off - adjHeader; int64(deg) > left/adjEntry {
 		return nil, fmt.Errorf("storage: adj.dat: node %d at offset %d has degree %d, only %d bytes follow", id, off, deg, left)
 	}
 	need := adjEntry * deg
@@ -624,32 +665,28 @@ func (s *Store) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 		s.adjPayload = make([]byte, need)
 	}
 	s.adjPayload = s.adjPayload[:need]
-	if err := s.sh.adjF.ReadAt(s.adjPayload, int64(off)+adjHeader); err != nil {
-		return nil, s.closedErr(err)
+	if err := s.sh.adjF.ReadAt(s.adjPayload, off+adjHeader); err != nil {
+		return nil, err
 	}
-	var nbrs []network.Neighbor
-	if cache != nil {
-		// The cached slice is shared and immutable; allocate it exactly.
-		nbrs = make([]network.Neighbor, deg)
-	} else {
-		if cap(s.nbrBuf) < deg {
-			s.nbrBuf = make([]network.Neighbor, deg)
-		}
-		s.nbrBuf = s.nbrBuf[:deg]
-		nbrs = s.nbrBuf
+	return s.decodeAdj(s.adjPayload, deg), nil
+}
+
+// decodeAdj decodes deg rows from b into the view's buffer.
+func (s *Store) decodeAdj(b []byte, deg int) []network.Neighbor {
+	if cap(s.nbrBuf) < deg {
+		s.nbrBuf = make([]network.Neighbor, deg)
 	}
-	for i := 0; i < deg; i++ {
-		at := adjEntry * i
+	nbrs := s.nbrBuf[:deg]
+	s.nbrBuf = nbrs
+	for i := range nbrs {
+		row := b[adjEntry*i : adjEntry*(i+1)]
 		nbrs[i] = network.Neighbor{
-			Node:   network.NodeID(binary.LittleEndian.Uint32(s.adjPayload[at:])),
-			Group:  network.GroupID(binary.LittleEndian.Uint32(s.adjPayload[at+4:])),
-			Weight: bitsFloat(binary.LittleEndian.Uint64(s.adjPayload[at+8:])),
+			Node:   network.NodeID(binary.LittleEndian.Uint32(row)),
+			Group:  network.GroupID(binary.LittleEndian.Uint32(row[4:])),
+			Weight: bitsFloat(binary.LittleEndian.Uint64(row[8:])),
 		}
 	}
-	if cache != nil {
-		cache.put(uint32(id), nbrs)
-	}
-	return nbrs, nil
+	return nbrs
 }
 
 // readGroupHeader reads the fixed group header at off.
@@ -666,47 +703,33 @@ func (s *Store) readGroupHeader(off int64) (network.PointGroup, error) {
 	}, nil
 }
 
-func (s *Store) groupOffset(g network.GroupID) (int64, error) {
-	if err := s.checkOpen(); err != nil {
-		return 0, err
-	}
-	if g < 0 || int(g) >= s.sh.groups {
-		return 0, fmt.Errorf("%w: %d", network.ErrGroupRange, g)
-	}
-	off, ok, err := s.idxSearch(s.sh.grpIdx, &s.grpHint, uint64(g))
-	if err != nil {
-		return 0, s.closedErr(err)
-	}
-	if !ok {
-		return 0, fmt.Errorf("storage: group %d missing from grp.idx", g)
-	}
-	return int64(off), nil
-}
-
 // groupRecord resolves group g to its cache entry (offset + header),
 // consulting and filling the group cache when enabled.
 func (s *Store) groupRecord(g network.GroupID) (groupRec, error) {
+	if err := s.checkOpen(); err != nil {
+		return groupRec{}, err
+	}
+	if g < 0 || int(g) >= s.sh.groups {
+		return groupRec{}, fmt.Errorf("%w: %d", network.ErrGroupRange, g)
+	}
 	cache := s.sh.grpCache
 	if cache != nil {
-		if err := s.checkOpen(); err != nil {
-			return groupRec{}, err
-		}
-		if g < 0 || int(g) >= s.sh.groups {
-			return groupRec{}, fmt.Errorf("%w: %d", network.ErrGroupRange, g)
-		}
 		if rec, ok := cache.get(uint32(g)); ok {
 			return rec, nil
 		}
 	}
-	off, err := s.groupOffset(g)
+	off, ok, err := s.idxSearch(s.sh.grpIdx, &s.grpHint, uint64(g))
+	if err != nil {
+		return groupRec{}, s.closedErr(err)
+	}
+	if !ok {
+		return groupRec{}, fmt.Errorf("storage: group %d missing from grp.idx", g)
+	}
+	pg, err := s.readGroupHeader(int64(off))
 	if err != nil {
 		return groupRec{}, err
 	}
-	pg, err := s.readGroupHeader(off)
-	if err != nil {
-		return groupRec{}, err
-	}
-	rec := groupRec{off: off, pg: pg}
+	rec := groupRec{off: int64(off), pg: pg}
 	if cache != nil {
 		cache.put(uint32(g), rec)
 	}
@@ -736,7 +759,7 @@ func (s *Store) GroupOffsets(g network.GroupID) ([]float64, error) {
 	if cache := s.sh.grpCache; cache != nil {
 		// Decode into a fresh shared slice and re-insert the completed
 		// entry; concurrent decoders race benignly (identical values).
-		offsets, err := s.readPoints(rec.off, int(rec.pg.Count), nil, nil)
+		offsets, err := s.readPoints(rec.off, int(rec.pg.Count), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -745,13 +768,13 @@ func (s *Store) GroupOffsets(g network.GroupID) ([]float64, error) {
 		return offsets, nil
 	}
 	var err2 error
-	s.offBuf, err2 = s.readPoints(rec.off, int(rec.pg.Count), s.offBuf, nil)
+	s.offBuf, err2 = s.readPoints(rec.off, int(rec.pg.Count), s.offBuf)
 	return s.offBuf, err2
 }
 
-// readPoints decodes count point entries following the header at off into
-// dst (offsets) and tags (may be nil).
-func (s *Store) readPoints(off int64, count int, dst []float64, tags []int32) ([]float64, error) {
+// readPoints decodes the offsets of the count point entries following the
+// header at off into dst.
+func (s *Store) readPoints(off int64, count int, dst []float64) ([]float64, error) {
 	if left := s.sh.ptsF.Size() - off - groupHeader; count < 0 || int64(count) > left/pointEntry {
 		return nil, fmt.Errorf("storage: pts.dat: group at offset %d has count %d, only %d bytes follow", off, count, left)
 	}
@@ -767,12 +790,8 @@ func (s *Store) readPoints(off int64, count int, dst []float64, tags []int32) ([
 		dst = make([]float64, count)
 	}
 	dst = dst[:count]
-	for i := 0; i < count; i++ {
-		at := pointEntry * i
-		dst[i] = bitsFloat(binary.LittleEndian.Uint64(s.ptsPayload[at:]))
-		if tags != nil {
-			tags[i] = int32(binary.LittleEndian.Uint32(s.ptsPayload[at+8:]))
-		}
+	for i := range dst {
+		dst[i] = bitsFloat(binary.LittleEndian.Uint64(s.ptsPayload[pointEntry*i:]))
 	}
 	return dst, nil
 }
@@ -849,7 +868,7 @@ func (s *Store) ScanGroups(fn func(g network.GroupID, pg network.PointGroup, off
 			return fmt.Errorf("storage: pts.dat: group %d at offset %d has count %d", g, off, pg.Count)
 		}
 		var err2 error
-		s.scanBuf, err2 = s.readPoints(off, int(pg.Count), s.scanBuf, nil)
+		s.scanBuf, err2 = s.readPoints(off, int(pg.Count), s.scanBuf)
 		if err2 != nil {
 			return err2
 		}
