@@ -24,7 +24,7 @@ import (
 // flag. nocache exempts the dataset from the result cache — registering the
 // same data twice, once plain and once nocache, gives loadtest a
 // cached/uncached A/B pair in one process. shards=K serves the dataset as a
-// K-way scatter-gather set; save=DIR persists the compiled form (a sharded
+// K-way sharded set; save=DIR persists the compiled form (a sharded
 // set directory, or a snapshot file for hot datasets) and warm-starts from
 // it on later boots with zero store reads. path may also point directly at a
 // saved snapshot file or sharded-set directory.
@@ -146,7 +146,7 @@ func loadGraph(spec dataSpec, bufKB int) (netclus.Graph, func(), error) {
 	return n, func() {}, nil
 }
 
-// loadShardedDataset resolves the scatter-gather form of a spec. A saved set
+// loadShardedDataset resolves the sharded set of a spec. A saved set
 // directory — the path itself, or an earlier boot's save= target — reopens
 // with zero store reads; otherwise the backing graph is loaded, partitioned
 // into spec.shards connected subnetworks, and optionally persisted for the
@@ -224,7 +224,7 @@ func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Data
 }
 
 // loadDataset resolves one -data spec, picking the serving form: a live
-// mutable overlay, sharded scatter-gather, a durable snapshot file (direct or
+// mutable overlay, a sharded set, a durable snapshot file (direct or
 // via save=), a disk store, or in-memory network files.
 func loadDataset(spec dataSpec, bufKB, landmarks int, logger *log.Logger) (*server.Dataset, error) {
 	if spec.live {

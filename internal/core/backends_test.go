@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,6 +185,135 @@ func TestDensityBackendsMatchOracle(t *testing.T) {
 			for _, bk := range densityBackends(t, g, 4, true) {
 				checkDensityBackend(t, bk, []float64{0.05, 0.15, 0.4, 1.2}, []int{1, 2, 3, 5, 9})
 			}
+		})
+	}
+}
+
+// queryOutcome is what every backend serving one content must answer alike
+// for one point: its kNN lists at each k and its ε-ranges with distances.
+type queryOutcome struct {
+	KNN   [][]network.PointDist
+	Range [][]network.PointDist
+}
+
+// checkQueryBackends runs kNN at every k and ε-range at every eps from every
+// point on every backend × {unpruned, pruned where it has bounds} and demands
+// one answer per content, byte for byte, that the brute-force matrix confirms:
+// the k nearest other points in (Dist, Point) order, and exactly the points
+// within eps (p included), their distances within 1e-9 of the oracle's. The
+// ID-only range, which a Bounder does prune, must return the same point set.
+func checkQueryBackends(t *testing.T, bks []densityBackend, ks []int, epss []float64) {
+	t.Helper()
+	ctx := context.Background()
+	const tol = 1e-9
+	ref := map[*float64]queryOutcome{}
+	for _, bk := range bks {
+		n := bk.g.NumPoints()
+		prunes := []network.Bounder{nil}
+		if bk.bounds != nil {
+			prunes = append(prunes, bk.bounds)
+		}
+		for _, prune := range prunes {
+			sc := network.ScratchFor(bk.g)
+			sc.SetBounder(prune)
+			var ps network.PruneStats
+			for p := 0; p < n; p++ {
+				what := fmt.Sprintf("%s p=%d pruned=%v", bk.name, p, prune != nil)
+				var byDist []network.PointDist
+				for q, d := range bk.dist[p] {
+					if q != p && !math.IsInf(d, 1) {
+						byDist = append(byDist, network.PointDist{Point: network.PointID(q), Dist: d})
+					}
+				}
+				network.SortPointDists(byDist)
+				var got queryOutcome
+				for _, k := range ks {
+					nn, err := network.KNearestNeighborsPrunedCtx(ctx, bk.g, prune, network.PointID(p), k, &ps)
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", what, k, err)
+					}
+					if len(nn) != min(k, len(byDist)) {
+						t.Fatalf("%s k=%d: %d neighbours, the matrix has %d reachable", what, k, len(nn), len(byDist))
+					}
+					seen := map[network.PointID]bool{}
+					for i, pd := range nn {
+						if seen[pd.Point] || math.Abs(pd.Dist-byDist[i].Dist) > tol || math.Abs(bk.dist[p][pd.Point]-pd.Dist) > tol {
+							t.Fatalf("%s k=%d: neighbour %d is %+v, the matrix ranks %+v there", what, k, i, pd, byDist[i])
+						}
+						seen[pd.Point] = true
+					}
+					got.KNN = append(got.KNN, nn)
+				}
+				for _, eps := range epss {
+					rd, err := sc.RangeQueryDistCtx(ctx, bk.g, network.PointID(p), eps)
+					if err != nil {
+						t.Fatalf("%s eps=%v: %v", what, eps, err)
+					}
+					rd = slices.Clone(rd)
+					ids, err := sc.RangeQueryCtx(ctx, bk.g, network.PointID(p), eps)
+					if err != nil {
+						t.Fatalf("%s eps=%v: %v", what, eps, err)
+					}
+					var want, fromDist []network.PointID
+					for q, d := range bk.dist[p] {
+						if d <= eps {
+							want = append(want, network.PointID(q))
+						}
+					}
+					for _, pd := range rd {
+						if math.Abs(bk.dist[p][pd.Point]-pd.Dist) > tol {
+							t.Fatalf("%s eps=%v: point %d at %v, the matrix gives %v", what, eps, pd.Point, pd.Dist, bk.dist[p][pd.Point])
+						}
+						fromDist = append(fromDist, pd.Point)
+					}
+					slices.Sort(fromDist)
+					ids = slices.Clone(ids)
+					slices.Sort(ids)
+					if !slices.Equal(want, fromDist) || !slices.Equal(want, ids) {
+						t.Fatalf("%s eps=%v: range diverged from the matrix\nwant  %v\ndists %v\nids   %v", what, eps, want, fromDist, ids)
+					}
+					got.Range = append(got.Range, rd)
+				}
+				key := &bk.dist[p][0]
+				if first, ok := ref[key]; !ok {
+					ref[key] = got
+				} else if !reflect.DeepEqual(first, got) {
+					t.Fatalf("%s: differs from the first backend serving this content\nfirst %+v\ngot   %+v", what, first, got)
+				}
+			}
+			if prune != nil && bk.filter && (ps.Candidates == 0 || sc.PruneStats().Candidates == 0) {
+				t.Fatalf("%s: pruned kNN or range never used the bounder (%+v, %+v)", bk.name, ps, sc.PruneStats())
+			}
+		}
+	}
+}
+
+// TestQueryBackendsMatchOracle is the cross-backend table of the two point
+// queries, kNN (k = 1, 10 and more than there are points) and ε-range with
+// distances: the density and tie shapes in every numbering and two generated
+// graphs with Euclidean bounds, on every backend × {unpruned, pruned where
+// bounds exist}, against the brute-force matrix.
+func TestQueryBackendsMatchOracle(t *testing.T) {
+	shapes, err := testnet.ShapeGraphs(testnet.TieShapes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range shapes {
+		t.Run(name, func(t *testing.T) {
+			checkQueryBackends(t, densityBackends(t, g, 4, false), []int{1, 10, g.NumPoints() + 1}, []float64{0.125, 0.5, 1, 4})
+		})
+	}
+	random, err := testnet.Random(7, 40, 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := testnet.RandomClustered(11, 60, 240, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*network.Network{"random": random, "clustered": clustered} {
+		t.Run(name, func(t *testing.T) {
+			checkQueryBackends(t, densityBackends(t, g, 4, true), []int{1, 10, g.NumPoints() + 1}, []float64{0.05, 0.15, 0.4})
 		})
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"netclus/internal/network"
 )
@@ -120,38 +119,8 @@ func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions,
 // and 3 are a handful of traversals and a scan of the side lists and stay on
 // the caller's goroutine.
 func dbscanGraph(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) error {
-	var side [][]network.PointID
-	var err error
-	if ck, ok := g.(network.ClusterKernel); ok && opts.Prune == nil {
-		// A native flag pass (the sharded set's shard-local sweep) proves
-		// core points without keeping neighbourhoods: the non-core points —
-		// the few — are queried once more for their side records. Its
-		// critical-path model is extended by everything serial after it.
-		cs, err := ck.CoreFlags(ctx, opts.Eps, opts.MinPts, normWorkers(opts.Workers), res.Core)
-		if err != nil {
-			return err
-		}
-		defer func(t0 time.Time) {
-			tail := time.Since(t0).Nanoseconds()
-			res.Stats.CritNs = cs.CritNs + tail
-			res.Stats.WallNs = cs.WallNs + tail
-		}(time.Now())
-		res.Stats.RangeQueries = cs.RangeQueries
-		sc := network.ScratchFor(g)
-		var recs []network.PointID
-		for p, c := range res.Core {
-			if c {
-				continue
-			}
-			nb, err := sc.RangeQueryCtx(ctx, g, network.PointID(p), opts.Eps)
-			if err != nil {
-				return err
-			}
-			res.Stats.RangeQueries++
-			recs = sideRecord(recs, p, nb)
-		}
-		side = [][]network.PointID{recs}
-	} else if side, err = flagSweep(ctx, g, opts, res); err != nil {
+	side, err := flagSweep(ctx, g, opts, res)
+	if err != nil {
 		return err
 	}
 

@@ -707,8 +707,8 @@ func TestKMedoidsSwapWorkBound(t *testing.T) {
 // 4-shard set and the snapshot, and holds the rescan-what-moved assignment
 // every backend runs to a fresh full scan: after every attempt, accepted or
 // rolled back, the labels and R equal what AssignPoints computes from the
-// search's medoids and node assignment bit for bit (on the snapshot and the
-// set that is the csr kernel, an independent implementation); no attempt
+// search's medoids and node assignment bit for bit (on the snapshot that is
+// the csr kernel, an independent implementation); no attempt
 // rescans every group; and a rejected attempt repeated on the store or the
 // view — the change log and the undo buffer then at the size it needs —
 // allocates nothing.

@@ -38,13 +38,12 @@ type Stats struct {
 	GroupsRead   int // point-group fetches
 	RangeQueries int // ε-range queries issued (DBSCAN: one per point; see workers_contract_test.go)
 
-	// CritNs and WallNs time density clustering through a graph's native
-	// kernel — the snapshot's whole labeller (network.LabelKernel) or the
-	// sharded set's flag pass (network.ClusterKernel) plus the serial growth
-	// and border passes after it: CritNs is the critical path — the slowest
-	// worker stripe of each striped pass plus everything serial — i.e. what
-	// a host with one core per worker would pay, WallNs the realized wall
-	// time on this host. Both zero for runs on the generic flag sweep.
+	// CritNs and WallNs time density clustering through the snapshot's
+	// native labeller (network.LabelKernel): CritNs is the critical path —
+	// the slowest worker stripe of each striped pass plus everything serial —
+	// i.e. what a host with one core per worker would pay, WallNs the
+	// realized wall time on this host. Both zero for runs on the generic
+	// labeller.
 	CritNs int64
 	WallNs int64
 

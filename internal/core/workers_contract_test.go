@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"netclus/internal/core"
-	"netclus/internal/shard"
 	"netclus/internal/testnet"
 )
 
@@ -17,36 +16,24 @@ import (
 // counts and Stats.RangeQueries.
 //
 // Stats.RangeQueries tells the truth: DBSCAN expands every point exactly once
-// on the pointer network, the store, the snapshot and a delta view, pruned or
-// not; the sharded set's native flag pass adds its boundary escalations and
-// the re-query of the non-core points (exactly NumPoints() + non-core points
-// on a single shard, which has no boundary), and runs the generic sweep — one
-// query per point — under a Bounder. ε-Link issues none. CritNs/WallNs are the
-// native kernels' timing model and stay zero on the generic sweep.
+// on every backend, pruned or not; ε-Link issues none. CritNs/WallNs are the
+// snapshot's native timing model and stay zero on the generic labeller.
 func TestLabelKernelWorkersContract(t *testing.T) {
 	ctx := context.Background()
 	g, _, err := testnet.RandomClustered(11, 60, 240, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := densityBackends(t, g, 4, true)
-	single, err := shard.Build(g, make([]int32, g.NumNodes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends = append(backends, densityBackend{"1-shard", single, backends[0].dist, backends[0].bounds, true})
-
-	for _, bk := range backends {
+	for _, bk := range densityBackends(t, g, 4, true) {
 		n := bk.g.NumPoints()
-		_, sharded := bk.g.(*shard.Set)
 		prunes := []bool{false}
 		if bk.bounds != nil {
 			prunes = append(prunes, true)
 		}
 		for _, pruned := range prunes {
-			// Native timing: the snapshot's flat kernel and the sharded
-			// set's flag pass, both only without a Bounder.
-			timed := !pruned && (sharded || bk.name == "snapshot")
+			// Native timing: the snapshot's flat kernel, only without a
+			// Bounder.
+			timed := !pruned && bk.name == "snapshot"
 			for _, minPts := range []int{1, 2, 3, 5} {
 				for _, eps := range []float64{0.05, 0.15, 0.4} {
 					opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}
@@ -68,18 +55,8 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 							t.Fatalf("%s eps=%v minPts=%d pruned=%v: Workers %d is not the Workers 0 run (%d vs %d range queries)",
 								bk.name, eps, minPts, pruned, workers, got.Stats.RangeQueries, w0.Stats.RangeQueries)
 						}
-						q, nonCore := got.Stats.RangeQueries, n-got.CorePoints
-						switch {
-						case !sharded || pruned:
-							if q != n {
-								t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d expansions for %d points", bk.name, eps, minPts, workers, pruned, q, n)
-							}
-						case bk.name == "1-shard":
-							if q != n+nonCore {
-								t.Fatalf("%s eps=%v minPts=%d workers=%d: %d expansions, want %d points + %d non-core", bk.name, eps, minPts, workers, q, n, nonCore)
-							}
-						case q < n+nonCore || q > 2*n+nonCore:
-							t.Fatalf("%s eps=%v minPts=%d workers=%d: %d expansions for %d points, %d non-core", bk.name, eps, minPts, workers, q, n, nonCore)
+						if q := got.Stats.RangeQueries; q != n {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d expansions for %d points", bk.name, eps, minPts, workers, pruned, q, n)
 						}
 						if st := got.Stats; timed != (st.CritNs > 0) || timed != (st.WallNs > 0) {
 							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: CritNs=%d WallNs=%d, native timing expected: %v",

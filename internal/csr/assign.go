@@ -32,14 +32,12 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 	return byGroup
 }
 
-// AssignNearest is the kernel of the Equation 1 point-assignment scan over a
-// §4.1 point-group layout (groups in ascending first-point order, ptPos the
-// flat offset table they index): one sequential pass that labels every point
-// with its nearest medoid slot given the node assignment in med/dist,
-// returning the evaluation function R and the number of groups scanned. sub,
-// when non-nil, receives each group's R subtotal. The snapshot and the
-// sharded set, which keeps the same two tables over its global ID space, both
-// answer network.MedoidAssigner with it.
+// AssignNearest is the kernel of the Equation 1 point-assignment scan over
+// the snapshot's §4.1 point-group layout: one sequential pass that labels
+// every point with its nearest medoid slot given the node assignment in
+// med/dist, returning the evaluation function R and the number of groups
+// scanned. It satisfies network.MedoidAssigner, so core.AssignPoints
+// dispatches here for snapshots.
 //
 // The arithmetic and comparison order replicate the generic scan expression
 // for expression — endpoint N1, endpoint N2, then same-edge medoids in
@@ -48,30 +46,20 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 // merge-joined from one small sorted slice instead of tested per group, no
 // ScanGroups closure dispatch, and the group headers and offsets come
 // straight from the flat arrays.
-func AssignNearest(groups []network.PointGroup, ptPos []float64, medoids []network.PointInfo, med []int32, dist []float64, labels []int32, sub []float64) (float64, int) {
+func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (float64, int) {
 	var stack [32]groupMedoid
 	byGroup := sortMedoidsByGroup(medoids, stack[:0])
 
 	var r float64
 	gi := 0
-	for g := range groups {
+	for g := range s.groups {
 		lo := gi
 		for gi < len(byGroup) && byGroup[gi].gid == int32(g) {
 			gi++
 		}
-		sg := scanGroup(&groups[g], ptPos, medoids, byGroup[lo:gi], med, dist, labels)
-		if sub != nil {
-			sub[g] = sg
-		}
-		r += sg
+		r += scanGroup(&s.groups[g], s.ptPos, medoids, byGroup[lo:gi], med, dist, labels)
 	}
-	return r, len(groups)
-}
-
-// AssignNearest satisfies network.MedoidAssigner, so core.AssignPoints
-// dispatches here for snapshots.
-func (s *Snapshot) AssignNearest(medoids []network.PointInfo, med []int32, dist []float64, labels []int32) (float64, int) {
-	return AssignNearest(s.groups, s.ptPos, medoids, med, dist, labels, nil)
+	return r, len(s.groups)
 }
 
 // scanGroup runs the Equation 1 minimization over one point group, writing

@@ -13,10 +13,9 @@ import (
 
 // This file holds the striped-sweep machinery of the snapshot's labeller:
 // clusterRun and the early-exiting counting expansion (rangeCount) that
-// dbscan.go's flag pass and the sharded set's per-shard sweeps run. The
-// sweeps cover the points in contiguous stripes over pooled epoch-stamped
-// scratches — the same SoA shape as NewKNNBatch — so their steady state
-// allocates nothing. CoreFlags and EpsUnions are the two passes of the
+// dbscan.go's flag pass runs. The sweeps cover the points in contiguous
+// stripes over pooled epoch-stamped scratches — the same SoA shape as
+// NewKNNBatch — so their steady state allocates nothing. CoreFlags and EpsUnions are the two passes of the
 // retired union-find engine; no dispatch reaches them any more (the snapshot
 // is labelled by DBSCANLabels and EpsLinkLabels).
 
@@ -59,7 +58,7 @@ func (s *Snapshot) acquireCluster(workers int) *clusterState {
 // per-stripe times meaningless — the stripes run sequentially on the
 // caller's goroutine. Either way every stripe is timed individually and
 // CritNs reports the slowest one: the pass's cost on a host with one core
-// per worker, the same modeling convention as the sharded executor.
+// per worker.
 func (s *Snapshot) clusterRun(ctx context.Context, n, workers int, stripe func(w, lo, hi int, sc *Scratch) (int, error)) (network.ClusterStats, error) {
 	var out network.ClusterStats
 	if n == 0 {
@@ -139,7 +138,7 @@ func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers i
 		sc := s.acquire()
 		t0 := time.Now()
 		for p := 0; p < n; p++ {
-			cnt, _, err := sc.RangeCount(ctx, network.PointID(p), eps, minPts)
+			cnt, err := sc.rangeCount(ctx, network.PointID(p), eps, minPts, false)
 			if err != nil {
 				ns := time.Since(t0).Nanoseconds()
 				s.release(sc)
@@ -165,7 +164,7 @@ func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers i
 			return hi - lo, nil
 		}
 		for p := lo; p < hi; p++ {
-			cnt, _, err := sc.RangeCount(ctx, network.PointID(p), eps, minPts)
+			cnt, err := sc.rangeCount(ctx, network.PointID(p), eps, minPts, false)
 			if err != nil {
 				return p - lo, err
 			}
@@ -239,33 +238,25 @@ func (s *Snapshot) EpsUnions(ctx context.Context, eps float64, workers int, prun
 	})
 }
 
-// RangeCount counts the points within eps of p (p included), stopping the
+// rangeCount counts the points within eps of p (p included), stopping the
 // expansion as soon as the count reaches target — counts only grow, so
 // membership of the minPts threshold is already proven (the fused core-flag
 // early exit). When the count stays below target the expansion runs to
-// completion and the exact count is returned together with whether any
-// watched node settled (necessarily within eps): the boundary-contact
-// signal the sharded pass's locality proof reads, always false without a
-// watch mask and meaningless after an early exit.
-func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float64, target int) (int, bool, error) {
-	return sc.rangeCount(ctx, p, eps, target, false)
-}
-
-// rangeCount is RangeCount; with record set it also leaves the counted points
-// in sc.result — the whole neighbourhood after a finished expansion, which is
-// what DBSCANLabels keeps of a non-core point. CoreFlags and the shards'
-// sweeps never read that list, so they don't pay its stores.
-func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float64, target int, record bool) (int, bool, error) {
+// completion and the count is exact. With record set it also leaves the
+// counted points in sc.result — the whole neighbourhood after a finished
+// expansion, which is what DBSCANLabels keeps of a non-core point. CoreFlags
+// never reads that list, so it doesn't pay its stores.
+func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float64, target int, record bool) (int, error) {
 	ticks := 0
 	if err := cancelCheck(ctx, &ticks); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	sn := sc.sn
 	if p < 0 || int(p) >= len(sn.ptPos) {
-		return 0, false, fmt.Errorf("%w: %d", network.ErrPointRange, p)
+		return 0, fmt.Errorf("%w: %d", network.ErrPointRange, p)
 	}
 	sc.nextEpoch()
-	cnt, hit := 0, false
+	cnt := 0
 	pg := &sn.groups[sn.ptGrp[p]]
 	pos := sn.ptPos[p]
 	first := int32(pg.First)
@@ -288,7 +279,7 @@ func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float6
 		}
 	}
 	if cnt >= target {
-		return cnt, hit, nil
+		return cnt, nil
 	}
 	if pos <= eps {
 		sc.heap.Push(entry{node: int32(pg.N1), dist: pos})
@@ -302,18 +293,15 @@ func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float6
 			continue
 		}
 		if err := cancelCheck(ctx, &ticks); err != nil {
-			return cnt, hit, err
+			return cnt, err
 		}
 		sc.nodeEpoch[e.node] = sc.epoch
 		sc.nodeDist[e.node] = e.dist
-		if sc.watch != nil && sc.watch[e.node] {
-			hit = true
-		}
 		for _, nb := range sn.adj[sn.rowOff[e.node]:sn.rowOff[e.node+1]] {
 			if nb.Group >= 0 {
 				cnt = sc.countCollect(e.node, int32(nb.Group), e.dist, eps, cnt, record)
 				if cnt >= target {
-					return cnt, hit, nil
+					return cnt, nil
 				}
 			}
 			if nd := e.dist + nb.Weight; nd <= eps {
@@ -323,7 +311,7 @@ func (sc *Scratch) rangeCount(ctx context.Context, p network.PointID, eps float6
 			}
 		}
 	}
-	return cnt, hit, nil
+	return cnt, nil
 }
 
 // countCollect is collect's counting twin: it stamps the qualifying points

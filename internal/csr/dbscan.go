@@ -98,7 +98,7 @@ func (st *epsState) flagStripe(ctx context.Context, sc *Scratch, w, lo, hi int, 
 	var err error
 	for ; p < hi; p++ {
 		var cnt int
-		if cnt, _, err = sc.rangeCount(ctx, network.PointID(p), eps, minPts, true); err != nil {
+		if cnt, err = sc.rangeCount(ctx, network.PointID(p), eps, minPts, true); err != nil {
 			break
 		}
 		if core[p] = cnt >= minPts; core[p] {

@@ -42,15 +42,6 @@ type Scratch struct {
 	// counters unchanged.
 	bounder network.Bounder
 	pruned  *network.RangeScratch
-
-	// Seeded-kernel state (see seeded.go): the boundary-node watch mask and
-	// per-round settle list of the sharded executor, plus the persistent
-	// candidate set of resumable kNN rounds.
-	watch   []bool
-	watched []int32
-	seedO   offers
-	seedS   []network.PointDist
-	seedCap float64
 }
 
 var _ network.RangeQuerier = (*Scratch)(nil)
@@ -127,7 +118,7 @@ func (sc *Scratch) RangeQueryLimitCtx(ctx context.Context, g network.Graph, p ne
 		sc.pruned.SetBounder(sc.bounder)
 		return sc.pruned.RangeQueryLimitCtx(ctx, sc.sn, p, eps, limit)
 	}
-	if _, _, err := sc.rangeCount(ctx, p, eps, limit, true); err != nil {
+	if _, err := sc.rangeCount(ctx, p, eps, limit, true); err != nil {
 		return nil, err
 	}
 	return sc.result, nil

@@ -3,7 +3,7 @@ package network
 import "context"
 
 // ClusterStats reports the work and the timing model of one native clustering
-// pass (a ClusterKernel or LabelKernel call).
+// pass (a LabelKernel call).
 type ClusterStats struct {
 	// RangeQueries counts the ε-expansions the pass ran (one per swept
 	// point, in the units core.Stats.RangeQueries uses).
@@ -11,8 +11,7 @@ type ClusterStats struct {
 	// CritNs models the pass's critical path: the slowest worker stripe.
 	// On a host with fewer processors than workers the stripes run (partly)
 	// sequentially but are timed individually, so CritNs still reports what
-	// a machine with one core per worker would pay — the same modeling
-	// convention as the sharded executor's CritNs counter.
+	// a machine with one core per worker would pay.
 	CritNs int64
 	// WallNs is the realized wall time of the pass on this host.
 	WallNs int64
@@ -27,22 +26,6 @@ func (s *ClusterStats) Add(o ClusterStats) {
 	s.CritNs += o.CritNs
 	s.WallNs += o.WallNs
 	s.Prune.Add(o.Prune)
-}
-
-// ClusterKernel is implemented by graphs with a native DBSCAN flag pass: the
-// sharded set counts every point's neighbourhood shard-locally under its
-// boundary watch mask and escalates only what touches a boundary. Without a
-// Bounder, core.DBSCANCtx takes pass 1 of its three-pass labeller (flags →
-// core-masked Fig. 6 growth → border adoption) from such a graph instead of
-// its own striped sweep, then re-queries the non-core points for the border
-// pass. A graph that is a LabelKernel — the snapshot — labels the whole run
-// itself and is never asked.
-type ClusterKernel interface {
-	// CoreFlags writes, for every point p, whether p's ε-neighbourhood
-	// (p itself included) holds at least minPts points into core[p]
-	// (len(core) == NumPoints()). The sweep may stop counting a
-	// neighbourhood early once minPts members are proven.
-	CoreFlags(ctx context.Context, eps float64, minPts, workers int, core []bool) (ClusterStats, error)
 }
 
 // LabelKernel is implemented by graphs that label density clusters natively

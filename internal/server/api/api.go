@@ -375,8 +375,14 @@ type MutateRequest struct {
 	Ops []MutateOp `json:"ops"`
 }
 
-// DecodeMutate decodes a mutation batch from a JSON body. Shape validation
-// (which fields each op kind needs) happens in LiveOps.
+// MaxMutateOps caps the ops of one mutation batch. The overlay's single
+// reconciler applies a batch as one unit under one epoch bump, so the batch
+// size bounds how long every other writer waits; a body under the size limit
+// could otherwise carry tens of thousands of ops.
+const MaxMutateOps = 1024
+
+// DecodeMutate decodes a mutation batch from a JSON body: 1 to MaxMutateOps
+// ops. Shape validation (which fields each op kind needs) happens in LiveOps.
 func DecodeMutate(body io.Reader) (MutateRequest, error) {
 	var req MutateRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -384,6 +390,9 @@ func DecodeMutate(body io.Reader) (MutateRequest, error) {
 	}
 	if len(req.Ops) == 0 {
 		return req, fmt.Errorf("ops must be non-empty")
+	}
+	if len(req.Ops) > MaxMutateOps {
+		return req, fmt.Errorf("ops holds %d entries, at most %d are allowed in one batch", len(req.Ops), MaxMutateOps)
 	}
 	return req, nil
 }
@@ -560,11 +569,9 @@ type DatasetInfo struct {
 	// Sharded-dataset fields (absent for unsharded datasets — additive, so
 	// the golden contract above is untouched). Shards is the shard count;
 	// ShardSet describes the partition (cut edges, boundary nodes, per-shard
-	// sizes); ShardServe is the scatter-gather telemetry (rounds, fan-out,
-	// wall and modeled critical-path time, per-shard kernel runs).
-	Shards     int                         `json:"shards,omitempty"`
-	ShardSet   *netclus.ShardedSetStats    `json:"shard_set,omitempty"`
-	ShardServe *netclus.ShardedSetCounters `json:"shard_serve,omitempty"`
+	// sizes).
+	Shards   int                      `json:"shards,omitempty"`
+	ShardSet *netclus.ShardedSetStats `json:"shard_set,omitempty"`
 
 	// Live-dataset write-path telemetry (absent for immutable datasets):
 	// epoch, point count, pending delta ops, batch/op/rejection counters,

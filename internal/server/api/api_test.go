@@ -180,6 +180,22 @@ func TestClusterDensityParamsChecked(t *testing.T) {
 	}
 }
 
+// TestMutateOpsCapped: a batch of MaxMutateOps ops decodes, one more op is
+// refused with a message naming the cap.
+func TestMutateOpsCapped(t *testing.T) {
+	batch := func(n int) string {
+		return `{"ops":[` + strings.TrimSuffix(strings.Repeat(`{"op":"delete","point":1},`, n), ",") + `]}`
+	}
+	req, err := DecodeMutate(strings.NewReader(batch(MaxMutateOps)))
+	if err != nil || len(req.Ops) != MaxMutateOps {
+		t.Fatalf("%d ops: %d decoded, %v", MaxMutateOps, len(req.Ops), err)
+	}
+	_, err = DecodeMutate(strings.NewReader(batch(MaxMutateOps + 1)))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxMutateOps)) {
+		t.Fatalf("%d ops: %v, want an error naming the cap", MaxMutateOps+1, err)
+	}
+}
+
 // TestValuesRoundTrip: Decode(req.Values()) reproduces req exactly, so the
 // loadtest client and the server agree on every request by construction.
 func TestValuesRoundTrip(t *testing.T) {

@@ -260,9 +260,8 @@ func (h *hotBackend) describe(info *api.DatasetInfo) {
 	h.store.describe(info)
 }
 
-// shardedBackend serves a scatter-gather set: queries fan out across the
-// per-shard CSR snapshots and stitch exact answers over the cut edges. The
-// executor is the query path, so no pruning tables are built.
+// shardedBackend serves a sharded set: a plain Graph over the set's global
+// adjacency, queried through the generic paths. No pruning tables are built.
 type shardedBackend struct {
 	readOnly
 	set *netclus.ShardedSet
@@ -271,8 +270,8 @@ type shardedBackend struct {
 func (s *shardedBackend) pin(epoch int64) viewAt { return viewAt{graph: s.set, epoch: epoch} }
 
 func (s *shardedBackend) describe(info *api.DatasetInfo) {
-	st, ct := s.set.Stats(), s.set.Counters()
-	info.Shards, info.ShardSet, info.ShardServe = st.Shards, &st, &ct
+	st := s.set.Stats()
+	info.Shards, info.ShardSet = st.Shards, &st
 }
 
 // liveBackend serves the views a mutable delta overlay publishes. Pruning

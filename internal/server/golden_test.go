@@ -132,9 +132,9 @@ func goldenScript() [][2]string {
 
 var (
 	// Values derived from a clock: latency histograms and sums, compile and
-	// pause gauges, the scatter-gather wall/critical-path/busy nanoseconds.
-	timedSample = regexp.MustCompile(`(?m)^(netclusd_\w*(?:_seconds|_ns_total)\w*(?:\{[^}]*\})?) .*$`)
-	timedField  = regexp.MustCompile(`"(compile_ns|wall_ns|crit_ns|busy_ns|live_maintain_ns|last_compact_pause_ms|max_compact_pause_ms|last_compile_ms)":[^,}\]]+`)
+	// pause gauges.
+	timedSample = regexp.MustCompile(`(?m)^(netclusd_\w*_seconds\w*(?:\{[^}]*\})?) .*$`)
+	timedField  = regexp.MustCompile(`"(compile_ns|live_maintain_ns|last_compact_pause_ms|max_compact_pause_ms|last_compile_ms)":[^,}\]]+`)
 )
 
 // runGoldenScript plays the script and returns the transcript (one

@@ -293,6 +293,34 @@ func TestServeMutateErrors(t *testing.T) {
 	}
 }
 
+// TestServeMutateOpsCap: a batch of api.MaxMutateOps inserts commits; one op
+// more is the 400 envelope naming the cap, and burns no epoch.
+func TestServeMutateOpsCap(t *testing.T) {
+	s, d := newLiveServer(t, Config{})
+	h := s.Handler()
+	batch := func(n int) string {
+		ops := make([]string, n)
+		for i := range ops {
+			ops[i] = fmt.Sprintf(`{"op":"insert","near":0,"pos":%g}`, float64(i)/float64(n))
+		}
+		return `{"ops":[` + strings.Join(ops, ",") + `]}`
+	}
+	before := d.View().NumPoints()
+	var mr api.MutateResponse
+	postJSON(t, h, "/v1/datasets/live/points", batch(api.MaxMutateOps), http.StatusOK, &mr)
+	if mr.Applied != api.MaxMutateOps || mr.Points != before+api.MaxMutateOps || mr.Epoch != 2 {
+		t.Fatalf("batch at the cap: %+v", mr)
+	}
+	var eb api.ErrorBody
+	postJSON(t, h, "/v1/datasets/live/points", batch(api.MaxMutateOps+1), http.StatusBadRequest, &eb)
+	if eb.Error.Code != api.CodeBadRequest || !strings.Contains(eb.Error.Message, fmt.Sprint(api.MaxMutateOps)) {
+		t.Fatalf("batch over the cap: %+v", eb)
+	}
+	if d.Epoch() != 2 {
+		t.Fatalf("the refused batch moved the epoch to %d", d.Epoch())
+	}
+}
+
 // TestLiveScratchPool (run under -race in CI) reads through the live
 // backend's scratch pool while a writer grows the point count past the
 // head-room pooled generic scratch was allocated with and CompactNow swaps the

@@ -231,13 +231,12 @@ func of[B any](block func(*api.DatasetInfo) *B, v func(b *B) any) func(*api.Data
 	return each(block, func(b *B, put putFunc) { put("", v(b)) })
 }
 
-func entry(d *api.DatasetInfo) *api.DatasetInfo             { return d }
-func prune(d *api.DatasetInfo) *netclus.PruneStats          { return &d.Prune }
-func csr(d *api.DatasetInfo) *netclus.CSRStats              { return d.CSR }
-func store(d *api.DatasetInfo) *netclus.StoreStats          { return d.Store }
-func live(d *api.DatasetInfo) *netclus.LiveStats            { return d.Live }
-func shardSet(d *api.DatasetInfo) *netclus.ShardedSetStats  { return d.ShardSet }
-func shards(d *api.DatasetInfo) *netclus.ShardedSetCounters { return d.ShardServe }
+func entry(d *api.DatasetInfo) *api.DatasetInfo            { return d }
+func prune(d *api.DatasetInfo) *netclus.PruneStats         { return &d.Prune }
+func csr(d *api.DatasetInfo) *netclus.CSRStats             { return d.CSR }
+func store(d *api.DatasetInfo) *netclus.StoreStats         { return d.Store }
+func live(d *api.DatasetInfo) *netclus.LiveStats           { return d.Live }
+func shardSet(d *api.DatasetInfo) *netclus.ShardedSetStats { return d.ShardSet }
 
 func bit(b bool) int {
 	if b {
@@ -279,7 +278,7 @@ var families = []family{
 	gauge("netclusd_dataset_epoch", "Current content epoch of the dataset.", of(entry, func(d *api.DatasetInfo) any { return d.Epoch })),
 	gauge("netclusd_delta_pending_ops", "Delta ops awaiting the next compaction, per live dataset.", of(live, func(s *netclus.LiveStats) any { return s.PendingOps })),
 	gauge("netclusd_compact_pause_seconds", "Swap pause of the most recent compaction (replay plus refreeze).", of(live, func(s *netclus.LiveStats) any { return s.LastPauseMS / 1e3 })),
-	gauge("netclusd_dataset_shards", "Shard count of scatter-gather datasets (0 = unsharded).", of(entry, func(d *api.DatasetInfo) any { return d.Shards })),
+	gauge("netclusd_dataset_shards", "Shard count of sharded datasets (0 = unsharded).", of(entry, func(d *api.DatasetInfo) any { return d.Shards })),
 	gauge("netclusd_shard_resident_bytes", "Bytes held by one shard's CSR snapshot and cut tables.", each(shardSet, func(s *netclus.ShardedSetStats, put putFunc) {
 		for i, ss := range s.PerShard {
 			put(shardLabel(i), ss.ResidentBytes)
@@ -298,21 +297,6 @@ var families = []family{
 	counter("netclusd_prune_pruned_pushes_total", of(prune, func(p *netclus.PruneStats) any { return p.PrunedPushes })),
 	counter("netclusd_prune_refinements_total", of(prune, func(p *netclus.PruneStats) any { return p.Refinements })),
 	counter("netclusd_prune_zero_traversal_queries_total", of(prune, func(p *netclus.PruneStats) any { return p.ZeroTraversalQueries })),
-	counter("netclusd_shard_busy_ns_total", each(shards, func(c *netclus.ShardedSetCounters, put putFunc) {
-		for i, sc := range c.PerShard {
-			put(shardLabel(i), sc.BusyNs)
-		}
-	})),
-	counter("netclusd_shard_crit_ns_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.CritNs })),
-	counter("netclusd_shard_fanout_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Fanout })),
-	counter("netclusd_shard_local_runs_total", each(shards, func(c *netclus.ShardedSetCounters, put putFunc) {
-		for i, sc := range c.PerShard {
-			put(shardLabel(i), sc.LocalRuns)
-		}
-	})),
-	counter("netclusd_shard_queries_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Queries })),
-	counter("netclusd_shard_rounds_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.Rounds })),
-	counter("netclusd_shard_wall_ns_total", of(shards, func(c *netclus.ShardedSetCounters) any { return c.WallNs })),
 	counter("netclusd_store_cache_evictions_total", each(store, func(s *netclus.StoreStats, put putFunc) {
 		put(`,cache="adj"`, s.Cache.AdjEvictions)
 		put(`,cache="group"`, s.Cache.GroupEvictions)

@@ -128,7 +128,7 @@ func NewSnapshotDataset(name, path string, sn *netclus.Snapshot, landmarks int) 
 	return newDataset(name, "snapshot", path, sn, &hotBackend{sn: sn}), nil
 }
 
-// NewShardedDataset serves the scatter-gather form of a partitioned network,
+// NewShardedDataset serves a partitioned network as a sharded set,
 // byte-identical to a single-snapshot dataset over the same network. Kind is
 // "sharded".
 func NewShardedDataset(name, source string, set *netclus.ShardedSet) (*Dataset, error) {

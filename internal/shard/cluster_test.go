@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,17 +9,13 @@ import (
 	"netclus/internal/csr"
 	"netclus/internal/lbound"
 	"netclus/internal/matrix"
-	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
 
-// TestShardParallelClusterEquivalence drives the native flag pass hard:
-// DBSCAN and ε-Link on partitioned and adversarially scattered sets, worker
-// counts past the shard count, against the other labeller family — the flat
-// kernel of one snapshot of the whole network — and, for DBSCAN, the
-// brute-force oracle. The shard-local locality proof (no boundary settle ⇒
-// exact neighbourhood) and the serial escalation tail must be invisible in
-// the labels.
+// TestShardParallelClusterEquivalence runs DBSCAN and ε-Link on partitioned
+// and adversarially scattered sets, worker counts past the shard count,
+// against the other labeller family — the flat kernel of one snapshot of the
+// whole network — and, for DBSCAN, the brute-force oracle.
 func TestShardParallelClusterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	g := testNetwork(t, 21, 80, 260)
@@ -70,11 +65,10 @@ func TestShardParallelClusterEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardParallelPrunedEquivalence runs DBSCAN on the set under a Bounder —
-// the generic flag sweep over the executor's filter-and-refine scratch instead
-// of the native pass: a landmark bounder built over the compiled snapshot
-// prunes by the same global point IDs the set serves, so the labels must equal
-// the flat kernel's unpruned ones and the bounder must actually be consulted.
+// TestShardParallelPrunedEquivalence runs DBSCAN on the set under a Bounder:
+// a landmark bounder built over the compiled snapshot prunes by the same
+// global point IDs the set serves, so the labels must equal the flat kernel's
+// unpruned ones and the bounder must actually be consulted.
 func TestShardParallelPrunedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	// testnet graphs keep edge weights above the straight-line endpoint
@@ -112,42 +106,6 @@ func TestShardParallelPrunedEquivalence(t *testing.T) {
 			}
 			if got.Stats.Prune.Candidates == 0 {
 				t.Fatalf("assign=%d workers=%d: pruned shard DBSCAN never used the bounder", ai, workers)
-			}
-		}
-	}
-}
-
-// TestShardCoreFlagEscalation checks the fused core-flag pass at the kernel
-// level against brute-force counting, across minPts thresholds that force
-// both early exits and boundary escalations on heavily scattered shards.
-func TestShardCoreFlagEscalation(t *testing.T) {
-	ctx := context.Background()
-	g := testNetwork(t, 23, 60, 180)
-	rng := rand.New(rand.NewSource(230))
-	set, err := Build(g, randomAssign(rng, g.NumNodes(), 4), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumPoints()
-	ref := network.NewRangeScratch(g)
-	for _, eps := range []float64{0.2, 0.6} {
-		for _, minPts := range []int{1, 3, 8} {
-			want := make([]bool, n)
-			for p := 0; p < n; p++ {
-				nb, err := ref.RangeQueryCtx(ctx, g, network.PointID(p), eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[p] = len(nb) >= minPts
-			}
-			for _, workers := range []int{1, 3} {
-				got := make([]bool, n)
-				if _, err := set.CoreFlags(ctx, eps, minPts, workers, got); err != nil {
-					t.Fatalf("eps=%v minPts=%d workers=%d: %v", eps, minPts, workers, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("eps=%v minPts=%d workers=%d: shard core flags differ from brute force", eps, minPts, workers)
-				}
 			}
 		}
 	}

@@ -1,10 +1,10 @@
-// Package shard cuts a spatial network into K subnetworks served as
-// independent compiled CSR snapshots, plus the explicit cut-edge/boundary
-// tables and stable global↔local ID maps a scatter-gather executor needs to
-// stitch exact cross-shard answers back together. The Set type is itself a
-// network.Graph (and implements the kernel dispatch contracts), so every
-// clustering algorithm and the serving layer run on a sharded network
-// unchanged — with results byte-identical to the single-snapshot kernel.
+// Package shard cuts a spatial network into K subnetworks, each compiled to
+// its own CSR snapshot and saved as its own .ncs file, plus the cut-edge
+// table and stable global↔local ID maps that join them. The Set type is a
+// plain network.Graph over one global adjacency, so every clustering
+// algorithm and the serving layer run on a sharded network through their
+// generic paths — with results byte-identical to one snapshot of the whole
+// network.
 package shard
 
 import (

@@ -2,10 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"netclus/internal/csr"
@@ -14,7 +11,7 @@ import (
 
 // CutEdge is an edge whose endpoints live in different shards. U < V, and
 // Group is the point group lying on the edge (NoGroup when empty) — cut
-// groups belong to no shard and are collected by the executor directly.
+// groups belong to no shard and are kept in the plan's global tables only.
 type CutEdge struct {
 	U, V   network.NodeID
 	Weight float64
@@ -45,36 +42,18 @@ type Stats struct {
 	PerShard      []ShardStats `json:"per_shard"`
 }
 
-// Counters is a point-in-time read of a Set's serving counters.
+// Counters is what Set.Counters returns.
 type Counters struct {
-	Queries int64 `json:"queries"`
-	// Rounds is the total number of scatter-gather rounds across queries.
-	Rounds int64 `json:"rounds"`
-	// Fanout is the total number of per-shard kernel runs dispatched.
-	Fanout int64 `json:"fanout"`
-	// CritNs is the modeled critical-path time: per round, the executor's
-	// own (non-kernel) wall time plus the slowest shard run of the round —
-	// what the query would cost with one core per shard.
-	CritNs int64 `json:"crit_ns"`
-	// WallNs is the actual wall time spent in scatter-gather rounds.
-	WallNs   int64           `json:"wall_ns"`
-	PerShard []ShardCounters `json:"per_shard"`
+	Queries, Rounds, Fanout int64
 }
 
-// ShardCounters is the per-shard slice of Counters.
-type ShardCounters struct {
-	LocalRuns int64 `json:"local_runs"`
-	BusyNs    int64 `json:"busy_ns"`
-}
-
-// Set is a spatial network cut into K shards, each compiled to its own
-// csr.Snapshot, plus the cut-edge and boundary tables and the global↔local
-// ID maps the scatter-gather executor stitches exact answers with. A Set
-// implements network.Graph over the *global* ID space — and the kernel
-// dispatch contracts ScratchProvider, KNNQuerier, NearestExpander and
-// MedoidAssigner — so clustering algorithms and the serving layer run on it
-// unchanged, with results byte-identical to one snapshot of the whole
-// network.
+// Set is a spatial network cut into K shards: a node partition, one
+// csr.Snapshot per shard (what Save writes as the per-shard .ncs files), the
+// cut-edge table and the global↔local ID maps, and one global adjacency
+// rebuilt from the shard rows and the cut edges. A Set is a plain
+// network.Graph over the global ID space, so every algorithm and the serving
+// layer run on it through their generic paths, with results byte-identical
+// to one snapshot of the whole network.
 type Set struct {
 	k        int
 	shards   []*csr.Snapshot
@@ -82,16 +61,14 @@ type Set struct {
 
 	// Node maps. nodeShard/nodeLocal are indexed by global node ID;
 	// nodeGlobal[s][local] inverts them. Local IDs ascend with global IDs
-	// inside each shard, which keeps every per-shard lexicographic
-	// (dist, pointID) order equal to the global one — the property the
-	// exact top-k merge rests on.
+	// inside each shard, so a translated shard row stays sorted by target.
 	nodeShard  []int32
 	nodeLocal  []int32
 	nodeGlobal [][]int32
 
 	// Global point-group tables, the same §4.1 layout a csr.Snapshot keeps,
-	// so the Set can serve the network.Graph contract (and the executor can
-	// scan cut groups) without consulting any shard.
+	// so the Set serves the network.Graph contract without consulting any
+	// shard.
 	groups []network.PointGroup
 	ptPos  []float64
 	ptGrp  []int32
@@ -99,31 +76,14 @@ type Set struct {
 	coords []network.Coord
 
 	// Ownership maps. A group (and its points) is owned by shard s iff both
-	// its endpoints are; groups on cut edges have shard -1 and only global
-	// IDs. Local IDs again ascend with global IDs.
-	groupShard  []int32
+	// its endpoints are; groups on cut edges have groupLocal -1 and only
+	// global IDs. Local IDs again ascend with global IDs.
 	groupLocal  []int32
 	groupGlobal [][]int32
-	pointShard  []int32
 	pointLocal  []int32
 	pointGlobal [][]int32
-	// cutPts lists the points of cut groups in ascending ID order — the
-	// points no shard owns, which the fused clustering passes always send
-	// through the global executor.
-	cutPts []network.PointID
 
-	// Cut edges, plus a CSR index over them by global endpoint: the cut
-	// edges incident to node n are cutEdges[cutAdj[i]] for i in
-	// [cutOff[n], cutOff[n+1]).
 	cutEdges []CutEdge
-	cutOff   []int32
-	cutAdj   []int32
-
-	// boundary[s] flags (by local ID) the nodes of shard s with a cut edge;
-	// bList[s] lists them in ascending local order. These are the watch
-	// masks of the seeded kernels and the executor's stitch set.
-	boundary [][]bool
-	bList    [][]int32
 
 	// Reconstructed global adjacency (internal rows translated back to
 	// global IDs, cut edges merged in, rows sorted by target), so
@@ -131,30 +91,10 @@ type Set struct {
 	rowOff []int32
 	adjRef []network.Neighbor
 
-	// workers caps the per-round run parallelism of the executor.
-	workers int
-
-	queries   atomic.Int64
-	rounds    atomic.Int64
-	fanout    atomic.Int64
-	critNs    atomic.Int64
-	wallNs    atomic.Int64
-	localRuns []atomic.Int64
-	busyNs    []atomic.Int64
-
-	querierPool sync.Pool
-	expandPool  sync.Pool
-
 	stats Stats
 }
 
-var (
-	_ network.Graph           = (*Set)(nil)
-	_ network.ScratchProvider = (*Set)(nil)
-	_ network.KNNQuerier      = (*Set)(nil)
-	_ network.NearestExpander = (*Set)(nil)
-	_ network.MedoidAssigner  = (*Set)(nil)
-)
+var _ network.Graph = (*Set)(nil)
 
 // tagSource and coordSource mirror csr's optional Graph extensions.
 type tagSource interface{ Tag(network.PointID) int32 }
@@ -289,25 +229,18 @@ func Build(g network.Graph, assign []int32, k int) (*Set, error) {
 // and the global group tables (also used when loading a saved set).
 func (set *Set) buildOwnership() {
 	k := set.k
-	set.groupShard = make([]int32, len(set.groups))
 	set.groupLocal = make([]int32, len(set.groups))
 	set.groupGlobal = make([][]int32, k)
-	set.pointShard = make([]int32, len(set.ptPos))
 	set.pointLocal = make([]int32, len(set.ptPos))
 	set.pointGlobal = make([][]int32, k)
 	for g := range set.groups {
 		pg := &set.groups[g]
 		s := set.nodeShard[pg.N1]
 		if s != set.nodeShard[pg.N2] {
-			s = -1 // a cut group: the executor's, not any shard's
-		}
-		set.groupShard[g] = s
-		if s < 0 {
+			// A cut group: no shard owns it or its points.
 			set.groupLocal[g] = -1
 			for i := int32(0); i < pg.Count; i++ {
-				p := int32(pg.First) + i
-				set.pointShard[p], set.pointLocal[p] = -1, -1
-				set.cutPts = append(set.cutPts, network.PointID(p))
+				set.pointLocal[int32(pg.First)+i] = -1
 			}
 			continue
 		}
@@ -315,63 +248,45 @@ func (set *Set) buildOwnership() {
 		set.groupGlobal[s] = append(set.groupGlobal[s], int32(g))
 		for i := int32(0); i < pg.Count; i++ {
 			p := int32(pg.First) + i
-			set.pointShard[p] = s
 			set.pointLocal[p] = int32(len(set.pointGlobal[s]))
 			set.pointGlobal[s] = append(set.pointGlobal[s], p)
 		}
 	}
 }
 
-// assemble builds the derived serving structures shared by Build and Open:
-// the cut-edge CSR index, the boundary masks, the reconstructed global
-// adjacency and the stats/counters.
+// assemble builds what Build and Open share: the global adjacency, rebuilt
+// from the shard rows and the cut edges, and the stats.
 func (set *Set) assemble() error {
 	k, nodes := set.k, len(set.nodeShard)
 
-	// Cut-edge CSR index over global nodes.
-	set.cutOff = make([]int32, nodes+1)
+	// The cut edges incident to node n are cutEdges[cutAdj[i]] for i in
+	// [cutOff[n], cutOff[n+1]); a node with any is a boundary node.
+	cutOff := make([]int32, nodes+1)
 	for i := range set.cutEdges {
 		ce := &set.cutEdges[i]
-		set.cutOff[ce.U+1]++
-		set.cutOff[ce.V+1]++
+		cutOff[ce.U+1]++
+		cutOff[ce.V+1]++
 	}
+	boundary := make([]int, k)
 	for n := 0; n < nodes; n++ {
-		set.cutOff[n+1] += set.cutOff[n]
+		if cutOff[n+1] > 0 {
+			boundary[set.nodeShard[n]]++
+		}
+		cutOff[n+1] += cutOff[n]
 	}
-	set.cutAdj = make([]int32, set.cutOff[nodes])
-	fill := append([]int32(nil), set.cutOff[:nodes]...)
+	cutAdj := make([]int32, cutOff[nodes])
+	fill := append([]int32(nil), cutOff[:nodes]...)
 	for i := range set.cutEdges {
 		ce := &set.cutEdges[i]
-		set.cutAdj[fill[ce.U]] = int32(i)
+		cutAdj[fill[ce.U]] = int32(i)
 		fill[ce.U]++
-		set.cutAdj[fill[ce.V]] = int32(i)
+		cutAdj[fill[ce.V]] = int32(i)
 		fill[ce.V]++
 	}
 
-	// Boundary masks and lists.
-	set.boundary = make([][]bool, k)
-	set.bList = make([][]int32, k)
-	for s := 0; s < k; s++ {
-		set.boundary[s] = make([]bool, len(set.nodeGlobal[s]))
-	}
-	for i := range set.cutEdges {
-		ce := &set.cutEdges[i]
-		for _, n := range [2]network.NodeID{ce.U, ce.V} {
-			s := set.nodeShard[n]
-			set.boundary[s][set.nodeLocal[n]] = true
-		}
-	}
-	for s := 0; s < k; s++ {
-		for ln, b := range set.boundary[s] {
-			if b {
-				set.bList[s] = append(set.bList[s], int32(ln))
-			}
-		}
-	}
-
-	// Reconstruct the global adjacency: each node's internal row translated
-	// back to global IDs plus its cut edges, sorted by target. Targets are
-	// unique per row, so the sorted row is exactly the builder's.
+	// Each node's internal row translated back to global IDs plus its cut
+	// edges, sorted by target. Targets are unique per row, so the sorted row
+	// is exactly the builder's.
 	set.rowOff = make([]int32, nodes+1)
 	set.adjRef = make([]network.Neighbor, 0, 2*set.numEdges)
 	for n := 0; n < nodes; n++ {
@@ -392,8 +307,8 @@ func (set *Set) assemble() error {
 				Group:  gg,
 			})
 		}
-		for i := set.cutOff[n]; i < set.cutOff[n+1]; i++ {
-			ce := &set.cutEdges[set.cutAdj[i]]
+		for _, i := range cutAdj[cutOff[n]:cutOff[n+1]] {
+			ce := &set.cutEdges[i]
 			other := ce.U
 			if other == network.NodeID(n) {
 				other = ce.V
@@ -415,23 +330,14 @@ func (set *Set) assemble() error {
 		return fmt.Errorf("shard: reconstructed adjacency has %d half-edges, want %d", len(set.adjRef), 2*set.numEdges)
 	}
 
-	set.workers = min(k, runtime.GOMAXPROCS(0))
-	if set.workers < 1 {
-		set.workers = 1
-	}
-	set.localRuns = make([]atomic.Int64, k)
-	set.busyNs = make([]atomic.Int64, k)
-	set.querierPool = sync.Pool{New: func() any { return newQuerier(set) }}
-	set.expandPool = sync.Pool{New: func() any { return newExpandState(set) }}
-
 	st := Stats{
 		Shards: k, Nodes: nodes, Edges: set.numEdges,
 		Points: len(set.ptPos), Groups: len(set.groups),
 		CutEdges: len(set.cutEdges),
 		PerShard: make([]ShardStats, k),
 	}
-	for g, s := range set.groupShard {
-		if s < 0 {
+	for g, l := range set.groupLocal {
+		if l < 0 {
 			st.CutGroups++
 			st.CutPoints += int(set.groups[g].Count)
 		}
@@ -440,19 +346,19 @@ func (set *Set) assemble() error {
 		ss := set.shards[s].Stats()
 		st.PerShard[s] = ShardStats{
 			Nodes: ss.Nodes, Edges: ss.Edges, Points: ss.Points,
-			Boundary:      len(set.bList[s]),
+			Boundary:      boundary[s],
 			ResidentBytes: ss.ResidentBytes,
 		}
-		st.BoundaryNodes += len(set.bList[s])
-		// The shard's snapshot, its local→global ID lists and boundary mask.
-		st.ResidentBytes += ss.ResidentBytes + int64(len(set.boundary[s])) +
-			4*int64(len(set.nodeGlobal[s])+len(set.groupGlobal[s])+len(set.pointGlobal[s])+len(set.bList[s]))
+		st.BoundaryNodes += boundary[s]
+		// The shard's snapshot and its local→global ID lists.
+		st.ResidentBytes += ss.ResidentBytes +
+			4*int64(len(set.nodeGlobal[s])+len(set.groupGlobal[s])+len(set.pointGlobal[s]))
 	}
-	// Global tables; a point costs 24 B (ptPos, ptGrp, ptTag, pointShard/Local).
+	// Global tables; a point costs 20 B (ptPos, ptGrp, ptTag, pointLocal).
 	groups := len(set.groups)
 	st.ResidentBytes += int64(len(set.adjRef))*int64(unsafe.Sizeof(network.Neighbor{})) + int64(len(set.cutEdges))*int64(unsafe.Sizeof(CutEdge{}))
 	st.ResidentBytes += int64(groups)*int64(unsafe.Sizeof(network.PointGroup{})) + int64(len(set.coords))*int64(unsafe.Sizeof(network.Coord{}))
-	st.ResidentBytes += 4*int64(len(set.rowOff)+len(set.cutOff)+len(set.cutAdj)+len(set.cutPts)+2*nodes+2*groups) + 24*int64(len(set.ptPos))
+	st.ResidentBytes += 4*int64(len(set.rowOff)+2*nodes+groups) + 20*int64(len(set.ptPos))
 	set.stats = st
 	return nil
 }
@@ -460,21 +366,11 @@ func (set *Set) assemble() error {
 // Stats returns the set's shape and footprint.
 func (set *Set) Stats() Stats { return set.stats }
 
-// Counters returns a point-in-time read of the serving counters.
-func (set *Set) Counters() Counters {
-	c := Counters{
-		Queries: set.queries.Load(),
-		Rounds:  set.rounds.Load(),
-		Fanout:  set.fanout.Load(),
-		CritNs:  set.critNs.Load(),
-		WallNs:  set.wallNs.Load(),
-	}
-	c.PerShard = make([]ShardCounters, set.k)
-	for s := range c.PerShard {
-		c.PerShard[s] = ShardCounters{LocalRuns: set.localRuns[s].Load(), BusyNs: set.busyNs[s].Load()}
-	}
-	return c
-}
+// Counters returns zero: a set answers every query through the generic
+// paths over its global adjacency, so there are no scatter-gather rounds to
+// count. It is kept only because benchmark/layers.go compiles against it;
+// ROADMAP item 1 (A) removes it together with the probes that read it.
+func (set *Set) Counters() Counters { return Counters{} }
 
 // --- network.Graph over the global ID space ---
 

@@ -62,8 +62,8 @@ func testNetwork(t testing.TB, seed int64, n, pts int) *network.Network {
 }
 
 // randomAssign scatters nodes over k shards uniformly — shards may come out
-// disconnected or even empty, which the executor must handle, and cut edges
-// (with points on them) are all but guaranteed.
+// disconnected or even empty, which Build, Save and Open must handle, and cut
+// edges (with points on them) are all but guaranteed.
 func randomAssign(rng *rand.Rand, nodes, k int) []int32 {
 	assign := make([]int32, nodes)
 	for i := range assign {
@@ -264,7 +264,7 @@ func TestShardKNNEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := set.KNNCtx(ctx, network.PointID(p), kk)
+					got, err := network.KNearestNeighborsCtx(ctx, set, network.PointID(p), kk)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -273,10 +273,10 @@ func TestShardKNNEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if _, err := set.KNNCtx(ctx, 0, 0); err == nil {
+			if _, err := network.KNearestNeighborsCtx(ctx, set, 0, 0); err == nil {
 				t.Fatal("k=0 must fail")
 			}
-			if _, err := set.KNNCtx(ctx, network.PointID(g.NumPoints()), 3); err == nil {
+			if _, err := network.KNearestNeighborsCtx(ctx, set, network.PointID(g.NumPoints()), 3); err == nil {
 				t.Fatal("out-of-range point must fail")
 			}
 		}
@@ -340,8 +340,9 @@ func TestShardEpsLinkEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardExpandAssignEquivalence holds the generic Fig. 4 expansion and
+// Equation 1 assignment over a set to the snapshot's kernels of both.
 func TestShardExpandAssignEquivalence(t *testing.T) {
-	ctx := context.Background()
 	g := testNetwork(t, 17, 60, 150)
 	sn, err := csr.Compile(g)
 	if err != nil {
@@ -355,50 +356,36 @@ func TestShardExpandAssignEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 5; trial++ {
-				nm := 2 + rng.Intn(4)
-				medoids := make([]network.PointInfo, nm)
-				var seeds []network.MedoidSeed
+				medoids := make([]network.PointInfo, 2+rng.Intn(4))
 				for m := range medoids {
-					pi, err := g.PointInfo(network.PointID(rng.Intn(g.NumPoints())))
+					if medoids[m], err = g.PointInfo(network.PointID(rng.Intn(g.NumPoints()))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run := func(g network.Graph) (*core.MedoidState, []int32, float64) {
+					st := core.NewMedoidState(g.NumNodes())
+					var stats core.Stats
+					if err := core.MedoidDistFind(g, medoids, st, &stats); err != nil {
+						t.Fatal(err)
+					}
+					labels := make([]int32, g.NumPoints())
+					r, err := core.AssignPoints(g, medoids, st, labels, &stats)
 					if err != nil {
 						t.Fatal(err)
 					}
-					medoids[m] = pi
-					seeds = append(seeds,
-						network.MedoidSeed{Node: pi.N1, Med: int32(m), Dist: pi.Pos},
-						network.MedoidSeed{Node: pi.N2, Med: int32(m), Dist: pi.Weight - pi.Pos})
+					return st, labels, r
 				}
-				wantMed, wantDist := freshLabels(g.NumNodes())
-				gotMed, gotDist := freshLabels(g.NumNodes())
-				if _, err := sn.ExpandNearest(ctx, seeds, wantMed, wantDist); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := set.ExpandNearestLogged(ctx, seeds, gotMed, gotDist, nil); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantMed, gotMed) || !reflect.DeepEqual(wantDist, gotDist) {
+				want, wantLbl, wantR := run(sn)
+				got, gotLbl, gotR := run(set)
+				if !reflect.DeepEqual(want.Med, got.Med) || !reflect.DeepEqual(want.Dist, got.Dist) {
 					t.Fatalf("shards=%d assign=%d trial=%d: expansion labels differ", k, ai, trial)
 				}
-				wantLbl := make([]int32, g.NumPoints())
-				gotLbl := make([]int32, g.NumPoints())
-				wantR, wantG := sn.AssignNearest(medoids, wantMed, wantDist, wantLbl)
-				gotR, gotG := set.AssignNearest(medoids, gotMed, gotDist, gotLbl)
-				if wantR != gotR || wantG != gotG || !reflect.DeepEqual(wantLbl, gotLbl) {
+				if wantR != gotR || !reflect.DeepEqual(wantLbl, gotLbl) {
 					t.Fatalf("shards=%d assign=%d trial=%d: assignment differs (R %v vs %v)", k, ai, trial, gotR, wantR)
 				}
 			}
 		}
 	}
-}
-
-func freshLabels(n int) ([]int32, []float64) {
-	med := make([]int32, n)
-	dist := make([]float64, n)
-	for i := range med {
-		med[i] = -1
-		dist[i] = network.Inf
-	}
-	return med, dist
 }
 
 func TestShardKMedoidsEquivalence(t *testing.T) {
@@ -477,7 +464,7 @@ func TestSetSaveOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotK, err := loaded.KNNCtx(ctx, network.PointID(p), 9)
+		gotK, err := network.KNearestNeighborsCtx(ctx, loaded, network.PointID(p), 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,54 +579,4 @@ func TestSetOpenRobustness(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Fatal("garbage plan must fail")
 	}
-}
-
-// FuzzShardEquivalence drives random partition choices (including empty and
-// disconnected shards) against the single-snapshot kernel on range and kNN.
-func FuzzShardEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint16(0), float64(0.5))
-	f.Add(int64(2), uint8(4), uint16(7), float64(1.5))
-	f.Add(int64(3), uint8(1), uint16(13), float64(0.05))
-	g := testNetwork(f, 21, 40, 100)
-	sn, err := csr.Compile(g)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ref := sn.NewRangeScratch()
-	ctx := context.Background()
-	f.Fuzz(func(t *testing.T, seed int64, kraw uint8, praw uint16, eps float64) {
-		k := int(kraw)%6 + 1
-		p := network.PointID(int(praw) % g.NumPoints())
-		if eps < 0 || eps > 10 || eps != eps {
-			eps = 0.7
-		}
-		assign := randomAssign(rand.New(rand.NewSource(seed)), g.NumNodes(), k)
-		set, err := Build(g, assign, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.RangeQueryDistCtx(ctx, sn, p, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := set.NewRangeScratch()
-		got, err := q.RangeQueryDistCtx(ctx, set, p, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(append([]network.PointDist{}, want...), append([]network.PointDist{}, got...)) {
-			t.Fatalf("range differs for p=%d eps=%g k=%d", p, eps, k)
-		}
-		wantK, err := sn.KNNCtx(ctx, p, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotK, err := set.KNNCtx(ctx, p, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantK, gotK) {
-			t.Fatalf("kNN differs for p=%d k=%d", p, k)
-		}
-	})
 }

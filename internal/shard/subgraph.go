@@ -8,7 +8,7 @@ import (
 
 // subGraph presents one shard of the partitioned source graph as a
 // self-contained network.Graph in local IDs, for csr.Compile. Internal
-// edges only: cut edges (and their groups) are the executor's. Because
+// edges only: cut edges (and their groups) live in the plan. Because
 // local IDs ascend with global IDs, translated rows stay sorted by target
 // and local groups keep the §4.1 dense-ascending invariant.
 type subGraph struct {

@@ -557,32 +557,27 @@ func OpenSnapshot(path string) (*Snapshot, error) { return csr.OpenSnapshot(path
 // IsSnapshotFile reports whether path begins with the snapshot magic.
 func IsSnapshotFile(path string) bool { return csr.IsSnapshotFile(path) }
 
-// Sharded serving (see internal/shard). A ShardedSet partitions a network
-// into K connected subnetworks compiled to per-shard CSR snapshots plus
-// explicit cut-edge and boundary-node tables. It implements Graph and every
-// kernel dispatch contract over global IDs, answering range, kNN, expansion
-// and assignment by scatter-gather with exact boundary stitching — results
-// are byte-identical to a single compiled Snapshot of the whole network.
+// Sharded sets (see internal/shard). A ShardedSet partitions a network into
+// K connected subnetworks, each compiled to its own CSR snapshot and saved as
+// its own file, plus an explicit cut-edge table. It is a plain Graph over one
+// global adjacency: every algorithm runs on it through the generic paths,
+// with results byte-identical to a single compiled Snapshot of the whole
+// network.
 type (
-	// ShardedSet is the scatter-gather serving form of a partitioned
-	// network.
+	// ShardedSet is a partitioned network with per-shard snapshot files.
 	ShardedSet = shard.Set
 	// ShardedSetStats describes a built set: global cardinalities, cut
 	// tables and per-shard sizes.
 	ShardedSetStats = shard.Stats
-	// ShardedSetCounters is the cumulative scatter-gather telemetry:
-	// queries, rounds, fan-out, wall and modeled critical-path time, and
-	// per-shard kernel runs.
-	ShardedSetCounters = shard.Counters
 	// CutEdge is a network edge whose endpoints live in different shards.
 	CutEdge = shard.CutEdge
 )
 
 // PartitionNetwork cuts g into k connected shards (multi-seed balloon
-// growth over farthest-first seeds) and builds the sharded serving form.
+// growth over farthest-first seeds) and builds the sharded set.
 func PartitionNetwork(g Graph, k int) (*ShardedSet, error) { return shard.Partition(g, k) }
 
-// BuildShardedSet builds the sharded serving form from an explicit
+// BuildShardedSet builds the sharded set from an explicit
 // node-to-shard assignment (len NumNodes, values in [0, k)).
 func BuildShardedSet(g Graph, assign []int32, k int) (*ShardedSet, error) {
 	return shard.Build(g, assign, k)
