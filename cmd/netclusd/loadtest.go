@@ -43,11 +43,8 @@ type endpointSummary struct {
 // ltCacheStats is the dataset's result-cache delta over one run, scraped from
 // /v1/datasets before and after, plus the derived hit ratio.
 type ltCacheStats struct {
-	Hits               int64   `json:"hits"`
-	Misses             int64   `json:"misses"`
-	ContainmentHits    int64   `json:"containment_hits"`
-	SingleflightShared int64   `json:"singleflight_shared"`
-	HitRatio           float64 `json:"hit_ratio"`
+	api.ResultCacheStats
+	HitRatio float64 `json:"hit_ratio"`
 }
 
 // ltWriteStats is the dataset's write-path delta over one run, scraped from
@@ -379,16 +376,9 @@ func runLoadtest(client *http.Client, cfg ltConfig) ltSummary {
 			delta := api.ResultCacheStats{
 				Hits:               rc.Hits - before.Hits,
 				Misses:             rc.Misses - before.Misses,
-				ContainmentHits:    rc.ContainmentHits - before.ContainmentHits,
 				SingleflightShared: rc.SingleflightShared - before.SingleflightShared,
 			}
-			sum.ResultCache = &ltCacheStats{
-				Hits:               delta.Hits,
-				Misses:             delta.Misses,
-				ContainmentHits:    delta.ContainmentHits,
-				SingleflightShared: delta.SingleflightShared,
-				HitRatio:           delta.HitRatio(),
-			}
+			sum.ResultCache = &ltCacheStats{ResultCacheStats: delta, HitRatio: delta.HitRatio()}
 		}
 		if err == nil && hasLive && ls != nil {
 			sum.Writes = &ltWriteStats{
@@ -441,7 +431,7 @@ func loadtest(args []string) error {
 	scaleFlag := fs.Float64("scale", 0, "dataset scale factor, recorded verbatim in the report header")
 	out := fs.String("out", "", "write the JSON summary to this file")
 	compare := fs.String("compare", "",
-		"drive the same mix against this second dataset (e.g. the hot replica or a nocache twin) and report deltas")
+		"drive the same mix against this second dataset (e.g. the hot replica of a cold store) and report deltas")
 	fs.Parse(args)
 	if *dataset == "" {
 		return fmt.Errorf("-dataset is required")
@@ -532,8 +522,8 @@ func printSummary(sum ltSummary) {
 	fmt.Printf("total: %d requests in %.1fs (%.0f req/s), %d transport errors\n",
 		sum.Requests, sum.DurationS, sum.PerSecond, sum.Errors)
 	if rc := sum.ResultCache; rc != nil {
-		fmt.Printf("cache: %d hits, %d containment, %d misses, %d shared (hit ratio %.2f)\n",
-			rc.Hits, rc.ContainmentHits, rc.Misses, rc.SingleflightShared, rc.HitRatio)
+		fmt.Printf("cache: %d hits, %d misses, %d shared (hit ratio %.2f)\n",
+			rc.Hits, rc.Misses, rc.SingleflightShared, rc.HitRatio)
 	}
 	if w := sum.Writes; w != nil {
 		fmt.Printf("writes: %d batches (%d ops, %d rejected), %d compactions, %d ops pending\n",

@@ -73,10 +73,7 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 	if err := d.Set("hotsf=data/sf.store,hot"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Set("rawsf=data/sf.store,hot,nocache"); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.String(); got != "ol=data/ol sf=data/sf.store hotsf=data/sf.store,hot rawsf=data/sf.store,hot,nocache" {
+	if got := d.String(); got != "ol=data/ol sf=data/sf.store hotsf=data/sf.store,hot" {
 		t.Fatalf("String = %q", got)
 	}
 	// String echoes what was accepted, defaults left unspelled.
@@ -89,9 +86,6 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 	}
 	if !d[2].hot || d[0].hot || d[1].hot {
 		t.Fatalf("hot flags = %+v", d)
-	}
-	if !d[3].nocache || !d[3].hot || d[2].nocache {
-		t.Fatalf("nocache flags = %+v", d)
 	}
 	for _, bad := range []string{"nope", "=path", "name=", "x=p,warm"} {
 		if err := d.Set(bad); err == nil {
@@ -254,8 +248,7 @@ func TestLoadtestAgainstServer(t *testing.T) {
 	if sum.ResultCache == nil {
 		t.Fatal("summary has no result-cache delta")
 	}
-	if total := sum.ResultCache.Hits + sum.ResultCache.Misses + sum.ResultCache.ContainmentHits +
-		sum.ResultCache.SingleflightShared; total == 0 {
+	if total := sum.ResultCache.Hits + sum.ResultCache.Misses + sum.ResultCache.SingleflightShared; total == 0 {
 		t.Fatal("result-cache delta saw no traffic")
 	}
 
@@ -572,69 +565,72 @@ func TestZipfPicker(t *testing.T) {
 	}
 }
 
-// TestLoadtestCacheCompare serves the same store twice — cached and nocache —
-// and drives a skewed mix at both: the cached leg must report a result-cache
-// delta with hits, the nocache leg none.
+// TestLoadtestCacheCompare serves the same store from two servers — one with
+// the result cache, one with it off — and drives a skewed mix at both: the
+// cached leg must report a result-cache delta with hits, the uncached leg
+// none.
 func TestLoadtestCacheCompare(t *testing.T) {
 	_, dir := writeTestData(t)
 	logger := log.New(os.Stderr, "", 0)
-	reg, err := buildRegistry([]dataSpec{
-		{name: "cached", path: dir, hot: true},
-		{name: "nocache", path: dir, hot: true, nocache: true},
-	}, 256, 4, logger)
-	if err != nil {
-		t.Fatal(err)
+	serveStore := func(cacheBytes int64) *httptest.Server {
+		reg, err := buildRegistry([]dataSpec{{name: "sf", path: dir, hot: true}}, 256, 4, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{Registry: reg, ResultCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		return ts
 	}
-	srv, err := server.New(server.Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
+	cached, uncached := serveStore(0), serveStore(-1)
+	client := cached.Client()
 
-	points, rc, _, err := datasetProbe(client, ts.URL, "cached")
+	points, rc, _, err := datasetProbe(client, cached.URL, "sf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rc == nil {
-		t.Fatal("cached dataset reports no cache stats")
+		t.Fatal("cached server reports no cache stats")
 	}
-	if _, rc, _, err := datasetProbe(client, ts.URL, "nocache"); err != nil || rc != nil {
-		t.Fatalf("nocache dataset probe = %+v, %v", rc, err)
+	if _, rc, _, err := datasetProbe(client, uncached.URL, "sf"); err != nil || rc != nil {
+		t.Fatalf("uncached server probe = %+v, %v", rc, err)
 	}
 	mix, err := parseMix("knn:6,range:3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := ltConfig{
-		target: ts.URL, dataset: "nocache", points: points, workers: 4,
+		target: uncached.URL, dataset: "sf", points: points, workers: 4,
 		duration: 300 * time.Millisecond, mix: mix, eps: 20, k: 5, seed: 1, zipf: 1.2,
 	}
 	cold := runLoadtest(client, cfg)
-	cfg.dataset = "cached"
+	cfg.target = cached.URL
 	cfg.run = 1
 	hot := runLoadtest(client, cfg)
 	if cold.Errors != 0 || hot.Errors != 0 {
 		t.Fatalf("transport errors: cold %d, hot %d", cold.Errors, hot.Errors)
 	}
 	if cold.ResultCache != nil {
-		t.Fatalf("nocache leg reported cache stats %+v", cold.ResultCache)
+		t.Fatalf("uncached leg reported cache stats %+v", cold.ResultCache)
 	}
 	if hot.ResultCache == nil {
 		t.Fatal("cached leg reported no cache stats")
 	}
-	served := hot.ResultCache.Hits + hot.ResultCache.ContainmentHits
-	if served == 0 || hot.ResultCache.HitRatio <= 0 {
+	if hot.ResultCache.Hits == 0 || hot.ResultCache.HitRatio <= 0 {
 		t.Fatalf("zipf run produced no cache reuse: %+v", hot.ResultCache)
 	}
 	cmp := compareSummaries(cold, hot)
 	if len(cmp.Delta) == 0 {
 		t.Fatal("empty delta report")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
 	}
 }

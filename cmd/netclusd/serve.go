@@ -20,13 +20,10 @@ import (
 	"netclus/internal/server"
 )
 
-// dataSpec is one -data name=path[,hot][,nocache][,shards=K][,save=DIR]
-// flag. nocache exempts the dataset from the result cache — registering the
-// same data twice, once plain and once nocache, gives loadtest a
-// cached/uncached A/B pair in one process. shards=K serves the dataset as a
-// K-way sharded set; save=DIR persists the compiled form (a sharded
-// set directory, or a snapshot file for hot datasets) and warm-starts from
-// it on later boots with zero store reads. path may also point directly at a
+// dataSpec is one -data name=path[,hot][,shards=K][,save=DIR] flag.
+// shards=K serves the dataset as a K-way sharded set; save=DIR persists the
+// compiled form (a sharded set directory, or a snapshot file for hot
+// datasets) and warm-starts from it on later boots with zero store reads. path may also point directly at a
 // saved snapshot file or sharded-set directory.
 // live serves the dataset behind a mutable delta overlay accepting
 // POST /v1/datasets/{name}/points; eps=F,minpts=K configure its incrementally
@@ -35,7 +32,6 @@ type dataSpec struct {
 	text       string // the flag value as accepted, for dataFlags.String
 	name, path string
 	hot        bool
-	nocache    bool
 	shards     int
 	save       string
 	live       bool
@@ -58,12 +54,12 @@ func (d *dataFlags) String() string {
 func (d *dataFlags) Set(v string) error {
 	name, rest, ok := strings.Cut(v, "=")
 	if !ok || name == "" || rest == "" {
-		return fmt.Errorf("want name=path[,hot][,nocache][,shards=K][,save=DIR], got %q", v)
+		return fmt.Errorf("want name=path[,hot][,shards=K][,save=DIR], got %q", v)
 	}
 	spec := dataSpec{text: v, name: name}
 	spec.path, rest, _ = strings.Cut(rest, ",")
 	if spec.path == "" {
-		return fmt.Errorf("want name=path[,hot][,nocache][,shards=K][,save=DIR], got %q", v)
+		return fmt.Errorf("want name=path[,hot][,shards=K][,save=DIR], got %q", v)
 	}
 	for _, opt := range strings.Split(rest, ",") {
 		key, val, _ := strings.Cut(opt, "=")
@@ -71,8 +67,6 @@ func (d *dataFlags) Set(v string) error {
 		case "":
 		case "hot":
 			spec.hot = true
-		case "nocache":
-			spec.nocache = true
 		case "shards":
 			k, err := strconv.Atoi(val)
 			if err != nil || k < 1 {
@@ -105,7 +99,7 @@ func (d *dataFlags) Set(v string) error {
 			}
 			spec.compact = n
 		default:
-			return fmt.Errorf("unknown dataset option %q in %q (want hot, nocache, shards=K, save=DIR, live, eps=F, minpts=K or compact=N)", opt, v)
+			return fmt.Errorf("unknown dataset option %q in %q (want hot, shards=K, save=DIR, live, eps=F, minpts=K or compact=N)", opt, v)
 		}
 	}
 	if spec.hot && spec.shards > 0 {
@@ -286,7 +280,6 @@ func buildRegistry(specs []dataSpec, bufKB, landmarks int, logger *log.Logger) (
 			reg.Close()
 			return nil, fmt.Errorf("dataset %s: %w", spec.name, err)
 		}
-		d.DisableCache = spec.nocache
 		if err := reg.Add(d); err != nil {
 			d.Close()
 			reg.Close()

@@ -34,9 +34,8 @@ func substream(seed int64, run, worker int) int64 {
 }
 
 // epsLadder scales the base -eps into the radii a zipf-skewed client asks
-// for; rank 0 — the most popular — is the widest, so the skewed workload
-// populates wide distance vectors early and then serves the narrower ranks
-// from them by ε-containment.
+// for; rank 0 — the most popular — is the largest. Each (point, rank) pair is
+// its own exact cache key, so the skew over both is what makes repeats hits.
 var epsLadder = [...]float64{1, 0.5, 0.25, 0.125}
 
 // reqPicker draws each request's endpoint and parameters: uniformly when
@@ -86,8 +85,8 @@ func (p *reqPicker) pick() (string, url.Values) {
 	case "knn":
 		return ep, api.KNNRequest{Point: netclus.PointID(point), K: p.cfg.k, Prune: true}.Values()
 	case "range":
-		// The skewed workload asks for distances: one wide-ε answer then
-		// serves every narrower rank for that point from the cached vector.
+		// The skewed workload asks for exact distances and the uniform one
+		// for IDs only, so the two cover both range flavours.
 		req := api.RangeRequest{Point: netclus.PointID(point), Eps: eps, Dists: p.pointZ != nil, Prune: true}
 		return ep, req.Values()
 	default: // cluster

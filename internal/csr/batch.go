@@ -92,7 +92,9 @@ func (s *Snapshot) RangeEach(ctx context.Context, pts []network.PointID, eps flo
 // KNNBatch is a reusable multi-query kNN runner in structure-of-arrays
 // layout: queries accumulate via Add, Run answers them all in one
 // cache-friendly sweep, and Results hands each answer back without copying.
-// netclusd drains admitted kNN requests per dataset through one of these.
+// Nothing in the module batches kNN queries: it is kept only because
+// benchmark/layers.go compiles against it, and ROADMAP item 1 (A) removes it
+// together with the probe that reads it.
 //
 // Every query is answered by the same kernel as a lone Snapshot.KNNCtx call
 // — identical results, fuzz-asserted — but the batch amortizes scratch

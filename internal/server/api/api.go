@@ -79,6 +79,20 @@ func intValue(q url.Values, name string, def int) (int, error) {
 	return v, nil
 }
 
+// pointValue reads the p parameter, -1 when absent (the engine then answers
+// not found). A value outside the ID type's range is refused rather than
+// truncated, which would alias it to another point.
+func pointValue(q url.Values) (netclus.PointID, error) {
+	p, err := intValue(q, "p", -1)
+	if err != nil {
+		return 0, err
+	}
+	if p < math.MinInt32 || p > math.MaxInt32 {
+		return 0, fmt.Errorf("bad p %q", q.Get("p"))
+	}
+	return netclus.PointID(p), nil
+}
+
 // floatValue reads a float query parameter with a default.
 func floatValue(q url.Values, name string, def float64) (float64, error) {
 	raw := q.Get(name)
@@ -118,11 +132,10 @@ type RangeRequest struct {
 // DecodeRange decodes and canonicalizes a range request from query values.
 func DecodeRange(q url.Values) (RangeRequest, error) {
 	var req RangeRequest
-	p, err := intValue(q, "p", -1)
-	if err != nil {
+	var err error
+	if req.Point, err = pointValue(q); err != nil {
 		return req, err
 	}
-	req.Point = netclus.PointID(p)
 	if req.Eps, err = floatValue(q, "eps", 0); err != nil {
 		return req, err
 	}
@@ -169,11 +182,10 @@ type KNNRequest struct {
 // DecodeKNN decodes and canonicalizes a kNN request from query values.
 func DecodeKNN(q url.Values) (KNNRequest, error) {
 	var req KNNRequest
-	p, err := intValue(q, "p", -1)
-	if err != nil {
+	var err error
+	if req.Point, err = pointValue(q); err != nil {
 		return req, err
 	}
-	req.Point = netclus.PointID(p)
 	if req.K, err = intValue(q, "k", 5); err != nil {
 		return req, err
 	}
@@ -524,18 +536,16 @@ type ClusterResponse struct {
 type ResultCacheStats struct {
 	Hits               int64 `json:"hits"`
 	Misses             int64 `json:"misses"`
-	ContainmentHits    int64 `json:"containment_hits"`
 	SingleflightShared int64 `json:"singleflight_shared"`
 }
 
-// HitRatio is the fraction of lookups served without recomputing
-// (exact hits plus ε-containment derivations).
+// HitRatio is the fraction of lookups served without recomputing.
 func (s ResultCacheStats) HitRatio() float64 {
-	total := s.Hits + s.ContainmentHits + s.Misses
+	total := s.Hits + s.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.ContainmentHits) / float64(total)
+	return float64(s.Hits) / float64(total)
 }
 
 // CacheTotals is the cache-wide view exported at the top level of

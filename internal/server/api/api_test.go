@@ -53,9 +53,33 @@ func TestRangeCanonicalization(t *testing.T) {
 	}
 }
 
+// rangeDecodeErrors, knnDecodeErrors, clusterQueryErrors and
+// clusterBodyErrors are the refused inputs of each decoder; FuzzDecode starts
+// from them.
+var (
+	rangeDecodeErrors = []string{"p=3", "p=3&eps=0", "p=3&eps=-1", "p=x&eps=5", "p=3&eps=wat",
+		"p=3&eps=NaN", "p=3&eps=nan", "p=3&eps=Inf", "p=3&eps=%2BInf", "p=3&eps=-Inf", "p=3&eps=1e999",
+		"p=4294967299&eps=5", "p=-2147483649&eps=5"}
+	knnDecodeErrors    = []string{"p=1&k=0", "p=1&k=x", "p=4294967297&k=3"}
+	clusterQueryErrors = []string{
+		"algo=wat&eps=5",
+		"algo=dbscan&eps=NaN", "algo=dbscan&eps=Inf", "algo=dbscan&eps=-Inf", "algo=dbscan&eps=1e999",
+		"algo=epslink&eps=NaN", "algo=epslink&eps=0", "algo=dbscan&eps=-2",
+		"algo=kmedoids&eps=NaN", "algo=kmedoids&eps=Inf", "algo=kmedoids&eps=-1",
+		"algo=dbscan&eps=5&minpts=-5", "algo=dbscan&eps=5&minpts=0", "algo=kmedoids&minpts=-1",
+		"algo=kmedoids&restarts=-1", "algo=kmedoids&restarts=0", "algo=kmedoids&restarts=257",
+		"algo=kmedoids&restarts=2147483647",
+	}
+	clusterBodyErrors = []string{
+		"{nope",
+		`{"algo":"dbscan","eps":5,"minpts":-5}`, `{"algo":"dbscan","eps":0}`, `{"algo":"epslink","eps":-3}`,
+		`{"algo":"dbscan","eps":1e999}`, `{"algo":"dbscan","eps":"NaN"}`, `{"algo":"kmedoids","minpts":0}`,
+		`{"algo":"kmedoids","restarts":-1}`, `{"algo":"kmedoids","restarts":257}`,
+	}
+)
+
 func TestRangeDecodeErrors(t *testing.T) {
-	for _, raw := range []string{"p=3", "p=3&eps=0", "p=3&eps=-1", "p=x&eps=5", "p=3&eps=wat",
-		"p=3&eps=NaN", "p=3&eps=nan", "p=3&eps=Inf", "p=3&eps=%2BInf", "p=3&eps=-Inf", "p=3&eps=1e999"} {
+	for _, raw := range rangeDecodeErrors {
 		if _, err := DecodeRange(mustQuery(t, raw)); err == nil {
 			t.Errorf("DecodeRange(%q) succeeded", raw)
 		}
@@ -77,7 +101,7 @@ func TestKNNCanonicalization(t *testing.T) {
 	if want := "p=7&k=5&prune=1"; defaulted.Canonical() != want {
 		t.Errorf("Canonical = %q, want %q", defaulted.Canonical(), want)
 	}
-	for _, raw := range []string{"p=1&k=0", "p=1&k=x"} {
+	for _, raw := range knnDecodeErrors {
 		if _, err := DecodeKNN(mustQuery(t, raw)); err == nil {
 			t.Errorf("DecodeKNN(%q) succeeded", raw)
 		}
@@ -151,24 +175,17 @@ func TestClusterRestartsBounded(t *testing.T) {
 }
 
 // TestClusterDensityParamsChecked: an eps that is not finite (on every
-// algorithm) or not > 0 (on the density algorithms), and a minpts below 1, are
-// refused on both decode paths instead of reaching the engine and the cache
-// key; k-medoids, which ignores eps, still decodes at its default 0.
+// algorithm) or not > 0 (on the density algorithms), a minpts below 1, an
+// unknown algorithm and a restart count out of range are refused on both
+// decode paths instead of reaching the engine and the cache key; k-medoids,
+// which ignores eps, still decodes at its default 0.
 func TestClusterDensityParamsChecked(t *testing.T) {
-	for _, raw := range []string{
-		"algo=dbscan&eps=NaN", "algo=dbscan&eps=Inf", "algo=dbscan&eps=-Inf", "algo=dbscan&eps=1e999",
-		"algo=epslink&eps=NaN", "algo=epslink&eps=0", "algo=dbscan&eps=-2",
-		"algo=kmedoids&eps=NaN", "algo=kmedoids&eps=Inf", "algo=kmedoids&eps=-1",
-		"algo=dbscan&eps=5&minpts=-5", "algo=dbscan&eps=5&minpts=0", "algo=kmedoids&minpts=-1",
-	} {
+	for _, raw := range clusterQueryErrors {
 		if req, err := DecodeClusterValues(mustQuery(t, raw)); err == nil {
 			t.Errorf("GET %s decoded as %q", raw, req.Canonical())
 		}
 	}
-	for _, body := range []string{
-		`{"algo":"dbscan","eps":5,"minpts":-5}`, `{"algo":"dbscan","eps":0}`, `{"algo":"epslink","eps":-3}`,
-		`{"algo":"dbscan","eps":1e999}`, `{"algo":"dbscan","eps":"NaN"}`, `{"algo":"kmedoids","minpts":0}`,
-	} {
+	for _, body := range clusterBodyErrors {
 		if req, err := DecodeClusterJSON(strings.NewReader(body)); err == nil {
 			t.Errorf("POST %s decoded as %q", body, req.Canonical())
 		}
@@ -280,7 +297,7 @@ func TestHitRatio(t *testing.T) {
 	if r := (ResultCacheStats{}).HitRatio(); r != 0 {
 		t.Fatalf("empty ratio = %v", r)
 	}
-	s := ResultCacheStats{Hits: 6, ContainmentHits: 2, Misses: 2}
+	s := ResultCacheStats{Hits: 8, Misses: 2}
 	if r := s.HitRatio(); r != 0.8 {
 		t.Fatalf("ratio = %v, want 0.8", r)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"netclus"
 	"netclus/internal/server/api"
@@ -22,8 +21,6 @@ type backend interface {
 	// recycle hands it back once its prune counters are harvested.
 	scratch(view netclus.Graph) *scratchBox
 	recycle(b *scratchBox)
-	// knn answers one unpruned kNN query on view.
-	knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error)
 	// bounds returns the pruning tables, building them on first use and
 	// waiting for them under ctx; nil, nil when the kind builds none.
 	bounds(ctx context.Context) (*netclus.Bounds, error)
@@ -32,9 +29,6 @@ type backend interface {
 	maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool)
 	// writer returns the overlay mutations go through, or errImmutable.
 	writer() (*netclus.LiveOverlay, error)
-	// attach is called by the Server that adopts the dataset, with the longest
-	// deadline a request can carry and the instrumentation to report to.
-	attach(maxTimeout time.Duration, m *Metrics)
 	// describe fills the kind-specific blocks of the dataset's /v1/datasets
 	// entry, which is also the snapshot /metrics renders its rows from.
 	describe(info *api.DatasetInfo)
@@ -59,8 +53,8 @@ type scratchBox struct {
 }
 
 // readOnly is what the kinds share unless they say otherwise: pooled scratch
-// (steady-state queries allocate no traversal state), the engine's direct
-// kNN, no bounds, no maintained labels, no writes, nothing to wire or close.
+// (steady-state queries allocate no traversal state), no bounds, no
+// maintained labels, no writes, nothing to close.
 type readOnly struct {
 	pool sync.Pool // of *scratchBox
 }
@@ -73,14 +67,10 @@ func (r *readOnly) scratch(view netclus.Graph) *scratchBox {
 	// the generic scratch otherwise; both serve the RangeQuerier surface.
 	return &scratchBox{sc: netclus.ScratchFor(view)}
 }
-func (r *readOnly) recycle(b *scratchBox) { r.pool.Put(b) }
-func (*readOnly) knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error) {
-	return netclus.KNearestNeighborsCtx(ctx, view, p, k)
-}
+func (r *readOnly) recycle(b *scratchBox)                                    { r.pool.Put(b) }
 func (*readOnly) bounds(context.Context) (*netclus.Bounds, error)            { return nil, nil }
 func (*readOnly) maintained(viewAt, api.ClusterRequest) ([]int32, int, bool) { return nil, 0, false }
 func (*readOnly) writer() (*netclus.LiveOverlay, error)                      { return nil, errImmutable }
-func (*readOnly) attach(time.Duration, *Metrics)                             {}
 func (*readOnly) close() error                                               { return nil }
 
 // servedStore is a disk store held open behind a dataset. base is the counter
@@ -233,26 +223,10 @@ type hotBackend struct {
 	readOnly
 	sn    *netclus.Snapshot
 	store *servedStore
-	knnb  *knnBatcher // nil until a Server adopts the dataset
 }
 
 func (h *hotBackend) pin(epoch int64) viewAt { return viewAt{graph: h.sn, epoch: epoch} }
 func (h *hotBackend) close() error           { return h.store.close() }
-
-// attach gives the dataset its kNN batcher: concurrent admitted requests
-// coalesce into one SoA sweep over the CSR arrays instead of N independent
-// traversals, with answers identical to the direct call. The batch kernel only
-// exists on snapshots, so every other kind keeps the per-request path.
-func (h *hotBackend) attach(maxTimeout time.Duration, m *Metrics) {
-	h.knnb = newKNNBatcher(h.sn, maxTimeout, m)
-}
-
-func (h *hotBackend) knn(ctx context.Context, view netclus.Graph, p netclus.PointID, k int) ([]netclus.PointDist, error) {
-	if h.knnb == nil {
-		return h.readOnly.knn(ctx, view, p, k)
-	}
-	return h.knnb.Submit(ctx, p, k)
-}
 
 func (h *hotBackend) describe(info *api.DatasetInfo) {
 	cs := h.sn.Stats()
@@ -275,8 +249,8 @@ func (s *shardedBackend) describe(info *api.DatasetInfo) {
 }
 
 // liveBackend serves the views a mutable delta overlay publishes. Pruning
-// bounds and the kNN batcher are not built: both are compiled against one
-// immutable point numbering, and a live dataset's changes every epoch.
+// bounds are not built: they are compiled against one immutable point
+// numbering, and a live dataset's changes every epoch.
 type liveBackend struct {
 	readOnly
 	ov *netclus.LiveOverlay

@@ -3,59 +3,31 @@ package server
 import (
 	"container/list"
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"netclus"
 )
 
-// cacheMaxShards bounds the automatic shard count, mirroring pagebuf: more
-// shards than this hold too few bytes each to be worth the map overhead.
-const cacheMaxShards = 64
-
 // cacheEntry is one cached query result: the encoded response body served
-// verbatim on a hit, plus — for range?dists=1 entries — the exact distance
-// vector that powers semantic reuse (ε-containment serving of smaller-ε
-// queries). Entries are immutable after Put; readers share the slices.
+// verbatim on a hit. Entries are immutable after Put; readers share the body.
 type cacheEntry struct {
-	key string
-	// prefix is the ε-containment index key (dataset, epoch, point); empty
-	// for entries that carry no reusable distance vector.
-	prefix  string
-	eps     float64
-	body    []byte
-	results []netclus.PointDist
+	key  string
+	body []byte
 }
 
 // entryOverhead approximates the bookkeeping bytes per entry (map slot, list
 // element, struct headers) so the byte budget reflects real footprint.
 const entryOverhead = 96
 
-func (e *cacheEntry) size() int64 {
-	return int64(len(e.key)+len(e.prefix)+len(e.body)) +
-		16*int64(len(e.results)) + entryOverhead
-}
-
-// cacheShard is one latch domain of the result cache: an LRU over a slice of
-// the byte budget plus the containment index for the prefixes hashed here.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element // of *cacheEntry
-	lru     *list.List               // front = most recently used
-	bytes   int64
-	budget  int64
-	// widest maps a containment prefix to the widest-ε entry carrying a
-	// distance vector for it. A dists entry always lives in the shard of its
-	// prefix (not its full key), so the index and the entry share one latch.
-	widest map[string]*list.Element
-}
+func (e *cacheEntry) size() int64 { return int64(len(e.key)+len(e.body)) + entryOverhead }
 
 // ResultCacheStatsSnapshot is the cache-wide counter snapshot for /metrics
 // and /v1/datasets.
 type ResultCacheStatsSnapshot struct {
-	Hits        int64
-	Misses      int64
+	Hits   int64
+	Misses int64
+	// Containment is always 0: the cache answers exact keys only. It is kept
+	// only because benchmark/layers.go compiles against it; ROADMAP item 1 (A)
+	// removes it together with the probe that reads it.
 	Containment int64
 	Shared      int64
 	Evictions   int64
@@ -64,159 +36,74 @@ type ResultCacheStatsSnapshot struct {
 	Capacity    int64
 }
 
-// ResultCache is the sharded, epoch-keyed query-result cache: a fixed
-// byte-budget LRU sharded by key hash (per-shard mutex, in the style of the
-// pagebuf shards) with singleflight collapsing of duplicate in-flight
+// ResultCache is the epoch-keyed query-result cache: one byte-budget LRU
+// under one mutex, with singleflight collapsing of duplicate in-flight
 // computations. Keys are (dataset name + epoch, endpoint, canonical request)
 // strings built by the handlers; because datasets are immutable per epoch,
 // every cached body is an exact answer, and an epoch bump invalidates by key
 // mismatch — stale entries age out of the LRU without a scan.
 type ResultCache struct {
-	shards   []cacheShard
+	mu       sync.Mutex
+	entries  map[string]*list.Element // of *cacheEntry
+	lru      *list.List               // front = most recently used
+	bytes    int64
 	capacity int64
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	containment atomic.Int64
-	shared      atomic.Int64
-	evictions   atomic.Int64
-	bytes       atomic.Int64
-	entries     atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	shared    atomic.Int64
+	evictions atomic.Int64
 
 	flights flightGroup
 }
 
-// NewResultCache builds a cache with the given byte budget, split evenly
-// across a power-of-two number of shards sized to the machine.
+// NewResultCache builds a cache with the given byte budget.
 func NewResultCache(capacity int64) *ResultCache {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n > cacheMaxShards {
-		n = cacheMaxShards
-	}
-	c := &ResultCache{shards: make([]cacheShard, n), capacity: capacity}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			entries: make(map[string]*list.Element),
-			lru:     list.New(),
-			budget:  capacity / int64(n),
-			widest:  make(map[string]*list.Element),
-		}
-	}
-	return c
+	return &ResultCache{entries: make(map[string]*list.Element), lru: list.New(), capacity: capacity}
 }
 
-// fnv64 is FNV-1a, the same cheap stable hash family the storage caches use.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// shardFor picks the latch domain: by containment prefix when the entry
-// participates in the ε index (so index and entry stay colocated), else by
-// full key.
-func (c *ResultCache) shardFor(key, prefix string) *cacheShard {
-	s := key
-	if prefix != "" {
-		s = prefix
-	}
-	return &c.shards[fnv64(s)&uint64(len(c.shards)-1)]
-}
-
-// Get returns the cached body for an exact canonical key. prefix must match
-// the value the entry was (or would be) stored with, so the lookup lands on
-// the right shard.
-func (c *ResultCache) Get(key, prefix string) ([]byte, bool) {
-	sh := c.shardFor(key, prefix)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	elem, ok := sh.entries[key]
+// Get returns the cached body for an exact canonical key.
+func (c *ResultCache) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	elem, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
-	sh.lru.MoveToFront(elem)
+	c.lru.MoveToFront(elem)
 	c.hits.Add(1)
 	return elem.Value.(*cacheEntry).body, true
 }
 
-// Wider returns the distance vector of a cached range(q, E) entry with
-// E >= eps for the given containment prefix, if one exists: the ε-containment
-// structure of the paper's range primitive means filtering that vector at eps
-// answers the smaller query exactly. The returned slice is shared and must
-// not be mutated. widestEps reports the cached entry's own radius.
-func (c *ResultCache) Wider(prefix string, eps float64) (vec []netclus.PointDist, widestEps float64, ok bool) {
-	sh := c.shardFor("", prefix)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	elem, found := sh.widest[prefix]
-	if !found {
-		return nil, 0, false
-	}
-	e := elem.Value.(*cacheEntry)
-	if e.eps < eps {
-		return nil, 0, false
-	}
-	sh.lru.MoveToFront(elem)
-	c.containment.Add(1)
-	return e.results, e.eps, true
-}
-
-// Put inserts (or replaces) an entry and evicts from the shard's LRU tail
-// until it fits the byte budget. Bodies larger than the shard budget are not
-// cached at all — inserting one would immediately wipe the shard.
-func (c *ResultCache) Put(e *cacheEntry) {
+// Put inserts (or replaces) the body cached under key and evicts from the LRU
+// tail until it fits the byte budget. Bodies larger than the whole budget are
+// not cached at all — inserting one would immediately wipe the cache.
+func (c *ResultCache) Put(key string, body []byte) {
+	e := &cacheEntry{key: key, body: body}
 	sz := e.size()
-	sh := c.shardFor(e.key, e.prefix)
-	if sz > sh.budget {
+	if sz > c.capacity {
 		return
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.entries[e.key]; ok {
-		sh.removeLocked(c, old)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.entries[e.key]; ok {
+		c.removeLocked(old)
 	}
-	elem := sh.lru.PushFront(e)
-	sh.entries[e.key] = elem
-	sh.bytes += sz
-	c.bytes.Add(sz)
-	c.entries.Add(1)
-	if e.results != nil && e.prefix != "" {
-		cur, ok := sh.widest[e.prefix]
-		if !ok || cur.Value.(*cacheEntry).eps < e.eps {
-			sh.widest[e.prefix] = elem
-		}
-	}
-	for sh.bytes > sh.budget {
-		tail := sh.lru.Back()
-		if tail == nil || tail == elem { // elem at the tail means it is alone
-			break
-		}
-		sh.removeLocked(c, tail)
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.bytes += sz
+	for c.bytes > c.capacity {
+		c.removeLocked(c.lru.Back())
 		c.evictions.Add(1)
 	}
 }
 
-// removeLocked unlinks elem from the shard, fixing the containment index
-// when the victim was a prefix's widest entry. Caller holds sh.mu.
-func (sh *cacheShard) removeLocked(c *ResultCache, elem *list.Element) {
+// removeLocked unlinks elem. Caller holds c.mu.
+func (c *ResultCache) removeLocked(elem *list.Element) {
 	e := elem.Value.(*cacheEntry)
-	delete(sh.entries, e.key)
-	if e.prefix != "" {
-		if cur, ok := sh.widest[e.prefix]; ok && cur == elem {
-			delete(sh.widest, e.prefix)
-		}
-	}
-	sh.lru.Remove(elem)
-	sh.bytes -= e.size()
-	c.bytes.Add(-e.size())
-	c.entries.Add(-1)
+	delete(c.entries, e.key)
+	c.lru.Remove(elem)
+	c.bytes -= e.size()
 }
 
 // Do collapses concurrent computations of the same key through the cache's
@@ -231,14 +118,16 @@ func (c *ResultCache) Do(ctx context.Context, key string, fn func() ([]byte, err
 
 // Stats snapshots the cache-wide counters.
 func (c *ResultCache) Stats() ResultCacheStatsSnapshot {
+	c.mu.Lock()
+	entries, bytes := int64(c.lru.Len()), c.bytes
+	c.mu.Unlock()
 	return ResultCacheStatsSnapshot{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Containment: c.containment.Load(),
-		Shared:      c.shared.Load(),
-		Evictions:   c.evictions.Load(),
-		Entries:     c.entries.Load(),
-		Bytes:       c.bytes.Load(),
-		Capacity:    c.capacity,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Shared:    c.shared.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   entries,
+		Bytes:     bytes,
+		Capacity:  c.capacity,
 	}
 }

@@ -10,23 +10,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"netclus"
 )
 
 func TestCachePutGet(t *testing.T) {
 	c := NewResultCache(1 << 20)
-	if _, ok := c.Get("k", ""); ok {
+	if _, ok := c.Get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(&cacheEntry{key: "k", body: []byte("v")})
-	body, ok := c.Get("k", "")
+	c.Put("k", []byte("v"))
+	body, ok := c.Get("k")
 	if !ok || string(body) != "v" {
 		t.Fatalf("Get = %q, %v", body, ok)
 	}
 	// Replacement: same key, new body; entry count must not grow.
-	c.Put(&cacheEntry{key: "k", body: []byte("v2")})
-	body, _ = c.Get("k", "")
+	c.Put("k", []byte("v2"))
+	body, _ = c.Get("k")
 	if string(body) != "v2" {
 		t.Fatalf("after replace: %q", body)
 	}
@@ -39,109 +37,45 @@ func TestCachePutGet(t *testing.T) {
 	}
 }
 
-// TestCacheEviction fills one shard past its budget and checks the LRU tail
+// TestCacheEviction fills the cache past its budget and checks the LRU tail
 // goes first while recently used entries survive.
 func TestCacheEviction(t *testing.T) {
-	// Budget sized so each shard holds ~4 of our entries.
-	nShards := int64(len(NewResultCache(1).shards))
+	// Budget sized so the cache holds 4 of our entries.
 	entrySize := (&cacheEntry{key: "p00", body: make([]byte, 400)}).size()
-	c := NewResultCache(nShards * entrySize * 4)
-
-	// Drive all keys into one shard by giving them one prefix.
-	const prefix = "shard-pin"
+	c := NewResultCache(entrySize * 4)
 	for i := 0; i < 12; i++ {
-		c.Put(&cacheEntry{
-			key: fmt.Sprintf("p%02d", i), prefix: prefix, eps: float64(i),
-			body: make([]byte, 400), results: []netclus.PointDist{},
-		})
+		c.Put(fmt.Sprintf("p%02d", i), make([]byte, 400))
 		// Keep p00 hot so it survives every eviction round.
-		c.Get("p00", prefix)
+		c.Get("p00")
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after overfill: %+v", st)
+	if st.Evictions != 8 || st.Entries != 4 || st.Bytes != 4*entrySize {
+		t.Fatalf("stats after overfill: %+v", st)
 	}
-	if _, ok := c.Get("p00", prefix); !ok {
+	if _, ok := c.Get("p00"); !ok {
 		t.Fatal("hot entry was evicted")
 	}
-	if _, ok := c.Get("p01", prefix); ok {
+	if _, ok := c.Get("p01"); ok {
 		t.Fatal("cold tail entry survived overfill")
 	}
-	// Byte accounting must match the survivors exactly.
-	var live int64
-	for i := 0; i < 12; i++ {
-		if _, ok := c.Get(fmt.Sprintf("p%02d", i), prefix); ok {
-			live++
+	// The survivors are the hot entry and the three most recent puts.
+	for _, k := range []string{"p09", "p10", "p11"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("recent entry %s was evicted", k)
 		}
-	}
-	if st.Entries != live {
-		t.Fatalf("entries = %d, live probes = %d", st.Entries, live)
 	}
 }
 
-// TestCacheOversized: a body larger than a shard's budget is not cached —
-// inserting it would wipe the whole shard for one entry.
+// TestCacheOversized: a body larger than the whole budget is not cached —
+// inserting it would wipe the cache for one entry.
 func TestCacheOversized(t *testing.T) {
-	c := NewResultCache(int64(len(NewResultCache(1).shards)) * 256)
-	c.Put(&cacheEntry{key: "big", body: make([]byte, 4096)})
-	if _, ok := c.Get("big", ""); ok {
+	c := NewResultCache(256)
+	c.Put("big", make([]byte, 4096))
+	if _, ok := c.Get("big"); ok {
 		t.Fatal("oversized entry was cached")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("stats after oversized put: %+v", st)
-	}
-}
-
-func TestCacheWider(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	const prefix = "d\x001\x00range\x00p=3"
-	vec := []netclus.PointDist{{Point: 3, Dist: 0}, {Point: 7, Dist: 1.5}, {Point: 9, Dist: 4}}
-	c.Put(&cacheEntry{key: "wide", prefix: prefix, eps: 5, body: []byte("w"), results: vec})
-
-	got, widest, ok := c.Wider(prefix, 2)
-	if !ok || widest != 5 || len(got) != 3 {
-		t.Fatalf("Wider = %v, %v, %v", got, widest, ok)
-	}
-	// Requests wider than anything cached must refuse.
-	if _, _, ok := c.Wider(prefix, 6); ok {
-		t.Fatal("Wider served a radius beyond the cached one")
-	}
-	if _, _, ok := c.Wider("other", 1); ok {
-		t.Fatal("Wider crossed prefixes")
-	}
-	// A wider entry takes over the index; a narrower one must not.
-	c.Put(&cacheEntry{key: "narrow", prefix: prefix, eps: 1, body: []byte("n"), results: vec[:1]})
-	if got, widest, ok = c.Wider(prefix, 4); !ok || widest != 5 {
-		t.Fatalf("narrow entry displaced the widest: %v %v %v", got, widest, ok)
-	}
-	c.Put(&cacheEntry{key: "wider", prefix: prefix, eps: 9, body: []byte("W"), results: vec})
-	if _, widest, ok = c.Wider(prefix, 6); !ok || widest != 9 {
-		t.Fatalf("wider entry did not take over: %v %v", widest, ok)
-	}
-	if st := c.Stats(); st.Containment != 3 {
-		t.Fatalf("containment = %d, want 3", st.Containment)
-	}
-}
-
-// TestCacheEvictionClearsWidest: evicting the widest entry must drop it from
-// the containment index — a dangling index entry would serve freed data.
-func TestCacheEvictionClearsWidest(t *testing.T) {
-	nShards := int64(len(NewResultCache(1).shards))
-	entrySize := (&cacheEntry{key: "w0", body: make([]byte, 300), results: []netclus.PointDist{{}}}).size()
-	c := NewResultCache(nShards * entrySize * 2)
-	const prefix = "pin"
-	c.Put(&cacheEntry{key: "w0", prefix: prefix, eps: 50,
-		body: make([]byte, 300), results: []netclus.PointDist{{Point: 1, Dist: 2}}})
-	// Flood the shard with prefix-pinned entries until w0 is evicted.
-	for i := 0; i < 8; i++ {
-		c.Put(&cacheEntry{key: fmt.Sprintf("f%d", i), prefix: prefix, eps: 0.1,
-			body: make([]byte, 300), results: []netclus.PointDist{{}}})
-	}
-	if _, ok := c.Get("w0", prefix); ok {
-		t.Skip("widest entry survived; shard budget larger than planned")
-	}
-	if _, _, ok := c.Wider(prefix, 40); ok {
-		t.Fatal("containment index still points at the evicted widest entry")
 	}
 }
 
@@ -242,8 +176,8 @@ func TestSingleflightFollowerErrors(t *testing.T) {
 	<-done
 }
 
-// TestCacheConcurrentHammer mixes puts, gets, containment reads and
-// singleflights across goroutines; meant for -race. Invariants: bytes and
+// TestCacheConcurrentHammer mixes puts, gets and singleflights across
+// goroutines; meant for -race. Invariants: bytes and
 // entries stay non-negative and within budget, bodies come back intact.
 func TestCacheConcurrentHammer(t *testing.T) {
 	c := NewResultCache(64 << 10)
@@ -255,21 +189,14 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", rng.Intn(64))
-				prefix := fmt.Sprintf("pfx-%d", rng.Intn(8))
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
-					c.Put(&cacheEntry{
-						key: k, prefix: prefix, eps: rng.Float64() * 10,
-						body:    bytes.Repeat([]byte{byte(len(k))}, 64+rng.Intn(256)),
-						results: make([]netclus.PointDist, rng.Intn(16)),
-					})
+					c.Put(k, bytes.Repeat([]byte{byte(len(k))}, 64+rng.Intn(256)))
 				case 1:
-					if body, ok := c.Get(k, prefix); ok && len(body) == 0 {
+					if body, ok := c.Get(k); ok && len(body) == 0 {
 						t.Error("empty body on hit")
 					}
 				case 2:
-					_, _, _ = c.Wider(prefix, rng.Float64()*10)
-				case 3:
 					_, _, _ = c.Do(context.Background(), k, func() ([]byte, error) {
 						return []byte("x"), nil
 					})

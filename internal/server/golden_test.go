@@ -86,7 +86,7 @@ func newGoldenServer(t *testing.T) (*Server, string) {
 }
 
 // goldenScript is the fixed request sequence behind the golden files: every
-// endpoint on every kind (miss, hit, ε-containment, pruned and plain, GET and
+// endpoint on every kind (miss, hit, two radii for one point, pruned and plain, GET and
 // POST clustering, the live dataset's maintained labels), the error classes,
 // and one committed plus one rejected write batch.
 func goldenScript() [][2]string {

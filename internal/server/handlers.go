@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -32,9 +31,8 @@ func encodeBody(v any) []byte {
 }
 
 // writeBody writes an encoded 200 response. cache tags the X-Netclusd-Cache
-// header — hit, wider (served by ε-containment from a larger cached radius),
-// shared (rode another request's singleflight), or miss — and is empty when
-// result caching is off for the dataset.
+// header — hit, shared (rode another request's singleflight) or miss — and is
+// empty when the server runs without a result cache.
 func writeBody(w http.ResponseWriter, body []byte, cache string) {
 	w.Header().Set("Content-Type", "application/json")
 	if cache != "" {
@@ -44,35 +42,25 @@ func writeBody(w http.ResponseWriter, body []byte, cache string) {
 	_, _ = w.Write(body)
 }
 
-// cacheKey is the result-cache identity of one decoded read request.
+// cacheKey is the result-cache identity of one decoded read request: epoch
+// pins the immutable snapshot; endpoint and canonical (the request's
+// canonical parameter string) name the pure function evaluated over it.
 type cacheKey struct {
-	// epoch pins the immutable snapshot; endpoint and canonical (the request's
-	// canonical parameter string) name the pure function evaluated over it.
 	epoch               int64
 	endpoint, canonical string
-	// prefix is set for entries that join the ε-containment index
-	// (range?dists=1): they shard by it, so the index and its entries share
-	// one latch; everything else shards by full key. eps is their radius.
-	prefix string
-	eps    float64
 }
 
 // cachedRead is the one read path of /range, /knn and /cluster: exact hit →
-// wider-ε hook → counted miss → singleflight compute → put → tagged write.
-// Results are pure functions of the canonical request and the dataset epoch —
-// datasets are immutable per epoch — so repeats become cache reads and
-// concurrent duplicates collapse to one engine run. wider, when non-nil,
-// tries to derive the response from a cached entry of a wider radius before
-// the engine is asked; compute runs the engine, and its vec is the distance
-// vector to keep for ε-containment reuse (nil for entries that carry none).
-// The two are parameters of their own, apart from the key whose strings end
-// up in the cache, so that a hit costs no closure allocation.
-func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey,
-	wider func(c *ResultCache) (resp any, ok bool),
-	compute func() (resp any, vec []netclus.PointDist, err error)) {
-	c := s.cacheFor(d)
+// counted miss → singleflight compute → put → tagged write. Results are pure
+// functions of the canonical request and the dataset epoch — datasets are
+// immutable per epoch — so repeats become cache reads and concurrent
+// duplicates collapse to one engine run. compute runs the engine; it is a
+// parameter of its own, apart from the key whose strings end up in the cache,
+// so that a hit costs no closure allocation.
+func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey, compute func() (any, error)) {
+	c := s.cache
 	if c == nil {
-		resp, _, err := compute()
+		resp, err := compute()
 		if err != nil {
 			s.queryError(w, r, err)
 			return
@@ -81,28 +69,19 @@ func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, 
 		return
 	}
 	key := resultKey(d.Name, k.epoch, k.endpoint, k.canonical)
-	if body, ok := c.Get(key, k.prefix); ok {
+	if body, ok := c.Get(key); ok {
 		d.cstats.hits.Add(1)
 		writeBody(w, body, "hit")
 		return
 	}
-	if wider != nil {
-		if resp, ok := wider(c); ok {
-			body := encodeBody(resp)
-			c.Put(&cacheEntry{key: key, prefix: k.prefix, eps: k.eps, body: body})
-			d.cstats.containment.Add(1)
-			writeBody(w, body, "wider")
-			return
-		}
-	}
 	d.cstats.misses.Add(1)
 	body, shared, err := c.Do(r.Context(), key, func() ([]byte, error) {
-		resp, vec, err := compute()
+		resp, err := compute()
 		if err != nil {
 			return nil, err
 		}
 		body := encodeBody(resp)
-		c.Put(&cacheEntry{key: key, prefix: k.prefix, eps: k.eps, body: body, results: vec})
+		c.Put(key, body)
 		return body, nil
 	})
 	if err != nil {
@@ -120,9 +99,7 @@ func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, 
 // handleRange serves GET /v1/{dataset}/range?p=&eps=[&dists=1][&prune=0].
 // The ID-only flavour runs the filter-and-refine path when the dataset has
 // bounds; dists=1 needs exact distances, which only the plain expansion
-// produces. dists=1 entries additionally store their distance vector, and the
-// ε-containment structure of the range primitive lets that vector answer any
-// smaller-ε query for the same point without touching the engine.
+// produces.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	req, err := api.DecodeRange(r.URL.Query())
 	if err != nil {
@@ -130,31 +107,12 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 		return
 	}
 	va := d.viewAt()
-	// The ε-containment index key: every range?dists=1 entry for one
-	// (dataset, epoch, point) shares it, whatever its ε.
-	prefix := resultKey(d.Name, va.epoch, "range", "p="+strconv.Itoa(int(req.Point)))
-	k := cacheKey{epoch: va.epoch, endpoint: "range", canonical: req.Canonical(), eps: req.Eps}
-	if req.Dists {
-		k.prefix = prefix
-	}
-	// Semantic reuse: a cached range(q, E) distance vector answers any
-	// range(q, eps <= E) exactly — filter on stored distances, no traversal.
-	wider := func(c *ResultCache) (any, bool) {
-		vec, _, ok := c.Wider(prefix, req.Eps)
-		if !ok {
-			return nil, false
-		}
-		return rangeFromVector(d.Name, va.epoch, req, vec), true
-	}
-	s.cachedRead(w, r, d, k, wider, func() (any, []netclus.PointDist, error) {
-		return s.computeRange(r.Context(), d, va, req)
-	})
+	k := cacheKey{epoch: va.epoch, endpoint: "range", canonical: req.Canonical()}
+	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeRange(r.Context(), d, va, req) })
 }
 
-// computeRange runs the engine for a range request. For the dists flavour it
-// also returns a caller-owned copy of the distance vector, which the cache
-// stores for ε-containment reuse.
-func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req api.RangeRequest) (api.RangeResponse, []netclus.PointDist, error) {
+// computeRange runs the engine for a range request.
+func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req api.RangeRequest) (api.RangeResponse, error) {
 	view := va.graph
 	box := d.backend.scratch(view)
 	defer d.putScratch(box)
@@ -162,16 +120,16 @@ func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req ap
 	if req.Dists {
 		res, err := box.sc.RangeQueryDistCtx(ctx, view, req.Point, req.Eps)
 		if err != nil {
-			return resp, nil, err
+			return resp, err
 		}
 		resp.Count = len(res)
 		resp.Results = api.PointDists(res)
-		return resp, append([]netclus.PointDist(nil), res...), nil
+		return resp, nil
 	}
 	if req.Prune {
 		b, err := d.backend.bounds(ctx)
 		if err != nil {
-			return resp, nil, err
+			return resp, err
 		}
 		// The guard matters: a typed-nil *Bounds stored through the interface
 		// would read as a live bounder and send the query down the pruned path.
@@ -181,33 +139,11 @@ func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req ap
 	}
 	res, err := box.sc.RangeQueryCtx(ctx, view, req.Point, req.Eps)
 	if err != nil {
-		return resp, nil, err
+		return resp, err
 	}
 	resp.Count = len(res)
 	resp.Points = append([]netclus.PointID(nil), res...)
-	return resp, nil, nil
-}
-
-// rangeFromVector answers a range request from a cached wider-ε distance
-// vector. vec ascends in canonical (dist, point) order — the same order
-// RangeQueryDist produces — so the qualifying prefix is byte-identical to a
-// direct dists query. The ID-only flavour returns the same set in canonical
-// order (its ordering is unspecified by the API).
-func rangeFromVector(dataset string, epoch int64, req api.RangeRequest, vec []netclus.PointDist) api.RangeResponse {
-	n := sort.Search(len(vec), func(i int) bool { return vec[i].Dist > req.Eps })
-	resp := api.RangeResponse{Dataset: dataset, Epoch: epoch, Point: req.Point, Eps: req.Eps, Count: n}
-	if req.Dists {
-		resp.Results = api.PointDists(vec[:n])
-		return resp
-	}
-	if n > 0 {
-		pts := make([]netclus.PointID, n)
-		for i, pd := range vec[:n] {
-			pts[i] = pd.Point
-		}
-		resp.Points = pts
-	}
-	return resp
+	return resp, nil
 }
 
 // handleKNN serves GET /v1/{dataset}/knn?p=&k=[&prune=0].
@@ -219,14 +155,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "knn", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, nil, func() (any, []netclus.PointDist, error) {
-		resp, err := s.computeKNN(r.Context(), d, va, req)
-		return resp, nil, err
-	})
+	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeKNN(r.Context(), d, va, req) })
 }
 
 // computeKNN runs the engine for a kNN request: pruned when the dataset has
-// bounds and the request did not opt out, else by the backend's own route.
+// bounds and the request did not opt out, else the engine's direct search.
 func (s *Server) computeKNN(ctx context.Context, d *Dataset, va viewAt, req api.KNNRequest) (api.KNNResponse, error) {
 	var (
 		res    []netclus.PointDist
@@ -245,7 +178,7 @@ func (s *Server) computeKNN(ctx context.Context, d *Dataset, va viewAt, req api.
 		d.addPrune(ps)
 		pruned = true
 	} else {
-		res, err = d.backend.knn(ctx, va.graph, req.Point, req.K)
+		res, err = netclus.KNearestNeighborsCtx(ctx, va.graph, req.Point, req.K)
 	}
 	if err != nil {
 		return api.KNNResponse{}, err
@@ -296,10 +229,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "cluster", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, nil, func() (any, []netclus.PointDist, error) {
-		resp, err := s.computeCluster(r.Context(), d, va, req)
-		return resp, nil, err
-	})
+	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeCluster(r.Context(), d, va, req) })
 }
 
 // computeCluster runs one clustering job against the pinned view — or takes
@@ -433,7 +363,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	out := make([]api.DatasetInfo, 0, len(list))
 	for _, d := range list {
 		info := d.info()
-		if s.cacheFor(d) != nil {
+		if s.cache != nil {
 			rc := d.ResultCacheStats()
 			info.ResultCache = &rc
 		}
@@ -444,8 +374,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		cs := s.cache.Stats()
 		resp.ResultCache = &api.CacheTotals{
 			ResultCacheStats: api.ResultCacheStats{
-				Hits: cs.Hits, Misses: cs.Misses,
-				ContainmentHits: cs.Containment, SingleflightShared: cs.Shared,
+				Hits: cs.Hits, Misses: cs.Misses, SingleflightShared: cs.Shared,
 			},
 			Evictions: cs.Evictions, Entries: cs.Entries,
 			Bytes: cs.Bytes, CapacityBytes: cs.Capacity,

@@ -386,7 +386,7 @@ func TestLiveScratchPool(t *testing.T) {
 				}
 				d.putScratch(box)
 				req := api.RangeRequest{Point: netclus.PointID(rng.Intn(va.graph.NumPoints())), Eps: liveEps, Dists: true}
-				got, _, err := s.computeRange(ctx, d, va, req)
+				got, err := s.computeRange(ctx, d, va, req)
 				if err != nil {
 					t.Errorf("epoch %d: range: %v", va.epoch, err)
 					return

@@ -24,11 +24,6 @@ type Metrics struct {
 
 	panics   atomic.Int64
 	inflight atomic.Int64
-
-	// kNN batching: sweeps executed and requests answered through them. The
-	// ratio is the realized batch size under the current load.
-	knnBatches     atomic.Int64
-	knnBatchedReqs atomic.Int64
 }
 
 type reqKey struct {
@@ -94,16 +89,11 @@ func (m *Metrics) Observe(endpoint, dataset string, code int, d time.Duration) {
 // Panicked records a request handler panic.
 func (m *Metrics) Panicked() { m.panics.Add(1) }
 
-// ObserveKNNBatch records one executed kNN sweep answering n requests.
-func (m *Metrics) ObserveKNNBatch(n int) {
-	m.knnBatches.Add(1)
-	m.knnBatchedReqs.Add(int64(n))
-}
-
-// KNNBatchCounts returns sweeps executed and requests batched, for tests.
-func (m *Metrics) KNNBatchCounts() (batches, requests int64) {
-	return m.knnBatches.Load(), m.knnBatchedReqs.Load()
-}
+// KNNBatchCounts returns 0, 0: every kNN request runs on its own, so there
+// are no batched sweeps to count. It is kept only because benchmark/layers.go
+// compiles against it; ROADMAP item 1 (A) removes it together with the probe
+// that reads it.
+func (m *Metrics) KNNBatchCounts() (batches, requests int64) { return 0, 0 }
 
 // Panics returns the panic count.
 func (m *Metrics) Panics() int64 { return m.panics.Load() }
@@ -254,8 +244,6 @@ var families = []family{
 	{name: "netclusd_request_seconds", help: "Request latency, by endpoint.", typ: "histogram", emit: emitLatencies},
 	{name: "netclusd_inflight_requests", typ: "gauge", help: "Requests currently being handled.", emit: func(sc *scrape, put putFunc) { put("", sc.m.inflight.Load()) }},
 	{name: "netclusd_panics_total", typ: "counter", help: "Request handlers recovered from a panic.", emit: func(sc *scrape, put putFunc) { put("", sc.m.panics.Load()) }},
-	{name: "netclusd_knn_batches_total", typ: "counter", help: "Batched kNN sweeps executed on hot datasets.", emit: func(sc *scrape, put putFunc) { put("", sc.m.knnBatches.Load()) }},
-	{name: "netclusd_knn_batched_requests_total", typ: "counter", help: "kNN requests answered through a batched sweep.", emit: func(sc *scrape, put putFunc) { put("", sc.m.knnBatchedReqs.Load()) }},
 	{name: "netclusd_admission_capacity", typ: "gauge", help: "Total admission cost units.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Capacity) }},
 	{name: "netclusd_admission_in_use", typ: "gauge", help: "Admission cost units in use.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.InUse) }},
 	{name: "netclusd_admission_waiting", typ: "gauge", help: "Requests queued for admission.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Waiting) }},
@@ -263,7 +251,6 @@ var families = []family{
 	{name: "netclusd_admission_rejected_total", typ: "counter", help: "Requests shed with 429.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.Rejected) }},
 	{name: "netclusd_admission_timeout_total", typ: "counter", help: "Requests that gave up waiting for admission.", emit: func(sc *scrape, put putFunc) { put("", sc.adm.TimedOut) }},
 	cached("netclusd_result_cache_hits_total", "counter", "Result-cache exact-key hits.", func(c *ResultCacheStatsSnapshot) int64 { return c.Hits }),
-	cached("netclusd_result_cache_containment_hits_total", "counter", "Range queries answered by filtering a cached wider-radius distance vector.", func(c *ResultCacheStatsSnapshot) int64 { return c.Containment }),
 	cached("netclusd_result_cache_misses_total", "counter", "Result-cache misses.", func(c *ResultCacheStatsSnapshot) int64 { return c.Misses }),
 	cached("netclusd_result_cache_singleflight_shared_total", "counter", "Requests that shared another request's in-flight computation.", func(c *ResultCacheStatsSnapshot) int64 { return c.Shared }),
 	cached("netclusd_result_cache_evictions_total", "counter", "Entries evicted to hold the byte budget.", func(c *ResultCacheStatsSnapshot) int64 { return c.Evictions }),

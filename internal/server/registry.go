@@ -29,10 +29,6 @@ type Dataset struct {
 	// Source describes where the dataset came from (directory or file
 	// prefix), for /v1/datasets.
 	Source string
-	// DisableCache exempts this dataset from the server's result cache.
-	// Set before Add; registering the same data twice — once cached, once
-	// not — gives loadtest an A/B pair on a single process.
-	DisableCache bool
 
 	// epoch versions the dataset's contents. Read-only datasets stay at 1; a
 	// live dataset's overlay bumps it on every visible mutation, which
@@ -54,10 +50,9 @@ type Dataset struct {
 
 // cacheCounters attributes result-cache traffic to one dataset.
 type cacheCounters struct {
-	hits        atomic.Int64
-	misses      atomic.Int64
-	containment atomic.Int64
-	shared      atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	shared atomic.Int64
 }
 
 // newDataset wraps b, which serves g, at epoch 1.
@@ -226,7 +221,6 @@ func (d *Dataset) ResultCacheStats() api.ResultCacheStats {
 	return api.ResultCacheStats{
 		Hits:               d.cstats.hits.Load(),
 		Misses:             d.cstats.misses.Load(),
-		ContainmentHits:    d.cstats.containment.Load(),
 		SingleflightShared: d.cstats.shared.Load(),
 	}
 }

@@ -17,12 +17,13 @@ import (
 // TestBackendContract holds every constructor to its row of the dataset-kind
 // table in DESIGN.md §8: which kinds build bounds, accept writes or carry a
 // compiled replica; that a default kNN is pruned exactly where bounds exist
-// and rides the batcher exactly on hot datasets; that a k beyond any point
-// count answers like k = N on every kind; that a default DBSCAN
-// reports a prune block exactly where bounds exist and labels identically
-// everywhere, at every worker count; that every read-only kind refuses a
-// mutation with the same envelope; and that Server.Shutdown followed by
-// Dataset.Close — the order the benchmark uses — is clean on every kind.
+// and answers like the engine; that a k beyond any point count answers like
+// k = N on every kind; that a default DBSCAN reports a prune block exactly
+// where bounds exist and labels identically everywhere, at every worker count;
+// that every read-only kind refuses a mutation with the same envelope; that
+// every kind's result-cache counters sum to the cache-wide totals; and that
+// Server.Shutdown followed by Dataset.Close — the order the benchmark uses —
+// is clean on every kind.
 func TestBackendContract(t *testing.T) {
 	n := testNetwork(t)
 	dir := t.TempDir()
@@ -83,7 +84,6 @@ func TestBackendContract(t *testing.T) {
 	var refusal string
 	for _, row := range rows {
 		name := row.d.Name
-		batches, _ := s.Metrics().KNNBatchCounts()
 		for p := 0; p < 20; p++ {
 			var kr api.KNNResponse
 			getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=%d&k=6", name, p), http.StatusOK, &kr)
@@ -114,13 +114,12 @@ func TestBackendContract(t *testing.T) {
 				t.Fatalf("%s: k=%d answered %d results, k=N %d", name, k, len(kr.Results), len(atN.Results))
 			}
 		}
-		// One sweep per sequential request on hot datasets, none elsewhere;
-		// the batcher books a sweep just after it releases its waiters.
-		sweeps := batches
-		if row.hot {
-			sweeps += 20 + 1 + int64(len(hostile))
+		getJSON(t, h, "/v1/"+name+"/knn?p=99999&k=3", http.StatusNotFound, nil)
+		// A repeat is a hit and a narrower radius a miss of its own, on every
+		// kind: the cache answers exact keys only.
+		for _, q := range []string{"eps=25", "eps=25", "eps=12.5"} {
+			getJSON(t, h, "/v1/"+name+"/range?p=3&dists=1&"+q, http.StatusOK, nil)
 		}
-		waitFor(t, func() bool { after, _ := s.Metrics().KNNBatchCounts(); return after == sweeps })
 		for _, workers := range []int{0, 1, 4} {
 			var cr api.ClusterResponse
 			getJSON(t, h, fmt.Sprintf("/v1/%s%s&workers=%d", name, clusterQ, workers), http.StatusOK, &cr)
@@ -155,6 +154,16 @@ func TestBackendContract(t *testing.T) {
 	getJSON(t, h, "/v1/datasets", http.StatusOK, &ds)
 	if len(ds.Datasets) != len(rows) {
 		t.Fatalf("%d datasets listed", len(ds.Datasets))
+	}
+	var sum api.ResultCacheStats
+	for _, info := range ds.Datasets {
+		rc := info.ResultCache
+		sum.Hits += rc.Hits
+		sum.Misses += rc.Misses
+		sum.SingleflightShared += rc.SingleflightShared
+	}
+	if sum != ds.ResultCache.ResultCacheStats || sum.Hits < int64(len(rows)) {
+		t.Fatalf("per-dataset cache counters sum to %+v, cache-wide totals are %+v", sum, ds.ResultCache.ResultCacheStats)
 	}
 	for _, info := range ds.Datasets {
 		for _, row := range rows {

@@ -72,8 +72,7 @@ type Config struct {
 	// (default 8).
 	MaxClusterWorkers int
 	// ResultCacheBytes is the result cache's byte budget (0 = 64 MiB,
-	// negative = caching disabled). Datasets can opt out individually via
-	// Dataset.DisableCache.
+	// negative = caching disabled).
 	ResultCacheBytes int64
 	// Log receives serving errors and panics; nil discards them.
 	Log *log.Logger
@@ -129,9 +128,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheBytes > 0 {
 		s.cache = NewResultCache(cfg.ResultCacheBytes)
 	}
-	for _, d := range cfg.Registry.List() {
-		d.backend.attach(cfg.MaxTimeout, s.metrics)
-	}
 	s.mux.HandleFunc("GET /healthz", s.instrumented("healthz", "", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrumented("metrics", "", s.handleMetrics))
 	s.mux.HandleFunc("GET /v1/datasets", s.instrumented("datasets", "", s.handleDatasets))
@@ -156,15 +152,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 
 // ResultCache exposes the server's result cache; nil when caching is off.
 func (s *Server) ResultCache() *ResultCache { return s.cache }
-
-// cacheFor resolves the cache a dataset's queries go through: nil when the
-// server runs uncached or the dataset opted out.
-func (s *Server) cacheFor(d *Dataset) *ResultCache {
-	if s.cache == nil || d.DisableCache {
-		return nil
-	}
-	return s.cache
-}
 
 // ListenAndServe serves on cfg.Addr until Shutdown; like http.Server, it
 // returns http.ErrServerClosed after a clean drain.

@@ -642,13 +642,15 @@ func getRaw(t *testing.T, h http.Handler, url string) (*httptest.ResponseRecorde
 
 // TestServeCacheByteIdentical: a cached response must be byte-for-byte the
 // response an uncached server computes for the same request, and repeats must
-// be served from cache.
+// be served from cache. A narrower radius after a wider one for the same point
+// is a miss of its own: the cache answers exact keys only.
 func TestServeCacheByteIdentical(t *testing.T) {
 	cached := newMemServer(t, 0)  // default budget
 	direct := newMemServer(t, -1) // caching off
 	urls := []string{
 		"/v1/mem/range?p=3&eps=25",
 		"/v1/mem/range?p=3&eps=25&dists=1",
+		"/v1/mem/range?p=3&eps=12.5&dists=1",
 		"/v1/mem/knn?p=3&k=7",
 		"/v1/mem/cluster?algo=dbscan&eps=15&minpts=3",
 	}
@@ -678,63 +680,6 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	}
 	if direct.ResultCache() != nil {
 		t.Fatal("direct server has a cache")
-	}
-}
-
-// TestServeCacheContainment: after caching range(q, 25) with distances, any
-// smaller-ε query for q is answered from the cached vector — byte-identical
-// to a direct computation for the dists flavour, same set for ID-only.
-func TestServeCacheContainment(t *testing.T) {
-	cached := newMemServer(t, 0)
-	direct := newMemServer(t, -1)
-	_, _ = getRaw(t, cached.Handler(), "/v1/mem/range?p=3&eps=25&dists=1")
-
-	for _, eps := range []string{"20", "12.5", "5", "0.001"} {
-		url := "/v1/mem/range?p=3&eps=" + eps + "&dists=1"
-		rec, body := getRaw(t, cached.Handler(), url)
-		if got := rec.Header().Get("X-Netclusd-Cache"); got != "wider" {
-			t.Fatalf("%s: X-Netclusd-Cache = %q, want wider", url, got)
-		}
-		_, bodyD := getRaw(t, direct.Handler(), url)
-		if string(body) != string(bodyD) {
-			t.Fatalf("%s: containment body differs from direct compute\n%s\n%s", url, body, bodyD)
-		}
-		// The derived entry was cached under its exact key: repeat is a hit.
-		rec2, _ := getRaw(t, cached.Handler(), url)
-		if got := rec2.Header().Get("X-Netclusd-Cache"); got != "hit" {
-			t.Fatalf("%s: repeat X-Netclusd-Cache = %q, want hit", url, got)
-		}
-	}
-
-	// ID-only flavour: served from the vector too, same member set as a
-	// direct query (its ordering is unspecified).
-	url := "/v1/mem/range?p=3&eps=15"
-	rec, body := getRaw(t, cached.Handler(), url)
-	if got := rec.Header().Get("X-Netclusd-Cache"); got != "wider" {
-		t.Fatalf("%s: X-Netclusd-Cache = %q, want wider", url, got)
-	}
-	var fromCache, fromEngine api.RangeResponse
-	if err := json.Unmarshal(body, &fromCache); err != nil {
-		t.Fatal(err)
-	}
-	_, bodyD := getRaw(t, direct.Handler(), url)
-	if err := json.Unmarshal(bodyD, &fromEngine); err != nil {
-		t.Fatal(err)
-	}
-	if fromCache.Count == 0 || fromCache.Count != fromEngine.Count {
-		t.Fatalf("counts differ: cache %d, engine %d", fromCache.Count, fromEngine.Count)
-	}
-	set := map[netclus.PointID]bool{}
-	for _, p := range fromCache.Points {
-		set[p] = true
-	}
-	for _, p := range fromEngine.Points {
-		if !set[p] {
-			t.Fatalf("point %d missing from containment answer", p)
-		}
-	}
-	if st := cached.ResultCache().Stats(); st.Containment != 5 {
-		t.Fatalf("containment hits = %d, want 5", st.Containment)
 	}
 }
 
@@ -774,57 +719,28 @@ func TestServeCacheEpochBump(t *testing.T) {
 	}
 }
 
-// TestServeCacheOptOut: a dataset registered with DisableCache never touches
-// the cache even when the server runs one.
+// TestServeCacheOptOut: a server run with its cache off (ResultCacheBytes
+// < 0, which -result-cache-mb 0 maps to) computes every request, tags none,
+// and reports no result-cache block in /v1/datasets or /metrics.
 func TestServeCacheOptOut(t *testing.T) {
-	reg := NewRegistry()
-	n := testNetwork(t)
-	mem, err := NewNetworkDataset("mem", "test", n, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := NewNetworkDataset("raw", "test", n, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.DisableCache = true
-	for _, d := range []*Dataset{mem, raw} {
-		if err := reg.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := New(Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
+	s := newMemServer(t, -1)
+	if s.ResultCache() != nil {
+		t.Fatal("server with the cache off has a cache")
 	}
 	for i := 0; i < 2; i++ {
-		rec, _ := getRaw(t, s.Handler(), "/v1/raw/knn?p=3&k=5")
+		rec, _ := getRaw(t, s.Handler(), "/v1/mem/knn?p=3&k=5")
 		if got := rec.Header().Get("X-Netclusd-Cache"); got != "" {
-			t.Fatalf("opted-out dataset tagged X-Netclusd-Cache %q", got)
+			t.Fatalf("uncached server tagged X-Netclusd-Cache %q", got)
 		}
 	}
-	_, _ = getRaw(t, s.Handler(), "/v1/mem/knn?p=3&k=5")
-	st := s.ResultCache().Stats()
-	if st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("cache saw opted-out traffic: %+v", st)
-	}
-
 	var dl api.DatasetsResponse
 	getJSON(t, s.Handler(), "/v1/datasets", http.StatusOK, &dl)
-	for _, info := range dl.Datasets {
-		switch info.Name {
-		case "mem":
-			if info.ResultCache == nil || info.ResultCache.Misses != 1 {
-				t.Fatalf("mem result_cache = %+v", info.ResultCache)
-			}
-		case "raw":
-			if info.ResultCache != nil {
-				t.Fatalf("raw reports result_cache %+v", info.ResultCache)
-			}
-		}
+	if dl.ResultCache != nil || len(dl.Datasets) != 1 || dl.Datasets[0].ResultCache != nil {
+		t.Fatalf("uncached server reports cache stats: %+v", dl)
 	}
-	if dl.ResultCache == nil || dl.ResultCache.Entries != 1 {
-		t.Fatalf("cache totals = %+v", dl.ResultCache)
+	_, metrics := getRaw(t, s.Handler(), "/metrics")
+	if strings.Contains(string(metrics), "netclusd_result_cache_") {
+		t.Fatal("uncached server exports result-cache families")
 	}
 }
 

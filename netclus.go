@@ -192,7 +192,8 @@ type CSRStats = csr.Stats
 // all in one cache-friendly sweep (optionally fanned across workers), and
 // Results hands each answer back without copying. Obtain one with
 // Snapshot.NewKNNBatch; every query is answered exactly like a lone
-// KNearestNeighbors call.
+// KNearestNeighbors call. It is kept only because benchmark/layers.go
+// compiles against it; ROADMAP item 1 (A) removes it.
 type KNNBatch = csr.KNNBatch
 
 // Compile builds a Snapshot from any Graph (typically an in-memory
