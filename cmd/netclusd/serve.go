@@ -184,9 +184,10 @@ func loadShardedDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.D
 
 // loadLiveDataset resolves the mutable form of a spec: the path's graph
 // (snapshot file, disk store, or network files) compiles into an immutable
-// CSR base, and a delta overlay over it accepts writes. The compiled form
-// matters — reads between writes run the flat-array kernels, and background
-// compactions recompile into the same shape.
+// CSR base, and a delta overlay over it accepts writes. Every view the
+// overlay publishes is a snapshot derived from that base, so reads between
+// writes run the flat-array kernels, and a compaction makes the current view
+// the base without compiling.
 func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Dataset, error) {
 	var sn *netclus.Snapshot
 	if netclus.IsSnapshotFile(spec.path) {

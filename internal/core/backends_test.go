@@ -34,9 +34,9 @@ type densityBackend struct {
 
 // densityBackends serves g from every backend: the pointer network itself,
 // the disk store, the compiled snapshot, a set of shards scattered round-robin
-// (every edge a cut edge) and a merged delta view after a mutation batch —
-// whose content, and therefore oracle, differs from g's, and which has no
-// bounds. euclid picks the Euclidean candidate filter (generated graphs);
+// (every edge a cut edge) and a merged delta view after viewOps' mutation
+// batch — whose content, and therefore oracle, differs from g's, and which
+// has no bounds. euclid picks the Euclidean candidate filter (generated graphs);
 // without it Candidates reports unsupported and the pruned runs cover the
 // plain-expansion fallback (the hand-built shapes carry no embedding).
 func densityBackends(t *testing.T, g *network.Network, shards int, euclid bool) []densityBackend {
@@ -77,14 +77,11 @@ func densityBackends(t *testing.T, g *network.Network, shards int, euclid bool) 
 		t.Fatal(err)
 	}
 	t.Cleanup(o.Close)
-	last := network.PointID(g.NumPoints() - 1)
-	if _, err := o.Apply(context.Background(), []delta.Op{
-		delta.InsertNear(0, 0.5, 1000), delta.MoveSame(last, 0.25), delta.Delete(last / 2),
-	}); err != nil {
+	if _, err := o.Apply(context.Background(), viewOps(g)); err != nil {
 		t.Fatal(err)
 	}
 	view := o.Current().Graph
-	if _, flat := view.(network.LabelKernel); flat {
+	if view == network.Graph(sn) {
 		t.Fatal("the mutated overlay still serves its base snapshot")
 	}
 	viewDist, err := matrix.PointDistances(view)
@@ -98,6 +95,37 @@ func densityBackends(t *testing.T, g *network.Network, shards int, euclid bool) 
 		{fmt.Sprintf("%d-shards", shards), set, dist, b, euclid},
 		{"delta-view", view, viewDist, nil, false},
 	}
+}
+
+// viewOps is the delta-view row's mutation batch: an insert, a same-edge move
+// and a delete, plus, where g has them, the two changes that make the view
+// own a renumbered adjacency — every point of one group deleted, and an
+// insert on an edge that carried none.
+func viewOps(g *network.Network) []delta.Op {
+	last := network.PointID(g.NumPoints() - 1)
+	ops := []delta.Op{delta.InsertNear(0, 0.5, 1000), delta.MoveSame(last, 0.25), delta.Delete(last / 2)}
+	var empty *network.PointGroup
+	_ = g.ScanGroups(func(_ network.GroupID, pg network.PointGroup, _ []float64) error {
+		hit := func(p network.PointID) bool { return p >= pg.First && p < pg.First+network.PointID(pg.Count) }
+		if !hit(0) && !hit(last) && !hit(last/2) && (empty == nil || pg.Count < empty.Count) {
+			empty = &pg
+		}
+		return nil
+	})
+	if empty != nil {
+		for i := int32(0); i < empty.Count; i++ {
+			ops = append(ops, delta.Delete(empty.First+network.PointID(i)))
+		}
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		nbs, _ := g.Neighbors(network.NodeID(u))
+		for _, nb := range nbs {
+			if nb.Group == network.NoGroup {
+				return append(ops, delta.Insert(network.NodeID(u), nb.Node, nb.Weight/2, 1001))
+			}
+		}
+	}
+	return ops
 }
 
 // checkDensityBackend runs DBSCAN and ε-Link on bk at Workers 0, 1 and 4,

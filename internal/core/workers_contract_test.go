@@ -17,7 +17,9 @@ import (
 //
 // Stats.RangeQueries tells the truth: DBSCAN expands every point exactly once
 // on every backend, pruned or not; ε-Link issues none. CritNs/WallNs are the
-// snapshot's native timing model and stay zero on the generic labeller.
+// flat kernel's native timing model — the snapshot's and the delta view's,
+// which is a snapshot derived from it — and stay zero on the generic
+// labeller.
 func TestLabelKernelWorkersContract(t *testing.T) {
 	ctx := context.Background()
 	g, _, err := testnet.RandomClustered(11, 60, 240, 4)
@@ -31,9 +33,8 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 			prunes = append(prunes, true)
 		}
 		for _, pruned := range prunes {
-			// Native timing: the snapshot's flat kernel, only without a
-			// Bounder.
-			timed := !pruned && bk.name == "snapshot"
+			// Native timing: the flat kernel, only without a Bounder.
+			timed := !pruned && (bk.name == "snapshot" || bk.name == "delta-view")
 			for _, minPts := range []int{1, 2, 3, 5} {
 				for _, eps := range []float64{0.05, 0.15, 0.4} {
 					opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}

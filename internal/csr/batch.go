@@ -44,43 +44,52 @@ func (s *Snapshot) RangeEach(ctx context.Context, pts []network.PointID, eps flo
 	var next atomic.Int64
 	var failed atomic.Bool
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := s.acquire()
-			defer s.release(sc)
-			dists := make([]float64, 0, 64)
-			for !failed.Load() {
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= len(pts) {
+	work := func(w int) {
+		sc := s.acquire()
+		defer s.release(sc)
+		dists := make([]float64, 0, 64)
+		for !failed.Load() {
+			lo := int(next.Add(int64(batch))) - batch
+			if lo >= len(pts) {
+				return
+			}
+			hi := lo + batch
+			if hi > len(pts) {
+				hi = len(pts)
+			}
+			for i := lo; i < hi; i++ {
+				if err := sc.run(ctx, pts[i], eps); err != nil {
+					errs[w] = err
+					failed.Store(true)
 					return
 				}
-				hi := lo + batch
-				if hi > len(pts) {
-					hi = len(pts)
+				dists = dists[:0]
+				for _, q := range sc.result {
+					dists = append(dists, sc.ptDist[q])
 				}
-				for i := lo; i < hi; i++ {
-					if err := sc.run(ctx, pts[i], eps); err != nil {
-						errs[w] = err
-						failed.Store(true)
-						return
-					}
-					dists = dists[:0]
-					for _, q := range sc.result {
-						dists = append(dists, sc.ptDist[q])
-					}
-					if err := visit(i, pts[i], sc.result, dists); err != nil {
-						errs[w] = err
-						failed.Store(true)
-						return
-					}
+				if err := visit(i, pts[i], sc.result, dists); err != nil {
+					errs[w] = err
+					failed.Store(true)
+					return
 				}
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		// One worker runs on the caller's goroutine: no hand-off for the
+		// scheduler to fill with other work while the caller waits.
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

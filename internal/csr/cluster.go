@@ -29,7 +29,7 @@ type clusterState struct {
 }
 
 func (s *Snapshot) acquireCluster(workers int) *clusterState {
-	cs, ok := s.clusterPool.Get().(*clusterState)
+	cs, ok := s.pools.cluster.Get().(*clusterState)
 	if !ok {
 		cs = &clusterState{}
 	}
@@ -69,7 +69,7 @@ func (s *Snapshot) clusterRun(ctx context.Context, n, workers int, stripe func(w
 	}
 	t0 := time.Now()
 	cs := s.acquireCluster(workers)
-	defer s.clusterPool.Put(cs)
+	defer s.pools.cluster.Put(cs)
 	runStripe := func(w int) {
 		lo, hi := w*n/workers, (w+1)*n/workers
 		sc := s.acquire()

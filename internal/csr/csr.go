@@ -84,27 +84,36 @@ type Snapshot struct {
 
 	stats Stats
 
-	// scratchPool recycles kernel scratches for the batched range mode and
-	// the kNN entry point: steady-state queries allocate nothing.
-	scratchPool sync.Pool
+	// pools recycles the kernels' traversal state. Every snapshot derived
+	// from this one (Derive) shares it, so a live overlay's views, one per
+	// write batch, reuse what earlier views grew instead of starting empty.
+	pools *kernelPools
+}
 
-	// expandPool recycles the Δ-stepping bucket queues of ExpandNearest for
-	// the same reason: repeated incremental k-medoids updates reuse the
-	// grown bucket arrays instead of regrowing from empty every call.
-	expandPool sync.Pool
+// kernelPools are the pools behind a snapshot family's kernels. Pooled state
+// is not tied to one snapshot: a draw rebinds it to the snapshot it serves.
+type kernelPools struct {
+	// scratch recycles kernel scratches for the batched range mode and the
+	// kNN entry point: steady-state queries allocate nothing.
+	scratch sync.Pool
 
-	// prangePool recycles the coordination state of the frontier-parallel
-	// range expansion (bucket queue, proposal buffers, worker slots).
-	prangePool sync.Pool
+	// expand recycles the Δ-stepping bucket queues of ExpandNearest for the
+	// same reason: repeated incremental k-medoids updates reuse the grown
+	// bucket arrays instead of regrowing from empty every call.
+	expand sync.Pool
 
-	// clusterPool recycles the per-stripe coordination state of the striped
+	// prange recycles the coordination state of the frontier-parallel range
+	// expansion (bucket queue, proposal buffers, worker slots).
+	prange sync.Pool
+
+	// cluster recycles the per-stripe coordination state of the striped
 	// clustering passes (CoreFlags / EpsUnions / DBSCANLabels).
-	clusterPool sync.Pool
+	cluster sync.Pool
 
-	// epsPool recycles the label kernel's state: the flat-array Fig. 6
-	// traversal (per-cluster epoch-stamped NNdist, per-point selection state)
-	// and DBSCAN's non-core side lists.
-	epsPool sync.Pool
+	// eps recycles the label kernel's state: the flat-array Fig. 6 traversal
+	// (per-cluster epoch-stamped NNdist, per-point selection state) and
+	// DBSCAN's non-core side lists.
+	eps sync.Pool
 }
 
 // tagSource and coordSource are the optional Graph extensions Compile reads
@@ -132,6 +141,7 @@ func Compile(g network.Graph) (*Snapshot, error) {
 		ptPos:    make([]float64, points),
 		ptGrp:    make([]int32, points),
 		ptTag:    make([]int32, points),
+		pools:    new(kernelPools),
 	}
 
 	// Adjacency: one pass over the nodes, preserving each row's order (the
@@ -204,6 +214,40 @@ func Compile(g network.Graph) (*Snapshot, error) {
 	}
 	s.stats.CompileTime = time.Since(start)
 	return s, nil
+}
+
+// Derive returns a snapshot of s's network that holds another point set, in
+// the §4.1 layout Compile emits: groups in ascending edge-key order, their
+// points bucketed in ptPos with tags in ptTag and group IDs in ptGrp. adj is
+// s's adjacency with its group references renumbered to the new groups, or
+// nil when s's still apply because the same edges carry points. The result
+// takes ownership of the slices it is handed and shares everything else with
+// s: row offsets, embedding, Δ unit and kernel pools. It is therefore what
+// Compile would build from the same content, and a live overlay derives one
+// per write batch from its base. (A function, not a method, so that it stays
+// out of the public Snapshot alias.)
+func Derive(s *Snapshot, groups []network.PointGroup, ptPos []float64, ptTag, ptGrp []int32, adj []network.Neighbor) *Snapshot {
+	if adj == nil {
+		adj = s.adj
+	}
+	d := &Snapshot{
+		numEdges: s.numEdges,
+		rowOff:   s.rowOff,
+		adj:      adj,
+		groups:   groups,
+		ptPos:    ptPos,
+		ptGrp:    ptGrp,
+		ptTag:    ptTag,
+		coords:   s.coords,
+		invDelta: s.invDelta,
+		pools:    s.pools,
+	}
+	d.stats = Stats{
+		Nodes: s.stats.Nodes, Edges: s.numEdges, Points: len(ptPos), Groups: len(groups),
+		HasCoords:     s.coords != nil,
+		ResidentBytes: d.residentBytes(),
+	}
+	return d
 }
 
 // invMeanWeight is the reciprocal of the mean edge weight, the unit the

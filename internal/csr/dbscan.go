@@ -37,7 +37,7 @@ func (s *Snapshot) DBSCANLabels(ctx context.Context, eps float64, minPts, worker
 		workers = n
 	}
 	st := s.acquireEps()
-	defer s.epsPool.Put(st)
+	defer s.pools.eps.Put(st)
 	for len(st.side) < workers {
 		st.side = append(st.side, nil)
 	}

@@ -50,8 +50,11 @@ type epsState struct {
 }
 
 // acquireEps draws a pooled state with every point selected and unclustered.
+// The per-point array is regrown, with headroom, only when s has outgrown it,
+// so the views of a live overlay reuse one state while their point count
+// drifts.
 func (s *Snapshot) acquireEps() *epsState {
-	st, ok := s.epsPool.Get().(*epsState)
+	st, ok := s.pools.eps.Get().(*epsState)
 	if !ok {
 		st = &epsState{heap: heapx.New4(lessEntry)}
 	}
@@ -65,7 +68,7 @@ func (s *Snapshot) acquireEps() *epsState {
 	}
 	n := len(s.ptPos)
 	if cap(st.state) < n {
-		st.state = make([]uint8, n)
+		st.state = make([]uint8, n, headroom(n))
 	} else {
 		st.state = st.state[:n]
 		for i := range st.state {
@@ -111,7 +114,7 @@ func (s *Snapshot) EpsLinkLabels(ctx context.Context, eps float64, minSup int, l
 		return 0, 0, fmt.Errorf("%w: EpsLinkLabels needs eps > 0 (got %v)", network.ErrInvalidOptions, eps)
 	}
 	st := s.acquireEps()
-	defer s.epsPool.Put(st)
+	defer s.pools.eps.Put(st)
 	if err := st.growAll(ctx, s, eps, labels); err != nil {
 		return 0, 0, err
 	}

@@ -54,7 +54,7 @@ func (s *Snapshot) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed
 // pushes replacing O(log n) heap ops on top of the flat-array row scans.
 func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64, log *network.MedoidLog) (network.ExpandCounts, error) {
 	var c network.ExpandCounts
-	q, ok := s.expandPool.Get().(*heapx.Buckets[medEntry])
+	q, ok := s.pools.expand.Get().(*heapx.Buckets[medEntry])
 	if !ok {
 		q = heapx.NewBuckets[medEntry]()
 	}
@@ -67,7 +67,7 @@ func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.Medo
 			*log = changes
 		}
 		q.Reset()
-		s.expandPool.Put(q)
+		s.pools.expand.Put(q)
 	}()
 	inv := s.invDelta * expandFine
 	for _, sd := range seeds {

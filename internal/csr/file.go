@@ -181,7 +181,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: invalid bucket width 1/Δ = %v", ErrSnapshotCorrupt, invDelta)
 	}
 
-	s := &Snapshot{numEdges: int(edges)}
+	s := &Snapshot{numEdges: int(edges), pools: new(kernelPools)}
 	half := int(2 * edges)
 	if s.rowOff, err = snapInt32s(f, secRowOff, int(nodes)+1); err != nil {
 		return nil, err

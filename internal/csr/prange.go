@@ -35,7 +35,7 @@ type prState struct {
 }
 
 func (s *Snapshot) acquirePrange(workers int) *prState {
-	ps, ok := s.prangePool.Get().(*prState)
+	ps, ok := s.pools.prange.Get().(*prState)
 	if !ok {
 		ps = &prState{q: heapx.NewBuckets[prEntry]()}
 	}
@@ -56,7 +56,7 @@ func (s *Snapshot) acquirePrange(workers int) *prState {
 	return ps
 }
 
-func (s *Snapshot) releasePrange(ps *prState) { s.prangePool.Put(ps) }
+func (s *Snapshot) releasePrange(ps *prState) { s.pools.prange.Put(ps) }
 
 // RangeQueryDistParallel answers one ε-range query with the frontier split
 // across workers — the large-ε companion of the sequential kernel, for

@@ -17,13 +17,15 @@ type entry struct {
 
 func lessEntry(a, b entry) bool { return a.dist < b.dist }
 
-// Scratch is the kernel's reusable ε-range query state over one snapshot:
-// epoch-stamped node-distance and point-visited arrays (O(1) reset, no
+// Scratch is the kernel's reusable ε-range query state over one snapshot
+// family: epoch-stamped node-distance and point-visited arrays (O(1) reset, no
 // per-query clearing) and a 4-ary frontier heap. It implements
 // network.RangeQuerier; obtain one through Snapshot.NewRangeScratch (or
-// network.ScratchFor, which dispatches here for snapshots). A Scratch
-// belongs to one goroutine; any number may query the shared snapshot
-// concurrently.
+// network.ScratchFor, which dispatches here for snapshots). A query rebinds
+// it to the graph it is handed, which may be any snapshot derived from the
+// same base (Derive) or a graph embedding one, such as a live overlay's
+// merged view; any other graph is refused. A Scratch belongs to one
+// goroutine; any number may query the shared snapshots concurrently.
 type Scratch struct {
 	sn *Snapshot
 
@@ -39,9 +41,11 @@ type Scratch struct {
 
 	// The filter-and-refine path delegates to a generic RangeScratch over
 	// the snapshot (lazily created), keeping the Bounder contract and its
-	// counters unchanged.
-	bounder network.Bounder
-	pruned  *network.RangeScratch
+	// counters unchanged. It is sized for one snapshot, so a rebind drops it,
+	// folding its counters into pruneBase.
+	bounder   network.Bounder
+	pruned    *network.RangeScratch
+	pruneBase network.PruneStats
 }
 
 var _ network.RangeQuerier = (*Scratch)(nil)
@@ -61,17 +65,60 @@ func (s *Snapshot) newScratch() *Scratch {
 	}
 }
 
-// acquire draws a pooled scratch; release returns it. The kNN entry point
-// and the batched range mode run through the pool, so their steady state
-// allocates no traversal state.
+// acquire draws a pooled scratch bound to s; release returns it. The kNN
+// entry point and the batched range mode run through the pool, so their
+// steady state allocates no traversal state — across a family's snapshots
+// too, since the pool is the family's.
 func (s *Snapshot) acquire() *Scratch {
-	if sc, ok := s.scratchPool.Get().(*Scratch); ok {
+	if sc, ok := s.pools.scratch.Get().(*Scratch); ok {
+		sc.bind(s)
 		return sc
 	}
 	return s.newScratch()
 }
 
-func (s *Snapshot) release(sc *Scratch) { s.scratchPool.Put(sc) }
+func (s *Snapshot) release(sc *Scratch) { s.pools.scratch.Put(sc) }
+
+// snapshotOf is satisfied by a snapshot and by every graph that embeds one.
+type snapshotOf interface{ snapshot() *Snapshot }
+
+func (s *Snapshot) snapshot() *Snapshot { return s }
+
+// rebind points the scratch at g ahead of a query (see Scratch).
+func (sc *Scratch) rebind(g network.Graph) error {
+	if g == network.Graph(sc.sn) {
+		return nil
+	}
+	if e, ok := g.(snapshotOf); ok && e.snapshot().pools == sc.sn.pools {
+		sc.bind(e.snapshot())
+		return nil
+	}
+	return fmt.Errorf("%w: a range scratch of a compiled snapshot cannot query %T outside its family", network.ErrInvalidOptions, g)
+}
+
+// bind points the scratch at sn, a snapshot of its family. The node arrays
+// fit every member; the point arrays are regrown, with headroom, only when sn
+// holds more points than they do. Stale stamps are harmless: every query
+// draws a fresh epoch.
+func (sc *Scratch) bind(sn *Snapshot) {
+	if sc.sn == sn {
+		return
+	}
+	if sc.pruned != nil {
+		sc.pruneBase.Add(sc.pruned.PruneStats())
+		sc.pruned = nil
+	}
+	sc.sn = sn
+	if n := len(sn.ptPos); n > len(sc.ptEpoch) {
+		sc.ptDist = make([]float64, headroom(n))
+		sc.ptEpoch = make([]int32, headroom(n))
+	}
+}
+
+// headroom is the capacity pooled per-point state is regrown to: a live
+// overlay's point count drifts by a few points per write batch, so exact
+// sizing would regrow on most of them.
+func headroom(n int) int { return n + n/8 + 64 }
 
 // SetBounder installs a lower-bound provider: subsequent RangeQueryCtx calls
 // run the generic filter-and-refine path over the snapshot (identical result
@@ -87,17 +134,20 @@ func (sc *Scratch) SetBounder(b network.Bounder) {
 // PruneStats returns the pruning counters accumulated by filter-and-refine
 // queries on this scratch (zero while no bounder was ever installed).
 func (sc *Scratch) PruneStats() network.PruneStats {
-	if sc.pruned == nil {
-		return network.PruneStats{}
+	st := sc.pruneBase
+	if sc.pruned != nil {
+		st.Add(sc.pruned.PruneStats())
 	}
-	return sc.pruned.PruneStats()
+	return st
 }
 
-// RangeQueryCtx returns the IDs of every point within eps of p (p included).
-// The g argument is part of the network.RangeQuerier contract; the kernel
-// always traverses its own snapshot, so g must be that snapshot. The slice
-// is reused by the next query on this scratch.
+// RangeQueryCtx returns the IDs of every point within eps of p (p included)
+// on g, which must belong to the scratch's snapshot family. The slice is
+// reused by the next query on this scratch.
 func (sc *Scratch) RangeQueryCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64) ([]network.PointID, error) {
+	if err := sc.rebind(g); err != nil {
+		return nil, err
+	}
 	if sc.bounder != nil {
 		return sc.RangeQueryLimitCtx(ctx, g, p, eps, math.MaxInt)
 	}
@@ -111,6 +161,9 @@ func (sc *Scratch) RangeQueryCtx(ctx context.Context, g network.Graph, p network
 // network.RangeQuerier contract: the filter-and-refine path under a bounder,
 // the recording counting expansion of the fused core-flag pass otherwise.
 func (sc *Scratch) RangeQueryLimitCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64, limit int) ([]network.PointID, error) {
+	if err := sc.rebind(g); err != nil {
+		return nil, err
+	}
 	if sc.bounder != nil {
 		if sc.pruned == nil {
 			sc.pruned = network.NewRangeScratch(sc.sn)
@@ -128,6 +181,9 @@ func (sc *Scratch) RangeQueryLimitCtx(ctx context.Context, g network.Graph, p ne
 // network distance, in the canonical ascending (Dist, Point) order shared
 // with the generic scratch. The slice is reused by the next query.
 func (sc *Scratch) RangeQueryDistCtx(ctx context.Context, g network.Graph, p network.PointID, eps float64) ([]network.PointDist, error) {
+	if err := sc.rebind(g); err != nil {
+		return nil, err
+	}
 	if err := sc.run(ctx, p, eps); err != nil {
 		return nil, err
 	}

@@ -1,142 +1,42 @@
 package delta
 
-import (
-	"fmt"
-	"time"
-
-	"netclus/internal/csr"
-	"netclus/internal/network"
-)
-
-// pinned is the reconciler's hand-off to the compactor: the view to compile
-// and the replay cut — every tail op past tailLen happened after the pin and
-// must be replayed onto the compiled base at install time.
-type pinned struct {
-	graph    network.Graph
-	idToSlot []int32
-	tailLen  int
-	started  time.Time
-}
-
-// installMsg carries a finished compile back to the reconciler.
-type installMsg struct {
-	pin pinned
-	sn  *csr.Snapshot
-	err error
-}
-
-// compactor runs compiles off the reconciler's critical path: queries and
-// writes keep flowing against the pinned view while csr.Compile walks it.
-func (o *Overlay) compactor() {
-	defer close(o.compDone)
-	for {
-		select {
-		case pin := <-o.compactCh:
-			start := time.Now()
-			sn, err := csr.Compile(pin.graph)
-			o.stats.compileNs.Store(time.Since(start).Nanoseconds())
-			select {
-			case o.installCh <- installMsg{pin: pin, sn: sn, err: err}:
-			case <-o.closed:
-				return
-			}
-		case <-o.closed:
-			return
-		}
-	}
-}
+import "time"
 
 // maybeCompact fires the size trigger after an applied batch; the age
 // trigger lives in the reconciler's select timer.
 func (o *Overlay) maybeCompact() {
-	if o.compacting || o.opts.CompactOps <= 0 {
-		return
-	}
-	if len(o.tail) >= o.opts.CompactOps {
-		o.startCompact(nil)
+	if o.opts.CompactOps > 0 && o.pending >= o.opts.CompactOps {
+		_ = o.rebase() // a failed rebase leaves the view serving; the next batch retries
 	}
 }
 
-// startCompact pins the current view for the compactor. A nil done is the
-// background trigger; CompactNow passes a waiter that resolves at install.
-// With nothing pending it is a no-op: recompiling an identical base would
-// only churn epochs.
-func (o *Overlay) startCompact(done chan error) {
-	if o.compacting {
-		if done != nil {
-			o.waiters = append(o.waiters, done)
-		}
-		return
+// rebase folds the delta away: the published view becomes the base. Its
+// snapshot already is what a compile of the merged content would build
+// (TestFreezeMatchesCompile pins that byte for byte), so there is nothing to
+// compile and, the reconciler being the only writer, nothing to replay.
+// Content, canonical IDs, slots and the live labelling carry over verbatim;
+// the epoch bumps exactly once. With nothing pending it is a no-op:
+// republishing an identical base would only churn epochs. An error (the view
+// breaking the invariant indexGroups checks, which freeze never emits) leaves
+// the overlay as it was.
+func (o *Overlay) rebase() error {
+	if o.pending == 0 {
+		return nil
 	}
-	if len(o.tail) == 0 {
-		if done != nil {
-			done <- nil
-		}
-		return
-	}
-	cur := o.cur.Load()
-	o.compacting = true
-	o.stats.compactRun.Store(true)
-	if done != nil {
-		o.waiters = append(o.waiters, done)
-	}
-	o.compactCh <- pinned{graph: cur.Graph, idToSlot: cur.idToSlot, tailLen: len(o.tail), started: time.Now()}
-}
-
-// install swaps a compiled snapshot in as the new base: the tail suffix
-// written since the pin replays onto it, the merged view refreezes, and the
-// epoch bumps exactly once. The pause — replay plus freeze, never the
-// compile — is what concurrent readers can observe, and it is bounded by the
-// writes that landed during the compile.
-func (o *Overlay) install(msg installMsg) {
-	o.compacting = false
-	o.stats.compactRun.Store(false)
-	if msg.err == nil {
-		msg.err = o.installBase(msg)
-	}
-	for _, w := range o.waiters {
-		w <- msg.err
-	}
-	o.waiters = nil
-}
-
-func (o *Overlay) installBase(msg installMsg) error {
 	start := time.Now()
-	// Stage the swap so a replay failure (an invariant violation, not an
-	// expected path) leaves the old state serving.
-	oldBase, oldSlots, oldTags := o.base, o.baseSlots, o.baseTags
-	oldKeys, oldGroups := o.baseKeys, o.baseGroups
-	oldAdopted, oldSorted, oldDirty := o.adopted, o.sortedKeys, o.keysDirty
-
-	o.base = msg.sn
-	o.baseSlots = msg.pin.idToSlot
-	o.baseTags = nil
-	o.baseKeys, o.baseGroups = nil, nil
-	o.adopted = make(map[uint64]*edgeList)
-	o.sortedKeys, o.keysDirty = nil, true
-	rest := o.tail[msg.pin.tailLen:]
-	err := o.indexBase()
-	if err == nil {
-		err = o.replay(rest)
-	}
+	cur := o.cur.Load()
+	keys, groups, err := indexGroups(cur.sn)
 	if err != nil {
-		o.base, o.baseSlots, o.baseTags = oldBase, oldSlots, oldTags
-		o.baseKeys, o.baseGroups = oldKeys, oldGroups
-		o.adopted, o.sortedKeys, o.keysDirty = oldAdopted, oldSorted, oldDirty
 		return err
 	}
-	o.tail = append([]resolvedOp(nil), rest...)
-	if len(o.tail) > 0 {
-		o.firstDelta = time.Now()
-	}
+	o.base, o.baseSlots, o.baseTags = cur.sn, cur.idToSlot, cur.sn.Tags()
+	o.baseKeys, o.baseGroups = keys, groups
+	clear(o.adopted)
+	o.keysDirty = true
+	o.pending = 0
 
-	// Publish: content is unchanged — the compiled base plus the replayed
-	// suffix is exactly the pre-install view — so canonical IDs, slots, and
-	// the live labelling all carry over verbatim.
-	g, idToSlot := o.freeze()
 	epoch := o.bumpEpoch()
-	prev := o.cur.Load()
-	o.cur.Store(&Current{Graph: g, Epoch: epoch, Points: len(idToSlot), idToSlot: idToSlot, live: prev.live})
+	o.cur.Store(&Current{Graph: cur.sn, Epoch: epoch, Points: cur.Points, idToSlot: cur.idToSlot, live: cur.live, sn: cur.sn})
 
 	pause := time.Since(start).Nanoseconds()
 	o.stats.pauseNs.Store(pause)
@@ -144,38 +44,14 @@ func (o *Overlay) installBase(msg installMsg) error {
 		o.stats.maxPauseNs.Store(pause)
 	}
 	o.stats.compactions.Add(1)
-	o.stats.pendingOps.Store(int64(len(o.tail)))
-	o.stats.adopted.Store(int64(len(o.adopted)))
+	o.stats.pendingOps.Store(0)
+	o.stats.adopted.Store(0)
 	return nil
 }
 
-// replay re-applies resolved ops onto the fresh base. Every name is already
-// in stable coordinates (edge key, absolute offset, slot), so replay in
-// chronological order with the same upper-bound insertion rule reproduces
-// the live lists exactly — including equal-offset tie order.
-func (o *Overlay) replay(ops []resolvedOp) error {
-	for _, rop := range ops {
-		el, err := o.adopt(rop.key)
-		if err != nil {
-			return err
-		}
-		switch rop.kind {
-		case rInsert:
-			el.insert(rop.pos, rop.tag, rop.slot)
-		case rDelete:
-			if _, ok := el.remove(rop.slot); !ok {
-				n1, n2 := network.UnpackEdgeKey(rop.key)
-				return fmt.Errorf("delta: replay lost slot %d on edge (%d,%d)", rop.slot, n1, n2)
-			}
-		}
-	}
-	return nil
-}
-
-// CompactNow forces a compaction cycle and waits for it: the current view
-// compiles into a fresh base, pending ops replay, and the swap publishes
-// with one epoch bump. A no-op (nil) when nothing is pending. Tests and the
-// hammer harness use it to exercise swaps deterministically.
+// CompactNow compacts and waits for it: the current view becomes the base
+// and publishes with one epoch bump. A no-op (nil) when nothing is pending.
+// Tests and the hammer harness use it to exercise rebases deterministically.
 func (o *Overlay) CompactNow() error {
 	done := make(chan error, 1)
 	select {

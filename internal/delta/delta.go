@@ -4,12 +4,12 @@
 // batching of Doppel, Narula et al.) and a single reconciler goroutine drains
 // them, applies each batch atomically, freezes an immutable merged view, and
 // publishes it with one epoch bump per batch. Readers pin whatever view was
-// current when their request began; a background compactor recompiles the
-// view into a fresh CSR snapshot when the delta crosses a size or age
-// threshold and swaps it in with one more epoch bump. Frozen views satisfy
-// the network.Graph contract and the §4.1 point-group invariant, so every
-// kernel and clustering algorithm runs on them unchanged and byte-identical
-// to a from-scratch rebuild of the same logical content. See DESIGN.md §13.
+// current when their request began. A frozen view is a CSR snapshot derived
+// from the base (csr.Derive) in the §4.1 point-group layout, so every flat
+// kernel and clustering algorithm runs on it unchanged and byte-identical to
+// a compile of the same logical content; when the delta crosses a size or
+// age threshold the reconciler makes the current view the new base, with one
+// more epoch bump and no compile. See DESIGN.md §13.
 package delta
 
 import (
@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netclus/internal/csr"
 	"netclus/internal/network"
 )
 
@@ -115,11 +116,12 @@ type Options struct {
 	InitialEpoch int64
 	// WriteShards is the number of write buffers (default min(4, GOMAXPROCS)).
 	WriteShards int
-	// CompactOps triggers a background recompile once this many resolved ops
-	// are pending (default 4096; negative disables the size trigger).
+	// CompactOps compacts — makes the current view the base — once this many
+	// resolved ops are pending (default 4096; negative disables the size
+	// trigger).
 	CompactOps int
-	// CompactAge triggers a recompile once the oldest pending op is this old
-	// (0 disables the age trigger).
+	// CompactAge compacts once the oldest pending op is this old (0 disables
+	// the age trigger).
 	CompactAge time.Duration
 	// Live enables incremental ε-Link/DBSCAN maintenance.
 	Live *LiveOptions
@@ -154,8 +156,8 @@ type Result struct {
 // immutable: queries that loaded it keep a consistent (graph, epoch, labels)
 // triple however many batches land while they run.
 type Current struct {
-	// Graph is the merged view — the base snapshot itself while the delta is
-	// empty, so the specialized CSR kernels stay on the fast path.
+	// Graph is the merged view: a *View, or the base *csr.Snapshot itself
+	// while the delta is empty.
 	Graph network.Graph
 	// Epoch is the content version Bump returned for this view.
 	Epoch int64
@@ -164,6 +166,7 @@ type Current struct {
 
 	idToSlot []int32 // canonical point ID -> stable slot
 	live     *liveSnap
+	sn       *csr.Snapshot // the snapshot behind Graph
 }
 
 // listEntry is one point in an adopted edge list: its offset, tag, and the
@@ -216,8 +219,8 @@ const (
 )
 
 // resolvedOp is a mutation with every name resolved to stable coordinates:
-// an edge key, an absolute offset, and a slot. Replaying a resolved tail
-// against a recompiled base reproduces the live content exactly.
+// an edge key, an absolute offset, and a slot — what the live maintainer
+// repairs its ε-graph from.
 type resolvedOp struct {
 	kind rKind
 	key  uint64
@@ -256,29 +259,24 @@ type Overlay struct {
 	wakeup chan struct{}
 
 	// reconciler-owned state
-	base       network.Graph
+	base       *csr.Snapshot
 	baseSlots  []int32 // slot of base point p
-	baseTags   []int32 // tag of base point p, cached so freeze bulk-copies
+	baseTags   []int32 // tag of base point p (the base's own array)
 	baseKeys   []uint64
 	baseGroups []network.PointGroup
 	adopted    map[uint64]*edgeList
 	sortedKeys []uint64
 	keysDirty  bool
 	nextSlot   int32
-	tail       []resolvedOp
+	pending    int // resolved ops applied since the last rebase
 	firstDelta time.Time
-	compacting bool
-	waiters    []chan error
 	epoch      int64 // internal counter when opts.Bump == nil
 	live       *live
 
-	compactCh chan pinned
-	installCh chan installMsg
 	forceCh   chan chan error
 	closed    chan struct{}
 	closeOnce sync.Once
 	recDone   chan struct{}
-	compDone  chan struct{}
 
 	stats statCells
 }
@@ -289,18 +287,19 @@ type statCells struct {
 	ops         atomic.Int64
 	rejected    atomic.Int64
 	compactions atomic.Int64
-	compactRun  atomic.Bool
 	pendingOps  atomic.Int64
 	adopted     atomic.Int64
 	pauseNs     atomic.Int64
 	maxPauseNs  atomic.Int64
-	compileNs   atomic.Int64
 	live        liveCounters
 	liveNs      atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the overlay's write-path counters,
-// serialized into /v1/datasets for live datasets.
+// serialized into /v1/datasets for live datasets. CompactRunning is always
+// false and LastCompileMS always 0: compaction is a rebase on the
+// reconciler, with no background compile. Both stay for the readers compiled
+// against them.
 type Stats struct {
 	Epoch          int64   `json:"epoch"`
 	Points         int     `json:"points"`
@@ -330,37 +329,45 @@ type Stats struct {
 
 // New wraps base in a mutable overlay. The base must satisfy the §4.1
 // point-group invariant with groups in ascending canonical edge-key order —
-// every Builder output, CSR snapshot, and store does.
+// every Builder output, CSR snapshot, and store does. A base that is not a
+// *csr.Snapshot is compiled once, here: every view is derived from a
+// snapshot.
 func New(base network.Graph, opts Options) (*Overlay, error) {
+	sn, ok := base.(*csr.Snapshot)
+	if !ok {
+		var err error
+		if sn, err = csr.Compile(base); err != nil {
+			return nil, fmt.Errorf("delta: compiling the base: %w", err)
+		}
+	}
 	o := &Overlay{
-		opts:      opts.withDefaults(),
-		base:      base,
-		adopted:   make(map[uint64]*edgeList),
-		wakeup:    make(chan struct{}, 1),
-		compactCh: make(chan pinned, 1),
-		installCh: make(chan installMsg),
-		forceCh:   make(chan chan error),
-		closed:    make(chan struct{}),
-		recDone:   make(chan struct{}),
-		compDone:  make(chan struct{}),
+		opts:     opts.withDefaults(),
+		base:     sn,
+		baseTags: sn.Tags(),
+		adopted:  make(map[uint64]*edgeList),
+		wakeup:   make(chan struct{}, 1),
+		forceCh:  make(chan chan error),
+		closed:   make(chan struct{}),
+		recDone:  make(chan struct{}),
 	}
 	o.shards = make([]writeShard, o.opts.WriteShards)
-	if err := o.indexBase(); err != nil {
+	var err error
+	if o.baseKeys, o.baseGroups, err = indexGroups(sn); err != nil {
 		return nil, err
 	}
-	o.baseSlots = make([]int32, base.NumPoints())
+	o.baseSlots = make([]int32, sn.NumPoints())
 	for i := range o.baseSlots {
 		o.baseSlots[i] = int32(i)
 	}
-	o.nextSlot = int32(base.NumPoints())
+	o.nextSlot = int32(sn.NumPoints())
 	o.epoch = o.opts.InitialEpoch
 	cur := &Current{
-		Graph: base, Epoch: o.opts.InitialEpoch,
-		Points: base.NumPoints(), idToSlot: o.baseSlots,
+		Graph: sn, Epoch: o.opts.InitialEpoch,
+		Points: sn.NumPoints(), idToSlot: o.baseSlots, sn: sn,
 	}
 	if o.opts.Live != nil {
 		o.live = newLive(o.opts.Live.Eps, o.opts.Live.MinPts, &o.stats.live)
-		snap, err := o.live.bootstrap(base, o.baseSlots)
+		snap, err := o.live.bootstrap(sn, o.baseSlots)
 		if err != nil {
 			return nil, fmt.Errorf("delta: bootstrapping live clustering: %w", err)
 		}
@@ -368,17 +375,18 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 	}
 	o.cur.Store(cur)
 	go o.reconcile()
-	go o.compactor()
 	return o, nil
 }
 
-// indexBase validates and indexes the base's group order: strictly ascending
+// indexGroups validates and indexes a base's group order: strictly ascending
 // canonical edge keys with dense First offsets, the shape freeze() merges
 // against.
-func (o *Overlay) indexBase() error {
+func indexGroups(sn *csr.Snapshot) (keys []uint64, groups []network.PointGroup, err error) {
 	var next network.PointID
 	prev := uint64(0)
-	return o.base.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offs []float64) error {
+	keys = make([]uint64, 0, sn.NumGroups())
+	groups = make([]network.PointGroup, 0, sn.NumGroups())
+	err = sn.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offs []float64) error {
 		key := network.EdgeKey(pg.N1, pg.N2)
 		if gid > 0 && key <= prev {
 			return fmt.Errorf("delta: base group %d out of edge-key order", gid)
@@ -388,13 +396,11 @@ func (o *Overlay) indexBase() error {
 		}
 		prev = key
 		next += network.PointID(pg.Count)
-		o.baseKeys = append(o.baseKeys, key)
-		o.baseGroups = append(o.baseGroups, pg)
-		for k := 0; k < int(pg.Count); k++ {
-			o.baseTags = append(o.baseTags, tagOf(o.base, pg.First+network.PointID(k)))
-		}
+		keys = append(keys, key)
+		groups = append(groups, pg)
 		return nil
 	})
+	return keys, groups, err
 }
 
 // Current returns the published read view. Callers use one Current for a
@@ -405,18 +411,16 @@ func (o *Overlay) Current() *Current { return o.cur.Load() }
 func (o *Overlay) Stats() Stats {
 	c := o.cur.Load()
 	s := Stats{
-		Epoch:          c.Epoch,
-		Points:         c.Points,
-		PendingOps:     o.stats.pendingOps.Load(),
-		AdoptedEdges:   o.stats.adopted.Load(),
-		Batches:        o.stats.batches.Load(),
-		Ops:            o.stats.ops.Load(),
-		Rejected:       o.stats.rejected.Load(),
-		Compactions:    o.stats.compactions.Load(),
-		CompactRunning: o.stats.compactRun.Load(),
-		LastPauseMS:    float64(o.stats.pauseNs.Load()) / 1e6,
-		MaxPauseMS:     float64(o.stats.maxPauseNs.Load()) / 1e6,
-		LastCompileMS:  float64(o.stats.compileNs.Load()) / 1e6,
+		Epoch:        c.Epoch,
+		Points:       c.Points,
+		PendingOps:   o.stats.pendingOps.Load(),
+		AdoptedEdges: o.stats.adopted.Load(),
+		Batches:      o.stats.batches.Load(),
+		Ops:          o.stats.ops.Load(),
+		Rejected:     o.stats.rejected.Load(),
+		Compactions:  o.stats.compactions.Load(),
+		LastPauseMS:  float64(o.stats.pauseNs.Load()) / 1e6,
+		MaxPauseMS:   float64(o.stats.maxPauseNs.Load()) / 1e6,
 	}
 	if o.live != nil {
 		s.LiveClustering = true
@@ -457,22 +461,21 @@ func (o *Overlay) Apply(ctx context.Context, ops []Op) (Result, error) {
 	}
 }
 
-// Close stops the reconciler and compactor, failing queued batches with
-// ErrClosed. Published views stay readable.
+// Close stops the reconciler, failing queued batches with ErrClosed.
+// Published views stay readable.
 func (o *Overlay) Close() {
 	o.closeOnce.Do(func() { close(o.closed) })
 	<-o.recDone
-	<-o.compDone
 }
 
 // reconcile is the single writer: it drains the shard buffers, applies each
-// batch, publishes views, and installs compaction results.
+// batch, publishes views, and compacts.
 func (o *Overlay) reconcile() {
 	defer close(o.recDone)
 	for {
 		var ageC <-chan time.Time
 		var ageTimer *time.Timer
-		if !o.compacting && len(o.tail) > 0 && o.opts.CompactAge > 0 {
+		if o.pending > 0 && o.opts.CompactAge > 0 {
 			d := o.opts.CompactAge - time.Since(o.firstDelta)
 			if d < 0 {
 				d = 0
@@ -483,12 +486,12 @@ func (o *Overlay) reconcile() {
 		select {
 		case <-o.wakeup:
 			o.drainAndApply()
-		case msg := <-o.installCh:
-			o.install(msg)
 		case done := <-o.forceCh:
-			o.startCompact(done)
+			done <- o.rebase()
 		case <-ageC:
-			o.startCompact(nil)
+			if err := o.rebase(); err != nil {
+				o.firstDelta = time.Now() // the view keeps serving; retry one CompactAge later
+			}
 		case <-o.closed:
 			if ageTimer != nil {
 				ageTimer.Stop()
@@ -534,10 +537,10 @@ func (o *Overlay) applyBatch(b *batch) {
 		b.res <- applyResult{err: err}
 		return
 	}
-	if len(o.tail) == 0 {
+	if o.pending == 0 {
 		o.firstDelta = time.Now()
 	}
-	o.tail = append(o.tail, resolved...)
+	o.pending += len(resolved)
 	cur, err := o.publish(resolved)
 	if err != nil {
 		// Live maintenance self-healed by full rebuild; the view itself is
@@ -554,12 +557,15 @@ func (o *Overlay) applyBatch(b *batch) {
 // publish freezes the merged view, bumps the epoch exactly once, refreshes
 // the live labelling over the resolved ops, and swaps the new Current in.
 func (o *Overlay) publish(resolved []resolvedOp) (*Current, error) {
-	g, idToSlot := o.freeze()
+	sn, idToSlot := o.freeze()
 	epoch := o.bumpEpoch()
-	cur := &Current{Graph: g, Epoch: epoch, Points: len(idToSlot), idToSlot: idToSlot}
+	cur := &Current{Graph: sn, Epoch: epoch, Points: len(idToSlot), idToSlot: idToSlot, sn: sn}
+	if sn != o.base {
+		cur.Graph = &View{sn}
+	}
 	if o.live != nil {
 		t0 := time.Now()
-		snap, err := o.live.apply(g, idToSlot, resolved)
+		snap, err := o.live.apply(sn, idToSlot, resolved)
 		o.stats.liveNs.Add(time.Since(t0).Nanoseconds())
 		if err != nil {
 			return nil, err
@@ -567,7 +573,7 @@ func (o *Overlay) publish(resolved []resolvedOp) (*Current, error) {
 		cur.live = snap
 	}
 	o.cur.Store(cur)
-	o.stats.pendingOps.Store(int64(len(o.tail)))
+	o.stats.pendingOps.Store(int64(o.pending))
 	o.stats.adopted.Store(int64(len(o.adopted)))
 	return cur, nil
 }
@@ -580,7 +586,7 @@ func (o *Overlay) bumpEpoch() int64 {
 	return o.epoch
 }
 
-// shutdown fails every queued batch and pending compaction waiter.
+// shutdown fails every queued batch.
 func (o *Overlay) shutdown() {
 	for i := range o.shards {
 		sh := &o.shards[i]
@@ -593,10 +599,6 @@ func (o *Overlay) shutdown() {
 			b.res <- applyResult{err: ErrClosed}
 		}
 	}
-	for _, w := range o.waiters {
-		w <- ErrClosed
-	}
-	o.waiters = nil
 }
 
 // touchedList remembers an edge list's pre-batch contents for rollback.
@@ -647,7 +649,7 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 		if p < 0 || int(p) >= pre.Points {
 			return 0, 0, fmt.Errorf("%w: point %d of %d", network.ErrPointRange, p, pre.Points)
 		}
-		pi, err := pre.Graph.PointInfo(p)
+		pi, err := pre.sn.PointInfo(p)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -833,20 +835,4 @@ func (o *Overlay) sortedAdoptedKeys() []uint64 {
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	o.sortedKeys, o.keysDirty = keys, false
 	return keys
-}
-
-// tagged is the optional fast tag accessor (Network, Snapshot, View).
-type tagged interface {
-	Tag(network.PointID) int32
-}
-
-func tagOf(g network.Graph, p network.PointID) int32 {
-	if t, ok := g.(tagged); ok {
-		return t.Tag(p)
-	}
-	pi, err := g.PointInfo(p)
-	if err != nil {
-		return 0
-	}
-	return pi.Tag
 }

@@ -9,6 +9,7 @@
 package delta_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -596,7 +597,7 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 			t.Fatalf("Apply: %v", err)
 		}
 	}
-	// Drain any in-flight compile deterministically, then check it fired.
+	// The size trigger rebased on the reconciler; CompactNow folds the rest.
 	if err := o.CompactNow(); err != nil {
 		t.Fatalf("CompactNow: %v", err)
 	}
@@ -645,5 +646,110 @@ func TestViewPinning(t *testing.T) {
 	if cur := o.Current(); cur.Points != wantN+5 || cur.Epoch != pinned.Epoch+5 {
 		t.Fatalf("published view (%d pts, epoch %d), want (%d, %d)",
 			cur.Points, cur.Epoch, wantN+5, pinned.Epoch+5)
+	}
+}
+
+// checkMatchesCompile asserts that a published view is byte for byte the
+// snapshot csr.Compile builds from it: freeze derives exactly what a compile
+// of the merged content would, so a rebase needs no compile.
+func checkMatchesCompile(t *testing.T, g network.Graph) {
+	t.Helper()
+	var sn *csr.Snapshot
+	switch v := g.(type) {
+	case *delta.View:
+		sn = v.Snapshot
+	case *csr.Snapshot:
+		sn = v
+	default:
+		t.Fatalf("published view is a %T, want a snapshot", g)
+	}
+	want, err := csr.Compile(g)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	var got, exp bytes.Buffer
+	if _, err := sn.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.WriteTo(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("view of %d points: its snapshot's bytes differ from a compile of it", g.NumPoints())
+	}
+}
+
+// TestFreezeMatchesCompile drives an overlay through the two batches that
+// renumber the adjacency — one empties a base group, one puts points on a
+// point-free edge — then random batches around a rebase, and holds every
+// published view to a compile of it, byte for byte.
+func TestFreezeMatchesCompile(t *testing.T) {
+	g, err := testnet.Random(19, 30, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := csr.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := delta.New(base, delta.Options{CompactOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	ctx := context.Background()
+	m := newModel(g)
+	apply := func(ops []delta.Op) {
+		t.Helper()
+		m.apply(ops)
+		if _, err := o.Apply(ctx, ops); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		cur := o.Current()
+		checkGraphEqual(t, m.rebuild(t, g.NumNodes()), cur.Graph)
+		checkMatchesCompile(t, cur.Graph)
+	}
+
+	// Empty base group 0: its edge's adjacency entries lose their group.
+	pg, err := base.Group(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []delta.Op
+	for i := int32(0); i < pg.Count; i++ {
+		ops = append(ops, delta.Delete(pg.First+network.PointID(i)))
+	}
+	apply(ops)
+	want, _ := base.Neighbors(pg.N1)
+	got, _ := o.Current().Graph.Neighbors(pg.N1)
+	if reflect.DeepEqual(want, got) {
+		t.Fatalf("emptying group 0 left node %d's adjacency as the base's", pg.N1)
+	}
+
+	// Populate a point-free edge.
+	free := false
+	for u := 0; u < g.NumNodes() && !free; u++ {
+		nbs, _ := g.Neighbors(network.NodeID(u))
+		for _, nb := range nbs {
+			if nb.Group == network.NoGroup {
+				apply([]delta.Op{delta.Insert(network.NodeID(u), nb.Node, nb.Weight/2, 3), delta.Insert(network.NodeID(u), nb.Node, nb.Weight/4, 4)})
+				free = true
+				break
+			}
+		}
+	}
+	if !free {
+		t.Fatal("the base has no point-free edge; the test premise is gone")
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		apply(randomOps(rng, m, 1+rng.Intn(6)))
+		if round == 9 {
+			if err := o.CompactNow(); err != nil {
+				t.Fatalf("CompactNow: %v", err)
+			}
+			checkMatchesCompile(t, o.Current().Graph)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"netclus/internal/csr"
 	"netclus/internal/network"
 	"netclus/internal/unionfind"
 )
@@ -63,12 +64,6 @@ type live struct {
 	// comp→label tables of derive, indexed by the dense component IDs.
 	remapEL []int32
 	remapDB []int32
-
-	// sc is the repair range-query scratch, kept across batches. Allocated
-	// with headroom so point-count drift between views doesn't force a fresh
-	// O(points) allocation per batch.
-	sc    *network.RangeScratch
-	scPts int
 }
 
 // liveCounters are the maintainer's share of the overlay's Stats.
@@ -76,17 +71,6 @@ type liveCounters struct {
 	rangeQueries atomic.Int64
 	floods       atomic.Int64
 	repairVisits atomic.Int64
-}
-
-// scratch returns the cached repair scratch, regrown when the view outgrew
-// it. Oversized scratch is safe: arrays are indexed by the queried graph's
-// IDs and epoch-stamped, never scanned in full.
-func (l *live) scratch(g network.Graph) *network.RangeScratch {
-	if n := g.NumPoints(); l.sc == nil || n > l.scPts {
-		l.scPts = n + n/8 + 64
-		l.sc = network.NewRangeScratchSize(g.NumNodes(), l.scPts)
-	}
-	return l.sc
 }
 
 // liveSnap is the immutable labelling published with one view. Label arrays
@@ -166,15 +150,20 @@ func (sd side) survivor(t int32) bool {
 // bootstrap builds the ε-graph from scratch with one range query per point
 // and returns the initial labelling. Also the self-heal path: it resets all
 // maintained state.
-func (l *live) bootstrap(g network.Graph, idToSlot []int32) (*liveSnap, error) {
+func (l *live) bootstrap(g *csr.Snapshot, idToSlot []int32) (*liveSnap, error) {
 	n := len(idToSlot)
 	slots := 0
 	for _, s := range idToSlot {
 		slots = max(slots, int(s)+1)
 	}
-	l.alive, l.core, l.adj = make([]bool, slots), make([]bool, slots), make([][]int32, slots)
+	l.alive, l.core = make([]bool, slots), make([]bool, slots)
 	l.compEL, l.compDB, l.mark = make([]int32, slots), make([]int32, slots), make([]int32, slots)
 	l.stamp = 0
+	// Each symmetric pair is found twice and kept once, as (later, earlier);
+	// the rows are then laid out in one array, each a window capped at its
+	// degree, so that a later batch's append moves that row alone.
+	var pairs []int32
+	deg := make([]int32, slots)
 	sc := network.ScratchFor(g)
 	ctx := context.Background()
 	for p := 0; p < n; p++ {
@@ -186,12 +175,24 @@ func (l *live) bootstrap(g network.Graph, idToSlot []int32) (*liveSnap, error) {
 		s := idToSlot[p]
 		l.alive[s] = true
 		for _, q := range res {
-			if int(q) < p { // each symmetric pair once
+			if int(q) < p {
 				t := idToSlot[q]
-				l.adj[s] = append(l.adj[s], t)
-				l.adj[t] = append(l.adj[t], s)
+				pairs = append(pairs, s, t)
+				deg[s]++
+				deg[t]++
 			}
 		}
+	}
+	rows := make([]int32, len(pairs))
+	l.adj = make([][]int32, slots)
+	for s, off := 0, 0; s < slots; s++ {
+		l.adj[s] = rows[off : off : off+int(deg[s])]
+		off += int(deg[s])
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		s, t := pairs[i], pairs[i+1]
+		l.adj[s] = append(l.adj[s], t)
+		l.adj[t] = append(l.adj[t], s)
 	}
 	for _, s := range idToSlot {
 		l.core[s] = len(l.adj[s])+1 >= l.minPts
@@ -215,12 +216,14 @@ func (l *live) bootstrap(g network.Graph, idToSlot []int32) (*liveSnap, error) {
 }
 
 // apply repairs both graphs for one resolved batch — the new view g is
-// already published content — and returns the fresh labelling. On an
-// unexpected engine error it self-heals with a full bootstrap.
+// already published content — and returns the fresh labelling. The inserts'
+// range queries run as one batched expansion over the snapshot family's
+// pooled kernel scratch. On an unexpected engine error it self-heals with a
+// full bootstrap.
 //
 // A batch's inserts must hold the highest slots of idToSlot, consecutive and
 // in op order; applyOps allocates them that way.
-func (l *live) apply(g network.Graph, idToSlot []int32, resolved []resolvedOp) (*liveSnap, error) {
+func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (*liveSnap, error) {
 	if l.stamp > math.MaxInt32/2 {
 		// Stamp wrap-around, checked between batches only: the sets of one
 		// batch must outlive each other. A batch draws a few stamps per leaver
@@ -302,29 +305,14 @@ func (l *live) apply(g network.Graph, idToSlot []int32, resolved []resolvedOp) (
 			}
 			touch(s)
 		}
-		ctx := context.Background()
-		if rb, ok := g.(network.RangeBatcher); ok {
-			// Snapshot-backed view (freshly compacted, no overlay): one
-			// batched multi-source expansion over the kernel's pooled SoA
-			// scratches replaces the per-insert generic queries. derive
-			// canonicalizes labels by ascending canonical ID, so adjacency and
-			// visit order stay invisible.
-			err := rb.RangeEach(ctx, l.newIDs, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
-				link(first+int32(i), res)
-				return nil
-			})
-			if err != nil {
-				return l.bootstrap(g, idToSlot)
-			}
-		} else {
-			sc := l.scratch(g)
-			for i, p := range l.newIDs {
-				res, err := sc.RangeQueryCtx(ctx, g, p, l.eps)
-				if err != nil {
-					return l.bootstrap(g, idToSlot)
-				}
-				link(first+int32(i), res)
-			}
+		// derive canonicalizes labels by ascending canonical ID, so adjacency
+		// and visit order stay invisible.
+		err := g.RangeEach(context.Background(), l.newIDs, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
+			link(first+int32(i), res)
+			return nil
+		})
+		if err != nil {
+			return l.bootstrap(g, idToSlot)
 		}
 	}
 

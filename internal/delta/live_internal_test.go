@@ -11,16 +11,11 @@ import (
 	"netclus/internal/testnet"
 )
 
-// plainGraph hides every kernel interface of the wrapped graph, forcing the
-// generic scratch path of the insert repair.
-type plainGraph struct{ network.Graph }
-
-// TestLiveInsertRepairBatched checks the snapshot-backed insert repair — the
-// batched multi-source expansion through the kernel's RangeEach — against
-// the generic per-insert scratch path and against a full bootstrap. An
-// all-insert batch is the worst case for the positional dedup rule: every
-// ε-pair is an insert-insert pair, so every edge depends on the replayed
-// pending-skip order.
+// TestLiveInsertRepairBatched checks the insert repair — the batched
+// multi-source expansion through the kernel's RangeEach — against a full
+// bootstrap. An all-insert batch is the worst case for the positional dedup
+// rule: every ε-pair is an insert-insert pair, so every edge depends on the
+// replayed pending-skip order.
 func TestLiveInsertRepairBatched(t *testing.T) {
 	g, err := testnet.Random(31, 50, 120)
 	if err != nil {
@@ -29,9 +24,6 @@ func TestLiveInsertRepairBatched(t *testing.T) {
 	sn, err := csr.Compile(g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := network.Graph(sn).(network.RangeBatcher); !ok {
-		t.Fatal("snapshot lost its batched range mode; the test premise is gone")
 	}
 	n := sn.NumPoints()
 	idToSlot := make([]int32, n)
@@ -49,29 +41,21 @@ func TestLiveInsertRepairBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name string
-		view network.Graph
-	}{
-		{"batched", sn},
-		{"generic", plainGraph{sn}},
-	} {
-		var ct liveCounters
-		l := newLive(eps, minPts, &ct)
-		got, err := l.apply(tc.view, idToSlot, resolved)
-		if err != nil {
-			t.Fatalf("%s: apply: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(want.elLabels, got.elLabels) || want.elClusters != got.elClusters {
-			t.Fatalf("%s: insert repair ε-Link labelling diverged from bootstrap", tc.name)
-		}
-		if !reflect.DeepEqual(want.dbLabels, got.dbLabels) || want.dbClusters != got.dbClusters ||
-			want.corePoints != got.corePoints {
-			t.Fatalf("%s: insert repair DBSCAN labelling diverged from bootstrap", tc.name)
-		}
-		if ct.rangeQueries.Load() != int64(n) {
-			t.Fatalf("%s: repair ran %d range queries, want one per insert (%d)", tc.name, ct.rangeQueries.Load(), n)
-		}
+	var ct liveCounters
+	l := newLive(eps, minPts, &ct)
+	got, err := l.apply(sn, idToSlot, resolved)
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if !reflect.DeepEqual(want.elLabels, got.elLabels) || want.elClusters != got.elClusters {
+		t.Fatal("insert repair ε-Link labelling diverged from bootstrap")
+	}
+	if !reflect.DeepEqual(want.dbLabels, got.dbLabels) || want.dbClusters != got.dbClusters ||
+		want.corePoints != got.corePoints {
+		t.Fatal("insert repair DBSCAN labelling diverged from bootstrap")
+	}
+	if ct.rangeQueries.Load() != int64(n) {
+		t.Fatalf("repair ran %d range queries, want one per insert (%d)", ct.rangeQueries.Load(), n)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestRepairRandomClustered(t *testing.T) {
 				eps := scale * cfg.Eps()
 				t.Run(fmt.Sprintf("%s/minPts=%d/eps=%gx", name, minPts, scale), func(t *testing.T) {
 					o, err := delta.New(base, delta.Options{
-						CompactOps: 150, // a few base swaps per stream, whenever the compiler gets to them
+						CompactOps: 150, // a few rebases per stream
 						Live:       &delta.LiveOptions{Eps: eps, MinPts: minPts},
 					})
 					if err != nil {

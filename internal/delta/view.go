@@ -1,54 +1,32 @@
 package delta
 
 import (
-	"fmt"
-
+	"netclus/internal/csr"
 	"netclus/internal/network"
 )
 
-// View is one frozen merged read view: base point groups interleaved with
+// View is one frozen merged read view: a snapshot derived from the overlay's
+// base (csr.Derive) whose points are the base point groups interleaved with
 // adopted edge lists, renumbered into dense canonical IDs in ascending
-// edge-key order — the same §4.1 shape Builder.Build and csr.Compile emit.
-// Everything is materialized at freeze time, so a View is immutable, safe to
-// share across request goroutines, and a valid csr.Compile input.
-type View struct {
-	base network.Graph
+// edge-key order — the same §4.1 shape Builder.Build and csr.Compile emit, so
+// every flat kernel serves it. It is a type of its own only so that a merged
+// view is never mistaken for the compiled base.
+type View struct{ *csr.Snapshot }
 
-	groups   []network.PointGroup
-	ptPos    []float64
-	ptTag    []int32
-	ptGrp    []int32
-	idToSlot []int32
-
-	// adj/adjOff hold a translated adjacency when the populated-edge set
-	// differs from the base's (group IDs shifted); both nil when the base
-	// numbering still applies and Neighbors delegates.
-	adj    []network.Neighbor
-	adjOff []int32
-
-	numNodes, numEdges int
-}
-
-var _ network.Graph = (*View)(nil)
-
-// freeze materializes the current merged content. While the delta is empty
-// it returns the base itself, keeping the specialized CSR kernels (and their
-// scratch) on the fast path.
-func (o *Overlay) freeze() (network.Graph, []int32) {
+// freeze materializes the current merged content as a snapshot derived from
+// the base, with the slot of every point. While the delta is empty that is
+// the base itself.
+func (o *Overlay) freeze() (*csr.Snapshot, []int32) {
 	if len(o.adopted) == 0 {
 		return o.base, o.baseSlots
 	}
 	keys := o.sortedAdoptedKeys()
-	v := &View{
-		base:     o.base,
-		numNodes: o.base.NumNodes(),
-		numEdges: o.base.NumEdges(),
-	}
 	nPts := o.countPoints()
-	v.ptPos = make([]float64, 0, nPts)
-	v.ptTag = make([]int32, 0, nPts)
-	v.ptGrp = make([]int32, 0, nPts)
-	v.idToSlot = make([]int32, 0, nPts)
+	groups := make([]network.PointGroup, 0, len(o.baseGroups)+len(keys))
+	ptPos := make([]float64, 0, nPts)
+	ptTag := make([]int32, 0, nPts)
+	ptGrp := make([]int32, 0, nPts)
+	idToSlot := make([]int32, 0, nPts)
 	// viewOf[i] is the view group base group i became, NoGroup once it
 	// emptied out; gained maps the previously point-free edges that now carry
 	// a group. Together they renumber the base adjacency when the
@@ -58,16 +36,16 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 
 	sameKeys := true
 	emitList := func(el *edgeList) {
-		gid := int32(len(v.groups))
-		v.groups = append(v.groups, network.PointGroup{
+		gid := int32(len(groups))
+		groups = append(groups, network.PointGroup{
 			N1: el.n1, N2: el.n2, Weight: el.weight,
-			First: network.PointID(len(v.ptPos)), Count: int32(len(el.pts)),
+			First: network.PointID(len(ptPos)), Count: int32(len(el.pts)),
 		})
 		for _, e := range el.pts {
-			v.ptPos = append(v.ptPos, e.pos)
-			v.ptTag = append(v.ptTag, e.tag)
-			v.ptGrp = append(v.ptGrp, gid)
-			v.idToSlot = append(v.idToSlot, e.slot)
+			ptPos = append(ptPos, e.pos)
+			ptTag = append(ptTag, e.tag)
+			ptGrp = append(ptGrp, gid)
+			idToSlot = append(idToSlot, e.slot)
 		}
 	}
 	// Base groups dominate every freeze, so they go in bulk: four appends from
@@ -75,18 +53,18 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 	emitBase := func(i int) {
 		pg := o.baseGroups[i]
 		offs, _ := o.base.GroupOffsets(network.GroupID(i))
-		gid := int32(len(v.groups))
+		gid := int32(len(groups))
 		viewOf[i] = network.GroupID(gid)
-		v.groups = append(v.groups, network.PointGroup{
+		groups = append(groups, network.PointGroup{
 			N1: pg.N1, N2: pg.N2, Weight: pg.Weight,
-			First: network.PointID(len(v.ptPos)), Count: pg.Count,
+			First: network.PointID(len(ptPos)), Count: pg.Count,
 		})
 		lo, hi := int(pg.First), int(pg.First)+int(pg.Count)
-		v.ptPos = append(v.ptPos, offs...)
-		v.ptTag = append(v.ptTag, o.baseTags[lo:hi]...)
-		v.idToSlot = append(v.idToSlot, o.baseSlots[lo:hi]...)
+		ptPos = append(ptPos, offs...)
+		ptTag = append(ptTag, o.baseTags[lo:hi]...)
+		idToSlot = append(idToSlot, o.baseSlots[lo:hi]...)
 		for k := 0; k < int(pg.Count); k++ {
-			v.ptGrp = append(v.ptGrp, gid)
+			ptGrp = append(ptGrp, gid)
 		}
 	}
 	i, j := 0, 0
@@ -101,7 +79,7 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 				sameKeys = false // base group emptied out
 				viewOf[i] = network.NoGroup
 			} else {
-				viewOf[i] = network.GroupID(len(v.groups))
+				viewOf[i] = network.GroupID(len(groups))
 				emitList(el)
 			}
 			i++
@@ -113,16 +91,17 @@ func (o *Overlay) freeze() (network.Graph, []int32) {
 				if gained == nil {
 					gained = make(map[uint64]network.GroupID)
 				}
-				gained[keys[j]] = network.GroupID(len(v.groups))
+				gained[keys[j]] = network.GroupID(len(groups))
 				emitList(el)
 			}
 			j++
 		}
 	}
+	var adj []network.Neighbor
 	if !sameKeys {
-		v.translateAdjacency(viewOf, gained)
+		adj = o.translateAdjacency(viewOf, gained)
 	}
-	return v, v.idToSlot
+	return csr.Derive(o.base, groups, ptPos, ptTag, ptGrp, adj), idToSlot
 }
 
 // countPoints sizes the freeze output: base points, minus adopted base
@@ -140,96 +119,21 @@ func (o *Overlay) countPoints() int {
 
 // translateAdjacency copies the base adjacency with Group fields renumbered
 // to the view's group IDs: viewOf by base group ID, gained by edge key for
-// the edges the base has no group for. Only needed when the set of populated
-// edges changed; otherwise base numbering is already correct and Neighbors
-// delegates.
-func (v *View) translateAdjacency(viewOf []network.GroupID, gained map[uint64]network.GroupID) {
-	v.adj = make([]network.Neighbor, 0, 2*v.numEdges)
-	v.adjOff = make([]int32, v.numNodes+1)
-	for n := 0; n < v.numNodes; n++ {
-		nbs, _ := v.base.Neighbors(network.NodeID(n))
+// the edges the base has no group for. Rows keep their order and length, so
+// the view shares the base's row offsets. Only needed when the set of
+// populated edges changed; otherwise the base's adjacency serves unchanged.
+func (o *Overlay) translateAdjacency(viewOf []network.GroupID, gained map[uint64]network.GroupID) []network.Neighbor {
+	adj := make([]network.Neighbor, 0, 2*o.base.NumEdges())
+	for n := 0; n < o.base.NumNodes(); n++ {
+		nbs, _ := o.base.Neighbors(network.NodeID(n))
 		for _, nb := range nbs {
 			if nb.Group != network.NoGroup {
 				nb.Group = viewOf[nb.Group]
 			} else if id, ok := gained[network.EdgeKey(network.NodeID(n), nb.Node)]; ok {
 				nb.Group = id
 			}
-			v.adj = append(v.adj, nb)
-		}
-		v.adjOff[n+1] = int32(len(v.adj))
-	}
-}
-
-// NumNodes returns the node count (the overlay never mutates the network).
-func (v *View) NumNodes() int { return v.numNodes }
-
-// NumEdges returns the edge count.
-func (v *View) NumEdges() int { return v.numEdges }
-
-// NumPoints returns the merged point count.
-func (v *View) NumPoints() int { return len(v.ptPos) }
-
-// NumGroups returns the merged group count.
-func (v *View) NumGroups() int { return len(v.groups) }
-
-// Neighbors returns n's adjacency with view group IDs.
-func (v *View) Neighbors(n network.NodeID) ([]network.Neighbor, error) {
-	if v.adj == nil {
-		return v.base.Neighbors(n)
-	}
-	if n < 0 || int(n) >= v.numNodes {
-		return nil, fmt.Errorf("%w: %d of %d", network.ErrNodeRange, n, v.numNodes)
-	}
-	return v.adj[v.adjOff[n]:v.adjOff[n+1]], nil
-}
-
-// Group returns group g's descriptor.
-func (v *View) Group(g network.GroupID) (network.PointGroup, error) {
-	if g < 0 || int(g) >= len(v.groups) {
-		return network.PointGroup{}, fmt.Errorf("%w: %d of %d", network.ErrGroupRange, g, len(v.groups))
-	}
-	return v.groups[g], nil
-}
-
-// GroupOffsets returns group g's ascending offsets (aliased; callers must
-// not mutate, same contract as the other Graph implementations).
-func (v *View) GroupOffsets(g network.GroupID) ([]float64, error) {
-	if g < 0 || int(g) >= len(v.groups) {
-		return nil, fmt.Errorf("%w: %d of %d", network.ErrGroupRange, g, len(v.groups))
-	}
-	pg := v.groups[g]
-	return v.ptPos[pg.First : int(pg.First)+int(pg.Count)], nil
-}
-
-// PointInfo returns point p's full placement.
-func (v *View) PointInfo(p network.PointID) (network.PointInfo, error) {
-	if p < 0 || int(p) >= len(v.ptPos) {
-		return network.PointInfo{}, fmt.Errorf("%w: %d of %d", network.ErrPointRange, p, len(v.ptPos))
-	}
-	g := v.ptGrp[p]
-	pg := v.groups[g]
-	return network.PointInfo{
-		Group: network.GroupID(g), N1: pg.N1, N2: pg.N2,
-		Pos: v.ptPos[p], Weight: pg.Weight, Tag: v.ptTag[p],
-	}, nil
-}
-
-// ScanGroups visits every group in canonical (ascending edge-key) order.
-func (v *View) ScanGroups(fn func(network.GroupID, network.PointGroup, []float64) error) error {
-	for g, pg := range v.groups {
-		offs := v.ptPos[pg.First : int(pg.First)+int(pg.Count)]
-		if err := fn(network.GroupID(g), pg, offs); err != nil {
-			return err
+			adj = append(adj, nb)
 		}
 	}
-	return nil
-}
-
-// Tag returns point p's application tag (0 out of range), the fast accessor
-// csr.Compile uses.
-func (v *View) Tag(p network.PointID) int32 {
-	if p < 0 || int(p) >= len(v.ptTag) {
-		return 0
-	}
-	return v.ptTag[p]
+	return adj
 }

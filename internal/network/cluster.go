@@ -58,13 +58,3 @@ type LabelKernel interface {
 	// clusters and of core points.
 	DBSCANLabels(ctx context.Context, eps float64, minPts, workers int, labels []int32, core []bool) (clusters, corePoints int, st ClusterStats, err error)
 }
-
-// RangeBatcher is implemented by graphs with a batched multi-source ε-range
-// mode (the compiled CSR snapshot's RangeEach): one expansion per element of
-// pts, fanned across workers, calling visit with each result. Result slices
-// are scratch-owned and reused; visit runs concurrently across workers. The
-// live delta maintainer dispatches its bulk neighbourhood scans through this
-// when the frozen view is snapshot-backed.
-type RangeBatcher interface {
-	RangeEach(ctx context.Context, pts []PointID, eps float64, workers int, visit func(i int, p PointID, res []PointID, dists []float64) error) error
-}

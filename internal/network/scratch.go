@@ -8,8 +8,10 @@ import "context"
 // A querier is bound to one goroutine at a time, like *RangeScratch.
 //
 // The g argument of the query methods names the graph to traverse; a querier
-// obtained from ScratchFor(g) must be used with that same g (a kernel
-// scratch is compiled against one snapshot and ignores other graphs).
+// obtained from ScratchFor(g) must be used with that same g. A kernel scratch
+// also serves every other snapshot of g's family (one derived from the same
+// base, such as a live overlay's next view) and refuses any other graph with
+// ErrInvalidOptions.
 type RangeQuerier interface {
 	// RangeQueryCtx returns the IDs of every point within eps of p (p
 	// included). The slice is reused by the next query on the scratch.

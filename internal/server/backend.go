@@ -64,7 +64,8 @@ func (r *readOnly) scratch(view netclus.Graph) *scratchBox {
 		return b
 	}
 	// ScratchFor picks the flat-array kernel scratch for compiled graphs and
-	// the generic scratch otherwise; both serve the RangeQuerier surface.
+	// live views, the generic scratch otherwise; both serve the RangeQuerier
+	// surface.
 	return &scratchBox{sc: netclus.ScratchFor(view)}
 }
 func (r *readOnly) recycle(b *scratchBox)                                    { r.pool.Put(b) }
@@ -248,9 +249,11 @@ func (s *shardedBackend) describe(info *api.DatasetInfo) {
 	info.Shards, info.ShardSet = st.Shards, &st
 }
 
-// liveBackend serves the views a mutable delta overlay publishes. Pruning
-// bounds are not built: they are compiled against one immutable point
-// numbering, and a live dataset's changes every epoch.
+// liveBackend serves the views a mutable delta overlay publishes. Every view
+// is a snapshot derived from one base, so the pooled kernel scratch of the
+// read-only kinds serves them all: a query rebinds it to the view it is
+// handed. Pruning bounds are not built: they are compiled against one
+// immutable point numbering, and a live dataset's changes every epoch.
 type liveBackend struct {
 	readOnly
 	ov *netclus.LiveOverlay
@@ -262,39 +265,6 @@ type liveBackend struct {
 func (l *liveBackend) pin(int64) viewAt {
 	cur := l.ov.Current()
 	return viewAt{graph: cur.Graph, epoch: cur.Epoch, live: cur}
-}
-
-// liveScratch is the scratch a liveBackend box holds, with what decides
-// whether it may serve another view: the one snapshot a kernel scratch was
-// compiled against (nil for generic scratch), and the point count generic
-// scratch holds.
-type liveScratch struct {
-	netclus.RangeQuerier
-	snap   *netclus.Snapshot
-	points int
-}
-
-// scratch pools like the read-only kinds do, with the two things a moving view
-// adds. A merged view runs on generic scratch, which is indexed by the view's
-// IDs and epoch-stamped, never scanned in full, so oversize is inert: it is
-// allocated with head-room (as the overlay's own repair scratch is) and serves
-// every later view until the point count outgrows it. A freshly compacted
-// view is the snapshot itself and runs on its kernel scratch, which is
-// compiled against that one snapshot and ignores the graph it is handed: it
-// is reused only on the snapshot it was made for. A box that fits neither is
-// dropped for the collector.
-func (l *liveBackend) scratch(view netclus.Graph) *scratchBox {
-	sn, _ := view.(*netclus.Snapshot)
-	if b, ok := l.pool.Get().(*scratchBox); ok {
-		if ls := b.sc.(*liveScratch); ls.snap == sn && (sn != nil || ls.points >= view.NumPoints()) {
-			return b
-		}
-	}
-	if sn != nil {
-		return &scratchBox{sc: &liveScratch{RangeQuerier: netclus.ScratchFor(sn), snap: sn}}
-	}
-	points := view.NumPoints() + view.NumPoints()/8 + 64
-	return &scratchBox{sc: &liveScratch{RangeQuerier: netclus.NewRangeScratchSize(view.NumNodes(), points), points: points}}
 }
 
 // maintained answers dbscan/epslink requests whose density parameters match

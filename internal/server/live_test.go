@@ -323,12 +323,10 @@ func TestServeMutateOpsCap(t *testing.T) {
 
 // TestLiveScratchPool (run under -race in CI) reads through the live
 // backend's scratch pool while a writer grows the point count past the
-// head-room pooled generic scratch was allocated with and CompactNow swaps the
-// published view between a merged view and the compiled snapshot. Every reply
-// must equal a direct call, on fresh scratch, on the view the request pinned;
-// a pooled kernel scratch must only ever come back for the snapshot it was
-// compiled against, and pooled generic scratch must cover the view it is
-// handed.
+// head-room of the pooled kernel scratch and CompactNow swaps the published
+// view between a merged view and the compiled snapshot. Every view is a
+// snapshot of one family, so any pooled box serves any of them; every reply
+// must equal a direct call, on fresh scratch, on the view the request pinned.
 func TestLiveScratchPool(t *testing.T) {
 	s, d := newLiveServer(t, Config{})
 	ov := d.Live()
@@ -345,25 +343,33 @@ func TestLiveScratchPool(t *testing.T) {
 		}
 	}
 
-	// First the one refusal that decides safety, without the scheduler's say:
-	// a box pooled for a merged view must not come back for a view that has
-	// outgrown it. (Under -race the pool may drop the box instead, and the
-	// fresh one passes trivially.)
+	// First, without the scheduler's say: a box pooled for one view serves a
+	// view that has outgrown it, answering the grown view's last point.
 	grow()
-	box := d.backend.scratch(ov.Current().Graph)
-	small := box.sc.(*liveScratch).points
-	d.putScratch(box)
-	for ov.Current().Points <= small {
+	small := d.viewAt()
+	box := d.backend.scratch(small.graph)
+	if _, err := box.sc.RangeQueryCtx(ctx, small.graph, 0, liveEps); err != nil {
+		t.Fatal(err)
+	}
+	for ov.Current().Points <= small.graph.NumPoints()*2 {
 		grow()
 	}
-	if big := d.backend.scratch(ov.Current().Graph).sc.(*liveScratch); big.points < ov.Current().Points {
-		t.Fatalf("scratch for %d points handed to a view of %d", big.points, ov.Current().Points)
+	big := d.viewAt()
+	last := netclus.PointID(big.graph.NumPoints() - 1)
+	got, err := box.sc.RangeQueryDistCtx(ctx, big.graph, last, liveEps)
+	if err != nil {
+		t.Fatalf("a box pooled for %d points, on a view of %d: %v", small.graph.NumPoints(), big.graph.NumPoints(), err)
 	}
+	want, err := netclus.ScratchFor(big.graph).RangeQueryDistCtx(ctx, big.graph, last, liveEps)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a box pooled for %d points answers a view of %d differently (%v)", small.graph.NumPoints(), big.graph.NumPoints(), err)
+	}
+	d.putScratch(box)
 
 	var (
-		wg              sync.WaitGroup
-		stop            atomic.Bool
-		generic, kernel atomic.Int64 // reads that ran on a merged view, on a snapshot
+		wg           sync.WaitGroup
+		stop         atomic.Bool
+		merged, base atomic.Int64 // reads that ran on a merged view, on the base snapshot
 	)
 	halt := func() {
 		stop.Store(true)
@@ -377,14 +383,7 @@ func TestLiveScratchPool(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				va := d.viewAt()
-				sn, _ := va.graph.(*netclus.Snapshot)
-				box := d.backend.scratch(va.graph)
-				if ls := box.sc.(*liveScratch); ls.snap != sn || (sn == nil && ls.points < va.graph.NumPoints()) {
-					t.Errorf("epoch %d: pool handed a %T view of %d points scratch made for snapshot %p, %d points",
-						va.epoch, va.graph, va.graph.NumPoints(), ls.snap, ls.points)
-					return
-				}
-				d.putScratch(box)
+				_, isBase := va.graph.(*netclus.Snapshot)
 				req := api.RangeRequest{Point: netclus.PointID(rng.Intn(va.graph.NumPoints())), Eps: liveEps, Dists: true}
 				got, err := s.computeRange(ctx, d, va, req)
 				if err != nil {
@@ -396,10 +395,10 @@ func TestLiveScratchPool(t *testing.T) {
 					t.Errorf("epoch %d: range(%d) through the pool differs from a direct call on the pinned view (%v)", va.epoch, req.Point, err)
 					return
 				}
-				if sn != nil {
-					kernel.Add(1)
+				if isBase {
+					base.Add(1)
 				} else {
-					generic.Add(1)
+					merged.Add(1)
 				}
 			}
 		}(int64(r) + 1)
@@ -419,7 +418,7 @@ func TestLiveScratchPool(t *testing.T) {
 	// still around when the view has outgrown them; then swaps.
 	for start := ov.Current().Points; ov.Current().Points <= start+start/8+64+100; {
 		grow()
-		sawNext(&generic)
+		sawNext(&merged)
 	}
 	for cycle := 0; cycle < 4; cycle++ {
 		if err := ov.CompactNow(); err != nil {
@@ -427,12 +426,12 @@ func TestLiveScratchPool(t *testing.T) {
 		}
 		// Nothing is pending, so the published view is the snapshot itself
 		// until the next batch.
-		sawNext(&kernel)
+		sawNext(&base)
 		grow()
-		sawNext(&generic)
+		sawNext(&merged)
 	}
 	halt()
-	if generic.Load() == 0 || kernel.Load() == 0 {
-		t.Fatalf("reads saw %d merged views and %d snapshots; the test needs both", generic.Load(), kernel.Load())
+	if merged.Load() == 0 || base.Load() == 0 {
+		t.Fatalf("reads saw %d merged views and %d base snapshots; the test needs both", merged.Load(), base.Load())
 	}
 }

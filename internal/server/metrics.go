@@ -264,7 +264,7 @@ var families = []family{
 	gauge("netclusd_dataset_live", "Dataset accepts writes through a mutable overlay.", of(entry, func(d *api.DatasetInfo) any { return bit(d.Live != nil) })),
 	gauge("netclusd_dataset_epoch", "Current content epoch of the dataset.", of(entry, func(d *api.DatasetInfo) any { return d.Epoch })),
 	gauge("netclusd_delta_pending_ops", "Delta ops awaiting the next compaction, per live dataset.", of(live, func(s *netclus.LiveStats) any { return s.PendingOps })),
-	gauge("netclusd_compact_pause_seconds", "Swap pause of the most recent compaction (replay plus refreeze).", of(live, func(s *netclus.LiveStats) any { return s.LastPauseMS / 1e3 })),
+	gauge("netclusd_compact_pause_seconds", "Pause of the most recent compaction (the rebase on the reconciler).", of(live, func(s *netclus.LiveStats) any { return s.LastPauseMS / 1e3 })),
 	gauge("netclusd_dataset_shards", "Shard count of sharded datasets (0 = unsharded).", of(entry, func(d *api.DatasetInfo) any { return d.Shards })),
 	gauge("netclusd_shard_resident_bytes", "Bytes held by one shard's CSR snapshot and cut tables.", each(shardSet, func(s *netclus.ShardedSetStats, put putFunc) {
 		for i, ss := range s.PerShard {

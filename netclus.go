@@ -169,8 +169,8 @@ func NewRangeScratchSize(nodes, points int) *RangeScratch {
 type RangeQuerier = network.RangeQuerier
 
 // ScratchFor returns the fastest range-query scratch for g: the flat-array
-// kernel scratch when g is a compiled Snapshot, the generic RangeScratch
-// otherwise. Results are identical either way.
+// kernel scratch when g is a compiled Snapshot or a LiveView's graph, the
+// generic RangeScratch otherwise. Results are identical either way.
 func ScratchFor(g Graph) RangeQuerier { return network.ScratchFor(g) }
 
 // Snapshot is an immutable compiled form of a network: int32 CSR adjacency
@@ -607,9 +607,9 @@ type RenderOptions = viz.Options
 
 // LiveOverlay is an epoch-versioned mutable overlay over an immutable base
 // graph: point insert/move/delete batches land in per-shard write buffers, a
-// reconciler applies them atomically and publishes frozen merged views, and
-// a background compactor recompiles the base when the delta grows. See
-// DESIGN.md §13.
+// reconciler applies them atomically and publishes frozen merged views —
+// snapshots derived from the base, served by the flat kernels — and makes
+// the current view the base when the delta grows. See DESIGN.md §13.
 type LiveOverlay = delta.Overlay
 
 // LiveOptions configure a LiveOverlay.
@@ -634,7 +634,8 @@ type LiveStats = delta.Stats
 var ErrLiveClosed = delta.ErrClosed
 
 // NewLiveOverlay wraps base (a Network or Snapshot; store readers are not
-// supported) in a mutable overlay.
+// supported) in a mutable overlay. A base that is not a Snapshot is compiled
+// once, here.
 func NewLiveOverlay(base Graph, opts LiveOptions) (*LiveOverlay, error) {
 	return delta.New(base, opts)
 }
