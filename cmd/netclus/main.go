@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"netclus"
+	"netclus/internal/storage"
 )
 
 // pruner bundles the lower-bound pruning wiring shared by the cluster and
@@ -274,7 +275,10 @@ func buildStore(args []string) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	opts := netclus.StoreOptions{PageSize: *pageSize, NoReorder: *noReorder}
+	opts := netclus.StoreOptions{PageSize: *pageSize}
+	if *noReorder {
+		opts.Layout = storage.LayoutNodeID
+	}
 	if err := netclus.BuildStore(*dir, g, opts); err != nil {
 		return err
 	}

@@ -2,8 +2,7 @@ package delta
 
 import "time"
 
-// maybeCompact fires the size trigger after an applied batch; the age
-// trigger lives in the reconciler's select timer.
+// maybeCompact fires the size trigger after an applied batch.
 func (o *Overlay) maybeCompact() {
 	if o.opts.CompactOps > 0 && o.pending >= o.opts.CompactOps {
 		_ = o.rebase() // a failed rebase leaves the view serving; the next batch retries

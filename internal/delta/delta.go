@@ -1,22 +1,21 @@
 // Package delta adds a write path on top of the immutable netclus graphs: an
 // epoch-versioned overlay that accepts point insert/move/delete batches while
-// the base stays frozen. Writes land in per-shard buffers (the split-store
-// batching of Doppel, Narula et al.) and a single reconciler goroutine drains
-// them, applies each batch atomically, freezes an immutable merged view, and
-// publishes it with one epoch bump per batch. Readers pin whatever view was
-// current when their request began. A frozen view is a CSR snapshot derived
-// from the base (csr.Derive) in the §4.1 point-group layout, so every flat
-// kernel and clustering algorithm runs on it unchanged and byte-identical to
-// a compile of the same logical content; when the delta crosses a size or
-// age threshold the reconciler makes the current view the new base, with one
-// more epoch bump and no compile. See DESIGN.md §13.
+// the base stays frozen. Writes land in one FIFO queue and a single reconciler
+// goroutine drains it, applies each batch atomically in arrival order,
+// freezes an immutable merged view, and publishes it with one epoch bump per
+// batch. Readers pin whatever view was current when their request began. A
+// frozen view is a CSR snapshot derived from the base (csr.Derive) in the
+// §4.1 point-group layout, so every flat kernel and clustering algorithm runs
+// on it unchanged and byte-identical to a compile of the same logical
+// content; when the delta crosses a size threshold the reconciler makes the
+// current view the new base, with one more epoch bump and no compile. See
+// DESIGN.md §13.
 package delta
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,32 +107,19 @@ type LiveOptions struct {
 type Options struct {
 	// Bump is called exactly once per applied batch and once per compaction
 	// swap; the returned value is the epoch the published view carries. Nil
-	// uses an internal counter. The server wires Dataset.BumpEpoch here so
+	// uses an internal counter. The unmodified base view is epoch 1, so a
+	// Bump counter starts there. The server wires Dataset.BumpEpoch here so
 	// every write strands the dataset's cached results.
 	Bump func() int64
-	// InitialEpoch is the epoch of the unmodified base view (default 1). It
-	// must match what Bump's counter would have returned before any bump.
-	InitialEpoch int64
-	// WriteShards is the number of write buffers (default min(4, GOMAXPROCS)).
-	WriteShards int
 	// CompactOps compacts — makes the current view the base — once this many
-	// resolved ops are pending (default 4096; negative disables the size
-	// trigger).
+	// resolved ops are pending (default 4096; negative disables compaction
+	// except by CompactNow).
 	CompactOps int
-	// CompactAge compacts once the oldest pending op is this old (0 disables
-	// the age trigger).
-	CompactAge time.Duration
 	// Live enables incremental ε-Link/DBSCAN maintenance.
 	Live *LiveOptions
 }
 
 func (o Options) withDefaults() Options {
-	if o.InitialEpoch == 0 {
-		o.InitialEpoch = 1
-	}
-	if o.WriteShards <= 0 {
-		o.WriteShards = min(4, runtime.GOMAXPROCS(0))
-	}
 	if o.CompactOps == 0 {
 		o.CompactOps = 4096
 	}
@@ -240,23 +226,21 @@ type batch struct {
 	res chan applyResult
 }
 
-type writeShard struct {
-	mu     sync.Mutex
-	q      []*batch
-	closed bool
-}
+// initialEpoch is the epoch of the unmodified base view.
+const initialEpoch = 1
 
 // Overlay is an epoch-versioned mutable overlay over an immutable base
-// graph. All mutable state below the write shards is owned by the reconciler
+// graph. All mutable state below the write queue is owned by the reconciler
 // goroutine; readers only ever touch the published *Current.
 type Overlay struct {
 	opts Options
 
 	cur atomic.Pointer[Current]
 
-	shards []writeShard
-	rr     atomic.Uint64
-	wakeup chan struct{}
+	qmu     sync.Mutex // guards q and qClosed
+	q       []*batch   // queued batches, oldest first
+	qClosed bool
+	wakeup  chan struct{}
 
 	// reconciler-owned state
 	base       *csr.Snapshot
@@ -268,8 +252,7 @@ type Overlay struct {
 	sortedKeys []uint64
 	keysDirty  bool
 	nextSlot   int32
-	pending    int // resolved ops applied since the last rebase
-	firstDelta time.Time
+	pending    int   // resolved ops applied since the last rebase
 	epoch      int64 // internal counter when opts.Bump == nil
 	live       *live
 
@@ -350,7 +333,6 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 		closed:   make(chan struct{}),
 		recDone:  make(chan struct{}),
 	}
-	o.shards = make([]writeShard, o.opts.WriteShards)
 	var err error
 	if o.baseKeys, o.baseGroups, err = indexGroups(sn); err != nil {
 		return nil, err
@@ -360,9 +342,9 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 		o.baseSlots[i] = int32(i)
 	}
 	o.nextSlot = int32(sn.NumPoints())
-	o.epoch = o.opts.InitialEpoch
+	o.epoch = initialEpoch
 	cur := &Current{
-		Graph: sn, Epoch: o.opts.InitialEpoch,
+		Graph: sn, Epoch: initialEpoch,
 		Points: sn.NumPoints(), idToSlot: o.baseSlots, sn: sn,
 	}
 	if o.opts.Live != nil {
@@ -434,21 +416,21 @@ func (o *Overlay) Stats() Stats {
 
 // Apply queues one mutation batch and waits for it to commit. The batch is
 // atomic: either every op applies and the new view (one epoch newer) contains
-// them all, or none do and the error names the first bad op. A ctx error
-// abandons the wait, not necessarily the batch.
+// them all, or none do and the error names the first bad op. Batches commit
+// in the order they were queued: one queued after another commits at a later
+// epoch. A ctx error abandons the wait, not necessarily the batch.
 func (o *Overlay) Apply(ctx context.Context, ops []Op) (Result, error) {
 	if len(ops) == 0 {
 		return Result{}, fmt.Errorf("%w: empty mutation batch", network.ErrInvalidOptions)
 	}
 	b := &batch{ctx: ctx, ops: ops, res: make(chan applyResult, 1)}
-	sh := &o.shards[o.rr.Add(1)%uint64(len(o.shards))]
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	o.qmu.Lock()
+	if o.qClosed {
+		o.qmu.Unlock()
 		return Result{}, ErrClosed
 	}
-	sh.q = append(sh.q, b)
-	sh.mu.Unlock()
+	o.q = append(o.q, b)
+	o.qmu.Unlock()
 	select {
 	case o.wakeup <- struct{}{}:
 	default:
@@ -468,55 +450,31 @@ func (o *Overlay) Close() {
 	<-o.recDone
 }
 
-// reconcile is the single writer: it drains the shard buffers, applies each
+// reconcile is the single writer: it drains the write queue, applies each
 // batch, publishes views, and compacts.
 func (o *Overlay) reconcile() {
 	defer close(o.recDone)
 	for {
-		var ageC <-chan time.Time
-		var ageTimer *time.Timer
-		if o.pending > 0 && o.opts.CompactAge > 0 {
-			d := o.opts.CompactAge - time.Since(o.firstDelta)
-			if d < 0 {
-				d = 0
-			}
-			ageTimer = time.NewTimer(d)
-			ageC = ageTimer.C
-		}
 		select {
 		case <-o.wakeup:
 			o.drainAndApply()
 		case done := <-o.forceCh:
 			done <- o.rebase()
-		case <-ageC:
-			if err := o.rebase(); err != nil {
-				o.firstDelta = time.Now() // the view keeps serving; retry one CompactAge later
-			}
 		case <-o.closed:
-			if ageTimer != nil {
-				ageTimer.Stop()
-			}
 			o.shutdown()
 			return
-		}
-		if ageTimer != nil {
-			ageTimer.Stop()
 		}
 	}
 }
 
-// drainAndApply takes every queued batch, in per-shard FIFO order, and
-// applies them until the buffers are empty.
+// drainAndApply swaps the write queue out and applies its batches oldest
+// first, until the queue stays empty.
 func (o *Overlay) drainAndApply() {
 	for {
-		var got []*batch
-		for i := range o.shards {
-			sh := &o.shards[i]
-			sh.mu.Lock()
-			got = append(got, sh.q...)
-			sh.q = sh.q[:0]
-			sh.mu.Unlock()
-		}
+		o.qmu.Lock()
+		got := o.q
+		o.q = nil
+		o.qmu.Unlock()
 		if len(got) == 0 {
 			return
 		}
@@ -536,9 +494,6 @@ func (o *Overlay) applyBatch(b *batch) {
 		o.stats.rejected.Add(1)
 		b.res <- applyResult{err: err}
 		return
-	}
-	if o.pending == 0 {
-		o.firstDelta = time.Now()
 	}
 	o.pending += len(resolved)
 	cur, err := o.publish(resolved)
@@ -586,18 +541,15 @@ func (o *Overlay) bumpEpoch() int64 {
 	return o.epoch
 }
 
-// shutdown fails every queued batch.
+// shutdown closes the write queue and fails every batch left in it.
 func (o *Overlay) shutdown() {
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		sh.closed = true
-		q := sh.q
-		sh.q = nil
-		sh.mu.Unlock()
-		for _, b := range q {
-			b.res <- applyResult{err: ErrClosed}
-		}
+	o.qmu.Lock()
+	o.qClosed = true
+	q := o.q
+	o.q = nil
+	o.qmu.Unlock()
+	for _, b := range q {
+		b.res <- applyResult{err: ErrClosed}
 	}
 }
 

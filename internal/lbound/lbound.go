@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"netclus/internal/network"
@@ -41,21 +39,13 @@ var (
 type Options struct {
 	// Landmarks is the number of landmarks selected by the farthest-point
 	// heuristic. 0 means DefaultLandmarks; the count is clamped to the
-	// number of nodes. Ignored when LandmarkNodes is set.
+	// number of nodes.
 	Landmarks int
-	// LandmarkNodes pins the landmark set explicitly instead of running the
-	// farthest-point selection. Tables are then built in parallel across
-	// landmarks (the selection heuristic is inherently sequential: each
-	// pick needs the previous pick's distance table).
-	LandmarkNodes []network.NodeID
 	// EuclideanLB enables the Euclidean lower bound and the planar
 	// candidate grid behind Candidates/NearestCandidates. Build fails with
 	// ErrNoCoords when the graph has no embedding and with ErrNotEuclidean
 	// when any edge is shorter than its endpoints' straight-line distance.
 	EuclideanLB bool
-	// Workers bounds the goroutines used to build tables for explicit
-	// LandmarkNodes. 0 means GOMAXPROCS.
-	Workers int
 }
 
 // BuildStats describes a finished preprocessing pass.
@@ -140,20 +130,11 @@ func BuildCtx(ctx context.Context, g network.Graph, opts Options) (*Bounds, erro
 		b.grid = grid
 	}
 
-	var err error
-	if len(opts.LandmarkNodes) > 0 {
-		err = b.buildExplicit(ctx, g, opts.LandmarkNodes, opts.Workers)
-	} else {
-		k := opts.Landmarks
-		if k <= 0 {
-			k = DefaultLandmarks
-		}
-		if k > n {
-			k = n
-		}
-		err = b.buildFarthest(ctx, g, k)
+	k := opts.Landmarks
+	if k <= 0 {
+		k = DefaultLandmarks
 	}
-	if err != nil {
+	if err := b.buildFarthest(ctx, g, min(k, n)); err != nil {
 		return nil, err
 	}
 	if err := b.buildPointTables(ctx, g); err != nil {
@@ -323,51 +304,6 @@ func argmaxDist(d []float64) network.NodeID {
 		}
 	}
 	return best
-}
-
-// buildExplicit computes the tables of a pinned landmark set, parallel
-// across landmarks.
-func (b *Bounds) buildExplicit(ctx context.Context, g network.Graph, marks []network.NodeID, workers int) error {
-	for _, m := range marks {
-		if m < 0 || int(m) >= b.numNodes {
-			return fmt.Errorf("%w: landmark %d", network.ErrNodeRange, m)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(marks) {
-		workers = len(marks)
-	}
-	b.landmarks = append([]network.NodeID(nil), marks...)
-	b.tables = make([][]float64, len(marks))
-	var (
-		wg       sync.WaitGroup
-		firstErr error
-		errOnce  sync.Once
-		work     = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			view := network.ReadView(g)
-			for i := range work {
-				tab, err := network.NodeDistancesCtx(ctx, view, b.landmarks[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				b.tables[i] = tab
-			}
-		}()
-	}
-	for i := range marks {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
 }
 
 // Stats reports what Build produced.

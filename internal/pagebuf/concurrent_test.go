@@ -10,61 +10,64 @@ import (
 )
 
 // TestConcurrentReadWrite hammers one file from several goroutines, each
-// owning a disjoint region, through a pool small enough to force constant
+// owning a disjoint region, through pools small enough to force constant
 // eviction. Run under -race in CI.
 func TestConcurrentReadWrite(t *testing.T) {
-	p, dir := newTestPool(t, 4*256, 256)
-	f, err := p.Open(filepath.Join(dir, "x.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
 	const (
 		workers = 8
 		region  = 2048
 		rounds  = 20
 	)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rnd := rand.New(rand.NewSource(int64(w)))
-			base := int64(w * region)
-			data := make([]byte, region)
-			got := make([]byte, region)
-			for r := 0; r < rounds; r++ {
-				rnd.Read(data)
-				if err := f.WriteAt(data, base); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := f.ReadAt(got, base); err != nil {
-					errs[w] = err
-					return
-				}
-				if !bytes.Equal(got, data) {
-					errs[w] = errors.New("read back mismatch")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, frames := range []int{4, 8} {
+		p, dir := newTestPool(t, frames*256, 256)
+		f, err := p.Open(filepath.Join(dir, "x.dat"))
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rnd := rand.New(rand.NewSource(int64(w)))
+				base := int64(w * region)
+				data := make([]byte, region)
+				got := make([]byte, region)
+				for r := 0; r < rounds; r++ {
+					rnd.Read(data)
+					if err := f.WriteAt(data, base); err != nil {
+						errs[w] = err
+						return
+					}
+					if err := f.ReadAt(got, base); err != nil {
+						errs[w] = err
+						return
+					}
+					if !bytes.Equal(got, data) {
+						errs[w] = errors.New("read back mismatch")
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	st := p.Stats()
-	if st.LogicalReads == 0 || st.PhysicalReads == 0 {
-		t.Fatalf("stats did not accumulate: %+v", st)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("a %d-frame pool over %d bytes must evict: %+v", 4, workers*region, st)
+		st := p.Stats()
+		if st.LogicalReads == 0 || st.PhysicalReads == 0 {
+			t.Fatalf("stats did not accumulate: %+v", st)
+		}
+		if st.Evictions == 0 {
+			t.Fatalf("a %d-frame pool over %d bytes must evict: %+v", frames, workers*region, st)
+		}
 	}
 }
 

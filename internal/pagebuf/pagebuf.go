@@ -3,14 +3,11 @@
 // buffer pool with hit/miss accounting. The paper's experiments use a 1 MB
 // buffer over 4 KB pages; those are the defaults.
 //
-// The pool is sharded: the frame table and LRU ring are split by page-key
-// hash into independently latched shards, so concurrent readers working on
-// different pages rarely contend on the same latch. Each shard owns an equal
-// slice of the frame budget and its own traffic counters; Stats aggregates
-// them into one snapshot, so the paper's page-access accounting is unchanged.
-// A shard latch is held only for table/ring bookkeeping and the page memcpy
-// (or a View callback); disk reads of faulted pages happen under it too,
-// mirroring a partitioned buffer manager. A shard allocates page buffers only
+// The pool is the paper's single buffer: one latch guards one frame table and
+// one LRU ring over the whole frame budget, so the page counts of a workload
+// do not depend on how many processors run it. The latch is held only for
+// table/ring bookkeeping and the page memcpy (or a View callback); disk reads
+// of faulted pages happen under it too. The pool allocates page buffers only
 // until it is full: from then on a fault evicts first and reads into the frame
 // it just freed, so it allocates nothing at all.
 package pagebuf
@@ -21,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -31,10 +27,6 @@ const DefaultPageSize = 4096
 
 // DefaultBufferBytes is the buffer-pool size of the paper's experiments.
 const DefaultBufferBytes = 1 << 20
-
-// maxShards bounds the automatic shard count; more shards than this stop
-// paying off because each holds too few frames.
-const maxShards = 64
 
 // A frame is keyed by one uint64: the file id above pageBits bits of page
 // number. Files and pages beyond these limits are refused, never aliased.
@@ -78,17 +70,7 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Add returns s + o.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		LogicalReads:  s.LogicalReads + o.LogicalReads,
-		PhysicalReads: s.PhysicalReads + o.PhysicalReads,
-		PageWrites:    s.PageWrites + o.PageWrites,
-		Evictions:     s.Evictions + o.Evictions,
-	}
-}
-
-// counters is the atomic mirror of Stats, one instance per shard.
+// counters is the atomic mirror of Stats, so Stats reads it without the latch.
 type counters struct {
 	logicalReads  atomic.Int64
 	physicalReads atomic.Int64
@@ -96,45 +78,20 @@ type counters struct {
 	evictions     atomic.Int64
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
-		LogicalReads:  c.logicalReads.Load(),
-		PhysicalReads: c.physicalReads.Load(),
-		PageWrites:    c.pageWrites.Load(),
-		Evictions:     c.evictions.Load(),
-	}
-}
-
-func (c *counters) reset() {
-	c.logicalReads.Store(0)
-	c.physicalReads.Store(0)
-	c.pageWrites.Store(0)
-	c.evictions.Store(0)
-}
-
-// shard is one latch domain of the pool: a frame table and LRU ring over a
-// fixed slice of the frame budget, plus its own traffic counters.
-type shard struct {
-	mu       sync.Mutex // guards frames, the ring and frame contents
-	frames   map[uint64]*frame
-	ring     frame // sentinel: ring.next is the most recently used frame, ring.prev the least
-	capacity int
-	stats    counters
-}
-
 // Pool is an LRU buffer pool shared by several paged files, mirroring the
-// single memory buffer of the paper's setup. It is safe for concurrent use;
-// the frame table is sharded by page-key hash so readers on different pages
-// take different latches.
+// single memory buffer of the paper's setup. It is safe for concurrent use.
 type Pool struct {
 	pageSize int
 	capacity int
-	shardCnt uint32
-	shards   []shard
 	nextFile atomic.Int64
+	stats    counters
+
+	mu     sync.Mutex // guards frames, the ring and frame contents
+	frames map[uint64]*frame
+	ring   frame // sentinel: ring.next is the most recently used frame, ring.prev the least
 }
 
-// frame is one page buffer, linked into its shard's LRU ring.
+// frame is one page buffer, linked into the pool's LRU ring.
 type frame struct {
 	prev, next *frame
 	page       int64
@@ -148,119 +105,61 @@ func (fr *frame) unlink() {
 	fr.prev.next, fr.next.prev = fr.next, fr.prev
 }
 
-// pushFront links fr in as the shard's most recently used frame.
-func (sh *shard) pushFront(fr *frame) {
-	fr.prev, fr.next = &sh.ring, sh.ring.next
-	sh.ring.next.prev = fr
-	sh.ring.next = fr
+// pushFront links fr in as the pool's most recently used frame.
+func (p *Pool) pushFront(fr *frame) {
+	fr.prev, fr.next = &p.ring, p.ring.next
+	p.ring.next.prev = fr
+	p.ring.next = fr
 }
 
-// NewPool returns a pool of bufferBytes/pageSize frames with an automatic
-// shard count (one per CPU, capped so every shard keeps a useful number of
-// frames).
+// NewPool returns a pool of bufferBytes/pageSize frames.
 func NewPool(bufferBytes, pageSize int) (*Pool, error) {
-	return NewPoolShards(bufferBytes, pageSize, 0)
-}
-
-// NewPoolShards is NewPool with an explicit shard count. shards is rounded up
-// to a power of two and clamped so each shard holds at least one frame;
-// 0 selects the automatic count.
-func NewPoolShards(bufferBytes, pageSize, shards int) (*Pool, error) {
 	if pageSize < 64 {
 		return nil, fmt.Errorf("pagebuf: page size %d too small", pageSize)
-	}
-	if shards < 0 {
-		return nil, fmt.Errorf("pagebuf: negative shard count %d", shards)
 	}
 	capacity := bufferBytes / pageSize
 	if capacity < 1 {
 		return nil, fmt.Errorf("pagebuf: buffer of %d bytes holds no %d-byte page", bufferBytes, pageSize)
 	}
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > maxShards {
-			shards = maxShards
-		}
-	}
-	shards = ceilPow2(shards)
-	// Every shard needs at least one frame or it could never hold a page.
-	for shards > 1 && capacity/shards < 1 {
-		shards /= 2
-	}
 	p := &Pool{
 		pageSize: pageSize,
 		capacity: capacity,
-		shardCnt: uint32(shards),
-		shards:   make([]shard, shards),
+		frames:   make(map[uint64]*frame, capacity),
 	}
-	// Distribute the frame budget; the first capacity%shards shards take the
-	// remainder so the total stays exactly bufferBytes/pageSize.
-	base, extra := capacity/shards, capacity%shards
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.capacity = base
-		if i < extra {
-			sh.capacity++
-		}
-		sh.frames = make(map[uint64]*frame, sh.capacity)
-		sh.ring.prev, sh.ring.next = &sh.ring, &sh.ring
-	}
+	p.ring.prev, p.ring.next = &p.ring, &p.ring
 	return p, nil
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}
-
-// shardOf hashes a page of f onto its shard (Fibonacci mix of file and page).
-func (f *File) shardOf(pageNo int64) *shard {
-	h := uint64(pageNo)*0x9E3779B97F4A7C15 + f.id*0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return &f.pool.shards[uint32(h)&(f.pool.shardCnt-1)]
 }
 
 // PageSize returns the pool's page size.
 func (p *Pool) PageSize() int { return p.pageSize }
 
-// Capacity returns the total number of frames across all shards.
+// Capacity returns the number of frames.
 func (p *Pool) Capacity() int { return p.capacity }
 
-// Shards returns the number of latch shards.
-func (p *Pool) Shards() int { return int(p.shardCnt) }
-
-// Stats returns a snapshot of the traffic counters, aggregated over shards.
+// Stats returns a snapshot of the traffic counters.
 func (p *Pool) Stats() Stats {
-	var agg Stats
-	for i := range p.shards {
-		agg = agg.Add(p.shards[i].stats.snapshot())
+	c := &p.stats
+	return Stats{
+		LogicalReads:  c.logicalReads.Load(),
+		PhysicalReads: c.physicalReads.Load(),
+		PageWrites:    c.pageWrites.Load(),
+		Evictions:     c.evictions.Load(),
 	}
-	return agg
 }
 
-// ShardStats returns the per-shard traffic counters, for balance inspection.
-func (p *Pool) ShardStats() []Stats {
-	out := make([]Stats, len(p.shards))
-	for i := range p.shards {
-		out[i] = p.shards[i].stats.snapshot()
-	}
-	return out
-}
-
-// ResetStats zeroes the traffic counters of every shard.
+// ResetStats zeroes the traffic counters.
 func (p *Pool) ResetStats() {
-	for i := range p.shards {
-		p.shards[i].stats.reset()
-	}
+	c := &p.stats
+	c.logicalReads.Store(0)
+	c.physicalReads.Store(0)
+	c.pageWrites.Store(0)
+	c.evictions.Store(0)
 }
 
 // File is one paged file attached to a pool. All reads and writes go through
 // the pool's frames. A File may be used from several goroutines; individual
 // page accesses are atomic with respect to each other, and multi-page
-// ReadAt/WriteAt calls lock one shard at a time.
+// ReadAt/WriteAt calls take the pool latch once per page.
 type File struct {
 	pool   *Pool
 	id     uint64 // < maxFiles
@@ -302,24 +201,24 @@ func (f *File) Size() int64 { return f.size.Load() }
 func (f *File) key(pageNo int64) uint64 { return f.id<<pageBits | uint64(pageNo) }
 
 // page returns the frame for pageNo (< maxPages), faulting it in if needed.
-// The shard latch must be held; the returned frame is only valid while it
+// The pool latch must be held; the returned frame is only valid while it
 // stays held.
-func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
+func (f *File) page(pageNo int64) (*frame, error) {
 	p := f.pool
-	sh.stats.logicalReads.Add(1)
+	p.stats.logicalReads.Add(1)
 	key := f.key(pageNo)
-	if fr, ok := sh.frames[key]; ok {
+	if fr, ok := p.frames[key]; ok {
 		fr.unlink()
-		sh.pushFront(fr)
+		p.pushFront(fr)
 		return fr, nil
 	}
-	sh.stats.physicalReads.Add(1)
-	// A full shard evicts first and faults into the frame it just freed;
-	// only a shard still below capacity allocates.
+	p.stats.physicalReads.Add(1)
+	// A full pool evicts first and faults into the frame it just freed;
+	// only a pool still below capacity allocates.
 	var fr *frame
-	if len(sh.frames) >= sh.capacity {
+	if len(p.frames) >= p.capacity {
 		var err error
-		if fr, err = sh.evict(); err != nil {
+		if fr, err = p.evict(); err != nil {
 			return nil, err
 		}
 	}
@@ -337,39 +236,38 @@ func (f *File) page(sh *shard, pageNo int64) (*frame, error) {
 	// Whatever the read left uncovered (a partial last page, a page never
 	// written) must not show the frame's previous page.
 	clear(fr.data[n:])
-	sh.frames[key] = fr
-	sh.pushFront(fr)
+	p.frames[key] = fr
+	p.pushFront(fr)
 	return fr, nil
 }
 
-// evict writes back and drops the least recently used frame of this shard,
-// handing it (clean) to the caller for reuse; nil when the shard is empty.
-// The shard latch must be held.
-func (sh *shard) evict() (*frame, error) {
-	fr := sh.ring.prev
-	if fr == &sh.ring {
+// evict writes back and drops the least recently used frame, handing it
+// (clean) to the caller for reuse; nil when the pool is empty. The latch must
+// be held.
+func (p *Pool) evict() (*frame, error) {
+	fr := p.ring.prev
+	if fr == &p.ring {
 		return nil, nil
 	}
 	if fr.dirty {
-		if err := fr.f.writeBack(sh, fr); err != nil {
+		if err := fr.f.writeBack(fr); err != nil {
 			return nil, err
 		}
 		fr.dirty = false
 	}
-	sh.drop(fr)
-	sh.stats.evictions.Add(1)
+	p.drop(fr)
+	p.stats.evictions.Add(1)
 	return fr, nil
 }
 
-// drop removes fr from the shard's table and ring. The latch must be held.
-func (sh *shard) drop(fr *frame) {
+// drop removes fr from the pool's table and ring. The latch must be held.
+func (p *Pool) drop(fr *frame) {
 	fr.unlink()
-	delete(sh.frames, fr.f.key(fr.page))
+	delete(p.frames, fr.f.key(fr.page))
 }
 
-// writeBack flushes one frame to disk. The latch of the frame's shard must be
-// held.
-func (f *File) writeBack(sh *shard, fr *frame) error {
+// writeBack flushes one frame to disk. The pool latch must be held.
+func (f *File) writeBack(fr *frame) error {
 	p := f.pool
 	if _, err := f.os.WriteAt(fr.data, fr.page*int64(p.pageSize)); err != nil {
 		return fmt.Errorf("pagebuf: write page %d: %w", fr.page, err)
@@ -380,7 +278,7 @@ func (f *File) writeBack(sh *shard, fr *frame) error {
 			break
 		}
 	}
-	sh.stats.pageWrites.Add(1)
+	p.stats.pageWrites.Add(1)
 	return nil
 }
 
@@ -397,22 +295,22 @@ func (f *File) ReadAt(buf []byte, off int64) error {
 	return f.copyPages(buf, off, false)
 }
 
-// copyPages copies between buf and [off, off+len(buf)) page by page, under
-// each page's shard latch: into the frames (dirtying them) when write is
+// copyPages copies between buf and [off, off+len(buf)) page by page, taking
+// the pool latch once per page: into the frames (dirtying them) when write is
 // set, out of them otherwise. A span reaching page 2^pageBits is refused.
 // (A flag, not a callback: buf passed to a func value would escape, moving
 // every caller's stack buffer to the heap.)
 func (f *File) copyPages(buf []byte, off int64, write bool) error {
-	ps := int64(f.pool.pageSize)
+	p := f.pool
+	ps := int64(p.pageSize)
 	if len(buf) > 0 && (off+int64(len(buf))-1)/ps >= maxPages {
 		return fmt.Errorf("pagebuf: %s: [%d,%d) reaches past page 2^%d", f.Name(), off, off+int64(len(buf)), pageBits)
 	}
 	for len(buf) > 0 {
 		pageNo, in := off/ps, off%ps
 		n := min(ps-in, int64(len(buf)))
-		sh := f.shardOf(pageNo)
-		sh.mu.Lock()
-		fr, err := f.page(sh, pageNo)
+		p.mu.Lock()
+		fr, err := f.page(pageNo)
 		if err == nil {
 			if write {
 				copy(fr.data[in:in+n], buf[:n])
@@ -421,7 +319,7 @@ func (f *File) copyPages(buf []byte, off int64, write bool) error {
 				copy(buf[:n], fr.data[in:in+n])
 			}
 		}
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -431,7 +329,7 @@ func (f *File) copyPages(buf []byte, off int64, write bool) error {
 }
 
 // View runs fn on page pageNo's bytes, up to the file's logical end, while
-// the page's shard latch is held, and counts one logical read. It is ReadAt
+// the pool latch is held, and counts one logical read. It is ReadAt
 // for a span inside one page without the copy: fn must not keep the slice
 // past its return, modify it, or call back into the pool (the latch is not
 // reentrant). A page at or past the logical end is an error.
@@ -443,10 +341,9 @@ func (f *File) View(pageNo int64, fn func(page []byte) error) error {
 	if pageNo < 0 || pageNo >= maxPages || size <= 0 || pageNo > (size-1)/ps {
 		return fmt.Errorf("pagebuf: %s: page %d beyond file size %d", f.Name(), pageNo, size)
 	}
-	sh := f.shardOf(pageNo)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fr, err := f.page(sh, pageNo)
+	f.pool.mu.Lock()
+	defer f.pool.mu.Unlock()
+	fr, err := f.page(pageNo)
 	if err != nil {
 		return err
 	}
@@ -492,20 +389,18 @@ func (f *File) Flush() error {
 }
 
 func (f *File) flush() error {
-	for i := range f.pool.shards {
-		sh := &f.pool.shards[i]
-		sh.mu.Lock()
-		for fr := sh.ring.next; fr != &sh.ring; fr = fr.next {
-			if fr.f == f && fr.dirty {
-				if err := f.writeBack(sh, fr); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				fr.dirty = false
+	p := f.pool
+	p.mu.Lock()
+	for fr := p.ring.next; fr != &p.ring; fr = fr.next {
+		if fr.f == f && fr.dirty {
+			if err := f.writeBack(fr); err != nil {
+				p.mu.Unlock()
+				return err
 			}
+			fr.dirty = false
 		}
-		sh.mu.Unlock()
 	}
+	p.mu.Unlock()
 	return f.os.Sync()
 }
 
@@ -519,17 +414,15 @@ func (f *File) Close() error {
 		f.os.Close()
 		return err
 	}
-	for i := range f.pool.shards {
-		sh := &f.pool.shards[i]
-		sh.mu.Lock()
-		for fr := sh.ring.next; fr != &sh.ring; {
-			next := fr.next
-			if fr.f == f {
-				sh.drop(fr)
-			}
-			fr = next
+	p := f.pool
+	p.mu.Lock()
+	for fr := p.ring.next; fr != &p.ring; {
+		next := fr.next
+		if fr.f == f {
+			p.drop(fr)
 		}
-		sh.mu.Unlock()
+		fr = next
 	}
+	p.mu.Unlock()
 	return f.os.Close()
 }

@@ -21,10 +21,10 @@ func onDisk(t *testing.T, p *Pool, dir, name string, content []byte) *File {
 	return f
 }
 
-// ringLen counts the frames linked into sh's LRU ring.
-func ringLen(sh *shard) int {
+// ringLen counts the frames linked into p's LRU ring.
+func ringLen(p *Pool) int {
 	n := 0
-	for fr := sh.ring.next; fr != &sh.ring; fr = fr.next {
+	for fr := p.ring.next; fr != &p.ring; fr = fr.next {
 		n++
 	}
 	return n
@@ -35,7 +35,7 @@ func ringLen(sh *shard) int {
 // neither allocates anything.
 func TestFullPoolFaultsWithoutAllocating(t *testing.T) {
 	const pageSize, frames, pages = 4096, 4, 32
-	p, err := NewPoolShards(frames*pageSize, pageSize, 1)
+	p, err := NewPool(frames*pageSize, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestFullPoolFaultsWithoutAllocating(t *testing.T) {
 	if d := p.Stats().Sub(hits); d.LogicalReads != n+1 || d.PhysicalReads != 0 {
 		t.Fatalf("hits read %+v, want %d logical and no physical reads", d, n+1)
 	}
-	if len(p.shards[0].frames) != frames || ringLen(&p.shards[0]) != frames {
-		t.Fatalf("%d table entries, %d ring entries, want %d", len(p.shards[0].frames), ringLen(&p.shards[0]), frames)
+	if len(p.frames) != frames || ringLen(p) != frames {
+		t.Fatalf("%d table entries, %d ring entries, want %d", len(p.frames), ringLen(p), frames)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestRecycledFrameReadsZerosPastData(t *testing.T) {
 		{"page beyond the written end", 5*pageSize + 100, 5 * pageSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPoolShards(pageSize, pageSize, 1)
+			p, err := NewPool(pageSize, pageSize)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestRecycledFrameReadsZerosPastData(t *testing.T) {
 // overwritten by the incoming page.
 func TestOneFrameAlternatingDirtyPages(t *testing.T) {
 	const pageSize = 128
-	p, err := NewPoolShards(pageSize, pageSize, 1)
+	p, err := NewPool(pageSize, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestOneFrameAlternatingDirtyPages(t *testing.T) {
 // half-filled entry behind, and the pool keeps serving its other files.
 func TestFailedFaultLeavesNoFrame(t *testing.T) {
 	const pageSize, frames = 128, 2
-	p, err := NewPoolShards(frames*pageSize, pageSize, 1)
+	p, err := NewPool(frames*pageSize, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +193,16 @@ func TestFailedFaultLeavesNoFrame(t *testing.T) {
 			t.Fatal("want an error reading through a closed descriptor")
 		}
 	}
-	sh := &p.shards[0]
-	sh.mu.Lock()
-	for _, fr := range sh.frames {
+	p.mu.Lock()
+	for _, fr := range p.frames {
 		if fr.f == broken {
 			t.Errorf("failed fault left page %d in the frame table", fr.page)
 		}
 	}
-	if len(sh.frames) != ringLen(sh) || ringLen(sh) > frames {
-		t.Errorf("%d table entries, %d ring entries, capacity %d", len(sh.frames), ringLen(sh), frames)
+	if len(p.frames) != ringLen(p) || ringLen(p) > frames {
+		t.Errorf("%d table entries, %d ring entries, capacity %d", len(p.frames), ringLen(p), frames)
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	for pg := int64(0); pg < 4; pg++ {
 		if err := good.ReadAt(buf, pg*pageSize); err != nil {
 			t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // one logical read a call, and refuses pages the file does not have.
 func TestView(t *testing.T) {
 	const pageSize = 128
-	p, err := NewPoolShards(2*pageSize, pageSize, 1)
+	p, err := NewPool(2*pageSize, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestView(t *testing.T) {
 // than aliasing another frame.
 func TestFrameKeyLimits(t *testing.T) {
 	const pageSize = 64
-	p, err := NewPoolShards(4*pageSize, pageSize, 1)
+	p, err := NewPool(4*pageSize, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}

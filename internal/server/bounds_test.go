@@ -47,7 +47,7 @@ func serveRegistry(t *testing.T, ds ...*Dataset) *Server {
 func TestColdBoundsLazy(t *testing.T) {
 	n := testNetwork(t)
 	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024, PoolShards: 2}
+	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
 	if err := netclus.BuildStore(dir, n, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func mustDataset(t testing.TB) func(*Dataset, error) *Dataset {
 // newGoldenServer serves the test network as one dataset of every kind —
 // cold store, cold memory, hot (a compiled store, so it carries the csr and
 // the store block), sharded and live — with every machine-dependent default
-// (admission capacity, page-buffer latch shards) pinned. The cold datasets'
+// (the admission capacity) pinned. The cold datasets'
 // bounds are built before the script runs: their reads are booked to startup,
 // so the store counters pin serving traffic over the record cache the build
 // leaves warm, whichever request of the script happens to prune first (the
@@ -43,7 +43,7 @@ func newGoldenServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	n := testNetwork(t)
 	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024, PoolShards: 2}
+	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
 	if err := netclus.BuildStore(dir, n, opts); err != nil {
 		t.Fatal(err)
 	}

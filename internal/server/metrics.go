@@ -302,11 +302,6 @@ var families = []family{
 	counter("netclusd_store_logical_reads_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.LogicalReads })),
 	counter("netclusd_store_page_writes_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.PageWrites })),
 	counter("netclusd_store_physical_reads_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.PhysicalReads })),
-	counter("netclusd_store_shard_logical_reads_total", each(store, func(s *netclus.StoreStats, put putFunc) {
-		for i, sh := range s.Shards {
-			put(shardLabel(i), sh.LogicalReads)
-		}
-	})),
 	counter("netclusd_write_batches_total", of(live, func(s *netclus.LiveStats) any { return s.Batches })),
 	counter("netclusd_write_ops_total", of(live, func(s *netclus.LiveStats) any { return s.Ops })),
 	counter("netclusd_write_rejected_total", of(live, func(s *netclus.LiveStats) any { return s.Rejected })),

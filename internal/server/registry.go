@@ -141,7 +141,6 @@ func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOp
 	// final step of publishing each view, before the writer is acked, so a
 	// client that saw its write commit can never read a stale cached result.
 	opts.Bump = d.BumpEpoch
-	opts.InitialEpoch = 1
 	ov, err := netclus.NewLiveOverlay(base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: building live overlay: %w", name, err)

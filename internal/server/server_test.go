@@ -277,7 +277,6 @@ func TestServeMetricsExposition(t *testing.T) {
 		`netclusd_dataset_queries_total{dataset="disk"} 1`,
 		`netclusd_store_logical_reads_total{dataset="disk"}`,
 		`netclusd_store_cache_hits_total{dataset="disk",cache="adj"}`,
-		`netclusd_store_shard_logical_reads_total{dataset="disk",shard="0"}`,
 		`netclusd_prune_candidates_total{dataset="mem"}`,
 		"netclusd_result_cache_hits_total 0",
 		"netclusd_result_cache_misses_total 2",

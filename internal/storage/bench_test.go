@@ -84,7 +84,7 @@ func BenchmarkStorePointInfo(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreNeighborsParallel measures the sharded pool + record caches
+// BenchmarkStoreNeighborsParallel measures the latched pool + record caches
 // under concurrent load: every goroutine random-reads through its own view.
 func BenchmarkStoreNeighborsParallel(b *testing.B) {
 	for _, mode := range []struct {

@@ -107,7 +107,7 @@ func TestCacheInvariantRandomWorkload(t *testing.T) {
 // random cold keys through views of one cached store, with caches and pool
 // small enough to evict, checking every record against the in-memory
 // network. Run under -race in CI: it exercises concurrent get/put on both
-// record caches, the sharded pool and the per-view leaf hints.
+// record caches, the latched pool and the per-view leaf hints.
 func TestCacheConcurrentHammer(t *testing.T) {
 	n, err := testnet.Random(13, 150, 500)
 	if err != nil {

@@ -73,11 +73,6 @@ type Options struct {
 	// Layout is the adjacency packing order (default LayoutBFS). Only
 	// meaningful for Build.
 	Layout Layout
-	// NoReorder is a shorthand for Layout = LayoutNodeID.
-	NoReorder bool
-	// PoolShards overrides the buffer pool's latch shard count (0 = one
-	// per CPU). Only meaningful for Open.
-	PoolShards int
 	// AdjCacheEntries bounds the decoded adjacency cache in entries
 	// (0 = DefaultAdjCacheEntries, negative = disabled). The cache is
 	// direct-mapped over the bound rounded down to a power of two. Only
@@ -113,12 +108,8 @@ func Build(dir string, n *network.Network, opts Options) error {
 	}
 
 	// Adjacency file in the configured packing order.
-	layout := opts.Layout
-	if opts.NoReorder && layout == "" {
-		layout = LayoutNodeID
-	}
 	var order []network.NodeID
-	switch layout {
+	switch opts.Layout {
 	case "", LayoutBFS:
 		if order, err = bfsOrder(n); err != nil {
 			return err
@@ -142,7 +133,7 @@ func Build(dir string, n *network.Network, opts Options) error {
 			order[i], order[j] = order[j], order[i]
 		}
 	default:
-		return fmt.Errorf("storage: unknown layout %q", layout)
+		return fmt.Errorf("storage: unknown layout %q", opts.Layout)
 	}
 	adjF, err := pool.Open(filepath.Join(dir, "adj.dat"))
 	if err != nil {
@@ -305,7 +296,7 @@ var ErrClosed = errors.New("storage: store closed")
 
 // storeShared is the state common to every read view of one opened store:
 // the buffer pool, files, indexes, counts and the decoded-record caches. It
-// is safe for concurrent use (the pool is shard-latched, the caches are
+// is safe for concurrent use (the pool is latched, the caches are
 // lock-free, the B+-tree lookups draw per-call scratch).
 type storeShared struct {
 	pool   *pagebuf.Pool
@@ -378,7 +369,7 @@ var _ network.ViewCloner = (*Store)(nil)
 // defaults (4 KB pages, 1 MB buffer).
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	pool, err := pagebuf.NewPoolShards(opts.BufferBytes, opts.PageSize, opts.PoolShards)
+	pool, err := pagebuf.NewPool(opts.BufferBytes, opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -511,10 +502,6 @@ func (s *Store) Close() error {
 
 // Stats returns the buffer pool's traffic counters.
 func (s *Store) Stats() pagebuf.Stats { return s.sh.pool.Stats() }
-
-// ShardStats returns the buffer pool's per-shard traffic counters, for
-// latch-balance inspection (netclusd exports them on /metrics).
-func (s *Store) ShardStats() []pagebuf.Stats { return s.sh.pool.ShardStats() }
 
 // CacheStats returns the decoded-record cache counters (adjacency cache,
 // group cache, leaf hints), aggregated over every view of the store. All

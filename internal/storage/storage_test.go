@@ -40,11 +40,12 @@ func TestStoreMirrorsNetwork(t *testing.T) {
 	for _, opts := range []storage.Options{
 		{},                                    // paper defaults
 		{PageSize: 256, BufferBytes: 4 * 256}, // tiny pool: constant eviction
-		{NoReorder: true},
+		{Layout: storage.LayoutNodeID},
 		{Layout: storage.LayoutRandom},
 	} {
 		opts := opts
-		t.Run(fmt.Sprintf("page=%d layout=%s reorder=%v", opts.PageSize, opts.Layout, !opts.NoReorder), func(t *testing.T) {
+		reorder := opts.Layout != storage.LayoutNodeID
+		t.Run(fmt.Sprintf("page=%d layout=%s reorder=%v", opts.PageSize, opts.Layout, reorder), func(t *testing.T) {
 			n, err := testnet.Random(4, 60, 150)
 			if err != nil {
 				t.Fatal(err)
@@ -562,6 +563,46 @@ func TestTruncatedPointsFileSurfaces(t *testing.T) {
 					t.Fatalf("sweep over the damaged store allocated %d bytes", got)
 				}
 			})
+		}
+	}
+}
+
+// TestPageCountsIndependentOfProcs runs the same DBSCAN over the same store,
+// opened uncached with a buffer far smaller than its files, at several
+// GOMAXPROCS values: the pool is one LRU buffer, so its page counts must not
+// depend on the processor count.
+func TestPageCountsIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	n, gen, err := testnet.RandomClustered(5, 400, 1200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := storage.Options{PageSize: 1024, BufferBytes: 8 * 1024, DisableRecordCaches: true}
+	if err := storage.Build(dir, n, opts); err != nil {
+		t.Fatal(err)
+	}
+	var want pagebuf.Stats
+	for i, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		s, err := storage.Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.DBSCAN(s, core.DBSCANOptions{Eps: gen.Eps(), MinPts: 3}); err != nil {
+			t.Fatal(err)
+		}
+		got := s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Evictions == 0 {
+			t.Fatalf("GOMAXPROCS %d: no evictions (%+v); the buffer must be smaller than the store", procs, got)
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("GOMAXPROCS %d: %+v, want %+v as at GOMAXPROCS 1", procs, got, want)
 		}
 	}
 }

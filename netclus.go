@@ -459,9 +459,8 @@ func SuppressSmallClusters(labels []int32, minSup int) []int32 {
 }
 
 // Disk storage (see internal/storage). StoreOptions covers the paper's
-// physical parameters (PageSize, BufferBytes, Layout) plus the performance
-// knobs of the parallel read path: PoolShards (buffer-pool latch shards),
-// AdjCacheEntries / GroupCacheEntries (decoded-record cache bounds) and
+// physical parameters (PageSize, BufferBytes, Layout) plus the decoded-record
+// cache knobs: AdjCacheEntries / GroupCacheEntries (cache bounds) and
 // DisableRecordCaches (restore the paper's uncached access path).
 type StoreOptions = storage.Options
 
@@ -469,9 +468,9 @@ type StoreOptions = storage.Options
 type Store = storage.Store
 
 // BufferStats reports the buffer pool's cumulative page traffic — hits,
-// misses, reads, writes and the derived hit ratio, aggregated over the
-// pool's latch shards. Store.BufferStats returns a consistent snapshot at
-// any time, also while queries run.
+// misses, reads, writes and the derived hit ratio of the store's single LRU
+// buffer. Store.BufferStats returns a consistent snapshot at any time, also
+// while queries run.
 type BufferStats = pagebuf.Stats
 
 // CacheStats reports the decoded-record cache traffic of a Store: hits,
@@ -495,14 +494,12 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 }
 
 // StoreStats is a combined snapshot of every counter family a Store exports:
-// buffer-pool traffic (aggregate and per latch shard) and the decoded-record
-// caches. The serving layer samples it per request batch and subtracts
+// buffer-pool traffic and the decoded-record caches. The serving layer samples it per request batch and subtracts
 // snapshots to attribute I/O to spans of work; JSON field names are stable
 // (see the stats round-trip test).
 type StoreStats struct {
-	Buffer BufferStats   `json:"buffer"`
-	Cache  CacheStats    `json:"cache"`
-	Shards []BufferStats `json:"shards,omitempty"`
+	Buffer BufferStats `json:"buffer"`
+	Cache  CacheStats  `json:"cache"`
 }
 
 // SnapshotStore captures a consistent-enough view of st's counters: each
@@ -511,24 +508,15 @@ func SnapshotStore(st *Store) StoreStats {
 	return StoreStats{
 		Buffer: st.BufferStats(),
 		Cache:  st.CacheStats(),
-		Shards: st.ShardStats(),
 	}
 }
 
 // Sub returns s - o field by field, the counter delta across a span of work.
-// Shard slices of different lengths (snapshots of different stores) yield a
-// nil Shards.
 func (s StoreStats) Sub(o StoreStats) StoreStats {
-	d := StoreStats{
+	return StoreStats{
 		Buffer: s.Buffer.Sub(o.Buffer),
 		Cache:  s.Cache.Sub(o.Cache),
 	}
-	if len(s.Shards) == len(o.Shards) {
-		for i := range s.Shards {
-			d.Shards = append(d.Shards, s.Shards[i].Sub(o.Shards[i]))
-		}
-	}
-	return d
 }
 
 // Durable snapshot persistence (see internal/csr). A compiled Snapshot can be
@@ -606,8 +594,9 @@ type RenderOptions = viz.Options
 // --- Live mutable overlays (internal/delta): the write path. -------------
 
 // LiveOverlay is an epoch-versioned mutable overlay over an immutable base
-// graph: point insert/move/delete batches land in per-shard write buffers, a
-// reconciler applies them atomically and publishes frozen merged views —
+// graph: point insert/move/delete batches land in one write queue, a
+// reconciler applies them atomically in arrival order and publishes frozen
+// merged views —
 // snapshots derived from the base, served by the flat kernels — and makes
 // the current view the base when the delta grows. See DESIGN.md §13.
 type LiveOverlay = delta.Overlay

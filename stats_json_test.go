@@ -95,13 +95,9 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	combined := StoreStats{
-		Buffer: buf,
-		Cache:  cache,
-		Shards: []BufferStats{buf, {LogicalReads: 9}},
-	}
+	combined := StoreStats{Buffer: buf, Cache: cache}
 	roundTrip(t, combined)
-	wantCombined := []string{"buffer", "cache", "shards"}
+	wantCombined := []string{"buffer", "cache"}
 	if got := jsonKeys(t, combined); !reflect.DeepEqual(got, wantCombined) {
 		t.Errorf("StoreStats keys = %v, want %v", got, wantCombined)
 	}
@@ -111,12 +107,10 @@ func TestStoreStatsSub(t *testing.T) {
 	a := StoreStats{
 		Buffer: BufferStats{LogicalReads: 10, PhysicalReads: 4},
 		Cache:  CacheStats{AdjHits: 8, GroupMisses: 3},
-		Shards: []BufferStats{{LogicalReads: 6}, {LogicalReads: 4}},
 	}
 	b := StoreStats{
 		Buffer: BufferStats{LogicalReads: 7, PhysicalReads: 1},
 		Cache:  CacheStats{AdjHits: 5, GroupMisses: 1},
-		Shards: []BufferStats{{LogicalReads: 5}, {LogicalReads: 2}},
 	}
 	d := a.Sub(b)
 	if d.Buffer.LogicalReads != 3 || d.Buffer.PhysicalReads != 3 {
@@ -124,12 +118,6 @@ func TestStoreStatsSub(t *testing.T) {
 	}
 	if d.Cache.AdjHits != 3 || d.Cache.GroupMisses != 2 {
 		t.Errorf("cache delta = %+v", d.Cache)
-	}
-	if len(d.Shards) != 2 || d.Shards[0].LogicalReads != 1 || d.Shards[1].LogicalReads != 2 {
-		t.Errorf("shard delta = %+v", d.Shards)
-	}
-	if mismatch := a.Sub(StoreStats{}); mismatch.Shards != nil {
-		t.Errorf("mismatched shard counts should drop Shards, got %+v", mismatch.Shards)
 	}
 
 	pa := PruneStats{Candidates: 9, EarlyStops: 4}
