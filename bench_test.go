@@ -281,14 +281,3 @@ func BenchmarkStorageAblation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDijkstraAblation measures DESIGN.md's decision 1 (lazy-insertion
-// vs indexed decrease-key frontier).
-func BenchmarkDijkstraAblation(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.DijkstraAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -7,7 +7,7 @@
 //	experiments [-scale 0.0625] [-k 10] [-seed 1] [-exp all] [-svg dir] [-o file]
 //
 // -exp selects a comma-separated subset of: fig10, fig11, fig12, table1,
-// table2, fig13, fig14, fig15, storage, dijkstra, prune, extensions. -scale 1
+// table2, fig13, fig14, fig15, storage, prune, extensions. -scale 1
 // reproduces the paper's dataset sizes (|V| up to 175 K, N up to 1 M); the
 // default 1/16 finishes in seconds. With -svg, the Figure 10 network maps,
 // the Figure 11 per-method clustering maps and the Figure 15 merge-distance
@@ -38,7 +38,7 @@ func run(args []string) error {
 	scale := fs.Float64("scale", exp.DefaultScale, "dataset scale relative to the paper's sizes (1 = full)")
 	k := fs.Int("k", 10, "number of clusters")
 	seed := fs.Int64("seed", 1, "random seed")
-	expsel := fs.String("exp", "all", "comma-separated experiments: fig10,fig11,fig12,table1,table2,fig13,fig14,fig15,storage,dijkstra,prune,extensions")
+	expsel := fs.String("exp", "all", "comma-separated experiments: fig10,fig11,fig12,table1,table2,fig13,fig14,fig15,storage,prune,extensions")
 	svgDir := fs.String("svg", "", "directory to write SVG maps/plots into (optional)")
 	outPath := fs.String("o", "", "write the report to this file instead of stdout")
 	fs.Parse(args)
@@ -186,12 +186,6 @@ func run(args []string) error {
 	}
 	if all || want["storage"] {
 		if _, err := exp.StorageAblation(cfg); err != nil {
-			return err
-		}
-		sep()
-	}
-	if all || want["dijkstra"] {
-		if _, err := exp.DijkstraAblation(cfg); err != nil {
 			return err
 		}
 		sep()

@@ -217,6 +217,66 @@ func TestDensityBackendsMatchOracle(t *testing.T) {
 	}
 }
 
+// checkOPTICSBackends runs OPTICS at eps on every backend and demands one
+// Order, Reach and CoreDist per content, byte for byte, and on every backend
+// an ExtractDBSCAN at each ε' <= eps that agrees with the matrix DBSCAN at ε'
+// by checkExtraction's rule.
+func checkOPTICSBackends(t *testing.T, bks []densityBackend, eps float64, minPtss []int) {
+	t.Helper()
+	for _, minPts := range minPtss {
+		ref := map[*float64]*core.OPTICSResult{}
+		for _, bk := range bks {
+			what := fmt.Sprintf("%s eps=%v minPts=%d", bk.name, eps, minPts)
+			got, err := core.OPTICS(bk.g, core.OPTICSOptions{Eps: eps, MinPts: minPts})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			key := &bk.dist[0][0]
+			if first, ok := ref[key]; !ok {
+				ref[key] = got
+			} else if !reflect.DeepEqual(first.Order, got.Order) || !reflect.DeepEqual(first.Reach, got.Reach) || !reflect.DeepEqual(first.CoreDist, got.CoreDist) {
+				t.Fatalf("%s: ordering differs from the first backend serving this content\nfirst %v %v\ngot   %v %v", what, first.Order, first.Reach, got.Order, got.Reach)
+			}
+			n := bk.g.NumPoints()
+			for _, epsPrime := range []float64{eps, 0.6 * eps, 0.3 * eps} {
+				isCore := make([]bool, n)
+				for p := range isCore {
+					isCore[p] = !math.IsInf(bruteCoreDist(bk.dist, p, epsPrime, minPts), 1)
+				}
+				checkExtraction(t, fmt.Sprintf("%s eps'=%v", what, epsPrime), got.ExtractDBSCAN(epsPrime), matrix.DBSCAN(bk.dist, epsPrime, minPts), isCore)
+			}
+		}
+	}
+}
+
+// TestOPTICSBackendsMatchOracle is the cross-backend table of OPTICS: the
+// density shapes in every numbering and two generated graphs, on every
+// backend, against the first backend's ordering and the matrix DBSCAN.
+func TestOPTICSBackendsMatchOracle(t *testing.T) {
+	shapes, err := testnet.ShapeGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range shapes {
+		t.Run(name, func(t *testing.T) {
+			checkOPTICSBackends(t, densityBackends(t, g, 4, false), 4, []int{1, 2, 3, 5})
+		})
+	}
+	random, err := testnet.Random(7, 40, 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, _, err := testnet.RandomClustered(11, 60, 240, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*network.Network{"random": random, "clustered": clustered} {
+		t.Run(name, func(t *testing.T) {
+			checkOPTICSBackends(t, densityBackends(t, g, 4, true), 1.2, []int{2, 3, 5})
+		})
+	}
+}
+
 // queryOutcome is what every backend serving one content must answer alike
 // for one point: its kNN lists at each k and its ε-ranges with distances.
 type queryOutcome struct {

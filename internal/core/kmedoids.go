@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"netclus/internal/heapx"
@@ -413,12 +411,6 @@ type KMedoidsOptions struct {
 	// points instead of a random sample (the paper's "ideal start" of
 	// Fig. 11b). Must contain exactly K distinct points.
 	InitialMedoids []network.PointID
-	// Workers caps the number of goroutines running restarts concurrently
-	// (<= 1 runs them serially). Results are identical to the serial run:
-	// each restart draws its own seed from Rand up front, and every worker
-	// queries through its own graph read view, so both the in-memory Network
-	// and the disk Store are safe.
-	Workers int
 	// Rand is the randomness source; nil falls back to a fixed-seed
 	// generator so runs are reproducible by default.
 	Rand *rand.Rand
@@ -493,16 +485,15 @@ func (r *KMedoidsResult) AvgSwapIterTime() time.Duration {
 // expansion, then randomized medoid replacement (incremental by default)
 // until MaxBadSwaps consecutive replacements fail to improve R, repeated for
 // the configured number of restarts; the best local optimum is returned.
-// Every restart runs on its own seed drawn from opts.Rand up front, so the
-// serial and multi-worker runs produce identical results.
+// Restarts run in order, each on its own seed drawn from opts.Rand up front;
+// the first restart to reach the lowest R wins.
 func KMedoids(g network.Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	return KMedoidsCtx(context.Background(), g, opts)
 }
 
 // KMedoidsCtx is KMedoids with cancellation: the expansions check ctx
 // periodically and the run returns an error wrapping ctx.Err() when it is
-// done. With opts.Workers > 1 the restarts are fanned
-// across goroutines, each querying through its own graph read view.
+// done.
 func KMedoidsCtx(ctx context.Context, g network.Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	if err := opts.defaults(g); err != nil {
 		return nil, err
@@ -511,67 +502,19 @@ func KMedoidsCtx(ctx context.Context, g network.Graph, opts KMedoidsOptions) (*K
 	for i := range seeds {
 		seeds[i] = opts.Rand.Int63()
 	}
-
-	results := make([]*restartResult, opts.Restarts)
-	accs := make([]*KMedoidsResult, opts.Restarts)
-	errs := make([]error, opts.Restarts)
-	runOne := func(restart int, view network.Graph) {
-		rng := rand.New(rand.NewSource(seeds[restart]))
-		var init []network.PointID
-		if restart == 0 && len(opts.InitialMedoids) > 0 {
-			init = opts.InitialMedoids
-		} else {
-			init = samplePoints(g.NumPoints(), opts.K, rng)
-		}
-		accs[restart] = &KMedoidsResult{}
-		results[restart], errs[restart] = kmedoidsOnce(ctx, view, opts, init, rng, accs[restart])
-	}
-	workers := normWorkers(opts.Workers)
-	if workers > opts.Restarts {
-		workers = opts.Restarts
-	}
-	if workers > 1 {
-		var nextRestart atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				view := network.ReadView(g)
-				for {
-					r := int(nextRestart.Add(1)) - 1
-					if r >= opts.Restarts {
-						return
-					}
-					runOne(r, view)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for restart := 0; restart < opts.Restarts; restart++ {
-			runOne(restart, g)
-			if errs[restart] != nil {
-				break // returned below before any restart that did not run
-			}
-		}
-	}
-
 	res := &KMedoidsResult{}
 	var best *restartResult
-	for restart := 0; restart < opts.Restarts; restart++ {
-		if errs[restart] != nil {
-			return nil, errs[restart]
+	for restart, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		init := opts.InitialMedoids
+		if restart > 0 || len(init) == 0 {
+			init = samplePoints(g.NumPoints(), opts.K, rng)
 		}
-		a := accs[restart]
-		res.Iterations += a.Iterations
-		res.AttemptedSwaps += a.AttemptedSwaps
-		res.AcceptedSwaps += a.AcceptedSwaps
-		res.FirstIterTime += a.FirstIterTime
-		res.SwapIterTime += a.SwapIterTime
-		res.SwapIters += a.SwapIters
-		res.Stats.add(a.Stats)
-		if rr := results[restart]; best == nil || rr.r < best.r {
+		rr, err := kmedoidsOnce(ctx, g, opts, init, rng, res)
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || rr.r < best.r {
 			best = rr
 		}
 	}
@@ -604,8 +547,8 @@ type medoidSearch struct {
 	labels []int32
 	r      float64
 
-	// One pruner per restart: the shared Bounds is read-only, the memo is
-	// this goroutine's own.
+	// One pruner per restart: the Bounder is read-only, the memo is the
+	// search's own.
 	mp *medoidPruner
 
 	// The assignment is kept per point group so that an attempt rescans only

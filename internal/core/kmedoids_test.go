@@ -287,41 +287,6 @@ func TestKMedoidsRestartsPickBest(t *testing.T) {
 	}
 }
 
-func TestKMedoidsParallelEqualsSerial(t *testing.T) {
-	g, _, err := testnet.RandomClustered(61, 250, 300, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := core.KMedoids(g, core.KMedoidsOptions{
-		K: 3, Restarts: 6, Rand: rand.New(rand.NewSource(12)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := core.KMedoids(g, core.KMedoidsOptions{
-		K: 3, Restarts: 6, Workers: 6, Rand: rand.New(rand.NewSource(12)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(serial.R-parallel.R) > 1e-12 {
-		t.Fatalf("parallel R %v differs from serial %v", parallel.R, serial.R)
-	}
-	for i := range serial.Medoids {
-		if serial.Medoids[i] != parallel.Medoids[i] {
-			t.Fatalf("medoid %d: %d vs %d", i, serial.Medoids[i], parallel.Medoids[i])
-		}
-	}
-	if serial.AttemptedSwaps != parallel.AttemptedSwaps || serial.Iterations != parallel.Iterations {
-		t.Fatalf("work counters diverge: serial %+v parallel %+v", serial, parallel)
-	}
-	for p := range serial.Labels {
-		if serial.Labels[p] != parallel.Labels[p] {
-			t.Fatalf("label %d differs", p)
-		}
-	}
-}
-
 func TestKMedoidsValidation(t *testing.T) {
 	g, err := testnet.Random(1, 12, 6)
 	if err != nil {
@@ -832,56 +797,54 @@ func TestKMedoidsDeltaAssign(t *testing.T) {
 }
 
 // TestKMedoidsCancelled cancels k-medoids before it starts, inside the first
-// expansions and a few swaps in, on every backend at Workers 1 and 4: each
-// run ends in the wrapped ctx.Err() with no result and every worker returned,
-// and the backend — its pooled bucket queue and expansion state included —
-// then serves the uncancelled result again.
+// expansions and a few swaps in, on every backend: each run ends in the
+// wrapped ctx.Err() with no result and no goroutine left behind, and the
+// backend — its pooled bucket queue and expansion state included — then
+// serves the uncancelled result again.
 func TestKMedoidsCancelled(t *testing.T) {
 	g, err := testnet.Random(31, 1200, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bk := range densityBackends(t, g, 4, true) {
-		for _, workers := range []int{1, 4} {
-			run := func(ctx context.Context, g network.Graph) (*core.KMedoidsResult, error) {
-				return core.KMedoidsCtx(ctx, g, core.KMedoidsOptions{
-					K: 4, Restarts: 4, Workers: workers, Rand: rand.New(rand.NewSource(8)),
-				})
+		run := func(ctx context.Context, g network.Graph) (*core.KMedoidsResult, error) {
+			return core.KMedoidsCtx(ctx, g, core.KMedoidsOptions{
+				K: 4, Restarts: 4, Rand: rand.New(rand.NewSource(8)),
+			})
+		}
+		want, err := run(context.Background(), bk.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []int{0, 40, bk.g.NumNodes() + 40} {
+			goroutines := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			wrapped, c := cancelWrap(bk.g, at, cancel)
+			if at == 0 {
+				cancel()
 			}
-			want, err := run(context.Background(), bk.g)
+			res, err := run(ctx, wrapped)
+			cancel()
+			if n := c.calls.Load(); n < int64(at) {
+				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, n, at)
+			}
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%s cancelled at read %d: got a result: %v, error %v; want no result and a context.Canceled chain",
+					bk.name, at, res != nil, err)
+			}
+			for wait := 0; runtime.NumGoroutine() > goroutines; wait++ {
+				if wait == 200 {
+					t.Fatalf("%s cancelled at read %d: %d goroutines, %d before the run", bk.name, at, runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			again, err := run(context.Background(), bk.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, at := range []int{0, 40, bk.g.NumNodes() + 40} {
-				goroutines := runtime.NumGoroutine()
-				ctx, cancel := context.WithCancel(context.Background())
-				wrapped, c := cancelWrap(bk.g, at, cancel)
-				if at == 0 {
-					cancel()
-				}
-				res, err := run(ctx, wrapped)
-				cancel()
-				if n := c.calls.Load(); n < int64(at) {
-					t.Fatalf("%s workers=%d: only %d adjacency reads, the cancel at %d never fired", bk.name, workers, n, at)
-				}
-				if !errors.Is(err, context.Canceled) || res != nil {
-					t.Fatalf("%s workers=%d cancelled at read %d: got a result: %v, error %v; want no result and a context.Canceled chain",
-						bk.name, workers, at, res != nil, err)
-				}
-				for wait := 0; runtime.NumGoroutine() > goroutines; wait++ {
-					if wait == 200 {
-						t.Fatalf("%s workers=%d cancelled at read %d: %d goroutines, %d before the run", bk.name, workers, at, runtime.NumGoroutine(), goroutines)
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-				again, err := run(context.Background(), bk.g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Medoids, again.Medoids) || !reflect.DeepEqual(want.Labels, again.Labels) ||
-					math.Float64bits(want.R) != math.Float64bits(again.R) || want.AttemptedSwaps != again.AttemptedSwaps {
-					t.Fatalf("%s workers=%d: the run after a cancel at read %d differs from the one before", bk.name, workers, at)
-				}
+			if !reflect.DeepEqual(want.Medoids, again.Medoids) || !reflect.DeepEqual(want.Labels, again.Labels) ||
+				math.Float64bits(want.R) != math.Float64bits(again.R) || want.AttemptedSwaps != again.AttemptedSwaps {
+				t.Fatalf("%s: the run after a cancel at read %d differs from the one before", bk.name, at)
 			}
 		}
 	}

@@ -20,13 +20,6 @@ type OPTICSOptions struct {
 	Eps float64
 	// MinPts is the density threshold, as in DBSCAN.
 	MinPts int
-	// Workers fans the ε-range queries across this many goroutines (<= 1
-	// runs fully sequentially). The parallel mode precomputes every point's
-	// neighbourhood up front, each worker with its own graph read view and
-	// scratch, then replays the sequential ordering over the cached
-	// neighbourhoods; Order, Reach and CoreDist are identical to the
-	// sequential run.
-	Workers int
 }
 
 // OPTICSResult is the cluster-ordering produced by OPTICS.
@@ -47,14 +40,15 @@ type OPTICSResult struct {
 // OPTICS computes the density-based cluster ordering of the points under the
 // network distance: DBSCAN's expansion, but visiting points in ascending
 // reachability so that the ordering encodes every sub-ε clustering at once.
+// Equal reachabilities are visited in ascending point ID, so the order is a
+// function of the distances alone, whatever the backend or queue layout.
 func OPTICS(g network.Graph, opts OPTICSOptions) (*OPTICSResult, error) {
 	return OPTICSCtx(context.Background(), g, opts)
 }
 
 // OPTICSCtx is OPTICS with cancellation: the range queries check ctx
 // periodically and the run returns an error wrapping ctx.Err() when it is
-// done. With opts.Workers > 1 the queries are fanned across that many
-// goroutines.
+// done. Each point's neighbourhood is queried when the point is visited.
 func OPTICSCtx(ctx context.Context, g network.Graph, opts OPTICSOptions) (*OPTICSResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: OPTICS: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
@@ -75,64 +69,21 @@ func OPTICSCtx(ctx context.Context, g network.Graph, opts OPTICSOptions) (*OPTIC
 		res.CoreDist[i] = network.Inf
 	}
 
-	// With Workers > 1, every neighbourhood is precomputed in parallel; the
-	// ordering below then replays over the cached lists. Range queries are
-	// read-only, so querying up front instead of at visit time returns the
-	// same neighbourhoods and therefore the same ordering.
-	var nbhd [][]network.PointDist
-	if workers := normWorkers(opts.Workers); workers > 1 {
-		nbhd = make([][]network.PointDist, n)
-		statsArr := make([]Stats, workers)
-		err := parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-			view := network.ReadView(g)
-			scratch := network.ScratchFor(view)
-			st := &statsArr[w]
-			return func(lo, hi int) error {
-				for p := lo; p < hi; p++ {
-					nb, err := scratch.RangeQueryDistCtx(ctx, view, network.PointID(p), opts.Eps)
-					if err != nil {
-						return err
-					}
-					st.RangeQueries++
-					nbhd[p] = append([]network.PointDist(nil), nb...)
-				}
-				return nil
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range statsArr {
-			res.Stats.add(st)
-		}
-	}
-
 	scratch := network.ScratchFor(g)
 	type seed struct {
 		p network.PointID
 		r float64
 	}
-	seeds := heapx.New(func(a, b seed) bool { return a.r < b.r })
-	ticks := 0
+	seeds := heapx.New(func(a, b seed) bool { return a.r < b.r || (a.r == b.r && a.p < b.p) })
 
-	// process fetches the neighbourhood of p (cached or queried live), emits
-	// p to the ordering and, if p is a core point, relaxes its unprocessed
-	// neighbours.
+	// process queries the neighbourhood of p, emits p to the ordering and,
+	// if p is a core point, relaxes its unprocessed neighbours.
 	process := func(p network.PointID) error {
-		var nb []network.PointDist
-		if nbhd != nil {
-			nb = nbhd[p]
-			if err := ctxCheck(ctx, &ticks); err != nil {
-				return err
-			}
-		} else {
-			var err error
-			nb, err = scratch.RangeQueryDistCtx(ctx, g, p, opts.Eps)
-			if err != nil {
-				return err
-			}
-			res.Stats.RangeQueries++
+		nb, err := scratch.RangeQueryDistCtx(ctx, g, p, opts.Eps)
+		if err != nil {
+			return err
 		}
+		res.Stats.RangeQueries++
 		processed[p] = true
 		res.Order = append(res.Order, p)
 		res.Reach = append(res.Reach, reach[p])

@@ -3,12 +3,14 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"netclus/internal/core"
 	"netclus/internal/datagen"
 	"netclus/internal/evalx"
 	"netclus/internal/matrix"
+	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
 
@@ -86,36 +88,41 @@ func TestOPTICSExtractionMatchesDBSCAN(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// DBSCAN noise must be extraction noise; extraction may
-					// additionally miss some border points (the OPTICS
-					// paper's known approximation), never core points.
-					var coreGot, coreWant []int32
-					for p := range got {
-						if db.Labels[p] == core.Noise && got[p] != core.Noise {
-							t.Fatalf("minPts=%d eps'=%v: DBSCAN noise %d clustered by extraction",
-								minPts, epsPrime, p)
-						}
-						if db.Core[p] {
-							if got[p] == core.Noise {
-								t.Fatalf("minPts=%d eps'=%v: core point %d lost by extraction",
-									minPts, epsPrime, p)
-							}
-							coreGot = append(coreGot, got[p])
-							coreWant = append(coreWant, db.Labels[p])
-						}
-					}
-					if len(coreWant) > 0 {
-						ari, err := evalx.ARI(coreWant, coreGot)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ari != 1 {
-							t.Fatalf("minPts=%d eps'=%v: core partition ARI %v", minPts, epsPrime, ari)
-						}
-					}
+					checkExtraction(t, fmt.Sprintf("minPts=%d eps'=%v", minPts, epsPrime), got, db.Labels, db.Core)
 				}
 			}
 		})
+	}
+}
+
+// checkExtraction holds an OPTICS extraction got to the DBSCAN labels want
+// with core flags isCore at the same ε': DBSCAN noise must be extraction
+// noise, and the core points must be partitioned alike. Extraction may
+// additionally miss some border points (the OPTICS paper's known
+// approximation), never core points.
+func checkExtraction(t *testing.T, what string, got, want []int32, isCore []bool) {
+	t.Helper()
+	var coreGot, coreWant []int32
+	for p := range got {
+		if want[p] == core.Noise && got[p] != core.Noise {
+			t.Fatalf("%s: DBSCAN noise %d clustered by extraction", what, p)
+		}
+		if isCore[p] {
+			if got[p] == core.Noise {
+				t.Fatalf("%s: core point %d lost by extraction", what, p)
+			}
+			coreGot = append(coreGot, got[p])
+			coreWant = append(coreWant, want[p])
+		}
+	}
+	if len(coreWant) > 0 {
+		ari, err := evalx.ARI(coreWant, coreGot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ari != 1 {
+			t.Fatalf("%s: core partition ARI %v", what, ari)
+		}
 	}
 }
 
@@ -155,4 +162,93 @@ func TestOPTICSValidation(t *testing.T) {
 	if _, err := core.OPTICS(g, core.OPTICSOptions{Eps: 1, MinPts: 0}); err == nil {
 		t.Fatal("want error for MinPts = 0")
 	}
+}
+
+// TestOPTICSTiesBreakByPointID runs OPTICS on an 8×8 unit-weight grid with
+// one point at every edge midpoint, where every distance is an exact multiple
+// of 0.5 and reachabilities tie everywhere, and demands the order of a
+// linear-scan reference that always visits the unprocessed seed of smallest
+// (reachability, point ID).
+func TestOPTICSTiesBreakByPointID(t *testing.T) {
+	const side = 8
+	b := network.NewBuilder()
+	b.AddNodes(side * side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			u := network.NodeID(r*side + c)
+			if c+1 < side {
+				b.AddEdge(u, u+1, 1)
+				b.AddPoint(u, u+1, 0.5, 0)
+			}
+			if r+1 < side {
+				b.AddEdge(u, u+side, 1)
+				b.AddPoint(u, u+side, 0.5, 0)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := matrix.PointDistances(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{1, 1.5, 2, 3} {
+		for _, minPts := range []int{2, 3, 4} {
+			want := referenceOPTICSOrder(dist, eps, minPts)
+			got, err := core.OPTICS(g, core.OPTICSOptions{Eps: eps, MinPts: minPts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(want, got.Order) {
+				t.Fatalf("eps=%v minPts=%d: order diverged from the (reach, ID) reference\nwant %v\ngot  %v", eps, minPts, want, got.Order)
+			}
+		}
+	}
+}
+
+// referenceOPTICSOrder is OPTICS over a distance matrix with the seed list as
+// a linear scan: the next point visited is the unprocessed one of smallest
+// (reachability, ID) among those with a finite reachability.
+func referenceOPTICSOrder(dist [][]float64, eps float64, minPts int) []network.PointID {
+	n := len(dist)
+	reach := make([]float64, n)
+	for i := range reach {
+		reach[i] = math.Inf(1)
+	}
+	processed := make([]bool, n)
+	var order []network.PointID
+	visit := func(p int) {
+		processed[p] = true
+		order = append(order, network.PointID(p))
+		cd := bruteCoreDist(dist, p, eps, minPts)
+		if math.IsInf(cd, 1) {
+			return
+		}
+		for q, d := range dist[p] {
+			if d <= eps && !processed[q] {
+				reach[q] = min(reach[q], max(cd, d))
+			}
+		}
+	}
+	for p := 0; p < n; p++ {
+		if processed[p] {
+			continue
+		}
+		visit(p)
+		for {
+			next := -1
+			for q := range reach {
+				if !processed[q] && !math.IsInf(reach[q], 1) && (next < 0 || reach[q] < reach[next]) {
+					next = q
+				}
+			}
+			if next < 0 {
+				break
+			}
+			visit(next)
+		}
+	}
+	return order
 }

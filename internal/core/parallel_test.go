@@ -97,67 +97,6 @@ func TestDBSCANParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestOPTICSParallelMatchesSequential(t *testing.T) {
-	net, _, err := testnet.RandomClustered(13, 120, 400, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := OPTICS(net, OPTICSOptions{Eps: 0.3, MinPts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := OPTICS(net, OPTICSOptions{Eps: 0.3, MinPts: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Order) != len(seq.Order) {
-		t.Fatalf("order length %d != %d", len(par.Order), len(seq.Order))
-	}
-	for i := range seq.Order {
-		if par.Order[i] != seq.Order[i] || par.Reach[i] != seq.Reach[i] {
-			t.Fatalf("ordering mismatch at position %d: parallel (%d, %v), sequential (%d, %v)",
-				i, par.Order[i], par.Reach[i], seq.Order[i], seq.Reach[i])
-		}
-	}
-	for p := range seq.CoreDist {
-		if par.CoreDist[p] != seq.CoreDist[p] {
-			t.Fatalf("core distance mismatch at point %d", p)
-		}
-	}
-	if par.Stats.RangeQueries != seq.Stats.RangeQueries {
-		t.Fatalf("parallel issued %d range queries, sequential %d",
-			par.Stats.RangeQueries, seq.Stats.RangeQueries)
-	}
-}
-
-func TestKMedoidsWorkersMatchesSequential(t *testing.T) {
-	net, _, err := testnet.RandomClustered(17, 100, 300, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := KMedoids(net, KMedoidsOptions{K: 3, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := KMedoids(net, KMedoidsOptions{K: 3, Restarts: 4, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.R != seq.R {
-		t.Fatalf("parallel R = %v, sequential R = %v", par.R, seq.R)
-	}
-	for i := range seq.Labels {
-		if par.Labels[i] != seq.Labels[i] {
-			t.Fatalf("label mismatch at point %d", i)
-		}
-	}
-	for i := range seq.Medoids {
-		if par.Medoids[i] != seq.Medoids[i] {
-			t.Fatalf("medoid mismatch at slot %d", i)
-		}
-	}
-}
-
 // TestCancelledContext checks that every algorithm notices a pre-cancelled
 // context and surfaces context.Canceled through its error chain, and that
 // DBSCAN notices one cancelled between its passes.

@@ -74,8 +74,8 @@ func TestBuilderShapes(t *testing.T) {
 		t.Fatal("ring shape wrong")
 	}
 	// Distance halfway around a 6-ring: 3 edges * 2.5.
-	d, err := network.NodeToNodeDistance(ring, 0, 3)
-	if err != nil || math.Abs(d-7.5) > 1e-12 {
+	d, err := network.NodeDistances(ring, 0)
+	if err != nil || math.Abs(d[3]-7.5) > 1e-12 {
 		t.Fatalf("ring distance %v, %v", d, err)
 	}
 

@@ -104,53 +104,6 @@ func withStore(dir string, bufKB int, fn func(*storage.Store) error) error {
 	return fn(st)
 }
 
-// DijkstraRow compares the lazy-insertion frontier (the paper's pseudocode)
-// against an indexed decrease-key heap on the same multi-source expansion.
-type DijkstraRow struct {
-	Sources int
-	Lazy    time.Duration
-	Indexed time.Duration
-}
-
-// DijkstraAblation measures both frontier disciplines on the SF stand-in
-// (DESIGN.md, decision 1). Road networks are sparse, so lazy insertion's
-// duplicate entries cost little and usually beat decrease-key bookkeeping.
-func DijkstraAblation(cfg Config) ([]DijkstraRow, error) {
-	cfg = cfg.withDefaults()
-	g, err := datagen.RoadNetwork("SF", cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var rows []DijkstraRow
-	cfg.printf("Dijkstra ablation — lazy vs indexed frontier (SF, |V|=%d)\n", g.NumNodes())
-	cfg.printf("%8s %12s %12s\n", "sources", "lazy", "indexed")
-	for _, k := range []int{1, 10, 100} {
-		seeds := make([]network.Seed, k)
-		for i := range seeds {
-			seeds[i] = network.Seed{Node: network.NodeID(rng.Intn(g.NumNodes()))}
-		}
-		const reps = 5
-		var lazy, indexed time.Duration
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			if _, err := network.NodeDistancesFrom(g, seeds); err != nil {
-				return nil, err
-			}
-			lazy += time.Since(t0)
-			t0 = time.Now()
-			if _, err := network.NodeDistancesIndexed(g, seeds); err != nil {
-				return nil, err
-			}
-			indexed += time.Since(t0)
-		}
-		row := DijkstraRow{Sources: k, Lazy: lazy / reps, Indexed: indexed / reps}
-		rows = append(rows, row)
-		cfg.printf("%8d %12s %12s\n", k, row.Lazy.Round(time.Microsecond), row.Indexed.Round(time.Microsecond))
-	}
-	return rows, nil
-}
-
 // PruneRow is one lower-bound pruning measurement: an operator run without
 // and with the landmark/Euclidean bounds, with the prune counters that
 // explain the gap. Identical confirms the pruned run returned exactly the

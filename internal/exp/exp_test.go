@@ -220,21 +220,6 @@ func TestExtensionsDemo(t *testing.T) {
 	}
 }
 
-func TestDijkstraAblation(t *testing.T) {
-	rows, err := exp.DijkstraAblation(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Lazy <= 0 || r.Indexed <= 0 {
-			t.Fatalf("bad durations: %+v", r)
-		}
-	}
-}
-
 func TestPruneAblation(t *testing.T) {
 	rows, err := exp.PruneAblation(tiny())
 	if err != nil {

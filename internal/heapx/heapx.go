@@ -1,7 +1,10 @@
-// Package heapx provides generic binary heaps used by the network traversal
-// and clustering algorithms: a plain min-heap with lazy deletion semantics
-// (the shape the paper's pseudocode assumes) and an indexed min-heap that
-// supports decrease-key, used by the ablation variants of Dijkstra.
+// Package heapx provides the priority queues of the network traversal and
+// clustering algorithms. Every Dijkstra frontier in netclus uses lazy
+// insertion, the shape the paper's pseudocode assumes: a node is pushed again
+// at each improvement and stale entries are skipped on pop, so no queue here
+// supports decrease-key. Heap is a binary min-heap, Heap4 a 4-ary one for the
+// CSR kernels, and Buckets the monotone Δ-stepping queue of the CSR
+// multi-source expansion.
 package heapx
 
 // Heap is a binary min-heap over elements of type T ordered by less.
@@ -14,16 +17,6 @@ type Heap[T any] struct {
 // New returns an empty min-heap ordered by less.
 func New[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
-}
-
-// NewFrom heapifies items in O(n) and returns the resulting heap.
-// The slice is owned by the heap afterwards.
-func NewFrom[T any](less func(a, b T) bool, items []T) *Heap[T] {
-	h := &Heap[T]{items: items, less: less}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	return h
 }
 
 // Len reports the number of elements on the heap.
@@ -102,8 +95,16 @@ func (h *Heap[T]) down(i int) {
 // CSR traversal kernel where pops dominate. The zero value is not usable;
 // construct with New4.
 //
-// Heap4 and Heap pop equal-ordered elements in different sequences; use Heap
-// where tie order must match the paper's binary-heap pseudocode bit for bit.
+// Heap4 and Heap pop equal-ordered elements in different sequences, so a
+// caller whose output depends on pop order breaks ties in less (OPTICS orders
+// its seeds by reachability, then point ID). Heap stays the generic backends'
+// queue on measurement, not on tie order. With Heap made 4-ary every test and
+// golden still passed, but on a 2-vCPU Xeon the benchmark's batch-disk
+// medians moved from 120 to 138 ms for k-medoids, 18.5 to 22.1 ms for
+// Single-Link and 12.8 to 13.6 ms for DBSCAN, slower in 5 of 6 alternating
+// pairs, while batch-mem, which runs Heap4 only, drifted 6–10 % in the same
+// runs. So neither "one heap is enough" nor "the 4-ary heap is slower there"
+// was shown; merge the two only on new numbers.
 type Heap4[T any] struct {
 	items []T
 	less  func(a, b T) bool
@@ -295,119 +296,4 @@ func (q *Buckets[T]) Recycle(s []T) {
 		s[i] = zero
 	}
 	q.free = append(q.free, s[:0])
-}
-
-// IndexedHeap is a min-heap of (key int, priority float64) pairs supporting
-// DecreaseKey in O(log n). Keys must be in [0, n) where n is the capacity
-// passed to NewIndexed. It is the classic structure backing a textbook
-// Dijkstra; the paper's algorithms instead use lazy insertion, and the
-// benchmark suite compares the two (see DESIGN.md, ablation 1).
-type IndexedHeap struct {
-	keys []int     // heap order -> key
-	pos  []int     // key -> heap position, -1 if absent
-	prio []float64 // key -> priority
-}
-
-// NewIndexed returns an indexed heap able to hold keys 0..n-1.
-func NewIndexed(n int) *IndexedHeap {
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	return &IndexedHeap{pos: pos, prio: make([]float64, n)}
-}
-
-// Len reports the number of keys currently on the heap.
-func (h *IndexedHeap) Len() int { return len(h.keys) }
-
-// Empty reports whether the heap has no elements.
-func (h *IndexedHeap) Empty() bool { return len(h.keys) == 0 }
-
-// Contains reports whether key is currently on the heap.
-func (h *IndexedHeap) Contains(key int) bool { return h.pos[key] >= 0 }
-
-// Priority returns the priority most recently associated with key.
-// Valid for keys that are on the heap or were previously popped.
-func (h *IndexedHeap) Priority(key int) float64 { return h.prio[key] }
-
-// Insert adds key with the given priority. It panics if key is present.
-func (h *IndexedHeap) Insert(key int, priority float64) {
-	if h.pos[key] >= 0 {
-		panic("heapx: Insert of key already on heap")
-	}
-	h.prio[key] = priority
-	h.pos[key] = len(h.keys)
-	h.keys = append(h.keys, key)
-	h.up(len(h.keys) - 1)
-}
-
-// DecreaseKey lowers key's priority. If the new priority is not lower the
-// call is a no-op. The key must be on the heap.
-func (h *IndexedHeap) DecreaseKey(key int, priority float64) {
-	if priority >= h.prio[key] {
-		return
-	}
-	h.prio[key] = priority
-	h.up(h.pos[key])
-}
-
-// InsertOrDecrease inserts key if absent, otherwise lowers its priority.
-func (h *IndexedHeap) InsertOrDecrease(key int, priority float64) {
-	if h.pos[key] < 0 {
-		h.Insert(key, priority)
-	} else {
-		h.DecreaseKey(key, priority)
-	}
-}
-
-// PopMin removes and returns the key with minimum priority and that priority.
-// It panics on an empty heap.
-func (h *IndexedHeap) PopMin() (key int, priority float64) {
-	key = h.keys[0]
-	priority = h.prio[key]
-	n := len(h.keys) - 1
-	h.keys[0] = h.keys[n]
-	h.pos[h.keys[0]] = 0
-	h.keys = h.keys[:n]
-	h.pos[key] = -1
-	if n > 0 {
-		h.down(0)
-	}
-	return key, priority
-}
-
-func (h *IndexedHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.prio[h.keys[i]] >= h.prio[h.keys[parent]] {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *IndexedHeap) down(i int) {
-	n := len(h.keys)
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			return
-		}
-		min := l
-		if r < n && h.prio[h.keys[r]] < h.prio[h.keys[l]] {
-			min = r
-		}
-		if h.prio[h.keys[min]] >= h.prio[h.keys[i]] {
-			return
-		}
-		h.swap(i, min)
-		i = min
-	}
-}
-
-func (h *IndexedHeap) swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.keys[i]] = i
-	h.pos[h.keys[j]] = j
 }

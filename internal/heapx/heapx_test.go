@@ -27,25 +27,6 @@ func TestHeapSortsArbitraryInput(t *testing.T) {
 	}
 }
 
-func TestNewFromHeapifies(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	xs := make([]int, 500)
-	for i := range xs {
-		xs[i] = rnd.Intn(1000)
-	}
-	want := append([]int(nil), xs...)
-	sort.Ints(want)
-	h := NewFrom(func(a, b int) bool { return a < b }, xs)
-	if h.Len() != 500 {
-		t.Fatalf("len %d", h.Len())
-	}
-	for i, w := range want {
-		if got := h.Pop(); got != w {
-			t.Fatalf("pop %d: %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestHeapPeekAndClear(t *testing.T) {
 	h := New(func(a, b int) bool { return a < b })
 	h.Push(3)
@@ -65,76 +46,6 @@ func TestHeapPeekAndClear(t *testing.T) {
 	if h.Pop() != 9 {
 		t.Fatal("heap broken after clear")
 	}
-}
-
-func TestIndexedHeapMatchesLazy(t *testing.T) {
-	// Property: indexed heap with decrease-key pops every key at its
-	// minimum priority, in ascending order.
-	const n = 200
-	rnd := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		h := NewIndexed(n)
-		best := make(map[int]float64)
-		for i := 0; i < 300; i++ {
-			k := rnd.Intn(n)
-			p := rnd.Float64() * 100
-			if cur, ok := best[k]; !ok {
-				best[k] = p
-				h.Insert(k, p)
-			} else if p < cur {
-				best[k] = p
-				h.DecreaseKey(k, p)
-			} else {
-				h.DecreaseKey(k, p) // no-op path
-			}
-		}
-		if h.Len() != len(best) {
-			t.Fatalf("len %d, want %d", h.Len(), len(best))
-		}
-		prev := -1.0
-		for !h.Empty() {
-			k, p := h.PopMin()
-			if p < prev {
-				t.Fatalf("pops not ascending: %v after %v", p, prev)
-			}
-			prev = p
-			if best[k] != p {
-				t.Fatalf("key %d popped at %v, want %v", k, p, best[k])
-			}
-			delete(best, k)
-		}
-		if len(best) != 0 {
-			t.Fatalf("%d keys never popped", len(best))
-		}
-	}
-}
-
-func TestIndexedHeapInsertOrDecrease(t *testing.T) {
-	h := NewIndexed(4)
-	h.InsertOrDecrease(2, 5)
-	h.InsertOrDecrease(2, 3)
-	h.InsertOrDecrease(2, 9) // ignored
-	if !h.Contains(2) || h.Priority(2) != 3 {
-		t.Fatalf("priority %v", h.Priority(2))
-	}
-	k, p := h.PopMin()
-	if k != 2 || p != 3 {
-		t.Fatalf("popped (%d,%v)", k, p)
-	}
-	if h.Contains(2) {
-		t.Fatal("contains after pop")
-	}
-}
-
-func TestIndexedHeapDoubleInsertPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on duplicate insert")
-		}
-	}()
-	h := NewIndexed(2)
-	h.Insert(0, 1)
-	h.Insert(0, 2)
 }
 
 func TestHeapPopEmptyPanics(t *testing.T) {

@@ -17,22 +17,11 @@ func benchNet(b *testing.B, nodes, points int) *network.Network {
 	return g
 }
 
-func BenchmarkNodeDistancesLazy(b *testing.B) {
+func BenchmarkNodeDistances(b *testing.B) {
 	g := benchNet(b, 10000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := network.NodeDistances(g, network.NodeID(i%g.NumNodes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNodeDistancesIndexed(b *testing.B) {
-	g := benchNet(b, 10000, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seeds := []network.Seed{{Node: network.NodeID(i % g.NumNodes())}}
-		if _, err := network.NodeDistancesIndexed(g, seeds); err != nil {
 			b.Fatal(err)
 		}
 	}

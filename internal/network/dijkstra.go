@@ -77,77 +77,6 @@ func NodeDistancesFromCtx(ctx context.Context, g Graph, seeds []Seed) ([]float64
 	return dist, nil
 }
 
-// NodeDistancesIndexed is the decrease-key Dijkstra variant over an indexed
-// heap. It produces identical output to NodeDistancesFrom and exists for the
-// lazy-vs-indexed ablation benchmark (DESIGN.md, ablation 1).
-func NodeDistancesIndexed(g Graph, seeds []Seed) ([]float64, error) {
-	n := g.NumNodes()
-	dist := newDistSlice(n)
-	done := make([]bool, n)
-	h := heapx.NewIndexed(n)
-	for _, s := range seeds {
-		if s.Node < 0 || int(s.Node) >= n {
-			return nil, fmt.Errorf("%w: seed %d", ErrNodeRange, s.Node)
-		}
-		if s.Dist < dist[s.Node] {
-			dist[s.Node] = s.Dist
-			h.InsertOrDecrease(int(s.Node), s.Dist)
-		}
-	}
-	for !h.Empty() {
-		k, d := h.PopMin()
-		done[k] = true
-		adj, err := g.Neighbors(NodeID(k))
-		if err != nil {
-			return nil, err
-		}
-		for _, nb := range adj {
-			if done[nb.Node] {
-				continue
-			}
-			if nd := d + nb.Weight; nd < dist[nb.Node] {
-				dist[nb.Node] = nd
-				h.InsertOrDecrease(int(nb.Node), nd)
-			}
-		}
-	}
-	return dist, nil
-}
-
-// NodeToNodeDistance is d(n_i, n_j) of Definition 3, with early termination
-// once the target is settled.
-func NodeToNodeDistance(g Graph, src, dst NodeID) (float64, error) {
-	if dst < 0 || int(dst) >= g.NumNodes() {
-		return 0, fmt.Errorf("%w: %d", ErrNodeRange, dst)
-	}
-	if src == dst {
-		return 0, nil
-	}
-	dist := newDistSlice(g.NumNodes())
-	h := heapx.New(lessEntry)
-	h.Push(queueEntry{node: src, dist: 0})
-	for !h.Empty() {
-		e := h.Pop()
-		if e.dist >= dist[e.node] {
-			continue
-		}
-		dist[e.node] = e.dist
-		if e.node == dst {
-			return e.dist, nil
-		}
-		adj, err := g.Neighbors(e.node)
-		if err != nil {
-			return 0, err
-		}
-		for _, nb := range adj {
-			if nd := e.dist + nb.Weight; nd < dist[nb.Node] {
-				h.Push(queueEntry{node: nb.Node, dist: nd})
-			}
-		}
-	}
-	return Inf, nil
-}
-
 // PointSeeds returns the Definition 4 exit seeds of a point: its two edge
 // endpoints at their direct distances.
 func PointSeeds(pi PointInfo) []Seed {
@@ -179,12 +108,7 @@ func PointDistanceCtx(ctx context.Context, g Graph, p, q PointID) (float64, erro
 	return PointInfoDistanceCtx(ctx, g, pi, qi)
 }
 
-// PointInfoDistance is PointDistance on already-resolved positions.
-func PointInfoDistance(g Graph, pi, qi PointInfo) (float64, error) {
-	return PointInfoDistanceCtx(context.Background(), g, pi, qi)
-}
-
-// PointInfoDistanceCtx is PointInfoDistance with cancellation.
+// PointInfoDistanceCtx is PointDistanceCtx on already-resolved positions.
 func PointInfoDistanceCtx(ctx context.Context, g Graph, pi, qi PointInfo) (float64, error) {
 	ticks := 0
 	if err := cancelCheck(ctx, &ticks); err != nil {

@@ -28,42 +28,12 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			indexed, err := network.NodeDistancesIndexed(g, []network.Seed{{Node: network.NodeID(s)}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for v := 0; v < g.NumNodes(); v++ {
 				if math.Abs(lazy[v]-fw[s][v]) > 1e-9 {
 					t.Fatalf("seed %d: lazy d(%d,%d)=%v, FW %v", seed, s, v, lazy[v], fw[s][v])
 				}
-				if math.Abs(indexed[v]-fw[s][v]) > 1e-9 {
-					t.Fatalf("seed %d: indexed d(%d,%d)=%v, FW %v", seed, s, v, indexed[v], fw[s][v])
-				}
 			}
 		}
-	}
-}
-
-func TestNodeToNodeDistanceEarlyTermination(t *testing.T) {
-	g, err := testnet.Random(3, 40, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := network.NodeDistances(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumNodes(); v += 5 {
-		d, err := network.NodeToNodeDistance(g, 0, network.NodeID(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(d-full[v]) > 1e-9 {
-			t.Fatalf("d(0,%d) = %v, want %v", v, d, full[v])
-		}
-	}
-	if _, err := network.NodeToNodeDistance(g, 0, -1); err == nil {
-		t.Fatal("want range error")
 	}
 }
 
@@ -251,23 +221,13 @@ func TestMultiSourceSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := network.NodeDistancesIndexed(g, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := 0; v < g.NumNodes(); v++ {
 		want := math.Min(d0[v], 0.5+d10[v])
 		if math.Abs(multi[v]-want) > 1e-9 {
 			t.Fatalf("node %d: %v, want %v", v, multi[v], want)
 		}
-		if math.Abs(indexed[v]-want) > 1e-9 {
-			t.Fatalf("indexed node %d: %v, want %v", v, indexed[v], want)
-		}
 	}
 	if _, err := network.NodeDistancesFrom(g, []network.Seed{{Node: -1}}); err == nil {
-		t.Fatal("want seed range error")
-	}
-	if _, err := network.NodeDistancesIndexed(g, []network.Seed{{Node: 999}}); err == nil {
 		t.Fatal("want seed range error")
 	}
 }

@@ -166,12 +166,12 @@ func TestPaper1NodeDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := network.NodeToNodeDistance(n, 1, 5)
+	d, err := network.NodeDistances(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d-8.2) > 1e-12 {
-		t.Fatalf("d(n2,n6) = %v, want 8.2", d)
+	if math.Abs(d[5]-8.2) > 1e-12 {
+		t.Fatalf("d(n2,n6) = %v, want 8.2", d[5])
 	}
 }
 

@@ -64,6 +64,33 @@ func TestReweightRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestReweightIdentityKeepsOffsetsOnEdge reweights with the identity: a point
+// at the far end of its edge must stay on the edge, although off·w/w rounds
+// above w for this weight.
+func TestReweightIdentityKeepsOffsetsOnEdge(t *testing.T) {
+	const w = 0.707604
+	b := network.NewBuilder()
+	b.AddNode()
+	b.AddNode()
+	b.AddEdge(0, 1, w)
+	b.AddPoint(0, 1, w, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := network.Reweight(g, func(u, v network.NodeID, base float64) float64 { return base })
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := same.PointInfo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pi.Pos != w || pi.Weight != w {
+		t.Fatalf("point at %v on an edge of weight %v, want %v on %v", pi.Pos, pi.Weight, w, w)
+	}
+}
+
 func TestCombineNetworksWithTransitions(t *testing.T) {
 	a, err := testnet.Line(5, 1.0) // 5 nodes, points along it
 	if err != nil {
@@ -92,10 +119,11 @@ func TestCombineNetworksWithTransitions(t *testing.T) {
 		t.Fatal("point count wrong")
 	}
 	// Distance across the transition: end of line A to start of line B.
-	d, err := network.NodeToNodeDistance(combined, 0, offsetB)
+	dc, err := network.NodeDistances(combined, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := dc[offsetB]
 	if math.Abs(d-(4+0.5)) > 1e-9 {
 		t.Fatalf("cross-network distance %v, want 4.5", d)
 	}
@@ -104,10 +132,11 @@ func TestCombineNetworksWithTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := network.NodeToNodeDistance(apart, 0, offsetB)
+	da, err := network.NodeDistances(apart, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d2 := da[offsetB]
 	if !math.IsInf(d2, 1) {
 		t.Fatalf("disconnected distance %v, want +Inf", d2)
 	}

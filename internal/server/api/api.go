@@ -214,7 +214,9 @@ func (r KNNRequest) Values() url.Values {
 
 // ClusterRequest is /v1/{dataset}/cluster for dbscan, epslink and kmedoids.
 // Every field can arrive as a query parameter on GET or as the JSON body of a
-// POST; both decode paths land on the same canonical form.
+// POST; both decode paths land on the same canonical form. Workers affects
+// DBSCAN only, which stripes its flag pass across that many goroutines;
+// ε-Link and k-medoids run in order at every value.
 type ClusterRequest struct {
 	Algo     string  `json:"algo"`
 	Eps      float64 `json:"eps"`

@@ -296,7 +296,7 @@ func runCluster(ctx context.Context, d *Dataset, g netclus.Graph, req api.Cluste
 		labels, stats = res.Labels, res.Stats
 	case "kmedoids":
 		opts := netclus.KMedoidsOptions{
-			K: req.K, Restarts: req.Restarts, Workers: req.Workers, Prune: bounds,
+			K: req.K, Restarts: req.Restarts, Prune: bounds,
 			Rand: rand.New(rand.NewSource(req.Seed)),
 		}
 		res, err := netclus.KMedoidsCtx(ctx, g, opts)

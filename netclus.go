@@ -381,8 +381,8 @@ func KMedoids(g Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	return core.KMedoids(g, opts)
 }
 
-// KMedoidsCtx is KMedoids with cancellation; opts.Workers fans the restarts
-// across goroutines, each on its own read view of g.
+// KMedoidsCtx is KMedoids with cancellation. Restarts run one after another,
+// each on its own seed drawn from opts.Rand up front.
 func KMedoidsCtx(ctx context.Context, g Graph, opts KMedoidsOptions) (*KMedoidsResult, error) {
 	return core.KMedoidsCtx(ctx, g, opts)
 }
@@ -430,9 +430,9 @@ func OPTICS(g Graph, opts OPTICSOptions) (*OPTICSResult, error) {
 	return core.OPTICS(g, opts)
 }
 
-// OPTICSCtx is OPTICS with cancellation; opts.Workers fans the range
-// queries across goroutines with an ordering identical to the sequential
-// run.
+// OPTICSCtx is OPTICS with cancellation. It queries each point's
+// neighbourhood when it visits the point, in order; equal reachabilities are
+// visited in ascending point ID.
 func OPTICSCtx(ctx context.Context, g Graph, opts OPTICSOptions) (*OPTICSResult, error) {
 	return core.OPTICSCtx(ctx, g, opts)
 }
