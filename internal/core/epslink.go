@@ -146,7 +146,7 @@ func EpsLinkCtx(ctx context.Context, g network.Graph, opts EpsLinkOptions) (*Eps
 		return nil, err
 	}
 	res.ClustersFound = found
-	res.NumClusters = suppressAndCountDense(res.Labels, opts.MinSup, found)
+	res.NumClusters = CountClusters(SuppressSmallClusters(res.Labels, opts.MinSup))
 	return res, nil
 }
 

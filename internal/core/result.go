@@ -16,7 +16,11 @@
 // constant number of times per iteration.
 package core
 
-import "netclus/internal/network"
+import (
+	"math/bits"
+
+	"netclus/internal/network"
+)
 
 // Noise is the label of points not assigned to any cluster (outliers).
 const Noise int32 = -1
@@ -63,15 +67,29 @@ func (s *Stats) add(o Stats) {
 	s.Prune.Add(o.Prune)
 }
 
-// CountClusters returns the number of distinct non-noise labels.
+// CountClusters returns the number of distinct non-noise labels. Labels in
+// [0, len(labels)) — every label a netclus labeller emits — are marked in a
+// bitset; any other non-noise label goes to a map made only when one appears.
 func CountClusters(labels []int32) int {
-	seen := make(map[int32]struct{})
+	n := len(labels)
+	seen := make([]uint64, (n+63)/64)
+	var far map[int32]struct{}
 	for _, l := range labels {
-		if l != Noise {
-			seen[l] = struct{}{}
+		switch {
+		case l >= 0 && int(l) < n:
+			seen[l>>6] |= 1 << (l & 63)
+		case l != Noise:
+			if far == nil {
+				far = make(map[int32]struct{})
+			}
+			far[l] = struct{}{}
 		}
 	}
-	return len(seen)
+	count := len(far)
+	for _, w := range seen {
+		count += bits.OnesCount64(w)
+	}
+	return count
 }
 
 // ClusterSizes returns the size of every non-noise cluster keyed by label,
@@ -90,51 +108,39 @@ func ClusterSizes(labels []int32) (sizes map[int32]int, noise int) {
 
 // SuppressSmallClusters relabels clusters with fewer than minSup members to
 // Noise, in place, and returns labels. It implements the paper's min_sup
-// post-filter for ε-Link (§4.3.1).
+// post-filter for ε-Link (§4.3.1). Sizes are counted as CountClusters marks:
+// in a slice over [0, len(labels)), with a map only for labels outside it.
 func SuppressSmallClusters(labels []int32, minSup int) []int32 {
 	if minSup <= 1 {
 		return labels
 	}
-	sizes, _ := ClusterSizes(labels)
-	for i, l := range labels {
-		if l != Noise && sizes[l] < minSup {
-			labels[i] = Noise
-		}
-	}
-	return labels
-}
-
-// suppressAndCountDense is SuppressSmallClusters followed by CountClusters
-// for label slices whose non-noise values are dense in [0, found) — the
-// shape the generic ε-Link produces (Fig. 6 numbers clusters 0,1,2,… as it
-// discovers them). One counting pass over a slice replaces the
-// generic map bookkeeping, which profiles as the dominant cost of ε-Link
-// runs on small-to-medium datasets.
-func suppressAndCountDense(labels []int32, minSup, found int) int {
-	if found <= 0 {
-		return 0
-	}
-	counts := make([]int32, found)
+	n := len(labels)
+	sizes := make([]int32, n)
+	var far map[int32]int
 	for _, l := range labels {
-		if l >= 0 {
-			counts[l]++
+		switch {
+		case l >= 0 && int(l) < n:
+			sizes[l]++
+		case l != Noise:
+			if far == nil {
+				far = make(map[int32]int)
+			}
+			far[l]++
 		}
 	}
-	sup := int32(minSup)
-	if sup > 1 {
-		for i, l := range labels {
-			if l >= 0 && counts[l] < sup {
+	for i, l := range labels {
+		switch {
+		case l >= 0 && int(l) < n:
+			if int(sizes[l]) < minSup {
+				labels[i] = Noise
+			}
+		case l != Noise:
+			if far[l] < minSup {
 				labels[i] = Noise
 			}
 		}
 	}
-	num := 0
-	for _, c := range counts {
-		if c >= sup && c > 0 {
-			num++
-		}
-	}
-	return num
+	return labels
 }
 
 // allPointInfos resolves every point once. Several algorithms need a

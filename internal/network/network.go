@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -181,7 +182,8 @@ func (b *Builder) AddNodes(n int) NodeID {
 }
 
 // AddEdge registers the undirected edge (u, v) with weight w. Self-loops,
-// duplicate edges, unknown endpoints and non-positive weights are errors.
+// duplicate edges, unknown endpoints and weights that are not finite and
+// positive are errors.
 func (b *Builder) AddEdge(u, v NodeID, w float64) {
 	if b.err != nil {
 		return
@@ -193,6 +195,8 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) {
 		b.err = fmt.Errorf("network: edge (%d,%d) references unknown node", u, v)
 	case !(w > 0):
 		b.err = fmt.Errorf("network: edge (%d,%d) has non-positive weight %v", u, v, w)
+	case math.IsInf(w, 1):
+		b.err = fmt.Errorf("network: edge (%d,%d) has infinite weight", u, v)
 	default:
 		k := EdgeKey(u, v)
 		if _, dup := b.edges[k]; dup {

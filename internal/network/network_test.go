@@ -37,6 +37,11 @@ func TestBuilderValidation(t *testing.T) {
 			b.AddNode()
 			b.AddEdge(0, 1, 0)
 		}},
+		{"infinite weight", func(b *network.Builder) {
+			b.AddNode()
+			b.AddNode()
+			b.AddEdge(0, 1, math.Inf(1))
+		}},
 		{"duplicate edge", func(b *network.Builder) {
 			b.AddNode()
 			b.AddNode()

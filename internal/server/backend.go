@@ -25,7 +25,9 @@ type backend interface {
 	// waiting for them under ctx; nil, nil when the kind builds none.
 	bounds(ctx context.Context) (*netclus.Bounds, error)
 	// maintained answers a clustering request from labels the pinned view
-	// already carries (a copy, the caller's to mutate); !ok runs the engine.
+	// already carries; !ok runs the engine. The labels are the caller's to
+	// mutate only when req.MinSup > 1 (a copy, for suppression); otherwise
+	// they may be shared with the view and are read-only.
 	maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool)
 	// writer returns the overlay mutations go through, or errImmutable.
 	writer() (*netclus.LiveOverlay, error)
@@ -270,10 +272,11 @@ func (l *liveBackend) pin(int64) viewAt {
 // maintained answers dbscan/epslink requests whose density parameters match
 // the overlay's configuration from the pinned view's incrementally maintained
 // labelling — identical to the full recompute (the overlay's equivalence tests
-// pin that) at a copy's cost. Workers and Prune never change clustering
-// output, so they don't gate the path. Labels are copied because MinSup
-// suppression mutates them; epslink additionally requires MinSup <= 1 because
-// core.EpsLink folds MinSup into its labelling.
+// pin that) at no traversal's cost. Workers and Prune never change
+// clustering output, so they don't gate the path. The view's labels are
+// copied only when MinSup > 1, because suppression mutates them in place;
+// epslink additionally requires MinSup <= 1 because core.EpsLink folds MinSup
+// into its labelling.
 func (l *liveBackend) maintained(va viewAt, req api.ClusterRequest) (labels []int32, corePoints int, ok bool) {
 	switch {
 	case req.Algo == "dbscan":
@@ -281,7 +284,10 @@ func (l *liveBackend) maintained(va viewAt, req api.ClusterRequest) (labels []in
 	case req.Algo == "epslink" && req.MinSup <= 1:
 		labels, _, ok = va.live.LiveEpsLink(req.Eps)
 	}
-	return append([]int32(nil), labels...), corePoints, ok
+	if ok && req.MinSup > 1 {
+		labels = append([]int32(nil), labels...)
+	}
+	return labels, corePoints, ok
 }
 
 func (l *liveBackend) writer() (*netclus.LiveOverlay, error) { return l.ov, nil }

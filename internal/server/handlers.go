@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,12 +21,16 @@ func resultKey(dataset string, epoch int64, endpoint, canonical string) string {
 	return dataset + "\x00" + strconv.FormatInt(epoch, 10) + "\x00" + endpoint + "\x00" + canonical
 }
 
-// encodeBody marshals a 200 response exactly the way writeJSON does (Marshal
-// plus trailing newline), so cached bodies and fresh encodings of the same
-// response struct are byte-identical.
-func encodeBody(v any) []byte {
-	b, _ := json.Marshal(v)
-	return append(b, '\n')
+// bodyOf finishes a read body encoded by its response's AppendJSON with the
+// trailing newline json.Encoder writes, so a body is byte-identical to what
+// writeJSON would send for the same response. An unencodable response — a
+// distance that overflowed to +Inf — is an error, answered 500 and never
+// cached.
+func bodyOf(b []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, fmt.Errorf("encoding the response: %w", err)
+	}
+	return append(b, '\n'), nil
 }
 
 // writeBody writes an encoded 200 response. cache tags the X-Netclusd-Cache
@@ -56,16 +59,17 @@ type cacheKey struct {
 // immutable per epoch — so repeats become cache reads and concurrent
 // duplicates collapse to one engine run. compute runs the engine; it is a
 // parameter of its own, apart from the key whose strings end up in the cache,
-// so that a hit costs no closure allocation.
-func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey, compute func() (any, error)) {
+// so that a hit costs no closure allocation. compute returns the encoded
+// body; an error from it is answered and not cached.
+func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey, compute func() ([]byte, error)) {
 	c := s.cache
 	if c == nil {
-		resp, err := compute()
+		body, err := compute()
 		if err != nil {
 			s.queryError(w, r, err)
 			return
 		}
-		writeBody(w, encodeBody(resp), "")
+		writeBody(w, body, "")
 		return
 	}
 	key := resultKey(d.Name, k.epoch, k.endpoint, k.canonical)
@@ -76,11 +80,10 @@ func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, 
 	}
 	d.cstats.misses.Add(1)
 	body, shared, err := c.Do(r.Context(), key, func() ([]byte, error) {
-		resp, err := compute()
+		body, err := compute()
 		if err != nil {
 			return nil, err
 		}
-		body := encodeBody(resp)
 		c.Put(key, body)
 		return body, nil
 	})
@@ -108,7 +111,13 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "range", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeRange(r.Context(), d, va, req) })
+	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+		resp, err := s.computeRange(r.Context(), d, va, req)
+		if err != nil {
+			return nil, err
+		}
+		return bodyOf(resp.AppendJSON(nil))
+	})
 }
 
 // computeRange runs the engine for a range request.
@@ -155,7 +164,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "knn", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeKNN(r.Context(), d, va, req) })
+	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+		resp, err := s.computeKNN(r.Context(), d, va, req)
+		if err != nil {
+			return nil, err
+		}
+		return bodyOf(resp.AppendJSON(nil))
+	})
 }
 
 // computeKNN runs the engine for a kNN request: pruned when the dataset has
@@ -229,7 +244,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "cluster", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() (any, error) { return s.computeCluster(r.Context(), d, va, req) })
+	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+		resp, err := s.computeCluster(r.Context(), d, va, req)
+		if err != nil {
+			return nil, err
+		}
+		return bodyOf(resp.AppendJSON(nil))
+	})
 }
 
 // computeCluster runs one clustering job against the pinned view — or takes
@@ -246,7 +267,10 @@ func (s *Server) computeCluster(ctx context.Context, d *Dataset, va viewAt, req 
 			return resp, err
 		}
 	}
-	if req.MinSup > 1 {
+	// ε-Link folds MinSup into its labelling (and maintained ε-Link labels
+	// are served only for MinSup <= 1), so only the other algorithms
+	// suppress here.
+	if req.MinSup > 1 && req.Algo != "epslink" {
 		netclus.SuppressSmallClusters(labels, req.MinSup)
 	}
 	resp.Clusters = netclus.CountClusters(labels)

@@ -743,6 +743,51 @@ func TestServeCacheOptOut(t *testing.T) {
 	}
 }
 
+// TestServeUnencodableNotCached: a kNN whose second distance overflows to
+// +Inf (two edges of weight 1e308 between the points) has no JSON body. It
+// answers 500 internal in the error envelope on every request, cached server
+// or not, and nothing is put into the cache.
+func TestServeUnencodableNotCached(t *testing.T) {
+	b := netclus.NewBuilder()
+	b.AddNodes(3)
+	b.AddEdge(0, 1, 1e308)
+	b.AddEdge(1, 2, 1e308)
+	b.AddPoint(0, 1, 0, 0)
+	b.AddPoint(1, 2, 1e308, 0)
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cacheBytes := range []int64{0, -1} {
+		ds, err := NewNetworkDataset("x", "test", n, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		if err := reg.Add(ds); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Registry: reg, ResultCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			var env api.ErrorBody
+			getJSON(t, s.Handler(), "/v1/x/knn?p=0&k=2&prune=0", http.StatusInternalServerError, &env)
+			if env.Error.Code != api.CodeInternal || !strings.Contains(env.Error.Message, "+Inf") {
+				t.Fatalf("cache %d, request %d: envelope = %+v", cacheBytes, i, env)
+			}
+		}
+		if c := s.ResultCache(); c != nil {
+			if st := c.Stats(); st.Entries != 0 || st.Hits != 0 {
+				t.Fatalf("unencodable body reached the cache: %+v", st)
+			}
+		}
+		// A query that stays finite still answers.
+		getJSON(t, s.Handler(), "/v1/x/range?p=0&eps=1&dists=1", http.StatusOK, nil)
+	}
+}
+
 // TestServeBodyLimit: both POST endpoints read at most maxBodyBytes. A body
 // of exactly that size is served; one byte more is a 413 in the uniform
 // error envelope, whatever the bytes are.
