@@ -250,6 +250,15 @@ func Derive(s *Snapshot, groups []network.PointGroup, ptPos []float64, ptTag, pt
 	return d
 }
 
+// Columns returns s's flat arrays: the adjacency, every row in node order,
+// and the point columns indexed by PointID (offsets, group IDs, tags). They
+// alias the snapshot and must not be modified. A live overlay copies runs of
+// them into the snapshots it derives. (A function, not a method, for the
+// same reason as Derive.)
+func Columns(s *Snapshot) (adj []network.Neighbor, pos []float64, grp, tag []int32) {
+	return s.adj, s.ptPos, s.ptGrp, s.ptTag
+}
+
 // invMeanWeight is the reciprocal of the mean edge weight, the unit the
 // Δ-stepping bucket widths are derived from; 0 when there are no edges or the
 // reciprocal is not a positive finite number. The mean balances bucket count

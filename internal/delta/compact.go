@@ -28,10 +28,11 @@ func (o *Overlay) rebase() error {
 	if err != nil {
 		return err
 	}
-	o.base, o.baseSlots, o.baseTags = cur.sn, cur.idToSlot, cur.sn.Tags()
+	o.base, o.baseSlots = cur.sn, cur.idToSlot
 	o.baseKeys, o.baseGroups = keys, groups
 	clear(o.adopted)
-	o.keysDirty = true
+	o.adopted = o.adopted[:0]
+	o.lastAdj, o.adjMoved = nil, false // the base's adjacency is the view's
 	o.pending = 0
 
 	epoch := o.bumpEpoch()

@@ -13,10 +13,11 @@
 package delta
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,9 +168,14 @@ type listEntry struct {
 // — copied out of the base — the first time a mutation touches it; untouched
 // edges are read straight from the base at freeze time.
 type edgeList struct {
+	key    uint64
 	n1, n2 network.NodeID
 	weight float64
 	pts    []listEntry // ascending pos; equal-pos ties keep insertion order
+	// bgi is the index of the edge's base group when inBase, else the index
+	// of the first base group past it: where freeze interleaves the list.
+	bgi    int
+	inBase bool
 }
 
 // insert places (pos, tag, slot) at the upper bound among equal offsets —
@@ -245,16 +251,21 @@ type Overlay struct {
 	// reconciler-owned state
 	base       *csr.Snapshot
 	baseSlots  []int32 // slot of base point p
-	baseTags   []int32 // tag of base point p (the base's own array)
 	baseKeys   []uint64
 	baseGroups []network.PointGroup
-	adopted    map[uint64]*edgeList
-	sortedKeys []uint64
-	keysDirty  bool
+	adopted    []*edgeList // ascending key
+	points     int         // point count of the merged content
 	nextSlot   int32
 	pending    int   // resolved ops applied since the last rebase
 	epoch      int64 // internal counter when opts.Bump == nil
 	live       *live
+
+	// lastAdj is the adjacency of the last published view, nil for the
+	// base's own; adjMoved says an applied batch has since changed the set
+	// of populated edges, so the next freeze renumbers the base's anew.
+	lastAdj  []network.Neighbor
+	adjMoved bool
+	newIDs   []network.PointID // freeze's buffer for the batch's insert IDs
 
 	forceCh   chan chan error
 	closed    chan struct{}
@@ -324,14 +335,13 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 		}
 	}
 	o := &Overlay{
-		opts:     opts.withDefaults(),
-		base:     sn,
-		baseTags: sn.Tags(),
-		adopted:  make(map[uint64]*edgeList),
-		wakeup:   make(chan struct{}, 1),
-		forceCh:  make(chan chan error),
-		closed:   make(chan struct{}),
-		recDone:  make(chan struct{}),
+		opts:    opts.withDefaults(),
+		base:    sn,
+		points:  sn.NumPoints(),
+		wakeup:  make(chan struct{}, 1),
+		forceCh: make(chan chan error),
+		closed:  make(chan struct{}),
+		recDone: make(chan struct{}),
 	}
 	var err error
 	if o.baseKeys, o.baseGroups, err = indexGroups(sn); err != nil {
@@ -489,6 +499,7 @@ func (o *Overlay) applyBatch(b *batch) {
 		b.res <- applyResult{err: err}
 		return
 	}
+	first := o.nextSlot
 	resolved, err := o.applyOps(b.ops)
 	if err != nil {
 		o.stats.rejected.Add(1)
@@ -496,7 +507,7 @@ func (o *Overlay) applyBatch(b *batch) {
 		return
 	}
 	o.pending += len(resolved)
-	cur, err := o.publish(resolved)
+	cur, err := o.publish(resolved, first)
 	if err != nil {
 		// Live maintenance self-healed by full rebuild; the view itself is
 		// always published. Only a bootstrap failure reaches here.
@@ -510,9 +521,10 @@ func (o *Overlay) applyBatch(b *batch) {
 }
 
 // publish freezes the merged view, bumps the epoch exactly once, refreshes
-// the live labelling over the resolved ops, and swaps the new Current in.
-func (o *Overlay) publish(resolved []resolvedOp) (*Current, error) {
-	sn, idToSlot := o.freeze()
+// the live labelling over the resolved ops, and swaps the new Current in. The
+// batch's inserts hold the slots from first up.
+func (o *Overlay) publish(resolved []resolvedOp, first int32) (*Current, error) {
+	sn, idToSlot, newIDs := o.freeze(first)
 	epoch := o.bumpEpoch()
 	cur := &Current{Graph: sn, Epoch: epoch, Points: len(idToSlot), idToSlot: idToSlot, sn: sn}
 	if sn != o.base {
@@ -520,7 +532,7 @@ func (o *Overlay) publish(resolved []resolvedOp) (*Current, error) {
 	}
 	if o.live != nil {
 		t0 := time.Now()
-		snap, err := o.live.apply(sn, idToSlot, resolved)
+		snap, err := o.live.apply(sn, idToSlot, newIDs, resolved)
 		o.stats.liveNs.Add(time.Since(t0).Nanoseconds())
 		if err != nil {
 			return nil, err
@@ -562,23 +574,23 @@ type touchedList struct {
 
 // applyOps applies one batch atomically against the reconciler state: every
 // op validates and applies, or the state rolls back to the pre-batch content
-// and the error names the offending op.
+// and the error names the offending op. An applied batch that emptied an
+// edge or put points on a point-free one raises adjMoved.
 func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 	pre := o.cur.Load()
 	touched := make(map[uint64]*touchedList)
-	savedSlot := o.nextSlot
+	savedSlot, savedPoints := o.nextSlot, o.points
 	resolved := make([]resolvedOp, 0, len(ops))
 
 	fail := func(i int, err error) ([]resolvedOp, error) {
-		for key, t := range touched {
-			if !t.existed {
-				delete(o.adopted, key)
-				o.keysDirty = true
-				continue
-			}
+		for _, t := range touched {
 			t.el.pts = t.saved
 		}
-		o.nextSlot = savedSlot
+		o.adopted = slices.DeleteFunc(o.adopted, func(el *edgeList) bool {
+			t := touched[el.key]
+			return t != nil && !t.existed
+		})
+		o.nextSlot, o.points = savedSlot, savedPoints
 		return nil, fmt.Errorf("op %d: %w", i, err)
 	}
 	// touch adopts key (copying the base group on first contact ever) and
@@ -587,7 +599,7 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 		if t, ok := touched[key]; ok {
 			return t.el, nil
 		}
-		_, existed := o.adopted[key]
+		_, existed := o.findAdopted(key)
 		el, err := o.adopt(key)
 		if err != nil {
 			return nil, err
@@ -624,6 +636,7 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 			}
 			slot := o.nextSlot
 			o.nextSlot++
+			o.points++
 			el.insert(pos, op.Tag, slot)
 			resolved = append(resolved, resolvedOp{kind: rInsert, key: key, pos: pos, tag: op.Tag, slot: slot})
 
@@ -639,6 +652,7 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 			if _, ok := el.remove(slot); !ok {
 				return fail(i, fmt.Errorf("%w: point %d already mutated in this batch", network.ErrInvalidOptions, op.Point))
 			}
+			o.points--
 			resolved = append(resolved, resolvedOp{kind: rDelete, key: key, slot: slot})
 
 		case OpMove:
@@ -679,6 +693,11 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 			return fail(i, fmt.Errorf("%w: unknown op kind %d", network.ErrInvalidOptions, op.Kind))
 		}
 	}
+	for _, t := range touched {
+		if (len(t.saved) > 0) != (len(t.el.pts) > 0) {
+			o.adjMoved = true
+		}
+	}
 	return resolved, nil
 }
 
@@ -710,10 +729,9 @@ func (o *Overlay) resolveDest(op Op, resolve func(network.PointID) (int32, uint6
 		if err != nil {
 			return 0, 0, err
 		}
-		el, ok := o.adopted[key]
 		var w float64
-		if ok {
-			w = el.weight
+		if i, ok := o.findAdopted(key); ok {
+			w = o.adopted[i].weight
 		} else {
 			n1, n2 := network.UnpackEdgeKey(key)
 			if w, err = network.EdgeWeight(o.base, n1, n2); err != nil {
@@ -729,22 +747,21 @@ func (o *Overlay) resolveDest(op Op, resolve func(network.PointID) (int32, uint6
 // adopt copies an edge's base point group into the mutable overlay (empty for
 // point-free edges), validating that the edge exists.
 func (o *Overlay) adopt(key uint64) (*edgeList, error) {
-	if el, ok := o.adopted[key]; ok {
-		return el, nil
+	at, ok := o.findAdopted(key)
+	if ok {
+		return o.adopted[at], nil
 	}
 	n1, n2 := network.UnpackEdgeKey(key)
-	el := &edgeList{n1: n1, n2: n2}
-	if gi, ok := o.baseGroupIndex(key); ok {
-		pg := o.baseGroups[gi]
-		offs, err := o.base.GroupOffsets(network.GroupID(gi))
-		if err != nil {
-			return nil, err
-		}
+	el := &edgeList{key: key, n1: n1, n2: n2}
+	el.bgi, el.inBase = o.baseGroupIndex(key)
+	if el.inBase {
+		pg := o.baseGroups[el.bgi]
+		_, pos, _, tag := csr.Columns(o.base)
 		el.weight = pg.Weight
 		el.pts = make([]listEntry, pg.Count)
 		for i := range el.pts {
 			p := pg.First + network.PointID(i)
-			el.pts[i] = listEntry{pos: offs[i], tag: o.baseTags[p], slot: o.baseSlots[p]}
+			el.pts[i] = listEntry{pos: pos[p], tag: tag[p], slot: o.baseSlots[p]}
 		}
 	} else {
 		w, err := network.EdgeWeight(o.base, n1, n2)
@@ -756,9 +773,16 @@ func (o *Overlay) adopt(key uint64) (*edgeList, error) {
 		}
 		el.weight = w
 	}
-	o.adopted[key] = el
-	o.keysDirty = true
+	o.adopted = slices.Insert(o.adopted, at, el)
 	return el, nil
+}
+
+// findAdopted finds the adopted list of edge key by binary search, or where
+// it would go.
+func (o *Overlay) findAdopted(key uint64) (int, bool) {
+	return slices.BinarySearchFunc(o.adopted, key, func(el *edgeList, key uint64) int {
+		return cmp.Compare(el.key, key)
+	})
 }
 
 // baseGroupIndex finds the base group holding edge key, by binary search over
@@ -774,17 +798,4 @@ func (o *Overlay) baseGroupIndex(key uint64) (int, bool) {
 		}
 	}
 	return lo, lo < len(o.baseKeys) && o.baseKeys[lo] == key
-}
-
-func (o *Overlay) sortedAdoptedKeys() []uint64 {
-	if !o.keysDirty {
-		return o.sortedKeys
-	}
-	keys := o.sortedKeys[:0]
-	for k := range o.adopted {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	o.sortedKeys, o.keysDirty = keys, false
-	return keys
 }

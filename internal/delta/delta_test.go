@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"netclus/internal/core"
 	"netclus/internal/csr"
@@ -751,5 +753,133 @@ func TestFreezeMatchesCompile(t *testing.T) {
 			}
 			checkMatchesCompile(t, o.Current().Graph)
 		}
+	}
+
+	// The adjacency cache, on a fresh overlay over the same base: a view
+	// shares the last view's adjacency while the populated edges stay the
+	// same, and renumbers the base's when they move. Rows alias when shared.
+	o2, err := delta.New(base, delta.Options{CompactOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Close()
+	m2 := newModel(g)
+	row := func() []network.Neighbor {
+		nbs, _ := o2.Current().Graph.Neighbors(pg.N1)
+		return nbs
+	}
+	step := func(ops []delta.Op) (prev, cur []network.Neighbor) {
+		t.Helper()
+		prev = row()
+		m2.apply(ops)
+		if _, err := o2.Apply(ctx, ops); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		checkGraphEqual(t, m2.rebuild(t, g.NumNodes()), o2.Current().Graph)
+		checkMatchesCompile(t, o2.Current().Graph)
+		return prev, row()
+	}
+	same := func(a, b []network.Neighbor) bool { return &a[0] == &b[0] }
+	baseRow, _ := base.Neighbors(pg.N1)
+	// moveLast repositions the last point on its own edge, which stays
+	// populated: groups 0 and 1 (A and B) are not the last.
+	moveLast := func() []delta.Op {
+		return []delta.Op{delta.MoveSame(network.PointID(o2.Current().Points-1), 0.5)}
+	}
+
+	// 1. Empty group A.
+	if prev, cur := step(ops); same(prev, cur) {
+		t.Fatal("emptying group A kept the base's adjacency")
+	}
+	// 2. A batch that leaves the populated set alone shares the adjacency.
+	if prev, cur := step(moveLast()); !same(prev, cur) {
+		t.Fatal("a batch that left the populated edges alone copied the adjacency")
+	}
+	// 3. Refill A: the populated set is the base's again, and so is the
+	// adjacency.
+	if _, cur := step([]delta.Op{delta.Insert(pg.N1, pg.N2, pg.Weight/2, 7)}); !same(cur, baseRow) {
+		t.Fatal("refilling group A did not return to the base's adjacency")
+	}
+	// 4. Empty A again: its one point is the first of the view.
+	if _, cur := step([]delta.Op{delta.Delete(0)}); same(cur, baseRow) {
+		t.Fatal("emptying group A again kept the base's adjacency")
+	}
+	// 5. A rejected batch that would have emptied group B must not reach
+	// the cache: the next batch that leaves the set alone still shares.
+	pgB, err := base.Group(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reject []delta.Op
+	for i := int32(0); i < pgB.Count; i++ {
+		reject = append(reject, delta.Delete(network.PointID(i)))
+	}
+	reject = append(reject, delta.Delete(network.PointID(o2.Current().Points)))
+	before := o2.Current()
+	if _, err := o2.Apply(ctx, reject); !errors.Is(err, network.ErrPointRange) {
+		t.Fatalf("a batch ending in an unknown point: err %v, want ErrPointRange", err)
+	}
+	if o2.Current() != before {
+		t.Fatal("a rejected batch published a view")
+	}
+	if prev, cur := step(moveLast()); !same(prev, cur) {
+		t.Fatal("after a rejected batch, a batch that left the populated edges alone copied the adjacency")
+	}
+	// 6. CompactNow: the view becomes the base, whose adjacency the next
+	// batch that leaves the set alone shares.
+	if err := o2.CompactNow(); err != nil {
+		t.Fatalf("CompactNow: %v", err)
+	}
+	checkMatchesCompile(t, o2.Current().Graph)
+	if prev, cur := step(moveLast()); !same(prev, cur) {
+		t.Fatal("after a rebase, a batch that left the populated edges alone copied the adjacency")
+	}
+}
+
+// TestSharedAdjacencyAllocatesNoCopy bounds what a batch that leaves the
+// populated edges alone allocates, on a network whose adjacency outweighs
+// its points many times over: less than half of one adjacency copy. The
+// batch before it empties an edge and must pay for that copy, which shows
+// that the measure sees one.
+func TestSharedAdjacencyAllocatesNoCopy(t *testing.T) {
+	g, err := testnet.Random(23, 4000, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := csr.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := delta.New(base, delta.Options{CompactOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	ctx := context.Background()
+	adjBytes := uint64(2*base.NumEdges()) * uint64(unsafe.Sizeof(network.Neighbor{}))
+	allocated := func(ops []delta.Op) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := o.Apply(ctx, ops); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	pg, err := base.Group(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty []delta.Op
+	for i := int32(0); i < pg.Count; i++ {
+		empty = append(empty, delta.Delete(pg.First+network.PointID(i)))
+	}
+	if got := allocated(empty); got < adjBytes {
+		t.Fatalf("emptying an edge allocated %d B, less than the %d B adjacency copy it needs", got, adjBytes)
+	}
+	last := network.PointID(o.Current().Points - 1)
+	if got := allocated([]delta.Op{delta.MoveSame(last, 0.5)}); got >= adjBytes/2 {
+		t.Fatalf("a batch that left the populated edges alone allocated %d B; one adjacency copy is %d B", got, adjBytes)
 	}
 }

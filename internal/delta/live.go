@@ -3,7 +3,6 @@ package delta
 import (
 	"context"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"netclus/internal/csr"
@@ -34,10 +33,10 @@ type live struct {
 
 	// slot-indexed state
 	alive  []bool
-	core   []bool    // alive && |N_eps|+1 >= minPts
-	adj    [][]int32 // ε-neighbors (excluding self), unordered
-	compEL []int32   // ε-graph component, all alive slots
-	compDB []int32   // core graph component, core slots
+	core   []bool  // alive && |N_eps|+1 >= minPts
+	adj    rows    // ε-neighbors (excluding self), unordered
+	compEL []int32 // ε-graph component, all alive slots
+	compDB []int32 // core graph component, core slots
 	// mark is the one stamp array behind every per-batch set: touched slots,
 	// leavers, blob boundaries, BFS fronts. Each use draws values nobody drew
 	// before from stamp, so a stale mark never reads as a live one and
@@ -51,15 +50,15 @@ type live struct {
 	ufEL, ufDB unionfind.UF
 
 	// per-batch worklists, kept for their storage
-	touched  []int32           // slots whose degree may have changed
-	dead     []int32           // deleted slots: the ε-graph's leavers
-	leftDB   []int32           // deleted cores and core→non-core flips
-	joinDB   []int32           // non-core→core flips, inserts included
-	newIDs   []network.PointID // canonical ID of the batch's i-th insert
+	touched  []int32 // slots whose degree may have changed
+	dead     []int32 // deleted slots: the ε-graph's leavers
+	leftDB   []int32 // deleted cores and core→non-core flips
+	joinDB   []int32 // non-core→core flips, inserts included
 	queue    []int32
 	boundary []int32
-	visits   int // slots the current batch's repair walked
-	floods   int // components it had to re-flood
+	border   []int32 // derive's non-core points, by canonical ID
+	visits   int     // slots the current batch's repair walked
+	floods   int     // components it had to re-flood
 
 	// comp→label tables of derive, indexed by the dense component IDs.
 	remapEL []int32
@@ -116,7 +115,7 @@ func (l *live) ensureCap(slot int32) {
 	for int(slot) >= len(l.alive) {
 		l.alive = append(l.alive, false)
 		l.core = append(l.core, false)
-		l.adj = append(l.adj, nil)
+		l.adj.grow()
 		l.compEL = append(l.compEL, 0)
 		l.compDB = append(l.compDB, 0)
 		l.mark = append(l.mark, 0)
@@ -160,8 +159,7 @@ func (l *live) bootstrap(g *csr.Snapshot, idToSlot []int32) (*liveSnap, error) {
 	l.compEL, l.compDB, l.mark = make([]int32, slots), make([]int32, slots), make([]int32, slots)
 	l.stamp = 0
 	// Each symmetric pair is found twice and kept once, as (later, earlier);
-	// the rows are then laid out in one array, each a window capped at its
-	// degree, so that a later batch's append moves that row alone.
+	// the rows are then laid out with windows of exactly their degree.
 	var pairs []int32
 	deg := make([]int32, slots)
 	sc := network.ScratchFor(g)
@@ -183,19 +181,14 @@ func (l *live) bootstrap(g *csr.Snapshot, idToSlot []int32) (*liveSnap, error) {
 			}
 		}
 	}
-	rows := make([]int32, len(pairs))
-	l.adj = make([][]int32, slots)
-	for s, off := 0, 0; s < slots; s++ {
-		l.adj[s] = rows[off : off : off+int(deg[s])]
-		off += int(deg[s])
-	}
+	l.adj.reset(deg)
 	for i := 0; i < len(pairs); i += 2 {
 		s, t := pairs[i], pairs[i+1]
-		l.adj[s] = append(l.adj[s], t)
-		l.adj[t] = append(l.adj[t], s)
+		l.adj.add(s, t)
+		l.adj.add(t, s)
 	}
 	for _, s := range idToSlot {
-		l.core[s] = len(l.adj[s])+1 >= l.minPts
+		l.core[s] = int(l.adj.deg[s])+1 >= l.minPts
 		l.compEL[s], l.compDB[s] = -1, -1
 	}
 	// Flood every component fresh: with empty forests no slot is a survivor
@@ -222,8 +215,9 @@ func (l *live) bootstrap(g *csr.Snapshot, idToSlot []int32) (*liveSnap, error) {
 // full bootstrap.
 //
 // A batch's inserts must hold the highest slots of idToSlot, consecutive and
-// in op order; applyOps allocates them that way.
-func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (*liveSnap, error) {
+// in op order, as applyOps allocates them; newIDs holds their canonical IDs
+// in that order, as freeze finds them.
+func (l *live) apply(g *csr.Snapshot, idToSlot []int32, newIDs []network.PointID, resolved []resolvedOp) (*liveSnap, error) {
 	if l.stamp > math.MaxInt32/2 {
 		// Stamp wrap-around, checked between batches only: the sets of one
 		// batch must outlive each other. A batch draws a few stamps per leaver
@@ -265,7 +259,7 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 			l.core[s] = false
 			l.leftDB = append(l.leftDB, s)
 		}
-		for _, t := range l.adj[s] {
+		for _, t := range l.adj.row(s) {
 			touch(t)
 		}
 	}
@@ -274,16 +268,6 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 	// ε-graph under an ID of its own, and every ε-edge it brings is a union.
 	if inserts > 0 {
 		l.ensureCap(first + int32(inserts) - 1)
-		l.newIDs = slices.Grow(l.newIDs[:0], inserts)[:inserts]
-		found := 0
-		for p, s := range idToSlot {
-			if s >= first {
-				l.newIDs[s-first] = network.PointID(p)
-				if found++; found == inserts {
-					break
-				}
-			}
-		}
 		for s := first; s < first+int32(inserts); s++ {
 			l.alive[s] = true
 			l.compEL[s] = int32(l.ufEL.Grow())
@@ -298,8 +282,8 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 				if t >= s {
 					continue
 				}
-				l.adj[s] = append(l.adj[s], t)
-				l.adj[t] = append(l.adj[t], s)
+				l.adj.add(s, t)
+				l.adj.add(t, s)
 				l.ufEL.Union(int(l.compEL[s]), int(l.compEL[t]))
 				touch(t)
 			}
@@ -307,7 +291,7 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 		}
 		// derive canonicalizes labels by ascending canonical ID, so adjacency
 		// and visit order stay invisible.
-		err := g.RangeEach(context.Background(), l.newIDs, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
+		err := g.RangeEach(context.Background(), newIDs, l.eps, 1, func(i int, _ network.PointID, res []network.PointID, _ []float64) error {
 			link(first+int32(i), res)
 			return nil
 		})
@@ -323,10 +307,10 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 		if !l.alive[x] {
 			continue
 		}
-		deg := len(l.adj[x])
+		deg := int(l.adj.deg[x])
 		if len(l.dead) > 0 { // some rows still hold dead slots: count the rest
 			deg = 0
-			for _, t := range l.adj[x] {
+			for _, t := range l.adj.row(x) {
 				if l.alive[t] {
 					deg++
 				}
@@ -343,7 +327,7 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 		}
 	}
 	for _, x := range l.joinDB {
-		for _, t := range l.adj[x] {
+		for _, t := range l.adj.row(x) {
 			if l.core[t] {
 				l.ufDB.Union(int(l.compDB[x]), int(l.compDB[t]))
 			}
@@ -355,12 +339,12 @@ func (l *live) apply(g *csr.Snapshot, idToSlot []int32, resolved []resolvedOp) (
 	l.repairSplits(side{in: l.core, comp: l.compDB, uf: &l.ufDB, base: dbBase, fresh: int32(l.ufDB.Len())}, l.leftDB)
 
 	for _, s := range l.dead {
-		for _, t := range l.adj[s] {
+		for _, t := range l.adj.row(s) {
 			if l.alive[t] {
-				dropEdge(l.adj, t, s)
+				l.adj.drop(t, s)
 			}
 		}
-		l.adj[s] = nil
+		l.adj.release(s)
 	}
 	l.ct.floods.Add(int64(l.floods))
 	l.ct.repairVisits.Add(int64(l.visits))
@@ -420,7 +404,7 @@ func (l *live) repairSplits(sd side, leavers []int32) {
 			u := q[len(q)-1]
 			q = q[:len(q)-1]
 			l.visits++
-			for _, t := range l.adj[u] {
+			for _, t := range l.adj.row(u) {
 				switch m := l.mark[t]; {
 				case m == left:
 					l.mark[t] = left + 1
@@ -455,7 +439,7 @@ func (l *live) connected(sd side, bd []int32, want int32) bool {
 	l.mark[bd[0]] = seen
 	for head := 0; head < len(q) && missing > 0; head++ {
 		l.visits++
-		for _, t := range l.adj[q[head]] {
+		for _, t := range l.adj.row(q[head]) {
 			m := l.mark[t]
 			if m == seen || !sd.in[t] {
 				continue
@@ -481,7 +465,7 @@ func (l *live) flood(sd side, s int32) {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		l.visits++
-		for _, t := range l.adj[u] {
+		for _, t := range l.adj.row(u) {
 			if sd.in[t] && l.mark[t] != seen {
 				l.mark[t], sd.comp[t] = seen, id
 				q = append(q, t)
@@ -504,16 +488,94 @@ func resetRemap(m []int32, n int) []int32 {
 	return m
 }
 
-// dropEdge removes to from adj[from] (swap-remove; adjacency is unordered).
-func dropEdge(adj [][]int32, from, to int32) {
-	row := adj[from]
+// rows is the ε-graph's adjacency in one pointer-free arena, so that the
+// garbage collector has nothing to trace in it however many slots there
+// are. Row s is cells[off[s] : off[s]+deg[s]] inside a window of room[s]
+// cells. A row that outgrows its window moves to the end of the arena with
+// twice the room; once the windows left behind hold more cells than the
+// ones in use, compact lays every row out afresh. A row slice is valid until
+// the next add.
+type rows struct {
+	cells          []int32
+	off, deg, room []int32
+	abandoned      int // cells in windows no row owns any more
+}
+
+// reset lays out one empty row per slot, each with room for deg[s] cells.
+func (r *rows) reset(deg []int32) {
+	n := len(deg)
+	r.off, r.deg, r.room = make([]int32, n), make([]int32, n), make([]int32, n)
+	total := int32(0)
+	for s, d := range deg {
+		r.off[s], r.room[s] = total, d
+		total += d
+	}
+	r.cells, r.abandoned = make([]int32, total), 0
+}
+
+// grow adds an empty row, with no room yet, for one more slot.
+func (r *rows) grow() {
+	r.off = append(r.off, int32(len(r.cells)))
+	r.deg = append(r.deg, 0)
+	r.room = append(r.room, 0)
+}
+
+func (r *rows) row(s int32) []int32 {
+	o, d := r.off[s], r.deg[s]
+	return r.cells[o : o+d : o+d]
+}
+
+// add appends t to row s.
+func (r *rows) add(s, t int32) {
+	if r.deg[s] == r.room[s] {
+		r.move(s)
+	}
+	r.cells[r.off[s]+r.deg[s]] = t
+	r.deg[s]++
+}
+
+// move gives row s a window of twice its room at the end of the arena.
+func (r *rows) move(s int32) {
+	if r.abandoned > len(r.cells)-r.abandoned {
+		r.compact()
+	}
+	room := max(2*r.room[s], 4)
+	r.abandoned += int(r.room[s])
+	old := r.row(s)
+	r.off[s], r.room[s] = int32(len(r.cells)), room
+	r.cells = append(r.cells, old...)
+	r.cells = append(r.cells, make([]int32, int(room)-len(old))...)
+}
+
+// compact copies every row into a fresh arena, windows kept, abandoned ones
+// dropped.
+func (r *rows) compact() {
+	cells := make([]int32, len(r.cells)-r.abandoned)
+	at := int32(0)
+	for s := range r.off {
+		copy(cells[at:], r.row(int32(s)))
+		r.off[s] = at
+		at += r.room[s]
+	}
+	r.cells, r.abandoned = cells, 0
+}
+
+// drop removes to from row from (swap-remove; rows are unordered).
+func (r *rows) drop(from, to int32) {
+	row := r.row(from)
 	for i, t := range row {
 		if t == to {
 			row[i] = row[len(row)-1]
-			adj[from] = row[:len(row)-1]
+			r.deg[from]--
 			return
 		}
 	}
+}
+
+// release empties row s for good and gives up its window.
+func (r *rows) release(s int32) {
+	r.abandoned += int(r.room[s])
+	r.deg[s], r.room[s] = 0, 0
 }
 
 // resolve gives component c, which remap does not know yet, its label: the
@@ -534,58 +596,58 @@ func resolve(uf *unionfind.UF, remap []int32, c int32, next *int32) int32 {
 
 // derive turns slot-space components into canonical labellings, reproducing
 // the batch algorithms bit for bit: labels assigned on first sight in
-// ascending canonical ID order (the labellers' seeds ascend), DBSCAN border points
-// taking the minimum label over their core ε-neighbors, everything else
-// Noise. It is the one O(points) pass of a batch.
+// ascending canonical ID order (the labellers' seeds ascend), DBSCAN border
+// points taking the minimum label over their core ε-neighbors, everything
+// else Noise. It is the one O(points) pass of a batch: one gather slot →
+// component → label over every point, which also lists the non-core points,
+// and one more over that list alone.
 func (l *live) derive(idToSlot []int32) *liveSnap {
 	n := len(idToSlot)
-	el := make([]int32, n)
-	db := make([]int32, n)
-	l.remapEL = resetRemap(l.remapEL, l.ufEL.Len())
-	l.remapDB = resetRemap(l.remapDB, l.ufDB.Len())
+	labels := make([]int32, 2*n)
+	el, db := labels[:n:n], labels[n:]
+	remapEL := resetRemap(l.remapEL, l.ufEL.Len())
+	remapDB := resetRemap(l.remapDB, l.ufDB.Len())
+	compEL, compDB, core := l.compEL, l.compDB, l.core
 	var elNext, dbNext int32
-	corePoints := 0
+	border := l.border[:0]
 	// Components renumber to their emitted labels inline (each slot appears
 	// once, so the write-back never races a later read): distinct components
 	// got distinct labels, so the IDs stay unique and dense, and the forests
 	// restart as that many singletons.
 	for p, s := range idToSlot {
-		c := l.compEL[s]
-		lab := l.remapEL[c]
+		c := compEL[s]
+		lab := remapEL[c]
 		if lab < 0 {
-			lab = resolve(&l.ufEL, l.remapEL, c, &elNext)
+			lab = resolve(&l.ufEL, remapEL, c, &elNext)
 		}
-		el[p], l.compEL[s] = lab, lab
-		if !l.core[s] {
-			db[p] = noise
+		el[p], compEL[s] = lab, lab
+		if !core[s] {
+			border = append(border, int32(p))
 			continue
 		}
-		corePoints++
-		c = l.compDB[s]
-		if lab = l.remapDB[c]; lab < 0 {
-			lab = resolve(&l.ufDB, l.remapDB, c, &dbNext)
+		c = compDB[s]
+		if lab = remapDB[c]; lab < 0 {
+			lab = resolve(&l.ufDB, remapDB, c, &dbNext)
 		}
-		db[p], l.compDB[s] = lab, lab
+		db[p], compDB[s] = lab, lab
 	}
-	for p, s := range idToSlot {
-		if l.core[s] {
-			continue
-		}
+	for _, p := range border {
 		best := noise
-		for _, t := range l.adj[s] {
-			if l.core[t] {
-				if lt := l.compDB[t]; best == noise || lt < best {
+		for _, t := range l.adj.row(idToSlot[p]) {
+			if core[t] {
+				if lt := compDB[t]; best == noise || lt < best {
 					best = lt
 				}
 			}
 		}
 		db[p] = best
 	}
+	l.remapEL, l.remapDB, l.border = remapEL, remapDB, border
 	l.ufEL.Reset(int(elNext))
 	l.ufDB.Reset(int(dbNext))
 	return &liveSnap{
 		eps: l.eps, minPts: l.minPts,
 		elLabels: el, elClusters: elNext,
-		dbLabels: db, dbClusters: dbNext, corePoints: corePoints,
+		dbLabels: db, dbClusters: dbNext, corePoints: n - len(border),
 	}
 }

@@ -27,9 +27,11 @@ func TestLiveInsertRepairBatched(t *testing.T) {
 	}
 	n := sn.NumPoints()
 	idToSlot := make([]int32, n)
+	newIDs := make([]network.PointID, n)
 	resolved := make([]resolvedOp, n)
 	for p := 0; p < n; p++ {
 		idToSlot[p] = int32(p)
+		newIDs[p] = network.PointID(p)
 		resolved[p] = resolvedOp{kind: rInsert, slot: int32(p)}
 	}
 	const eps, minPts = 0.8, 3
@@ -43,7 +45,7 @@ func TestLiveInsertRepairBatched(t *testing.T) {
 
 	var ct liveCounters
 	l := newLive(eps, minPts, &ct)
-	got, err := l.apply(sn, idToSlot, resolved)
+	got, err := l.apply(sn, idToSlot, newIDs, resolved)
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -95,7 +97,7 @@ func TestLiveRepairWorkBound(t *testing.T) {
 			}
 		}
 		for q, lab := range labels {
-			if d := len(o.live.adj[cur.idToSlot[q]]); int(lab) == big && d > deg {
+			if d := int(o.live.adj.deg[cur.idToSlot[q]]); int(lab) == big && d > deg {
 				p, deg = network.PointID(q), d
 			}
 		}

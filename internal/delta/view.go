@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"slices"
+
 	"netclus/internal/csr"
 	"netclus/internal/network"
 )
@@ -14,126 +16,143 @@ import (
 type View struct{ *csr.Snapshot }
 
 // freeze materializes the current merged content as a snapshot derived from
-// the base, with the slot of every point. While the delta is empty that is
-// the base itself.
-func (o *Overlay) freeze() (*csr.Snapshot, []int32) {
+// the base, with the slot of every point and the canonical ID of every slot
+// from firstNew up, in slot order: the batch's inserts. While the delta is
+// empty that is the base itself.
+//
+// Base groups between two adopted edges are one contiguous range of the base
+// columns and go in bulk; only adopted lists are written point by point. The
+// adjacency is the last view's unless the populated-edge set moved since
+// (applyOps raises adjMoved): a view's group IDs are a function of that set
+// alone.
+func (o *Overlay) freeze(firstNew int32) (sn *csr.Snapshot, idToSlot []int32, newIDs []network.PointID) {
 	if len(o.adopted) == 0 {
-		return o.base, o.baseSlots
+		return o.base, o.baseSlots, nil
 	}
-	keys := o.sortedAdoptedKeys()
-	nPts := o.countPoints()
-	groups := make([]network.PointGroup, 0, len(o.baseGroups)+len(keys))
-	ptPos := make([]float64, 0, nPts)
-	ptTag := make([]int32, 0, nPts)
-	ptGrp := make([]int32, 0, nPts)
-	idToSlot := make([]int32, 0, nPts)
-	// viewOf[i] is the view group base group i became, NoGroup once it
-	// emptied out; gained maps the previously point-free edges that now carry
-	// a group. Together they renumber the base adjacency when the
-	// populated-edge set moved.
-	viewOf := make([]network.GroupID, len(o.baseGroups))
-	var gained map[uint64]network.GroupID
+	n := o.points
+	ptPos := make([]float64, n)
+	ptTag := make([]int32, n)
+	ptGrp := make([]int32, n)
+	idToSlot = make([]int32, n)
+	groups := make([]network.PointGroup, 0, len(o.baseGroups)+len(o.adopted))
+	_, basePos, baseGrp, baseTag := csr.Columns(o.base)
+	newIDs = slices.Grow(o.newIDs[:0], int(o.nextSlot-firstNew))[:o.nextSlot-firstNew]
+	o.newIDs = newIDs
 
-	sameKeys := true
-	emitList := func(el *edgeList) {
+	at := 0 // next canonical point ID
+	bi := 0 // next base group to emit
+	// run emits the untouched base groups [bi, end): their points keep their
+	// order, so every column is one copy, group IDs and First offsets one
+	// shift each.
+	run := func(end int) {
+		if end == bi {
+			return
+		}
+		lo := o.baseGroups[bi].First
+		hi := o.baseGroups[end-1].First + network.PointID(o.baseGroups[end-1].Count)
+		gShift := int32(len(groups) - bi)
+		pShift := network.PointID(at) - lo
+		copy(ptPos[at:], basePos[lo:hi])
+		copy(ptTag[at:], baseTag[lo:hi])
+		copy(idToSlot[at:], o.baseSlots[lo:hi])
+		dst, src := ptGrp[at:at+int(hi-lo)], baseGrp[lo:hi]
+		for k := range dst {
+			dst[k] = src[k] + gShift
+		}
+		g0 := len(groups)
+		groups = append(groups, o.baseGroups[bi:end]...)
+		if pShift != 0 {
+			for k := g0; k < len(groups); k++ {
+				groups[k].First += pShift
+			}
+		}
+		at += int(hi - lo)
+		bi = end
+	}
+	for _, el := range o.adopted {
+		run(el.bgi)
+		if el.inBase {
+			bi++
+		}
+		if len(el.pts) == 0 {
+			continue
+		}
 		gid := int32(len(groups))
 		groups = append(groups, network.PointGroup{
 			N1: el.n1, N2: el.n2, Weight: el.weight,
-			First: network.PointID(len(ptPos)), Count: int32(len(el.pts)),
+			First: network.PointID(at), Count: int32(len(el.pts)),
 		})
 		for _, e := range el.pts {
-			ptPos = append(ptPos, e.pos)
-			ptTag = append(ptTag, e.tag)
-			ptGrp = append(ptGrp, gid)
-			idToSlot = append(idToSlot, e.slot)
-		}
-	}
-	// Base groups dominate every freeze, so they go in bulk: four appends from
-	// the base's own flat arrays.
-	emitBase := func(i int) {
-		pg := o.baseGroups[i]
-		offs, _ := o.base.GroupOffsets(network.GroupID(i))
-		gid := int32(len(groups))
-		viewOf[i] = network.GroupID(gid)
-		groups = append(groups, network.PointGroup{
-			N1: pg.N1, N2: pg.N2, Weight: pg.Weight,
-			First: network.PointID(len(ptPos)), Count: pg.Count,
-		})
-		lo, hi := int(pg.First), int(pg.First)+int(pg.Count)
-		ptPos = append(ptPos, offs...)
-		ptTag = append(ptTag, o.baseTags[lo:hi]...)
-		idToSlot = append(idToSlot, o.baseSlots[lo:hi]...)
-		for k := 0; k < int(pg.Count); k++ {
-			ptGrp = append(ptGrp, gid)
-		}
-	}
-	i, j := 0, 0
-	for i < len(o.baseGroups) || j < len(keys) {
-		switch {
-		case j >= len(keys) || (i < len(o.baseGroups) && o.baseKeys[i] < keys[j]):
-			emitBase(i)
-			i++
-		case i < len(o.baseGroups) && o.baseKeys[i] == keys[j]:
-			el := o.adopted[keys[j]]
-			if len(el.pts) == 0 {
-				sameKeys = false // base group emptied out
-				viewOf[i] = network.NoGroup
-			} else {
-				viewOf[i] = network.GroupID(len(groups))
-				emitList(el)
+			ptPos[at], ptTag[at], ptGrp[at], idToSlot[at] = e.pos, e.tag, gid, e.slot
+			if e.slot >= firstNew {
+				newIDs[e.slot-firstNew] = network.PointID(at)
 			}
-			i++
-			j++
-		default:
-			el := o.adopted[keys[j]]
-			if len(el.pts) > 0 {
-				sameKeys = false // a previously point-free edge gained points
-				if gained == nil {
-					gained = make(map[uint64]network.GroupID)
-				}
-				gained[keys[j]] = network.GroupID(len(groups))
-				emitList(el)
-			}
-			j++
+			at++
 		}
 	}
-	var adj []network.Neighbor
-	if !sameKeys {
-		adj = o.translateAdjacency(viewOf, gained)
+	run(len(o.baseGroups))
+
+	if o.adjMoved {
+		o.adjMoved, o.lastAdj = false, o.renumberAdjacency(groups)
 	}
-	return csr.Derive(o.base, groups, ptPos, ptTag, ptGrp, adj), idToSlot
+	return csr.Derive(o.base, groups, ptPos, ptTag, ptGrp, o.lastAdj), idToSlot, newIDs
 }
 
-// countPoints sizes the freeze output: base points, minus adopted base
-// groups, plus adopted list contents.
-func (o *Overlay) countPoints() int {
-	n := o.base.NumPoints()
-	for key, el := range o.adopted {
-		if gi, ok := o.baseGroupIndex(key); ok {
-			n -= int(o.baseGroups[gi].Count)
+// renumberAdjacency returns the adjacency of a view with these groups: nil,
+// the base's own, when they sit on exactly the base's edges, else a copy of
+// the base's with every Group field renumbered. A base group's edge takes the
+// view group on it, or NoGroup once it emptied out; an edge the base has no
+// group for takes the view group that now sits on it. Rows keep their order
+// and length, so the view shares the base's row offsets.
+func (o *Overlay) renumberAdjacency(groups []network.PointGroup) []network.Neighbor {
+	viewOf := make([]network.GroupID, len(o.baseKeys))
+	var gained map[uint64]network.GroupID
+	moved, i := false, 0
+	for g, pg := range groups {
+		key := network.EdgeKey(pg.N1, pg.N2)
+		for ; i < len(o.baseKeys) && o.baseKeys[i] < key; i++ {
+			viewOf[i], moved = network.NoGroup, true
 		}
-		n += len(el.pts)
+		if i < len(o.baseKeys) && o.baseKeys[i] == key {
+			viewOf[i] = network.GroupID(g)
+			i++
+			continue
+		}
+		if gained == nil {
+			gained = make(map[uint64]network.GroupID)
+		}
+		gained[key], moved = network.GroupID(g), true
 	}
-	return n
-}
+	for ; i < len(o.baseKeys); i++ {
+		viewOf[i], moved = network.NoGroup, true
+	}
+	if !moved {
+		return nil
+	}
 
-// translateAdjacency copies the base adjacency with Group fields renumbered
-// to the view's group IDs: viewOf by base group ID, gained by edge key for
-// the edges the base has no group for. Rows keep their order and length, so
-// the view shares the base's row offsets. Only needed when the set of
-// populated edges changed; otherwise the base's adjacency serves unchanged.
-func (o *Overlay) translateAdjacency(viewOf []network.GroupID, gained map[uint64]network.GroupID) []network.Neighbor {
-	adj := make([]network.Neighbor, 0, 2*o.base.NumEdges())
+	baseAdj, _, _, _ := csr.Columns(o.base)
+	// append, not make and copy: an array the copy fills is not zeroed first.
+	adj := append([]network.Neighbor(nil), baseAdj...)
+	for i := range adj {
+		if g := adj[i].Group; g != network.NoGroup {
+			adj[i].Group = viewOf[g]
+		}
+	}
+	if len(gained) == 0 {
+		return adj
+	}
+	row := adj
 	for n := 0; n < o.base.NumNodes(); n++ {
 		nbs, _ := o.base.Neighbors(network.NodeID(n))
-		for _, nb := range nbs {
+		for k, nb := range nbs {
 			if nb.Group != network.NoGroup {
-				nb.Group = viewOf[nb.Group]
-			} else if id, ok := gained[network.EdgeKey(network.NodeID(n), nb.Node)]; ok {
-				nb.Group = id
+				continue
 			}
-			adj = append(adj, nb)
+			if id, ok := gained[network.EdgeKey(network.NodeID(n), nb.Node)]; ok {
+				row[k].Group = id
+			}
 		}
+		row = row[len(nbs):]
 	}
 	return adj
 }

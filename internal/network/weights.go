@@ -42,12 +42,14 @@ func Reweight(n *Network, f WeightFunc) (*Network, error) {
 	err := n.ScanGroups(func(g GroupID, pg PointGroup, offsets []float64) error {
 		w := newW[EdgeKey(pg.N1, pg.N2)]
 		for i, off := range offsets {
-			// off·w/Weight can round past w for a point at the far end
+			// The ratio goes first: off·(w/Weight) scales every offset
+			// exactly when the factor is a power of two, where off·w/Weight
+			// rounds. Either can round past w for a point at the far end
 			// (off = Weight); the clamp keeps it on the edge and leaves
 			// every in-range value as it is.
 			scaled := 0.0
 			if pg.Weight > 0 {
-				scaled = min(off*w/pg.Weight, w)
+				scaled = min(off*(w/pg.Weight), w)
 			}
 			b.AddPoint(pg.N1, pg.N2, scaled, n.Tag(pg.First+PointID(i)))
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"netclus/internal/datagen"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
@@ -31,14 +32,15 @@ func TestReweightScalesPointOffsets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(b.Weight-2*a.Weight) > 1e-9 || math.Abs(b.Pos-2*a.Pos) > 1e-9 {
+		if b.Weight != 2*a.Weight || b.Pos != 2*a.Pos {
 			t.Fatalf("point %d: %+v vs doubled %+v", p, a, b)
 		}
 		if b.Tag != a.Tag {
 			t.Fatal("tag lost")
 		}
 	}
-	// Doubling all weights doubles all shortest distances.
+	// Doubling all weights doubles all shortest distances: each is a sum of
+	// doubled terms, which doubles exactly.
 	d1, err := network.NodeDistances(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +50,45 @@ func TestReweightScalesPointOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range d1 {
-		if math.Abs(d2[v]-2*d1[v]) > 1e-9 {
+		if d2[v] != 2*d1[v] {
 			t.Fatalf("node %d: %v vs %v", v, d1[v], d2[v])
+		}
+	}
+}
+
+// TestReweightDoublesOffsetsExactly doubles every weight of the road
+// stand-ins. A power-of-two factor scales a float exactly, so every point
+// offset must come out exactly twice what it was, with no tolerance.
+// Rescaling as off·w/W rounded away 2 650 of SF ×0.0625's 31 250 offsets,
+// 236 of TG's 3 125 and 100 of OL's 1 250.
+func TestReweightDoublesOffsetsExactly(t *testing.T) {
+	for _, road := range []string{"SF", "TG", "OL"} {
+		g, _, err := datagen.RoadDataset(road, 0.0625, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doubled, err := network.Reweight(g, func(u, v network.NodeID, base float64) float64 {
+			return 2 * base
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		for p := 0; p < g.NumPoints(); p++ {
+			a, err := g.PointInfo(network.PointID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := doubled.PointInfo(network.PointID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Pos != 2*a.Pos {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s ×0.0625: %d of %d offsets are not exactly doubled", road, bad, g.NumPoints())
 		}
 	}
 }

@@ -37,13 +37,9 @@ const (
 	coordRecSize = 16 // x f64 | y f64
 )
 
-// Typed error classes of set loading, shared with the snapshot format.
-var (
-	ErrSetMagic    = snapfile.ErrMagic
-	ErrSetVersion  = snapfile.ErrVersion
-	ErrSetChecksum = snapfile.ErrChecksum
-	ErrSetCorrupt  = snapfile.ErrCorrupt
-)
+// ErrSetCorrupt classes a set whose plan does not hold together, shared with
+// the snapshot format's ErrCorrupt.
+var ErrSetCorrupt = snapfile.ErrCorrupt
 
 // ShardFileName returns the snapshot file name of shard s within a set dir.
 func ShardFileName(s int) string { return fmt.Sprintf("shard-%03d.ncs", s) }
