@@ -41,7 +41,7 @@ type Tree struct {
 	count    int64
 	leafCap  int
 	intCap   int
-	bufs     sync.Pool // per-lookup page scratch ([]byte of pageSize)
+	bufs     sync.Pool // per-lookup page scratch (*[]byte of pageSize)
 }
 
 // ErrDuplicate is returned by Insert for keys already present.
@@ -107,13 +107,17 @@ func newTree(f *pagebuf.File, pageSize int) *Tree {
 		f: f, pageSize: pageSize,
 		leafCap: lc, intCap: ic,
 	}
-	t.bufs.New = func() any { return make([]byte, pageSize) }
+	t.bufs.New = func() any {
+		b := make([]byte, pageSize)
+		return &b
+	}
 	return t
 }
 
-// getBuf draws a page buffer from the per-tree pool; putBuf returns it.
-func (t *Tree) getBuf() []byte  { return t.bufs.Get().([]byte) }
-func (t *Tree) putBuf(b []byte) { t.bufs.Put(b) } //nolint:staticcheck // slice header churn is fine here
+// getBuf draws a page buffer from the per-tree pool; putBuf returns it. The
+// pool holds pointers, so neither call boxes a slice header on the heap.
+func (t *Tree) getBuf() *[]byte  { return t.bufs.Get().(*[]byte) }
+func (t *Tree) putBuf(b *[]byte) { t.bufs.Put(b) }
 
 // Count returns the number of keys in the tree.
 func (t *Tree) Count() int64 { return t.count }
@@ -264,8 +268,9 @@ func (t *Tree) findLeaf(k uint64, buf []byte) (int64, error) {
 
 // Search returns the value for k.
 func (t *Tree) Search(k uint64) (uint64, bool, error) {
-	buf := t.getBuf()
-	defer t.putBuf(buf)
+	bufp := t.getBuf()
+	defer t.putBuf(bufp)
+	buf := *bufp
 	if _, err := t.findLeaf(k, buf); err != nil {
 		return 0, false, err
 	}
@@ -278,8 +283,9 @@ func (t *Tree) Search(k uint64) (uint64, bool, error) {
 
 // Floor returns the greatest (key, value) with key <= k.
 func (t *Tree) Floor(k uint64) (key, val uint64, ok bool, err error) {
-	buf := t.getBuf()
-	defer t.putBuf(buf)
+	bufp := t.getBuf()
+	defer t.putBuf(bufp)
+	buf := *bufp
 	page, err := t.findLeaf(k, buf)
 	if err != nil {
 		return 0, 0, false, err
@@ -343,8 +349,9 @@ func (t *Tree) leftmostLeaf(buf []byte) (int64, error) {
 // Scan calls fn for every (key, value) with key >= from, in ascending key
 // order, until fn returns false or an error.
 func (t *Tree) Scan(from uint64, fn func(k, v uint64) (bool, error)) error {
-	buf := t.getBuf()
-	defer t.putBuf(buf)
+	bufp := t.getBuf()
+	defer t.putBuf(bufp)
+	buf := *bufp
 	if _, err := t.findLeaf(from, buf); err != nil {
 		return err
 	}

@@ -477,3 +477,28 @@ func TestOpenRefusesImpossibleHeight(t *testing.T) {
 		t.Fatalf("height 2^30 in a %d-byte file: got %v", tr.f.Size(), err)
 	}
 }
+
+// TestLookupsAllocateNothing pins the pooled page scratch: a Search or Floor
+// on a warm tree draws its page buffer from the pool and returns it without
+// allocating (the store's uncached lookups run one per point or group).
+func TestLookupsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	tr := newTestTree(t, smallPage)
+	for k := uint64(10); k < 1010; k += 2 {
+		if err := tr.Insert(k, k*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := uint64(0)
+	lookups := map[string]func(){
+		"Search": func() { k = (k + 7) % 1100; _, _, _ = tr.Search(k) },
+		"Floor":  func() { k = (k + 7) % 1100; _, _, _, _ = tr.Floor(k) },
+	}
+	for name, run := range lookups {
+		if avg := testing.AllocsPerRun(500, run); avg != 0 {
+			t.Errorf("%s allocates %v per lookup, want 0", name, avg)
+		}
+	}
+}

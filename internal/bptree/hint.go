@@ -91,5 +91,5 @@ func (t *Tree) FloorHint(k uint64, h *LeafHint) (key, val uint64, ok bool, err e
 	// scan with separate scratch so the hinted page stays intact.
 	scratch := t.getBuf()
 	defer t.putBuf(scratch)
-	return t.floorSlow(k, scratch)
+	return t.floorSlow(k, *scratch)
 }

@@ -163,8 +163,17 @@ func checkDensityBackend(t *testing.T, bk densityBackend, epss []float64, minPts
 						t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: DBSCAN diverged from the matrix oracle\nwant %v\ngot  %v",
 							bk.name, eps, minPts, workers, prune != nil, want, got.Labels)
 					}
-					if prune != nil && bk.filter && got.Stats.Prune.Candidates == 0 {
-						t.Fatalf("%s eps=%v minPts=%d workers=%d: pruned DBSCAN never used the bounder", bk.name, eps, minPts, workers)
+					if prune != nil && bk.filter {
+						// The bounder serves the flag queries, and there is one
+						// exactly per point its edge window leaves short.
+						short, err := matrix.FlagQueries(bk.g, eps, minPts, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if q, c := got.Stats.RangeQueries, got.Stats.Prune.Candidates; q != short || (q > 0) != (c > 0) {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d: pruned DBSCAN issued %d range queries with %d bounder candidates, %d points are short on their edge",
+								bk.name, eps, minPts, workers, q, c, short)
+						}
 					}
 				}
 			}
@@ -638,4 +647,120 @@ func TestKMedoidsBackendsAgree(t *testing.T) {
 	t.Run("ulp-tie", func(t *testing.T) {
 		checkKMedoidsBackends(t, densityBackends(t, ulpTie, 4, true), []int{3, 10})
 	})
+}
+
+// edgeWindowNetwork is a chain of straight and 3-4-5 diagonal edges (weights
+// equal to their Euclidean lengths, so the candidate filter applies) whose
+// point groups aim at the flag pass's edge windows: gaps of exactly 0.5 and
+// of 0.5 ± 1 ulp, duplicate offsets, multiples of 0.1 and 0.2 whose gaps
+// round either way, a 24-point group that straddles a Workers 4 stripe
+// boundary, groups of 1…6 points, and one point-free edge.
+func edgeWindowNetwork(t *testing.T) *network.Network {
+	t.Helper()
+	down, up := math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)
+	cumulative := func(start float64, gaps ...float64) []float64 {
+		out := []float64{start}
+		for _, d := range gaps {
+			out = append(out, out[len(out)-1]+d)
+		}
+		return out
+	}
+	multiples := func(step float64, k int) []float64 {
+		var out []float64
+		for i := 1; i <= k; i++ {
+			out = append(out, float64(i)*step)
+		}
+		return out
+	}
+	groups := [][]float64{
+		{0.5, 1, 1.5, 2, 2, 2, 2.5, 3},
+		multiples(0.1, 9),
+		cumulative(0.25, 0.5, down, up, 0.5, up, down),
+		multiples(0.2, 24),
+	}
+	for k := 1; k <= 6; k++ {
+		groups = append(groups, multiples(0.5, k))
+	}
+	b := network.NewBuilder()
+	at := network.Coord{}
+	prev := b.AddNode(at)
+	for i := 0; i <= len(groups); i++ {
+		w := 4.0
+		if i%2 == 1 {
+			at.X, at.Y, w = at.X+3, at.Y+4, 5
+		} else {
+			at.X += 4
+		}
+		next := b.AddNode(at)
+		b.AddEdge(prev, next, w)
+		if i < len(groups) {
+			for _, pos := range groups[i] {
+				b.AddPoint(prev, next, pos, int32(i))
+			}
+		}
+		prev = next
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDBSCANCoreMatchesRangeQueries holds every core flag, however the flag
+// pass settles it — by its edge window or by a range query — to the public
+// query API: Core[p] is len(RangeQueryLimitCtx(p, eps, MinPts)) >= MinPts,
+// asked point by point through a fresh scratch, on every backend × {unpruned,
+// pruned where bounds exist} × Workers {0, 1, 4}, on edgeWindowNetwork at
+// radii on and one ulp either side of its gaps. The windows must also settle
+// every point their relation allows: Stats.RangeQueries is
+// matrix.FlagQueries' count.
+func TestDBSCANCoreMatchesRangeQueries(t *testing.T) {
+	ctx := context.Background()
+	g := edgeWindowNetwork(t)
+	epss := []float64{0.1, 0.2, 0.25, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 1, 1.5}
+	for _, bk := range densityBackends(t, g, 4, true) {
+		n := bk.g.NumPoints()
+		prunes := []network.Bounder{nil}
+		if bk.bounds != nil {
+			prunes = append(prunes, bk.bounds)
+		}
+		for _, prune := range prunes {
+			flat := prune == nil && (bk.name == "snapshot" || bk.name == "delta-view")
+			for _, eps := range epss {
+				for _, minPts := range []int{1, 2, 3, 4, 5, 7} {
+					short, err := matrix.FlagQueries(bk.g, eps, minPts, flat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]bool, n)
+					for p := range want {
+						sc := network.ScratchFor(bk.g)
+						sc.SetBounder(prune)
+						nb, err := sc.RangeQueryLimitCtx(ctx, bk.g, network.PointID(p), eps, minPts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[p] = len(nb) >= minPts
+					}
+					for _, workers := range []int{0, 1, 4} {
+						got, err := core.DBSCANCtx(ctx, bk.g, core.DBSCANOptions{Eps: eps, MinPts: minPts, Workers: workers, Prune: prune})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for p := range want {
+							if want[p] != got.Core[p] {
+								t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: point %d core %v, its range query says %v",
+									bk.name, eps, minPts, workers, prune != nil, p, got.Core[p], want[p])
+							}
+						}
+						if got.Stats.RangeQueries != short {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d range queries, %d points are short on their edge",
+								bk.name, eps, minPts, workers, prune != nil, got.Stats.RangeQueries, short)
+						}
+					}
+				}
+			}
+		}
+	}
 }

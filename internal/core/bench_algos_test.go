@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"netclus/internal/core"
+	"netclus/internal/csr"
 	"netclus/internal/network"
+	"netclus/internal/storage"
 	"netclus/internal/testnet"
 )
 
@@ -32,13 +34,41 @@ func BenchmarkEpsLink(b *testing.B) {
 	}
 }
 
+// BenchmarkDBSCAN runs DBSCAN on benchDataset from the pointer network, a
+// disk store behind a 256 KiB buffer and the compiled snapshot, and reports
+// the flag pass's range queries per run beside the time.
 func BenchmarkDBSCAN(b *testing.B) {
 	g, eps, _ := benchDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DBSCAN(g, core.DBSCANOptions{Eps: eps, MinPts: 3}); err != nil {
-			b.Fatal(err)
-		}
+	net := g.(*network.Network)
+	dir := b.TempDir()
+	sopts := storage.Options{BufferBytes: 256 << 10}
+	if err := storage.Build(dir, net, sopts); err != nil {
+		b.Fatal(err)
+	}
+	st, err := storage.Open(dir, sopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	sn, err := csr.Compile(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bk := range []struct {
+		name string
+		g    network.Graph
+	}{{"network", net}, {"store", st}, {"snapshot", sn}} {
+		b.Run(bk.name, func(b *testing.B) {
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				res, err := core.DBSCAN(bk.g, core.DBSCANOptions{Eps: eps, MinPts: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				queries += res.Stats.RangeQueries
+			}
+			b.ReportMetric(float64(queries)/float64(b.N), "range_queries/op")
+		})
 	}
 }
 

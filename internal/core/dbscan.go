@@ -18,9 +18,9 @@ type DBSCANOptions struct {
 	// paper's experiments use MinPts = 3.
 	MinPts int
 	// Workers is a pure concurrency knob with one meaning on every backend:
-	// labels, Core and the cluster numbering never depend on it, 0 and 1 are
-	// the same run, and a larger value only stripes the flag pass — the one
-	// ε-expansion per point — over that many goroutines, each with its own
+	// labels, Core, the cluster numbering and Stats.RangeQueries never depend
+	// on it, 0 and 1 are the same run, and a larger value only stripes the
+	// flag pass's range queries over that many goroutines, each with its own
 	// read view and scratch.
 	Workers int
 	// Prune, when non-nil, runs every ε-range query through the
@@ -43,8 +43,10 @@ type DBSCANResult struct {
 	// core points only.
 	Core []bool
 	// Stats aggregates traversal work; RangeQueries is the number of
-	// ε-range queries issued (one per point, the reason the paper finds
-	// DBSCAN slower than ε-Link despite identical output).
+	// ε-range queries issued: one per point whose own edge does not already
+	// hold MinPts points within Eps of it. The paper's DBSCAN issues one per
+	// point, the reason it finds DBSCAN slower than ε-Link despite identical
+	// output.
 	Stats Stats
 }
 
@@ -53,8 +55,10 @@ type DBSCANResult struct {
 // clusters are the ε-connected components of the core points, a non-core
 // point within ε of a core point joins its cluster as a border point, the
 // rest is noise. With MinPts = 2 its output matches EpsLink (modulo min_sup
-// filtering); with larger MinPts it is more robust to noise but issues one
-// range query per point, which is what Table 2 measures.
+// filtering); with larger MinPts it is more robust to noise. The paper's
+// DBSCAN issues one range query per point, which is what Table 2 measures;
+// this one settles most core flags from each point's own edge and queries
+// only the rest (see dbscanGraph).
 func DBSCAN(g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return DBSCANCtx(context.Background(), g, opts)
 }
@@ -98,13 +102,16 @@ func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions,
 	return err
 }
 
-// dbscanGraph is the generic labeller: three passes, one ε-expansion per
-// point, no union-find.
+// dbscanGraph is the generic labeller: three passes, at most one
+// ε-expansion per point, no union-find.
 //
-//  1. Flags. One ε-range query per point, stopped as soon as MinPts members
-//     are proven. A query that finishes below MinPts has seen the point's
-//     whole neighbourhood and leaves it in a side list, so a non-core point
-//     is never expanded again.
+//  1. Flags. A point's own edge is part of its neighbourhood, so one sliding
+//     window per point group flags core, with no query, every point whose
+//     edge already holds MinPts points within ε of it — most points on a
+//     road network. Each of the rest runs one ε-range query, stopped as
+//     soon as MinPts members are proven. A query that finishes below MinPts
+//     has seen the point's whole neighbourhood and leaves it in a side list,
+//     so a non-core point is never expanded again.
 //  2. Growth. DBSCAN's clusters are the ε-components of its core points, and
 //     a point's network distance to another does not depend on which other
 //     points exist: Fig. 6 with the non-core points masked labels exactly
@@ -115,9 +122,9 @@ func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions,
 //     points its expansion saw (the cluster a one-at-a-time expansion in
 //     label order reaches it from first), Noise when it saw none.
 //
-// Pass 1 is independent per point and stripes over opts.Workers; passes 2
-// and 3 are a handful of traversals and a scan of the side lists and stay on
-// the caller's goroutine.
+// Pass 1's queries are independent per point and stripe over opts.Workers;
+// its window scan, passes 2 and 3 are a handful of traversals and scans and
+// stay on the caller's goroutine.
 func dbscanGraph(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) error {
 	side, err := flagSweep(ctx, g, opts, res)
 	if err != nil {
@@ -166,14 +173,50 @@ func sideRecord(recs []network.PointID, p int, nb []network.PointID) []network.P
 }
 
 // flagSweep is the generic pass 1: it writes res.Core and returns one side
-// list per worker. Each worker queries through its own read view and scratch,
-// under opts.Prune when set, and touches disjoint indices of res.Core.
+// list per worker.
+//
+// One ScanGroups pass first slides a window over every group's ascending
+// offsets and flags core each point whose window holds MinPts points. The
+// window counts q only when off[q] lies in [pos-eps, pos+eps] — the own-edge
+// scan's relation — and |off[q]-pos| <= eps — the upper bound the pruned
+// path accepts a same-edge candidate by — so every point it counts is a
+// member of the range query it stands in for, pruned or not, and a window of
+// MinPts proves what that query would. The striped loop then queries only
+// the points the window left short, each worker through its own read view
+// and scratch, under opts.Prune when set, touching disjoint indices of
+// res.Core; Stats.RangeQueries counts those queries.
 func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) ([][]network.PointID, error) {
+	core := res.Core
+	eps, minPts := opts.Eps, opts.MinPts
+	ticks := 0
+	err := g.ScanGroups(func(_ network.GroupID, pg network.PointGroup, off []float64) error {
+		l, r := 0, 0 // the window [l, r] of off around index i
+		for i, pos := range off {
+			if err := ctxCheck(ctx, &ticks); err != nil {
+				return err
+			}
+			for off[l] < pos-eps || pos-off[l] > eps {
+				l++
+			}
+			r = max(r, i)
+			for r+1 < len(off) && off[r+1] <= pos+eps && off[r+1]-pos <= eps {
+				r++
+			}
+			p := int(pg.First) + i
+			if core[p] = r-l+1 >= minPts; !core[p] {
+				res.Stats.RangeQueries++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	workers := normWorkers(opts.Workers)
 	side := make([][]network.PointID, workers)
 	scratches := make([]network.RangeQuerier, workers)
-	core := res.Core
-	err := parallelPoints(workers, len(core), func(w int) func(lo, hi int) error {
+	err = parallelPoints(workers, len(core), func(w int) func(lo, hi int) error {
 		view := g
 		if workers > 1 {
 			view = network.ReadView(g)
@@ -183,11 +226,14 @@ func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DB
 		scratches[w] = sc
 		return func(lo, hi int) error {
 			for p := lo; p < hi; p++ {
-				nb, err := sc.RangeQueryLimitCtx(ctx, view, network.PointID(p), opts.Eps, opts.MinPts)
+				if core[p] {
+					continue
+				}
+				nb, err := sc.RangeQueryLimitCtx(ctx, view, network.PointID(p), eps, minPts)
 				if err != nil {
 					return err
 				}
-				if core[p] = len(nb) >= opts.MinPts; !core[p] {
+				if core[p] = len(nb) >= minPts; !core[p] {
 					side[w] = sideRecord(side[w], p, nb)
 				}
 			}
@@ -197,7 +243,6 @@ func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DB
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.RangeQueries = len(core)
 	for _, sc := range scratches {
 		if sc != nil {
 			res.Stats.Prune.Add(sc.PruneStats())

@@ -21,16 +21,30 @@ var ErrInvalidOptions = network.ErrInvalidOptions
 const ctxCheckMask = 255
 
 // ctxCheck polls ctx once every ctxCheckMask+1 bumps of *counter and at the
-// first bump, returning a wrapped ctx.Err() when the context is done.
+// first bump, returning a wrapped ctx.Err() when the context is done. Like
+// the traversal polls, it receives from ctx.Done() without blocking and calls
+// ctx.Err() only once that fires.
 func ctxCheck(ctx context.Context, counter *int) error {
 	*counter++
 	if *counter != 1 && *counter&ctxCheckMask != 0 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: run cancelled: %w", err)
+	return pollCtx(ctx)
+}
+
+// pollCtx is ctxCheck's poll, out of line so that the counting above inlines
+// into every traversal loop.
+func pollCtx(ctx context.Context) error {
+	done := ctx.Done()
+	if done == nil {
+		return nil // a context that is never cancelled, such as Background
 	}
-	return nil
+	select {
+	case <-done:
+		return fmt.Errorf("core: run cancelled: %w", ctx.Err())
+	default:
+		return nil
+	}
 }
 
 // normWorkers resolves a Workers option value to an effective worker count

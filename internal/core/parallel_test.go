@@ -147,11 +147,13 @@ func TestCancelledContext(t *testing.T) {
 
 // lateCancelGraph is a pointer network that cancels its context from inside
 // Neighbors once DBSCAN's flag pass is over: its scratches count the finished
-// flag queries, and the first adjacency read after the last of them can only
-// come from the growth pass.
+// flag queries, and the first adjacency read after the last query the pass
+// issues (queries of them; the edge windows settle the other flags without
+// one) can only come from the growth pass.
 type lateCancelGraph struct {
 	*network.Network
 	cancel  context.CancelFunc
+	queries int64
 	flagged atomic.Int64
 	late    atomic.Bool
 }
@@ -161,7 +163,7 @@ func (g *lateCancelGraph) NewRangeScratch() network.RangeQuerier {
 }
 
 func (g *lateCancelGraph) Neighbors(n network.NodeID) ([]network.Neighbor, error) {
-	if g.flagged.Load() == int64(g.NumPoints()) {
+	if g.flagged.Load() == g.queries {
 		g.late.Store(true)
 		g.cancel()
 	}
@@ -189,13 +191,14 @@ func checkCancelAfterFlagPass(t *testing.T, net *network.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.CorePoints == 0 || ref.CorePoints == net.NumPoints() {
-		t.Fatalf("fixture has %d core points of %d: all three passes must have work", ref.CorePoints, net.NumPoints())
+	if ref.CorePoints == 0 || ref.CorePoints == net.NumPoints() || ref.Stats.RangeQueries == 0 {
+		t.Fatalf("fixture has %d core points of %d and %d flag queries: all three passes must have work",
+			ref.CorePoints, net.NumPoints(), ref.Stats.RangeQueries)
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := &lateCancelGraph{Network: net, cancel: cancel}
+	g := &lateCancelGraph{Network: net, cancel: cancel, queries: int64(ref.Stats.RangeQueries)}
 	res, err := DBSCANCtx(ctx, g, opts)
 	if !g.late.Load() {
 		t.Fatal("the growth pass never read an adjacency list after the flag pass")

@@ -40,7 +40,7 @@ type Stats struct {
 	HeapPushes   int // priority-queue insertions
 	EdgesVisited int // adjacency entries examined
 	GroupsRead   int // point-group fetches
-	RangeQueries int // ε-range queries issued (DBSCAN: one per point; see workers_contract_test.go)
+	RangeQueries int // ε-range queries issued (DBSCAN: one per point its edge leaves short; see workers_contract_test.go)
 
 	// CritNs and WallNs time density clustering through the snapshot's
 	// native labeller (network.LabelKernel): CritNs is the critical path —

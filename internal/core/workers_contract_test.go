@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netclus/internal/core"
+	"netclus/internal/matrix"
 	"netclus/internal/testnet"
 )
 
@@ -15,11 +16,12 @@ import (
 // workers change nothing but the wall clock: identical labels, core flags,
 // counts and Stats.RangeQueries.
 //
-// Stats.RangeQueries tells the truth: DBSCAN expands every point exactly once
-// on every backend, pruned or not; ε-Link issues none. CritNs/WallNs are the
-// flat kernel's native timing model — the snapshot's and the delta view's,
-// which is a snapshot derived from it — and stay zero on the generic
-// labeller.
+// Stats.RangeQueries tells the truth: DBSCAN queries exactly the points whose
+// own edge leaves them short of MinPts under its labeller's same-edge
+// relation (matrix.FlagQueries counts them by brute force), on every backend,
+// pruned or not; ε-Link issues none. CritNs/WallNs are the flat kernel's
+// native timing model — the snapshot's and the delta view's, which is a
+// snapshot derived from it — and stay zero on the generic labeller.
 func TestLabelKernelWorkersContract(t *testing.T) {
 	ctx := context.Background()
 	g, _, err := testnet.RandomClustered(11, 60, 240, 4)
@@ -27,16 +29,19 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bk := range densityBackends(t, g, 4, true) {
-		n := bk.g.NumPoints()
 		prunes := []bool{false}
 		if bk.bounds != nil {
 			prunes = append(prunes, true)
 		}
 		for _, pruned := range prunes {
-			// Native timing: the flat kernel, only without a Bounder.
-			timed := !pruned && (bk.name == "snapshot" || bk.name == "delta-view")
+			// The flat kernel, with its native timing, only without a Bounder.
+			flat := !pruned && (bk.name == "snapshot" || bk.name == "delta-view")
 			for _, minPts := range []int{1, 2, 3, 5} {
 				for _, eps := range []float64{0.05, 0.15, 0.4} {
+					want, err := matrix.FlagQueries(bk.g, eps, minPts, flat)
+					if err != nil {
+						t.Fatal(err)
+					}
 					opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}
 					if pruned {
 						opts.Prune = bk.bounds
@@ -56,12 +61,13 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 							t.Fatalf("%s eps=%v minPts=%d pruned=%v: Workers %d is not the Workers 0 run (%d vs %d range queries)",
 								bk.name, eps, minPts, pruned, workers, got.Stats.RangeQueries, w0.Stats.RangeQueries)
 						}
-						if q := got.Stats.RangeQueries; q != n {
-							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d expansions for %d points", bk.name, eps, minPts, workers, pruned, q, n)
+						if q := got.Stats.RangeQueries; q != want {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d range queries, %d of %d points are short on their edge",
+								bk.name, eps, minPts, workers, pruned, q, want, bk.g.NumPoints())
 						}
-						if st := got.Stats; timed != (st.CritNs > 0) || timed != (st.WallNs > 0) {
+						if st := got.Stats; flat != (st.CritNs > 0) || flat != (st.WallNs > 0) {
 							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: CritNs=%d WallNs=%d, native timing expected: %v",
-								bk.name, eps, minPts, workers, pruned, st.CritNs, st.WallNs, timed)
+								bk.name, eps, minPts, workers, pruned, st.CritNs, st.WallNs, flat)
 						}
 					}
 				}

@@ -10,7 +10,8 @@ import (
 
 // This file is the snapshot's DBSCAN: the flat-array port of core's generic
 // three-pass labeller (internal/core/dbscan.go carries the argument) — flags
-// by one early-exiting counting expansion per point (rangeCount), the
+// by one sliding window per point group, with an early-exiting counting
+// expansion (rangeCount) only for the points their edge leaves short, the
 // core-masked Fig. 6 growth of epslink.go, border adoption from the per-stripe
 // side lists. Passes 1 and 3 are independent per point and stripe over
 // workers; pass 2 is a handful of graph traversals and stays on the caller's
@@ -91,25 +92,58 @@ func (s *Snapshot) DBSCANLabels(ctx context.Context, eps float64, minPts, worker
 
 // flagStripe runs pass 1 over the points [lo, hi) as stripe w: it writes
 // core[p] and the growth mask, and appends a record to st.side[w] for every
-// non-core point. Stripes touch disjoint indices of core and st.state.
+// non-core point. Stripes touch disjoint indices of core and st.state. It
+// returns the number of range queries it issued.
+//
+// A point's own edge decides most flags: one sliding window per group counts
+// the same-edge points within eps of each point — rangeCount's two arm
+// comparisons, pos-off[q] on the left and off[q]-pos on the right, so the
+// count is the one rangeCount would start from — and a point whose window
+// holds minPts is core with no query. Only the rest run rangeCount, which
+// also records the side list the border pass needs. A stripe that starts
+// inside a group starts its window at the group's first point.
 func (st *epsState) flagStripe(ctx context.Context, sc *Scratch, w, lo, hi int, eps float64, minPts int, core []bool) (int, error) {
+	sn := sc.sn
 	side := st.side[w][:0]
-	p := lo
+	queries, ticks := 0, 0
 	var err error
-	for ; p < hi; p++ {
-		var cnt int
-		if cnt, err = sc.rangeCount(ctx, network.PointID(p), eps, minPts, true); err != nil {
-			break
+	for p := lo; p < hi && err == nil; {
+		pg := &sn.groups[sn.ptGrp[p]]
+		first := int(pg.First)
+		off := sn.ptPos[first : first+int(pg.Count)]
+		end := min(first+len(off), hi)
+		l, r := 0, 0 // the window [l, r] of off around p's index
+		for ; p < end; p++ {
+			if err = cancelCheck(ctx, &ticks); err != nil {
+				break
+			}
+			i := p - first
+			pos := off[i]
+			for pos-off[l] > eps {
+				l++
+			}
+			r = max(r, i)
+			for r+1 < len(off) && off[r+1]-pos <= eps {
+				r++
+			}
+			if core[p] = r-l+1 >= minPts; core[p] {
+				continue // acquireEps left st.state[p] at ptFree
+			}
+			queries++
+			var cnt int
+			if cnt, err = sc.rangeCount(ctx, network.PointID(p), eps, minPts, true); err != nil {
+				break
+			}
+			if core[p] = cnt >= minPts; core[p] {
+				continue
+			}
+			st.state[p] = ptMasked
+			side = append(side, network.PointID(p), network.PointID(cnt))
+			side = append(side, sc.result...)
 		}
-		if core[p] = cnt >= minPts; core[p] {
-			continue // acquireEps left st.state[p] at ptFree
-		}
-		st.state[p] = ptMasked
-		side = append(side, network.PointID(p), network.PointID(cnt))
-		side = append(side, sc.result...)
 	}
 	st.side[w] = side
-	return p - lo, err
+	return queries, err
 }
 
 // adoptStripe runs pass 3 over stripe w's side list: every recorded non-core

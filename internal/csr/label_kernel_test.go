@@ -2,8 +2,8 @@
 // the three-pass DBSCAN must reproduce the generic labeller's run on the
 // pointer network and the internal/matrix brute force byte for byte, at every
 // Workers value, on hand-built shapes that aim at the selection-mask logic of
-// the core-restricted Fig. 6 growth — and it must expand every point exactly
-// once.
+// the core-restricted Fig. 6 growth — and it must query exactly the points
+// whose own edge leaves them short of minPts.
 package csr_test
 
 import (
@@ -40,8 +40,9 @@ func buildShape(t testing.TB, s testnet.Shape, numbering int) *network.Network {
 
 // checkLabelKernelDBSCAN runs DBSCAN(eps, minPts) on the pointer network g
 // (sequential), on the brute-force matrix and on the compiled snapshot at
-// Workers 0, 1 and 4, and demands byte-identical results and exactly one
-// expansion per point.
+// Workers 0, 1 and 4, and demands byte-identical results and, from each
+// labeller, one range query per point its edge leaves short
+// (matrix.FlagQueries under that labeller's same-edge relation).
 func checkLabelKernelDBSCAN(t *testing.T, g *network.Network, dist [][]float64, eps float64, minPts int) {
 	t.Helper()
 	ctx := context.Background()
@@ -64,6 +65,14 @@ func checkLabelKernelDBSCAN(t *testing.T, g *network.Network, dist [][]float64, 
 			t.Fatalf("eps=%v minPts=%d: point %d core flag %v, matrix counts %d neighbours", eps, minPts, p, want.Core[p], cnt)
 		}
 	}
+	if short, err := matrix.FlagQueries(g, eps, minPts, false); err != nil || want.Stats.RangeQueries != short {
+		t.Fatalf("eps=%v minPts=%d: the generic labeller issued %d range queries, %d points are short on their edge (%v)",
+			eps, minPts, want.Stats.RangeQueries, short, err)
+	}
+	short, err := matrix.FlagQueries(g, eps, minPts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sn := compile(t, g)
 	for _, workers := range []int{0, 1, 4} {
 		got, err := core.DBSCANCtx(ctx, sn, core.DBSCANOptions{Eps: eps, MinPts: minPts, Workers: workers})
@@ -77,8 +86,8 @@ func checkLabelKernelDBSCAN(t *testing.T, g *network.Network, dist [][]float64, 
 			t.Fatalf("eps=%v minPts=%d workers=%d: core flags or counts differ (%d/%d cores, %d/%d clusters)",
 				eps, minPts, workers, got.CorePoints, want.CorePoints, got.NumClusters, want.NumClusters)
 		}
-		if got.Stats.RangeQueries != n {
-			t.Fatalf("eps=%v minPts=%d workers=%d: %d expansions for %d points", eps, minPts, workers, got.Stats.RangeQueries, n)
+		if got.Stats.RangeQueries != short {
+			t.Fatalf("eps=%v minPts=%d workers=%d: %d range queries, %d points are short on their edge", eps, minPts, workers, got.Stats.RangeQueries, short)
 		}
 	}
 }

@@ -157,7 +157,8 @@ func TestCoreFlagsZeroAlloc(t *testing.T) {
 // FuzzParallelDBSCAN derives (network, eps, minPts, workers) from the fuzz
 // input and checks DBSCAN on the compiled snapshot against the brute-force
 // oracle and against the other family, the generic labeller on the source
-// network. A non-negative seed generates a random network; a negative one
+// network, and each family's range-query count against matrix.FlagQueries.
+// A non-negative seed generates a random network; a negative one
 // picks a shared hand-built shape (testnet.Shapes; -1, -2, -3 are the first
 // shape as written, mirrored and twisted, and so on), so mutation starts from
 // the inputs the mask logic can get wrong.
@@ -212,9 +213,18 @@ func FuzzParallelDBSCAN(f *testing.F) {
 			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: the flat kernel and the generic labeller disagree",
 				seed, eps, opts.MinPts, opts.Workers)
 		}
-		if got.Stats.RangeQueries != g.NumPoints() {
-			t.Fatalf("seed=%d eps=%v minPts=%d workers=%d: %d expansions for %d points",
-				seed, eps, opts.MinPts, opts.Workers, got.Stats.RangeQueries, g.NumPoints())
+		for _, run := range []struct {
+			res  *core.DBSCANResult
+			flat bool
+		}{{got, true}, {other, false}} {
+			short, err := matrix.FlagQueries(g, eps, opts.MinPts, run.flat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.res.Stats.RangeQueries != short {
+				t.Fatalf("seed=%d eps=%v minPts=%d workers=%d flat=%v: %d range queries, %d points are short on their edge",
+					seed, eps, opts.MinPts, opts.Workers, run.flat, run.res.Stats.RangeQueries, short)
+			}
 		}
 	})
 }

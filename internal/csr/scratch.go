@@ -321,13 +321,27 @@ func (sc *Scratch) collect(u, gid int32, du, eps float64) {
 // cadence of the generic traversal (once per 256 settled entries).
 const cancelCheckMask = 255
 
+// cancelCheck is network's cancelCheck for the flat kernels: a non-blocking
+// receive on ctx.Done() at the first and every 256th bump.
 func cancelCheck(ctx context.Context, counter *int) error {
 	*counter++
 	if *counter != 1 && *counter&cancelCheckMask != 0 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("csr: traversal cancelled: %w", err)
+	return pollCancel(ctx)
+}
+
+// pollCancel is cancelCheck's poll, out of line so that the counting above
+// inlines into every kernel loop.
+func pollCancel(ctx context.Context) error {
+	done := ctx.Done()
+	if done == nil {
+		return nil // a context that is never cancelled, such as Background
 	}
-	return nil
+	select {
+	case <-done:
+		return fmt.Errorf("csr: traversal cancelled: %w", ctx.Err())
+	default:
+		return nil
+	}
 }

@@ -118,7 +118,7 @@ type PruneRow struct {
 
 // PruneAblation measures the lower-bound pruned traversal engine (DESIGN.md,
 // "Lower-bound pruning") against the plain operators on the OL road dataset:
-// DBSCAN (one ε-range query per point), a k-NN batch over sampled query
+// DBSCAN (its flag pass's ε-range queries), a k-NN batch over sampled query
 // points, and a full k-medoids run. Every pruned run is checked to return
 // byte-identical results. The paper-reproduction experiments in this package
 // deliberately never enable pruning — the paper's 2004 algorithms and their

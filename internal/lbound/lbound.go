@@ -78,8 +78,9 @@ type Bounds struct {
 	ptTables  [][]float64 // ptTables[i][p] = d(landmarks[i], point p), exact
 	pGrp      []network.GroupID
 	pPos      []float64
-	gN1, gN2  []network.NodeID // per-group edge endpoints
-	gW        []float64        // per-group edge weight
+	gN1, gN2  []network.NodeID  // per-group edge endpoints
+	gW        []float64         // per-group edge weight
+	gFirst    []network.PointID // per-group first point
 	euclid    bool
 	nx, ny    []float64 // node embedding (euclid only)
 	grid      *pointGrid
@@ -159,6 +160,7 @@ func (b *Bounds) buildPointTables(ctx context.Context, g network.Graph) error {
 	b.gN1 = make([]network.NodeID, ng)
 	b.gN2 = make([]network.NodeID, ng)
 	b.gW = make([]float64, ng)
+	b.gFirst = make([]network.PointID, ng)
 	b.ptTables = make([][]float64, len(b.tables))
 	for li := range b.ptTables {
 		b.ptTables[li] = make([]float64, np)
@@ -172,6 +174,7 @@ func (b *Bounds) buildPointTables(ctx context.Context, g network.Graph) error {
 		b.gN1[gid] = pg.N1
 		b.gN2[gid] = pg.N2
 		b.gW[gid] = pg.Weight
+		b.gFirst[gid] = pg.First
 		for i, o := range off {
 			pid := pg.First + network.PointID(i)
 			b.pGrp[pid] = gid
@@ -480,7 +483,26 @@ func (b *Bounds) Candidates(p network.PointInfo, r float64, yield func(q network
 	}
 	x, y := b.pointXY(p)
 	pe := b.queryEntry(p)
+	// p's own group first, by its exact along-edge distance as well as the
+	// Euclidean one: rounding can put the Hypot of two interpolated positions
+	// an ulp above their offsets' difference, and the grid alone would then
+	// drop a same-edge point at exactly r that the plain expansion keeps. The
+	// Euclidean bound is capped by that distance, which it never exceeds.
+	for q := b.gFirst[p.Group]; int(q) < len(b.pGrp) && b.pGrp[q] == p.Group; q++ {
+		direct := math.Abs(b.pPos[q] - p.Pos)
+		de := math.Hypot(b.grid.px[q]-x, b.grid.py[q]-y)
+		if de > r && direct > r {
+			continue
+		}
+		lo, hi := b.candBounds(pe, p, q, min(de, direct))
+		if !yield(q, b.pointInfoOf(q), lo, hi) {
+			return true
+		}
+	}
 	b.grid.within(x, y, r, func(q network.PointID, de float64) bool {
+		if b.pGrp[q] == p.Group {
+			return true // yielded above
+		}
 		lo, hi := b.candBounds(pe, p, q, de)
 		return yield(q, b.pointInfoOf(q), lo, hi)
 	})

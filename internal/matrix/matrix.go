@@ -8,6 +8,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"netclus/internal/network"
@@ -258,6 +259,41 @@ func DBSCAN(dist [][]float64, eps float64, minPts int) []int32 {
 		}
 	}
 	return labels
+}
+
+// FlagQueries counts by brute force the range queries DBSCAN(eps, minPts)'s
+// flag pass issues on g: one per point whose own edge holds fewer than minPts
+// points (itself included) within eps of it, every other flag being settled
+// by the edge alone. flat picks the snapshot labeller's same-edge relation —
+// pos-off[q] <= eps for q at or before p in the group, off[q]-pos <= eps
+// after it — over the generic labeller's, which also asks off[q] to lie in
+// [pos-eps, pos+eps].
+func FlagQueries(g network.Graph, eps float64, minPts int, flat bool) (int, error) {
+	short := 0
+	err := g.ScanGroups(func(_ network.GroupID, _ network.PointGroup, off []float64) error {
+		for i, pos := range off {
+			cnt := 0
+			for j, o := range off {
+				var near bool
+				switch {
+				case !flat:
+					near = o >= pos-eps && o <= pos+eps && math.Abs(o-pos) <= eps
+				case j <= i:
+					near = pos-o <= eps
+				default:
+					near = o-pos <= eps
+				}
+				if near {
+					cnt++
+				}
+			}
+			if cnt < minPts {
+				short++
+			}
+		}
+		return nil
+	})
+	return short, err
 }
 
 // NearestMedoids assigns every point to its closest medoid via the matrix

@@ -52,9 +52,10 @@ type LabelKernel interface {
 	// points — and labels with DBSCAN's clustering: the ε-components of the
 	// core points, numbered by ascending smallest core member, each non-core
 	// point adopting the smallest label among the core points within eps of
-	// it, Noise (-1) when there is none. It runs exactly one ε-expansion per
-	// point (ClusterStats.RangeQueries == NumPoints()) whatever workers is;
-	// workers > 1 stripes the per-point passes. It returns the number of
-	// clusters and of core points.
+	// it, Noise (-1) when there is none. A point whose own edge holds minPts
+	// points within eps of it is core without a query; every other point
+	// runs one early-exiting ε-expansion, and ClusterStats.RangeQueries
+	// counts those, the same whatever workers is; workers > 1 stripes the
+	// per-point passes. It returns the number of clusters and of core points.
 	DBSCANLabels(ctx context.Context, eps float64, minPts, workers int, labels []int32, core []bool) (clusters, corePoints int, st ClusterStats, err error)
 }

@@ -11,8 +11,8 @@ import (
 
 // RangeScratch holds the reusable state of network ε-range queries: stamped
 // node-distance and point-visited arrays (O(1) reset between queries) and the
-// traversal frontier. DBSCAN issues one range query per point, so amortizing
-// these allocations dominates its constant factor.
+// traversal frontier. DBSCAN and OPTICS issue thousands of range queries per
+// run, so amortizing these allocations dominates their constant factor.
 type RangeScratch struct {
 	nodeDist  []float64
 	nodeEpoch []int32
