@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -105,38 +104,6 @@ func BenchmarkTable2Algorithms(b *testing.B) {
 		b.Run(spec.Name+"/single-link", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := netclus.SingleLink(g, netclus.SingleLinkOptions{Delta: gen.Delta()}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWorkers measures DBSCAN's striped flag pass against Workers = 1
-// (ε-Link runs one Fig. 6 traversal per cluster at every value): on a
-// multi-core host the ns/op of workers=NumCPU beats workers=1; on a
-// single-core host the second worker count still exercises the striping.
-func BenchmarkWorkers(b *testing.B) {
-	scale := benchScale()
-	g, gen, err := netclus.RoadDataset("OL", scale, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := []int{1, runtime.NumCPU()}
-	if runtime.NumCPU() == 1 {
-		counts = []int{1, 2}
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("dbscan/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := netclus.DBSCAN(g, netclus.DBSCANOptions{Eps: gen.Eps(), MinPts: 3, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("eps-link/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := netclus.EpsLink(g, netclus.EpsLinkOptions{Eps: gen.Eps(), MinSup: 3, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -315,7 +315,6 @@ func serve(args []string) error {
 	writeCost := fs.Int64("write-cost", 0, "admission cost of a mutation batch (0 = 2)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeout_ms")
-	workers := fs.Int("cluster-workers", 8, "cap on the workers parameter of clustering requests")
 	cacheMB := fs.Int64("result-cache-mb", 64, "result cache budget in MiB (0 disables)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight requests")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this side address (off when empty)")
@@ -330,16 +329,15 @@ func serve(args []string) error {
 		return err
 	}
 	srv, err := server.New(server.Config{
-		Addr:              *addr,
-		Registry:          reg,
-		Capacity:          *capacity,
-		MaxQueue:          *queue,
-		Costs:             server.EndpointCosts{Cluster: *clusterCost, Write: *writeCost},
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		MaxClusterWorkers: *workers,
-		ResultCacheBytes:  cacheBytes(*cacheMB),
-		Log:               logger,
+		Addr:             *addr,
+		Registry:         reg,
+		Capacity:         *capacity,
+		MaxQueue:         *queue,
+		Costs:            server.EndpointCosts{Cluster: *clusterCost, Write: *writeCost},
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		ResultCacheBytes: cacheBytes(*cacheMB),
+		Log:              logger,
 	})
 	if err != nil {
 		reg.Close()

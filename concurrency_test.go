@@ -29,7 +29,7 @@ func buildDemoStore(t testing.TB) *netclus.Store {
 
 // TestStoreParallelMatchesSequential runs DBSCAN and ε-Link at Workers 4
 // over one shared disk store and checks the labels are identical to the
-// Workers 0 run — the determinism guarantee, exercised under -race in CI.
+// Workers 0 run: both options accept Workers and ignore it.
 func TestStoreParallelMatchesSequential(t *testing.T) {
 	st := buildDemoStore(t)
 	cfg := netclus.DefaultClusterConfig(400, 3, 0.08)
@@ -45,7 +45,7 @@ func TestStoreParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range seqEL.Labels {
 		if parEL.Labels[i] != seqEL.Labels[i] {
-			t.Fatalf("eps-link: label mismatch at point %d: parallel %d, sequential %d",
+			t.Fatalf("eps-link: label mismatch at point %d: Workers 4 %d, Workers 0 %d",
 				i, parEL.Labels[i], seqEL.Labels[i])
 		}
 	}
@@ -60,7 +60,7 @@ func TestStoreParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range seqDB.Labels {
 		if parDB.Labels[i] != seqDB.Labels[i] {
-			t.Fatalf("dbscan: label mismatch at point %d: parallel %d, sequential %d",
+			t.Fatalf("dbscan: label mismatch at point %d: Workers 4 %d, Workers 0 %d",
 				i, parDB.Labels[i], seqDB.Labels[i])
 		}
 	}
@@ -128,7 +128,7 @@ func TestCancellation(t *testing.T) {
 	// Pre-cancelled context: every entry point fails with context.Canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := netclus.EpsLinkCtx(ctx, st, netclus.EpsLinkOptions{Eps: cfg.Eps(), Workers: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := netclus.EpsLinkCtx(ctx, st, netclus.EpsLinkOptions{Eps: cfg.Eps()}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EpsLinkCtx: got %v, want context.Canceled chain", err)
 	}
 	if _, err := netclus.DBSCANCtx(ctx, st, netclus.DBSCANOptions{Eps: cfg.Eps(), MinPts: 3}); !errors.Is(err, context.Canceled) {
@@ -154,7 +154,7 @@ func TestCancellation(t *testing.T) {
 	// error and must not corrupt the store.
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer dcancel()
-	if _, err := netclus.DBSCANCtx(dctx, st, netclus.DBSCANOptions{Eps: cfg.Eps(), MinPts: 3, Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := netclus.DBSCANCtx(dctx, st, netclus.DBSCANOptions{Eps: cfg.Eps(), MinPts: 3}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("DBSCANCtx deadline: got %v, want context.DeadlineExceeded chain", err)
 	}
 

@@ -8,94 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"netclus/internal/matrix"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
 )
-
-// TestEpsLinkParallelMatchesSequential checks the determinism guarantee
-// against the brute-force oracle: ε-Link at Workers 4 labels the matrix's
-// ε-components byte for byte, and the min_sup filter only turns the members of
-// small components into noise.
-func TestEpsLinkParallelMatchesSequential(t *testing.T) {
-	net, _, err := testnet.RandomClustered(7, 120, 500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := matrix.PointDistances(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0.05, 0.15, 0.4} {
-		want := matrix.EpsComponents(dist, eps, 1)
-		sizes, _ := ClusterSizes(want)
-		par, err := EpsLink(net, EpsLinkOptions{Eps: eps, MinSup: 3, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := 0
-		for _, size := range sizes {
-			if size >= 3 {
-				kept++
-			}
-		}
-		if par.NumClusters != kept || par.ClustersFound != len(sizes) {
-			t.Fatalf("eps=%v: parallel found %d/%d clusters, the oracle %d/%d",
-				eps, par.NumClusters, par.ClustersFound, kept, len(sizes))
-		}
-		for i, l := range want {
-			if sizes[l] < 3 {
-				l = Noise
-			}
-			if par.Labels[i] != l {
-				t.Fatalf("eps=%v: label mismatch at point %d: parallel %d, oracle %d", eps, i, par.Labels[i], l)
-			}
-		}
-	}
-}
-
-func TestDBSCANParallelMatchesSequential(t *testing.T) {
-	net, _, err := testnet.RandomClustered(11, 120, 500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := matrix.PointDistances(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, minPts := range []int{2, 3, 5} {
-		want := matrix.DBSCAN(dist, 0.15, minPts)
-		par, err := DBSCAN(net, DBSCANOptions{Eps: 0.15, MinPts: minPts, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.NumClusters != CountClusters(want) {
-			t.Fatalf("minPts=%d: parallel %d clusters, the oracle %d", minPts, par.NumClusters, CountClusters(want))
-		}
-		cores := 0
-		for i := range want {
-			if par.Labels[i] != want[i] {
-				t.Fatalf("minPts=%d: label mismatch at point %d: parallel %d, oracle %d",
-					minPts, i, par.Labels[i], want[i])
-			}
-			cnt := 0
-			for _, d := range dist[i] {
-				if d <= 0.15 {
-					cnt++
-				}
-			}
-			if par.Core[i] != (cnt >= minPts) {
-				t.Fatalf("minPts=%d: core flag mismatch at point %d", minPts, i)
-			}
-			if par.Core[i] {
-				cores++
-			}
-		}
-		if par.CorePoints != cores {
-			t.Fatalf("minPts=%d: parallel counts %d cores, flags %d", minPts, par.CorePoints, cores)
-		}
-	}
-}
 
 // TestCancelledContext checks that every algorithm notices a pre-cancelled
 // context and surfaces context.Canceled through its error chain, and that
@@ -112,16 +27,8 @@ func TestCancelledContext(t *testing.T) {
 			_, err := EpsLinkCtx(ctx, net, EpsLinkOptions{Eps: 0.2})
 			return err
 		},
-		"EpsLinkWorkers": func() error {
-			_, err := EpsLinkCtx(ctx, net, EpsLinkOptions{Eps: 0.2, Workers: 4})
-			return err
-		},
 		"DBSCAN": func() error {
 			_, err := DBSCANCtx(ctx, net, DBSCANOptions{Eps: 0.2, MinPts: 3})
-			return err
-		},
-		"DBSCANWorkers": func() error {
-			_, err := DBSCANCtx(ctx, net, DBSCANOptions{Eps: 0.2, MinPts: 3, Workers: 4})
 			return err
 		},
 		"OPTICS": func() error {
@@ -181,12 +88,11 @@ func (s *countingScratch) RangeQueryLimitCtx(ctx context.Context, g network.Grap
 	return nb, err
 }
 
-// checkCancelAfterFlagPass cancels a Workers 4 DBSCAN once its growth pass has
-// started: the serial passes poll the context too, so the run must end in the
-// wrapped ctx.Err() with no partial labels, and the striped flag pass must
-// have left no goroutine behind.
+// checkCancelAfterFlagPass cancels a DBSCAN once its growth pass has started:
+// the later passes poll the context too, so the run must end in the wrapped
+// ctx.Err() with no partial labels and no goroutine left behind.
 func checkCancelAfterFlagPass(t *testing.T, net *network.Network) {
-	opts := DBSCANOptions{Eps: 0.2, MinPts: 3, Workers: 4}
+	opts := DBSCANOptions{Eps: 0.2, MinPts: 3}
 	ref, err := DBSCAN(net, opts)
 	if err != nil {
 		t.Fatal(err)

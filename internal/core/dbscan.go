@@ -17,11 +17,9 @@ type DBSCANOptions struct {
 	// ε-neighbourhood (itself included) holds at least MinPts points. The
 	// paper's experiments use MinPts = 3.
 	MinPts int
-	// Workers is a pure concurrency knob with one meaning on every backend:
-	// labels, Core, the cluster numbering and Stats.RangeQueries never depend
-	// on it, 0 and 1 are the same run, and a larger value only stripes the
-	// flag pass's range queries over that many goroutines, each with its own
-	// read view and scratch.
+	// Workers changes nothing: DBSCAN runs on the caller's goroutine on
+	// every backend. It stays only because benchmark/ sets it (ROADMAP item
+	// 1 (A)).
 	Workers int
 	// Prune, when non-nil, runs every ε-range query through the
 	// filter-and-refine path (see network.RangeScratch.SetBounder). Labels
@@ -64,8 +62,8 @@ func DBSCAN(g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 }
 
 // DBSCANCtx is DBSCAN with cancellation: every pass checks ctx periodically
-// and the run returns an error wrapping ctx.Err() when it is done.
-// opts.Workers never changes the result (see DBSCANOptions.Workers).
+// and the run returns an error wrapping ctx.Err() when it is done. It starts
+// no goroutine.
 func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: DBSCAN: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
@@ -93,7 +91,7 @@ func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCA
 // dbscanFlat labels via lk's native three-pass DBSCAN (see
 // internal/csr/dbscan.go, the flat-array port of dbscanGraph).
 func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions, res *DBSCANResult) error {
-	clusters, corePoints, st, err := lk.DBSCANLabels(ctx, opts.Eps, opts.MinPts, opts.Workers, res.Labels, res.Core)
+	clusters, corePoints, st, err := lk.DBSCANLabels(ctx, opts.Eps, opts.MinPts, res.Labels, res.Core)
 	res.NumClusters = clusters
 	res.CorePoints = corePoints
 	res.Stats.RangeQueries = st.RangeQueries
@@ -122,9 +120,7 @@ func dbscanFlat(ctx context.Context, lk network.LabelKernel, opts DBSCANOptions,
 //     points its expansion saw (the cluster a one-at-a-time expansion in
 //     label order reaches it from first), Noise when it saw none.
 //
-// Pass 1's queries are independent per point and stripe over opts.Workers;
-// its window scan, passes 2 and 3 are a handful of traversals and scans and
-// stay on the caller's goroutine.
+// All three passes run on the caller's goroutine.
 func dbscanGraph(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) error {
 	side, err := flagSweep(ctx, g, opts, res)
 	if err != nil {
@@ -144,22 +140,20 @@ func dbscanGraph(ctx context.Context, g network.Graph, opts DBSCANOptions, res *
 	}
 
 	ticks := 0
-	for _, recs := range side {
-		for i := 0; i < len(recs); {
-			if err := ctxCheck(ctx, &ticks); err != nil {
-				return err
-			}
-			p, k := recs[i], int(recs[i+1])
-			i += 2
-			best := Noise
-			for _, q := range recs[i : i+k] {
-				if l := res.Labels[q]; res.Core[q] && (best == Noise || l < best) {
-					best = l
-				}
-			}
-			res.Labels[p] = best
-			i += k
+	for i := 0; i < len(side); {
+		if err := ctxCheck(ctx, &ticks); err != nil {
+			return err
 		}
+		p, k := side[i], int(side[i+1])
+		i += 2
+		best := Noise
+		for _, q := range side[i : i+k] {
+			if l := res.Labels[q]; res.Core[q] && (best == Noise || l < best) {
+				best = l
+			}
+		}
+		res.Labels[p] = best
+		i += k
 	}
 	return nil
 }
@@ -172,8 +166,8 @@ func sideRecord(recs []network.PointID, p int, nb []network.PointID) []network.P
 	return append(recs, nb...)
 }
 
-// flagSweep is the generic pass 1: it writes res.Core and returns one side
-// list per worker.
+// flagSweep is the generic pass 1: it writes res.Core and returns the side
+// list of the non-core points.
 //
 // One ScanGroups pass first slides a window over every group's ascending
 // offsets and flags core each point whose window holds MinPts points. The
@@ -181,11 +175,10 @@ func sideRecord(recs []network.PointID, p int, nb []network.PointID) []network.P
 // scan's relation — and |off[q]-pos| <= eps — the upper bound the pruned
 // path accepts a same-edge candidate by — so every point it counts is a
 // member of the range query it stands in for, pruned or not, and a window of
-// MinPts proves what that query would. The striped loop then queries only
-// the points the window left short, each worker through its own read view
-// and scratch, under opts.Prune when set, touching disjoint indices of
-// res.Core; Stats.RangeQueries counts those queries.
-func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) ([][]network.PointID, error) {
+// MinPts proves what that query would. One loop then queries only the points
+// the window left short, through one scratch under opts.Prune when set;
+// Stats.RangeQueries counts those queries.
+func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DBSCANResult) ([]network.PointID, error) {
 	core := res.Core
 	eps, minPts := opts.Eps, opts.MinPts
 	ticks := 0
@@ -213,40 +206,21 @@ func flagSweep(ctx context.Context, g network.Graph, opts DBSCANOptions, res *DB
 		return nil, err
 	}
 
-	workers := normWorkers(opts.Workers)
-	side := make([][]network.PointID, workers)
-	scratches := make([]network.RangeQuerier, workers)
-	err = parallelPoints(workers, len(core), func(w int) func(lo, hi int) error {
-		view := g
-		if workers > 1 {
-			view = network.ReadView(g)
+	var side []network.PointID
+	sc := network.ScratchFor(g)
+	sc.SetBounder(opts.Prune)
+	for p := range core {
+		if core[p] {
+			continue
 		}
-		sc := network.ScratchFor(view)
-		sc.SetBounder(opts.Prune)
-		scratches[w] = sc
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				if core[p] {
-					continue
-				}
-				nb, err := sc.RangeQueryLimitCtx(ctx, view, network.PointID(p), eps, minPts)
-				if err != nil {
-					return err
-				}
-				if core[p] = len(nb) >= minPts; !core[p] {
-					side[w] = sideRecord(side[w], p, nb)
-				}
-			}
-			return nil
+		nb, err := sc.RangeQueryLimitCtx(ctx, g, network.PointID(p), eps, minPts)
+		if err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sc := range scratches {
-		if sc != nil {
-			res.Stats.Prune.Add(sc.PruneStats())
+		if core[p] = len(nb) >= minPts; !core[p] {
+			side = sideRecord(side, p, nb)
 		}
 	}
+	res.Stats.Prune.Add(sc.PruneStats())
 	return side, nil
 }

@@ -18,10 +18,9 @@ type EpsLinkOptions struct {
 	Eps float64
 	// MinSup declares clusters with fewer members outliers (0/1 keeps all).
 	MinSup int
-	// Workers is accepted for symmetry with DBSCANOptions and changes
-	// nothing: ε-Link is one Fig. 6 traversal per cluster on every backend —
-	// the flat port on the compiled snapshot, the generic one everywhere
-	// else — which leaves nothing worth fanning out.
+	// Workers changes nothing: ε-Link is one Fig. 6 traversal per cluster
+	// on every backend. It stays only because benchmark/ sets it (ROADMAP
+	// item 1 (A)).
 	Workers int
 }
 

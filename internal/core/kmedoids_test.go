@@ -825,7 +825,7 @@ func TestKMedoidsCancelled(t *testing.T) {
 			}
 			res, err := run(ctx, wrapped)
 			cancel()
-			if n := c.calls.Load(); n < int64(at) {
+			if n := c.calls; n < int64(at) {
 				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, n, at)
 			}
 			if !errors.Is(err, context.Canceled) || res != nil {

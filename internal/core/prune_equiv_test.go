@@ -74,26 +74,24 @@ func TestDBSCANPrunedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				base := core.DBSCANOptions{Eps: cfg.Eps(), MinPts: 3, Workers: workers}
-				plain, err := core.DBSCAN(inst.g, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base.Prune = b
-				pruned, err := core.DBSCAN(inst.g, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				msg := fmt.Sprintf("seed %d %s workers %d", seed, inst.name, workers)
-				sameLabels(t, plain.Labels, pruned.Labels, msg)
-				if plain.NumClusters != pruned.NumClusters || plain.CorePoints != pruned.CorePoints {
-					t.Fatalf("%s: clusters/core %d/%d, want %d/%d", msg,
-						pruned.NumClusters, pruned.CorePoints, plain.NumClusters, plain.CorePoints)
-				}
-				if inst.name == "euclidean" && !pruned.Stats.Prune.Fired() {
-					t.Fatalf("%s: prune counters never fired: %+v", msg, pruned.Stats.Prune)
-				}
+			base := core.DBSCANOptions{Eps: cfg.Eps(), MinPts: 3}
+			plain, err := core.DBSCAN(inst.g, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base.Prune = b
+			pruned, err := core.DBSCAN(inst.g, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := fmt.Sprintf("seed %d %s", seed, inst.name)
+			sameLabels(t, plain.Labels, pruned.Labels, msg)
+			if plain.NumClusters != pruned.NumClusters || plain.CorePoints != pruned.CorePoints {
+				t.Fatalf("%s: clusters/core %d/%d, want %d/%d", msg,
+					pruned.NumClusters, pruned.CorePoints, plain.NumClusters, plain.CorePoints)
+			}
+			if inst.name == "euclidean" && !pruned.Stats.Prune.Fired() {
+				t.Fatalf("%s: prune counters never fired: %+v", msg, pruned.Stats.Prune)
 			}
 		}
 	}

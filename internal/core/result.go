@@ -40,14 +40,13 @@ type Stats struct {
 	HeapPushes   int // priority-queue insertions
 	EdgesVisited int // adjacency entries examined
 	GroupsRead   int // point-group fetches
-	RangeQueries int // ε-range queries issued (DBSCAN: one per point its edge leaves short; see workers_contract_test.go)
+	RangeQueries int // ε-range queries issued (DBSCAN: one per point its edge leaves short; see label_contract_test.go)
 
 	// CritNs and WallNs time density clustering through the snapshot's
-	// native labeller (network.LabelKernel): CritNs is the critical path —
-	// the slowest worker stripe of each striped pass plus everything serial —
-	// i.e. what a host with one core per worker would pay, WallNs the
-	// realized wall time on this host. Both zero for runs on the generic
-	// labeller.
+	// native labeller (network.LabelKernel): WallNs is the realized wall
+	// time, and CritNs equals it, since the labeller runs on the caller's
+	// goroutine; CritNs stays only because benchmark/ reads it (ROADMAP item
+	// 1 (A)). Both zero for runs on the generic labeller.
 	CritNs int64
 	WallNs int64
 
@@ -90,20 +89,6 @@ func CountClusters(labels []int32) int {
 		count += bits.OnesCount64(w)
 	}
 	return count
-}
-
-// ClusterSizes returns the size of every non-noise cluster keyed by label,
-// and the number of noise points.
-func ClusterSizes(labels []int32) (sizes map[int32]int, noise int) {
-	sizes = make(map[int32]int)
-	for _, l := range labels {
-		if l == Noise {
-			noise++
-		} else {
-			sizes[l]++
-		}
-	}
-	return sizes, noise
 }
 
 // SuppressSmallClusters relabels clusters with fewer than minSup members to

@@ -9,18 +9,10 @@ import (
 	"netclus/internal/core"
 )
 
-func TestCountClustersAndSizes(t *testing.T) {
+func TestCountClusters(t *testing.T) {
 	labels := []int32{0, 0, 1, core.Noise, 2, 2, 2, core.Noise}
 	if n := core.CountClusters(labels); n != 3 {
 		t.Fatalf("CountClusters = %d", n)
-	}
-	sizes, noise := core.ClusterSizes(labels)
-	if noise != 2 {
-		t.Fatalf("noise = %d", noise)
-	}
-	want := map[int32]int{0: 2, 1: 1, 2: 3}
-	if !reflect.DeepEqual(sizes, want) {
-		t.Fatalf("sizes = %v", sizes)
 	}
 	if n := core.CountClusters(nil); n != 0 {
 		t.Fatalf("empty CountClusters = %d", n)

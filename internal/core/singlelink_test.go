@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"netclus/internal/core"
@@ -201,42 +200,33 @@ func TestSingleLinkEmptyAndTiny(t *testing.T) {
 }
 
 // cancelAt is a graph that cancels a context from inside its at-th Neighbors
-// call, counted across the read views a multi-worker run takes of it. With
+// call. With
 // kernel set the graph keeps its expansion kernel, so Single-Link takes the
 // kernel path and the calls counted are those of its candidate sweep
 // (k-medoids: of the seed loop of its incremental update).
 type cancelAt struct {
 	network.Graph
 	at     int64
-	calls  *atomic.Int64
+	calls  int64
 	cancel context.CancelFunc
 }
 
 func newCancelAt(g network.Graph, at int, cancel context.CancelFunc) *cancelAt {
-	return &cancelAt{Graph: g, at: int64(at), calls: new(atomic.Int64), cancel: cancel}
+	return &cancelAt{Graph: g, at: int64(at), cancel: cancel}
 }
 
 func (c *cancelAt) Neighbors(n network.NodeID) ([]network.Neighbor, error) {
-	if c.calls.Add(1) == c.at {
+	if c.calls++; c.calls == c.at {
 		c.cancel()
 	}
 	return c.Graph.Neighbors(n)
 }
 
-func (c *cancelAt) ReadView() network.Graph {
-	v := *c
-	v.Graph = network.ReadView(c.Graph)
-	return &v
-}
-
-// cancelAtKernel's kernels are safe for concurrent use, so it is its own read
-// view (the promoted one would drop the kernel).
+// cancelAtKernel is a cancelAt that keeps g's expansion kernel.
 type cancelAtKernel struct {
 	*cancelAt
 	network.NearestExpander
 }
-
-func (c cancelAtKernel) ReadView() network.Graph { return c }
 
 // cancelWrap wraps g so that its at-th adjacency read cancels, keeping g's
 // expansion kernel when it has one.
@@ -266,7 +256,7 @@ func TestSingleLinkCancelled(t *testing.T) {
 			}
 			res, err := core.SingleLinkCtx(ctx, wrapped, core.SingleLinkOptions{})
 			cancel()
-			if n := c.calls.Load(); n < int64(at) {
+			if n := c.calls; n < int64(at) {
 				t.Fatalf("%s: only %d adjacency reads, the cancel at %d never fired", bk.name, n, at)
 			}
 			if !errors.Is(err, context.Canceled) || res != nil {

@@ -10,11 +10,13 @@ import (
 	"netclus/internal/testnet"
 )
 
-// TestLabelKernelWorkersContract pins the Workers contract of both labellers —
-// the snapshot's flat kernel and the generic three-pass engine — on every
-// backend: Workers is a concurrency knob, 0 and 1 are the same run, and 4
-// workers change nothing but the wall clock: identical labels, core flags,
-// counts and Stats.RangeQueries.
+// TestLabelKernelWorkersContract pins what both labellers — the snapshot's
+// flat kernel and the generic three-pass engine — report besides their
+// labels, on every backend, against the brute-force oracle: DBSCAN's cluster
+// and core counts, ε-Link's min_sup filter with its found and kept counts,
+// and the work and timing stats. Workers is accepted and ignored, so 0, 1
+// and 4 are the same run: identical labels, core flags, counts and
+// Stats.RangeQueries.
 //
 // Stats.RangeQueries tells the truth: DBSCAN queries exactly the points whose
 // own edge leaves them short of MinPts under its labeller's same-edge
@@ -42,6 +44,7 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					labels := matrix.DBSCAN(bk.dist, eps, minPts)
 					opts := core.DBSCANOptions{Eps: eps, MinPts: minPts}
 					if pruned {
 						opts.Prune = bk.bounds
@@ -61,6 +64,16 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 							t.Fatalf("%s eps=%v minPts=%d pruned=%v: Workers %d is not the Workers 0 run (%d vs %d range queries)",
 								bk.name, eps, minPts, pruned, workers, got.Stats.RangeQueries, w0.Stats.RangeQueries)
 						}
+						cores := 0
+						for _, c := range got.Core {
+							if c {
+								cores++
+							}
+						}
+						if !reflect.DeepEqual(labels, got.Labels) || got.NumClusters != core.CountClusters(labels) || got.CorePoints != cores {
+							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d clusters and %d core points (%d flagged), the oracle %d clusters",
+								bk.name, eps, minPts, workers, pruned, got.NumClusters, got.CorePoints, cores, core.CountClusters(labels))
+						}
 						if q := got.Stats.RangeQueries; q != want {
 							t.Fatalf("%s eps=%v minPts=%d workers=%d pruned=%v: %d range queries, %d of %d points are short on their edge",
 								bk.name, eps, minPts, workers, pruned, q, want, bk.g.NumPoints())
@@ -74,18 +87,32 @@ func TestLabelKernelWorkersContract(t *testing.T) {
 			}
 		}
 		for _, eps := range []float64{0.05, 0.15, 0.4} {
+			want := matrix.EpsComponents(bk.dist, eps, 1)
+			sizes := make(map[int32]int)
+			for _, l := range want {
+				sizes[l]++
+			}
+			kept := 0
+			for _, size := range sizes {
+				if size >= 3 {
+					kept++
+				}
+			}
+			for i, l := range want {
+				if sizes[l] < 3 {
+					want[i] = core.Noise
+				}
+			}
 			opts := core.EpsLinkOptions{Eps: eps, MinSup: 3}
-			var w0 *core.EpsLinkResult
 			for _, workers := range []int{0, 1, 4} {
 				opts.Workers = workers
 				got, err := core.EpsLinkCtx(ctx, bk.g, opts)
 				if err != nil {
 					t.Fatalf("%s eps=%v workers=%d: %v", bk.name, eps, workers, err)
 				}
-				if workers == 0 {
-					w0 = got
-				} else if !reflect.DeepEqual(w0.Labels, got.Labels) || w0.NumClusters != got.NumClusters || w0.ClustersFound != got.ClustersFound {
-					t.Fatalf("%s eps=%v: Workers %d is not the Workers 0 run", bk.name, eps, workers)
+				if !reflect.DeepEqual(want, got.Labels) || got.NumClusters != kept || got.ClustersFound != len(sizes) {
+					t.Fatalf("%s eps=%v workers=%d: found %d/%d clusters, the oracle %d/%d, or the labels differ",
+						bk.name, eps, workers, got.NumClusters, got.ClustersFound, kept, len(sizes))
 				}
 				if got.Stats.RangeQueries != 0 {
 					t.Fatalf("%s eps=%v workers=%d: eps-Link booked %d range queries", bk.name, eps, workers, got.Stats.RangeQueries)

@@ -22,6 +22,8 @@ import (
 // network distances. Both slices are scratch-owned and reused by the next
 // query on the same worker; copy anything retained. A non-nil error from
 // visit (or from a query) stops the remaining batches and is returned.
+// The live maintainer passes workers 1; only benchmark/layers.go fans out
+// (ROADMAP item 1 (A)).
 func (s *Snapshot) RangeEach(ctx context.Context, pts []network.PointID, eps float64, workers int, visit func(i int, p network.PointID, res []network.PointID, dists []float64) error) error {
 	if workers < 1 {
 		workers = 1
@@ -151,7 +153,8 @@ func (b *KNNBatch) Len() int { return len(b.pts) }
 // Run answers every queued query, fanning across workers goroutines with
 // pooled scratches. Per-query validation failures (point out of range,
 // k < 1) are recorded for Err and do not disturb other queries; only
-// cancellation aborts the sweep and is returned.
+// cancellation aborts the sweep and is returned. Only benchmark/layers.go
+// calls it (ROADMAP item 1 (A)).
 func (b *KNNBatch) Run(ctx context.Context, workers int) error {
 	n := len(b.pts)
 	if n == 0 {

@@ -58,7 +58,8 @@ func (s *Snapshot) acquireCluster(workers int) *clusterState {
 // per-stripe times meaningless — the stripes run sequentially on the
 // caller's goroutine. Either way every stripe is timed individually and
 // CritNs reports the slowest one: the pass's cost on a host with one core
-// per worker.
+// per worker. Only CoreFlags and EpsUnions stripe, for benchmark/layers.go
+// (ROADMAP item 1 (A)).
 func (s *Snapshot) clusterRun(ctx context.Context, n, workers int, stripe func(w, lo, hi int, sc *Scratch) (int, error)) (network.ClusterStats, error) {
 	var out network.ClusterStats
 	if n == 0 {
@@ -120,7 +121,8 @@ func (s *Snapshot) clusterRun(ctx context.Context, n, workers int, stripe func(w
 // early-exited at minPts, fanned across workers stripes. With a non-nil
 // prune every expansion runs the filter-and-refine path instead (identical
 // flags, counters in the stats). Held for benchmark/layers.go's
-// csr.coreflags_* probe and the tests; no product caller.
+// csr.coreflags_* probe and the tests; no product caller (ROADMAP item
+// 1 (A)).
 func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune network.Bounder, core []bool) (network.ClusterStats, error) {
 	n := len(s.ptPos)
 	if len(core) != n {
@@ -180,7 +182,8 @@ func (s *Snapshot) CoreFlags(ctx context.Context, eps float64, minPts, workers i
 // unioned exactly once (at its larger endpoint's sweep — both endpoints see
 // the symmetric distance, so halving the union volume loses nothing), and
 // every (unselected, selected) incidence is reported through border. Held
-// for benchmark/layers.go's csr.epsunions_* probe; no product caller.
+// for benchmark/layers.go's csr.epsunions_* probe; no product caller
+// (ROADMAP item 1 (A)).
 func (s *Snapshot) EpsUnions(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c network.PointID)) (network.ClusterStats, error) {
 	n := len(s.ptPos)
 	if sel != nil && len(sel) != n {

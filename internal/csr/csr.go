@@ -107,7 +107,7 @@ type kernelPools struct {
 	prange sync.Pool
 
 	// cluster recycles the per-stripe coordination state of the striped
-	// clustering passes (CoreFlags / EpsUnions / DBSCANLabels).
+	// clustering passes (CoreFlags / EpsUnions).
 	cluster sync.Pool
 
 	// eps recycles the label kernel's state: the flat-array Fig. 6 traversal

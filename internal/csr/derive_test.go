@@ -138,7 +138,7 @@ func TestDerivedViewReadsAllocateNothing(t *testing.T) {
 		}},
 		"DBSCAN": {0, func(v network.Graph) error {
 			n := v.NumPoints()
-			_, _, _, err := v.(network.LabelKernel).DBSCANLabels(ctx, 2, 3, 1, labels[:n], core[:n])
+			_, _, _, err := v.(network.LabelKernel).DBSCANLabels(ctx, 2, 3, labels[:n], core[:n])
 			return err
 		}},
 		"eps-Link": {0, func(v network.Graph) error {

@@ -43,10 +43,10 @@ type epsState struct {
 	sizes   []int32 // per-cluster member counts, indexed by label
 	cnt     int32   // members of the cluster being grown
 
-	// side holds, per stripe of DBSCAN's flag pass, one record
-	// [p, k, q1..qk] for every non-core point p: the k < MinPts points its
-	// finished expansion saw, from which the border pass picks p's cluster.
-	side [][]network.PointID
+	// side holds DBSCAN's flag pass's one record [p, k, q1..qk] for every
+	// non-core point p: the k < MinPts points its finished expansion saw,
+	// from which the border pass picks p's cluster.
+	side []network.PointID
 }
 
 // acquireEps draws a pooled state with every point selected and unclustered.

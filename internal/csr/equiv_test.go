@@ -362,22 +362,8 @@ func TestClusteringByteIdentical(t *testing.T) {
 				}
 				return [2]any{r.Labels, r.NumClusters}, nil
 			})
-			run("EpsLink/parallel", func(b network.Graph) (any, error) {
-				r, err := core.EpsLinkCtx(ctx, b, core.EpsLinkOptions{Eps: 1.2, MinSup: 2, Workers: 4})
-				if err != nil {
-					return nil, err
-				}
-				return [2]any{r.Labels, r.NumClusters}, nil
-			})
 			run("DBSCAN", func(b network.Graph) (any, error) {
 				r, err := core.DBSCANCtx(ctx, b, core.DBSCANOptions{Eps: 1.2, MinPts: 3})
-				if err != nil {
-					return nil, err
-				}
-				return [3]any{r.Labels, r.Core, r.NumClusters}, nil
-			})
-			run("DBSCAN/parallel", func(b network.Graph) (any, error) {
-				r, err := core.DBSCANCtx(ctx, b, core.DBSCANOptions{Eps: 1.2, MinPts: 3, Workers: 4})
 				if err != nil {
 					return nil, err
 				}

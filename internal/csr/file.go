@@ -47,8 +47,7 @@ var (
 
 // WriteTo serializes the snapshot into the durable page-aligned section
 // format, returning the bytes written. The result round-trips through
-// OpenSnapshot/ReadSnapshot to a snapshot that serves byte-identical
-// results.
+// OpenSnapshot to a snapshot that serves byte-identical results.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	meta := make([]byte, snapMetaLen)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(s.stats.Nodes))
@@ -126,15 +125,6 @@ func WriteSnapshotFile(s *Snapshot, path string) error {
 // errors (wrapped), never a panic.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data)
-}
-
-// ReadSnapshot loads a snapshot from a stream (see OpenSnapshot).
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := decodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Differential tests for the snapshot's label kernel (network.LabelKernel):
 // the three-pass DBSCAN must reproduce the generic labeller's run on the
-// pointer network and the internal/matrix brute force byte for byte, at every
-// Workers value, on hand-built shapes that aim at the selection-mask logic of
+// pointer network and the internal/matrix brute force byte for byte, on
+// hand-built shapes that aim at the selection-mask logic of
 // the core-restricted Fig. 6 growth — and it must query exactly the points
 // whose own edge leaves them short of minPts.
 package csr_test
@@ -39,8 +39,8 @@ func buildShape(t testing.TB, s testnet.Shape, numbering int) *network.Network {
 }
 
 // checkLabelKernelDBSCAN runs DBSCAN(eps, minPts) on the pointer network g
-// (sequential), on the brute-force matrix and on the compiled snapshot at
-// Workers 0, 1 and 4, and demands byte-identical results and, from each
+// (sequential), on the brute-force matrix and on the compiled snapshot, and
+// demands byte-identical results and, from each
 // labeller, one range query per point its edge leaves short
 // (matrix.FlagQueries under that labeller's same-edge relation).
 func checkLabelKernelDBSCAN(t *testing.T, g *network.Network, dist [][]float64, eps float64, minPts int) {
@@ -74,21 +74,19 @@ func checkLabelKernelDBSCAN(t *testing.T, g *network.Network, dist [][]float64, 
 		t.Fatal(err)
 	}
 	sn := compile(t, g)
-	for _, workers := range []int{0, 1, 4} {
-		got, err := core.DBSCANCtx(ctx, sn, core.DBSCANOptions{Eps: eps, MinPts: minPts, Workers: workers})
-		if err != nil {
-			t.Fatalf("eps=%v minPts=%d workers=%d: %v", eps, minPts, workers, err)
-		}
-		if !reflect.DeepEqual(want.Labels, got.Labels) {
-			t.Fatalf("eps=%v minPts=%d workers=%d: labels\nwant %v\ngot  %v", eps, minPts, workers, want.Labels, got.Labels)
-		}
-		if !reflect.DeepEqual(want.Core, got.Core) || want.CorePoints != got.CorePoints || want.NumClusters != got.NumClusters {
-			t.Fatalf("eps=%v minPts=%d workers=%d: core flags or counts differ (%d/%d cores, %d/%d clusters)",
-				eps, minPts, workers, got.CorePoints, want.CorePoints, got.NumClusters, want.NumClusters)
-		}
-		if got.Stats.RangeQueries != short {
-			t.Fatalf("eps=%v minPts=%d workers=%d: %d range queries, %d points are short on their edge", eps, minPts, workers, got.Stats.RangeQueries, short)
-		}
+	got, err := core.DBSCANCtx(ctx, sn, core.DBSCANOptions{Eps: eps, MinPts: minPts})
+	if err != nil {
+		t.Fatalf("eps=%v minPts=%d: %v", eps, minPts, err)
+	}
+	if !reflect.DeepEqual(want.Labels, got.Labels) {
+		t.Fatalf("eps=%v minPts=%d: labels\nwant %v\ngot  %v", eps, minPts, want.Labels, got.Labels)
+	}
+	if !reflect.DeepEqual(want.Core, got.Core) || want.CorePoints != got.CorePoints || want.NumClusters != got.NumClusters {
+		t.Fatalf("eps=%v minPts=%d: core flags or counts differ (%d/%d cores, %d/%d clusters)",
+			eps, minPts, got.CorePoints, want.CorePoints, got.NumClusters, want.NumClusters)
+	}
+	if got.Stats.RangeQueries != short {
+		t.Fatalf("eps=%v minPts=%d: %d range queries, %d points are short on their edge", eps, minPts, got.Stats.RangeQueries, short)
 	}
 }
 
@@ -127,7 +125,7 @@ func TestLabelKernelDBSCANZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.DBSCAN(storeCompile(t, g), core.DBSCANOptions{Eps: 0.6, MinPts: 3, Workers: 2})
+			got, err := core.DBSCAN(storeCompile(t, g), core.DBSCANOptions{Eps: 0.6, MinPts: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,8 +189,7 @@ func TestLabelKernelShapesAreWhatTheyClaim(t *testing.T) {
 
 // TestLabelKernelEpsLinkShapes checks that threading the selection state
 // through the growth left the unmasked run alone: ε-Link on the snapshot still
-// equals the generic Fig. 6 run and the brute-force ε-components, at every
-// Workers value.
+// equals the generic Fig. 6 run and the brute-force ε-components.
 func TestLabelKernelEpsLinkShapes(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range shapeGraphs(t) {
@@ -212,14 +209,12 @@ func TestLabelKernelEpsLinkShapes(t *testing.T) {
 					if brute := matrix.EpsComponents(dist, eps, 1); minSup == 1 && !reflect.DeepEqual(brute, want.Labels) {
 						t.Fatalf("eps=%v minSup=%d: generic run diverged from the matrix oracle", eps, minSup)
 					}
-					for _, workers := range []int{0, 1, 4} {
-						got, err := core.EpsLinkCtx(ctx, sn, core.EpsLinkOptions{Eps: eps, MinSup: minSup, Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(want.Labels, got.Labels) || want.NumClusters != got.NumClusters || want.ClustersFound != got.ClustersFound {
-							t.Fatalf("eps=%v minSup=%d workers=%d: labels\nwant %v\ngot  %v", eps, minSup, workers, want.Labels, got.Labels)
-						}
+					got, err := core.EpsLinkCtx(ctx, sn, core.EpsLinkOptions{Eps: eps, MinSup: minSup})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want.Labels, got.Labels) || want.NumClusters != got.NumClusters || want.ClustersFound != got.ClustersFound {
+						t.Fatalf("eps=%v minSup=%d: labels\nwant %v\ngot  %v", eps, minSup, want.Labels, got.Labels)
 					}
 				}
 			}
@@ -228,8 +223,8 @@ func TestLabelKernelEpsLinkShapes(t *testing.T) {
 }
 
 // TestLabelKernelZeroAlloc gates the steady state of both labellers: the
-// growth pass (EpsLinkLabels is exactly that) and, at one worker, the whole
-// three-pass DBSCAN run on pooled state.
+// growth pass (EpsLinkLabels is exactly that) and the whole three-pass DBSCAN
+// run on pooled state.
 func TestLabelKernelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector shadow updates allocate")
@@ -247,8 +242,8 @@ func TestLabelKernelZeroAlloc(t *testing.T) {
 			_, _, err := sn.EpsLinkLabels(ctx, 1.2, 3, labels)
 			return err
 		},
-		"DBSCANLabels/workers=1": func() error {
-			_, _, _, err := sn.DBSCANLabels(ctx, 1.2, 3, 1, labels, flags)
+		"DBSCANLabels": func() error {
+			_, _, _, err := sn.DBSCANLabels(ctx, 1.2, 3, labels, flags)
 			return err
 		},
 	} {
@@ -276,19 +271,19 @@ func TestLabelKernelValidation(t *testing.T) {
 	ctx := context.Background()
 	for name, call := range map[string]func() error{
 		"short labels": func() error {
-			_, _, _, err := sn.DBSCANLabels(ctx, 1, 3, 1, make([]int32, n-1), make([]bool, n))
+			_, _, _, err := sn.DBSCANLabels(ctx, 1, 3, make([]int32, n-1), make([]bool, n))
 			return err
 		},
 		"short core": func() error {
-			_, _, _, err := sn.DBSCANLabels(ctx, 1, 3, 1, make([]int32, n), make([]bool, n-1))
+			_, _, _, err := sn.DBSCANLabels(ctx, 1, 3, make([]int32, n), make([]bool, n-1))
 			return err
 		},
 		"eps": func() error {
-			_, _, _, err := sn.DBSCANLabels(ctx, 0, 3, 1, make([]int32, n), make([]bool, n))
+			_, _, _, err := sn.DBSCANLabels(ctx, 0, 3, make([]int32, n), make([]bool, n))
 			return err
 		},
 		"minPts": func() error {
-			_, _, _, err := sn.DBSCANLabels(ctx, 1, 0, 1, make([]int32, n), make([]bool, n))
+			_, _, _, err := sn.DBSCANLabels(ctx, 1, 0, make([]int32, n), make([]bool, n))
 			return err
 		},
 	} {
@@ -298,7 +293,7 @@ func TestLabelKernelValidation(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, _, err := sn.DBSCANLabels(cctx, 1, 3, 2, make([]int32, n), make([]bool, n)); err == nil {
+	if _, _, _, err := sn.DBSCANLabels(cctx, 1, 3, make([]int32, n), make([]bool, n)); err == nil {
 		t.Fatal("cancelled context: no error")
 	}
 }

@@ -1,8 +1,9 @@
-// Tests for clustering on the compiled snapshot at explicit worker counts:
-// the label kernel (see label_kernel_test.go for its differential suite) must
-// be byte-identical to the generic labeller on the pointer network on every
-// worker count, Snapshot.CoreFlags must agree with brute-force neighbourhood
-// counting, and its sequential steady state must not allocate.
+// Tests for clustering on the compiled snapshot: the label kernel (see
+// label_kernel_test.go for its differential suite) must be byte-identical to
+// the generic labeller on the pointer network at every Workers value (which
+// DBSCAN and ε-Link accept and ignore), Snapshot.CoreFlags must agree with
+// brute-force neighbourhood counting at every worker count, and its
+// sequential steady state must not allocate.
 package csr_test
 
 import (
@@ -19,9 +20,10 @@ import (
 )
 
 // TestParallelEngineByteIdentical sweeps DBSCAN and ε-Link over the graph
-// zoo: the snapshot at every worker count must reproduce the sequential
-// generic run on the pointer network exactly — labels, core flags, cluster
-// counts — on both the memory-compiled and the store-compiled snapshot.
+// zoo: the snapshot must reproduce the generic run on the pointer network
+// exactly — labels, core flags, cluster counts — on both the memory-compiled
+// and the store-compiled snapshot, and the Workers value the options carry
+// must change nothing.
 func TestParallelEngineByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range instances(t) {
@@ -46,7 +48,7 @@ func TestParallelEngineByteIdentical(t *testing.T) {
 					}
 					if !reflect.DeepEqual(wantDB.Labels, db.Labels) || !reflect.DeepEqual(wantDB.Core, db.Core) ||
 						wantDB.NumClusters != db.NumClusters || wantDB.CorePoints != db.CorePoints {
-						t.Fatalf("%s workers=%d: DBSCAN diverged from sequential network run", bk, workers)
+						t.Fatalf("%s workers=%d: DBSCAN diverged from the network run", bk, workers)
 					}
 					el, err := core.EpsLinkCtx(ctx, b, core.EpsLinkOptions{Eps: 1.2, MinSup: 2, Workers: workers})
 					if err != nil {
@@ -54,7 +56,7 @@ func TestParallelEngineByteIdentical(t *testing.T) {
 					}
 					if !reflect.DeepEqual(wantEL.Labels, el.Labels) || wantEL.NumClusters != el.NumClusters ||
 						wantEL.ClustersFound != el.ClustersFound {
-						t.Fatalf("%s workers=%d: EpsLink diverged from sequential network run", bk, workers)
+						t.Fatalf("%s workers=%d: EpsLink diverged from the network run", bk, workers)
 					}
 				}
 			}
@@ -157,11 +159,12 @@ func TestCoreFlagsZeroAlloc(t *testing.T) {
 // FuzzParallelDBSCAN derives (network, eps, minPts, workers) from the fuzz
 // input and checks DBSCAN on the compiled snapshot against the brute-force
 // oracle and against the other family, the generic labeller on the source
-// network, and each family's range-query count against matrix.FlagQueries.
-// A non-negative seed generates a random network; a negative one
-// picks a shared hand-built shape (testnet.Shapes; -1, -2, -3 are the first
-// shape as written, mirrored and twisted, and so on), so mutation starts from
-// the inputs the mask logic can get wrong.
+// network, and each family's range-query count against matrix.FlagQueries;
+// the Workers value, accepted and ignored, must change none of them. A
+// non-negative seed generates a random network; a negative one picks a
+// shared hand-built shape (testnet.Shapes; -1, -2, -3 are the first shape as
+// written, mirrored and twisted, and so on), so mutation starts from the
+// inputs the mask logic can get wrong.
 func FuzzParallelDBSCAN(f *testing.F) {
 	f.Add(int64(1), float64(0.8), uint8(3), uint8(2))
 	f.Add(int64(7), float64(1.5), uint8(1), uint8(4))

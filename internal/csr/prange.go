@@ -85,7 +85,8 @@ func (s *Snapshot) releasePrange(ps *prState) { s.pools.prange.Put(ps) }
 // perform once the value is final — so after the merge fold every node and
 // point distance equals the sequential kernel's, bit for bit, and the
 // canonical sort fixes the order. Property and race tests assert equality
-// against Scratch.run across worker counts.
+// against Scratch.run across worker counts. Only benchmark/layers.go calls
+// it (ROADMAP item 1 (A)).
 func (s *Snapshot) RangeQueryDistParallel(ctx context.Context, p network.PointID, eps float64, workers int) ([]network.PointDist, error) {
 	return s.RangeQueryDistParallelInto(ctx, p, eps, workers, nil)
 }

@@ -5,26 +5,6 @@ import (
 	"fmt"
 )
 
-// ViewCloner is implemented by Graphs that can mint independent read views
-// sharing the same underlying data. A view belongs to one goroutine: its
-// query methods may reuse per-view buffers, but any number of views can
-// query concurrently. The disk store implements it; the in-memory Network
-// is immutable and needs no views.
-type ViewCloner interface {
-	// ReadView returns a read view of the graph for use by one goroutine.
-	ReadView() Graph
-}
-
-// ReadView returns a graph view that one goroutine may query while other
-// goroutines query their own views of g: g.ReadView() when g implements
-// ViewCloner, else g itself (immutable in-memory graphs are safe to share).
-func ReadView(g Graph) Graph {
-	if vc, ok := g.(ViewCloner); ok {
-		return vc.ReadView()
-	}
-	return g
-}
-
 // cancelCheckMask paces the context checks inside traversal loops: the
 // context is polled once every cancelCheckMask+1 iterations, keeping the
 // overhead of cancellation support off the hot path.

@@ -146,23 +146,6 @@ func DirectPointDist(p, q PointInfo) float64 {
 	return math.Abs(p.Pos - q.Pos)
 }
 
-// DirectNodeDist is d_L(p, n) for a point and a node of its own edge
-// (Definition 2): the along-edge distance. It returns +Inf when n is not an
-// endpoint of p's edge.
-func DirectNodeDist(p PointInfo, n NodeID) float64 {
-	switch n {
-	case p.N1:
-		return p.Pos
-	case p.N2:
-		return p.Weight - p.Pos
-	default:
-		return Inf
-	}
-}
-
-// SameEdge reports whether two points lie on the same edge.
-func SameEdge(p, q PointInfo) bool { return p.N1 == q.N1 && p.N2 == q.N2 }
-
 // EdgeWeight returns W(u, v) by scanning u's adjacency list.
 // It returns ErrNoEdge when the edge does not exist.
 func EdgeWeight(g Graph, u, v NodeID) (float64, error) {
@@ -176,19 +159,4 @@ func EdgeWeight(g Graph, u, v NodeID) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w: (%d,%d)", ErrNoEdge, u, v)
-}
-
-// EdgeGroup returns the point group lying on edge (u, v), or NoGroup.
-// It returns ErrNoEdge when the edge does not exist.
-func EdgeGroup(g Graph, u, v NodeID) (GroupID, error) {
-	adj, err := g.Neighbors(u)
-	if err != nil {
-		return NoGroup, err
-	}
-	for _, nb := range adj {
-		if nb.Node == v {
-			return nb.Group, nil
-		}
-	}
-	return NoGroup, fmt.Errorf("%w: (%d,%d)", ErrNoEdge, u, v)
 }

@@ -150,18 +150,6 @@ func TestDirectDistances(t *testing.T) {
 	if d := network.DirectPointDist(p2, p1); !math.IsInf(d, 1) {
 		t.Fatalf("d_L(p2,p1) = %v, want +Inf", d)
 	}
-	if d := network.DirectNodeDist(p1, 0); math.Abs(d-1.2) > 1e-12 {
-		t.Fatalf("d_L(p1,n1) = %v, want 1.2", d)
-	}
-	if d := network.DirectNodeDist(p1, 1); math.Abs(d-1.5) > 1e-12 {
-		t.Fatalf("d_L(p1,n2) = %v, want 1.5", d)
-	}
-	if d := network.DirectNodeDist(p1, 5); !math.IsInf(d, 1) {
-		t.Fatal("d_L to a non-endpoint must be +Inf")
-	}
-	if !network.SameEdge(p2, p3) || network.SameEdge(p1, p2) {
-		t.Fatal("SameEdge misclassified")
-	}
 }
 
 func TestPaper1NodeDistance(t *testing.T) {
@@ -191,14 +179,6 @@ func TestEdgeHelpers(t *testing.T) {
 	}
 	if _, err := network.EdgeWeight(n, 0, 5); err == nil {
 		t.Fatal("want ErrNoEdge")
-	}
-	g, err := network.EdgeGroup(n, 0, 1)
-	if err != nil || g == network.NoGroup {
-		t.Fatalf("EdgeGroup(0,1) = %v, %v", g, err)
-	}
-	g2, err := network.EdgeGroup(n, 2, 3)
-	if err != nil || g2 != network.NoGroup {
-		t.Fatalf("EdgeGroup(2,3) = %v, %v; want NoGroup", g2, err)
 	}
 	u, v := network.CanonEdge(5, 2)
 	if u != 2 || v != 5 {

@@ -214,20 +214,21 @@ func (r KNNRequest) Values() url.Values {
 
 // ClusterRequest is /v1/{dataset}/cluster for dbscan, epslink and kmedoids.
 // Every field can arrive as a query parameter on GET or as the JSON body of a
-// POST; both decode paths land on the same canonical form. Workers affects
-// DBSCAN only, which stripes its flag pass across that many goroutines;
-// ε-Link and k-medoids run in order at every value.
+// POST; both decode paths land on the same canonical form.
 type ClusterRequest struct {
-	Algo     string  `json:"algo"`
-	Eps      float64 `json:"eps"`
-	MinPts   int     `json:"minpts"`
-	MinSup   int     `json:"minsup"`
-	K        int     `json:"k"`
-	Workers  int     `json:"workers"`
-	Restarts int     `json:"restarts"`
-	Seed     int64   `json:"seed"`
-	Labels   bool    `json:"labels"`
-	Prune    *bool   `json:"prune,omitempty"`
+	Algo   string  `json:"algo"`
+	Eps    float64 `json:"eps"`
+	MinPts int     `json:"minpts"`
+	MinSup int     `json:"minsup"`
+	K      int     `json:"k"`
+	// Workers changes nothing: every algorithm runs on one goroutine. It is
+	// still decoded and rendered because benchmark/ sends it (ROADMAP item
+	// 1 (A)); it is not part of Canonical.
+	Workers  int   `json:"workers"`
+	Restarts int   `json:"restarts"`
+	Seed     int64 `json:"seed"`
+	Labels   bool  `json:"labels"`
+	Prune    *bool `json:"prune,omitempty"`
 }
 
 // clusterDefaults is the canonical zero request.
@@ -328,16 +329,14 @@ func (r ClusterRequest) PruneEnabled() bool {
 	return r.Prune == nil || *r.Prune
 }
 
-// Canonical returns the stable cache-key fragment of the request. Servers
-// canonicalize after clamping Workers to their configured cap, so the key
-// names the parameters actually executed.
+// Canonical returns the stable cache-key fragment of the request. It leaves
+// out Workers, which changes no answer, so equal jobs share one entry.
 func (r ClusterRequest) Canonical() string {
 	return "algo=" + r.Algo +
 		"&eps=" + canonFloat(r.Eps) +
 		"&minpts=" + strconv.Itoa(r.MinPts) +
 		"&minsup=" + strconv.Itoa(r.MinSup) +
 		"&k=" + strconv.Itoa(r.K) +
-		"&workers=" + strconv.Itoa(r.Workers) +
 		"&restarts=" + strconv.Itoa(r.Restarts) +
 		"&seed=" + strconv.FormatInt(r.Seed, 10) +
 		"&labels=" + canonBool(r.Labels) +

@@ -237,11 +237,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 		s.bodyError(w, err)
 		return
 	}
-	// Clamp before canonicalizing so the cache key names the parameters
-	// actually executed under this server's worker cap.
-	if req.Workers > s.cfg.MaxClusterWorkers {
-		req.Workers = s.cfg.MaxClusterWorkers
-	}
 	va := d.viewAt()
 	k := cacheKey{epoch: va.epoch, endpoint: "cluster", canonical: req.Canonical()}
 	s.cachedRead(w, r, d, k, func() ([]byte, error) {
@@ -305,14 +300,14 @@ func runCluster(ctx context.Context, d *Dataset, g netclus.Graph, req api.Cluste
 	)
 	switch req.Algo {
 	case "dbscan":
-		opts := netclus.DBSCANOptions{Eps: req.Eps, MinPts: req.MinPts, Workers: req.Workers, Prune: bounds}
+		opts := netclus.DBSCANOptions{Eps: req.Eps, MinPts: req.MinPts, Prune: bounds}
 		res, err := netclus.DBSCANCtx(ctx, g, opts)
 		if err != nil {
 			return nil, err
 		}
 		labels, stats, resp.CorePoints = res.Labels, res.Stats, res.CorePoints
 	case "epslink":
-		opts := netclus.EpsLinkOptions{Eps: req.Eps, MinSup: req.MinSup, Workers: req.Workers}
+		opts := netclus.EpsLinkOptions{Eps: req.Eps, MinSup: req.MinSup}
 		res, err := netclus.EpsLinkCtx(ctx, g, opts)
 		if err != nil {
 			return nil, err

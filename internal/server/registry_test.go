@@ -127,18 +127,16 @@ func TestBackendContract(t *testing.T) {
 		for _, q := range []string{"eps=25", "eps=25", "eps=12.5"} {
 			getJSON(t, h, "/v1/"+name+"/range?p=3&dists=1&"+q, http.StatusOK, nil)
 		}
-		for _, workers := range []int{0, 1, 4} {
-			var cr api.ClusterResponse
-			getJSON(t, h, fmt.Sprintf("/v1/%s%s&workers=%d", name, clusterQ, workers), http.StatusOK, &cr)
-			if (cr.Prune != nil) != row.bounds {
-				t.Fatalf("%s workers=%d: prune block present = %v", name, workers, cr.Prune != nil)
-			}
-			if !reflect.DeepEqual(cold.Labels, cr.Labels) || cold.Clusters != cr.Clusters || cold.CorePoints != cr.CorePoints {
-				t.Fatalf("%s workers=%d: clustering differs from the cold dataset's", name, workers)
-			}
-			if row.hot && cr.Stats.RangeQueries != hotQueries {
-				t.Fatalf("%s workers=%d: %d range queries, %d points are short on their edge", name, workers, cr.Stats.RangeQueries, hotQueries)
-			}
+		var cr api.ClusterResponse
+		getJSON(t, h, "/v1/"+name+clusterQ, http.StatusOK, &cr)
+		if (cr.Prune != nil) != row.bounds {
+			t.Fatalf("%s: prune block present = %v", name, cr.Prune != nil)
+		}
+		if !reflect.DeepEqual(cold.Labels, cr.Labels) || cold.Clusters != cr.Clusters || cold.CorePoints != cr.CorePoints {
+			t.Fatalf("%s: clustering differs from the cold dataset's", name)
+		}
+		if row.hot && cr.Stats.RangeQueries != hotQueries {
+			t.Fatalf("%s: %d range queries, %d points are short on their edge", name, cr.Stats.RangeQueries, hotQueries)
 		}
 
 		const batch = `{"ops":[{"op":"insert","near":0,"pos":0.5}]}`

@@ -18,8 +18,8 @@ import (
 )
 
 // EndpointCosts sets the admission cost of each query endpoint in abstract
-// units. A clustering job touches every point of the dataset and fans out
-// workers, so its default cost is many times a point query's — the semaphore
+// units. A clustering job touches every point of the dataset, so its default
+// cost is many times a point query's — the semaphore
 // then guarantees heavy jobs can't occupy the whole server and starve kNN
 // traffic, and vice versa.
 type EndpointCosts struct {
@@ -68,9 +68,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// MaxClusterWorkers caps the workers parameter of clustering requests
-	// (default 8).
-	MaxClusterWorkers int
 	// ResultCacheBytes is the result cache's byte budget (0 = 64 MiB,
 	// negative = caching disabled).
 	ResultCacheBytes int64
@@ -109,9 +106,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxClusterWorkers <= 0 {
-		cfg.MaxClusterWorkers = 8
 	}
 	cfg.Costs = cfg.Costs.withDefaults()
 	if cfg.ResultCacheBytes == 0 {

@@ -13,9 +13,10 @@ import (
 )
 
 // TestShardParallelClusterEquivalence runs DBSCAN and ε-Link on partitioned
-// and adversarially scattered sets, worker counts past the shard count,
-// against the other labeller family — the flat kernel of one snapshot of the
-// whole network — and, for DBSCAN, the brute-force oracle.
+// and adversarially scattered sets against the other labeller family — the
+// flat kernel of one snapshot of the whole network — and, for DBSCAN, the
+// brute-force oracle. The Workers values, some past the shard count, are
+// accepted and ignored, so none may change a label.
 func TestShardParallelClusterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	g := testNetwork(t, 21, 80, 260)

@@ -295,20 +295,18 @@ func TestShardDBSCANEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 3} {
-				opts := core.DBSCANOptions{Eps: 0.5, MinPts: 3, Workers: workers}
-				want, err := core.DBSCAN(sn, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := core.DBSCAN(set, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Core, got.Core) ||
-					want.NumClusters != got.NumClusters {
-					t.Fatalf("shards=%d assign=%d workers=%d: DBSCAN labels differ", k, ai, workers)
-				}
+			opts := core.DBSCANOptions{Eps: 0.5, MinPts: 3}
+			want, err := core.DBSCAN(sn, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.DBSCAN(set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Core, got.Core) ||
+				want.NumClusters != got.NumClusters {
+				t.Fatalf("shards=%d assign=%d: DBSCAN labels differ", k, ai)
 			}
 		}
 	}

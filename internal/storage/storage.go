@@ -294,6 +294,12 @@ func bfsOrder(n *network.Network) ([]network.NodeID, error) {
 // ErrClosed is returned by queries on a Store after Close.
 var ErrClosed = errors.New("storage: store closed")
 
+// ErrCorrupt is wrapped by every error for a decoded value that no Build
+// writes: an edge weight that is not finite and > 0, or a point offset
+// outside [0, W] or out of ascending order — the values the .ncs loader and
+// network.Builder refuse.
+var ErrCorrupt = errors.New("storage: corrupt record")
+
 // storeShared is the state common to every read view of one opened store:
 // the buffer pool, files, indexes, counts and the decoded-record caches. It
 // is safe for concurrent use (the pool is latched, the caches are
@@ -337,8 +343,7 @@ type groupRec struct {
 // goroutine at a time; for concurrent queries give every goroutine its own
 // view from Reader() — views are cheap (a struct and a few lazily grown
 // slices) and share the buffer pool, so the paper's 1 MB memory budget still
-// holds across all of them. Store implements network.ViewCloner, so the
-// clustering algorithms' Workers mode mints views automatically.
+// holds across all of them.
 type Store struct {
 	sh *storeShared
 
@@ -363,7 +368,6 @@ type Store struct {
 }
 
 var _ network.Graph = (*Store)(nil)
-var _ network.ViewCloner = (*Store)(nil)
 
 // Open opens the store under dir. Pass zero Options for the paper's
 // defaults (4 KB pages, 1 MB buffer).
@@ -459,9 +463,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // goroutine: it shares the buffer pool, files and indexes but owns its
 // decode buffers. Closing any view closes the whole store.
 func (s *Store) Reader() *Store { return &Store{sh: s.sh} }
-
-// ReadView implements network.ViewCloner.
-func (s *Store) ReadView() network.Graph { return s.Reader() }
 
 // checkOpen guards every query against use after Close.
 func (s *Store) checkOpen() error {
@@ -615,7 +616,10 @@ func (s *Store) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 			if int64(len(page))-in >= adjHeader {
 				deg := int(binary.LittleEndian.Uint32(page[in:]))
 				if rows := page[in+adjHeader:]; len(rows) >= adjEntry*deg {
-					nbrs, inFrame = s.decodeAdj(rows, deg), true
+					inFrame = true
+					var err error
+					nbrs, err = s.decodeAdj(id, rows, deg)
+					return err
 				}
 			}
 			return nil
@@ -655,11 +659,12 @@ func (s *Store) readAdjCopy(id network.NodeID, off int64) ([]network.Neighbor, e
 	if err := s.sh.adjF.ReadAt(s.adjPayload, off+adjHeader); err != nil {
 		return nil, err
 	}
-	return s.decodeAdj(s.adjPayload, deg), nil
+	return s.decodeAdj(id, s.adjPayload, deg)
 }
 
-// decodeAdj decodes deg rows from b into the view's buffer.
-func (s *Store) decodeAdj(b []byte, deg int) []network.Neighbor {
+// decodeAdj decodes node id's deg rows from b into the view's buffer,
+// refusing a weight that is not finite and > 0.
+func (s *Store) decodeAdj(id network.NodeID, b []byte, deg int) ([]network.Neighbor, error) {
 	if cap(s.nbrBuf) < deg {
 		s.nbrBuf = make([]network.Neighbor, deg)
 	}
@@ -672,22 +677,30 @@ func (s *Store) decodeAdj(b []byte, deg int) []network.Neighbor {
 			Group:  network.GroupID(binary.LittleEndian.Uint32(row[4:])),
 			Weight: bitsFloat(binary.LittleEndian.Uint64(row[8:])),
 		}
+		if !validWeight(nbrs[i].Weight) {
+			return nil, fmt.Errorf("%w: adj.dat: node %d, row %d has weight %v", ErrCorrupt, id, i, nbrs[i].Weight)
+		}
 	}
-	return nbrs
+	return nbrs, nil
 }
 
-// readGroupHeader reads the fixed group header at off.
+// readGroupHeader reads the fixed group header at off, refusing an edge
+// weight that is not finite and > 0.
 func (s *Store) readGroupHeader(off int64) (network.PointGroup, error) {
 	if err := s.sh.ptsF.ReadAt(s.hdr[:], off); err != nil {
 		return network.PointGroup{}, s.closedErr(err)
 	}
-	return network.PointGroup{
+	pg := network.PointGroup{
 		N1:     network.NodeID(binary.LittleEndian.Uint32(s.hdr[0:])),
 		N2:     network.NodeID(binary.LittleEndian.Uint32(s.hdr[4:])),
 		Count:  int32(binary.LittleEndian.Uint32(s.hdr[8:])),
 		First:  network.PointID(binary.LittleEndian.Uint32(s.hdr[12:])),
 		Weight: bitsFloat(binary.LittleEndian.Uint64(s.hdr[16:])),
-	}, nil
+	}
+	if !validWeight(pg.Weight) {
+		return network.PointGroup{}, fmt.Errorf("%w: pts.dat: group at offset %d has edge weight %v", ErrCorrupt, off, pg.Weight)
+	}
+	return pg, nil
 }
 
 // groupRecord resolves group g to its cache entry (offset + header),
@@ -746,7 +759,7 @@ func (s *Store) GroupOffsets(g network.GroupID) ([]float64, error) {
 	if cache := s.sh.grpCache; cache != nil {
 		// Decode into a fresh shared slice and re-insert the completed
 		// entry; concurrent decoders race benignly (identical values).
-		offsets, err := s.readPoints(rec.off, int(rec.pg.Count), nil)
+		offsets, err := s.readPoints(rec.off, rec.pg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -755,13 +768,15 @@ func (s *Store) GroupOffsets(g network.GroupID) ([]float64, error) {
 		return offsets, nil
 	}
 	var err2 error
-	s.offBuf, err2 = s.readPoints(rec.off, int(rec.pg.Count), s.offBuf)
+	s.offBuf, err2 = s.readPoints(rec.off, rec.pg, s.offBuf)
 	return s.offBuf, err2
 }
 
-// readPoints decodes the offsets of the count point entries following the
-// header at off into dst.
-func (s *Store) readPoints(off int64, count int, dst []float64) ([]float64, error) {
+// readPoints decodes the offsets of group pg's point entries, which follow
+// its header at off, into dst, refusing an offset outside [0, pg.Weight] or
+// out of ascending order.
+func (s *Store) readPoints(off int64, pg network.PointGroup, dst []float64) ([]float64, error) {
+	count := int(pg.Count)
 	if left := s.sh.ptsF.Size() - off - groupHeader; count < 0 || int64(count) > left/pointEntry {
 		return nil, fmt.Errorf("storage: pts.dat: group at offset %d has count %d, only %d bytes follow", off, count, left)
 	}
@@ -777,8 +792,13 @@ func (s *Store) readPoints(off int64, count int, dst []float64) ([]float64, erro
 		dst = make([]float64, count)
 	}
 	dst = dst[:count]
+	prev := 0.0
 	for i := range dst {
-		dst[i] = bitsFloat(binary.LittleEndian.Uint64(s.ptsPayload[pointEntry*i:]))
+		o := bitsFloat(binary.LittleEndian.Uint64(s.ptsPayload[pointEntry*i:]))
+		if !(o >= prev) || o > pg.Weight {
+			return nil, fmt.Errorf("%w: pts.dat: group at offset %d, point %d has offset %v outside [%v, %v]", ErrCorrupt, off, i, o, prev, pg.Weight)
+		}
+		dst[i], prev = o, o
 	}
 	return dst, nil
 }
@@ -814,11 +834,15 @@ func (s *Store) PointInfo(p network.PointID) (network.PointInfo, error) {
 	if err := s.sh.ptsF.ReadAt(entry[:], rec.off+groupHeader+int64(pointEntry*idx)); err != nil {
 		return network.PointInfo{}, s.closedErr(err)
 	}
+	pos := bitsFloat(binary.LittleEndian.Uint64(entry[0:]))
+	if !(pos >= 0) || pos > pg.Weight {
+		return network.PointInfo{}, fmt.Errorf("%w: pts.dat: point %d has offset %v outside [0, %v]", ErrCorrupt, p, pos, pg.Weight)
+	}
 	return network.PointInfo{
 		Group:  network.GroupID(gid),
 		N1:     pg.N1,
 		N2:     pg.N2,
-		Pos:    bitsFloat(binary.LittleEndian.Uint64(entry[0:])),
+		Pos:    pos,
 		Weight: pg.Weight,
 		Tag:    int32(binary.LittleEndian.Uint32(entry[8:])),
 	}, nil
@@ -855,7 +879,7 @@ func (s *Store) ScanGroups(fn func(g network.GroupID, pg network.PointGroup, off
 			return fmt.Errorf("storage: pts.dat: group %d at offset %d has count %d", g, off, pg.Count)
 		}
 		var err2 error
-		s.scanBuf, err2 = s.readPoints(off, int(pg.Count), s.scanBuf)
+		s.scanBuf, err2 = s.readPoints(off, pg, s.scanBuf)
 		if err2 != nil {
 			return err2
 		}

@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -507,64 +508,135 @@ func TestTruncatedPointsFileSurfaces(t *testing.T) {
 		{"grp.idx key count", "grp.idx", keyCounts, []string{"GroupOffsets", "PointInfo"}},
 		{"pts.idx key count", "pts.idx", keyCounts, []string{"PointInfo"}},
 	} {
-		for _, uncached := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s uncached=%v", row.name, uncached), func(t *testing.T) {
-				dir := t.TempDir()
-				if err := storage.Build(dir, n, storage.Options{}); err != nil {
-					t.Fatal(err)
-				}
-				row.damage(t, filepath.Join(dir, row.file))
-				s, err := storage.Open(dir, storage.Options{DisableRecordCaches: uncached})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
+		checkDamage(t, n, row.name, row.file, row.damage, row.fail, false)
+	}
+}
 
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				// First error of each call, kept apart: an earlier call that
-				// fails must not stand in for a later one that should.
-				first := map[string]error{}
-				note := func(call string, err error) {
-					if err != nil && first[call] == nil {
-						first[call] = err
-					}
+// checkDamage builds n into a store, applies damage to file, opens the store
+// with and without its record caches and sweeps every record: exactly the
+// calls named in fail must return an error, each naming file and, when
+// corrupt is set, wrapping storage.ErrCorrupt.
+func checkDamage(t *testing.T, n *network.Network, name, file string, damage func(*testing.T, string), fail []string, corrupt bool) {
+	t.Helper()
+	for _, uncached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("%s uncached=%v", name, uncached), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := storage.Build(dir, n, storage.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			damage(t, filepath.Join(dir, file))
+			s, err := storage.Open(dir, storage.Options{DisableRecordCaches: uncached})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			// First error of each call, kept apart: an earlier call that
+			// fails must not stand in for a later one that should.
+			first := map[string]error{}
+			note := func(call string, err error) {
+				if err != nil && first[call] == nil {
+					first[call] = err
 				}
-				for u := 0; u < s.NumNodes(); u++ {
-					_, err := s.Neighbors(network.NodeID(u))
-					note("Neighbors", err)
+			}
+			for u := 0; u < s.NumNodes(); u++ {
+				_, err := s.Neighbors(network.NodeID(u))
+				note("Neighbors", err)
+			}
+			for g := 0; g < s.NumGroups(); g++ {
+				_, err := s.GroupOffsets(network.GroupID(g))
+				note("GroupOffsets", err)
+			}
+			for p := 0; p < s.NumPoints(); p++ {
+				_, err := s.PointInfo(network.PointID(p))
+				note("PointInfo", err)
+			}
+			note("ScanGroups", s.ScanGroups(func(network.GroupID, network.PointGroup, []float64) error { return nil }))
+			runtime.ReadMemStats(&after)
+			for _, call := range fail {
+				if err := first[call]; err == nil {
+					t.Errorf("%s returned no error on the damaged store", call)
+				} else if !strings.Contains(err.Error(), file) {
+					t.Errorf("%s error does not name %s: %v", call, file, err)
+				} else if corrupt && !errors.Is(err, storage.ErrCorrupt) {
+					t.Errorf("%s error does not wrap ErrCorrupt: %v", call, err)
 				}
-				for g := 0; g < s.NumGroups(); g++ {
-					_, err := s.GroupOffsets(network.GroupID(g))
-					note("GroupOffsets", err)
+			}
+			for call, err := range first {
+				if !slices.Contains(fail, call) {
+					t.Errorf("%s is not expected to fail on this damage: %v", call, err)
 				}
-				for p := 0; p < s.NumPoints(); p++ {
-					_, err := s.PointInfo(network.PointID(p))
-					note("PointInfo", err)
-				}
-				note("ScanGroups", s.ScanGroups(func(network.GroupID, network.PointGroup, []float64) error { return nil }))
-				runtime.ReadMemStats(&after)
-				for _, call := range row.fail {
-					if err := first[call]; err == nil {
-						t.Errorf("%s returned no error on the damaged store", call)
-					} else if !strings.Contains(err.Error(), row.file) {
-						t.Errorf("%s error does not name %s: %v", call, row.file, err)
-					}
-				}
-				for call, err := range first {
-					if !slices.Contains(row.fail, call) {
-						t.Errorf("%s is not expected to fail on this damage: %v", call, err)
-					}
-				}
-				// The whole store is under 100 KB; frames, decoded records and
-				// an error string per failed call stay within a few MB even
-				// under -race. A length taken on trust asks for gigabytes.
-				if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
-					t.Fatalf("sweep over the damaged store allocated %d bytes", got)
-				}
-			})
+			}
+			// The whole store is under 100 KB; frames, decoded records and
+			// an error string per failed call stay within a few MB even
+			// under -race. A length taken on trust asks for gigabytes.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+				t.Fatalf("sweep over the damaged store allocated %d bytes", got)
+			}
+		})
+	}
+}
+
+// pokeFloat returns a damage that overwrites the little-endian float64 at
+// off with f(old).
+func pokeFloat(off int64, f func(old float64) float64) func(*testing.T, string) {
+	return func(t *testing.T, path string) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(f(old)))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// TestCorruptValuesSurface patches one decoded value to something no Build
+// writes — an edge weight of NaN, +Inf or -1 in an adjacency row or a group
+// header, a point offset past its edge's weight — and demands that every
+// call decoding it fail with ErrCorrupt instead of answering from it.
+func TestCorruptValuesSurface(t *testing.T) {
+	n, err := testnet.Random(11, 60, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		adjWeight = 4 + 8   // first record's first row: header, node, group
+		grpWeight = 4 * 4   // first group header: N1, N2, Count, First
+		firstPos  = 4*4 + 8 // first point entry, after the group header
+	)
+	bad := map[string]func(float64) float64{
+		"NaN":  func(float64) float64 { return math.NaN() },
+		"+Inf": func(float64) float64 { return math.Inf(1) },
+		"-1":   func(float64) float64 { return -1 },
+	}
+	rowWeight := func(f func(float64) float64) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			if b, err := os.ReadFile(path); err != nil || binary.LittleEndian.Uint32(b) == 0 {
+				t.Fatalf("fixture: the first adjacency record has no row to damage (%v)", err)
+			}
+			pokeFloat(adjWeight, f)(t, path)
+		}
+	}
+	for name, f := range bad {
+		checkDamage(t, n, "adjacency weight "+name, "adj.dat", rowWeight(f), []string{"Neighbors"}, true)
+		checkDamage(t, n, "group weight "+name, "pts.dat", pokeFloat(grpWeight, f), []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true)
+	}
+	// The first point's offset becomes the next float above its group's weight.
+	pastW := func(t *testing.T, path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := math.Float64frombits(binary.LittleEndian.Uint64(b[grpWeight:]))
+		pokeFloat(firstPos, func(float64) float64 { return math.Nextafter(w, math.Inf(1)) })(t, path)
+	}
+	checkDamage(t, n, "offset past W", "pts.dat", pastW, []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true)
 }
 
 // TestPageCountsIndependentOfProcs runs the same DBSCAN over the same store,

@@ -16,9 +16,18 @@ func TestPaper1Shape(t *testing.T) {
 			n.NumNodes(), n.NumEdges(), n.NumPoints())
 	}
 	// p2 and p3 share edge (n1,n3) — offsets 1.0 and 3.2.
-	g, err := network.EdgeGroup(n, 0, 2)
-	if err != nil || g == network.NoGroup {
-		t.Fatalf("edge (0,2) group: %v %v", g, err)
+	adj, err := n.Neighbors(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := network.NoGroup
+	for _, nb := range adj {
+		if nb.Node == 2 {
+			g = nb.Group
+		}
+	}
+	if g == network.NoGroup {
+		t.Fatal("edge (0,2) carries no group")
 	}
 	off, err := n.GroupOffsets(g)
 	if err != nil {

@@ -392,9 +392,9 @@ func EpsLink(g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLink(g, opts)
 }
 
-// EpsLinkCtx is EpsLink with cancellation; opts.Workers changes nothing —
-// every backend runs one Fig. 6 traversal per cluster (the flat port on a
-// compiled snapshot, the generic one elsewhere) at every value.
+// EpsLinkCtx is EpsLink with cancellation. Every backend runs one Fig. 6
+// traversal per cluster (the flat port on a compiled snapshot, the generic
+// one elsewhere) on the caller's goroutine; opts.Workers changes nothing.
 func EpsLinkCtx(ctx context.Context, g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLinkCtx(ctx, g, opts)
 }
@@ -404,10 +404,9 @@ func DBSCAN(g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCAN(g, opts)
 }
 
-// DBSCANCtx is DBSCAN with cancellation; opts.Workers is a concurrency knob
-// only — labels are identical at every value, 0 and 1 are the same run, and
-// on every backend a larger value only stripes the flag pass of the same
-// one-expansion-per-point labeller.
+// DBSCANCtx is DBSCAN with cancellation. Every backend runs the same
+// three-pass labeller on the caller's goroutine; opts.Workers changes
+// nothing.
 func DBSCANCtx(ctx context.Context, g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCANCtx(ctx, g, opts)
 }
