@@ -335,13 +335,6 @@ func AssignPoints(g network.Graph, medoids []network.PointInfo, st *MedoidState,
 	if len(labels) != g.NumPoints() {
 		return 0, fmt.Errorf("core: labels slice has %d entries for %d points", len(labels), g.NumPoints())
 	}
-	// Graphs with a native assignment scan (the compiled CSR snapshot) run
-	// it directly: same arithmetic over flat arrays.
-	if ma, ok := g.(network.MedoidAssigner); ok {
-		r, groups := ma.AssignNearest(medoids, st.Med, st.Dist, labels)
-		stats.GroupsRead += groups
-		return r, nil
-	}
 	err = g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
 		stats.GroupsRead++
 		r += assignGroup(gid, &pg, offsets, medoids, st, labels)

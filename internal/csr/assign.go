@@ -36,8 +36,11 @@ func sortMedoidsByGroup(medoids []network.PointInfo, buf []groupMedoid) []groupM
 // the snapshot's §4.1 point-group layout: one sequential pass that labels
 // every point with its nearest medoid slot given the node assignment in
 // med/dist, returning the evaluation function R and the number of groups
-// scanned. It satisfies network.MedoidAssigner, so core.AssignPoints
-// dispatches here for snapshots.
+// scanned. k-medoids itself runs the generic scan (core's assignGroup over
+// ScanGroups) on every backend, so nothing in the engine calls this: it stays
+// only because benchmark/layers.go probes it (csr.assign_nearest_ms), and
+// ROADMAP item 1 (A) removes it together with that probe. Tests call it as an
+// independent check of the generic scan.
 //
 // The arithmetic and comparison order replicate the generic scan expression
 // for expression — endpoint N1, endpoint N2, then same-edge medoids in

@@ -14,7 +14,6 @@ var (
 	_ network.ScratchProvider = (*Snapshot)(nil)
 	_ network.KNNQuerier      = (*Snapshot)(nil)
 	_ network.NearestExpander = (*Snapshot)(nil)
-	_ network.MedoidAssigner  = (*Snapshot)(nil)
 )
 
 // NumNodes returns |V|.

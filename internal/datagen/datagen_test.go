@@ -20,8 +20,8 @@ func TestGridNetworkShape(t *testing.T) {
 	if g.NumEdges() != 119+20 {
 		t.Fatalf("%d edges, want %d", g.NumEdges(), 139)
 	}
-	if ok, _ := network.IsConnected(g); !ok {
-		t.Fatal("grid not connected")
+	if _, c, _ := network.ConnectedComponents(g); c != 1 {
+		t.Fatalf("grid has %d components", c)
 	}
 	if !g.HasCoords() {
 		t.Fatal("grid should carry coordinates")
@@ -55,52 +55,6 @@ func TestGridNetworkValidation(t *testing.T) {
 	}
 	if g.NumEdges() != 12 { // full 3x3 lattice
 		t.Fatalf("%d edges, want 12", g.NumEdges())
-	}
-}
-
-func TestBuilderShapes(t *testing.T) {
-	if _, err := RingBuilder(2, 1); err == nil {
-		t.Fatal("ring of 2 must fail")
-	}
-	rb, err := RingBuilder(6, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := rb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ring.NumNodes() != 6 || ring.NumEdges() != 6 {
-		t.Fatal("ring shape wrong")
-	}
-	// Distance halfway around a 6-ring: 3 edges * 2.5.
-	d, err := network.NodeDistances(ring, 0)
-	if err != nil || math.Abs(d[3]-7.5) > 1e-12 {
-		t.Fatalf("ring distance %v, %v", d, err)
-	}
-
-	pb, err := PathBuilder(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := pb.Build()
-	if err != nil || path.NumEdges() != 3 {
-		t.Fatal("path shape wrong")
-	}
-	if _, err := PathBuilder(1, 1); err == nil {
-		t.Fatal("path of 1 must fail")
-	}
-
-	sb, err := StarBuilder(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	star, err := sb.Build()
-	if err != nil || star.NumNodes() != 6 || star.NumEdges() != 5 {
-		t.Fatal("star shape wrong")
-	}
-	if _, err := StarBuilder(0, 1); err == nil {
-		t.Fatal("star of 0 must fail")
 	}
 }
 
@@ -218,8 +172,8 @@ func TestRoadNetworksDeterministicAndSized(t *testing.T) {
 		if g1.NumNodes() != want {
 			t.Fatalf("%s: %d nodes, want %d", spec.Name, g1.NumNodes(), want)
 		}
-		if ok, _ := network.IsConnected(g1); !ok {
-			t.Fatalf("%s stand-in disconnected", spec.Name)
+		if _, c, _ := network.ConnectedComponents(g1); c != 1 {
+			t.Fatalf("%s stand-in has %d components", spec.Name, c)
 		}
 		// Edge/node ratio within 25% of the real network's.
 		wantRatio := float64(spec.Edges) / float64(spec.Nodes)

@@ -98,55 +98,6 @@ func dist(a, b network.Coord) float64 {
 	return d
 }
 
-// RingBuilder returns a Builder pre-loaded with an n-node cycle whose edges
-// all weigh w. Handy for unit tests (cf. the paper's Figure 2b ring example).
-func RingBuilder(n int, w float64) (*network.Builder, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("datagen: ring needs >= 3 nodes, got %d", n)
-	}
-	b := network.NewBuilder()
-	for i := 0; i < n; i++ {
-		angle := 2 * math.Pi * float64(i) / float64(n)
-		b.AddNode(network.Coord{X: math.Cos(angle), Y: math.Sin(angle)})
-	}
-	for i := 0; i < n; i++ {
-		b.AddEdge(network.NodeID(i), network.NodeID((i+1)%n), w)
-	}
-	return b, nil
-}
-
-// PathBuilder returns a Builder pre-loaded with an n-node path whose edges
-// all weigh w.
-func PathBuilder(n int, w float64) (*network.Builder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("datagen: path needs >= 2 nodes, got %d", n)
-	}
-	b := network.NewBuilder()
-	for i := 0; i < n; i++ {
-		b.AddNode(network.Coord{X: float64(i) * w, Y: 0})
-	}
-	for i := 0; i+1 < n; i++ {
-		b.AddEdge(network.NodeID(i), network.NodeID(i+1), w)
-	}
-	return b, nil
-}
-
-// StarBuilder returns a Builder pre-loaded with a hub node 0 joined to n
-// spokes 1..n by edges of weight w.
-func StarBuilder(n int, w float64) (*network.Builder, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("datagen: star needs >= 1 spoke, got %d", n)
-	}
-	b := network.NewBuilder()
-	b.AddNode(network.Coord{})
-	for i := 1; i <= n; i++ {
-		angle := 2 * math.Pi * float64(i) / float64(n)
-		b.AddNode(network.Coord{X: w * math.Cos(angle), Y: w * math.Sin(angle)})
-		b.AddEdge(0, network.NodeID(i), w)
-	}
-	return b, nil
-}
-
 // RandomConnectedNetwork builds a connected network with exactly nodes nodes
 // and approximately edges edges (edges >= nodes-1): a jittered grid trimmed
 // to size. It is the generator behind testing/quick properties that want

@@ -106,12 +106,6 @@ type LiveOptions struct {
 
 // Options configure an overlay.
 type Options struct {
-	// Bump is called exactly once per applied batch and once per compaction
-	// swap; the returned value is the epoch the published view carries. Nil
-	// uses an internal counter. The unmodified base view is epoch 1, so a
-	// Bump counter starts there. The server wires Dataset.BumpEpoch here so
-	// every write strands the dataset's cached results.
-	Bump func() int64
 	// CompactOps compacts — makes the current view the base — once this many
 	// resolved ops are pending (default 4096; negative disables compaction
 	// except by CompactNow).
@@ -146,7 +140,8 @@ type Current struct {
 	// Graph is the merged view: a *View, or the base *csr.Snapshot itself
 	// while the delta is empty.
 	Graph network.Graph
-	// Epoch is the content version Bump returned for this view.
+	// Epoch is the view's content version: 1 for the base, one more per
+	// applied batch and per rebase.
 	Epoch int64
 	// Points is Graph.NumPoints(), cached for cheap stats.
 	Points int
@@ -257,7 +252,7 @@ type Overlay struct {
 	points     int         // point count of the merged content
 	nextSlot   int32
 	pending    int   // resolved ops applied since the last rebase
-	epoch      int64 // internal counter when opts.Bump == nil
+	epoch      int64 // of the last published view
 	live       *live
 
 	// lastAdj is the adjacency of the last published view, nil for the
@@ -545,10 +540,9 @@ func (o *Overlay) publish(resolved []resolvedOp, first int32) (*Current, error) 
 	return cur, nil
 }
 
+// bumpEpoch numbers the next published view: once per applied batch and
+// once per rebase, counting up from the base view's initialEpoch.
 func (o *Overlay) bumpEpoch() int64 {
-	if o.opts.Bump != nil {
-		return o.opts.Bump()
-	}
 	o.epoch++
 	return o.epoch
 }

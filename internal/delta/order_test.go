@@ -3,15 +3,33 @@ package delta
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"netclus/internal/testnet"
 )
 
-// TestApplyOrderIsArrivalOrder holds the reconciler inside Bump while five
-// batches queue one after another, then releases it: each batch must commit
-// at a later epoch than the one queued before it, at any processor count.
+// holdCtx holds the reconciler the first time it asks the batch whether its
+// context is still live (applyBatch's first step), until release is closed.
+type holdCtx struct {
+	context.Context
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (c *holdCtx) Err() error {
+	c.once.Do(func() {
+		close(c.held)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// TestApplyOrderIsArrivalOrder holds the reconciler inside one batch while
+// five more queue one after another, then releases it: each batch's
+// Result.Epoch must be later than that of the batch queued before it, at any
+// processor count.
 func TestApplyOrderIsArrivalOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -20,23 +38,12 @@ func TestApplyOrderIsArrivalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held, release := make(chan struct{}), make(chan struct{})
-		epoch, first := int64(initialEpoch), true
-		bump := func() int64 { // runs on the reconciler only
-			if first {
-				first = false
-				close(held)
-				<-release
-			}
-			epoch++
-			return epoch
-		}
-		o, err := New(g, Options{Bump: bump, CompactOps: -1})
+		o, err := New(g, Options{CompactOps: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
-		apply := func(tag int32) <-chan Result {
+		hold := &holdCtx{Context: context.Background(), held: make(chan struct{}), release: make(chan struct{})}
+		apply := func(ctx context.Context, tag int32) <-chan Result {
 			out := make(chan Result, 1)
 			go func() {
 				r, err := o.Apply(ctx, []Op{InsertNear(0, 0.5, tag)})
@@ -53,17 +60,17 @@ func TestApplyOrderIsArrivalOrder(t *testing.T) {
 			return len(o.q)
 		}
 
-		blocker := apply(0)
-		<-held
+		blocker := apply(hold, 0)
+		<-hold.held
 		const batches = 5
 		var results [batches]<-chan Result
 		for i := range results {
-			results[i] = apply(int32(i + 1))
+			results[i] = apply(context.Background(), int32(i+1))
 			for queued() != i+1 {
 				time.Sleep(time.Millisecond)
 			}
 		}
-		close(release)
+		close(hold.release)
 		<-blocker
 		prev := int64(0)
 		for i, ch := range results {

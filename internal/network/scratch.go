@@ -125,14 +125,3 @@ func (l MedoidLog) Undo(med []int32, dist []float64) {
 type NearestExpander interface {
 	ExpandNearestLogged(ctx context.Context, seeds []MedoidSeed, med []int32, dist []float64, log *MedoidLog) (ExpandCounts, error)
 }
-
-// MedoidAssigner is implemented by Graphs with a native point-assignment
-// scan (Equation 1): given the node assignment produced by a nearest-medoid
-// expansion, AssignNearest labels every point with its nearest medoid slot
-// (Noise when unreachable) and returns the evaluation function
-// R = Σ d(p, m_p) plus the number of point groups scanned. The scan must
-// replicate the generic core.AssignPoints arithmetic and comparison order
-// expression for expression, so labels and R are bit-identical.
-type MedoidAssigner interface {
-	AssignNearest(medoids []PointInfo, med []int32, dist []float64, labels []int32) (r float64, groupsRead int)
-}

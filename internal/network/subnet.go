@@ -37,15 +37,6 @@ func ConnectedComponents(g Graph) (labels []int32, count int, err error) {
 	return labels, count, nil
 }
 
-// IsConnected reports whether the network forms a single connected component.
-func IsConnected(g Graph) (bool, error) {
-	if g.NumNodes() == 0 {
-		return true, nil
-	}
-	_, count, err := ConnectedComponents(g)
-	return count == 1, err
-}
-
 // InducedSubnetwork extracts the subgraph induced by the nodes with
 // keep[node] == true, remapping node IDs densely in increasing original-ID
 // order. Points are retained iff both endpoints of their edge are kept; their

@@ -33,15 +33,12 @@ func TestConnectedComponents(t *testing.T) {
 	if labels[0] != labels[1] || labels[0] != labels[2] || labels[3] != labels[4] || labels[0] == labels[3] {
 		t.Fatalf("bad labels %v", labels)
 	}
-	if ok, _ := network.IsConnected(n); ok {
-		t.Fatal("disconnected graph reported connected")
-	}
 	g, err := testnet.Random(1, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := network.IsConnected(g); !ok {
-		t.Fatal("testnet.Random should be connected")
+	if _, c, _ := network.ConnectedComponents(g); c != 1 {
+		t.Fatalf("testnet.Random has %d components, want 1", c)
 	}
 }
 
@@ -100,8 +97,8 @@ func TestExtractConnectedFraction(t *testing.T) {
 		if sub.NumNodes() != want {
 			t.Fatalf("frac %v: %d nodes, want %d", frac, sub.NumNodes(), want)
 		}
-		if ok, _ := network.IsConnected(sub); !ok {
-			t.Fatalf("frac %v: subnetwork disconnected", frac)
+		if _, c, _ := network.ConnectedComponents(sub); c != 1 {
+			t.Fatalf("frac %v: subnetwork has %d components", frac, c)
 		}
 	}
 	whole, err := network.ExtractConnectedFraction(g, 0, 1)

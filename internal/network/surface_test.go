@@ -20,7 +20,6 @@ func TestNetworkInterfaces(t *testing.T) {
 		"Graph",
 		"KNNQuerier",
 		"LabelKernel",
-		"MedoidAssigner",
 		"NearestExpander",
 		"PointInfoSource",
 		"RangeQuerier",

@@ -8,7 +8,7 @@
 // every defaulted field, normalizes float spellings ("0.50", ".5" and "5e-1"
 // all canonicalize to "0.5"), folds algorithm aliases, and Canonical() emits
 // the fields in one fixed order. Two requests with the same canonical string
-// are the same pure function of the dataset epoch and must produce
+// are the same pure function of the view they run on and must produce
 // byte-identical response bodies. See DESIGN.md §11.
 package api
 
@@ -485,10 +485,10 @@ func PointDists(res []netclus.PointDist) []PointDist {
 }
 
 // RangeResponse is the body of a range query. Epoch identifies the dataset
-// snapshot the result was computed against; response bodies are pure
-// functions of (dataset, epoch, canonical request), which is what makes them
-// cacheable byte-for-byte. Timing lives in the X-Netclusd-Elapsed-Ms header
-// and /metrics, not the body.
+// view the result was computed against (always 1 for an immutable dataset);
+// response bodies are pure functions of (dataset, epoch, canonical request),
+// which is what makes an immutable dataset's cacheable byte-for-byte. Timing
+// lives in the X-Netclusd-Elapsed-Ms header and /metrics, not the body.
 type RangeResponse struct {
 	Dataset string            `json:"dataset"`
 	Epoch   int64             `json:"epoch"`
@@ -560,7 +560,9 @@ type CacheTotals struct {
 }
 
 // DatasetInfo is one /v1/datasets entry. The pre-epoch fields keep their
-// exact JSON names — TestDatasetsGolden pins that contract.
+// exact JSON names — TestDatasetsGolden pins that contract. ResultCache is
+// absent when the server runs without a cache and on a live dataset, whose
+// reads are never cached.
 type DatasetInfo struct {
 	Name        string              `json:"name"`
 	Kind        string              `json:"kind"`

@@ -15,8 +15,8 @@ import (
 // handlers, the metrics table and Server never ask which kind they hold.
 type backend interface {
 	// pin returns the (graph, epoch) pair one request runs against; read-only
-	// kinds stamp their graph with the dataset epoch passed in.
-	pin(epoch int64) viewAt
+	// kinds pin readOnlyEpoch, a live one the epoch of its published view.
+	pin() viewAt
 	// scratch takes range-query scratch for one request against view;
 	// recycle hands it back once its prune counters are harvested.
 	scratch(view netclus.Graph) *scratchBox
@@ -38,6 +38,9 @@ type backend interface {
 }
 
 var errImmutable = errors.New("is immutable (serve it with the live option to accept writes)")
+
+// readOnlyEpoch is the epoch every response of an immutable dataset carries.
+const readOnlyEpoch = 1
 
 // viewAt is one request's atomic (graph, epoch) pair.
 type viewAt struct {
@@ -155,7 +158,7 @@ type boundsBuild struct {
 	err  error
 }
 
-func (c *coldBackend) pin(epoch int64) viewAt         { return viewAt{graph: c.view(), epoch: epoch} }
+func (c *coldBackend) pin() viewAt                    { return viewAt{graph: c.view(), epoch: readOnlyEpoch} }
 func (c *coldBackend) describe(info *api.DatasetInfo) { c.store.describe(info) }
 
 // bounds starts the build if no request has yet, then waits for it under ctx.
@@ -228,8 +231,8 @@ type hotBackend struct {
 	store *servedStore
 }
 
-func (h *hotBackend) pin(epoch int64) viewAt { return viewAt{graph: h.sn, epoch: epoch} }
-func (h *hotBackend) close() error           { return h.store.close() }
+func (h *hotBackend) pin() viewAt  { return viewAt{graph: h.sn, epoch: readOnlyEpoch} }
+func (h *hotBackend) close() error { return h.store.close() }
 
 func (h *hotBackend) describe(info *api.DatasetInfo) {
 	cs := h.sn.Stats()
@@ -244,7 +247,7 @@ type shardedBackend struct {
 	set *netclus.ShardedSet
 }
 
-func (s *shardedBackend) pin(epoch int64) viewAt { return viewAt{graph: s.set, epoch: epoch} }
+func (s *shardedBackend) pin() viewAt { return viewAt{graph: s.set, epoch: readOnlyEpoch} }
 
 func (s *shardedBackend) describe(info *api.DatasetInfo) {
 	st := s.set.Stats()
@@ -264,7 +267,7 @@ type liveBackend struct {
 // pin takes graph and epoch from one published view (one atomic load): the
 // epoch moves under the request, and a response stamped with epoch E must have
 // been computed on exactly the view published at E.
-func (l *liveBackend) pin(int64) viewAt {
+func (l *liveBackend) pin() viewAt {
 	cur := l.ov.Current()
 	return viewAt{graph: cur.Graph, epoch: cur.Epoch, live: cur}
 }

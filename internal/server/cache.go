@@ -36,12 +36,12 @@ type ResultCacheStatsSnapshot struct {
 	Capacity    int64
 }
 
-// ResultCache is the epoch-keyed query-result cache: one byte-budget LRU
-// under one mutex, with singleflight collapsing of duplicate in-flight
-// computations. Keys are (dataset name + epoch, endpoint, canonical request)
-// strings built by the handlers; because datasets are immutable per epoch,
-// every cached body is an exact answer, and an epoch bump invalidates by key
-// mismatch — stale entries age out of the LRU without a scan.
+// ResultCache is the query-result cache of the immutable datasets: one
+// byte-budget LRU under one mutex, with singleflight collapsing of duplicate
+// in-flight computations. Keys are (dataset name, endpoint, canonical
+// request) strings built by the handlers; because only immutable datasets are
+// cached, every cached body is an exact answer for the life of the process
+// and nothing is ever invalidated — entries leave only by LRU eviction.
 type ResultCache struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // of *cacheEntry

@@ -176,6 +176,48 @@ func TestSingleflightFollowerErrors(t *testing.T) {
 	<-done
 }
 
+// TestSingleflightLeaderPanic: a leader whose fn panics frees its key as the
+// panic leaves Do. A follower that was waiting on it reruns fn itself, as
+// after any leader failure, and a later Do on the key runs its own fn well
+// inside a short deadline instead of waiting on a call that never finishes.
+func TestSingleflightLeaderPanic(t *testing.T) {
+	var g flightGroup
+	started, release := make(chan struct{}), make(chan struct{})
+	propagated := make(chan bool, 1)
+	go func() {
+		defer func() { propagated <- recover() != nil }()
+		_, _, _ = g.Do(context.Background(), "k", func() ([]byte, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	mine := func() ([]byte, error) { return []byte("mine"), nil }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		body, shared, err := g.Do(ctx, "k", mine)
+		if err != nil || shared || string(body) != "mine" {
+			t.Errorf("follower of a panicked leader: %q shared=%v err=%v", body, shared, err)
+		}
+	}()
+	time.Sleep(10 * time.Millisecond) // let the follower find the leader's call
+	close(release)
+	<-done
+	if !<-propagated {
+		t.Fatal("the leader's panic did not propagate")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	body, shared, err := g.Do(ctx, "k", mine)
+	if err != nil || shared || string(body) != "mine" {
+		t.Fatalf("Do after a panicked leader: %q shared=%v err=%v", body, shared, err)
+	}
+}
+
 // TestCacheConcurrentHammer mixes puts, gets and singleflights across
 // goroutines; meant for -race. Invariants: bytes and
 // entries stay non-negative and within budget, bodies come back intact.

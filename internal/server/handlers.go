@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"time"
 
 	"netclus"
@@ -14,11 +13,11 @@ import (
 )
 
 // resultKey builds the exact result-cache key of a canonicalized request:
-// dataset name + epoch pin the immutable snapshot, endpoint + canonical
-// parameters pin the pure function evaluated over it. NUL separators cannot
-// appear in any component.
-func resultKey(dataset string, epoch int64, endpoint, canonical string) string {
-	return dataset + "\x00" + strconv.FormatInt(epoch, 10) + "\x00" + endpoint + "\x00" + canonical
+// the dataset name pins the immutable graph (only immutable datasets are
+// cached), endpoint + canonical parameters pin the pure function evaluated
+// over it. NUL separators cannot appear in any component.
+func resultKey(dataset, endpoint, canonical string) string {
+	return dataset + "\x00" + endpoint + "\x00" + canonical
 }
 
 // bodyOf finishes a read body encoded by its response's AppendJSON with the
@@ -35,7 +34,7 @@ func bodyOf(b []byte, err error) ([]byte, error) {
 
 // writeBody writes an encoded 200 response. cache tags the X-Netclusd-Cache
 // header — hit, shared (rode another request's singleflight) or miss — and is
-// empty when the server runs without a result cache.
+// empty when the read bypassed the result cache.
 func writeBody(w http.ResponseWriter, body []byte, cache string) {
 	w.Header().Set("Content-Type", "application/json")
 	if cache != "" {
@@ -45,25 +44,20 @@ func writeBody(w http.ResponseWriter, body []byte, cache string) {
 	_, _ = w.Write(body)
 }
 
-// cacheKey is the result-cache identity of one decoded read request: epoch
-// pins the immutable snapshot; endpoint and canonical (the request's
-// canonical parameter string) name the pure function evaluated over it.
-type cacheKey struct {
-	epoch               int64
-	endpoint, canonical string
-}
-
 // cachedRead is the one read path of /range, /knn and /cluster: exact hit →
-// counted miss → singleflight compute → put → tagged write. Results are pure
-// functions of the canonical request and the dataset epoch — datasets are
-// immutable per epoch — so repeats become cache reads and concurrent
-// duplicates collapse to one engine run. compute runs the engine; it is a
-// parameter of its own, apart from the key whose strings end up in the cache,
-// so that a hit costs no closure allocation. compute returns the encoded
-// body; an error from it is answered and not cached.
-func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, k cacheKey, compute func() ([]byte, error)) {
+// counted miss → singleflight compute → put → tagged write. An immutable
+// dataset's results are pure functions of the canonical request, so repeats
+// become cache reads and concurrent duplicates collapse to one engine run. A
+// live dataset's results change with every write, so its reads run on the
+// pinned view with no cache at all, as every read does when the server runs
+// without one. endpoint and canonical (the request's canonical parameter
+// string) name the pure function compute evaluates. compute runs the engine;
+// it is a parameter of its own, apart from the key strings that end up in the
+// cache, so that a hit costs no closure allocation. compute returns the
+// encoded body; an error from it is answered and not cached.
+func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, endpoint, canonical string, compute func() ([]byte, error)) {
 	c := s.cache
-	if c == nil {
+	if c == nil || d.Live() != nil {
 		body, err := compute()
 		if err != nil {
 			s.queryError(w, r, err)
@@ -72,7 +66,7 @@ func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, 
 		writeBody(w, body, "")
 		return
 	}
-	key := resultKey(d.Name, k.epoch, k.endpoint, k.canonical)
+	key := resultKey(d.Name, endpoint, canonical)
 	if body, ok := c.Get(key); ok {
 		d.cstats.hits.Add(1)
 		writeBody(w, body, "hit")
@@ -110,8 +104,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 		return
 	}
 	va := d.viewAt()
-	k := cacheKey{epoch: va.epoch, endpoint: "range", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+	s.cachedRead(w, r, d, "range", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeRange(r.Context(), d, va, req)
 		if err != nil {
 			return nil, err
@@ -163,8 +156,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 		return
 	}
 	va := d.viewAt()
-	k := cacheKey{epoch: va.epoch, endpoint: "knn", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+	s.cachedRead(w, r, d, "knn", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeKNN(r.Context(), d, va, req)
 		if err != nil {
 			return nil, err
@@ -238,8 +230,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 		return
 	}
 	va := d.viewAt()
-	k := cacheKey{epoch: va.epoch, endpoint: "cluster", canonical: req.Canonical()}
-	s.cachedRead(w, r, d, k, func() ([]byte, error) {
+	s.cachedRead(w, r, d, "cluster", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeCluster(r.Context(), d, va, req)
 		if err != nil {
 			return nil, err
@@ -345,8 +336,8 @@ func statsJSON(st netclus.ClusterStats) api.ClusterStats {
 // handleMutate serves POST /v1/datasets/{dataset}/points: one batch of point
 // mutations, applied atomically under a single epoch bump. The response's
 // Epoch is the first epoch whose reads reflect the batch — by the time the
-// client sees it, the new view is published and every result cached under an
-// older epoch is unreachable (its key names the stale epoch). Mutations ride
+// client sees it, the new view is published, and every later read runs on it
+// or a newer one (live reads are never cached). Mutations ride
 // the standard query middleware, so they flow through the uniform error
 // envelope and pay their own admission weight class ("write").
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, d *Dataset) {
@@ -376,13 +367,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, d *Dataset
 }
 
 // handleDatasets serves GET /v1/datasets: the registry with live counters,
-// each dataset's epoch and result-cache share, plus the cache-wide totals.
+// each dataset's epoch and, for an immutable one, its result-cache share,
+// plus the cache-wide totals.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	list := s.reg.List()
 	out := make([]api.DatasetInfo, 0, len(list))
 	for _, d := range list {
 		info := d.info()
-		if s.cache != nil {
+		if s.cache != nil && d.Live() == nil {
 			rc := d.ResultCacheStats()
 			info.ResultCache = &rc
 		}

@@ -104,8 +104,8 @@ func TestServeLiveWrites(t *testing.T) {
 	if mr.Epoch != 3 || mr.Points != before+1 {
 		t.Fatalf("move+delete batch: %+v, want epoch 3, points %d", mr, before+1)
 	}
-	if d.Epoch() != 3 || d.View().NumPoints() != before+1 {
-		t.Fatalf("dataset sees epoch %d / %d points", d.Epoch(), d.View().NumPoints())
+	if va := d.viewAt(); va.epoch != 3 || va.graph.NumPoints() != before+1 {
+		t.Fatalf("dataset sees epoch %d / %d points", va.epoch, va.graph.NumPoints())
 	}
 
 	// /v1/datasets reports the live view's point count and the write stats.
@@ -179,47 +179,67 @@ func TestServeLiveClusterReflectsWrites(t *testing.T) {
 	}
 }
 
-// TestServeLiveCacheNeverStale is the epoch-wiring contract: a result cached
-// before a write is unreachable after it. Every batch bumps the epoch before
-// the writer is acked, so a client that saw its write commit can only hit
-// keys naming the new epoch.
-func TestServeLiveCacheNeverStale(t *testing.T) {
-	s, _ := newLiveServer(t, Config{})
+// TestServeLiveReadsUncached: a live dataset's reads never touch the result
+// cache. Repeated range, kNN and cluster reads interleaved with a write, a
+// refused batch and a compaction leave the cache's counters where they were,
+// carry no X-Netclusd-Cache tag, and carry the epoch of the view published by
+// the last acked write — or, after a compaction, of the rebased view.
+func TestServeLiveReadsUncached(t *testing.T) {
+	s, d := newLiveServer(t, Config{})
 	h := s.Handler()
-	url := fmt.Sprintf("/v1/live/cluster?algo=dbscan&eps=%g&minpts=%d&labels=1", liveEps, liveMinPts)
+	before := s.ResultCache().Stats()
+	urls := []string{
+		fmt.Sprintf("/v1/live/range?p=3&eps=%g", liveEps),
+		"/v1/live/knn?p=3&k=5",
+		fmt.Sprintf("/v1/live/cluster?algo=dbscan&eps=%g&minpts=%d&labels=1", liveEps, liveMinPts),
+	}
+	reads := func(step string, epoch int64) (labels int) {
+		t.Helper()
+		for _, url := range urls {
+			for i := 0; i < 2; i++ {
+				rec, body := getRaw(t, h, url)
+				if tag, ok := rec.Header()["X-Netclusd-Cache"]; ok {
+					t.Fatalf("%s: %s carries X-Netclusd-Cache %q", step, url, tag)
+				}
+				var resp struct {
+					Epoch  int64   `json:"epoch"`
+					Labels []int32 `json:"labels"`
+				}
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Epoch != epoch {
+					t.Fatalf("%s: %s at epoch %d, want %d", step, url, resp.Epoch, epoch)
+				}
+				labels = max(labels, len(resp.Labels))
+			}
+		}
+		if got := s.ResultCache().Stats(); got != before {
+			t.Fatalf("%s: live reads moved the result cache: %+v, was %+v", step, got, before)
+		}
+		return labels
+	}
+	write := func(body string) int64 {
+		t.Helper()
+		var mr api.MutateResponse
+		postJSON(t, h, "/v1/datasets/live/points", body, http.StatusOK, &mr)
+		return mr.Epoch
+	}
 
-	rec, body1 := getRaw(t, h, url)
-	if tag := rec.Header().Get("X-Netclusd-Cache"); tag != "miss" {
-		t.Fatalf("first read: cache %q, want miss", tag)
+	n0 := reads("base view", 1)
+	acked := write(`{"ops":[{"op":"insert","near":2,"pos":0.4}]}`)
+	if n := reads("after a write", acked); n != n0+1 {
+		t.Fatalf("labels after an insert: %d, want %d", n, n0+1)
 	}
-	rec, body2 := getRaw(t, h, url)
-	if tag := rec.Header().Get("X-Netclusd-Cache"); tag != "hit" {
-		t.Fatalf("repeat read: cache %q, want hit", tag)
-	}
-	if string(body1) != string(body2) {
-		t.Fatal("cached body not byte-identical")
-	}
-
-	// Write, then re-read: the response must be freshly computed (miss, new
-	// epoch) — the cached body names epoch 1 and can never be served again.
-	postJSON(t, h, "/v1/datasets/live/points",
-		`{"ops":[{"op":"insert","near":2,"pos":0.4}]}`, http.StatusOK, nil)
-	rec, body3 := getRaw(t, h, url)
-	if tag := rec.Header().Get("X-Netclusd-Cache"); tag != "miss" {
-		t.Fatalf("read after write: cache %q, want miss", tag)
-	}
-	var stale, fresh api.ClusterResponse
-	if err := json.Unmarshal(body1, &stale); err != nil {
+	postJSON(t, h, "/v1/datasets/live/points", `{"ops":[{"op":"delete","point":999999}]}`, http.StatusNotFound, nil)
+	reads("after a refused batch", acked)
+	if err := d.Live().CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body3, &fresh); err != nil {
-		t.Fatal(err)
-	}
-	if stale.Epoch != 1 || fresh.Epoch != 2 {
-		t.Fatalf("epochs: stale %d fresh %d, want 1 and 2", stale.Epoch, fresh.Epoch)
-	}
-	if len(fresh.Labels) != len(stale.Labels)+1 {
-		t.Fatalf("fresh labels %d, want %d", len(fresh.Labels), len(stale.Labels)+1)
+	reads("after CompactNow", acked+1)
+	acked = write(`{"ops":[{"op":"delete","point":0}]}`)
+	if n := reads("after a write on the rebased view", acked); n != n0 {
+		t.Fatalf("labels after a delete: %d, want %d", n, n0)
 	}
 }
 
@@ -233,8 +253,8 @@ func TestServeLiveCompactionSwap(t *testing.T) {
 	if err := d.Live().CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch() != 3 {
-		t.Fatalf("epoch after compaction = %d, want 3", d.Epoch())
+	if e := d.viewAt().epoch; e != 3 {
+		t.Fatalf("epoch after compaction = %d, want 3", e)
 	}
 	var rr api.RangeResponse
 	getJSON(t, h, fmt.Sprintf("/v1/live/range?p=0&eps=%g", liveEps), http.StatusOK, &rr)
@@ -316,8 +336,8 @@ func TestServeMutateOpsCap(t *testing.T) {
 	if eb.Error.Code != api.CodeBadRequest || !strings.Contains(eb.Error.Message, fmt.Sprint(api.MaxMutateOps)) {
 		t.Fatalf("batch over the cap: %+v", eb)
 	}
-	if d.Epoch() != 2 {
-		t.Fatalf("the refused batch moved the epoch to %d", d.Epoch())
+	if e := d.viewAt().epoch; e != 2 {
+		t.Fatalf("the refused batch moved the epoch to %d", e)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"netclus/internal/server/api"
 )
 
-// Dataset is one served graph — the fields every kind shares (identity, epoch,
+// Dataset is one served graph — the fields every kind shares (identity,
 // load-time sizes, serving counters) around the one backend that answers for
 // the kind.
 type Dataset struct {
@@ -30,11 +30,6 @@ type Dataset struct {
 	// prefix), for /v1/datasets.
 	Source string
 
-	// epoch versions the dataset's contents. Read-only datasets stay at 1; a
-	// live dataset's overlay bumps it on every visible mutation, which
-	// invalidates result-cache entries by key mismatch.
-	epoch atomic.Int64
-
 	backend backend
 
 	nodes, edges, points int
@@ -44,7 +39,8 @@ type Dataset struct {
 	prune   netclus.PruneStats // aggregated across all served queries
 
 	// cstats is this dataset's share of result-cache traffic, for
-	// /v1/datasets; the cache-wide counters live on ResultCache.
+	// /v1/datasets; the cache-wide counters live on ResultCache. A live
+	// dataset's reads bypass the cache, so its counters stay zero.
 	cstats cacheCounters
 }
 
@@ -55,14 +51,12 @@ type cacheCounters struct {
 	shared atomic.Int64
 }
 
-// newDataset wraps b, which serves g, at epoch 1.
+// newDataset wraps b, which serves g.
 func newDataset(name, kind, source string, g netclus.Graph, b backend) *Dataset {
-	d := &Dataset{
+	return &Dataset{
 		Name: name, Kind: kind, Source: source, backend: b,
 		nodes: g.NumNodes(), edges: g.NumEdges(), points: g.NumPoints(),
 	}
-	d.epoch.Store(1)
-	return d
 }
 
 // NewStoreDataset opens the store under dir as a served dataset. landmarks
@@ -132,21 +126,15 @@ func NewShardedDataset(name, source string, set *netclus.ShardedSet) (*Dataset, 
 
 // NewLiveDataset serves base (a compiled snapshot or in-memory network)
 // behind a mutable delta overlay: POST /v1/datasets/{name}/points mutates it,
-// reads resolve through the overlay's published views, and every committed
-// batch or compaction swap bumps the dataset epoch exactly once — which is
-// what strands stale result-cache entries. Kind is "live".
+// reads resolve through the overlay's published views and carry the epoch of
+// the view they ran on, and none of them touches the result cache: a live
+// dataset's answers change with every write. Kind is "live".
 func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOptions) (*Dataset, error) {
-	d := newDataset(name, "live", source, base, nil)
-	// The overlay owns the epoch counter: its reconciler bumps d.epoch as the
-	// final step of publishing each view, before the writer is acked, so a
-	// client that saw its write commit can never read a stale cached result.
-	opts.Bump = d.BumpEpoch
 	ov, err := netclus.NewLiveOverlay(base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: building live overlay: %w", name, err)
 	}
-	d.backend = &liveBackend{ov: ov}
-	return d, nil
+	return newDataset(name, "live", source, base, &liveBackend{ov: ov}), nil
 }
 
 // buildBounds builds pruning tables over g — for cold datasets only, on the
@@ -201,19 +189,10 @@ func (d *Dataset) HasBounds() bool {
 
 // viewAt pins the graph and epoch a request runs against; handlers must take
 // both from one call.
-func (d *Dataset) viewAt() viewAt { return d.backend.pin(d.Epoch()) }
+func (d *Dataset) viewAt() viewAt { return d.backend.pin() }
 
 // View returns a graph read view for one request goroutine.
 func (d *Dataset) View() netclus.Graph { return d.viewAt().graph }
-
-// Epoch returns the dataset's current content version. Query responses carry
-// it, and result-cache keys embed it, so a bump strands every cached answer.
-func (d *Dataset) Epoch() int64 { return d.epoch.Load() }
-
-// BumpEpoch advances the content version, invalidating all cached results
-// for this dataset (their keys name the old epoch and can never match
-// again; the LRU ages them out). Returns the new epoch.
-func (d *Dataset) BumpEpoch() int64 { return d.epoch.Add(1) }
 
 // ResultCacheStats returns this dataset's share of result-cache traffic.
 func (d *Dataset) ResultCacheStats() api.ResultCacheStats {
@@ -228,7 +207,7 @@ func (d *Dataset) ResultCacheStats() api.ResultCacheStats {
 // aside: the shared fields here, the kind-specific blocks from the backend.
 func (d *Dataset) info() api.DatasetInfo {
 	info := api.DatasetInfo{
-		Name: d.Name, Kind: d.Kind, Source: d.Source, Epoch: d.Epoch(),
+		Name: d.Name, Kind: d.Kind, Source: d.Source, Epoch: readOnlyEpoch,
 		Nodes: d.nodes, Edges: d.edges, Points: d.points,
 		Bounds: d.HasBounds(), Queries: d.queries.Load(),
 	}

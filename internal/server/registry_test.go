@@ -22,7 +22,8 @@ import (
 // k = N on every kind; that a default DBSCAN reports a prune block exactly
 // where bounds exist and labels identically everywhere, at every worker count;
 // that every read-only kind refuses a mutation with the same envelope; that
-// every kind's result-cache counters sum to the cache-wide totals; and that
+// the immutable kinds' result-cache counters sum to the cache-wide totals and
+// a live dataset has none; and that
 // Server.Shutdown followed by Dataset.Close — the order the benchmark uses —
 // is clean on every kind.
 func TestBackendContract(t *testing.T) {
@@ -123,7 +124,7 @@ func TestBackendContract(t *testing.T) {
 		}
 		getJSON(t, h, "/v1/"+name+"/knn?p=99999&k=3", http.StatusNotFound, nil)
 		// A repeat is a hit and a narrower radius a miss of its own, on every
-		// kind: the cache answers exact keys only.
+		// immutable kind: the cache answers exact keys only.
 		for _, q := range []string{"eps=25", "eps=25", "eps=12.5"} {
 			getJSON(t, h, "/v1/"+name+"/range?p=3&dists=1&"+q, http.StatusOK, nil)
 		}
@@ -160,14 +161,19 @@ func TestBackendContract(t *testing.T) {
 	if len(ds.Datasets) != len(rows) {
 		t.Fatalf("%d datasets listed", len(ds.Datasets))
 	}
+	// Live reads bypass the cache, so a live entry has no result_cache block
+	// and the immutable ones alone sum to the totals.
 	var sum api.ResultCacheStats
+	cached := 0
 	for _, info := range ds.Datasets {
-		rc := info.ResultCache
-		sum.Hits += rc.Hits
-		sum.Misses += rc.Misses
-		sum.SingleflightShared += rc.SingleflightShared
+		if rc := info.ResultCache; rc != nil {
+			sum.Hits += rc.Hits
+			sum.Misses += rc.Misses
+			sum.SingleflightShared += rc.SingleflightShared
+			cached++
+		}
 	}
-	if sum != ds.ResultCache.ResultCacheStats || sum.Hits < int64(len(rows)) {
+	if sum != ds.ResultCache.ResultCacheStats || sum.Hits < int64(cached) {
 		t.Fatalf("per-dataset cache counters sum to %+v, cache-wide totals are %+v", sum, ds.ResultCache.ResultCacheStats)
 	}
 	for _, info := range ds.Datasets {
@@ -176,7 +182,8 @@ func TestBackendContract(t *testing.T) {
 				continue
 			}
 			if info.Bounds != row.bounds || info.Hot != row.hot || (info.CSR != nil) != row.hot ||
-				(info.Live != nil) != row.live || (info.Shards > 0) != (info.Kind == "sharded") {
+				(info.Live != nil) != row.live || (info.ResultCache == nil) != row.live ||
+				(info.Shards > 0) != (info.Kind == "sharded") {
 				t.Fatalf("%s listed as %+v", info.Name, info)
 			}
 		}

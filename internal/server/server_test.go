@@ -682,42 +682,6 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestServeCacheEpochBump: bumping a dataset's epoch strands every cached
-// answer — the next request misses and reports the new epoch.
-func TestServeCacheEpochBump(t *testing.T) {
-	s := newMemServer(t, 0)
-	d, _ := s.reg.Get("mem")
-	url := "/v1/mem/knn?p=3&k=5"
-
-	_, _ = getRaw(t, s.Handler(), url)
-	rec, body := getRaw(t, s.Handler(), url)
-	if got := rec.Header().Get("X-Netclusd-Cache"); got != "hit" {
-		t.Fatalf("X-Netclusd-Cache = %q, want hit", got)
-	}
-	var before api.KNNResponse
-	if err := json.Unmarshal(body, &before); err != nil {
-		t.Fatal(err)
-	}
-	if before.Epoch != 1 {
-		t.Fatalf("epoch = %d, want 1", before.Epoch)
-	}
-
-	if e := d.BumpEpoch(); e != 2 {
-		t.Fatalf("BumpEpoch = %d, want 2", e)
-	}
-	rec, body = getRaw(t, s.Handler(), url)
-	if got := rec.Header().Get("X-Netclusd-Cache"); got != "miss" {
-		t.Fatalf("post-bump X-Netclusd-Cache = %q, want miss", got)
-	}
-	var after api.KNNResponse
-	if err := json.Unmarshal(body, &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Epoch != 2 {
-		t.Fatalf("post-bump epoch = %d, want 2", after.Epoch)
-	}
-}
-
 // TestServeCacheOptOut: a server run with its cache off (ResultCacheBytes
 // < 0, which -result-cache-mb 0 maps to) computes every request, tags none,
 // and reports no result-cache block in /v1/datasets or /metrics.

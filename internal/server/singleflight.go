@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -47,15 +48,21 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, err
 			return nil, false, ctx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	// err stays errLeaderPanicked unless fn returns, so a panicking leader
+	// sends its followers to rerun fn; the deferred cleanup frees the key
+	// either way, and the panic goes on up the leader's stack.
+	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.body, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.body, false, c.err
 }
+
+var errLeaderPanicked = errors.New("singleflight: the leader panicked")

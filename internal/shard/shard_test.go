@@ -339,7 +339,8 @@ func TestShardEpsLinkEquivalence(t *testing.T) {
 }
 
 // TestShardExpandAssignEquivalence holds the generic Fig. 4 expansion and
-// Equation 1 assignment over a set to the snapshot's kernels of both.
+// Equation 1 assignment over a set to the snapshot's kernels of both
+// (ExpandNearestLogged through the dispatch, AssignNearest called directly).
 func TestShardExpandAssignEquivalence(t *testing.T) {
 	g := testNetwork(t, 17, 60, 150)
 	sn, err := csr.Compile(g)
@@ -367,6 +368,10 @@ func TestShardExpandAssignEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					labels := make([]int32, g.NumPoints())
+					if g == network.Graph(sn) {
+						r, _ := sn.AssignNearest(medoids, st.Med, st.Dist, labels)
+						return st, labels, r
+					}
 					r, err := core.AssignPoints(g, medoids, st, labels, &stats)
 					if err != nil {
 						t.Fatal(err)

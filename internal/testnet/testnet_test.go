@@ -59,8 +59,8 @@ func TestRandomConnectedAndTagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := network.IsConnected(g); !ok {
-		t.Fatal("Random network disconnected")
+	if _, comps, _ := network.ConnectedComponents(g); comps != 1 {
+		t.Fatalf("Random network has %d components", comps)
 	}
 	if g.NumPoints() != 100 {
 		t.Fatalf("%d points", g.NumPoints())
