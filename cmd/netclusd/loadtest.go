@@ -49,13 +49,11 @@ type ltCacheStats struct {
 
 // ltWriteStats is the dataset's write-path delta over one run, scraped from
 // the live stats in /v1/datasets before and after: batches and ops the run
-// committed, rejections, and the compactions it caused the server to run.
+// committed and rejections.
 type ltWriteStats struct {
-	Batches     int64 `json:"batches"`
-	Ops         int64 `json:"ops"`
-	Rejected    int64 `json:"rejected"`
-	Compactions int64 `json:"compactions"`
-	PendingOps  int64 `json:"pending_ops"`
+	Batches  int64 `json:"batches"`
+	Ops      int64 `json:"ops"`
+	Rejected int64 `json:"rejected"`
 }
 
 // ltSummary is the loadtest report written to -out. Seed and Zipf record the
@@ -382,11 +380,9 @@ func runLoadtest(client *http.Client, cfg ltConfig) ltSummary {
 		}
 		if err == nil && hasLive && ls != nil {
 			sum.Writes = &ltWriteStats{
-				Batches:     ls.Batches - liveBefore.Batches,
-				Ops:         ls.Ops - liveBefore.Ops,
-				Rejected:    ls.Rejected - liveBefore.Rejected,
-				Compactions: ls.Compactions - liveBefore.Compactions,
-				PendingOps:  ls.PendingOps,
+				Batches:  ls.Batches - liveBefore.Batches,
+				Ops:      ls.Ops - liveBefore.Ops,
+				Rejected: ls.Rejected - liveBefore.Rejected,
 			}
 		}
 	}
@@ -526,8 +522,7 @@ func printSummary(sum ltSummary) {
 			rc.Hits, rc.Misses, rc.SingleflightShared, rc.HitRatio)
 	}
 	if w := sum.Writes; w != nil {
-		fmt.Printf("writes: %d batches (%d ops, %d rejected), %d compactions, %d ops pending\n",
-			w.Batches, w.Ops, w.Rejected, w.Compactions, w.PendingOps)
+		fmt.Printf("writes: %d batches (%d ops, %d rejected)\n", w.Batches, w.Ops, w.Rejected)
 	}
 	eps := make([]string, 0, len(sum.Endpoints))
 	for ep := range sum.Endpoints {

@@ -92,6 +92,10 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 			t.Fatalf("Set(%q) succeeded", bad)
 		}
 	}
+	// compact=N went with compaction: it is an unknown option now.
+	if err := l.Set("x=/tmp/smoke,live,compact=8"); err == nil || !strings.Contains(err.Error(), `unknown dataset option "compact=8"`) {
+		t.Fatalf("Set(compact=8): %v, want an unknown-option error", err)
+	}
 	prefix, dir := writeTestData(t)
 	if isStoreDir(prefix) {
 		t.Error("text prefix detected as store")

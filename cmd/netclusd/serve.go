@@ -27,7 +27,7 @@ import (
 // saved snapshot file or sharded-set directory.
 // live serves the dataset behind a mutable delta overlay accepting
 // POST /v1/datasets/{name}/points; eps=F,minpts=K configure its incrementally
-// maintained ε-Link/DBSCAN labelling and compact=N its compaction threshold.
+// maintained ε-Link/DBSCAN labelling.
 type dataSpec struct {
 	text       string // the flag value as accepted, for dataFlags.String
 	name, path string
@@ -37,7 +37,6 @@ type dataSpec struct {
 	live       bool
 	eps        float64
 	minpts     int
-	compact    int
 }
 
 // dataFlags collects repeated -data flags.
@@ -92,14 +91,8 @@ func (d *dataFlags) Set(v string) error {
 				return fmt.Errorf("bad minpts=%q in %q (want a positive integer)", val, v)
 			}
 			spec.minpts = k
-		case "compact":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad compact=%q in %q (want a positive integer)", val, v)
-			}
-			spec.compact = n
 		default:
-			return fmt.Errorf("unknown dataset option %q in %q (want hot, shards=K, save=DIR, live, eps=F, minpts=K or compact=N)", opt, v)
+			return fmt.Errorf("unknown dataset option %q in %q (want hot, shards=K, save=DIR, live, eps=F or minpts=K)", opt, v)
 		}
 	}
 	if spec.hot && spec.shards > 0 {
@@ -108,8 +101,8 @@ func (d *dataFlags) Set(v string) error {
 	if spec.live && (spec.shards > 0 || spec.hot || spec.save != "") {
 		return fmt.Errorf("live is mutually exclusive with hot, shards=K and save=DIR in %q", v)
 	}
-	if (spec.eps > 0 || spec.minpts > 0 || spec.compact > 0) && !spec.live {
-		return fmt.Errorf("eps=, minpts= and compact= need live in %q", v)
+	if (spec.eps > 0 || spec.minpts > 0) && !spec.live {
+		return fmt.Errorf("eps= and minpts= need live in %q", v)
 	}
 	*d = append(*d, spec)
 	return nil
@@ -185,9 +178,8 @@ func loadShardedDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.D
 // loadLiveDataset resolves the mutable form of a spec: the path's graph
 // (snapshot file, disk store, or network files) compiles into an immutable
 // CSR base, and a delta overlay over it accepts writes. Every view the
-// overlay publishes is a snapshot derived from that base, so reads between
-// writes run the flat-array kernels, and a compaction makes the current view
-// the base without compiling.
+// overlay publishes is a snapshot derived from the one before it, so reads
+// between writes run the flat-array kernels.
 func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Dataset, error) {
 	var sn *netclus.Snapshot
 	if netclus.IsSnapshotFile(spec.path) {
@@ -206,7 +198,7 @@ func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Data
 			return nil, err
 		}
 	}
-	opts := netclus.LiveOptions{CompactOps: spec.compact}
+	var opts netclus.LiveOptions
 	if spec.eps > 0 {
 		minpts := spec.minpts
 		if minpts == 0 {

@@ -72,7 +72,7 @@ func densityBackends(t *testing.T, g *network.Network, shards int, euclid bool) 
 		t.Fatal(err)
 	}
 
-	o, err := delta.New(sn, delta.Options{CompactOps: -1})
+	o, err := delta.New(sn, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -726,7 +726,7 @@ func TestKMedoidsDeltaAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := delta.New(sn, delta.Options{CompactOps: -1})
+	o, err := delta.New(sn, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func derivedViews(t *testing.T) (base *csr.Snapshot, more, fewer network.Graph) 
 		t.Fatal(err)
 	}
 	base = compile(t, g)
-	o, err := delta.New(base, delta.Options{CompactOps: -1})
+	o, err := delta.New(base, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func lessEntry(a, b entry) bool { return a.dist < b.dist }
 // network.ScratchFor, which dispatches here for snapshots). A query rebinds
 // it to the graph it is handed, which may be any snapshot derived from the
 // same base (Derive) or a graph embedding one, such as a live overlay's
-// merged view; any other graph is refused. A Scratch belongs to one
+// view; any other graph is refused. A Scratch belongs to one
 // goroutine; any number may query the shared snapshots concurrently.
 type Scratch struct {
 	sn *Snapshot

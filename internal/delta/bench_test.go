@@ -13,12 +13,10 @@ import (
 
 // The write-path benchmarks run on the road stand-in the serve-write
 // workload serves: TG ×1.0 compiled to a snapshot, ε from its generator,
-// MinPts 3, CompactOps 1024. Run them at one core to size a batch the way
-// that workload pays for it:
+// MinPts 3. Run them at one core to size a batch the way that workload pays
+// for it:
 //
 //	go test -run '^$' -bench 'LiveBatch|Freeze|Derive' -benchmem -cpu 1 ./internal/delta
-
-const benchCompactOps = 1024
 
 var benchTG struct {
 	once sync.Once
@@ -76,7 +74,7 @@ func benchOps(rng *rand.Rand, points int) []Op {
 func benchOverlay(b *testing.B, live bool, first []Op, warm int) (*Overlay, *rand.Rand) {
 	b.Helper()
 	sn, eps := tgSnapshot(b)
-	opts := Options{CompactOps: benchCompactOps}
+	var opts Options
 	if live {
 		opts.Live = &LiveOptions{Eps: eps, MinPts: 3}
 	}
@@ -100,10 +98,12 @@ func benchOverlay(b *testing.B, live bool, first []Op, warm int) (*Overlay, *ran
 }
 
 // BenchmarkLiveBatch times one write batch end to end: queue, apply, freeze,
-// live repair and labels, publish, and every CompactOps ops a rebase. Each
-// of the framework's calls opens a fresh overlay, its bootstrap untimed, and
-// applies b.N batches to it, so -benchtime 3000x times 3000 batches from the
-// base as the dataset grows, as a served one does.
+// live repair and labels, and publish. Each of the framework's calls opens a
+// fresh overlay, its bootstrap untimed, and applies b.N batches to it, so
+// -benchtime 3000x times 3000 batches from the base as the dataset grows, as
+// a served one does. A batch derives its view from the last one and nothing
+// accumulates between batches, so the time per batch at 300x and at 3000x
+// differ by the dataset's growth alone.
 func BenchmarkLiveBatch(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -134,44 +134,49 @@ func BenchmarkLiveBatch(b *testing.B) {
 	}
 }
 
-// quiescentOverlay is a live overlay that had its first base group emptied,
-// took 200 warm batches (≈ 900 ops, below one compaction) and was then
+// quiescentOverlay is a live overlay that took 200 warm batches and was then
 // closed: its reconciler is gone, so a benchmark may drive freeze and derive
 // on the state it left.
 func quiescentOverlay(b *testing.B) *Overlay {
 	b.Helper()
-	sn, _ := tgSnapshot(b)
-	pg, err := sn.Group(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	empty := make([]Op, pg.Count)
-	for i := range empty {
-		empty[i] = Delete(pg.First + network.PointID(i))
-	}
-	o, _ := benchOverlay(b, true, empty, 200)
+	o, _ := benchOverlay(b, true, nil, 200)
 	o.Close()
-	if len(o.adopted) == 0 {
-		b.Fatal("the warm batches left no delta to freeze")
-	}
 	return o
 }
 
-// BenchmarkFreeze times the merged view of a closed overlay: "shared" is a
-// batch that left the populated edges alone and reuses the last view's
-// adjacency, "renumber" one that moved them and renumbers the base's, with
-// the emptied group's edge unpopulated.
+// BenchmarkFreeze times the view of one batch on a closed overlay: "shared"
+// is a batch that left the populated edges alone and reuses the last view's
+// adjacency, "renumber" one that empties the first group and renumbers a copy
+// of it.
 func BenchmarkFreeze(b *testing.B) {
 	o := quiescentOverlay(b)
 	for _, mode := range []struct {
-		name  string
-		moved bool
-	}{{"shared", false}, {"renumber", true}} {
+		name string
+		ops  func() []Op
+	}{
+		{"shared", func() []Op { return []Op{MoveSame(network.PointID(len(o.slots)-1), 0.5)} }},
+		{"renumber", func() []Op {
+			pg := o.groups[0]
+			ops := make([]Op, pg.Count)
+			for i := range ops {
+				ops[i] = Delete(pg.First + network.PointID(i))
+			}
+			return ops
+		}},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
+			first, points := o.nextSlot, o.points
+			if _, err := o.applyOps(mode.ops()); err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				o.dropLists()
+				o.nextSlot, o.points = first, points
+			}()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				o.adjMoved = mode.moved
-				sn, _, _ := o.freeze(o.nextSlot)
+				sn, _, _, _ := o.freeze(first)
 				if sn.NumPoints() != o.points {
 					b.Fatalf("froze %d points, want %d", sn.NumPoints(), o.points)
 				}

@@ -1,15 +1,15 @@
 // Package delta adds a write path on top of the immutable netclus graphs: an
-// epoch-versioned overlay that accepts point insert/move/delete batches while
-// the base stays frozen. Writes land in one FIFO queue and a single reconciler
-// goroutine drains it, applies each batch atomically in arrival order,
-// freezes an immutable merged view, and publishes it with one epoch bump per
-// batch. Readers pin whatever view was current when their request began. A
-// frozen view is a CSR snapshot derived from the base (csr.Derive) in the
-// §4.1 point-group layout, so every flat kernel and clustering algorithm runs
-// on it unchanged and byte-identical to a compile of the same logical
-// content; when the delta crosses a size threshold the reconciler makes the
-// current view the new base, with one more epoch bump and no compile. See
-// DESIGN.md §13.
+// epoch-versioned overlay that accepts point insert/move/delete batches.
+// Writes land in one FIFO queue and a single reconciler goroutine drains it,
+// applies each batch atomically in arrival order, freezes an immutable view,
+// and publishes it with one epoch bump per batch. Readers pin whatever view
+// was current when their request began. Each view is a CSR snapshot derived
+// from the one before it (csr.Derive) in the §4.1 point-group layout: the
+// batch copies out only the groups of the edges it touches, and every other
+// group is copied over from the last view in bulk runs. So every flat kernel
+// and clustering algorithm runs on a view unchanged and byte-identical to a
+// compile of the same logical content, and nothing accumulates between
+// batches. See DESIGN.md §13.
 package delta
 
 import (
@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -106,18 +107,15 @@ type LiveOptions struct {
 
 // Options configure an overlay.
 type Options struct {
-	// CompactOps compacts — makes the current view the base — once this many
-	// resolved ops are pending (default 4096; negative disables compaction
-	// except by CompactNow).
+	// CompactOps is accepted and ignored: a view is derived from the last
+	// one, so there is no delta to compact. It stays for the benchmark,
+	// which sets it (ROADMAP item 1 (A)).
 	CompactOps int
 	// Live enables incremental ε-Link/DBSCAN maintenance.
 	Live *LiveOptions
 }
 
 func (o Options) withDefaults() Options {
-	if o.CompactOps == 0 {
-		o.CompactOps = 4096
-	}
 	if o.Live != nil && o.Live.MinPts <= 0 {
 		live := *o.Live
 		live.MinPts = 3
@@ -137,40 +135,40 @@ type Result struct {
 // immutable: queries that loaded it keep a consistent (graph, epoch, labels)
 // triple however many batches land while they run.
 type Current struct {
-	// Graph is the merged view: a *View, or the base *csr.Snapshot itself
-	// while the delta is empty.
+	// Graph is the view: the base *csr.Snapshot itself at epoch 1, a *View
+	// after that.
 	Graph network.Graph
 	// Epoch is the view's content version: 1 for the base, one more per
-	// applied batch and per rebase.
+	// applied batch.
 	Epoch int64
 	// Points is Graph.NumPoints(), cached for cheap stats.
 	Points int
 
 	idToSlot []int32 // canonical point ID -> stable slot
 	live     *liveSnap
-	sn       *csr.Snapshot // the snapshot behind Graph
 }
 
-// listEntry is one point in an adopted edge list: its offset, tag, and the
-// stable slot identity that survives canonical renumbering.
+// listEntry is one point in an edge list: its offset, tag, and the stable
+// slot identity that survives canonical renumbering.
 type listEntry struct {
 	pos  float64
 	tag  int32
 	slot int32
 }
 
-// edgeList is the mutable form of one edge's point group. An edge is adopted
-// — copied out of the base — the first time a mutation touches it; untouched
-// edges are read straight from the base at freeze time.
+// edgeList is the mutable form of one edge's point group, copied out of the
+// last view the first time a batch touches the edge and dropped once the
+// batch's view is frozen; untouched edges are copied from the last view at
+// freeze time.
 type edgeList struct {
 	key    uint64
 	n1, n2 network.NodeID
 	weight float64
 	pts    []listEntry // ascending pos; equal-pos ties keep insertion order
-	// bgi is the index of the edge's base group when inBase, else the index
-	// of the first base group past it: where freeze interleaves the list.
-	bgi    int
-	inBase bool
+	// gi is the index of the edge's group in the last view when had, else
+	// the index of the first group past it: where freeze interleaves the list.
+	gi  int
+	had bool
 }
 
 // insert places (pos, tag, slot) at the upper bound among equal offsets —
@@ -197,7 +195,7 @@ func (el *edgeList) remove(slot int32) (listEntry, bool) {
 	return listEntry{}, false
 }
 
-// rKind tags a resolved op in the replay tail.
+// rKind tags a resolved op.
 type rKind uint8
 
 const (
@@ -205,14 +203,10 @@ const (
 	rDelete
 )
 
-// resolvedOp is a mutation with every name resolved to stable coordinates:
-// an edge key, an absolute offset, and a slot — what the live maintainer
-// repairs its ε-graph from.
+// resolvedOp is a mutation resolved to the stable slot it adds or removes:
+// what the live maintainer repairs its ε-graph from.
 type resolvedOp struct {
 	kind rKind
-	key  uint64
-	pos  float64
-	tag  int32
 	slot int32
 }
 
@@ -243,26 +237,18 @@ type Overlay struct {
 	qClosed bool
 	wakeup  chan struct{}
 
-	// reconciler-owned state
-	base       *csr.Snapshot
-	baseSlots  []int32 // slot of base point p
-	baseKeys   []uint64
-	baseGroups []network.PointGroup
-	adopted    []*edgeList // ascending key
-	points     int         // point count of the merged content
-	nextSlot   int32
-	pending    int   // resolved ops applied since the last rebase
-	epoch      int64 // of the last published view
-	live       *live
-
-	// lastAdj is the adjacency of the last published view, nil for the
-	// base's own; adjMoved says an applied batch has since changed the set
-	// of populated edges, so the next freeze renumbers the base's anew.
-	lastAdj  []network.Neighbor
-	adjMoved bool
+	// reconciler-owned state: the last published view — its snapshot, the
+	// slot of each of its points and its point groups — and the edge lists
+	// of the batch being applied, which live until its view is frozen.
+	sn       *csr.Snapshot
+	slots    []int32
+	groups   []network.PointGroup
+	lists    []*edgeList // ascending key
+	points   int         // point count of the batch's content
+	nextSlot int32       // only grows: a slot is never reused
+	live     *live
 	newIDs   []network.PointID // freeze's buffer for the batch's insert IDs
 
-	forceCh   chan chan error
 	closed    chan struct{}
 	closeOnce sync.Once
 	recDone   chan struct{}
@@ -272,36 +258,29 @@ type Overlay struct {
 
 // statCells mirrors reconciler-owned counters into atomics for Stats().
 type statCells struct {
-	batches     atomic.Int64
-	ops         atomic.Int64
-	rejected    atomic.Int64
-	compactions atomic.Int64
-	pendingOps  atomic.Int64
-	adopted     atomic.Int64
-	pauseNs     atomic.Int64
-	maxPauseNs  atomic.Int64
-	live        liveCounters
-	liveNs      atomic.Int64
+	batches  atomic.Int64
+	ops      atomic.Int64
+	rejected atomic.Int64
+	live     liveCounters
+	liveNs   atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the overlay's write-path counters,
-// serialized into /v1/datasets for live datasets. CompactRunning is always
-// false and LastCompileMS always 0: compaction is a rebase on the
-// reconciler, with no background compile. Both stay for the readers compiled
-// against them.
+// serialized into /v1/datasets for live datasets.
 type Stats struct {
-	Epoch          int64   `json:"epoch"`
-	Points         int     `json:"points"`
-	PendingOps     int64   `json:"pending_ops"`
-	AdoptedEdges   int64   `json:"adopted_edges"`
-	Batches        int64   `json:"batches"`
-	Ops            int64   `json:"ops"`
-	Rejected       int64   `json:"rejected"`
-	Compactions    int64   `json:"compactions"`
-	CompactRunning bool    `json:"compact_running,omitempty"`
-	LastPauseMS    float64 `json:"last_compact_pause_ms"`
-	MaxPauseMS     float64 `json:"max_compact_pause_ms"`
-	LastCompileMS  float64 `json:"last_compile_ms"`
+	Epoch    int64 `json:"epoch"`
+	Points   int   `json:"points"`
+	Batches  int64 `json:"batches"`
+	Ops      int64 `json:"ops"`
+	Rejected int64 `json:"rejected"`
+	// Compactions, PendingOps, MaxPauseMS, LastCompileMS and CompactRunning
+	// are always zero and never serialized: nothing is compacted. They stay
+	// for the benchmark, which reads them (ROADMAP item 1 (A)).
+	Compactions    int64   `json:"-"`
+	PendingOps     int64   `json:"-"`
+	MaxPauseMS     float64 `json:"-"`
+	LastCompileMS  float64 `json:"-"`
+	CompactRunning bool    `json:"-"`
 	LiveClustering bool    `json:"live_clustering,omitempty"`
 	LiveRangeQs    int64   `json:"live_range_queries,omitempty"`
 	// LiveMaintainNS is the cumulative time spent maintaining the labelling
@@ -331,30 +310,25 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 	}
 	o := &Overlay{
 		opts:    opts.withDefaults(),
-		base:    sn,
+		sn:      sn,
 		points:  sn.NumPoints(),
 		wakeup:  make(chan struct{}, 1),
-		forceCh: make(chan chan error),
 		closed:  make(chan struct{}),
 		recDone: make(chan struct{}),
 	}
 	var err error
-	if o.baseKeys, o.baseGroups, err = indexGroups(sn); err != nil {
+	if o.groups, err = indexGroups(sn); err != nil {
 		return nil, err
 	}
-	o.baseSlots = make([]int32, sn.NumPoints())
-	for i := range o.baseSlots {
-		o.baseSlots[i] = int32(i)
+	o.slots = make([]int32, sn.NumPoints())
+	for i := range o.slots {
+		o.slots[i] = int32(i)
 	}
 	o.nextSlot = int32(sn.NumPoints())
-	o.epoch = initialEpoch
-	cur := &Current{
-		Graph: sn, Epoch: initialEpoch,
-		Points: sn.NumPoints(), idToSlot: o.baseSlots, sn: sn,
-	}
+	cur := &Current{Graph: sn, Epoch: initialEpoch, Points: sn.NumPoints(), idToSlot: o.slots}
 	if o.opts.Live != nil {
 		o.live = newLive(o.opts.Live.Eps, o.opts.Live.MinPts, &o.stats.live)
-		snap, err := o.live.bootstrap(sn, o.baseSlots)
+		snap, err := o.live.bootstrap(sn, o.slots)
 		if err != nil {
 			return nil, fmt.Errorf("delta: bootstrapping live clustering: %w", err)
 		}
@@ -365,16 +339,15 @@ func New(base network.Graph, opts Options) (*Overlay, error) {
 	return o, nil
 }
 
-// indexGroups validates and indexes a base's group order: strictly ascending
+// indexGroups validates and lists a base's groups: strictly ascending
 // canonical edge keys with dense First offsets, the shape freeze() merges
 // against.
-func indexGroups(sn *csr.Snapshot) (keys []uint64, groups []network.PointGroup, err error) {
+func indexGroups(sn *csr.Snapshot) ([]network.PointGroup, error) {
 	var next network.PointID
 	prev := uint64(0)
-	keys = make([]uint64, 0, sn.NumGroups())
-	groups = make([]network.PointGroup, 0, sn.NumGroups())
-	err = sn.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offs []float64) error {
-		key := network.EdgeKey(pg.N1, pg.N2)
+	groups := make([]network.PointGroup, 0, sn.NumGroups())
+	err := sn.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offs []float64) error {
+		key := groupKey(pg)
 		if gid > 0 && key <= prev {
 			return fmt.Errorf("delta: base group %d out of edge-key order", gid)
 		}
@@ -383,12 +356,13 @@ func indexGroups(sn *csr.Snapshot) (keys []uint64, groups []network.PointGroup, 
 		}
 		prev = key
 		next += network.PointID(pg.Count)
-		keys = append(keys, key)
 		groups = append(groups, pg)
 		return nil
 	})
-	return keys, groups, err
+	return groups, err
 }
+
+func groupKey(pg network.PointGroup) uint64 { return network.EdgeKey(pg.N1, pg.N2) }
 
 // Current returns the published read view. Callers use one Current for a
 // whole request: graph, epoch, and live labels stay mutually consistent.
@@ -398,16 +372,11 @@ func (o *Overlay) Current() *Current { return o.cur.Load() }
 func (o *Overlay) Stats() Stats {
 	c := o.cur.Load()
 	s := Stats{
-		Epoch:        c.Epoch,
-		Points:       c.Points,
-		PendingOps:   o.stats.pendingOps.Load(),
-		AdoptedEdges: o.stats.adopted.Load(),
-		Batches:      o.stats.batches.Load(),
-		Ops:          o.stats.ops.Load(),
-		Rejected:     o.stats.rejected.Load(),
-		Compactions:  o.stats.compactions.Load(),
-		LastPauseMS:  float64(o.stats.pauseNs.Load()) / 1e6,
-		MaxPauseMS:   float64(o.stats.maxPauseNs.Load()) / 1e6,
+		Epoch:    c.Epoch,
+		Points:   c.Points,
+		Batches:  o.stats.batches.Load(),
+		Ops:      o.stats.ops.Load(),
+		Rejected: o.stats.rejected.Load(),
 	}
 	if o.live != nil {
 		s.LiveClustering = true
@@ -456,15 +425,13 @@ func (o *Overlay) Close() {
 }
 
 // reconcile is the single writer: it drains the write queue, applies each
-// batch, publishes views, and compacts.
+// batch, and publishes its view.
 func (o *Overlay) reconcile() {
 	defer close(o.recDone)
 	for {
 		select {
 		case <-o.wakeup:
 			o.drainAndApply()
-		case done := <-o.forceCh:
-			done <- o.rebase()
 		case <-o.closed:
 			o.shutdown()
 			return
@@ -501,30 +468,27 @@ func (o *Overlay) applyBatch(b *batch) {
 		b.res <- applyResult{err: err}
 		return
 	}
-	o.pending += len(resolved)
 	cur, err := o.publish(resolved, first)
 	if err != nil {
-		// Live maintenance self-healed by full rebuild; the view itself is
-		// always published. Only a bootstrap failure reaches here.
+		// Live maintenance self-healed by full rebuild; only a bootstrap
+		// failure reaches here.
 		b.res <- applyResult{err: err}
 		return
 	}
 	o.stats.batches.Add(1)
 	o.stats.ops.Add(int64(len(b.ops)))
 	b.res <- applyResult{r: Result{Epoch: cur.Epoch, Points: cur.Points}}
-	o.maybeCompact()
 }
 
-// publish freezes the merged view, bumps the epoch exactly once, refreshes
-// the live labelling over the resolved ops, and swaps the new Current in. The
-// batch's inserts hold the slots from first up.
+// publish freezes the batch's view, makes it the one the next batch derives
+// from, refreshes the live labelling over the resolved ops, and swaps the new
+// Current in, one epoch past the last. The batch's inserts hold the slots
+// from first up.
 func (o *Overlay) publish(resolved []resolvedOp, first int32) (*Current, error) {
-	sn, idToSlot, newIDs := o.freeze(first)
-	epoch := o.bumpEpoch()
-	cur := &Current{Graph: sn, Epoch: epoch, Points: len(idToSlot), idToSlot: idToSlot, sn: sn}
-	if sn != o.base {
-		cur.Graph = &View{sn}
-	}
+	sn, idToSlot, groups, newIDs := o.freeze(first)
+	o.sn, o.slots, o.groups = sn, idToSlot, groups
+	o.dropLists()
+	cur := &Current{Graph: &View{sn}, Epoch: o.cur.Load().Epoch + 1, Points: len(idToSlot), idToSlot: idToSlot}
 	if o.live != nil {
 		t0 := time.Now()
 		snap, err := o.live.apply(sn, idToSlot, newIDs, resolved)
@@ -535,16 +499,7 @@ func (o *Overlay) publish(resolved []resolvedOp, first int32) (*Current, error) 
 		cur.live = snap
 	}
 	o.cur.Store(cur)
-	o.stats.pendingOps.Store(int64(o.pending))
-	o.stats.adopted.Store(int64(len(o.adopted)))
 	return cur, nil
-}
-
-// bumpEpoch numbers the next published view: once per applied batch and
-// once per rebase, counting up from the base view's initialEpoch.
-func (o *Overlay) bumpEpoch() int64 {
-	o.epoch++
-	return o.epoch
 }
 
 // shutdown closes the write queue and fails every batch left in it.
@@ -559,69 +514,42 @@ func (o *Overlay) shutdown() {
 	}
 }
 
-// touchedList remembers an edge list's pre-batch contents for rollback.
-type touchedList struct {
-	el      *edgeList
-	saved   []listEntry
-	existed bool // false when this batch adopted the edge
-}
-
-// applyOps applies one batch atomically against the reconciler state: every
-// op validates and applies, or the state rolls back to the pre-batch content
-// and the error names the offending op. An applied batch that emptied an
-// edge or put points on a point-free one raises adjMoved.
+// applyOps applies one batch atomically to edge lists copied out of the last
+// view: every op validates and applies, or the lists are dropped, the slot
+// and point counters restored, and the error names the offending op.
 func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
-	pre := o.cur.Load()
-	touched := make(map[uint64]*touchedList)
 	savedSlot, savedPoints := o.nextSlot, o.points
 	resolved := make([]resolvedOp, 0, len(ops))
 
 	fail := func(i int, err error) ([]resolvedOp, error) {
-		for _, t := range touched {
-			t.el.pts = t.saved
-		}
-		o.adopted = slices.DeleteFunc(o.adopted, func(el *edgeList) bool {
-			t := touched[el.key]
-			return t != nil && !t.existed
-		})
+		o.dropLists()
 		o.nextSlot, o.points = savedSlot, savedPoints
 		return nil, fmt.Errorf("op %d: %w", i, err)
 	}
-	// touch adopts key (copying the base group on first contact ever) and
-	// saves its pre-batch contents on first contact this batch.
-	touch := func(key uint64) (*edgeList, error) {
-		if t, ok := touched[key]; ok {
-			return t.el, nil
+	// resolve maps a canonical ID of the last view to its slot, edge key and
+	// edge weight.
+	resolve := func(p network.PointID) (int32, uint64, float64, error) {
+		if p < 0 || int(p) >= len(o.slots) {
+			return 0, 0, 0, fmt.Errorf("%w: point %d of %d", network.ErrPointRange, p, len(o.slots))
 		}
-		_, existed := o.findAdopted(key)
-		el, err := o.adopt(key)
+		pi, err := o.sn.PointInfo(p)
 		if err != nil {
-			return nil, err
+			return 0, 0, 0, err
 		}
-		saved := append([]listEntry(nil), el.pts...)
-		touched[key] = &touchedList{el: el, saved: saved, existed: existed}
-		return el, nil
-	}
-	// resolve maps a canonical pre-batch point ID to its slot and edge key.
-	resolve := func(p network.PointID) (int32, uint64, error) {
-		if p < 0 || int(p) >= pre.Points {
-			return 0, 0, fmt.Errorf("%w: point %d of %d", network.ErrPointRange, p, pre.Points)
-		}
-		pi, err := pre.sn.PointInfo(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		return pre.idToSlot[p], network.EdgeKey(pi.N1, pi.N2), nil
+		return o.slots[p], network.EdgeKey(pi.N1, pi.N2), pi.Weight, nil
 	}
 
 	for i, op := range ops {
+		if (op.Kind == OpInsert || op.Kind == OpMove) && math.IsNaN(op.Pos) {
+			return fail(i, fmt.Errorf("%w: pos NaN", network.ErrInvalidOptions))
+		}
 		switch op.Kind {
 		case OpInsert:
 			key, pos, err := o.resolveDest(op, resolve)
 			if err != nil {
 				return fail(i, err)
 			}
-			el, err := touch(key)
+			el, err := o.list(key)
 			if err != nil {
 				return fail(i, err)
 			}
@@ -632,14 +560,14 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 			o.nextSlot++
 			o.points++
 			el.insert(pos, op.Tag, slot)
-			resolved = append(resolved, resolvedOp{kind: rInsert, key: key, pos: pos, tag: op.Tag, slot: slot})
+			resolved = append(resolved, resolvedOp{kind: rInsert, slot: slot})
 
 		case OpDelete:
-			slot, key, err := resolve(op.Point)
+			slot, key, _, err := resolve(op.Point)
 			if err != nil {
 				return fail(i, err)
 			}
-			el, err := touch(key)
+			el, err := o.list(key)
 			if err != nil {
 				return fail(i, err)
 			}
@@ -647,14 +575,14 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 				return fail(i, fmt.Errorf("%w: point %d already mutated in this batch", network.ErrInvalidOptions, op.Point))
 			}
 			o.points--
-			resolved = append(resolved, resolvedOp{kind: rDelete, key: key, slot: slot})
+			resolved = append(resolved, resolvedOp{kind: rDelete, slot: slot})
 
 		case OpMove:
-			slot, srcKey, err := resolve(op.Point)
+			slot, srcKey, _, err := resolve(op.Point)
 			if err != nil {
 				return fail(i, err)
 			}
-			src, err := touch(srcKey)
+			src, err := o.list(srcKey)
 			if err != nil {
 				return fail(i, err)
 			}
@@ -669,7 +597,7 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 					return fail(i, err)
 				}
 			}
-			dst, err := touch(dstKey)
+			dst, err := o.list(dstKey)
 			if err != nil {
 				return fail(i, err)
 			}
@@ -680,16 +608,11 @@ func (o *Overlay) applyOps(ops []Op) ([]resolvedOp, error) {
 			o.nextSlot++
 			dst.insert(pos, ent.tag, slot2)
 			resolved = append(resolved,
-				resolvedOp{kind: rDelete, key: srcKey, slot: slot},
-				resolvedOp{kind: rInsert, key: dstKey, pos: pos, tag: ent.tag, slot: slot2})
+				resolvedOp{kind: rDelete, slot: slot},
+				resolvedOp{kind: rInsert, slot: slot2})
 
 		default:
 			return fail(i, fmt.Errorf("%w: unknown op kind %d", network.ErrInvalidOptions, op.Kind))
-		}
-	}
-	for _, t := range touched {
-		if (len(t.saved) > 0) != (len(t.el.pts) > 0) {
-			o.adjMoved = true
 		}
 	}
 	return resolved, nil
@@ -707,30 +630,21 @@ func clampFrac(f float64) float64 {
 
 // resolveDest names an insert/move destination: an explicit canonical edge
 // with an absolute offset, or a near-point's edge with a fractional one.
-func (o *Overlay) resolveDest(op Op, resolve func(network.PointID) (int32, uint64, error)) (uint64, float64, error) {
+func (o *Overlay) resolveDest(op Op, resolve func(network.PointID) (int32, uint64, float64, error)) (uint64, float64, error) {
 	switch op.Edge {
 	case EdgeExplicit:
 		if op.N1 == op.N2 {
 			return 0, 0, fmt.Errorf("%w: self-loop edge (%d,%d)", network.ErrInvalidOptions, op.N1, op.N2)
 		}
-		if op.N1 < 0 || int(op.N1) >= o.base.NumNodes() || op.N2 < 0 || int(op.N2) >= o.base.NumNodes() {
+		if op.N1 < 0 || int(op.N1) >= o.sn.NumNodes() || op.N2 < 0 || int(op.N2) >= o.sn.NumNodes() {
 			return 0, 0, fmt.Errorf("%w: edge (%d,%d)", network.ErrNodeRange, op.N1, op.N2)
 		}
 		n1, n2 := network.CanonEdge(op.N1, op.N2)
 		return network.EdgeKey(n1, n2), op.Pos, nil
 	case EdgeNear:
-		_, key, err := resolve(op.Near)
+		_, key, w, err := resolve(op.Near)
 		if err != nil {
 			return 0, 0, err
-		}
-		var w float64
-		if i, ok := o.findAdopted(key); ok {
-			w = o.adopted[i].weight
-		} else {
-			n1, n2 := network.UnpackEdgeKey(key)
-			if w, err = network.EdgeWeight(o.base, n1, n2); err != nil {
-				return 0, 0, err
-			}
 		}
 		return key, clampFrac(op.Pos) * w, nil
 	default:
@@ -738,27 +652,32 @@ func (o *Overlay) resolveDest(op Op, resolve func(network.PointID) (int32, uint6
 	}
 }
 
-// adopt copies an edge's base point group into the mutable overlay (empty for
-// point-free edges), validating that the edge exists.
-func (o *Overlay) adopt(key uint64) (*edgeList, error) {
-	at, ok := o.findAdopted(key)
+// list returns the batch's edge list of edge key, copying the edge's group
+// out of the last view on first contact (empty for a point-free edge, after
+// checking that the edge exists).
+func (o *Overlay) list(key uint64) (*edgeList, error) {
+	at, ok := slices.BinarySearchFunc(o.lists, key, func(el *edgeList, key uint64) int {
+		return cmp.Compare(el.key, key)
+	})
 	if ok {
-		return o.adopted[at], nil
+		return o.lists[at], nil
 	}
 	n1, n2 := network.UnpackEdgeKey(key)
 	el := &edgeList{key: key, n1: n1, n2: n2}
-	el.bgi, el.inBase = o.baseGroupIndex(key)
-	if el.inBase {
-		pg := o.baseGroups[el.bgi]
-		_, pos, _, tag := csr.Columns(o.base)
+	el.gi, el.had = slices.BinarySearchFunc(o.groups, key, func(pg network.PointGroup, key uint64) int {
+		return cmp.Compare(groupKey(pg), key)
+	})
+	if el.had {
+		pg := o.groups[el.gi]
+		_, pos, _, tag := csr.Columns(o.sn)
 		el.weight = pg.Weight
 		el.pts = make([]listEntry, pg.Count)
 		for i := range el.pts {
 			p := pg.First + network.PointID(i)
-			el.pts[i] = listEntry{pos: pos[p], tag: tag[p], slot: o.baseSlots[p]}
+			el.pts[i] = listEntry{pos: pos[p], tag: tag[p], slot: o.slots[p]}
 		}
 	} else {
-		w, err := network.EdgeWeight(o.base, n1, n2)
+		w, err := network.EdgeWeight(o.sn, n1, n2)
 		if err != nil {
 			if errors.Is(err, network.ErrNoEdge) {
 				err = fmt.Errorf("%w: %v", network.ErrInvalidOptions, err)
@@ -767,29 +686,12 @@ func (o *Overlay) adopt(key uint64) (*edgeList, error) {
 		}
 		el.weight = w
 	}
-	o.adopted = slices.Insert(o.adopted, at, el)
+	o.lists = slices.Insert(o.lists, at, el)
 	return el, nil
 }
 
-// findAdopted finds the adopted list of edge key by binary search, or where
-// it would go.
-func (o *Overlay) findAdopted(key uint64) (int, bool) {
-	return slices.BinarySearchFunc(o.adopted, key, func(el *edgeList, key uint64) int {
-		return cmp.Compare(el.key, key)
-	})
-}
-
-// baseGroupIndex finds the base group holding edge key, by binary search over
-// the ascending key index.
-func (o *Overlay) baseGroupIndex(key uint64) (int, bool) {
-	lo, hi := 0, len(o.baseKeys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if o.baseKeys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(o.baseKeys) && o.baseKeys[lo] == key
+// dropLists forgets the batch's edge lists.
+func (o *Overlay) dropLists() {
+	clear(o.lists)
+	o.lists = o.lists[:0]
 }

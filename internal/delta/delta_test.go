@@ -13,10 +13,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -431,8 +433,7 @@ func TestOverlayEquivalence(t *testing.T) {
 	for name, base := range bases(t, g) {
 		t.Run(name, func(t *testing.T) {
 			o, err := delta.New(base, delta.Options{
-				CompactOps: -1, // compaction covered separately
-				Live:       &delta.LiveOptions{Eps: testEps, MinPts: testMinPts},
+				Live: &delta.LiveOptions{Eps: testEps, MinPts: testMinPts},
 			})
 			if err != nil {
 				t.Fatalf("New: %v", err)
@@ -473,7 +474,7 @@ func TestBatchAtomicityAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Random: %v", err)
 	}
-	o, err := delta.New(g, delta.Options{CompactOps: -1})
+	o, err := delta.New(g, delta.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -512,101 +513,95 @@ func TestBatchAtomicityAndErrors(t *testing.T) {
 	}
 }
 
-func TestCompaction(t *testing.T) {
-	g, err := testnet.Random(31, 30, 60)
+// TestApplyRefusesNaNOffset: a NaN offset is refused in every op form that
+// takes one, with ErrInvalidOptions naming the op, and refuses its whole
+// batch — the valid insert queued before it in the same batch included. A
+// NaN fraction clamps to NaN and fails both explicit range checks, so it
+// would publish a view whose snapshot file no one can open.
+func TestApplyRefusesNaNOffset(t *testing.T) {
+	g, err := testnet.Random(29, 20, 40)
 	if err != nil {
-		t.Fatalf("Random: %v", err)
+		t.Fatal(err)
 	}
-	o, err := delta.New(g, delta.Options{
-		CompactOps: -1,
-		Live:       &delta.LiveOptions{Eps: testEps, MinPts: testMinPts},
-	})
+	o, err := delta.New(g, delta.Options{})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
+	}
+	defer o.Close()
+	ctx := context.Background()
+	pi, err := g.PointInfo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	before := o.Current()
+	for _, op := range []delta.Op{
+		delta.InsertNear(0, nan, 0),
+		delta.Insert(pi.N1, pi.N2, nan, 0),
+		delta.MoveSame(1, nan),
+		delta.Move(2, pi.N1, pi.N2, nan),
+	} {
+		_, err := o.Apply(ctx, []delta.Op{delta.InsertNear(3, 0.5, 1), op})
+		if !errors.Is(err, network.ErrInvalidOptions) || !strings.Contains(err.Error(), "op 1:") {
+			t.Fatalf("%+v: err %v, want ErrInvalidOptions naming op 1", op, err)
+		}
+		if o.Current() != before {
+			t.Fatalf("%+v: a refused batch published a view", op)
+		}
+	}
+	// The refusals left nothing behind: the next batch is the first to land.
+	res, err := o.Apply(ctx, []delta.Op{delta.InsertNear(3, 0.5, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != before.Epoch+1 || res.Points != before.Points+1 {
+		t.Fatalf("after the refusals: epoch %d with %d points, want %d with %d", res.Epoch, res.Points, before.Epoch+1, before.Points+1)
+	}
+	checkMatchesCompile(t, o.Current().Graph)
+}
+
+// TestEpochCountsAcceptedBatches holds a live overlay's epoch to 1 + the
+// batches it accepted, across a stream in which every third batch is
+// refused, and the overlay's counters to the same tally.
+func TestEpochCountsAcceptedBatches(t *testing.T) {
+	g, err := testnet.Random(37, 25, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := delta.New(g, delta.Options{Live: &delta.LiveOptions{Eps: testEps, MinPts: testMinPts}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer o.Close()
 	ctx := context.Background()
 	m := newModel(g)
-	rng := rand.New(rand.NewSource(7))
-
-	// Nothing pending: CompactNow is a no-op, no epoch churn.
-	before := o.Current().Epoch
-	if err := o.CompactNow(); err != nil {
-		t.Fatalf("empty CompactNow: %v", err)
-	}
-	if got := o.Current().Epoch; got != before {
-		t.Fatalf("empty compaction bumped epoch %d -> %d", before, got)
-	}
-
-	for round := 0; round < 8; round++ {
-		ops := randomOps(rng, m, 5)
-		m.apply(ops)
-		if _, err := o.Apply(ctx, ops); err != nil {
-			t.Fatalf("Apply: %v", err)
+	rng := rand.New(rand.NewSource(11))
+	var accepted, refused int64
+	for round := 0; round < 30; round++ {
+		ops := randomOps(rng, m, 1+rng.Intn(5))
+		if round%3 == 2 {
+			ops = append(ops, delta.Delete(network.PointID(o.Current().Points+1)))
+			if _, err := o.Apply(ctx, ops); err == nil {
+				t.Fatalf("round %d: a batch ending in an unknown point applied", round)
+			}
+			refused++
+		} else {
+			m.apply(ops)
+			if _, err := o.Apply(ctx, ops); err != nil {
+				t.Fatalf("round %d: Apply: %v", round, err)
+			}
+			accepted++
 		}
-		pre := o.Current()
-		if err := o.CompactNow(); err != nil {
-			t.Fatalf("CompactNow: %v", err)
+		st := o.Stats()
+		if cur := o.Current(); cur.Epoch != 1+accepted || st.Epoch != cur.Epoch {
+			t.Fatalf("round %d: epoch %d (stats %d), want 1 + %d accepted batches", round, cur.Epoch, st.Epoch, accepted)
 		}
-		cur := o.Current()
-		if cur.Epoch != pre.Epoch+1 {
-			t.Fatalf("compaction bumped epoch %d -> %d, want exactly one", pre.Epoch, cur.Epoch)
+		if st.Batches != accepted || st.Rejected != refused {
+			t.Fatalf("round %d: stats count %d batches and %d rejected, want %d and %d", round, st.Batches, st.Rejected, accepted, refused)
 		}
-		// Post-compaction the delta is empty: serving drops back to the raw
-		// CSR snapshot and the specialized kernels.
-		if _, ok := cur.Graph.(*csr.Snapshot); !ok {
-			t.Fatalf("post-compaction graph is %T, want *csr.Snapshot", cur.Graph)
-		}
-		rebuilt := m.rebuild(t, g.NumNodes())
-		checkGraphEqual(t, rebuilt, cur.Graph)
-		checkKernelsEqual(t, rebuilt, cur.Graph, testEps, testMinPts)
-		checkLiveEqual(t, cur, testEps, testMinPts)
-	}
-	st := o.Stats()
-	if st.Compactions != 8 || st.PendingOps != 0 {
-		t.Fatalf("stats after 8 compactions: %+v", st)
-	}
-	if st.LastCompileMS < 0 || st.LastPauseMS < 0 || st.MaxPauseMS < st.LastPauseMS {
-		t.Fatalf("implausible pause accounting: %+v", st)
-	}
-
-	// Writes after a compaction keep working against the swapped base.
-	ops := randomOps(rng, m, 4)
-	m.apply(ops)
-	if _, err := o.Apply(ctx, ops); err != nil {
-		t.Fatalf("post-compaction Apply: %v", err)
 	}
 	checkGraphEqual(t, m.rebuild(t, g.NumNodes()), o.Current().Graph)
 	checkLiveEqual(t, o.Current(), testEps, testMinPts)
-}
-
-func TestSizeTriggeredCompaction(t *testing.T) {
-	g, err := testnet.Random(3, 20, 30)
-	if err != nil {
-		t.Fatalf("Random: %v", err)
-	}
-	o, err := delta.New(g, delta.Options{CompactOps: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer o.Close()
-	m := newModel(g)
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 6; round++ {
-		ops := randomOps(rng, m, 3)
-		m.apply(ops)
-		if _, err := o.Apply(context.Background(), ops); err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-	}
-	// The size trigger rebased on the reconciler; CompactNow folds the rest.
-	if err := o.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
-	}
-	if st := o.Stats(); st.Compactions == 0 {
-		t.Fatalf("size trigger never fired: %+v", st)
-	}
-	checkGraphEqual(t, m.rebuild(t, g.NumNodes()), o.Current().Graph)
 }
 
 func TestViewPinning(t *testing.T) {
@@ -614,7 +609,7 @@ func TestViewPinning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Random: %v", err)
 	}
-	o, err := delta.New(g, delta.Options{CompactOps: -1})
+	o, err := delta.New(g, delta.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -653,7 +648,7 @@ func TestViewPinning(t *testing.T) {
 
 // checkMatchesCompile asserts that a published view is byte for byte the
 // snapshot csr.Compile builds from it: freeze derives exactly what a compile
-// of the merged content would, so a rebase needs no compile.
+// of the view's content would.
 func checkMatchesCompile(t *testing.T, g network.Graph) {
 	t.Helper()
 	var sn *csr.Snapshot
@@ -683,8 +678,8 @@ func checkMatchesCompile(t *testing.T, g network.Graph) {
 
 // TestFreezeMatchesCompile drives an overlay through the two batches that
 // renumber the adjacency — one empties a base group, one puts points on a
-// point-free edge — then random batches around a rebase, and holds every
-// published view to a compile of it, byte for byte.
+// point-free edge — then random batches, and holds every published view to a
+// compile of it, byte for byte.
 func TestFreezeMatchesCompile(t *testing.T) {
 	g, err := testnet.Random(19, 30, 60)
 	if err != nil {
@@ -694,7 +689,7 @@ func TestFreezeMatchesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := delta.New(base, delta.Options{CompactOps: -1})
+	o, err := delta.New(base, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,18 +742,12 @@ func TestFreezeMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 20; round++ {
 		apply(randomOps(rng, m, 1+rng.Intn(6)))
-		if round == 9 {
-			if err := o.CompactNow(); err != nil {
-				t.Fatalf("CompactNow: %v", err)
-			}
-			checkMatchesCompile(t, o.Current().Graph)
-		}
 	}
 
 	// The adjacency cache, on a fresh overlay over the same base: a view
 	// shares the last view's adjacency while the populated edges stay the
-	// same, and renumbers the base's when they move. Rows alias when shared.
-	o2, err := delta.New(base, delta.Options{CompactOps: -1})
+	// same, and renumbers a copy of it when they move. Rows alias when shared.
+	o2, err := delta.New(base, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,10 +784,10 @@ func TestFreezeMatchesCompile(t *testing.T) {
 	if prev, cur := step(moveLast()); !same(prev, cur) {
 		t.Fatal("a batch that left the populated edges alone copied the adjacency")
 	}
-	// 3. Refill A: the populated set is the base's again, and so is the
-	// adjacency.
-	if _, cur := step([]delta.Op{delta.Insert(pg.N1, pg.N2, pg.Weight/2, 7)}); !same(cur, baseRow) {
-		t.Fatal("refilling group A did not return to the base's adjacency")
+	// 3. Refill A: the populated set moved again, so the adjacency is a
+	// fresh copy, neither the last view's nor the base's.
+	if prev, cur := step([]delta.Op{delta.Insert(pg.N1, pg.N2, pg.Weight/2, 7)}); same(prev, cur) || same(cur, baseRow) {
+		t.Fatal("refilling group A kept an earlier view's adjacency")
 	}
 	// 4. Empty A again: its one point is the first of the view.
 	if _, cur := step([]delta.Op{delta.Delete(0)}); same(cur, baseRow) {
@@ -825,15 +814,6 @@ func TestFreezeMatchesCompile(t *testing.T) {
 	if prev, cur := step(moveLast()); !same(prev, cur) {
 		t.Fatal("after a rejected batch, a batch that left the populated edges alone copied the adjacency")
 	}
-	// 6. CompactNow: the view becomes the base, whose adjacency the next
-	// batch that leaves the set alone shares.
-	if err := o2.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
-	}
-	checkMatchesCompile(t, o2.Current().Graph)
-	if prev, cur := step(moveLast()); !same(prev, cur) {
-		t.Fatal("after a rebase, a batch that left the populated edges alone copied the adjacency")
-	}
 }
 
 // TestSharedAdjacencyAllocatesNoCopy bounds what a batch that leaves the
@@ -850,7 +830,7 @@ func TestSharedAdjacencyAllocatesNoCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := delta.New(base, delta.Options{CompactOps: -1})
+	o, err := delta.New(base, delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

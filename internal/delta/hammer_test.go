@@ -15,20 +15,19 @@ import (
 	"netclus/internal/testnet"
 )
 
-// TestHammerWritesCompactionsReads (run under -race in CI) interleaves
-// mutation batches, forced compactions, and range/kNN/DBSCAN reads. Every
+// TestHammerWritesReads (run under -race in CI) interleaves mutation batches
+// and range/kNN/DBSCAN reads. Every
 // reader pins one published view and asserts internal consistency against
 // the epoch it reports: the pinned graph answers identically across repeated
 // queries, the live labelling length matches the pinned point count, and
 // epochs observed by each goroutine only move forward.
-func TestHammerWritesCompactionsReads(t *testing.T) {
+func TestHammerWritesReads(t *testing.T) {
 	g, err := testnet.Random(23, 40, 120)
 	if err != nil {
 		t.Fatalf("Random: %v", err)
 	}
 	o, err := delta.New(g, delta.Options{
-		CompactOps: 64,
-		Live:       &delta.LiveOptions{Eps: testEps, MinPts: testMinPts},
+		Live: &delta.LiveOptions{Eps: testEps, MinPts: testMinPts},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -37,25 +36,21 @@ func TestHammerWritesCompactionsReads(t *testing.T) {
 	ctx := context.Background()
 
 	const (
-		writers       = 4
-		readers       = 4
-		batchesPer    = 40
-		readsPer      = 60
-		compactRounds = 15
+		writers    = 4
+		readers    = 4
+		batchesPer = 40
+		readsPer   = 60
 	)
 	var (
 		wg       sync.WaitGroup
 		applied  atomic.Int64
 		rejected atomic.Int64
-		writing  atomic.Int32
 	)
-	writing.Store(writers)
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			defer writing.Add(-1)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < batchesPer; i++ {
 				cur := o.Current()
@@ -87,17 +82,6 @@ func TestHammerWritesCompactionsReads(t *testing.T) {
 			}
 		}(int64(w) + 1)
 	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < compactRounds && writing.Load() > 0; i++ {
-			if err := o.CompactNow(); err != nil && !errors.Is(err, delta.ErrClosed) {
-				t.Errorf("CompactNow: %v", err)
-				return
-			}
-		}
-	}()
 
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -161,9 +145,6 @@ func TestHammerWritesCompactionsReads(t *testing.T) {
 		t.Fatalf("no batch applied (%d rejected) — hammer exercised nothing", rejected.Load())
 	}
 	// Quiesced: the final view must agree with a full rebuild of itself.
-	if err := o.CompactNow(); err != nil {
-		t.Fatalf("final CompactNow: %v", err)
-	}
 	cur := o.Current()
 	m := newModel(cur.Graph)
 	checkGraphEqual(t, m.rebuild(t, g.NumNodes()), cur.Graph)

@@ -18,7 +18,7 @@ const noise = int32(-1)
 // points depends only on the network and their own placements, so a mutation
 // batch changes the ε-neighbor graph only at the mutated points. The
 // maintainer keeps that graph in stable slot space (slots survive canonical
-// renumbering and compaction) and repairs it with one range query per
+// renumbering) and repairs it with one range query per
 // inserted point and zero for deletes. Two graphs ride on it — the ε-graph
 // over alive slots (ε-Link's components) and the core graph over core slots
 // (DBSCAN's) — and a batch changes each only by the vertices that leave it

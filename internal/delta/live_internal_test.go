@@ -74,7 +74,7 @@ func TestLiveRepairWorkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	o, err := New(g, Options{CompactOps: -1, Live: &LiveOptions{Eps: cfg.Eps(), MinPts: 3}})
+	o, err := New(g, Options{Live: &LiveOptions{Eps: cfg.Eps(), MinPts: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLiveRepairWorkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := line.NumPoints()
-	ol, err := New(line, Options{CompactOps: -1, Live: &LiveOptions{Eps: 0.5, MinPts: 2}})
+	ol, err := New(line, Options{Live: &LiveOptions{Eps: 0.5, MinPts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLiveStampWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(g, Options{CompactOps: -1, Live: &LiveOptions{Eps: 0.5, MinPts: 2}})
+	o, err := New(g, Options{Live: &LiveOptions{Eps: 0.5, MinPts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

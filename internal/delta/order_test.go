@@ -38,7 +38,7 @@ func TestApplyOrderIsArrivalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := New(g, Options{CompactOps: -1})
+		o, err := New(g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,8 +65,7 @@ func TestRepairRandomClustered(t *testing.T) {
 				eps := scale * cfg.Eps()
 				t.Run(fmt.Sprintf("%s/minPts=%d/eps=%gx", name, minPts, scale), func(t *testing.T) {
 					o, err := delta.New(base, delta.Options{
-						CompactOps: 150, // a few rebases per stream
-						Live:       &delta.LiveOptions{Eps: eps, MinPts: minPts},
+						Live: &delta.LiveOptions{Eps: eps, MinPts: minPts},
 					})
 					if err != nil {
 						t.Fatalf("New: %v", err)
@@ -79,9 +78,6 @@ func TestRepairRandomClustered(t *testing.T) {
 							t.Fatalf("round %d: Apply(%+v): %v", round, ops, err)
 						}
 						checkLiveEqual(t, o.Current(), eps, minPts)
-					}
-					if st := o.Stats(); st.Compactions == 0 {
-						t.Fatalf("no compaction swapped the base mid-stream: %+v", st)
 					}
 				})
 			}
@@ -102,8 +98,7 @@ func TestRepairLine(t *testing.T) {
 		for _, minPts := range []int{2, 3} {
 			t.Run(fmt.Sprintf("eps=%g/minPts=%d", eps, minPts), func(t *testing.T) {
 				o, err := delta.New(g, delta.Options{
-					CompactOps: 100,
-					Live:       &delta.LiveOptions{Eps: eps, MinPts: minPts},
+					Live: &delta.LiveOptions{Eps: eps, MinPts: minPts},
 				})
 				if err != nil {
 					t.Fatalf("New: %v", err)
@@ -247,7 +242,7 @@ func TestRepairNamedCases(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.graph(t)
-			o, err := delta.New(g, delta.Options{CompactOps: -1, Live: &delta.LiveOptions{Eps: tc.eps, MinPts: tc.minPts}})
+			o, err := delta.New(g, delta.Options{Live: &delta.LiveOptions{Eps: tc.eps, MinPts: tc.minPts}})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

@@ -587,8 +587,8 @@ type DatasetInfo struct {
 	ShardSet *netclus.ShardedSetStats `json:"shard_set,omitempty"`
 
 	// Live-dataset write-path telemetry (absent for immutable datasets):
-	// epoch, point count, pending delta ops, batch/op/rejection counters,
-	// compactions and pause timings. Additive, so the golden contract above
+	// epoch, point count, batch/op/rejection counters and the live
+	// maintainer's work. Additive, so the golden contract above
 	// is untouched.
 	Live *netclus.LiveStats `json:"live,omitempty"`
 }

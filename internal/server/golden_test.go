@@ -134,7 +134,7 @@ var (
 	// Values derived from a clock: latency histograms and sums, compile and
 	// pause gauges.
 	timedSample = regexp.MustCompile(`(?m)^(netclusd_\w*_seconds\w*(?:\{[^}]*\})?) .*$`)
-	timedField  = regexp.MustCompile(`"(compile_ns|live_maintain_ns|last_compact_pause_ms|max_compact_pause_ms|last_compile_ms)":[^,}\]]+`)
+	timedField  = regexp.MustCompile(`"(compile_ns|live_maintain_ns)":[^,}\]]+`)
 )
 
 // runGoldenScript plays the script and returns the transcript (one

@@ -180,12 +180,12 @@ func TestServeLiveClusterReflectsWrites(t *testing.T) {
 }
 
 // TestServeLiveReadsUncached: a live dataset's reads never touch the result
-// cache. Repeated range, kNN and cluster reads interleaved with a write, a
-// refused batch and a compaction leave the cache's counters where they were,
-// carry no X-Netclusd-Cache tag, and carry the epoch of the view published by
-// the last acked write — or, after a compaction, of the rebased view.
+// cache. Repeated range, kNN and cluster reads interleaved with writes and a
+// refused batch leave the cache's counters where they were, carry no
+// X-Netclusd-Cache tag, and carry the epoch of the view published by the last
+// acked write.
 func TestServeLiveReadsUncached(t *testing.T) {
-	s, d := newLiveServer(t, Config{})
+	s, _ := newLiveServer(t, Config{})
 	h := s.Handler()
 	before := s.ResultCache().Stats()
 	urls := []string{
@@ -233,38 +233,9 @@ func TestServeLiveReadsUncached(t *testing.T) {
 	}
 	postJSON(t, h, "/v1/datasets/live/points", `{"ops":[{"op":"delete","point":999999}]}`, http.StatusNotFound, nil)
 	reads("after a refused batch", acked)
-	if err := d.Live().CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	reads("after CompactNow", acked+1)
 	acked = write(`{"ops":[{"op":"delete","point":0}]}`)
-	if n := reads("after a write on the rebased view", acked); n != n0 {
+	if n := reads("after a second write", acked); n != n0 {
 		t.Fatalf("labels after a delete: %d, want %d", n, n0)
-	}
-}
-
-// TestServeLiveCompactionSwap forces a compaction through the server-facing
-// surface and asserts the swap bumps the epoch once and queries keep working.
-func TestServeLiveCompactionSwap(t *testing.T) {
-	s, d := newLiveServer(t, Config{})
-	h := s.Handler()
-	postJSON(t, h, "/v1/datasets/live/points",
-		`{"ops":[{"op":"insert","near":0,"pos":0.5}]}`, http.StatusOK, nil)
-	if err := d.Live().CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	if e := d.viewAt().epoch; e != 3 {
-		t.Fatalf("epoch after compaction = %d, want 3", e)
-	}
-	var rr api.RangeResponse
-	getJSON(t, h, fmt.Sprintf("/v1/live/range?p=0&eps=%g", liveEps), http.StatusOK, &rr)
-	if rr.Epoch != 3 || rr.Count == 0 {
-		t.Fatalf("post-compaction range: epoch %d count %d", rr.Epoch, rr.Count)
-	}
-	var doc api.DatasetsResponse
-	getJSON(t, h, "/v1/datasets", http.StatusOK, &doc)
-	if st := doc.Datasets[0].Live; st == nil || st.Compactions != 1 || st.PendingOps != 0 {
-		t.Fatalf("live stats after compaction: %+v", doc.Datasets[0].Live)
 	}
 }
 
@@ -343,10 +314,9 @@ func TestServeMutateOpsCap(t *testing.T) {
 
 // TestLiveScratchPool (run under -race in CI) reads through the live
 // backend's scratch pool while a writer grows the point count past the
-// head-room of the pooled kernel scratch and CompactNow swaps the published
-// view between a merged view and the compiled snapshot. Every view is a
-// snapshot of one family, so any pooled box serves any of them; every reply
-// must equal a direct call, on fresh scratch, on the view the request pinned.
+// head-room of the pooled kernel scratch. Every view is a snapshot of one
+// family, so any pooled box serves any of them; every reply must equal a
+// direct call, on fresh scratch, on the view the request pinned.
 func TestLiveScratchPool(t *testing.T) {
 	s, d := newLiveServer(t, Config{})
 	ov := d.Live()
@@ -387,9 +357,9 @@ func TestLiveScratchPool(t *testing.T) {
 	d.putScratch(box)
 
 	var (
-		wg           sync.WaitGroup
-		stop         atomic.Bool
-		merged, base atomic.Int64 // reads that ran on a merged view, on the base snapshot
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		reads atomic.Int64
 	)
 	halt := func() {
 		stop.Store(true)
@@ -403,7 +373,6 @@ func TestLiveScratchPool(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				va := d.viewAt()
-				_, isBase := va.graph.(*netclus.Snapshot)
 				req := api.RangeRequest{Point: netclus.PointID(rng.Intn(va.graph.NumPoints())), Eps: liveEps, Dists: true}
 				got, err := s.computeRange(ctx, d, va, req)
 				if err != nil {
@@ -415,43 +384,21 @@ func TestLiveScratchPool(t *testing.T) {
 					t.Errorf("epoch %d: range(%d) through the pool differs from a direct call on the pinned view (%v)", va.epoch, req.Point, err)
 					return
 				}
-				if isBase {
-					base.Add(1)
-				} else {
-					merged.Add(1)
-				}
+				reads.Add(1)
 			}
 		}(int64(r) + 1)
 	}
 
-	// sawNext holds the writer until one more read of the kind c counts is
-	// through, so the readers meet every view the writer publishes.
-	sawNext := func(c *atomic.Int64) {
-		for seen, deadline := c.Load(), time.Now().Add(10*time.Second); c.Load() == seen; {
+	// The writer waits for one more read after each batch, so the readers
+	// meet every view it publishes, and boxes pooled at the start are still
+	// around when the view has outgrown them.
+	for start := ov.Current().Points; ov.Current().Points <= start+start/8+64+100; {
+		grow()
+		for seen, deadline := reads.Load(), time.Now().Add(10*time.Second); reads.Load() == seen; {
 			if time.Now().After(deadline) || t.Failed() {
 				t.Fatalf("readers stopped (failed=%v)", t.Failed())
 			}
 			runtime.Gosched()
 		}
-	}
-	// One stretch of merged views only, so that boxes pooled at its start are
-	// still around when the view has outgrown them; then swaps.
-	for start := ov.Current().Points; ov.Current().Points <= start+start/8+64+100; {
-		grow()
-		sawNext(&merged)
-	}
-	for cycle := 0; cycle < 4; cycle++ {
-		if err := ov.CompactNow(); err != nil {
-			t.Fatalf("CompactNow: %v", err)
-		}
-		// Nothing is pending, so the published view is the snapshot itself
-		// until the next batch.
-		sawNext(&base)
-		grow()
-		sawNext(&merged)
-	}
-	halt()
-	if merged.Load() == 0 || base.Load() == 0 {
-		t.Fatalf("reads saw %d merged views and %d base snapshots; the test needs both", merged.Load(), base.Load())
 	}
 }

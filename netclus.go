@@ -595,9 +595,8 @@ type RenderOptions = viz.Options
 // LiveOverlay is an epoch-versioned mutable overlay over an immutable base
 // graph: point insert/move/delete batches land in one write queue, a
 // reconciler applies them atomically in arrival order and publishes frozen
-// merged views —
-// snapshots derived from the base, served by the flat kernels — and makes
-// the current view the base when the delta grows. See DESIGN.md §13.
+// views — each a snapshot derived from the one before it, served by the flat
+// kernels. See DESIGN.md §13.
 type LiveOverlay = delta.Overlay
 
 // LiveOptions configure a LiveOverlay.
