@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -102,6 +105,29 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 	}
 	if !isStoreDir(dir) {
 		t.Error("store dir not detected")
+	}
+	// An adj.idx value past the end of adj.dat is refused when the store
+	// opens, not found by the first query that reads the node. The index's
+	// leftmost leaf is page 2 of 4096 bytes; its first value is node 0's.
+	path := filepath.Join(dir, "adj.idx")
+	idx, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := binary.LittleEndian.Uint64(idx[2*4096+3:]); key != 0 {
+		t.Fatalf("adj.idx page 2 starts with key %d, want 0: the layout this test pokes has changed", key)
+	}
+	binary.LittleEndian.PutUint64(idx[2*4096+3+8:], math.MaxUint32)
+	if err := os.WriteFile(path, idx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := buildRegistry([]dataSpec{{name: "bad", path: dir}}, 256, 0, log.New(io.Discard, "", 0))
+	if err == nil {
+		reg.Close()
+		t.Fatal("a store whose adj.idx points past adj.dat was served")
+	}
+	if !strings.Contains(err.Error(), "corrupt record") || !strings.Contains(err.Error(), "adj.idx") {
+		t.Fatalf("damaged adj.idx: %v, want the corrupt-record error naming it", err)
 	}
 }
 

@@ -350,15 +350,10 @@ func TestOversizedKeyCountIsAnError(t *testing.T) {
 			if err := tr.f.WriteAt([]byte{0xFF, 0xFF}, page*smallPage+1); err != nil {
 				t.Fatal(err)
 			}
-			var h LeafHint
 			_, _, errSearch := tr.Search(400)
 			_, _, _, errFloor := tr.Floor(401)
-			_, _, errSearchHint := tr.SearchHint(400, &h)
-			_, _, _, errFloorHint := tr.FloorHint(401, &h)
 			errScan := tr.Scan(0, func(k, v uint64) (bool, error) { return true, nil })
-			for name, err := range map[string]error{
-				"Search": errSearch, "Floor": errFloor, "SearchHint": errSearchHint, "FloorHint": errFloorHint, "Scan": errScan,
-			} {
+			for name, err := range map[string]error{"Search": errSearch, "Floor": errFloor, "Scan": errScan} {
 				if err == nil {
 					t.Errorf("%s: want an error", name)
 				} else if !strings.Contains(err.Error(), "t.idx") || !strings.Contains(err.Error(), "65535 keys") {
@@ -401,7 +396,7 @@ func TestDescendingAndAscendingInsertOrders(t *testing.T) {
 }
 
 // TestLeafChainCycleIsAnError: a leaf whose next pointer leads back into the
-// chain (one damaged word) must make Floor, FloorHint and Scan fail naming
+// chain (one damaged word) must make Floor and Scan fail naming
 // the file, not walk the cycle forever. The second leaf's first key is bumped
 // so a floor just above its old value sorts before its leaf and takes the
 // left-to-right walk from the leftmost leaf, which points at itself.
@@ -439,11 +434,9 @@ func TestLeafChainCycleIsAnError(t *testing.T) {
 
 	done := make(chan map[string]error, 1)
 	go func() {
-		var h LeafHint
 		_, _, _, errFloor := tr.Floor(first + 1)
-		_, _, _, errFloorHint := tr.FloorHint(first+1, &h)
 		errScan := tr.Scan(0, func(k, v uint64) (bool, error) { return true, nil })
-		done <- map[string]error{"Floor": errFloor, "FloorHint": errFloorHint, "Scan": errScan}
+		done <- map[string]error{"Floor": errFloor, "Scan": errScan}
 	}()
 	select {
 	case errs := <-done:

@@ -288,12 +288,10 @@ var families = []family{
 	counter("netclusd_store_cache_hits_total", each(store, func(s *netclus.StoreStats, put putFunc) {
 		put(`,cache="adj"`, s.Cache.AdjHits)
 		put(`,cache="group"`, s.Cache.GroupHits)
-		put(`,cache="leaf"`, s.Cache.LeafHits)
 	})),
 	counter("netclusd_store_cache_misses_total", each(store, func(s *netclus.StoreStats, put putFunc) {
 		put(`,cache="adj"`, s.Cache.AdjMisses)
 		put(`,cache="group"`, s.Cache.GroupMisses)
-		put(`,cache="leaf"`, s.Cache.LeafMisses)
 	})),
 	counter("netclusd_store_evictions_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.Evictions })),
 	counter("netclusd_store_logical_reads_total", of(store, func(s *netclus.StoreStats) any { return s.Buffer.LogicalReads })),

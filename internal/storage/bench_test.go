@@ -115,6 +115,37 @@ func BenchmarkStoreNeighborsParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreOpen measures opening a store with the record caches on
+// (Open reads every index's leaf level into the offset tables) and off (it
+// reads only the meta pages).
+func BenchmarkStoreOpen(b *testing.B) {
+	n, _, err := testnet.RandomClustered(1, 3000, 9000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := storage.Build(dir, n, storage.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		opts storage.Options
+	}{
+		{"cached", storage.Options{}},
+		{"uncached", storage.Options{DisableRecordCaches: true}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := storage.Open(dir, mode.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
+}
+
 func BenchmarkStoreScanGroups(b *testing.B) {
 	s := benchStore(b, 1<<20)
 	b.ResetTimer()

@@ -18,10 +18,11 @@ const (
 )
 
 // CacheStats counts decoded-record cache traffic: the adjacency cache
-// (node -> neighbours), the group cache (group -> header + offsets) and the
-// per-view B+-tree leaf hints. A hit is a read answered without touching the
-// page buffer, so PageBuffer.LogicalReads + these hits together recover the
-// paper's logical page-access metric for the uncached layout.
+// (node -> neighbours) and the group cache (group -> header + offsets). A hit
+// is a read answered without touching the page buffer. The cached path also
+// finds records through the offset tables Open loads, without an index
+// descent, so the paper's logical page-access metric is the page buffer's
+// LogicalReads on a store opened with DisableRecordCaches.
 // The JSON field names are a stable contract: the netclusd /metrics and
 // /v1/datasets payloads serialize these snapshots, so renaming a Go field
 // must keep its tag (see TestStatsJSONRoundTrip at the repository root).
@@ -32,8 +33,11 @@ type CacheStats struct {
 	GroupHits      int64 `json:"group_hits"`
 	GroupMisses    int64 `json:"group_misses"`
 	GroupEvictions int64 `json:"group_evictions"`
-	LeafHits       int64 `json:"leaf_hits"`
-	LeafMisses     int64 `json:"leaf_misses"`
+	// LeafHits and LeafMisses are always zero: the leaf hints they counted
+	// gave way to the offset tables. They stay only because the benchmark
+	// still reads them (ROADMAP item 1 (A)), and are not serialized.
+	LeafHits   int64 `json:"-"`
+	LeafMisses int64 `json:"-"`
 }
 
 // Sub returns s - o, for measuring a span of work.
@@ -45,8 +49,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 		GroupHits:      s.GroupHits - o.GroupHits,
 		GroupMisses:    s.GroupMisses - o.GroupMisses,
 		GroupEvictions: s.GroupEvictions - o.GroupEvictions,
-		LeafHits:       s.LeafHits - o.LeafHits,
-		LeafMisses:     s.LeafMisses - o.LeafMisses,
 	}
 }
 

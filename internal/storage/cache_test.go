@@ -107,7 +107,7 @@ func TestCacheInvariantRandomWorkload(t *testing.T) {
 // random cold keys through views of one cached store, with caches and pool
 // small enough to evict, checking every record against the in-memory
 // network. Run under -race in CI: it exercises concurrent get/put on both
-// record caches, the latched pool and the per-view leaf hints.
+// record caches, the latched pool and the shared offset tables.
 func TestCacheConcurrentHammer(t *testing.T) {
 	n, err := testnet.Random(13, 150, 500)
 	if err != nil {
@@ -159,6 +159,16 @@ func TestCacheConcurrentHammer(t *testing.T) {
 						return
 					}
 				}
+				p := network.PointID(rng.Intn(n.NumPoints()))
+				gotInfo, err := view.PointInfo(p)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if wantInfo, _ := n.PointInfo(p); gotInfo != wantInfo {
+					errs[w] = errMismatch(int(p), -1)
+					return
+				}
 			}
 		}(w)
 	}
@@ -172,8 +182,8 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	if cs.AdjHits == 0 || cs.AdjEvictions == 0 {
 		t.Fatalf("hammer did not exercise the adjacency cache: %+v", cs)
 	}
-	if cs.LeafHits+cs.LeafMisses == 0 {
-		t.Fatalf("leaf hints never consulted: %+v", cs)
+	if cs.GroupHits == 0 || cs.GroupEvictions == 0 {
+		t.Fatalf("hammer did not exercise the group cache: %+v", cs)
 	}
 }
 

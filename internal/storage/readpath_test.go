@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -48,7 +49,9 @@ func adjOffsets(t *testing.T, dir string, nodes, pageSize int) []int64 {
 // TestNeighborsStraddlingRecords: Neighbors decodes a record inside one page
 // in that page's frame (one logical read of adj.dat) and copies a record that
 // straddles a page boundary out through ReadAt (two or more), and both read
-// the network's rows exactly, with the record caches on and off.
+// the network's rows exactly, with the record caches on and off. With them
+// on, the record's offset comes from the table Open loaded, so adj.dat's
+// pages are all the pool reads; off, one descent of adj.idx precedes them.
 func TestNeighborsStraddlingRecords(t *testing.T) {
 	n, err := testnet.Random(8, 200, 300)
 	if err != nil {
@@ -63,7 +66,10 @@ func TestNeighborsStraddlingRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				offs := adjOffsets(t, dir, n.NumNodes(), pageSize)
-				height := int64(indexHeight(t, dir, "adj.idx", pageSize))
+				descent := int64(0)
+				if uncached {
+					descent = int64(indexHeight(t, dir, "adj.idx", pageSize))
+				}
 				s, err := storage.Open(dir, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -76,17 +82,12 @@ func TestNeighborsStraddlingRecords(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					reads, leaf := s.Stats().LogicalReads, s.CacheStats()
+					reads := s.Stats().LogicalReads
 					got, err := s.Neighbors(id)
 					if err != nil {
 						t.Fatal(err)
 					}
-					// The adj.idx lookup costs a descent unless the view's leaf
-					// hint answered it; what is left was read from adj.dat.
-					reads = s.Stats().LogicalReads - reads
-					if uncached || s.CacheStats().LeafHits == leaf.LeafHits {
-						reads -= height
-					}
+					reads = s.Stats().LogicalReads - reads - descent
 					end := offs[u] + 4 + 16*int64(len(want)) - 1
 					if offs[u]/int64(pageSize) == end/int64(pageSize) {
 						inFrame++
@@ -117,8 +118,9 @@ func TestNeighborsStraddlingRecords(t *testing.T) {
 }
 
 // TestNeighborsOnDamagedOffset: an adj.idx value past 2^63 is negative as a
-// file offset and must fail Neighbors with an error, cached or not, not reach
-// the page frame as a negative index (a panic on whatever goroutine asked).
+// file offset. Uncached, it must fail Neighbors with an error, not reach the
+// page frame as a negative index (a panic on whatever goroutine asked);
+// cached, Open refuses it while loading the offset table.
 func TestNeighborsOnDamagedOffset(t *testing.T) {
 	const pageSize = 128
 	n, err := testnet.Random(4, 40, 100)
@@ -148,6 +150,10 @@ func TestNeighborsOnDamagedOffset(t *testing.T) {
 					t.Fatal(err)
 				}
 				s, err := storage.Open(dir, opts)
+				if !uncached {
+					wantCorruptAtOpen(t, s, err, "adj.idx")
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,8 +174,9 @@ func TestNeighborsOnDamagedOffset(t *testing.T) {
 
 // TestPointInfoOnCyclicLeafChain: a pts.idx whose leftmost leaf points at
 // itself, with the second leaf's first key bumped so a floor search walks the
-// chain from the left, must fail PointInfo with an error naming the file
-// within a deadline, cached or not (it used to spin forever, uncancellable).
+// chain from the left, must fail PointInfo uncached with an error naming the
+// file within a deadline (it used to spin forever, uncancellable), and fail
+// Open cached, whose leaf-level read walks the same chain.
 func TestPointInfoOnCyclicLeafChain(t *testing.T) {
 	const pageSize = 128
 	n, err := testnet.Random(4, 40, 200)
@@ -202,6 +209,10 @@ func TestPointInfoOnCyclicLeafChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, err := storage.Open(dir, opts)
+			if !uncached {
+				wantCorruptAtOpen(t, s, err, "pts.idx")
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,5 +228,18 @@ func TestPointInfoOnCyclicLeafChain(t *testing.T) {
 				t.Fatalf("PointInfo(%d) on a cyclic leaf chain did not return", first+1)
 			}
 		})
+	}
+}
+
+// wantCorruptAtOpen fails the test unless Open refused the store with an
+// error naming file and wrapping storage.ErrCorrupt.
+func wantCorruptAtOpen(t *testing.T, s *storage.Store, err error, file string) {
+	t.Helper()
+	if err == nil {
+		s.Close()
+		t.Fatalf("Open accepted a damaged %s", file)
+	}
+	if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), file) {
+		t.Fatalf("Open on a damaged %s: %v, want an error naming it and wrapping ErrCorrupt", file, err)
 	}
 }

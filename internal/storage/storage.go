@@ -23,15 +23,20 @@
 // an arbitrary order would (see the storage ablation benchmark).
 //
 // Store implements network.Graph, so every clustering algorithm runs
-// unmodified over it; pool statistics expose the I/O behaviour.
+// unmodified over it; pool statistics expose the I/O behaviour. With the
+// record caches on (the default), Open also reads the leaf level of each
+// index once into flat offset tables, so a lookup indexes an array instead
+// of descending a tree; DisableRecordCaches keeps the paper's descents.
 package storage
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"netclus/internal/bptree"
@@ -83,8 +88,9 @@ type Options struct {
 	// power of two like AdjCacheEntries. Only meaningful for Open.
 	GroupCacheEntries int
 	// DisableRecordCaches turns off both decoded-record caches and the
-	// B+-tree leaf hints, restoring the paper's original access path where
-	// every read descends an index and decodes from the page buffer.
+	// offset tables Open loads from the indexes' leaf levels, restoring the
+	// paper's original access path where every read descends an index and
+	// decodes from the page buffer.
 	// Benchmarks and the cache-invariant tests use it as the baseline.
 	DisableRecordCaches bool
 }
@@ -148,6 +154,9 @@ func Build(dir string, n *network.Network, opts Options) error {
 			return err
 		}
 		need := adjHeader + adjEntry*len(adj)
+		if err := checkDataSize("adj.dat", adjF.Size()+int64(need)); err != nil {
+			return err
+		}
 		if cap(rec) < need {
 			rec = make([]byte, need)
 		}
@@ -192,6 +201,9 @@ func Build(dir string, n *network.Network, opts Options) error {
 	var grpKeys, grpVals, firstKeys []uint64
 	err = n.ScanGroups(func(g network.GroupID, pg network.PointGroup, offsets []float64) error {
 		need := groupHeader + pointEntry*len(offsets)
+		if err := checkDataSize("pts.dat", ptsF.Size()+int64(need)); err != nil {
+			return err
+		}
 		if cap(rec) < need {
 			rec = make([]byte, need)
 		}
@@ -261,6 +273,19 @@ func Build(dir string, n *network.Network, opts Options) error {
 	return metaF.WriteAt(meta, 0)
 }
 
+// maxDataBytes bounds adj.dat and pts.dat: the offset tables Open loads hold
+// record offsets as uint32.
+const maxDataBytes = 1 << 32
+
+// checkDataSize refuses a data file that would grow to end bytes, past what a
+// uint32 record offset addresses.
+func checkDataSize(name string, end int64) error {
+	if end > maxDataBytes {
+		return fmt.Errorf("storage: %s would grow to %d bytes, past the 4 GiB a uint32 record offset addresses", name, end)
+	}
+	return nil
+}
+
 // bfsOrder returns the nodes in breadth-first order from node 0, visiting
 // every component.
 func bfsOrder(n *network.Network) ([]network.NodeID, error) {
@@ -297,13 +322,15 @@ var ErrClosed = errors.New("storage: store closed")
 // ErrCorrupt is wrapped by every error for a decoded value that no Build
 // writes: an edge weight that is not finite and > 0, or a point offset
 // outside [0, W] or out of ascending order — the values the .ncs loader and
-// network.Builder refuse.
+// network.Builder refuse — and, with the record caches on, by Open's refusal
+// of an index whose leaf level no Build writes.
 var ErrCorrupt = errors.New("storage: corrupt record")
 
 // storeShared is the state common to every read view of one opened store:
-// the buffer pool, files, indexes, counts and the decoded-record caches. It
-// is safe for concurrent use (the pool is latched, the caches are
-// lock-free, the B+-tree lookups draw per-call scratch).
+// the buffer pool, files, indexes, counts, offset tables and the
+// decoded-record caches. It is safe for concurrent use (the pool is latched,
+// the caches are lock-free, the tables are read-only, the B+-tree lookups
+// draw per-call scratch).
 type storeShared struct {
 	pool   *pagebuf.Pool
 	adjF   *pagebuf.File
@@ -315,12 +342,15 @@ type storeShared struct {
 
 	nodes, edges, points, groups int
 
+	// The indexes' leaf levels, read once at Open (nil when the record
+	// caches are disabled): adjOff[node] and grpOff[group] are record
+	// offsets in adj.dat and pts.dat, first[group] the group's first point.
+	adjOff, grpOff, first []uint32
+
 	// Decoded-record caches above the page buffer (nil when disabled).
 	// Cached values are immutable and shared by every view.
-	adjCache             *recCache[[]network.Neighbor]
-	grpCache             *recCache[groupRec]
-	hints                bool // per-view B+-tree leaf hints enabled
-	leafHits, leafMisses atomic.Int64
+	adjCache *recCache[[]network.Neighbor]
+	grpCache *recCache[groupRec]
 
 	closed atomic.Bool
 }
@@ -359,12 +389,6 @@ type Store struct {
 	offBuf     []float64
 	scanBuf    []float64
 	scratch4   [4]byte
-
-	// Per-view B+-tree leaf hints: the last leaf of each index is kept
-	// decoded so runs of nearby keys skip the descent entirely.
-	adjHint bptree.LeafHint
-	grpHint bptree.LeafHint
-	ptsHint bptree.LeafHint
 }
 
 var _ network.Graph = (*Store)(nil)
@@ -378,6 +402,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	sh := &storeShared{pool: pool}
+	idxPool := pool
 	if !opts.DisableRecordCaches {
 		adjEntries := opts.AdjCacheEntries
 		if adjEntries == 0 {
@@ -389,10 +414,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		sh.adjCache = newRecCache[[]network.Neighbor](adjEntries)
 		sh.grpCache = newRecCache[groupRec](grpEntries)
-		sh.hints = true
+		// The indexes are read once, into the offset tables, through a
+		// private one-frame pool: loading them neither counts traffic in nor
+		// leaves frames behind in the store's buffer.
+		if idxPool, err = pagebuf.NewPool(opts.PageSize, opts.PageSize); err != nil {
+			return nil, err
+		}
 	}
 	s := &Store{sh: sh}
-	open := func(name string) (*pagebuf.File, error) {
+	open := func(pool *pagebuf.Pool, name string) (*pagebuf.File, error) {
 		f, err := pool.Open(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
@@ -405,7 +435,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	metaF, err := open("meta.bin")
+	metaF, err := open(pool, "meta.bin")
 	if err != nil {
 		return fail(err)
 	}
@@ -429,34 +459,96 @@ func Open(dir string, opts Options) (*Store, error) {
 	sh.points = int(binary.LittleEndian.Uint32(meta[16:]))
 	sh.groups = int(binary.LittleEndian.Uint32(meta[20:]))
 
-	if sh.adjF, err = open("adj.dat"); err != nil {
+	if sh.adjF, err = open(pool, "adj.dat"); err != nil {
 		return fail(err)
 	}
-	if sh.ptsF, err = open("pts.dat"); err != nil {
+	if sh.ptsF, err = open(pool, "pts.dat"); err != nil {
 		return fail(err)
 	}
-	adjIdxF, err := open("adj.idx")
-	if err != nil {
-		return fail(err)
+	var idxBytes [3]int64
+	for i, idx := range []struct {
+		name string
+		t    **bptree.Tree
+	}{{"adj.idx", &sh.adjIdx}, {"grp.idx", &sh.grpIdx}, {"pts.idx", &sh.ptsIdx}} {
+		f, err := open(idxPool, idx.name)
+		if err != nil {
+			return fail(err)
+		}
+		if *idx.t, err = bptree.Open(f, opts.PageSize); err != nil {
+			return fail(fmt.Errorf("storage: %s: %w", idx.name, err))
+		}
+		idxBytes[i] = f.Size()
 	}
-	if sh.adjIdx, err = bptree.Open(adjIdxF, opts.PageSize); err != nil {
-		return fail(fmt.Errorf("storage: adj.idx: %w", err))
-	}
-	grpIdxF, err := open("grp.idx")
-	if err != nil {
-		return fail(err)
-	}
-	if sh.grpIdx, err = bptree.Open(grpIdxF, opts.PageSize); err != nil {
-		return fail(fmt.Errorf("storage: grp.idx: %w", err))
-	}
-	ptsIdxF, err := open("pts.idx")
-	if err != nil {
-		return fail(err)
-	}
-	if sh.ptsIdx, err = bptree.Open(ptsIdxF, opts.PageSize); err != nil {
-		return fail(fmt.Errorf("storage: pts.idx: %w", err))
+	if !opts.DisableRecordCaches {
+		if err := sh.loadTables(idxBytes); err != nil {
+			return fail(err)
+		}
 	}
 	return s, nil
+}
+
+// loadTables reads the leaf level of each index (adj.idx, grp.idx and
+// pts.idx, of idxBytes bytes) into the offset tables, refusing one that no
+// Build writes: adj.idx and grp.idx must map exactly 0…n−1 to records inside
+// their data files, and pts.idx must map strictly ascending first points,
+// from 0 and below N, to exactly the groups 0…groups−1. A leaf pair takes 16
+// bytes, so meta counts the index files cannot hold are refused before
+// anything is sized by them; one allocation then holds all three tables.
+func (sh *storeShared) loadTables(idxBytes [3]int64) error {
+	nodes, groups := sh.nodes, sh.groups
+	if int64(nodes) > idxBytes[0]/16 || int64(groups) > min(idxBytes[1], idxBytes[2])/16 {
+		return fmt.Errorf("%w: meta.bin counts %d nodes and %d groups, more than the indexes hold", ErrCorrupt, nodes, groups)
+	}
+	tabs := make([]uint32, nodes+2*groups)
+	adjOff, grpOff, first := tabs[:nodes:nodes], tabs[nodes:nodes+groups:nodes+groups], tabs[nodes+groups:]
+	offset := func(dat string, size, header int64) func(i int, k, v uint64) (uint32, error) {
+		return func(i int, k, v uint64) (uint32, error) {
+			if k != uint64(i) || size < header || v > uint64(size-header) || v > math.MaxUint32 {
+				return 0, fmt.Errorf("pair %d maps key %d to offset %d, want key %d at a record inside %s's %d bytes", i, k, v, i, dat, size)
+			}
+			return uint32(v), nil
+		}
+	}
+	if err := readTable(sh.adjIdx, "adj.idx", adjOff, offset("adj.dat", sh.adjF.Size(), adjHeader)); err != nil {
+		return err
+	}
+	if err := readTable(sh.grpIdx, "grp.idx", grpOff, offset("pts.dat", sh.ptsF.Size(), groupHeader)); err != nil {
+		return err
+	}
+	err := readTable(sh.ptsIdx, "pts.idx", first, func(i int, k, v uint64) (uint32, error) {
+		if i == 0 && k != 0 || i > 0 && k <= uint64(first[i-1]) || k >= uint64(sh.points) || v != uint64(i) {
+			return 0, fmt.Errorf("pair %d maps point %d to group %d, want group %d at a first point ascending from 0 below %d", i, k, v, i, sh.points)
+		}
+		return uint32(k), nil
+	})
+	if err != nil {
+		return err
+	}
+	sh.adjOff, sh.grpOff, sh.first = adjOff, grpOff, first
+	return nil
+}
+
+// readTable fills tab from the leaf level of index t (the file name), scanned
+// in key order: check turns pair i into its entry or refuses it, and the index
+// must hold exactly len(tab) pairs. Every error wraps ErrCorrupt.
+func readTable(t *bptree.Tree, name string, tab []uint32, check func(i int, k, v uint64) (uint32, error)) error {
+	i := 0
+	err := t.Scan(0, func(k, v uint64) (bool, error) {
+		if i == len(tab) {
+			return false, fmt.Errorf("more than the %d pairs meta.bin counts", len(tab))
+		}
+		e, err := check(i, k, v)
+		tab[i] = e
+		i++
+		return err == nil, err
+	})
+	if err == nil && i != len(tab) {
+		err = fmt.Errorf("%d pairs, meta.bin counts %d", i, len(tab))
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrCorrupt, name, err)
+	}
+	return nil
 }
 
 // Reader returns an independent read view of the store for use by one
@@ -505,8 +597,8 @@ func (s *Store) Close() error {
 func (s *Store) Stats() pagebuf.Stats { return s.sh.pool.Stats() }
 
 // CacheStats returns the decoded-record cache counters (adjacency cache,
-// group cache, leaf hints), aggregated over every view of the store. All
-// zeros when the caches are disabled.
+// group cache), aggregated over every view of the store. All zeros when the
+// caches are disabled.
 func (s *Store) CacheStats() CacheStats {
 	var cs CacheStats
 	if c := s.sh.adjCache; c != nil {
@@ -519,45 +611,20 @@ func (s *Store) CacheStats() CacheStats {
 		cs.GroupMisses = c.cnt.misses.Load()
 		cs.GroupEvictions = c.cnt.evictions.Load()
 	}
-	cs.LeafHits = s.sh.leafHits.Load()
-	cs.LeafMisses = s.sh.leafMisses.Load()
 	return cs
 }
 
-// idxSearch is an exact index lookup through the view's leaf hint (or the
-// plain descent when hints are disabled), mirroring hint traffic into the
-// shared leaf counters.
-func (s *Store) idxSearch(t *bptree.Tree, h *bptree.LeafHint, k uint64) (uint64, bool, error) {
-	if !s.sh.hints {
-		return t.Search(k)
+// lookup returns key k's value in index t: an array read when the offset
+// tables are loaded, the paper's descent otherwise.
+func lookup(tab []uint32, t *bptree.Tree, name string, k uint64) (uint64, error) {
+	if tab != nil {
+		return uint64(tab[k]), nil
 	}
-	hits := h.Hits
-	v, ok, err := t.SearchHint(k, h)
-	if err == nil {
-		if h.Hits != hits {
-			s.sh.leafHits.Add(1)
-		} else {
-			s.sh.leafMisses.Add(1)
-		}
+	v, ok, err := t.Search(k)
+	if err == nil && !ok {
+		err = fmt.Errorf("storage: key %d missing from %s", k, name)
 	}
-	return v, ok, err
-}
-
-// idxFloor is idxSearch for floor lookups.
-func (s *Store) idxFloor(t *bptree.Tree, h *bptree.LeafHint, k uint64) (uint64, uint64, bool, error) {
-	if !s.sh.hints {
-		return t.Floor(k)
-	}
-	hits := h.Hits
-	key, val, ok, err := t.FloorHint(k, h)
-	if err == nil {
-		if h.Hits != hits {
-			s.sh.leafHits.Add(1)
-		} else {
-			s.sh.leafMisses.Add(1)
-		}
-	}
-	return key, val, ok, err
+	return v, err
 }
 
 // BufferStats returns the buffer pool's traffic counters (an alias of Stats
@@ -595,12 +662,9 @@ func (s *Store) Neighbors(id network.NodeID) ([]network.Neighbor, error) {
 			return nbrs, nil
 		}
 	}
-	off, ok, err := s.idxSearch(s.sh.adjIdx, &s.adjHint, uint64(id))
+	off, err := lookup(s.sh.adjOff, s.sh.adjIdx, "adj.idx", uint64(id))
 	if err != nil {
 		return nil, s.closedErr(err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("storage: node %d missing from adj.idx", id)
 	}
 	// One view of the record's page decodes a record that lies inside it in
 	// place. Anything else — a record straddling a page boundary, a degree
@@ -718,12 +782,9 @@ func (s *Store) groupRecord(g network.GroupID) (groupRec, error) {
 			return rec, nil
 		}
 	}
-	off, ok, err := s.idxSearch(s.sh.grpIdx, &s.grpHint, uint64(g))
+	off, err := lookup(s.sh.grpOff, s.sh.grpIdx, "grp.idx", uint64(g))
 	if err != nil {
 		return groupRec{}, s.closedErr(err)
-	}
-	if !ok {
-		return groupRec{}, fmt.Errorf("storage: group %d missing from grp.idx", g)
 	}
 	pg, err := s.readGroupHeader(int64(off))
 	if err != nil {
@@ -803,9 +864,10 @@ func (s *Store) readPoints(off int64, pg network.PointGroup, dst []float64) ([]f
 	return dst, nil
 }
 
-// PointInfo resolves point p: a floor search on the sparse point index names
-// its group, whose record is found the way Group finds it (warming the entry
-// the GroupOffsets of a range query reads next), then one point entry.
+// PointInfo resolves point p: a floor search on the sparse point index (a
+// binary search of the first-point table when it is loaded) names its group,
+// whose record is found the way Group finds it (warming the entry the
+// GroupOffsets of a range query reads next), then one point entry.
 func (s *Store) PointInfo(p network.PointID) (network.PointInfo, error) {
 	if err := s.checkOpen(); err != nil {
 		return network.PointInfo{}, err
@@ -813,9 +875,21 @@ func (s *Store) PointInfo(p network.PointID) (network.PointInfo, error) {
 	if p < 0 || int(p) >= s.sh.points {
 		return network.PointInfo{}, fmt.Errorf("%w: %d", network.ErrPointRange, p)
 	}
-	first, gid, ok, err := s.idxFloor(s.sh.ptsIdx, &s.ptsHint, uint64(p))
-	if err != nil {
-		return network.PointInfo{}, s.closedErr(err)
+	var first, gid uint64
+	ok := false
+	if tab := s.sh.first; tab != nil {
+		i, found := slices.BinarySearch(tab, uint32(p))
+		if !found {
+			i--
+		}
+		if ok = i >= 0; ok {
+			first, gid = uint64(tab[i]), uint64(i)
+		}
+	} else {
+		var err error
+		if first, gid, ok, err = s.sh.ptsIdx.Floor(uint64(p)); err != nil {
+			return network.PointInfo{}, s.closedErr(err)
+		}
 	}
 	if !ok || gid >= uint64(s.sh.groups) {
 		return network.PointInfo{}, fmt.Errorf("storage: pts.idx: no group at or below point %d (floor key %d, group %d of %d)", p, first, gid, s.sh.groups)

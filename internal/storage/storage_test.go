@@ -463,7 +463,9 @@ func TestStorePointFreeNetwork(t *testing.T) {
 // per row — a truncation, or one flipped length word — and sweeps every query
 // over it. Each damage must surface as an error: no panic, and no allocation
 // sized by the damaged word (a degree of 0xFFFFFFF0 used to ask the runtime
-// for 68 GB, which no recover() survives).
+// for 68 GB, which no recover() survives). A damage to an index, or a data
+// file truncated below the offsets an index holds, is refused by the cached
+// Open, which reads every index's leaf level.
 func TestTruncatedPointsFileSurfaces(t *testing.T) {
 	// Enough points that pts.dat spans several pages, so halving the file
 	// destroys real records rather than page padding.
@@ -497,26 +499,28 @@ func TestTruncatedPointsFileSurfaces(t *testing.T) {
 		name, file string
 		damage     func(*testing.T, string)
 		fail       []string // the calls that must return an error naming file
+		atOpen     bool     // the cached Open refuses the store
 	}{
-		{"truncated pts.dat", "pts.dat", halve, []string{"GroupOffsets", "PointInfo", "ScanGroups"}},
-		{"truncated adj.dat", "adj.dat", halve, []string{"Neighbors"}},
-		{"degree", "adj.dat", poke(0xFFFFFFF0, 0), []string{"Neighbors"}},
-		{"group count", "pts.dat", poke(0x7FFFFFF0, 8), []string{"GroupOffsets", "ScanGroups"}},
-		{"negative group count", "pts.dat", poke(0xFFFFFFF0, 8), []string{"GroupOffsets", "PointInfo", "ScanGroups"}},
-		{"First disagrees with pts.idx", "pts.dat", poke(1, 12), []string{"PointInfo"}},
-		{"adj.idx key count", "adj.idx", keyCounts, []string{"Neighbors"}},
-		{"grp.idx key count", "grp.idx", keyCounts, []string{"GroupOffsets", "PointInfo"}},
-		{"pts.idx key count", "pts.idx", keyCounts, []string{"PointInfo"}},
+		{"truncated pts.dat", "pts.dat", halve, []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true},
+		{"truncated adj.dat", "adj.dat", halve, []string{"Neighbors"}, true},
+		{"degree", "adj.dat", poke(0xFFFFFFF0, 0), []string{"Neighbors"}, false},
+		{"group count", "pts.dat", poke(0x7FFFFFF0, 8), []string{"GroupOffsets", "ScanGroups"}, false},
+		{"negative group count", "pts.dat", poke(0xFFFFFFF0, 8), []string{"GroupOffsets", "PointInfo", "ScanGroups"}, false},
+		{"First disagrees with pts.idx", "pts.dat", poke(1, 12), []string{"PointInfo"}, false},
+		{"adj.idx key count", "adj.idx", keyCounts, []string{"Neighbors"}, true},
+		{"grp.idx key count", "grp.idx", keyCounts, []string{"GroupOffsets", "PointInfo"}, true},
+		{"pts.idx key count", "pts.idx", keyCounts, []string{"PointInfo"}, true},
 	} {
-		checkDamage(t, n, row.name, row.file, row.damage, row.fail, false)
+		checkDamage(t, n, row.name, row.file, row.damage, row.fail, false, row.atOpen)
 	}
 }
 
 // checkDamage builds n into a store, applies damage to file, opens the store
 // with and without its record caches and sweeps every record: exactly the
 // calls named in fail must return an error, each naming file and, when
-// corrupt is set, wrapping storage.ErrCorrupt.
-func checkDamage(t *testing.T, n *network.Network, name, file string, damage func(*testing.T, string), fail []string, corrupt bool) {
+// corrupt is set, wrapping storage.ErrCorrupt. With atOpen set, the cached
+// Open must instead refuse the store with such an error.
+func checkDamage(t *testing.T, n *network.Network, name, file string, damage func(*testing.T, string), fail []string, corrupt, atOpen bool) {
 	t.Helper()
 	for _, uncached := range []bool{false, true} {
 		t.Run(fmt.Sprintf("%s uncached=%v", name, uncached), func(t *testing.T) {
@@ -526,6 +530,10 @@ func checkDamage(t *testing.T, n *network.Network, name, file string, damage fun
 			}
 			damage(t, filepath.Join(dir, file))
 			s, err := storage.Open(dir, storage.Options{DisableRecordCaches: uncached})
+			if atOpen && !uncached {
+				wantCorruptAtOpen(t, s, err, file)
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -624,8 +632,8 @@ func TestCorruptValuesSurface(t *testing.T) {
 		}
 	}
 	for name, f := range bad {
-		checkDamage(t, n, "adjacency weight "+name, "adj.dat", rowWeight(f), []string{"Neighbors"}, true)
-		checkDamage(t, n, "group weight "+name, "pts.dat", pokeFloat(grpWeight, f), []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true)
+		checkDamage(t, n, "adjacency weight "+name, "adj.dat", rowWeight(f), []string{"Neighbors"}, true, false)
+		checkDamage(t, n, "group weight "+name, "pts.dat", pokeFloat(grpWeight, f), []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true, false)
 	}
 	// The first point's offset becomes the next float above its group's weight.
 	pastW := func(t *testing.T, path string) {
@@ -636,7 +644,7 @@ func TestCorruptValuesSurface(t *testing.T) {
 		w := math.Float64frombits(binary.LittleEndian.Uint64(b[grpWeight:]))
 		pokeFloat(firstPos, func(float64) float64 { return math.Nextafter(w, math.Inf(1)) })(t, path)
 	}
-	checkDamage(t, n, "offset past W", "pts.dat", pastW, []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true)
+	checkDamage(t, n, "offset past W", "pts.dat", pastW, []string{"GroupOffsets", "PointInfo", "ScanGroups"}, true, false)
 }
 
 // TestPageCountsIndependentOfProcs runs the same DBSCAN over the same store,

@@ -460,7 +460,11 @@ func SuppressSmallClusters(labels []int32, minSup int) []int32 {
 // Disk storage (see internal/storage). StoreOptions covers the paper's
 // physical parameters (PageSize, BufferBytes, Layout) plus the decoded-record
 // cache knobs: AdjCacheEntries / GroupCacheEntries (cache bounds) and
-// DisableRecordCaches (restore the paper's uncached access path).
+// DisableRecordCaches (restore the paper's uncached access path). With the
+// record caches on, OpenStore also reads the leaf level of each B+-tree once
+// into flat uint32 offset tables (4 bytes a node, 8 a group), so a record
+// lookup is an array read rather than an index descent, and it refuses an
+// index whose leaf level no BuildStore writes (a "corrupt record" error).
 type StoreOptions = storage.Options
 
 // Store is the disk-backed Graph (§4.1 storage architecture).
@@ -473,11 +477,12 @@ type Store = storage.Store
 type BufferStats = pagebuf.Stats
 
 // CacheStats reports the decoded-record cache traffic of a Store: hits,
-// misses and evictions of the adjacency and group caches plus the B+-tree
-// leaf-hint counters. A cache hit answers a read without any page access, so
-// BufferStats.LogicalReads counts only the misses; add CacheStats hits back
-// in to recover the paper's logical page-access metric for the uncached
-// layout. Store.CacheStats returns a consistent snapshot at any time.
+// misses and evictions of the adjacency and group caches (LeafHits and
+// LeafMisses are always zero and not serialized). A cache hit answers a read
+// without any page access, and a miss finds its record through the offset
+// tables without an index descent, so the paper's logical page-access metric
+// is BufferStats.LogicalReads of a store opened with DisableRecordCaches.
+// Store.CacheStats returns a consistent snapshot at any time.
 type CacheStats = storage.CacheStats
 
 // BuildStore materializes n into a store directory.
