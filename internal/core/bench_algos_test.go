@@ -6,6 +6,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/csr"
+	"netclus/internal/datagen"
 	"netclus/internal/network"
 	"netclus/internal/storage"
 	"netclus/internal/testnet"
@@ -87,6 +88,27 @@ func BenchmarkSingleLinkDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.SingleLink(g, core.SingleLinkOptions{Delta: delta}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSingleLinkRoad runs Single-Link on the compiled SF ×0.5 road
+// stand-in at δ = 0.7ε, the call behind batch-mem's singlelink_ms, so a
+// change to this layer can be measured without the benchmark around it.
+func BenchmarkSingleLinkRoad(b *testing.B) {
+	net, cfg, err := datagen.RoadDataset("SF", 0.5, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn, err := csr.Compile(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.SingleLinkOptions{Delta: cfg.Delta()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SingleLink(sn, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

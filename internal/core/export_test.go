@@ -29,3 +29,24 @@ func (s *medoidSearch) Stats() Stats { return *s.stats }
 
 // Changes returns the overwrites recorded since the last Begin, oldest first.
 func (s *MedoidState) Changes() network.MedoidLog { return s.log }
+
+// Pair is one Single-Link merge candidate: the clusters of points A and B,
+// joined at distance Dist.
+type Pair struct {
+	A, B network.PointID
+	Dist float64
+}
+
+// SortPairs returns ps in Single-Link's merge order, as its sort leaves the
+// candidates; ps is not modified.
+func SortPairs(ps []Pair) []Pair {
+	cands := make([]pairEntry, len(ps))
+	for i, p := range ps {
+		cands[i] = pairEntry{a: p.A, b: p.B, dist: p.Dist}
+	}
+	out := make([]Pair, len(ps))
+	for i, c := range sortPairs(cands) {
+		out[i] = Pair{A: c.a, B: c.b, Dist: c.dist}
+	}
+	return out
+}

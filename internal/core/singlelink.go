@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"netclus/internal/network"
@@ -56,7 +57,7 @@ type pairEntry struct {
 //     (owner_u, owner_v, d_u + W + d_v).
 //  3. Every seed whose node went to another owner contributes
 //     (owner, the seed's point, d_node + d_L).
-//  4. One sort of the candidates and Kruskal's algorithm over them.
+//  4. One radix sort of the candidates and Kruskal's algorithm over them.
 //
 // By Mehlhorn's shortest-path-forest argument the minimum spanning tree of
 // the candidate pairs carries the exact single-link dendrogram
@@ -144,16 +145,8 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	}
 	res.Stats.HeapPushes += len(cands)
 
-	// Step 4: ascending merge order from one sort, then Kruskal.
-	slices.SortFunc(cands, func(x, y pairEntry) int {
-		if x.dist != y.dist { // no NaN here; cmp.Compare's checks cost a third of the sort
-			if x.dist < y.dist {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Or(int(x.a-y.a), int(x.b-y.b))
-	})
+	// Step 4: ascending merge order from one radix sort, then Kruskal.
+	cands = sortPairs(cands)
 	ticks := 0
 	for _, c := range cands {
 		if uf.Sets() <= stop {
@@ -167,6 +160,58 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	res.FinalClusters = uf.Sets()
 	return res, nil
 }
+
+// sortPairs returns the candidates in ascending (dist, a, b) order, in cands
+// or in a second buffer of the same length. A stable LSD radix sort on the
+// bits of dist, one byte per pass, skips every byte that all keys share; each
+// run of equal dist is then ordered by (a, b).
+func sortPairs(cands []pairEntry) []pairEntry {
+	var counts [8][256]int
+	and, or := ^uint64(0), uint64(0)
+	for _, c := range cands {
+		k := distKey(c.dist)
+		and, or = and&k, or|k
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := cands, make([]pairEntry, len(cands))
+	for d := range counts {
+		shift := 8 * d
+		if byte((and^or)>>shift) == 0 {
+			continue
+		}
+		pos := &counts[d]
+		sum := 0
+		for i, c := range pos {
+			pos[i], sum = sum, sum+c
+		}
+		for _, c := range src {
+			b := byte(distKey(c.dist) >> shift)
+			dst[pos[b]] = c
+			pos[b]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < len(src); {
+		j, k := i+1, distKey(src[i].dist)
+		for j < len(src) && distKey(src[j].dist) == k {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(x, y pairEntry) int {
+				return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+			})
+		}
+		i = j
+	}
+	return src
+}
+
+// distKey is the radix key of a candidate distance. Distances are >= 0 and
+// never NaN, so their bits order them as the floats do, +Inf last; clearing
+// the sign bit keys a -0 as +0.
+func distKey(d float64) uint64 { return math.Float64bits(d) &^ (1 << 63) }
 
 // borderPair is the candidate a point-free edge (u, v) of weight w between
 // nodes of different owners contributes. The sum starts from the farther end

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"netclus/internal/core"
@@ -316,6 +319,87 @@ func TestSingleLinkWorkBound(t *testing.T) {
 		}
 		if s := res.Stats; s.GroupsRead != st.NumGroups() || s.NodesSettled > st.NumNodes() || s.EdgesVisited > 2*st.NumEdges() {
 			t.Fatalf("delta %v: stats %+v on %d groups, %d nodes, %d edges", delta, s, st.NumGroups(), st.NumNodes(), st.NumEdges())
+		}
+	}
+}
+
+// TestSortPairsMatchesComparisonSort holds Single-Link's radix merge order to
+// a comparison sort by (dist, a, b), element for element, on inputs built to
+// stress a sort on float bits: distances drawn from a handful of values (long
+// runs of ties that only the point IDs order), zero gaps with a −0 among
+// them, +Inf, subnormals, values across many exponents, keys whose every
+// byte matters, and the lengths 0, 1 and 2.
+func TestSortPairsMatchesComparisonSort(t *testing.T) {
+	byDistAB := func(x, y core.Pair) int {
+		if x.Dist != y.Dist {
+			if x.Dist < y.Dist {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Or(int(x.A-y.A), int(x.B-y.B))
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.SmallestNonzeroFloat64,
+		2 * math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64, 1, 1.5, 2}
+	rng := rand.New(rand.NewSource(47))
+	draws := []struct {
+		name string
+		draw func() float64
+	}{
+		{"handful", func() float64 { return []float64{0.25, 1, 3.75, 1e6}[rng.Intn(4)] }},
+		{"special", func() float64 { return special[rng.Intn(len(special))] }},
+		{"mixed", func() float64 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		}},
+		{"gaps", func() float64 { return float64(rng.Intn(8)) * 0.125 }},
+		// Every byte of the bits from three values: each digit decides the
+		// order of some keys that tie on all the digits above it.
+		{"bytes", func() float64 {
+			k := []uint64{0x3FF0, 0x3FF8, 0x4000, 0x4018}[rng.Intn(4)] << 48
+			for d := 0; d < 6; d++ {
+				k |= []uint64{0, 0x80, 0xFF}[rng.Intn(3)] << (8 * d)
+			}
+			return math.Float64frombits(k)
+		}},
+	}
+	for _, dr := range draws {
+		name, draw := dr.name, dr.draw
+		for _, n := range []int{0, 1, 2, 3, 17, 256, 5000} {
+			for _, ids := range []int{3, math.MaxInt32} {
+				ps := make([]core.Pair, n)
+				for i := range ps {
+					ps[i] = core.Pair{A: network.PointID(rng.Intn(ids)), B: network.PointID(rng.Intn(ids)), Dist: draw()}
+				}
+				if n == 5000 {
+					ps[rng.Intn(n)].Dist = math.Copysign(0, -1)
+				}
+				got := core.SortPairs(ps)
+				want := slices.Clone(ps)
+				slices.SortFunc(want, byDistAB)
+				if len(got) != n {
+					t.Fatalf("%s n=%d: %d pairs back", name, n, len(got))
+				}
+				for i := range want {
+					if got[i].A != want[i].A || got[i].B != want[i].B || got[i].Dist != want[i].Dist {
+						t.Fatalf("%s n=%d ids<%d: pair %d is %+v, the comparison sort has %+v", name, n, ids, i, got[i], want[i])
+					}
+				}
+				// Nothing lost or altered: the same distance bits come back.
+				bits := func(ps []core.Pair) []uint64 {
+					b := make([]uint64, len(ps))
+					for i, p := range ps {
+						b[i] = math.Float64bits(p.Dist)
+					}
+					slices.Sort(b)
+					return b
+				}
+				if !slices.Equal(bits(got), bits(ps)) {
+					t.Fatalf("%s n=%d: the distance bits changed", name, n)
+				}
+			}
 		}
 	}
 }

@@ -167,11 +167,26 @@ type File struct {
 	pages  atomic.Int64 // allocated pages (max written page + 1)
 	size   atomic.Int64 // logical byte size
 	closed atomic.Bool
+
+	readOnly bool
+	unsynced bool // a frame was dirtied since the last sync; guarded by the pool latch
 }
 
-// Open attaches the file at path to the pool, creating it if absent.
+// Open attaches the file at path to the pool for reading and writing,
+// creating it if absent.
 func (p *Pool) Open(path string) (*File, error) {
-	osf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return p.open(path, os.O_RDWR|os.O_CREATE)
+}
+
+// OpenReadOnly attaches the existing file at path to the pool for reading
+// only: it creates nothing (a missing file is an error naming it and wrapping
+// fs.ErrNotExist), and WriteAt on it is refused.
+func (p *Pool) OpenReadOnly(path string) (*File, error) {
+	return p.open(path, os.O_RDONLY)
+}
+
+func (p *Pool) open(path string, flag int) (*File, error) {
+	osf, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +200,7 @@ func (p *Pool) Open(path string) (*File, error) {
 		osf.Close()
 		return nil, fmt.Errorf("pagebuf: %s: the pool has opened %d files, its limit", path, maxFiles)
 	}
-	f := &File{pool: p, id: uint64(id), os: osf}
+	f := &File{pool: p, id: uint64(id), os: osf, readOnly: flag == os.O_RDONLY}
 	f.size.Store(st.Size())
 	f.pages.Store((st.Size() + int64(p.pageSize) - 1) / int64(p.pageSize))
 	return f, nil
@@ -314,7 +329,7 @@ func (f *File) copyPages(buf []byte, off int64, write bool) error {
 		if err == nil {
 			if write {
 				copy(fr.data[in:in+n], buf[:n])
-				fr.dirty = true
+				fr.dirty, f.unsynced = true, true
 			} else {
 				copy(buf[:n], fr.data[in:in+n])
 			}
@@ -356,6 +371,9 @@ func (f *File) WriteAt(buf []byte, off int64) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
+	if f.readOnly {
+		return fmt.Errorf("pagebuf: %s: write to a file opened read-only", f.Name())
+	}
 	if off < 0 || off > math.MaxInt64-int64(len(buf)) {
 		return fmt.Errorf("pagebuf: %s: write of %d bytes at offset %d", f.Name(), len(buf), off)
 	}
@@ -380,7 +398,8 @@ func (f *File) Append(buf []byte) (int64, error) {
 	return off, f.WriteAt(buf, off)
 }
 
-// Flush writes every dirty frame of this file back to disk and syncs it.
+// Flush writes every dirty frame of this file back to disk and syncs it,
+// unless no frame of it was dirtied since the last sync.
 func (f *File) Flush() error {
 	if f.closed.Load() {
 		return ErrClosed
@@ -400,8 +419,19 @@ func (f *File) flush() error {
 			fr.dirty = false
 		}
 	}
+	sync := f.unsynced
+	f.unsynced = false
 	p.mu.Unlock()
-	return f.os.Sync()
+	if !sync {
+		return nil
+	}
+	if err := f.os.Sync(); err != nil {
+		p.mu.Lock()
+		f.unsynced = true
+		p.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // Close flushes and closes the file, dropping its frames from the pool.

@@ -2,9 +2,12 @@ package pagebuf
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +85,13 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := f.WriteAt(payload, 500); err != nil {
 		t.Fatal(err)
 	}
+	// A write after a Flush must still reach the file at Close.
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteAt(payload, 100); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +99,19 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := p2.Open(path)
+	f2, err := p2.OpenReadOnly(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	got := make([]byte, len(payload))
-	if err := f2.ReadAt(got, 500); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload lost across reopen")
+	for _, off := range []int64{500, 100} {
+		got := make([]byte, len(payload))
+		if err := f2.ReadAt(got, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("payload at %d lost across reopen", off)
+		}
 	}
 }
 
@@ -242,5 +254,41 @@ func TestOpenMissingDirectoryFails(t *testing.T) {
 	p, _ := newTestPool(t, 1024, 256)
 	if _, err := p.Open(filepath.Join(string(os.PathSeparator), "nonexistent-dir-xyz", "f")); err == nil {
 		t.Fatal("want error opening file in missing directory")
+	}
+}
+
+// TestOpenReadOnly: a read-only open creates nothing, names a missing file in
+// an error wrapping fs.ErrNotExist, reads what is there, refuses WriteAt and
+// leaves the file's bytes alone.
+func TestOpenReadOnly(t *testing.T) {
+	p, dir := newTestPool(t, 1024, 256)
+	path := filepath.Join(dir, "x.dat")
+	_, err := p.OpenReadOnly(path)
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("missing file: got %v, want an fs.ErrNotExist naming %s", err, path)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenReadOnly created %s (stat: %v)", path, err)
+	}
+	payload := bytes.Repeat([]byte("read-only "), 60)
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadAt: %v, equal %v", err, bytes.Equal(got, payload))
+	}
+	if err := f.WriteAt([]byte("x"), 3); err == nil {
+		t.Fatal("WriteAt on a read-only file succeeded")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, payload) {
+		t.Fatalf("the file changed under a read-only open (err %v)", err)
 	}
 }

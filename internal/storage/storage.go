@@ -423,9 +423,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{sh: sh}
 	open := func(pool *pagebuf.Pool, name string) (*pagebuf.File, error) {
-		f, err := pool.Open(filepath.Join(dir, name))
+		f, err := pool.OpenReadOnly(filepath.Join(dir, name))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("storage: %w", err)
 		}
 		sh.files = append(sh.files, f)
 		return f, nil

@@ -1,9 +1,11 @@
 package storage_test
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -436,6 +438,54 @@ func TestOpenMissingIndexFiles(t *testing.T) {
 	}
 	if _, err := storage.Open(dir, storage.Options{}); err == nil {
 		t.Fatal("want error for truncated adj.idx")
+	}
+}
+
+// TestOpenMissingFileCreatesNothing deletes each store file in turn, then
+// tries an empty directory: Open must fail naming the missing file (meta.bin
+// for the empty directory), with an error wrapping fs.ErrNotExist, and leave
+// the directory as it found it.
+func TestOpenMissingFileCreatesNothing(t *testing.T) {
+	n, err := testnet.Random(13, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := func(dir string) []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	files := []string{"adj.dat", "adj.idx", "grp.idx", "meta.bin", "pts.dat", "pts.idx"} // as ReadDir sorts them
+	for _, opts := range []storage.Options{{}, {DisableRecordCaches: true}} {
+		for _, missing := range append(files, "") {
+			dir := t.TempDir()
+			if missing != "" {
+				if err := storage.Build(dir, n, opts); err != nil {
+					t.Fatal(err)
+				}
+				if got := list(dir); !slices.Equal(got, files) {
+					t.Fatalf("Build wrote %v, want %v", got, files)
+				}
+				if err := os.Remove(filepath.Join(dir, missing)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := list(dir)
+			_, err := storage.Open(dir, opts)
+			want := cmp.Or(missing, "meta.bin")
+			if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), want) {
+				t.Errorf("uncached=%v, %s missing: Open returned %v, want an fs.ErrNotExist naming %s", opts.DisableRecordCaches, want, err, want)
+			}
+			if after := list(dir); !slices.Equal(after, before) {
+				t.Errorf("uncached=%v, %s missing: Open changed the directory from %v to %v", opts.DisableRecordCaches, want, before, after)
+			}
+		}
 	}
 }
 

@@ -492,7 +492,9 @@ func BuildStore(dir string, n *Network, opts StoreOptions) error {
 
 // OpenStore opens a store directory; zero Options give the paper's
 // parameters (4 KB pages, 1 MB buffer). A directory in an older on-disk
-// format is refused with an error that says to rebuild it (BuildStore).
+// format is refused with an error that says to rebuild it (BuildStore). The
+// store's files are opened read-only and none is created: a missing one is
+// an error naming it that wraps fs.ErrNotExist.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	return storage.Open(dir, opts)
 }
