@@ -19,7 +19,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -33,49 +32,29 @@ import (
 	"netclus/internal/storage"
 )
 
-// pruner bundles the lower-bound pruning wiring shared by the cluster and
-// knn subcommands: the -landmarks flag, the bounds preprocessing (landmark
-// tables plus the Euclidean filter when the network carries a usable
-// embedding; disk stores and non-Euclidean weights fall back to landmarks
-// only), and the post-run prune-stats report. -landmarks 0 disables pruning.
-type pruner struct {
-	landmarks *int
-	bounds    *netclus.Bounds
-}
-
-// newPruner registers the -landmarks flag on fs; what names the queries it
-// accelerates in the flag help.
-func newPruner(fs *flag.FlagSet, what string) *pruner {
-	return &pruner{landmarks: fs.Int("landmarks", netclus.DefaultLandmarks,
-		"lower-bound pruning landmarks for "+what+" (0 disables)")}
-}
-
-// build preprocesses the pruning tables for g per the parsed flag, printing
-// the build cost. It returns nil (no error) when pruning is disabled.
-func (p *pruner) build(g netclus.Graph) (*netclus.Bounds, error) {
-	if *p.landmarks <= 0 {
+// storeBounds builds the landmark pruning tables cluster runs DBSCAN and
+// k-medoids under on a disk store (a store has no embedding, so there is no
+// Euclidean filter), printing the build cost. A network read with -in (st
+// nil) is never pruned — in memory a graph access costs less than a table
+// lookup — and landmarks <= 0 disables pruning on a store too: both return
+// nil.
+func storeBounds(st *netclus.Store, landmarks int) (netclus.Bounder, error) {
+	if st == nil || landmarks <= 0 {
 		return nil, nil
 	}
-	opts := netclus.BoundsOptions{Landmarks: *p.landmarks, EuclideanLB: true}
-	b, err := netclus.BuildBounds(g, opts)
-	if errors.Is(err, netclus.ErrBoundsNoCoords) || errors.Is(err, netclus.ErrBoundsNotEuclidean) {
-		opts.EuclideanLB = false
-		b, err = netclus.BuildBounds(g, opts)
-	}
+	b, err := netclus.BuildBounds(st, netclus.BoundsOptions{Landmarks: landmarks})
 	if err != nil {
 		return nil, err
 	}
-	st := b.Stats()
-	fmt.Printf("bounds: %d landmarks (euclidean %v) built in %s, %d KB tables\n",
-		st.Landmarks, st.Euclidean, st.BuildTime.Round(time.Millisecond), st.TableBytes/1024)
-	p.bounds = b
+	bs := b.Stats()
+	fmt.Printf("bounds: %d landmarks built in %s, %d KB tables\n",
+		bs.Landmarks, bs.BuildTime.Round(time.Millisecond), bs.TableBytes/1024)
 	return b, nil
 }
 
-// report prints the filter work of a pruned run; a no-op when pruning was
-// disabled or build was never called.
-func (p *pruner) report(ps netclus.PruneStats) {
-	if p.bounds == nil {
+// reportPrune prints the filter work of a run under bounds; a no-op without.
+func reportPrune(bounds netclus.Bounder, ps netclus.PruneStats) {
+	if bounds == nil {
 		return
 	}
 	fmt.Printf("pruning: %d candidates (%d accepted / %d rejected by bounds, %d refined), %d zero-traversal queries, %d early stops, %d pruned pushes\n",
@@ -300,13 +279,15 @@ func cluster(args []string) error {
 	delta := fs.Float64("delta", 0, "single-link scalability threshold δ")
 	restarts := fs.Int("restarts", 1, "k-medoids restarts")
 	seed := fs.Int64("seed", 1, "random seed")
-	pr := newPruner(fs, "dbscan/k-medoids")
+	landmarks := fs.Int("landmarks", netclus.DefaultLandmarks,
+		"lower-bound pruning landmarks for dbscan/k-medoids (with -store; 0 disables)")
 	out := fs.String("out", "", "write 'pointID<TAB>label' lines to this file")
 	fs.Parse(args)
 
 	var (
-		g   netclus.Graph
-		err error
+		g     netclus.Graph
+		store *netclus.Store
+		err   error
 	)
 	switch {
 	case *storeDir != "":
@@ -320,7 +301,7 @@ func cluster(args []string) error {
 				stats.LogicalReads, stats.PhysicalReads, 100*stats.HitRatio())
 			st.Close()
 		}()
-		g = st
+		g, store = st, st
 	case *in != "":
 		if g, err = loadNetwork(*in, true); err != nil {
 			return err
@@ -347,43 +328,35 @@ func cluster(args []string) error {
 		if *eps <= 0 {
 			return fmt.Errorf("dbscan needs -eps > 0")
 		}
-		bounds, err := pr.build(g)
+		bounds, err := storeBounds(store, *landmarks)
 		if err != nil {
 			return err
 		}
 		start = time.Now() // clustering time, preprocessing reported separately
-		opts := netclus.DBSCANOptions{Eps: *eps, MinPts: *minPts}
-		if bounds != nil {
-			opts.Prune = bounds
-		}
-		res, err := netclus.DBSCAN(g, opts)
+		res, err := netclus.DBSCAN(g, netclus.DBSCANOptions{Eps: *eps, MinPts: *minPts, Prune: bounds})
 		if err != nil {
 			return err
 		}
 		labels = res.Labels
 		fmt.Printf("dbscan: %d clusters, %d core points, %d range queries in %s\n",
 			res.NumClusters, res.CorePoints, res.Stats.RangeQueries, time.Since(start).Round(time.Millisecond))
-		pr.report(res.Stats.Prune)
+		reportPrune(bounds, res.Stats.Prune)
 	case "k-medoids":
-		bounds, err := pr.build(g)
+		bounds, err := storeBounds(store, *landmarks)
 		if err != nil {
 			return err
 		}
 		start = time.Now()
-		opts := netclus.KMedoidsOptions{
-			K: *k, Restarts: *restarts, Rand: rand.New(rand.NewSource(*seed)),
-		}
-		if bounds != nil {
-			opts.Prune = bounds
-		}
-		res, err := netclus.KMedoids(g, opts)
+		res, err := netclus.KMedoids(g, netclus.KMedoidsOptions{
+			K: *k, Restarts: *restarts, Rand: rand.New(rand.NewSource(*seed)), Prune: bounds,
+		})
 		if err != nil {
 			return err
 		}
 		labels = res.Labels
 		fmt.Printf("k-medoids: k=%d, R=%.4g, %d iterations (%d swaps tried) in %s\n",
 			*k, res.R, res.Iterations, res.AttemptedSwaps, time.Since(start).Round(time.Millisecond))
-		pr.report(res.Stats.Prune)
+		reportPrune(bounds, res.Stats.Prune)
 	case "optics":
 		if *eps <= 0 {
 			return fmt.Errorf("optics needs -eps > 0 (the maximum radius)")
@@ -512,7 +485,6 @@ func knn(args []string) error {
 	in := fs.String("in", "", "input network prefix (required)")
 	p := fs.Int("p", 0, "query point ID")
 	k := fs.Int("k", 5, "number of neighbours")
-	pr := newPruner(fs, "the kNN query")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("-in is required")
@@ -521,19 +493,8 @@ func knn(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		nn    []netclus.PointDist
-		prune netclus.PruneStats
-	)
-	if bounds, err := pr.build(g); err != nil {
-		return err
-	} else if bounds != nil {
-		nn, err = netclus.KNearestNeighborsPruned(g, bounds, netclus.PointID(*p), *k, &prune)
-		if err != nil {
-			return err
-		}
-		pr.report(prune)
-	} else if nn, err = netclus.KNearestNeighbors(g, netclus.PointID(*p), *k); err != nil {
+	nn, err := netclus.KNearestNeighbors(g, netclus.PointID(*p), *k)
+	if err != nil {
 		return err
 	}
 	pi, err := g.PointInfo(netclus.PointID(*p))

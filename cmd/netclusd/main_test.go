@@ -131,11 +131,16 @@ func TestDataFlagsAndStoreDetection(t *testing.T) {
 	}
 }
 
+// TestBuildRegistryBothKinds: network files are served compiled, as a
+// snapshot without bounds whatever -landmarks says, while a store is served
+// cold with them; save=DIR on network files needs no hot, and the snapshot
+// it writes is what the next boot warm-starts from.
 func TestBuildRegistryBothKinds(t *testing.T) {
 	prefix, dir := writeTestData(t)
 	logger := log.New(os.Stderr, "", 0)
+	saved := filepath.Join(t.TempDir(), "mem.ncs")
 	reg, err := buildRegistry([]dataSpec{
-		{name: "mem", path: prefix},
+		{name: "mem", path: prefix, save: saved},
 		{name: "disk", path: dir},
 	}, 256, 4, logger)
 	if err != nil {
@@ -147,12 +152,41 @@ func TestBuildRegistryBothKinds(t *testing.T) {
 		t.Fatalf("datasets = %d", len(list))
 	}
 	for _, d := range list {
-		if d.Bounds() == nil {
-			t.Errorf("dataset %s has no bounds", d.Name)
-		}
 		if d.View().NumPoints() != 300 {
 			t.Errorf("dataset %s points = %d", d.Name, d.View().NumPoints())
 		}
+	}
+	disk, _ := reg.Get("disk")
+	if disk.Kind != "store" || disk.HotSnapshot() != nil || disk.Bounds() == nil {
+		t.Errorf("store dataset: kind %s, hot %v, bounds %v", disk.Kind, disk.HotSnapshot() != nil, disk.Bounds() != nil)
+	}
+	mem, _ := reg.Get("mem")
+	if mem.Kind != "snapshot" || mem.HotSnapshot() == nil || mem.HasBounds() || mem.Bounds() != nil {
+		t.Errorf("network-file dataset: kind %s, hot %v, bounds %v", mem.Kind, mem.HotSnapshot() != nil, mem.HasBounds())
+	}
+	if !netclus.IsSnapshotFile(saved) {
+		t.Fatalf("save=%s on network files wrote no snapshot", saved)
+	}
+	var boot strings.Builder
+	warm, err := buildRegistry([]dataSpec{{name: "mem", path: prefix, save: saved}}, 256, 4, log.New(&boot, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if !strings.Contains(boot.String(), "warm start from snapshot "+saved) {
+		t.Fatalf("second boot did not warm-start from %s:\n%s", saved, boot.String())
+	}
+	want, err := netclus.KNearestNeighbors(mem.View(), 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := warm.Get("mem")
+	if got, err := netclus.KNearestNeighbors(d.View(), 5, 7); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("warm-started kNN %v (%v), compiled %v", got, err, want)
+	}
+	cold := dataSpec{name: "x", path: dir, save: filepath.Join(t.TempDir(), "x.ncs")}
+	if _, err := buildRegistry([]dataSpec{cold}, 256, 4, logger); err == nil || !strings.Contains(err.Error(), "needs hot") {
+		t.Fatalf("save= on a cold store: %v, want the needs-hot error", err)
 	}
 	if _, err := buildRegistry([]dataSpec{{name: "x", path: filepath.Join(t.TempDir(), "missing")}},
 		256, 0, logger); err == nil {

@@ -20,11 +20,13 @@ import (
 	"netclus/internal/server"
 )
 
-// dataSpec is one -data name=path[,hot][,shards=K][,save=DIR] flag.
-// shards=K serves the dataset as a K-way sharded set; save=DIR persists the
-// compiled form (a sharded set directory, or a snapshot file for hot
-// datasets) and warm-starts from it on later boots with zero store reads. path may also point directly at a
-// saved snapshot file or sharded-set directory.
+// dataSpec is one -data name=path[,hot][,shards=K][,save=DIR] flag. path
+// names a disk store, network files (compiled into a snapshot at start-up,
+// so hot is implied), a saved snapshot file or a sharded-set directory. hot
+// compiles a store too. shards=K serves the dataset as a K-way sharded set;
+// save=DIR persists the compiled form (a sharded set directory, or a snapshot
+// file for every other compiled dataset) and warm-starts from it on later
+// boots with zero store reads.
 // live serves the dataset behind a mutable delta overlay accepting
 // POST /v1/datasets/{name}/points; eps=F,minpts=K configure its incrementally
 // maintained ε-Link/DBSCAN labelling.
@@ -133,6 +135,16 @@ func loadGraph(spec dataSpec, bufKB int) (netclus.Graph, func(), error) {
 	return n, func() {}, nil
 }
 
+// compileGraph compiles the spec's backing graph into a CSR snapshot.
+func compileGraph(spec dataSpec, bufKB int) (*netclus.Snapshot, error) {
+	g, closeGraph, err := loadGraph(spec, bufKB)
+	if err != nil {
+		return nil, err
+	}
+	defer closeGraph()
+	return netclus.Compile(g)
+}
+
 // loadShardedDataset resolves the sharded set of a spec. A saved set
 // directory — the path itself, or an earlier boot's save= target — reopens
 // with zero store reads; otherwise the backing graph is loaded, partitioned
@@ -181,22 +193,17 @@ func loadShardedDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.D
 // overlay publishes is a snapshot derived from the one before it, so reads
 // between writes run the flat-array kernels.
 func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Dataset, error) {
-	var sn *netclus.Snapshot
+	var (
+		sn  *netclus.Snapshot
+		err error
+	)
 	if netclus.IsSnapshotFile(spec.path) {
-		var err error
-		if sn, err = netclus.OpenSnapshot(spec.path); err != nil {
-			return nil, err
-		}
+		sn, err = netclus.OpenSnapshot(spec.path)
 	} else {
-		g, closeGraph, err := loadGraph(spec, bufKB)
-		if err != nil {
-			return nil, err
-		}
-		sn, err = netclus.Compile(g)
-		closeGraph()
-		if err != nil {
-			return nil, err
-		}
+		sn, err = compileGraph(spec, bufKB)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var opts netclus.LiveOptions
 	if spec.eps > 0 {
@@ -211,8 +218,8 @@ func loadLiveDataset(spec dataSpec, bufKB int, logger *log.Logger) (*server.Data
 }
 
 // loadDataset resolves one -data spec, picking the serving form: a live
-// mutable overlay, a sharded set, a durable snapshot file (direct or
-// via save=), a disk store, or in-memory network files.
+// mutable overlay, a sharded set, a durable snapshot file (direct or via
+// save=), a disk store, or network files compiled into a snapshot.
 func loadDataset(spec dataSpec, bufKB, landmarks int, logger *log.Logger) (*server.Dataset, error) {
 	if spec.live {
 		return loadLiveDataset(spec, bufKB, logger)
@@ -239,9 +246,10 @@ func loadDataset(spec dataSpec, bufKB, landmarks int, logger *log.Logger) (*serv
 		opts := netclus.StoreOptions{BufferBytes: bufKB * 1024}
 		d, err = server.NewStoreDataset(spec.name, spec.path, opts, landmarks, spec.hot)
 	} else {
-		var n *netclus.Network
-		if n, err = netclus.LoadNetworkFiles(spec.path, true); err == nil {
-			d, err = server.NewNetworkDataset(spec.name, spec.path, n, landmarks, spec.hot)
+		// Every in-memory graph is served compiled, and none prunes.
+		var sn *netclus.Snapshot
+		if sn, err = compileGraph(spec, bufKB); err == nil {
+			d, err = server.NewSnapshotDataset(spec.name, spec.path, sn, landmarks)
 		}
 	}
 	if err != nil {
@@ -251,7 +259,7 @@ func loadDataset(spec dataSpec, bufKB, landmarks int, logger *log.Logger) (*serv
 		sn := d.HotSnapshot()
 		if sn == nil {
 			d.Close()
-			return nil, fmt.Errorf("save=%s needs hot (or shards=K) to have a compiled form to persist", spec.save)
+			return nil, fmt.Errorf("save=%s on a store needs hot (or shards=K) to have a compiled form to persist", spec.save)
 		}
 		if err := netclus.WriteSnapshotFile(sn, spec.save); err != nil {
 			d.Close()
@@ -300,7 +308,7 @@ func serve(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	bufKB := fs.Int("buffer", 1024, "buffer pool size in KB for disk stores")
 	landmarks := fs.Int("landmarks", netclus.DefaultLandmarks,
-		"lower-bound pruning landmarks per cold dataset, built on its first pruned request (0 disables; hot, snapshot, sharded and live datasets build no bounds)")
+		"lower-bound pruning landmarks per cold store, built on its first pruned request (0 disables; every in-memory dataset — network files, hot stores, snapshots, sharded and live — builds none)")
 	capacity := fs.Int64("capacity", 0, "admission capacity in cost units (0 = 2x GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission wait-queue depth (0 = 64)")
 	clusterCost := fs.Int64("cluster-cost", 0, "admission cost of a clustering request (0 = 8)")

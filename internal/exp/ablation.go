@@ -3,6 +3,7 @@ package exp
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"netclus/internal/core"
@@ -53,9 +54,13 @@ func StorageAblation(cfg Config) ([]StorageRow, error) {
 		}
 		for _, bufKB := range []int{64, 1024} {
 			row := StorageRow{Layout: layout, BufferKB: bufKB}
-			// Reopen the store per algorithm so each run starts with a
-			// cold buffer pool.
-			err := withStore(dir, bufKB, func(st *storage.Store) error {
+			// Reopen the store per algorithm so each run starts with a cold
+			// buffer pool. Record caches are disabled so the measured I/O
+			// counts stay the paper's logical/physical page accesses
+			// (DESIGN.md §2): a decoded-record hit would bypass the buffer
+			// pool and under-count the metric being reproduced.
+			paper := storage.Options{BufferBytes: bufKB * 1024, DisableRecordCaches: true}
+			err := withStore(dir, paper, func(st *storage.Store) error {
 				t0 := time.Now()
 				if _, err := core.EpsLink(st, core.EpsLinkOptions{Eps: gen.Eps(), MinSup: 3}); err != nil {
 					return err
@@ -67,7 +72,7 @@ func StorageAblation(cfg Config) ([]StorageRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			err = withStore(dir, bufKB, func(st *storage.Store) error {
+			err = withStore(dir, paper, func(st *storage.Store) error {
 				t0 := time.Now()
 				if _, err := core.SingleLink(st, core.SingleLinkOptions{Delta: gen.Delta()}); err != nil {
 					return err
@@ -90,12 +95,10 @@ func StorageAblation(cfg Config) ([]StorageRow, error) {
 	return rows, nil
 }
 
-// withStore opens the store with a cold buffer pool, runs fn, and closes it.
-// Record caches are disabled so the measured I/O counts stay the paper's
-// logical/physical page accesses (DESIGN.md §2): a decoded-record hit would
-// bypass the buffer pool and under-count the metric being reproduced.
-func withStore(dir string, bufKB int, fn func(*storage.Store) error) error {
-	st, err := storage.Open(dir, storage.Options{BufferBytes: bufKB * 1024, DisableRecordCaches: true})
+// withStore opens the store under opts with a cold buffer pool, runs fn from
+// zeroed counters, and closes it.
+func withStore(dir string, opts storage.Options, fn func(*storage.Store) error) error {
+	st, err := storage.Open(dir, opts)
 	if err != nil {
 		return err
 	}
@@ -105,68 +108,109 @@ func withStore(dir string, bufKB int, fn func(*storage.Store) error) error {
 }
 
 // PruneRow is one lower-bound pruning measurement: an operator run without
-// and with the landmark/Euclidean bounds, with the prune counters that
-// explain the gap. Identical confirms the pruned run returned exactly the
-// unpruned result.
+// and with the landmark bounds on a disk store, each from a cold buffer pool
+// and cold record caches, with the page reads each run cost and the prune
+// counters that explain the gap. Identical confirms the pruned run returned
+// exactly the unpruned result.
 type PruneRow struct {
-	Op        string
-	Unpruned  time.Duration
-	Pruned    time.Duration
-	Prune     network.PruneStats
-	Identical bool
+	Op         string
+	Unpruned   time.Duration
+	UnprunedIO pagebuf.Stats
+	Pruned     time.Duration
+	PrunedIO   pagebuf.Stats
+	Prune      network.PruneStats
+	Identical  bool
 }
 
-// PruneAblation measures the lower-bound pruned traversal engine (DESIGN.md,
-// "Lower-bound pruning") against the plain operators on the OL road dataset:
-// DBSCAN (its flag pass's ε-range queries), a k-NN batch over sampled query
-// points, and a full k-medoids run. Every pruned run is checked to return
-// byte-identical results. The paper-reproduction experiments in this package
-// deliberately never enable pruning — the paper's 2004 algorithms and their
-// page-access accounting assume plain expansions, and the figures must stay
-// faithful to them; the bounds are a production-path optimisation measured
-// here and by the benchmark's `lbound.*` probes only.
+// pruneBufferKB is the ablation store's buffer pool: small against the store,
+// so that a record the filter spares can be a page fault it spares.
+const pruneBufferKB = 64
+
+// PruneAblation measures the lower-bound pruned traversal engine (DESIGN.md
+// §7) against the plain operators where the serving tier still prunes: a
+// disk store built from the OL road dataset, opened as netclusd opens one
+// (record caches on) behind a small buffer. It runs DBSCAN (its flag pass's
+// ε-range queries), a k-NN batch over sampled query points, and a full
+// k-medoids run, each unpruned and pruned from a cold store, and checks that
+// every pruned run returns byte-identical results. A store has no embedding,
+// so its bounds are landmark tables alone. The paper-reproduction
+// experiments in this package deliberately never enable pruning — the
+// paper's 2004 algorithms and their page-access accounting assume plain
+// expansions, and the figures must stay faithful to them.
 func PruneAblation(cfg Config) ([]PruneRow, error) {
 	cfg = cfg.withDefaults()
 	g, gen, err := datagen.RoadDataset("OL", cfg.Scale, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	b, err := lbound.Build(g, lbound.Options{EuclideanLB: true})
+	dir, err := os.MkdirTemp("", "netclus-prune-*")
 	if err != nil {
 		return nil, err
 	}
-	prep := time.Since(t0)
-	cfg.printf("Prune ablation — OL dataset (|V|=%d, N=%d), %d landmarks built in %s\n",
-		g.NumNodes(), g.NumPoints(), b.Stats().Landmarks, prep.Round(time.Microsecond))
-	cfg.printf("%-10s %12s %12s %10s %10s %10s %10s %6s\n",
-		"op", "unpruned", "pruned", "zerotrav", "rejected", "prpushes", "earlystop", "same")
+	defer os.RemoveAll(dir)
+	if err := storage.Build(dir, g, storage.Options{}); err != nil {
+		return nil, err
+	}
+	opts := storage.Options{BufferBytes: pruneBufferKB * 1024}
+	var (
+		b    *lbound.Bounds
+		prep time.Duration
+	)
+	err = withStore(dir, opts, func(st *storage.Store) error {
+		t0 := time.Now()
+		b, err = lbound.Build(st, lbound.Options{})
+		prep = time.Since(t0)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg.printf("Prune ablation — OL dataset in a store behind a %d KB buffer (|V|=%d, N=%d), %d landmarks built in %s\n",
+		pruneBufferKB, g.NumNodes(), g.NumPoints(), b.Stats().Landmarks, prep.Round(time.Microsecond))
+	cfg.printf("%-10s %12s %8s %12s %8s %10s %10s %6s\n",
+		"op", "unpruned", "pages", "pruned", "pages", "candidates", "prpushes", "same")
 	var rows []PruneRow
-	emit := func(row PruneRow) {
+	// measure runs op unpruned and then pruned, each on a freshly opened
+	// store, and books both runs on one row; op reports whether its answer
+	// equals the unpruned run's.
+	measure := func(name string, op func(st *storage.Store, prune network.Bounder, ps *network.PruneStats) (bool, error)) error {
+		row := PruneRow{Op: name}
+		for _, prune := range []network.Bounder{nil, b} {
+			err := withStore(dir, opts, func(st *storage.Store) error {
+				t0 := time.Now()
+				same, err := op(st, prune, &row.Prune)
+				if prune == nil {
+					row.Unpruned, row.UnprunedIO = time.Since(t0), st.Stats()
+				} else {
+					row.Pruned, row.PrunedIO, row.Identical = time.Since(t0), st.Stats(), same
+				}
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
 		rows = append(rows, row)
-		cfg.printf("%-10s %12s %12s %10d %10d %10d %10d %6v\n",
-			row.Op, row.Unpruned.Round(time.Microsecond), row.Pruned.Round(time.Microsecond),
-			row.Prune.ZeroTraversalQueries, row.Prune.FilterRejected,
-			row.Prune.PrunedPushes, row.Prune.EarlyStops, row.Identical)
+		cfg.printf("%-10s %12s %8d %12s %8d %10d %10d %6v\n",
+			row.Op, row.Unpruned.Round(time.Microsecond), row.UnprunedIO.PhysicalReads,
+			row.Pruned.Round(time.Microsecond), row.PrunedIO.PhysicalReads,
+			row.Prune.Candidates, row.Prune.PrunedPushes, row.Identical)
+		return nil
 	}
 
 	// DBSCAN: the range-query filter-and-refine path.
-	eps := gen.Eps()
-	t0 = time.Now()
-	plain, err := core.DBSCAN(g, core.DBSCANOptions{Eps: eps, MinPts: 3})
-	if err != nil {
+	var labels []int32
+	if err := measure("dbscan", func(st *storage.Store, prune network.Bounder, ps *network.PruneStats) (bool, error) {
+		res, err := core.DBSCAN(st, core.DBSCANOptions{Eps: gen.Eps(), MinPts: 3, Prune: prune})
+		if err != nil {
+			return false, err
+		}
+		same := slices.Equal(labels, res.Labels)
+		labels, *ps = res.Labels, res.Stats.Prune
+		return same, nil
+	}); err != nil {
 		return nil, err
 	}
-	unpruned := time.Since(t0)
-	t0 = time.Now()
-	pruned, err := core.DBSCAN(g, core.DBSCANOptions{Eps: eps, MinPts: 3, Prune: b})
-	if err != nil {
-		return nil, err
-	}
-	emit(PruneRow{
-		Op: "dbscan", Unpruned: unpruned, Pruned: time.Since(t0),
-		Prune: pruned.Stats.Prune, Identical: labelsEqual(plain.Labels, pruned.Labels),
-	})
 
 	// k-NN batch: the goal-directed refinement path.
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -175,64 +219,41 @@ func PruneAblation(cfg Config) ([]PruneRow, error) {
 		queries[i] = network.PointID(rng.Intn(g.NumPoints()))
 	}
 	knnPlain := make([][]network.PointDist, len(queries))
-	t0 = time.Now()
-	for i, q := range queries {
-		if knnPlain[i], err = network.KNearestNeighbors(g, q, cfg.K); err != nil {
-			return nil, err
+	if err := measure("knn", func(st *storage.Store, prune network.Bounder, ps *network.PruneStats) (bool, error) {
+		same := true
+		for i, q := range queries {
+			var (
+				nn  []network.PointDist
+				err error
+			)
+			if prune == nil {
+				nn, err = network.KNearestNeighbors(st, q, cfg.K)
+				knnPlain[i] = nn
+			} else {
+				nn, err = network.KNearestNeighborsPruned(st, prune, q, cfg.K, ps)
+			}
+			if err != nil {
+				return false, err
+			}
+			same = same && slices.Equal(knnPlain[i], nn)
 		}
+		return same, nil
+	}); err != nil {
+		return nil, err
 	}
-	unpruned = time.Since(t0)
-	var kst network.PruneStats
-	same := true
-	t0 = time.Now()
-	for i, q := range queries {
-		nn, err := network.KNearestNeighborsPruned(g, b, q, cfg.K, &kst)
-		if err != nil {
-			return nil, err
-		}
-		same = same && knnEqual(knnPlain[i], nn)
-	}
-	emit(PruneRow{Op: "knn", Unpruned: unpruned, Pruned: time.Since(t0), Prune: kst, Identical: same})
 
 	// k-medoids: the assignment-expansion push pruning.
-	t0 = time.Now()
-	kmPlain, err := core.KMedoids(g, core.KMedoidsOptions{K: cfg.K, Rand: rand.New(rand.NewSource(cfg.Seed))})
-	if err != nil {
+	labels = nil
+	if err := measure("k-medoids", func(st *storage.Store, prune network.Bounder, ps *network.PruneStats) (bool, error) {
+		res, err := core.KMedoids(st, core.KMedoidsOptions{K: cfg.K, Rand: rand.New(rand.NewSource(cfg.Seed)), Prune: prune})
+		if err != nil {
+			return false, err
+		}
+		same := slices.Equal(labels, res.Labels)
+		labels, *ps = res.Labels, res.Stats.Prune
+		return same, nil
+	}); err != nil {
 		return nil, err
 	}
-	unpruned = time.Since(t0)
-	t0 = time.Now()
-	kmPruned, err := core.KMedoids(g, core.KMedoidsOptions{K: cfg.K, Rand: rand.New(rand.NewSource(cfg.Seed)), Prune: b})
-	if err != nil {
-		return nil, err
-	}
-	emit(PruneRow{
-		Op: "k-medoids", Unpruned: unpruned, Pruned: time.Since(t0),
-		Prune: kmPruned.Stats.Prune, Identical: labelsEqual(kmPlain.Labels, kmPruned.Labels),
-	})
 	return rows, nil
-}
-
-func labelsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func knnEqual(a, b []network.PointDist) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -172,7 +172,9 @@ func (r RangeRequest) Values() url.Values {
 	}
 }
 
-// KNNRequest is GET /v1/{dataset}/knn: the K points nearest to Point.
+// KNNRequest is GET /v1/{dataset}/knn: the K points nearest to Point. Prune
+// asks for the filter-and-refine path on a dataset with bounds; it is off by
+// default, because pruned kNN is slower than the plain search even on a store.
 type KNNRequest struct {
 	Point netclus.PointID
 	K     int
@@ -192,7 +194,7 @@ func DecodeKNN(q url.Values) (KNNRequest, error) {
 	if req.K < 1 {
 		return req, fmt.Errorf("k must be >= 1")
 	}
-	req.Prune = boolValue(q, "prune", true)
+	req.Prune = boolValue(q, "prune", false)
 	return req, nil
 }
 
@@ -330,17 +332,21 @@ func (r ClusterRequest) PruneEnabled() bool {
 }
 
 // Canonical returns the stable cache-key fragment of the request. It leaves
-// out Workers, which changes no answer, so equal jobs share one entry.
+// out Workers, which changes no answer, and Prune for epslink, which has no
+// pruned form, so equal jobs share one entry.
 func (r ClusterRequest) Canonical() string {
-	return "algo=" + r.Algo +
+	c := "algo=" + r.Algo +
 		"&eps=" + canonFloat(r.Eps) +
 		"&minpts=" + strconv.Itoa(r.MinPts) +
 		"&minsup=" + strconv.Itoa(r.MinSup) +
 		"&k=" + strconv.Itoa(r.K) +
 		"&restarts=" + strconv.Itoa(r.Restarts) +
 		"&seed=" + strconv.FormatInt(r.Seed, 10) +
-		"&labels=" + canonBool(r.Labels) +
-		"&prune=" + canonBool(r.PruneEnabled())
+		"&labels=" + canonBool(r.Labels)
+	if r.Algo == "epslink" {
+		return c
+	}
+	return c + "&prune=" + canonBool(r.PruneEnabled())
 }
 
 // Values renders the request as query values, for clients.

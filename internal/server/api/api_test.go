@@ -91,14 +91,14 @@ func TestKNNCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := DecodeKNN(mustQuery(t, "prune=1&k=5&p=7"))
+	explicit, err := DecodeKNN(mustQuery(t, "prune=0&k=5&p=7"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if defaulted.Canonical() != explicit.Canonical() {
 		t.Errorf("defaulted %q != explicit %q", defaulted.Canonical(), explicit.Canonical())
 	}
-	if want := "p=7&k=5&prune=1"; defaulted.Canonical() != want {
+	if want := "p=7&k=5&prune=0"; defaulted.Canonical() != want {
 		t.Errorf("Canonical = %q, want %q", defaulted.Canonical(), want)
 	}
 	for _, raw := range knnDecodeErrors {
@@ -145,6 +145,12 @@ func TestClusterCanonicalization(t *testing.T) {
 	c, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5&prune=0"))
 	if a.Canonical() == c.Canonical() {
 		t.Error("prune=0 shares key with prune=1")
+	}
+	// ε-Link has no pruned form, so prune is no part of its key.
+	e0, _ := DecodeClusterValues(mustQuery(t, "algo=epslink&eps=5&prune=0"))
+	e1, _ := DecodeClusterValues(mustQuery(t, "algo=eps-link&eps=5"))
+	if e0.Canonical() != e1.Canonical() || strings.Contains(e0.Canonical(), "prune") {
+		t.Errorf("epslink keys on inert prune: %q vs %q", e0.Canonical(), e1.Canonical())
 	}
 	if _, err := DecodeClusterValues(mustQuery(t, "algo=wat&eps=5")); err == nil {
 		t.Error("unknown algo decoded")

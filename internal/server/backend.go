@@ -104,10 +104,6 @@ func (s *servedStore) describe(info *api.DatasetInfo) {
 // loadWork runs f and books the store counters spent meanwhile to the startup
 // base (base += after - before), so they never show as serving.
 func (s *servedStore) loadWork(f func()) {
-	if s == nil {
-		f()
-		return
-	}
 	before := netclus.SnapshotStore(s.st)
 	f()
 	s.mu.Lock()
@@ -122,16 +118,15 @@ func (s *servedStore) close() error {
 	return s.st.Close()
 }
 
-// coldBackend serves a disk store or a pointer network as loaded, under
-// lower-bound pruning tables when landmarks were asked for. The tables are
+// coldBackend serves a disk store as loaded, under landmark lower-bound
+// pruning tables when landmarks were asked for. The tables are
 // built once, by the first request that runs pruned (or a Dataset.Bounds
 // call), not at registration: a cold dataset is ready as soon as its store is
 // open, and one that is never asked to prune never pays for the build. The
 // price is that the first pruned requests wait for the whole build.
 type coldBackend struct {
 	readOnly
-	// view is a fresh store reader per request goroutine, or the shared
-	// immutable network.
+	// view is a fresh store reader per request goroutine.
 	view      func() netclus.Graph
 	store     *servedStore
 	name      string

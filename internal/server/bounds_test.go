@@ -41,20 +41,15 @@ func serveRegistry(t *testing.T, ds ...*Dataset) *Server {
 }
 
 // TestColdBoundsLazy: a cold dataset reads nothing for its bounds at
-// registration, requests that run unpruned never build them, and the first
-// pruned requests — sent at once — start exactly one build whose answers
-// equal the unpruned ones; Bounds() afterwards hands out that same build.
+// registration, requests that run unpruned (a default kNN among them) never
+// build them, and the first pruned requests — sent at once — start exactly
+// one build whose answers equal the unpruned ones; Bounds() afterwards hands
+// out that same build.
 func TestColdBoundsLazy(t *testing.T) {
-	n := testNetwork(t)
-	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
-	if err := netclus.BuildStore(dir, n, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir, opts := testStore(t, testNetwork(t))
 	must := mustDataset(t)
 	disk := must(NewStoreDataset("disk", dir, opts, 4, false))
-	mem := must(NewNetworkDataset("mem", "test", n, 4, false))
-	t.Cleanup(func() { disk.Close() })
+	mem := must(NewStoreDataset("mem", dir, memOpts(opts), 4, false))
 
 	// Registration costs what opening the store costs, and not a read more.
 	plain, err := netclus.OpenStore(dir, opts)
@@ -86,6 +81,7 @@ func TestColdBoundsLazy(t *testing.T) {
 				"range?p=%d&eps=20&prune=0",
 				"range?p=%d&eps=20&dists=1",
 				"knn?p=%d&k=5&prune=0",
+				"knn?p=%d&k=6",
 				"cluster?algo=dbscan&eps=15&minpts=3&prune=0&seed=%d",
 				"cluster?algo=epslink&eps=12&seed=%d",
 				"cluster?algo=kmedoids&k=3&prune=0&seed=%d",
@@ -115,7 +111,7 @@ func TestColdBoundsLazy(t *testing.T) {
 				defer wg.Done()
 				<-start
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/%s/knn?p=%d&k=7", name, p), nil))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/%s/knn?p=%d&k=7&prune=1", name, p), nil))
 				if rec.Code != http.StatusOK {
 					t.Errorf("%s p=%d: %d %s", name, p, rec.Code, rec.Body)
 					return
@@ -204,16 +200,18 @@ func (tr *tripper) view(g func() netclus.Graph, at int) func() netclus.Graph {
 // while prune=0 requests on the dataset keep answering.
 func TestColdBoundsBuildError(t *testing.T) {
 	n := testNetwork(t)
-	tr := &tripper{}
-	d, err := newGraphDataset("broken", "memory", "test", n, tr.view(func() netclus.Graph { return n }, 2*n.NumNodes()), nil, 4, false)
+	dir, opts := testStore(t, n)
+	st, err := netclus.OpenStore(dir, memOpts(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := &tripper{}
+	d := newColdDataset("broken", dir, st, tr.view(func() netclus.Graph { return st.Reader() }, 2*n.NumNodes()), 4)
 	s := serveRegistry(t, d)
 	h := s.Handler()
 
 	var first string
-	for _, q := range []string{"knn?p=1&k=3", "range?p=1&eps=20", "cluster?algo=dbscan&eps=15&minpts=3", "knn?p=2&k=3"} {
+	for _, q := range []string{"knn?p=1&k=3&prune=1", "range?p=1&eps=20", "cluster?algo=dbscan&eps=15&minpts=3", "knn?p=2&k=3&prune=1"} {
 		var eb api.ErrorBody
 		getJSON(t, h, "/v1/broken/"+q, http.StatusInternalServerError, &eb)
 		msg := eb.Error.Message
@@ -247,11 +245,7 @@ func TestColdBoundsBuildError(t *testing.T) {
 // store; afterwards no goroutine and no admission unit is left behind.
 func TestColdBoundsTimeoutAndClose(t *testing.T) {
 	n := testNetwork(t)
-	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
-	if err := netclus.BuildStore(dir, n, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir, opts := testStore(t, n)
 	baseline := runtime.NumGoroutine()
 
 	st, err := netclus.OpenStore(dir, opts)
@@ -259,10 +253,7 @@ func TestColdBoundsTimeoutAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &tripper{gate: make(chan struct{}), blocked: make(chan struct{})}
-	d, err := newGraphDataset("gated", "store", dir, st, tr.view(func() netclus.Graph { return st.Reader() }, 2*n.NumNodes()), &servedStore{st: st}, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newColdDataset("gated", dir, st, tr.view(func() netclus.Graph { return st.Reader() }, 2*n.NumNodes()), 4)
 	reg := NewRegistry()
 	if err := reg.Add(d); err != nil {
 		t.Fatal(err)
@@ -277,18 +268,18 @@ func TestColdBoundsTimeoutAndClose(t *testing.T) {
 	waiter := make(chan int)
 	go func() {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/gated/knn?p=1&k=3", nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/gated/knn?p=1&k=3&prune=1", nil))
 		waiter <- rec.Code
 	}()
 	<-tr.blocked
 
 	var eb api.ErrorBody
-	getJSON(t, h, "/v1/gated/knn?p=2&k=3&timeout_ms=1", http.StatusGatewayTimeout, &eb)
+	getJSON(t, h, "/v1/gated/knn?p=2&k=3&prune=1&timeout_ms=1", http.StatusGatewayTimeout, &eb)
 	if eb.Error.Code != api.CodeTimeout {
 		t.Fatalf("timed-out wait: envelope %+v", eb)
 	}
 	getJSON(t, h, "/v1/gated/cluster?algo=dbscan&eps=15&minpts=3&timeout_ms=1", http.StatusGatewayTimeout, nil)
-	getJSON(t, h, "/v1/gated/knn?p=2&k=3&prune=0", http.StatusOK, nil)
+	getJSON(t, h, "/v1/gated/knn?p=2&k=3", http.StatusOK, nil)
 
 	// Close cancels the build; it waits only until the build notices, which
 	// it cannot while a read is stuck at the gate.
@@ -329,10 +320,7 @@ func TestColdBoundsTimeoutAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := newGraphDataset("late", "store", dir, st2, func() netclus.Graph { return st2.Reader() }, &servedStore{st: st2}, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := newColdDataset("late", dir, st2, func() netclus.Graph { return st2.Reader() }, 4)
 	if err := late.Close(); err != nil {
 		t.Fatal(err)
 	}

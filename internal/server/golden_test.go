@@ -32,8 +32,9 @@ func mustDataset(t testing.TB) func(*Dataset, error) *Dataset {
 }
 
 // newGoldenServer serves the test network as one dataset of every kind —
-// cold store, cold memory, hot (a compiled store, so it carries the csr and
-// the store block), sharded and live — with every machine-dependent default
+// cold store (twice: behind a small buffer and, as cold-mem, behind one that
+// holds it all), hot (a compiled store, so it carries the csr and the store
+// block), sharded and live — with every machine-dependent default
 // (the admission capacity) pinned. The cold datasets'
 // bounds are built before the script runs: their reads are booked to startup,
 // so the store counters pin serving traffic over the record cache the build
@@ -42,11 +43,7 @@ func mustDataset(t testing.TB) func(*Dataset, error) *Dataset {
 func newGoldenServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	n := testNetwork(t)
-	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
-	if err := netclus.BuildStore(dir, n, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir, opts := testStore(t, n)
 	set, err := netclus.PartitionNetwork(n, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +56,7 @@ func newGoldenServer(t *testing.T) (*Server, string) {
 	reg := NewRegistry()
 	for _, d := range []*Dataset{
 		must(NewStoreDataset("cold-disk", dir, opts, 4, false)),
-		must(NewNetworkDataset("cold-mem", "test", n, 4, false)),
+		must(NewStoreDataset("cold-mem", dir, memOpts(opts), 4, false)),
 		must(NewStoreDataset("hot-disk", dir, opts, 4, true)),
 		must(NewShardedDataset("sharded", "test", set)),
 		must(NewLiveDataset("live", "test", sn, netclus.LiveOptions{
@@ -100,8 +97,8 @@ func goldenScript() [][2]string {
 			"range?p=7&eps=20",
 			"range?p=7&eps=20&prune=0",
 			"knn?p=3&k=7",
-			"knn?p=3&k=7&prune=0",
-			"knn?k=7&p=3",
+			"knn?p=3&k=7&prune=1",
+			"knn?k=7&p=3&prune=0",
 			"cluster?algo=dbscan&eps=15&minpts=3",
 			"cluster?algo=dbscan&eps=15&minpts=3&workers=1&minsup=3",
 			"cluster?algo=epslink&eps=12&minsup=2",

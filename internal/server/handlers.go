@@ -103,6 +103,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset)
 		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
+	req.Prune = req.Prune && d.HasBounds() // see handleKNN
 	va := d.viewAt()
 	s.cachedRead(w, r, d, "range", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeRange(r.Context(), d, va, req)
@@ -155,6 +156,9 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
+	// Without bounds prune=1 and prune=0 give the same body, so they share
+	// one cache key.
+	req.Prune = req.Prune && d.HasBounds()
 	va := d.viewAt()
 	s.cachedRead(w, r, d, "knn", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeKNN(r.Context(), d, va, req)
@@ -228,6 +232,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 	if err != nil {
 		s.bodyError(w, err)
 		return
+	}
+	if !d.HasBounds() { // see handleKNN
+		off := false
+		req.Prune = &off
 	}
 	va := d.viewAt()
 	s.cachedRead(w, r, d, "cluster", req.Canonical(), func() ([]byte, error) {

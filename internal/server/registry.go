@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,8 +22,9 @@ import (
 type Dataset struct {
 	// Name is the registry key, the {dataset} segment of the URL space.
 	Name string
-	// Kind is "store" for disk-backed datasets, "memory" for network files,
-	// "snapshot", "sharded" or "live".
+	// Kind is "store" for disk-backed datasets, "snapshot" for compiled
+	// in-memory graphs (snapshot files and network files), "sharded" or
+	// "live".
 	Kind string
 	// Source describes where the dataset came from (directory or file
 	// prefix), for /v1/datasets.
@@ -60,59 +60,43 @@ func newDataset(name, kind, source string, g netclus.Graph, b backend) *Dataset 
 }
 
 // NewStoreDataset opens the store under dir as a served dataset. landmarks
-// > 0 additionally prunes its queries with lower-bound tables (Euclidean
-// filtering when the embedding allows, landmark tables otherwise), built on
-// the first pruned request rather than here, so registration reads nothing
-// beyond what opening the store does. hot
-// instead compiles the store into a CSR snapshot at registration; queries
-// then run on the in-memory replica's kernels and bypass the page buffer
-// entirely — the store's serving counters stay at zero — and no pruning
-// tables are built (see buildBounds).
+// > 0 additionally prunes its queries with landmark lower-bound tables, built
+// on the first pruned request rather than here, so registration reads nothing
+// beyond what opening the store does. hot instead compiles the store into a
+// CSR snapshot at registration; queries then run on the in-memory replica's
+// kernels and bypass the page buffer entirely — the store's serving counters
+// stay at zero — and no pruning tables are built (see buildBounds).
 func NewStoreDataset(name, dir string, opts netclus.StoreOptions, landmarks int, hot bool) (*Dataset, error) {
 	st, err := netclus.OpenStore(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	served := &servedStore{st: st}
-	d, err := newGraphDataset(name, "store", dir, st, func() netclus.Graph { return st.Reader() }, served, landmarks, hot)
+	if !hot {
+		return newColdDataset(name, dir, st, func() netclus.Graph { return st.Reader() }, landmarks), nil
+	}
+	sn, err := netclus.Compile(st)
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, fmt.Errorf("dataset %s: compiling hot replica: %w", name, err)
 	}
-	// Counters spent loading + preprocessing (including the hot-replica
-	// compile, which reads every page once) belong to startup, not serving.
-	served.base = netclus.SnapshotStore(st)
-	return d, nil
+	// The compile read every page once: that belongs to startup, not serving.
+	served := &servedStore{st: st, base: netclus.SnapshotStore(st)}
+	return newDataset(name, "store", dir, st, &hotBackend{sn: sn, store: served}), nil
 }
 
-// NewNetworkDataset serves the in-memory network n. landmarks as above (the
-// tables are built on the first pruned request); hot
-// compiles n into a CSR snapshot, so queries run on the flat-array kernels
-// and, as above, no pruning tables are built.
-func NewNetworkDataset(name, source string, n *netclus.Network, landmarks int, hot bool) (*Dataset, error) {
-	return newGraphDataset(name, "memory", source, n, func() netclus.Graph { return n }, nil, landmarks, hot)
+// newColdDataset serves the open store st as loaded, each request reading it
+// through its own view, under bounds built from a view on the first pruned
+// request.
+func newColdDataset(name, dir string, st *netclus.Store, view func() netclus.Graph, landmarks int) *Dataset {
+	served := &servedStore{st: st, base: netclus.SnapshotStore(st)}
+	return newDataset(name, "store", dir, st, newColdBackend(name, view, served, landmarks))
 }
 
-// newGraphDataset serves g — a disk store or a pointer network, read through
-// view — from a compiled replica when hot, else as loaded, under bounds built
-// from view on the first pruned request.
-func newGraphDataset(name, kind, source string, g netclus.Graph, view func() netclus.Graph, store *servedStore, landmarks int, hot bool) (*Dataset, error) {
-	if hot {
-		sn, err := netclus.Compile(g)
-		if err != nil {
-			return nil, fmt.Errorf("dataset %s: compiling hot replica: %w", name, err)
-		}
-		return newDataset(name, kind, source, g, &hotBackend{sn: sn, store: store}), nil
-	}
-	return newDataset(name, kind, source, g, newColdBackend(name, view, store, landmarks)), nil
-}
-
-// NewSnapshotDataset serves a durable CSR snapshot file directly: the
-// decoded snapshot is the graph and the hot replica at once, so the dataset
-// boots warm with zero store or network-file reads. Kind is "snapshot".
-// landmarks is accepted for call-site uniformity with the other constructors
-// and ignored: a snapshot dataset is hot, and hot datasets build no pruning
-// tables (see buildBounds).
+// NewSnapshotDataset serves a compiled CSR snapshot — decoded from a snapshot
+// file, or compiled from network files — directly: the snapshot is the graph
+// and the hot replica at once. Kind is "snapshot". landmarks is accepted for
+// call-site uniformity with the other constructors and ignored: a snapshot
+// dataset is hot, and hot datasets build no pruning tables (see buildBounds).
 func NewSnapshotDataset(name, path string, sn *netclus.Snapshot, landmarks int) (*Dataset, error) {
 	return newDataset(name, "snapshot", path, sn, &hotBackend{sn: sn}), nil
 }
@@ -137,20 +121,14 @@ func NewLiveDataset(name, source string, base netclus.Graph, opts netclus.LiveOp
 	return newDataset(name, "live", source, base, &liveBackend{ov: ov}), nil
 }
 
-// buildBounds builds pruning tables over g — for cold datasets only, on the
-// first request that runs pruned (see coldBackend.bounds). On a
-// compiled snapshot one graph access costs less than one landmark-table
-// lookup, so filter-and-refine loses to the plain kernels at every measured
-// radius (benchmark/README.md "First findings": kNN 7.5 against 0.47 µs,
-// DBSCAN 225 against 20 ms), while on the store it saves page reads and still
-// wins. Hot datasets therefore join sharded and live ones, which build none.
+// buildBounds builds landmark pruning tables over g — a view of a cold store,
+// on the first request that runs pruned (see coldBackend.bounds). A store has
+// no embedding, so the tables are landmark tables alone. Every in-memory kind
+// — hot, snapshot, sharded and live — builds none: there one graph access
+// costs less than one landmark-table lookup, so filter-and-refine loses to
+// the plain kernels at every measured radius (DESIGN.md §7).
 func buildBounds(ctx context.Context, name string, g netclus.Graph, landmarks int) (*netclus.Bounds, error) {
-	opts := netclus.BoundsOptions{Landmarks: landmarks, EuclideanLB: true}
-	b, err := netclus.BuildBoundsCtx(ctx, g, opts)
-	if errors.Is(err, netclus.ErrBoundsNoCoords) || errors.Is(err, netclus.ErrBoundsNotEuclidean) {
-		opts.EuclideanLB = false
-		b, err = netclus.BuildBoundsCtx(ctx, g, opts)
-	}
+	b, err := netclus.BuildBoundsCtx(ctx, g, netclus.BoundsOptions{Landmarks: landmarks})
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: building bounds: %w", name, err)
 	}
@@ -179,7 +157,7 @@ func (d *Dataset) Bounds() *netclus.Bounds {
 	return b
 }
 
-// HasBounds reports whether the dataset prunes — a cold dataset with
+// HasBounds reports whether the dataset prunes — a cold store with
 // landmarks — whether or not its tables are built yet. It never starts the
 // build.
 func (d *Dataset) HasBounds() bool {
@@ -238,7 +216,7 @@ func (d *Dataset) addPrune(ps netclus.PruneStats) {
 }
 
 // Close stops the backend's background work and releases its disk resources
-// (a no-op for plain in-memory datasets).
+// (a no-op for datasets without a store).
 func (d *Dataset) Close() error { return d.backend.close() }
 
 // Registry is the set of served datasets, fixed after startup: handlers only

@@ -17,9 +17,10 @@ import (
 
 // TestBackendContract holds every constructor to its row of the dataset-kind
 // table in DESIGN.md §8: which kinds build bounds, accept writes or carry a
-// compiled replica; that a default kNN is pruned exactly where bounds exist
-// and answers like the engine; that a k beyond any point count answers like
-// k = N on every kind; that a default DBSCAN reports a prune block exactly
+// compiled replica; that a default kNN runs unpruned, a prune=1 kNN pruned
+// exactly where bounds exist, and both answer like the engine; that a k
+// beyond any point count answers like k = N on every kind; that a default
+// DBSCAN reports a prune block exactly
 // where bounds exist and labels identically everywhere, at every worker count;
 // that every read-only kind refuses a mutation with the same envelope; that
 // the immutable kinds' result-cache counters sum to the cache-wide totals and
@@ -28,11 +29,7 @@ import (
 // is clean on every kind.
 func TestBackendContract(t *testing.T) {
 	n := testNetwork(t)
-	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
-	if err := netclus.BuildStore(dir, n, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir, opts := testStore(t, n)
 	sn, err := netclus.Compile(n)
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +44,8 @@ func TestBackendContract(t *testing.T) {
 		bounds, hot, live bool
 	}{
 		{d: must(NewStoreDataset("cold-disk", dir, opts, 4, false)), bounds: true},
-		{d: must(NewNetworkDataset("cold-mem", "test", n, 4, false)), bounds: true},
+		{d: must(NewStoreDataset("cold-mem", dir, memOpts(opts), 4, false)), bounds: true},
 		{d: must(NewStoreDataset("hot-disk", dir, opts, 4, true)), hot: true},
-		{d: must(NewNetworkDataset("hot-mem", "test", n, 4, true)), hot: true},
 		{d: must(NewSnapshotDataset("snap", "test", sn, 4)), hot: true},
 		{d: must(NewShardedDataset("sharded", "test", set))},
 		{d: must(NewLiveDataset("live", "test", sn, netclus.LiveOptions{})), live: true},
@@ -93,17 +89,19 @@ func TestBackendContract(t *testing.T) {
 	for _, row := range rows {
 		name := row.d.Name
 		for p := 0; p < 20; p++ {
-			var kr api.KNNResponse
-			getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=%d&k=6", name, p), http.StatusOK, &kr)
-			if kr.Pruned != row.bounds {
-				t.Fatalf("%s: default kNN answered pruned=%v", name, kr.Pruned)
-			}
 			want, err := netclus.KNearestNeighborsCtx(ctx, row.d.View(), netclus.PointID(p), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(api.PointDists(want), kr.Results) {
-				t.Fatalf("%s p=%d: kNN differs from the engine\nwant %v\ngot  %v", name, p, want, kr.Results)
+			for _, prune := range []string{"", "&prune=1"} {
+				var kr api.KNNResponse
+				getJSON(t, h, fmt.Sprintf("/v1/%s/knn?p=%d&k=6%s", name, p, prune), http.StatusOK, &kr)
+				if kr.Pruned != (prune != "" && row.bounds) {
+					t.Fatalf("%s: kNN%s answered pruned=%v", name, prune, kr.Pruned)
+				}
+				if !reflect.DeepEqual(api.PointDists(want), kr.Results) {
+					t.Fatalf("%s p=%d%s: kNN differs from the engine\nwant %v\ngot  %v", name, p, prune, want, kr.Results)
+				}
 			}
 		}
 		// A hostile k answers like k = N: every reachable point, and a

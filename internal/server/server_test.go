@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,30 +35,41 @@ func testNetwork(t testing.TB) *netclus.Network {
 	return n
 }
 
-// newTestServer serves one in-memory and one store-backed copy of the same
-// network, both with pruning bounds.
-func newTestServer(t *testing.T, cfg Config) *Server {
+// testStore writes n into a store in a fresh directory and returns it with
+// the options the serving tests open it with: 1 KiB pages behind a 32 KiB
+// buffer, a fraction of the store.
+func testStore(t testing.TB, n *netclus.Network) (string, netclus.StoreOptions) {
 	t.Helper()
-	n := testNetwork(t)
-	reg := NewRegistry()
-	mem, err := NewNetworkDataset("mem", "test", n, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add(mem); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
 	if err := netclus.BuildStore(dir, n, opts); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := NewStoreDataset("disk", dir, opts, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add(disk); err != nil {
-		t.Fatal(err)
+	return dir, opts
+}
+
+// memOpts opens a test store behind a buffer that holds all of it: the
+// fixtures named mem serve the network from memory that way, cold and with
+// pruning bounds, since only a store prunes.
+func memOpts(opts netclus.StoreOptions) netclus.StoreOptions {
+	opts.BufferBytes = 1 << 20
+	return opts
+}
+
+// newTestServer serves the same store twice, both with pruning bounds: as
+// "disk" behind a small buffer and as "mem" behind one that holds it all.
+func newTestServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	dir, opts := testStore(t, testNetwork(t))
+	reg := NewRegistry()
+	must := mustDataset(t)
+	for _, d := range []*Dataset{
+		must(NewStoreDataset("mem", dir, memOpts(opts), 4, false)),
+		must(NewStoreDataset("disk", dir, opts, 4, false)),
+	} {
+		if err := reg.Add(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg.Registry = reg
 	s, err := New(cfg)
@@ -106,10 +118,10 @@ func TestServeQueries(t *testing.T) {
 			}
 		}
 
-		// kNN pruned vs plain must return identical distances.
+		// kNN pruned vs plain (the default) must return identical distances.
 		var kp, kf api.KNNResponse
-		getJSON(t, h, "/v1/"+ds+"/knn?p=3&k=7", http.StatusOK, &kp)
-		getJSON(t, h, "/v1/"+ds+"/knn?p=3&k=7&prune=0", http.StatusOK, &kf)
+		getJSON(t, h, "/v1/"+ds+"/knn?p=3&k=7&prune=1", http.StatusOK, &kp)
+		getJSON(t, h, "/v1/"+ds+"/knn?p=3&k=7", http.StatusOK, &kf)
 		if !kp.Pruned || kf.Pruned {
 			t.Fatalf("%s: pruned flags = %v/%v", ds, kp.Pruned, kf.Pruned)
 		}
@@ -237,8 +249,8 @@ func TestServeDatasetsAndHealth(t *testing.T) {
 	if d.Store.Buffer.LogicalReads == 0 {
 		t.Fatal("serving the kNN query moved no buffer counters")
 	}
-	if dl.Datasets[1].Kind != "memory" || dl.Datasets[1].Store != nil {
-		t.Fatalf("mem info = %+v", dl.Datasets[1])
+	if m := dl.Datasets[1]; m.Kind != "store" || !m.Bounds || m.Queries != 0 || m.Store == nil {
+		t.Fatalf("mem info = %+v", m)
 	}
 
 	var hr api.HealthResponse
@@ -356,7 +368,11 @@ func TestServeDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewNetworkDataset("big", "test", n, 0, false)
+	sn, err := netclus.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewSnapshotDataset("big", "test", sn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,12 +530,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 // reports zero buffer/page-read deltas in /metrics (queries bypassed the
 // page buffer), and exposes the compile-time and resident-bytes gauges.
 func TestServeHotReplica(t *testing.T) {
-	n := testNetwork(t)
-	dir := t.TempDir()
-	opts := netclus.StoreOptions{PageSize: 1024, BufferBytes: 32 * 1024}
-	if err := netclus.BuildStore(dir, n, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir, opts := testStore(t, testNetwork(t))
 	reg := NewRegistry()
 	cold, err := NewStoreDataset("cold", dir, opts, 4, false)
 	if err != nil {
@@ -608,16 +619,19 @@ func TestServeHotReplica(t *testing.T) {
 	}
 }
 
-// newMemServer serves the deterministic test network as one in-memory dataset
-// named "mem". cacheBytes < 0 disables the result cache, so two such servers
-// give a cached/uncached pair over byte-identical data.
+// newMemServer serves the deterministic test network as one store dataset
+// named "mem" behind a buffer that holds it all, cold and with bounds.
+// cacheBytes < 0 disables the result cache, so two such servers give a
+// cached/uncached pair over byte-identical data.
 func newMemServer(t *testing.T, cacheBytes int64) *Server {
 	t.Helper()
+	dir, opts := testStore(t, testNetwork(t))
 	reg := NewRegistry()
-	mem, err := NewNetworkDataset("mem", "test", testNetwork(t), 4, false)
+	mem, err := NewStoreDataset("mem", dir, memOpts(opts), 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mem.Close() })
 	if err := reg.Add(mem); err != nil {
 		t.Fatal(err)
 	}
@@ -707,6 +721,55 @@ func TestServeCacheOptOut(t *testing.T) {
 	}
 }
 
+// TestServeCachePruneKeys: prune is part of a result-cache key only where it
+// can change the body. On a dataset without bounds a read with prune=1 and
+// the same read with prune=0 are one entry, so the second is a hit; so is an
+// ε-Link job's pair on a store with bounds, since ε-Link has no pruned form.
+// A store's pruned and unpruned kNN stay two entries with different pruned
+// fields.
+func TestServeCachePruneKeys(t *testing.T) {
+	n := testNetwork(t)
+	dir, opts := testStore(t, n)
+	sn, err := netclus.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := mustDataset(t)
+	h := serveRegistry(t,
+		must(NewSnapshotDataset("hot", "test", sn, 4)),
+		must(NewStoreDataset("cold", dir, opts, 4, false)),
+	).Handler()
+	read := func(url, wantTag string) []byte {
+		t.Helper()
+		rec, body := getRaw(t, h, url)
+		if got := rec.Header().Get("X-Netclusd-Cache"); got != wantTag {
+			t.Fatalf("%s: X-Netclusd-Cache = %q, want %q", url, got, wantTag)
+		}
+		return body
+	}
+	for _, q := range []string{
+		"/v1/hot/knn?p=3&k=7",
+		"/v1/hot/range?p=3&eps=20",
+		"/v1/hot/cluster?algo=dbscan&eps=15&minpts=3",
+		"/v1/hot/cluster?algo=kmedoids&k=4",
+		"/v1/cold/cluster?algo=epslink&eps=12",
+	} {
+		pruned := read(q+"&prune=1", "miss")
+		if plain := read(q+"&prune=0", "hit"); string(plain) != string(pruned) {
+			t.Fatalf("%s: the prune=0 hit differs from the prune=1 body", q)
+		}
+	}
+	var kp, kf api.KNNResponse
+	for url, out := range map[string]*api.KNNResponse{"/v1/cold/knn?p=3&k=7&prune=1": &kp, "/v1/cold/knn?p=3&k=7&prune=0": &kf} {
+		if err := json.Unmarshal(read(url, "miss"), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !kp.Pruned || kf.Pruned || !reflect.DeepEqual(kp.Results, kf.Results) {
+		t.Fatalf("cold kNN: prune=1 %+v, prune=0 %+v", kp, kf)
+	}
+}
+
 // TestServeUnencodableNotCached: a kNN whose second distance overflows to
 // +Inf (two edges of weight 1e308 between the points) has no JSON body. It
 // answers 500 internal in the error envelope on every request, cached server
@@ -723,7 +786,11 @@ func TestServeUnencodableNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cacheBytes := range []int64{0, -1} {
-		ds, err := NewNetworkDataset("x", "test", n, 0, false)
+		sn, err := netclus.Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := NewSnapshotDataset("x", "test", sn, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -779,10 +846,12 @@ func TestServeBodyLimit(t *testing.T) {
 // costs on top of the recorder and URL parsing.
 func BenchmarkServeCacheHit(b *testing.B) {
 	reg := NewRegistry()
-	mem, err := NewNetworkDataset("mem", "test", testNetwork(b), 4, false)
+	dir, opts := testStore(b, testNetwork(b))
+	mem, err := NewStoreDataset("mem", dir, memOpts(opts), 4, false)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer mem.Close()
 	if err := reg.Add(mem); err != nil {
 		b.Fatal(err)
 	}
