@@ -44,8 +44,9 @@ func SortPairs(ps []Pair) []Pair {
 	for i, p := range ps {
 		cands[i] = pairEntry{a: p.A, b: p.B, dist: p.Dist}
 	}
+	sorted, _ := sortPairs(cands, nil)
 	out := make([]Pair, len(ps))
-	for i, c := range sortPairs(cands) {
+	for i, c := range sorted {
 		out[i] = Pair{A: c.a, B: c.b, Dist: c.dist}
 	}
 	return out

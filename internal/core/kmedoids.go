@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"netclus/internal/heapx"
@@ -37,7 +38,13 @@ type MedoidState struct {
 
 // NewMedoidState returns a state for a graph with n nodes, all unassigned.
 func NewMedoidState(n int) *MedoidState {
-	s := &MedoidState{Med: make([]int32, n), Dist: make([]float64, n)}
+	return new(MedoidState).resize(n)
+}
+
+// resize makes s a state for a graph with n nodes, all unassigned, reusing
+// its arrays when they are large enough.
+func (s *MedoidState) resize(n int) *MedoidState {
+	s.Med, s.Dist = slices.Grow(s.Med[:0], n)[:n], slices.Grow(s.Dist[:0], n)[:n]
 	s.Reset()
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"netclus/internal/network"
 	"netclus/internal/unionfind"
@@ -85,7 +86,13 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 		return res, nil
 	}
 	stop := max(opts.StopAtClusters, 1)
-	uf := unionfind.New(n)
+	sc, _ := slScratch.Get().(*singleLinkScratch)
+	if sc == nil {
+		sc = new(singleLinkScratch)
+	}
+	defer slScratch.Put(sc)
+	uf := &sc.uf
+	uf.Reset(n)
 	d.Merges = make([]MergeStep, 0, n-1)
 	merge := func(a, b network.PointID, dist float64) {
 		if root, merged := uf.Union(int(a), int(b)); merged {
@@ -94,17 +101,21 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	}
 
 	// Step 1 (Fig. 8 lines 1-22): a single sequential scan of the point groups.
-	var cands []pairEntry
-	seeds := make([]network.MedoidSeed, 0, 2*g.NumGroups())
+	cands, seeds := sc.cands[:0], slices.Grow(sc.seeds[:0], 2*g.NumGroups())
+	defer func() { sc.cands, sc.seeds = cands[:0], seeds[:0] }()
 	err := g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
 		res.Stats.GroupsRead++
+		// A run of gaps <= δ joins its points to the run's first one, head:
+		// every point after head is a singleton when it is attached.
+		head := pg.First
 		for i := 1; i < len(offsets); i++ {
 			gap := offsets[i] - offsets[i-1]
 			a, b := pg.First+network.PointID(i-1), pg.First+network.PointID(i)
 			if gap <= opts.Delta {
-				merge(a, b, gap)
+				d.Merges = append(d.Merges, MergeStep{A: a, B: b, Dist: gap, Size: int32(uf.Attach(int(b), int(head)))})
 			} else {
 				cands = append(cands, pairEntry{a: a, b: b, dist: gap})
+				head = b
 			}
 		}
 		last := len(offsets) - 1
@@ -119,7 +130,7 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	d.PreMerges = len(d.Merges)
 
 	// Step 2: the network Voronoi diagram of the points and its candidates.
-	st := NewMedoidState(g.NumNodes())
+	st := sc.st.resize(g.NumNodes())
 	res.Stats.HeapPushes += len(seeds)
 	if ne, ok := g.(network.NearestExpander); ok {
 		cands, err = voronoiKernel(ctx, g, ne, seeds, st, cands, &res.Stats)
@@ -146,7 +157,7 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 	res.Stats.HeapPushes += len(cands)
 
 	// Step 4: ascending merge order from one radix sort, then Kruskal.
-	cands = sortPairs(cands)
+	cands, sc.buf = sortPairs(cands, sc.buf)
 	ticks := 0
 	for _, c := range cands {
 		if uf.Sets() <= stop {
@@ -162,10 +173,10 @@ func SingleLinkCtx(ctx context.Context, g network.Graph, opts SingleLinkOptions)
 }
 
 // sortPairs returns the candidates in ascending (dist, a, b) order, in cands
-// or in a second buffer of the same length. A stable LSD radix sort on the
-// bits of dist, one byte per pass, skips every byte that all keys share; each
-// run of equal dist is then ordered by (a, b).
-func sortPairs(cands []pairEntry) []pairEntry {
+// or in buf grown to the same length, and the other of the two. A stable LSD
+// radix sort on the bits of dist, one byte per pass, skips every byte that
+// all keys share; each run of equal dist is then ordered by (a, b).
+func sortPairs(cands, buf []pairEntry) (sorted, spare []pairEntry) {
 	var counts [8][256]int
 	and, or := ^uint64(0), uint64(0)
 	for _, c := range cands {
@@ -175,7 +186,7 @@ func sortPairs(cands []pairEntry) []pairEntry {
 			counts[d][byte(k>>(8*d))]++
 		}
 	}
-	src, dst := cands, make([]pairEntry, len(cands))
+	src, dst := cands, slices.Grow(buf[:0], len(cands))[:len(cands)]
 	for d := range counts {
 		shift := 8 * d
 		if byte((and^or)>>shift) == 0 {
@@ -205,8 +216,21 @@ func sortPairs(cands []pairEntry) []pairEntry {
 		}
 		i = j
 	}
-	return src
+	return src, dst
 }
+
+// singleLinkScratch is what a SingleLinkCtx call uses and drops on return:
+// the union-find forest, the Voronoi state, the seeds and the candidates with
+// the radix sort's second buffer. slScratch hands it to the next call, so a
+// steady stream of calls allocates little beyond the dendrogram.
+type singleLinkScratch struct {
+	uf         unionfind.UF
+	st         MedoidState
+	seeds      []network.MedoidSeed
+	cands, buf []pairEntry
+}
+
+var slScratch sync.Pool
 
 // distKey is the radix key of a candidate distance. Distances are >= 0 and
 // never NaN, so their bits order them as the floats do, +Inf last; clearing

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"netclus/internal/core"
@@ -16,6 +17,7 @@ import (
 	"netclus/internal/network"
 	"netclus/internal/storage"
 	"netclus/internal/testnet"
+	"netclus/internal/unionfind"
 )
 
 // cutBrute labels points by applying brute-force merges up to distance cut.
@@ -402,4 +404,137 @@ func TestSortPairsMatchesComparisonSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSingleLinkPreMergeRuns holds step 1, which attaches each δ pre-merge to
+// the first point of its run, to the Union-based step it replaced: on every
+// backend of the differential table, the pre-merges must be the ones a
+// general Union of every consecutive pair at gap <= δ records (A, B, the bits
+// of Dist, Size), and the merges after them, replayed through that Union
+// forest, must each join two sets into one of the recorded Size, ending at
+// FinalClusters. The runs shape puts gaps of exactly δ, equal offsets, a run
+// that breaks and resumes inside one group, a one-point group and a group
+// whose every gap is <= δ side by side; δ = 0 pre-merges only equal offsets.
+func TestSingleLinkPreMergeRuns(t *testing.T) {
+	runs := testnet.Shape{
+		Name: "pre-merge-runs", Nodes: 4,
+		Edges: []testnet.ShapeEdge{
+			{U: 0, V: 1, W: 4, Pts: []float64{0.5, 0.75, 0.75, 1.75, 2, 2.25, 3.25}},
+			{U: 1, V: 2, W: 2, Pts: []float64{1}},
+			{U: 2, V: 3, W: 2, Pts: []float64{0.25, 0.5, 0.5, 0.625, 0.875}},
+			{U: 3, V: 0, W: 1},
+		},
+	}
+	graphs := map[string]*network.Network{}
+	for numbering, suffix := range []string{"", "/mirrored", "/twisted"} {
+		g, err := runs.Build(numbering)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[runs.Name+suffix] = g
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := testnet.Random(seed, 32, 90)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("seed=%d", seed)] = g
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			for _, bk := range densityBackends(t, g, 2, false) {
+				for _, delta := range []float64{0, 0.25, 1} {
+					what := fmt.Sprintf("%s δ=%v", bk.name, delta)
+					res, err := core.SingleLinkCtx(context.Background(), bk.g, core.SingleLinkOptions{Delta: delta})
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					want, uf := unionPreMerges(t, bk.g, delta)
+					got, pre := res.Dendrogram.Merges, res.Dendrogram.PreMerges
+					if pre != len(want) || !slices.EqualFunc(got[:pre], want, sameMerge) {
+						t.Fatalf("%s: pre-merges %v, the Union-based step records %v", what, got[:pre], want)
+					}
+					for i, m := range got[pre:] {
+						root, merged := uf.Union(int(m.A), int(m.B))
+						if !merged || int32(uf.Size(root)) != m.Size {
+							t.Fatalf("%s: merge %d %+v, the Union forest says merged=%v size %d", what, pre+i, m, merged, uf.Size(root))
+						}
+					}
+					if uf.Sets() != res.FinalClusters {
+						t.Fatalf("%s: %d final clusters, the Union forest holds %d sets", what, res.FinalClusters, uf.Sets())
+					}
+				}
+			}
+		})
+	}
+}
+
+// unionPreMerges is Single-Link's step 1 as it was before runs: one general
+// Union, and a Size lookup, per consecutive same-edge pair at gap <= delta.
+func unionPreMerges(t *testing.T, g network.Graph, delta float64) ([]core.MergeStep, *unionfind.UF) {
+	t.Helper()
+	uf := unionfind.New(g.NumPoints())
+	var steps []core.MergeStep
+	err := g.ScanGroups(func(_ network.GroupID, pg network.PointGroup, offsets []float64) error {
+		for i := 1; i < len(offsets); i++ {
+			gap := offsets[i] - offsets[i-1]
+			if gap > delta {
+				continue
+			}
+			a, b := pg.First+network.PointID(i-1), pg.First+network.PointID(i)
+			if root, merged := uf.Union(int(a), int(b)); merged {
+				steps = append(steps, core.MergeStep{A: a, B: b, Dist: gap, Size: int32(uf.Size(root))})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps, uf
+}
+
+// sameMerge reports whether two merge steps are equal, Dist bit for bit.
+func sameMerge(x, y core.MergeStep) bool {
+	return x.A == y.A && x.B == y.B && x.Size == y.Size && math.Float64bits(x.Dist) == math.Float64bits(y.Dist)
+}
+
+// TestSingleLinkConcurrentCalls runs Single-Link from several goroutines at
+// once on graphs of different sizes, so that the scratch one call hands to the
+// next changes hands and size between calls: every dendrogram must equal the
+// one a lone call computed.
+func TestSingleLinkConcurrentCalls(t *testing.T) {
+	var graphs []network.Graph
+	var want []*core.Dendrogram
+	for i, size := range []int{20, 60, 120} {
+		g, err := testnet.Random(int64(40+i), size, 3*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.SingleLink(g, core.SingleLinkOptions{Delta: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs, want = append(graphs, g), append(want, res.Dendrogram)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				k := (w + i) % len(graphs)
+				res, err := core.SingleLinkCtx(context.Background(), graphs[k], core.SingleLinkOptions{Delta: 0.05})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.EqualFunc(res.Dendrogram.Merges, want[k].Merges, sameMerge) || res.Dendrogram.PreMerges != want[k].PreMerges {
+					t.Errorf("worker %d call %d on graph %d: the dendrogram differs from a lone call's", w, i, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -74,12 +74,11 @@ type Snapshot struct {
 	coords []network.Coord
 
 	// invDelta is 1/(mean edge weight), the unit of the Δ-stepping bucket
-	// queues: the frontier-parallel range kernel files an entry at distance d
-	// under bucket floor(d·invDelta), ExpandNearest under
-	// floor(d·invDelta·expandFine). Always derived from adj's weights, at
-	// Compile and at load alike. Zero when the graph has no edges (the kernels
-	// then run single-bucket, which is plain label-correcting and still
-	// correct).
+	// queues: the frontier-parallel range kernel and ExpandNearest file an
+	// entry at distance d under bucket floor(d·invDelta). Always derived from
+	// adj's weights, at Compile and at load alike. Zero when the graph has no
+	// edges (the kernels then run single-bucket, which is plain
+	// label-correcting and still correct).
 	invDelta float64
 
 	stats Stats

@@ -14,14 +14,6 @@ type medEntry struct {
 	dist float64
 }
 
-// expandFine is how many buckets of the expansion's frontier one mean edge
-// weight spans. At 1 (plain Δ = mean) a node is settled about twice over on
-// the road stand-ins, because an entry shares its bucket with the entries it
-// spawns; at 8 re-settles fall to ~1.1 per node, and beyond 16 the empty
-// buckets the cursor steps over cost more than the re-settles they save
-// (DESIGN.md §10 has the sweep). The result does not depend on it.
-const expandFine = 8
-
 // ExpandNearest is ExpandNearestLogged without a change log: the entry point
 // of callers that never roll the expansion back (Single-Link's Voronoi step
 // through the interface, the benchmark's probe directly).
@@ -37,21 +29,24 @@ func (s *Snapshot) ExpandNearest(ctx context.Context, seeds []network.MedoidSeed
 // is off.
 //
 // The frontier is a Δ-stepping bucket queue (Δ = the snapshot's mean edge
-// weight / expandFine), not a comparison heap: an entry at distance d files
-// under bucket floor(d/Δ) in O(1), buckets drain in ascending order, and
-// entries within one bucket are processed in arbitrary order with
-// re-processing when a same-bucket relaxation improves a node. That is
-// allowed because the expansion is label-correcting under the explicit
-// lexicographic (dist, med) acceptance test: a node takes an entry when it
-// lowers the distance, or matches it with a lower medoid slot index.
-// Positive edge weights make the key strictly increase along every path, so
-// whatever the processing order the arrays converge to the unique
-// (dist, med, node) lexicographic fixpoint — each node at its shortest seed
-// distance, owned by the lowest-index medoid achieving it — which is the
-// same assignment the generic binary-heap expansion settles on
-// (network.NearestExpander, DESIGN.md §10). Equivalence is property-tested,
-// not inherited from heap structure; the speedup comes from O(1) bucket
-// pushes replacing O(log n) heap ops on top of the flat-array row scans.
+// weight), not a comparison heap: an entry at distance d files under bucket
+// floor(d/Δ) in O(1), buckets drain in ascending order, and entries within
+// one bucket come out in arbitrary order. The kernel keeps the one rule of
+// the generic expansion (core's expand): a seed or a relaxation writes
+// (dist, med) only when it improves the node lexicographically — a lower
+// distance, or the same one with a lower medoid slot index — logging the
+// entry it replaces, and a popped entry is settled only while it still
+// equals its node's entry. Positive edge weights make the key strictly
+// increase along every path, so whatever the processing order the arrays
+// converge to the unique (dist, med, node) lexicographic fixpoint — each
+// node at its shortest seed distance, owned by the lowest-index medoid
+// achieving it — which is the assignment the generic binary-heap expansion
+// settles on (network.NearestExpander, DESIGN.md §10). Out of order within a
+// bucket, a node is settled again only when a better entry reaches it after
+// its pop; an entry superseded before its pop is skipped. Equivalence is
+// property-tested, not inherited from heap structure; the speedup comes from
+// O(1) bucket pushes replacing O(log n) heap ops on top of the flat-array
+// row scans.
 func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.MedoidSeed, med []int32, dist []float64, log *network.MedoidLog) (network.ExpandCounts, error) {
 	var c network.ExpandCounts
 	q, ok := s.pools.expand.Get().(*heapx.Buckets[medEntry])
@@ -69,9 +64,20 @@ func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.Medo
 		q.Reset()
 		s.pools.expand.Put(q)
 	}()
-	inv := s.invDelta * expandFine
+	inv := s.invDelta
+	// improve is the one write of the expansion: node n takes (d, m), its
+	// old entry going to the log first, and the entry is queued.
+	improve := func(n, m int32, d float64) {
+		if log != nil {
+			changes = append(changes, network.MedoidChange{Node: network.NodeID(n), Med: med[n], Dist: dist[n]})
+		}
+		med[n], dist[n] = m, d
+		q.Push(int(d*inv), medEntry{node: n, med: m, dist: d})
+	}
 	for _, sd := range seeds {
-		q.Push(int(sd.Dist*inv), medEntry{node: int32(sd.Node), med: sd.Med, dist: sd.Dist})
+		if n := int32(sd.Node); sd.Dist < dist[n] || (sd.Dist == dist[n] && sd.Med < med[n]) {
+			improve(n, sd.Med, sd.Dist)
+		}
 	}
 	ticks := 0
 	for !q.Empty() {
@@ -84,18 +90,13 @@ func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.Medo
 				break
 			}
 			for _, b := range batch {
-				if b.dist > dist[b.node] || (b.dist == dist[b.node] && b.med >= med[b.node]) {
-					continue
+				if b.dist != dist[b.node] || b.med != med[b.node] {
+					continue // superseded by a better write
 				}
 				if err := cancelCheck(ctx, &ticks); err != nil {
 					q.Recycle(batch)
 					return c, err
 				}
-				if log != nil {
-					changes = append(changes, network.MedoidChange{Node: network.NodeID(b.node), Med: med[b.node], Dist: dist[b.node]})
-				}
-				med[b.node] = b.med
-				dist[b.node] = b.dist
 				c.Settled++
 				row := s.adj[s.rowOff[b.node]:s.rowOff[b.node+1]]
 				c.Edges += len(row)
@@ -105,7 +106,7 @@ func (s *Snapshot) ExpandNearestLogged(ctx context.Context, seeds []network.Medo
 					if nd > dist[v] || (nd == dist[v] && b.med >= med[v]) {
 						continue
 					}
-					q.Push(int(nd*inv), medEntry{node: v, med: b.med, dist: nd})
+					improve(v, b.med, nd)
 					c.Pushes++
 				}
 			}

@@ -8,11 +8,14 @@ package csr_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netclus/internal/core"
+	"netclus/internal/csr"
 	"netclus/internal/lbound"
 	"netclus/internal/network"
 	"netclus/internal/testnet"
@@ -22,16 +25,30 @@ import (
 // Δ-stepping expansion: across K, with and without the Fig. 5 incremental
 // update (swap sequences reuse prior expansion state, so they exercise the
 // lex acceptance on non-empty med/dist arrays), the snapshot backends must
-// reproduce the generic engine's labels, medoids and R exactly. The line
-// instance is tie-rich — unit spacing puts many points equidistant from two
-// medoids — so agreement there pins the (dist, med) tie rule, not just the
-// distances.
+// reproduce the generic engine's labels, medoids and R exactly, and every
+// logged swap expansion must match the generic one array for array and roll
+// back bit for bit (checkLoggedExpansion). The line instance is tie-rich —
+// unit spacing puts many points equidistant from two medoids — so agreement
+// there pins the (dist, med) tie rule, not just the distances; the
+// tie shapes, integer-weighted, add rows where several seeds reach one node
+// at exactly the same distance.
 func TestKMedoidsLexEquivalence(t *testing.T) {
 	ctx := context.Background()
+	for _, sh := range testnet.TieShapes {
+		for numbering, suffix := range []string{"", "/mirrored", "/twisted"} {
+			g, err := sh.Build(numbering)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(sh.Name+suffix, func(t *testing.T) { checkLoggedExpansion(t, g, compile(t, g)) })
+		}
+	}
 	for name, g := range instances(t) {
 		t.Run(name, func(t *testing.T) {
+			mem := compile(t, g)
+			checkLoggedExpansion(t, g, mem)
 			backends := map[string]network.Graph{
-				"mem":   compile(t, g),
+				"mem":   mem,
 				"store": storeCompile(t, g),
 			}
 			for _, k := range []int{1, 3, 7} {
@@ -57,6 +74,75 @@ func TestKMedoidsLexEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkLoggedExpansion runs the swap expansions of a k-medoids search on the
+// snapshot and, from the same state, on the generic expansion of g: every
+// slot of a three-medoid set is replaced in turn by a point drawn from a fixed
+// stride, the swap's expansion recorded from Begin. After each swap the
+// kernel's Med/Dist must equal the generic ones bit for bit; every other swap
+// is rolled back and must leave what the arrays held before it, the rest are
+// committed, so later swaps start from a state earlier ones rewrote.
+func checkLoggedExpansion(t *testing.T, g network.Graph, sn *csr.Snapshot) {
+	t.Helper()
+	n := g.NumPoints()
+	k := min(3, n-1)
+	infos := make([]network.PointInfo, k)
+	for i := range infos {
+		pi, err := g.PointInfo(network.PointID(i * n / k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos[i] = pi
+	}
+	kern, gen := core.NewMedoidState(g.NumNodes()), core.NewMedoidState(g.NumNodes())
+	var stats core.Stats
+	if err := core.MedoidDistFind(sn, infos, kern, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.MedoidDistFind(g, infos, gen, &stats); err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string) {
+		t.Helper()
+		if !slices.Equal(kern.Med, gen.Med) || !slices.EqualFunc(kern.Dist, gen.Dist, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: kernel Med %v Dist %v, generic Med %v Dist %v", what, kern.Med, kern.Dist, gen.Med, gen.Dist)
+		}
+	}
+	same("initial expansion")
+	for attempt := 0; attempt < 3*k; attempt++ {
+		slot := attempt % k
+		p := network.PointID((attempt*7 + 1) % n)
+		cand, err := g.PointInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := infos[slot]
+		infos[slot] = cand
+		wantMed, wantDist := slices.Clone(kern.Med), slices.Clone(kern.Dist)
+		what := fmt.Sprintf("slot %d <- point %d", slot, p)
+		kern.Begin()
+		gen.Begin()
+		if err := core.IncMedoidUpdate(sn, infos, slot, kern, &stats); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.IncMedoidUpdate(g, infos, slot, gen, &stats); err != nil {
+			t.Fatal(err)
+		}
+		same(what)
+		if attempt%2 == 1 {
+			kern.Commit()
+			gen.Commit()
+			continue
+		}
+		kern.Rollback()
+		gen.Rollback()
+		infos[slot] = old
+		if !slices.Equal(kern.Med, wantMed) || !slices.EqualFunc(kern.Dist, wantDist, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: rollback left Med %v Dist %v, want %v %v", what, kern.Med, kern.Dist, wantMed, wantDist)
+		}
+		same(what + ", rolled back")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package heapx provides the priority queues of the network traversal and
 // clustering algorithms. Every Dijkstra frontier in netclus uses lazy
-// insertion, the shape the paper's pseudocode assumes: a node is pushed again
-// at each improvement and stale entries are skipped on pop, so no queue here
-// supports decrease-key. Heap is a binary min-heap, Heap4 a 4-ary one for the
-// CSR kernels, and Buckets the monotone Δ-stepping queue of the CSR
-// multi-source expansion.
+// insertion, the shape the paper's pseudocode assumes: a relaxation that
+// improves a node writes the node's distance at once and pushes a new entry,
+// and a popped entry that no longer matches its node's distance is stale and
+// skipped, so no queue here supports decrease-key. Heap is a binary min-heap,
+// Heap4 a 4-ary one for the CSR kernels, and Buckets the monotone Δ-stepping
+// queue of the CSR multi-source expansion.
 package heapx
 
 // Heap is a binary min-heap over elements of type T ordered by less.
@@ -200,6 +201,10 @@ func (h *Heap4[T]) down(i int) {
 // result is independent of the processing order — label-correcting
 // expansions that converge to an order-free fixpoint, like the lexicographic
 // (dist, sourceRank, nodeID) nearest-medoid expansion (see DESIGN.md §10).
+// Such a consumer writes a node's entry when it pushes and settles a popped
+// entry only while it still equals that entry, so an entry superseded before
+// its pop costs nothing but the skip, and a node is settled again only when
+// a better entry reaches it after its pop.
 //
 // Bucket indices are clamped to maxBuckets; everything at or beyond the cap
 // lands in the last bucket, which then holds mixed priorities. That degrades

@@ -70,6 +70,17 @@ func (u *UF) Union(x, y int) (root int, merged bool) {
 	return rx, true
 }
 
+// Attach joins the singleton x to the set rooted at root and returns the size
+// of the joined set: a Union whose outcome the caller already knows, with
+// neither Find. Single-Link's δ pre-merges grow each run of a point group
+// from its first point this way; Union by size would pick the same root.
+func (u *UF) Attach(x, root int) int {
+	u.parent[x] = int32(root)
+	u.size[root]++
+	u.sets--
+	return int(u.size[root])
+}
+
 // SameSet reports whether x and y belong to the same set.
 func (u *UF) SameSet(x, y int) bool { return u.Find(x) == u.Find(y) }
 
