@@ -1,25 +1,24 @@
-// Package csr compiles a spatial network into an immutable flat-array
-// snapshot and runs the paper's traversal primitives (bounded Dijkstra,
+// Package csr runs the paper's traversal primitives (bounded Dijkstra,
 // ε-range, kNN, concurrent nearest-medoid expansion) as cache-friendly
-// kernels over it.
+// kernels over an immutable flat-array snapshot of a spatial network.
 //
-// The snapshot stores the graph in compressed-sparse-row form with int32
-// node indices and a single adjacency array of the paper's §4.1 records
-// (target node, point-group reference, edge weight: one 16-byte
-// network.Neighbor per half-edge) that the kernels scan and Neighbors
-// sub-slices, the points of every edge bucketed in one position-sorted flat
-// array, and the optional planar embedding carried over so the lower-bound
-// Bounder contract of package lbound works unchanged. A snapshot also
-// implements network.Graph — plus the kernel dispatch contracts
-// network.ScratchProvider, network.KNNQuerier and network.NearestExpander —
-// so every existing operator runs on it without modification and the
-// clustering algorithms pick the kernels up automatically, with results
-// identical to the generic paths.
+// A snapshot is a network.Network — CSR row offsets with int32 node indices,
+// a single adjacency array of the paper's §4.1 records (target node,
+// point-group reference, edge weight: one 16-byte network.Neighbor per
+// half-edge) that the kernels scan and Neighbors sub-slices, the points of
+// every edge bucketed in one position-sorted flat array, and the optional
+// planar embedding, so the lower-bound Bounder contract of package lbound
+// works unchanged — plus the kernels' pools. The network's Graph methods are
+// the snapshot's; it also implements the kernel dispatch contracts
+// network.ScratchProvider, network.KNNQuerier and network.NearestExpander, so
+// every existing operator runs on it without modification and the clustering
+// algorithms pick the kernels up automatically, with results identical to
+// the generic paths.
 //
-// Compile is one-shot and read-only on the source graph; it accepts the
-// in-memory Network and the disk Store alike (a store is decompiled into
-// memory through its Graph interface, one sequential scan each for the
-// adjacency and the point file).
+// Compile of an in-memory Network adopts the network's arrays: the two share
+// that immutable memory, and compiling copies nothing. Any other Graph, the
+// disk Store included, is decompiled into fresh arrays through its Graph
+// interface (one sequential scan each for the adjacency and the point file).
 package csr
 
 import (
@@ -47,16 +46,21 @@ type Stats struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
+// graphArrays names the embedded network without exporting a field: its
+// Graph methods (NumNodes … Tags) are promoted to the snapshot.
+type graphArrays = network.Network
+
 // Snapshot is the compiled network: immutable after Compile, safe for any
 // number of concurrent readers, no interior pointers beyond the slice
 // headers. See the package comment for the layout.
 type Snapshot struct {
-	numEdges int
+	graphArrays
 
+	// The kernels' views of the network's arrays, set once by newSnapshot.
+	//
 	// Adjacency in CSR form: the out-entries of node n are
 	// adj[rowOff[n]:rowOff[n+1]], one 16-byte record per half-edge (target
-	// node, point group on the edge or network.NoGroup, edge weight). The
-	// kernels scan these rows and Neighbors hands them out as sub-slices.
+	// node, point group on the edge or network.NoGroup, edge weight).
 	rowOff []int32
 	adj    []network.Neighbor
 
@@ -68,9 +72,8 @@ type Snapshot struct {
 	ptGrp  []int32
 	ptTag  []int32
 
-	// coords is the optional planar embedding (nil when the source graph
-	// has none), kept so lbound.Build and the Bounder contract work on the
-	// snapshot exactly as on the source.
+	// coords is the optional planar embedding (nil when the network has
+	// none).
 	coords []network.Coord
 
 	// invDelta is 1/(mean edge weight), the unit of the Δ-stepping bucket
@@ -87,6 +90,20 @@ type Snapshot struct {
 	// from this one (Derive) shares it, so a live overlay's views, one per
 	// write batch, reuse what earlier views grew instead of starting empty.
 	pools *kernelPools
+}
+
+// newSnapshot returns the snapshot of net, with the Δ unit left for its
+// caller to set. It is the one place the kernels' array headers are set, so
+// they cannot disagree with the embedded network.
+func newSnapshot(net *network.Network, pools *kernelPools) *Snapshot {
+	s := &Snapshot{graphArrays: *net, pools: pools}
+	s.rowOff, s.adj, s.groups, s.ptPos, s.ptGrp, s.ptTag, s.coords = network.Columns(net)
+	s.stats = Stats{
+		Nodes: s.NumNodes(), Edges: s.NumEdges(), Points: s.NumPoints(), Groups: s.NumGroups(),
+		HasCoords:     s.HasCoords(),
+		ResidentBytes: s.residentBytes(),
+	}
+	return s
 }
 
 // kernelPools are the pools behind a snapshot family's kernels. Pooled state
@@ -124,51 +141,90 @@ type coordSource interface {
 	HasCoords() bool
 }
 
-// Compile builds a snapshot of g. The source graph is only read; the
-// snapshot shares no memory with it and stays valid after the source is
-// closed (for a disk store) or garbage collected.
+// Compile builds a snapshot of g. A *network.Network is adopted: the
+// snapshot shares the network's immutable arrays and copies none of them.
+// Any other source is only read and shares no memory with the snapshot,
+// which stays valid after the source is closed (for a disk store).
 func Compile(g network.Graph) (*Snapshot, error) {
 	start := time.Now()
-	nodes, points, groups := g.NumNodes(), g.NumPoints(), g.NumGroups()
-	if int64(nodes) > math.MaxInt32 || int64(points) > math.MaxInt32 {
-		return nil, fmt.Errorf("csr: graph exceeds int32 index space (%d nodes, %d points)", nodes, points)
+	if int64(g.NumNodes()) > math.MaxInt32 || int64(g.NumPoints()) > math.MaxInt32 {
+		return nil, fmt.Errorf("csr: graph exceeds int32 index space (%d nodes, %d points)", g.NumNodes(), g.NumPoints())
 	}
-	s := &Snapshot{
-		numEdges: g.NumEdges(),
-		rowOff:   make([]int32, nodes+1),
-		groups:   make([]network.PointGroup, 0, groups),
-		ptPos:    make([]float64, points),
-		ptGrp:    make([]int32, points),
-		ptTag:    make([]int32, points),
-		pools:    new(kernelPools),
+	net, ok := g.(*network.Network)
+	var err error
+	if ok {
+		err = checkGroups(net)
+	} else {
+		net, err = decompile(g)
 	}
+	if err != nil {
+		return nil, err
+	}
+	s := newSnapshot(net, new(kernelPools))
+	s.invDelta = invMeanWeight(s.adj)
+	s.stats.CompileTime = time.Since(start)
+	return s, nil
+}
+
+// groupError reports a group that breaks the §4.1 invariant the kernels index
+// by: groups ordered by first point ID, IDs dense per edge.
+func groupError(gid int, pg network.PointGroup, next network.PointID) error {
+	return fmt.Errorf("csr: group %d violates the point-group invariant (first %d, count %d, want first %d)",
+		gid, pg.First, pg.Count, next)
+}
+
+// checkGroups verifies the §4.1 invariant on a network's own groups, in
+// O(groups): Build emits it, and the kernels rely on it.
+func checkGroups(net *network.Network) error {
+	_, _, groups, pos, _, _, _ := network.Columns(net)
+	next := network.PointID(0)
+	for gid, pg := range groups {
+		if pg.First != next || pg.Count < 0 {
+			return groupError(gid, pg, next)
+		}
+		next += network.PointID(pg.Count)
+	}
+	if int(next) != len(pos) {
+		return fmt.Errorf("csr: point groups cover %d of %d points", next, len(pos))
+	}
+	return nil
+}
+
+// decompile reads g into fresh arrays in the layout Build emits.
+func decompile(g network.Graph) (*network.Network, error) {
+	nodes, points := g.NumNodes(), g.NumPoints()
 
 	// Adjacency: one pass over the nodes, preserving each row's order (the
 	// builder and the store both keep rows sorted by target node, which the
 	// kernels and the generic operators rely on for determinism).
-	s.adj = make([]network.Neighbor, 0, 2*s.numEdges)
+	rowOff := make([]int32, nodes+1)
+	adj := make([]network.Neighbor, 0, 2*g.NumEdges())
 	for n := 0; n < nodes; n++ {
-		adj, err := g.Neighbors(network.NodeID(n))
+		row, err := g.Neighbors(network.NodeID(n))
 		if err != nil {
 			return nil, fmt.Errorf("csr: compiling adjacency of node %d: %w", n, err)
 		}
-		s.adj = append(s.adj, adj...)
-		s.rowOff[n+1] = int32(len(s.adj))
+		adj = append(adj, row...)
+		rowOff[n+1] = int32(len(adj))
+	}
+	if len(adj) != 2*g.NumEdges() {
+		return nil, fmt.Errorf("csr: adjacency holds %d half-edges for %d edges", len(adj), g.NumEdges())
 	}
 
-	// Point groups and buckets: one sequential scan. The §4.1 invariant
-	// (groups ordered by first point ID, IDs dense per edge in ascending
-	// offset order) is what the kernels index by, so verify it holds.
+	// Point groups and buckets: one sequential scan, checking the §4.1
+	// invariant as it goes.
+	groups := make([]network.PointGroup, 0, g.NumGroups())
+	pos := make([]float64, points)
+	grp := make([]int32, points)
 	next := network.PointID(0)
 	err := g.ScanGroups(func(gid network.GroupID, pg network.PointGroup, offsets []float64) error {
-		if network.GroupID(len(s.groups)) != gid || pg.First != next || int(pg.Count) != len(offsets) {
-			return fmt.Errorf("csr: group %d violates the point-group invariant (first %d, count %d, want first %d)",
-				gid, pg.First, pg.Count, next)
+		if network.GroupID(len(groups)) != gid || pg.First != next || int(pg.Count) != len(offsets) || int(next)+len(offsets) > points {
+			return groupError(int(gid), pg, next)
 		}
-		s.groups = append(s.groups, pg)
-		copy(s.ptPos[pg.First:], offsets)
+		groups = append(groups, pg)
+		copy(pos[pg.First:], offsets)
 		for i := int32(0); i < pg.Count; i++ {
-			s.ptGrp[int32(pg.First)+i] = int32(gid)
+			grp[int32(pg.First)+i] = int32(gid)
 		}
 		next += network.PointID(pg.Count)
 		return nil
@@ -182,37 +238,30 @@ func Compile(g network.Graph) (*Snapshot, error) {
 
 	// Tags: through the flat accessor when the source has one, falling back
 	// to per-point record resolution.
+	tags := make([]int32, points)
 	if ts, ok := g.(tagSource); ok {
-		for p := range s.ptTag {
-			s.ptTag[p] = ts.Tag(network.PointID(p))
+		for p := range tags {
+			tags[p] = ts.Tag(network.PointID(p))
 		}
 	} else {
-		for p := range s.ptTag {
+		for p := range tags {
 			pi, err := g.PointInfo(network.PointID(p))
 			if err != nil {
 				return nil, fmt.Errorf("csr: resolving tag of point %d: %w", p, err)
 			}
-			s.ptTag[p] = pi.Tag
+			tags[p] = pi.Tag
 		}
 	}
 
 	// Planar embedding, when the source carries one.
+	var coords []network.Coord
 	if cg, ok := g.(coordSource); ok && cg.HasCoords() {
-		s.coords = make([]network.Coord, nodes)
-		for n := range s.coords {
-			s.coords[n] = cg.Coord(network.NodeID(n))
+		coords = make([]network.Coord, nodes)
+		for n := range coords {
+			coords[n] = cg.Coord(network.NodeID(n))
 		}
 	}
-
-	s.invDelta = invMeanWeight(s.adj)
-
-	s.stats = Stats{
-		Nodes: nodes, Edges: s.numEdges, Points: points, Groups: len(s.groups),
-		HasCoords:     s.coords != nil,
-		ResidentBytes: s.residentBytes(),
-	}
-	s.stats.CompileTime = time.Since(start)
-	return s, nil
+	return network.FromColumns(rowOff, adj, groups, pos, grp, tags, coords), nil
 }
 
 // Derive returns a snapshot of s's network that holds another point set, in
@@ -229,23 +278,8 @@ func Derive(s *Snapshot, groups []network.PointGroup, ptPos []float64, ptTag, pt
 	if adj == nil {
 		adj = s.adj
 	}
-	d := &Snapshot{
-		numEdges: s.numEdges,
-		rowOff:   s.rowOff,
-		adj:      adj,
-		groups:   groups,
-		ptPos:    ptPos,
-		ptGrp:    ptGrp,
-		ptTag:    ptTag,
-		coords:   s.coords,
-		invDelta: s.invDelta,
-		pools:    s.pools,
-	}
-	d.stats = Stats{
-		Nodes: s.stats.Nodes, Edges: s.numEdges, Points: len(ptPos), Groups: len(groups),
-		HasCoords:     s.coords != nil,
-		ResidentBytes: d.residentBytes(),
-	}
+	d := newSnapshot(network.FromColumns(s.rowOff, adj, groups, ptPos, ptGrp, ptTag, s.coords), s.pools)
+	d.invDelta = s.invDelta
 	return d
 }
 

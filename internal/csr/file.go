@@ -51,7 +51,7 @@ var (
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	meta := make([]byte, snapMetaLen)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(s.stats.Nodes))
-	binary.LittleEndian.PutUint64(meta[8:], uint64(s.numEdges))
+	binary.LittleEndian.PutUint64(meta[8:], uint64(s.NumEdges()))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(s.stats.Points))
 	binary.LittleEndian.PutUint64(meta[24:], uint64(len(s.groups)))
 	var flags uint64
@@ -171,9 +171,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: invalid bucket width 1/Δ = %v", ErrSnapshotCorrupt, invDelta)
 	}
 
-	s := &Snapshot{numEdges: int(edges), pools: new(kernelPools)}
 	half := int(2 * edges)
-	if s.rowOff, err = snapInt32s(f, secRowOff, int(nodes)+1); err != nil {
+	rowOff, err := snapInt32s(f, secRowOff, int(nodes)+1)
+	if err != nil {
 		return nil, err
 	}
 	adjNode, errN := snapInt32s(f, secAdjNode, half)
@@ -182,27 +182,24 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if err := cmp.Or(errN, errW, errG); err != nil {
 		return nil, err
 	}
-	s.adj = make([]network.Neighbor, half)
-	for i := range s.adj {
-		s.adj[i] = network.Neighbor{Node: network.NodeID(adjNode[i]), Group: network.GroupID(adjGroup[i]), Weight: adjW[i]}
+	adj := make([]network.Neighbor, half)
+	for i := range adj {
+		adj[i] = network.Neighbor{Node: network.NodeID(adjNode[i]), Group: network.GroupID(adjGroup[i]), Weight: adjW[i]}
 	}
-	if s.ptPos, err = snapFloat64s(f, secPtPos, int(points)); err != nil {
-		return nil, err
-	}
-	if s.ptGrp, err = snapInt32s(f, secPtGrp, int(points)); err != nil {
-		return nil, err
-	}
-	if s.ptTag, err = snapInt32s(f, secPtTag, int(points)); err != nil {
+	ptPos, errPos := snapFloat64s(f, secPtPos, int(points))
+	ptGrp, errGrp := snapInt32s(f, secPtGrp, int(points))
+	ptTag, errTag := snapInt32s(f, secPtTag, int(points))
+	if err := cmp.Or(errPos, errGrp, errTag); err != nil {
 		return nil, err
 	}
 	gsec, ok := f.Section(secGroups)
 	if !ok || len(gsec) != int(groups)*24 {
 		return nil, fmt.Errorf("%w: group section holds %d bytes, want %d records", ErrSnapshotCorrupt, len(gsec), groups)
 	}
-	s.groups = make([]network.PointGroup, groups)
-	for i := range s.groups {
+	pgs := make([]network.PointGroup, groups)
+	for i := range pgs {
 		e := gsec[i*24:]
-		s.groups[i] = network.PointGroup{
+		pgs[i] = network.PointGroup{
 			N1:     network.NodeID(int32(binary.LittleEndian.Uint32(e[0:]))),
 			N2:     network.NodeID(int32(binary.LittleEndian.Uint32(e[4:]))),
 			Weight: math.Float64frombits(binary.LittleEndian.Uint64(e[8:])),
@@ -210,31 +207,27 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 			Count:  int32(binary.LittleEndian.Uint32(e[20:])),
 		}
 	}
+	var coords []network.Coord
 	if flags&snapFlagCoords != 0 {
 		csec, ok := f.Section(secCoords)
 		if !ok || len(csec) != int(nodes)*16 {
 			return nil, fmt.Errorf("%w: coord section holds %d bytes, want %d records", ErrSnapshotCorrupt, len(csec), nodes)
 		}
-		s.coords = make([]network.Coord, nodes)
-		for i := range s.coords {
-			s.coords[i] = network.Coord{
+		coords = make([]network.Coord, nodes)
+		for i := range coords {
+			coords[i] = network.Coord{
 				X: math.Float64frombits(binary.LittleEndian.Uint64(csec[i*16:])),
 				Y: math.Float64frombits(binary.LittleEndian.Uint64(csec[i*16+8:])),
 			}
 		}
 	}
 
+	s := newSnapshot(network.FromColumns(rowOff, adj, pgs, ptPos, ptGrp, ptTag, coords), new(kernelPools))
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-
-	// Derived state: the bucket width unit and the stats.
+	// Derived state: the bucket width unit.
 	s.invDelta = invMeanWeight(s.adj)
-	s.stats = Stats{
-		Nodes: int(nodes), Edges: s.numEdges, Points: int(points), Groups: int(groups),
-		HasCoords:     s.coords != nil,
-		ResidentBytes: s.residentBytes(),
-	}
 	s.stats.CompileTime = time.Since(start) // load time: no store reads, no recompilation
 	return s, nil
 }

@@ -90,7 +90,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.ptTag, sn.ptTag) || !reflect.DeepEqual(got.coords, sn.coords) {
 		t.Fatal("arrays differ after round trip")
 	}
-	if got.invDelta != sn.invDelta || got.numEdges != sn.numEdges {
+	if got.invDelta != sn.invDelta || got.NumEdges() != sn.NumEdges() {
 		t.Fatal("scalars differ after round trip")
 	}
 	ws, cs := got.Stats(), sn.Stats()

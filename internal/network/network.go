@@ -12,22 +12,39 @@ import (
 // mirroring the layout of the disk-based points file.
 type Network struct {
 	offsets  []int32    // CSR row offsets, len NumNodes+1
-	adj      []Neighbor // flattened adjacency lists
+	adj      []Neighbor // flattened adjacency lists, two half-edges per edge
 	coords   []Coord    // optional node embedding (nil if absent)
 	groups   []PointGroup
 	pointPos []float64 // offset of every point, grouped per edge, ascending
-	pointGrp []GroupID // group of every point, precomputed in Build
+	pointGrp []int32   // group of every point, precomputed in Build
 	tags     []int32   // application tag per point
-	numEdges int
 }
 
 var _ Graph = (*Network)(nil)
+
+// Columns returns n's arrays: the CSR row offsets and adjacency, the point
+// groups, the per-point offsets, group IDs and tags (indexed by PointID), and
+// the embedding (nil when absent). They alias n and must not be modified. It
+// is a function, not a method, so that it is not promoted to the types that
+// embed a Network.
+func Columns(n *Network) (offsets []int32, adj []Neighbor, groups []PointGroup, pos []float64, grp, tags []int32, coords []Coord) {
+	return n.offsets, n.adj, n.groups, n.pointPos, n.pointGrp, n.tags, n.coords
+}
+
+// FromColumns returns a Network over the given arrays, in Columns' order. It
+// neither copies nor checks them: the caller must hand over arrays in the
+// §4.1 layout Build emits (rows sorted by target, both halves of every edge,
+// groups ordered by first point ID with their points' offsets ascending) and
+// modify none of them afterwards.
+func FromColumns(offsets []int32, adj []Neighbor, groups []PointGroup, pos []float64, grp, tags []int32, coords []Coord) *Network {
+	return &Network{offsets: offsets, adj: adj, groups: groups, pointPos: pos, pointGrp: grp, tags: tags, coords: coords}
+}
 
 // NumNodes returns |V|.
 func (n *Network) NumNodes() int { return len(n.offsets) - 1 }
 
 // NumEdges returns |E|.
-func (n *Network) NumEdges() int { return n.numEdges }
+func (n *Network) NumEdges() int { return len(n.adj) / 2 }
 
 // NumPoints returns the number of objects on the network.
 func (n *Network) NumPoints() int { return len(n.pointPos) }
@@ -70,7 +87,7 @@ func (n *Network) PointInfo(p PointID) (PointInfo, error) {
 	// The point -> group table is precomputed in Build: PointInfo runs once
 	// per point per clustering pass, so the O(log G) search it replaced was
 	// a measurable constant on every algorithm.
-	g := n.pointGrp[p]
+	g := GroupID(n.pointGrp[p])
 	pg := n.groups[g]
 	return PointInfo{
 		Group:  g,
@@ -257,9 +274,8 @@ func (b *Builder) Build() (*Network, error) {
 
 	net := &Network{
 		pointPos: make([]float64, len(pts)),
-		pointGrp: make([]GroupID, len(pts)),
+		pointGrp: make([]int32, len(pts)),
 		tags:     make([]int32, len(pts)),
-		numEdges: len(b.edges),
 	}
 	if b.coordNodes > 0 {
 		net.coords = b.coords
@@ -284,7 +300,7 @@ func (b *Builder) Build() (*Network, error) {
 		edgeGrp[k] = g
 		for t := i; t < j; t++ {
 			net.pointPos[t] = pts[t].pos
-			net.pointGrp[t] = g
+			net.pointGrp[t] = int32(g)
 			net.tags[t] = pts[t].tag
 		}
 		i = j

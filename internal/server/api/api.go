@@ -120,8 +120,8 @@ func boolValue(q url.Values, name string, def bool) bool {
 
 // RangeRequest is GET /v1/{dataset}/range: every point within network
 // distance Eps of Point. Dists asks for exact distances (canonical
-// ascending (dist, point) order); Prune enables filter-and-refine on the
-// ID-only flavour when the dataset has bounds.
+// ascending (dist, point) order); Prune asks for filter-and-refine on the
+// ID-only flavour when the dataset has bounds (off by default, as for kNN).
 type RangeRequest struct {
 	Point netclus.PointID
 	Eps   float64
@@ -143,12 +143,12 @@ func DecodeRange(q url.Values) (RangeRequest, error) {
 		return req, fmt.Errorf("eps must be finite and > 0 (got %v)", req.Eps)
 	}
 	req.Dists = boolValue(q, "dists", false)
-	req.Prune = boolValue(q, "prune", true)
+	req.Prune = boolValue(q, "prune", false)
 	if req.Dists {
 		// The distance flavour always runs the plain expansion (upper-bound
 		// acceptance does not produce exact distances), so prune is inert:
 		// canonicalize it away to merge the keys.
-		req.Prune = true
+		req.Prune = false
 	}
 	return req, nil
 }
@@ -216,7 +216,9 @@ func (r KNNRequest) Values() url.Values {
 
 // ClusterRequest is /v1/{dataset}/cluster for dbscan, epslink and kmedoids.
 // Every field can arrive as a query parameter on GET or as the JSON body of a
-// POST; both decode paths land on the same canonical form.
+// POST; both decode paths land on the same canonical form. Prune asks for the
+// bounds of a dataset that has them; it is off by default, as for kNN and
+// range.
 type ClusterRequest struct {
 	Algo   string  `json:"algo"`
 	Eps    float64 `json:"eps"`
@@ -230,7 +232,7 @@ type ClusterRequest struct {
 	Restarts int   `json:"restarts"`
 	Seed     int64 `json:"seed"`
 	Labels   bool  `json:"labels"`
-	Prune    *bool `json:"prune,omitempty"`
+	Prune    bool  `json:"prune"`
 }
 
 // clusterDefaults is the canonical zero request.
@@ -309,10 +311,7 @@ func DecodeClusterValues(q url.Values) (ClusterRequest, error) {
 	}
 	req.Seed = int64(seed)
 	req.Labels = boolValue(q, "labels", false)
-	if q.Get("prune") != "" {
-		p := boolValue(q, "prune", true)
-		req.Prune = &p
-	}
+	req.Prune = boolValue(q, "prune", false)
 	return req, req.normalize()
 }
 
@@ -324,11 +323,6 @@ func DecodeClusterJSON(body io.Reader) (ClusterRequest, error) {
 		return req, fmt.Errorf("bad request body: %w", err)
 	}
 	return req, req.normalize()
-}
-
-// PruneEnabled resolves the tri-state prune field: absent means true.
-func (r ClusterRequest) PruneEnabled() bool {
-	return r.Prune == nil || *r.Prune
 }
 
 // Canonical returns the stable cache-key fragment of the request. It leaves
@@ -346,7 +340,7 @@ func (r ClusterRequest) Canonical() string {
 	if r.Algo == "epslink" {
 		return c
 	}
-	return c + "&prune=" + canonBool(r.PruneEnabled())
+	return c + "&prune=" + canonBool(r.Prune)
 }
 
 // Values renders the request as query values, for clients.
@@ -361,7 +355,7 @@ func (r ClusterRequest) Values() url.Values {
 		"restarts": {strconv.Itoa(r.Restarts)},
 		"seed":     {strconv.FormatInt(r.Seed, 10)},
 		"labels":   {canonBool(r.Labels)},
-		"prune":    {canonBool(r.PruneEnabled())},
+		"prune":    {canonBool(r.Prune)},
 	}
 }
 

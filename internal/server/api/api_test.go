@@ -26,10 +26,10 @@ func TestRangeCanonicalization(t *testing.T) {
 		"p=3&eps=0.5",
 		"eps=.5&p=3",
 		"p=3&eps=0.50&dists=0",
-		"eps=5e-1&p=3&prune=1",
-		"p=3&eps=0.5&prune=true&dists=false",
+		"eps=5e-1&p=3&prune=0",
+		"p=3&eps=0.5&prune=false&dists=false",
 	}
-	want := "p=3&eps=0.5&dists=0&prune=1"
+	want := "p=3&eps=0.5&dists=0&prune=0"
 	for _, raw := range spellings {
 		req, err := DecodeRange(mustQuery(t, raw))
 		if err != nil {
@@ -136,15 +136,17 @@ func TestClusterCanonicalization(t *testing.T) {
 	if kmAlias.Canonical() != km.Canonical() {
 		t.Errorf("k-medoids alias: %q != %q", kmAlias.Canonical(), km.Canonical())
 	}
-	// Tri-state prune: absent and explicit prune=1 share a key.
+	// Prune is off by default: absent and explicit prune=0 share a key, on
+	// GET and POST alike.
 	a, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5"))
-	b, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5&prune=1"))
-	if a.Canonical() != b.Canonical() {
-		t.Errorf("prune default: %q != %q", a.Canonical(), b.Canonical())
+	b, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5&prune=0"))
+	bp, _ := DecodeClusterJSON(strings.NewReader(`{"algo":"dbscan","eps":5}`))
+	if a.Canonical() != b.Canonical() || a.Canonical() != bp.Canonical() {
+		t.Errorf("prune default: %q, %q, %q", a.Canonical(), b.Canonical(), bp.Canonical())
 	}
-	c, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5&prune=0"))
+	c, _ := DecodeClusterValues(mustQuery(t, "algo=dbscan&eps=5&prune=1"))
 	if a.Canonical() == c.Canonical() {
-		t.Error("prune=0 shares key with prune=1")
+		t.Error("prune=1 shares key with prune=0")
 	}
 	// ε-Link has no pruned form, so prune is no part of its key.
 	e0, _ := DecodeClusterValues(mustQuery(t, "algo=epslink&eps=5&prune=0"))
@@ -231,7 +233,7 @@ func TestValuesRoundTrip(t *testing.T) {
 			Prune: rng.Intn(2) == 0,
 		}
 		if rr.Dists {
-			rr.Prune = true // canonical form
+			rr.Prune = false // canonical form
 		}
 		back, err := DecodeRange(rr.Values())
 		if err != nil {
@@ -260,10 +262,14 @@ func TestValuesRoundTrip(t *testing.T) {
 			Restarts: 1 + rng.Intn(3),
 			Seed:     rng.Int63n(1 << 40),
 			Labels:   rng.Intn(2) == 0,
+			Prune:    rng.Intn(2) == 0,
 		}
 		cback, err := DecodeClusterValues(cr.Values())
 		if err != nil {
 			t.Fatalf("cluster round trip: %v", err)
+		}
+		if cback != cr {
+			t.Fatalf("cluster round trip: %+v != %+v", cback, cr)
 		}
 		if cback.Canonical() != cr.Canonical() {
 			t.Fatalf("cluster canonical drift: %q vs %q", cback.Canonical(), cr.Canonical())
@@ -312,5 +318,5 @@ func TestHitRatio(t *testing.T) {
 func ExampleRangeRequest_Canonical() {
 	req, _ := DecodeRange(url.Values{"p": {"3"}, "eps": {".50"}})
 	fmt.Println(req.Canonical())
-	// Output: p=3&eps=0.5&dists=0&prune=1
+	// Output: p=3&eps=0.5&dists=0&prune=0
 }

@@ -211,7 +211,7 @@ func TestColdBoundsBuildError(t *testing.T) {
 	h := s.Handler()
 
 	var first string
-	for _, q := range []string{"knn?p=1&k=3&prune=1", "range?p=1&eps=20", "cluster?algo=dbscan&eps=15&minpts=3", "knn?p=2&k=3&prune=1"} {
+	for _, q := range []string{"knn?p=1&k=3&prune=1", "range?p=1&eps=20&prune=1", "cluster?algo=dbscan&eps=15&minpts=3&prune=1", "knn?p=2&k=3&prune=1"} {
 		var eb api.ErrorBody
 		getJSON(t, h, "/v1/broken/"+q, http.StatusInternalServerError, &eb)
 		msg := eb.Error.Message

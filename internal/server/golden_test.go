@@ -95,12 +95,12 @@ func goldenScript() [][2]string {
 			"range?p=3&eps=15",
 			"range?p=7&eps=20",
 			"range?p=7&eps=20",
-			"range?p=7&eps=20&prune=0",
+			"range?p=7&eps=20&prune=1",
 			"knn?p=3&k=7",
 			"knn?p=3&k=7&prune=1",
 			"knn?k=7&p=3&prune=0",
 			"cluster?algo=dbscan&eps=15&minpts=3",
-			"cluster?algo=dbscan&eps=15&minpts=3&workers=1&minsup=3",
+			"cluster?algo=dbscan&eps=15&minpts=3&workers=1&minsup=3&prune=1",
 			"cluster?algo=epslink&eps=12&minsup=2",
 			fmt.Sprintf("cluster?algo=dbscan&eps=%g&minpts=%d", liveEps, liveMinPts),
 			fmt.Sprintf("cluster?algo=epslink&eps=%g", liveEps),

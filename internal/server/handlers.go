@@ -93,10 +93,10 @@ func (s *Server) cachedRead(w http.ResponseWriter, r *http.Request, d *Dataset, 
 	writeBody(w, body, tag)
 }
 
-// handleRange serves GET /v1/{dataset}/range?p=&eps=[&dists=1][&prune=0].
-// The ID-only flavour runs the filter-and-refine path when the dataset has
-// bounds; dists=1 needs exact distances, which only the plain expansion
-// produces.
+// handleRange serves GET /v1/{dataset}/range?p=&eps=[&dists=1][&prune=1].
+// With prune=1 the ID-only flavour runs the filter-and-refine path when the
+// dataset has bounds; dists=1 needs exact distances, which only the plain
+// expansion produces.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	req, err := api.DecodeRange(r.URL.Query())
 	if err != nil {
@@ -149,7 +149,7 @@ func (s *Server) computeRange(ctx context.Context, d *Dataset, va viewAt, req ap
 	return resp, nil
 }
 
-// handleKNN serves GET /v1/{dataset}/knn?p=&k=[&prune=0].
+// handleKNN serves GET /v1/{dataset}/knn?p=&k=[&prune=1].
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	req, err := api.DecodeKNN(r.URL.Query())
 	if err != nil {
@@ -233,10 +233,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, d *Datase
 		s.bodyError(w, err)
 		return
 	}
-	if !d.HasBounds() { // see handleKNN
-		off := false
-		req.Prune = &off
-	}
+	req.Prune = req.Prune && d.HasBounds() // see handleKNN
 	va := d.viewAt()
 	s.cachedRead(w, r, d, "cluster", req.Canonical(), func() ([]byte, error) {
 		resp, err := s.computeCluster(r.Context(), d, va, req)
@@ -284,7 +281,7 @@ func (s *Server) computeCluster(ctx context.Context, d *Dataset, va viewAt, req 
 func runCluster(ctx context.Context, d *Dataset, g netclus.Graph, req api.ClusterRequest, resp *api.ClusterResponse) ([]int32, error) {
 	// ε-Link has no pruned form.
 	var bounds netclus.Bounder
-	if req.PruneEnabled() && req.Algo != "epslink" {
+	if req.Prune && req.Algo != "epslink" {
 		b, err := d.backend.bounds(ctx)
 		if err != nil {
 			return nil, err

@@ -75,9 +75,9 @@ func TestBackendContract(t *testing.T) {
 
 	const clusterQ = "/cluster?algo=dbscan&eps=15&minpts=3&labels=1"
 	var cold api.ClusterResponse
-	getJSON(t, h, "/v1/cold-mem"+clusterQ, http.StatusOK, &cold)
+	getJSON(t, h, "/v1/cold-mem"+clusterQ+"&prune=1", http.StatusOK, &cold)
 	if cold.Prune == nil || cold.Clusters < 1 {
-		t.Fatalf("cold-mem: default clustering ran unpruned or found nothing: %+v", cold)
+		t.Fatalf("cold-mem: clustering with prune=1 ran unpruned or found nothing: %+v", cold)
 	}
 	// A hot dataset labels on its snapshot, whose flag pass queries only the
 	// points their own edge leaves short of minpts (clusterQ's eps and minpts).
@@ -126,16 +126,18 @@ func TestBackendContract(t *testing.T) {
 		for _, q := range []string{"eps=25", "eps=25", "eps=12.5"} {
 			getJSON(t, h, "/v1/"+name+"/range?p=3&dists=1&"+q, http.StatusOK, nil)
 		}
-		var cr api.ClusterResponse
-		getJSON(t, h, "/v1/"+name+clusterQ, http.StatusOK, &cr)
-		if (cr.Prune != nil) != row.bounds {
-			t.Fatalf("%s: prune block present = %v", name, cr.Prune != nil)
-		}
-		if !reflect.DeepEqual(cold.Labels, cr.Labels) || cold.Clusters != cr.Clusters || cold.CorePoints != cr.CorePoints {
-			t.Fatalf("%s: clustering differs from the cold dataset's", name)
-		}
-		if row.hot && cr.Stats.RangeQueries != hotQueries {
-			t.Fatalf("%s: %d range queries, %d points are short on their edge", name, cr.Stats.RangeQueries, hotQueries)
+		for _, prune := range []string{"", "&prune=1"} {
+			var cr api.ClusterResponse
+			getJSON(t, h, "/v1/"+name+clusterQ+prune, http.StatusOK, &cr)
+			if (cr.Prune != nil) != (prune != "" && row.bounds) {
+				t.Fatalf("%s%s: prune block present = %v", name, prune, cr.Prune != nil)
+			}
+			if !reflect.DeepEqual(cold.Labels, cr.Labels) || cold.Clusters != cr.Clusters || cold.CorePoints != cr.CorePoints {
+				t.Fatalf("%s%s: clustering differs from the cold dataset's", name, prune)
+			}
+			if row.hot && cr.Stats.RangeQueries != hotQueries {
+				t.Fatalf("%s: %d range queries, %d points are short on their edge", name, cr.Stats.RangeQueries, hotQueries)
+			}
 		}
 
 		const batch = `{"ops":[{"op":"insert","near":0,"pos":0.5}]}`

@@ -175,12 +175,14 @@ func ScratchFor(g Graph) RangeQuerier { return network.ScratchFor(g) }
 
 // Snapshot is an immutable compiled form of a network: int32 CSR adjacency
 // with inlined weights and position-sorted per-edge point buckets, built
-// once with Compile / CompileStore. It implements Graph, so every clustering
-// function and network operator accepts it unchanged and produces
-// byte-identical labels — but traversals run on flat arrays with
-// epoch-stamped scratch, typically several times faster than the pointer
-// Network and an order of magnitude faster than the cold Store. Any number
-// of goroutines may query one snapshot concurrently.
+// once with Compile / CompileStore. A snapshot of a Network holds that
+// network's own arrays; one of a Store holds a copy in memory. It implements
+// Graph, so every clustering function and network operator accepts it
+// unchanged and produces byte-identical labels — but traversals run on the
+// flat-array kernels with epoch-stamped scratch, typically several times
+// faster than the generic paths a Network runs and an order of magnitude
+// faster than the cold Store. Any number of goroutines may query one
+// snapshot concurrently.
 type Snapshot = csr.Snapshot
 
 // CSRStats describes a compiled snapshot: cardinalities, compile time and
@@ -197,9 +199,10 @@ type CSRStats = csr.Stats
 type KNNBatch = csr.KNNBatch
 
 // Compile builds a Snapshot from any Graph (typically an in-memory
-// Network). The source is not retained; node coordinates are carried over
-// when the source has them, so Euclidean bounds (BuildBounds) keep working
-// on the snapshot.
+// Network). A Network's snapshot shares the network's immutable arrays and
+// copies none of them; any other source is copied and not retained. Node
+// coordinates are carried over when the source has them, so Euclidean bounds
+// (BuildBounds) keep working on the snapshot.
 func Compile(g Graph) (*Snapshot, error) { return csr.Compile(g) }
 
 // CompileStore builds a Snapshot from an open disk Store — a hot in-memory
